@@ -7,13 +7,14 @@
 //!   inference route;
 //! * training-precision engine, parallel backend — same math on the
 //!   blocked multi-threaded tensor kernels;
-//! * training-precision engine, simd backend — runtime-detected AVX2
-//!   float GEMM and hardware-popcount loops, bit-identical outputs;
+//! * training-precision engine, simd backend (the compiled default) —
+//!   runtime-detected AVX2 float GEMM, bit-identical outputs;
 //! * deployed-precision engine (packed XNOR-popcount body) on each
 //!   backend.
 //!
-//! On AVX2 hardware the simd deployed row must not lose to the scalar
-//! deployed row (asserted; skipped when detection reports no AVX2).
+//! On AVX2 hardware the simd deployed row — AVX2 float GEMM plus the
+//! binary convolution at the detected level — must beat the scalar
+//! deployed row by 20% (asserted; skipped when detection reports no AVX2).
 //!
 //! Each row is a separate `Engine` carrying its backend by value — the
 //! process-global backend selection is never touched, which is itself the
@@ -126,13 +127,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "deployed whole-network serving must beat the seed scalar path"
     );
     if Backend::detected().has_avx2() {
-        // rows: [scalar, parallel, simd]; allow 10% timer jitter — the
-        // per-kernel floors are asserted in micro_kernels, this guards
-        // against the simd path regressing at the whole-network level.
+        // rows: [scalar, parallel, simd]. The portable loop is the same
+        // direct kernel, so the scalar row moved with the simd one: on this
+        // probe the detected level serves in 0.4-0.6x the scalar time
+        // (float GEMM 1.4x, binary conv 2.5-5x). 0.8 leaves room for timer
+        // jitter; the per-kernel floors are asserted in micro_kernels.
         let (scalar_deploy, simd_deploy) = (rows[0].2, rows[2].2);
         assert!(
-            simd_deploy.as_secs_f64() <= scalar_deploy.as_secs_f64() * 1.1,
-            "simd deployed serving must not lose to scalar (got {simd_deploy:.2?} vs {scalar_deploy:.2?})"
+            simd_deploy.as_secs_f64() <= scalar_deploy.as_secs_f64() * 0.8,
+            "simd deployed serving must beat scalar by 20% (got {simd_deploy:.2?} vs {scalar_deploy:.2?})"
         );
     }
     let json: Vec<String> = rows

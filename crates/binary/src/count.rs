@@ -1,20 +1,11 @@
-//! XNOR-popcount primitives and cost accounting.
+//! The XNOR-popcount atom and cost accounting.
 //!
-//! # Popcount primitives
+//! # Popcount
 //!
-//! The three hand-rolled XNOR-popcount inner loops of this crate —
-//! [`PackedBits::dot`](crate::pack::PackedBits::dot), and the interior and
-//! masked-border paths of the
-//! [`BinaryConv2d`](crate::xnor::BinaryConv2d) binary GEMM — all bottom
-//! out in the `#[inline]` helpers here, so the scalar loops have one
-//! source of truth ([`xnor_word_agree`] / [`xnor_tap_agree`] /
-//! [`xnor_row_agree`] / [`xnor_border_agree`]) and the hardware-popcount
-//! SIMD variants another ([`x86`], x86-64 only). [`row_agree_for`] /
-//! [`border_agree_for`] resolve a [`SimdLevel`] to the strongest safe
-//! implementation — that is how the binary GEMM picks its inner loop from
-//! the backend's [`Kernel::simd_level`](scales_tensor::Kernel::simd_level).
-//! Every variant is integer-exact: agreements are counted, never
-//! approximated, so results are identical on all levels.
+//! [`xnor_word_agree`] is the masked word atom
+//! [`PackedBits::dot`](crate::pack::PackedBits::dot) is built from. The
+//! convolution does not come through here: its one loop lives in
+//! [`crate::direct`], compiled once per [`scales_tensor::SimdLevel`].
 //!
 //! # Cost accounting
 //!
@@ -29,241 +20,14 @@
 //! to a word on 64-bit hardware; binary weights cost 1 bit against a 32-bit
 //! float.
 
-use scales_tensor::SimdLevel;
 use std::fmt;
 
 /// XNOR-agree count of one word pair under a validity mask: the number of
 /// lanes where `a` and `b` carry the same sign bit *and* the mask is set.
-/// The atom every binary dot product in this crate is built from.
 #[inline]
 #[must_use]
 pub fn xnor_word_agree(a: u64, b: u64, mask: u64) -> u32 {
     (!(a ^ b) & mask).count_ones()
-}
-
-/// Agree count over one bit-im2col tap of `wpp` channel words: full-lane
-/// words except the last, which is masked by `mask` (`u64::MAX` when the
-/// channel count fills the word).
-///
-/// # Panics
-///
-/// Panics when the slices are empty or differ in length.
-#[inline]
-#[must_use]
-pub fn xnor_tap_agree(w: &[u64], p: &[u64], mask: u64) -> u32 {
-    assert_eq!(w.len(), p.len(), "tap word count mismatch");
-    let last = w.len() - 1;
-    let mut agree = 0u32;
-    for i in 0..last {
-        agree += xnor_word_agree(w[i], p[i], u64::MAX);
-    }
-    agree + xnor_word_agree(w[last], p[last], mask)
-}
-
-/// Shared loop body of the interior row agree: `w` and `p` are a
-/// contiguous run of taps (`len / wpp` of them), each `wpp` words with the
-/// last masked. `#[inline(always)]` so the `#[target_feature]` wrappers in
-/// [`x86`] recompile this exact loop with hardware popcount enabled — one
-/// source of truth for the loop, per-ISA codegen.
-#[inline(always)]
-fn row_agree_generic(w: &[u64], p: &[u64], wpp: usize, mask: u64) -> u32 {
-    debug_assert_eq!(w.len(), p.len());
-    debug_assert!(wpp > 0 && w.len().is_multiple_of(wpp));
-    if wpp == 1 {
-        // Single channel word per tap: every word takes the same mask.
-        // Four independent accumulators so the popcounts pipeline.
-        let (mut a0, mut a1, mut a2, mut a3) = (0u32, 0u32, 0u32, 0u32);
-        let mut i = 0;
-        while i + 4 <= w.len() {
-            a0 += xnor_word_agree(w[i], p[i], mask);
-            a1 += xnor_word_agree(w[i + 1], p[i + 1], mask);
-            a2 += xnor_word_agree(w[i + 2], p[i + 2], mask);
-            a3 += xnor_word_agree(w[i + 3], p[i + 3], mask);
-            i += 4;
-        }
-        let mut agree = a0 + a1 + a2 + a3;
-        while i < w.len() {
-            agree += xnor_word_agree(w[i], p[i], mask);
-            i += 1;
-        }
-        agree
-    } else {
-        let mut agree = 0u32;
-        let mut base = 0;
-        while base < w.len() {
-            agree += xnor_tap_agree(&w[base..base + wpp], &p[base..base + wpp], mask);
-            base += wpp;
-        }
-        agree
-    }
-}
-
-/// Agree count over a contiguous interior bit-im2col row (`taps × wpp`
-/// words, the last word of each tap masked by `mask`) — the branch-free
-/// inner product of the binary GEMM's interior fast path.
-#[inline]
-#[must_use]
-pub fn xnor_row_agree(w: &[u64], p: &[u64], wpp: usize, mask: u64) -> u32 {
-    row_agree_generic(w, p, wpp, mask)
-}
-
-/// Shared loop body of the masked border agree: taps whose `tap_ok` flag
-/// is 0 (out-of-bounds receptive-field positions) are skipped outright.
-#[inline(always)]
-fn border_agree_generic(w: &[u64], p: &[u64], tap_ok: &[u8], wpp: usize, mask: u64) -> u32 {
-    debug_assert_eq!(w.len(), p.len());
-    debug_assert_eq!(tap_ok.len() * wpp, w.len());
-    let mut agree = 0u32;
-    for (tap, &ok) in tap_ok.iter().enumerate() {
-        if ok == 0 {
-            continue;
-        }
-        let base = tap * wpp;
-        agree += xnor_tap_agree(&w[base..base + wpp], &p[base..base + wpp], mask);
-    }
-    agree
-}
-
-/// Agree count over a masked border bit-im2col row: like
-/// [`xnor_row_agree`] but only taps flagged valid in `tap_ok` count.
-#[inline]
-#[must_use]
-pub fn xnor_border_agree(w: &[u64], p: &[u64], tap_ok: &[u8], wpp: usize, mask: u64) -> u32 {
-    border_agree_generic(w, p, tap_ok, wpp, mask)
-}
-
-/// Signature of an interior row-agree implementation
-/// (`(w, p, wpp, mask) -> agree`), as returned by [`row_agree_for`].
-pub type RowAgreeFn = fn(&[u64], &[u64], usize, u64) -> u32;
-
-/// Signature of a masked border row-agree implementation
-/// (`(w, p, tap_ok, wpp, mask) -> agree`), as returned by
-/// [`border_agree_for`].
-pub type BorderAgreeFn = fn(&[u64], &[u64], &[u8], usize, u64) -> u32;
-
-/// The interior row-agree implementation for a CPU feature level:
-/// AVX2 → the 256-bit XNOR + `_popcnt64` kernel, SSE4.2 → the scalar loop
-/// compiled with hardware popcount, otherwise the portable scalar loop.
-///
-/// The level is clamped to what the CPU actually reports
-/// ([`scales_tensor::simd::detected`]), so the returned function is safe
-/// to call no matter what the caller passes.
-#[must_use]
-pub fn row_agree_for(level: SimdLevel) -> RowAgreeFn {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let level = level.min(scales_tensor::simd::detected());
-        if level.has_avx2() {
-            // SAFETY: AVX2 + POPCNT presence is guaranteed by the clamp
-            // against runtime detection above.
-            return |w, p, wpp, mask| unsafe { x86::xnor_row_agree_avx2(w, p, wpp, mask) };
-        }
-        if level.has_popcnt() {
-            // SAFETY: POPCNT presence guaranteed by the same clamp.
-            return |w, p, wpp, mask| unsafe { x86::xnor_row_agree_popcnt(w, p, wpp, mask) };
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = level;
-    xnor_row_agree
-}
-
-/// The border row-agree implementation for a CPU feature level (hardware
-/// popcount from SSE4.2 up); same safety clamp as [`row_agree_for`].
-#[must_use]
-pub fn border_agree_for(level: SimdLevel) -> BorderAgreeFn {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if level.min(scales_tensor::simd::detected()).has_popcnt() {
-            // SAFETY: POPCNT presence guaranteed by the detection clamp.
-            return |w, p, ok, wpp, mask| unsafe { x86::xnor_border_agree_popcnt(w, p, ok, wpp, mask) };
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = level;
-    xnor_border_agree
-}
-
-/// Hardware-popcount variants of the agree loops, dispatched through
-/// [`row_agree_for`] / [`border_agree_for`]. x86-64 only.
-#[cfg(target_arch = "x86_64")]
-pub mod x86 {
-    use core::arch::x86_64::{
-        __m256i, _mm256_andnot_si256, _mm256_extract_epi64, _mm256_loadu_si256, _mm256_set1_epi64x,
-        _mm256_xor_si256, _popcnt64,
-    };
-
-    /// The scalar interior loop recompiled with the `popcnt` instruction
-    /// enabled (the SSE4.2-level kernel). Integer-exact, so bit-identical
-    /// to [`super::xnor_row_agree`] by construction.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support POPCNT (runtime-checked by
-    /// [`super::row_agree_for`]).
-    #[target_feature(enable = "popcnt")]
-    pub unsafe fn xnor_row_agree_popcnt(w: &[u64], p: &[u64], wpp: usize, mask: u64) -> u32 {
-        super::row_agree_generic(w, p, wpp, mask)
-    }
-
-    /// AVX2 interior row agree: XNOR + mask run 4 words per 256-bit lane
-    /// (`_mm256_xor_si256` / `_mm256_andnot_si256`), the four lanes
-    /// popcounted with `_popcnt64` into independent accumulators (no
-    /// AVX-512 `VPOPCNTDQ` assumed). Multi-word taps (`wpp > 1`) keep the
-    /// per-tap structure with hardware popcount. Integer-exact.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 and POPCNT (runtime-checked by
-    /// [`super::row_agree_for`]).
-    #[target_feature(enable = "avx2", enable = "popcnt")]
-    pub unsafe fn xnor_row_agree_avx2(w: &[u64], p: &[u64], wpp: usize, mask: u64) -> u32 {
-        debug_assert_eq!(w.len(), p.len());
-        debug_assert!(wpp > 0 && w.len().is_multiple_of(wpp));
-        if wpp != 1 {
-            return super::row_agree_generic(w, p, wpp, mask);
-        }
-        let n = w.len();
-        let vmask: __m256i = _mm256_set1_epi64x(mask as i64);
-        let (mut a0, mut a1, mut a2, mut a3) = (0u32, 0u32, 0u32, 0u32);
-        let mut i = 0;
-        while i + 4 <= n {
-            // SAFETY: i + 4 <= n bounds both 256-bit loads.
-            let wv = unsafe { _mm256_loadu_si256(w.as_ptr().add(i).cast()) };
-            let pv = unsafe { _mm256_loadu_si256(p.as_ptr().add(i).cast()) };
-            // ¬(w ⊕ p) ∧ mask  ==  andnot(w ⊕ p, mask).
-            let agree = _mm256_andnot_si256(_mm256_xor_si256(wv, pv), vmask);
-            // _popcnt64 returns 0..=64 per word — u32 accumulation is exact.
-            a0 += _popcnt64(_mm256_extract_epi64::<0>(agree)) as u32;
-            a1 += _popcnt64(_mm256_extract_epi64::<1>(agree)) as u32;
-            a2 += _popcnt64(_mm256_extract_epi64::<2>(agree)) as u32;
-            a3 += _popcnt64(_mm256_extract_epi64::<3>(agree)) as u32;
-            i += 4;
-        }
-        let mut agree = a0 + a1 + a2 + a3;
-        while i < n {
-            agree += super::xnor_word_agree(w[i], p[i], mask);
-            i += 1;
-        }
-        agree
-    }
-
-    /// The scalar masked-border loop recompiled with hardware popcount.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support POPCNT (runtime-checked by
-    /// [`super::border_agree_for`]).
-    #[target_feature(enable = "popcnt")]
-    pub unsafe fn xnor_border_agree_popcnt(
-        w: &[u64],
-        p: &[u64],
-        tap_ok: &[u8],
-        wpp: usize,
-        mask: u64,
-    ) -> u32 {
-        super::border_agree_generic(w, p, tap_ok, wpp, mask)
-    }
 }
 
 /// Accumulated parameter and operation counts for a model, split into
@@ -473,70 +237,11 @@ mod tests {
         assert_eq!(r.ops_display(), "913.80G");
     }
 
-    /// Deterministic pseudo-random words (LCG; no rand dependency).
-    fn words(n: usize, seed: u64) -> Vec<u64> {
-        let mut s = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-        (0..n)
-            .map(|_| {
-                s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-                s ^ (s >> 29)
-            })
-            .collect()
-    }
-
     #[test]
-    fn word_and_tap_agree_count_exactly() {
+    fn word_agree_counts_exactly() {
         assert_eq!(xnor_word_agree(0, 0, u64::MAX), 64);
         assert_eq!(xnor_word_agree(0, u64::MAX, u64::MAX), 0);
         assert_eq!(xnor_word_agree(0b1010, 0b1000, 0b1111), 3);
         assert_eq!(xnor_word_agree(0b1010, 0b1000, 0b0010), 0);
-        // Tap: one full word agreeing everywhere + one masked word.
-        assert_eq!(xnor_tap_agree(&[u64::MAX, 0b11], &[u64::MAX, 0b10], 0b111), 64 + 2);
-    }
-
-    /// Every SIMD level's row/border agree must equal the portable scalar
-    /// loop on hostile shapes: word counts that are not a multiple of the
-    /// 4-wide vector step, single-word rows, multi-word taps (wpp 2 and 3),
-    /// and partial channel masks. Levels above what the CPU supports are
-    /// clamped by the selector, so sweeping all of them is always safe.
-    #[test]
-    fn simd_agree_variants_match_scalar_on_hostile_shapes() {
-        let levels = [SimdLevel::None, SimdLevel::Sse42, SimdLevel::Avx2];
-        for &(taps, wpp, mask) in &[
-            (1usize, 1usize, u64::MAX),      // single word
-            (3, 1, u64::MAX),                // not a multiple of 4
-            (4, 1, (1u64 << 17) - 1),        // exactly one vector, partial mask
-            (9, 1, u64::MAX),                // 3×3 taps, tail of 1
-            (25, 1, (1u64 << 63) - 1),       // 5×5 taps, tail of 1, partial
-            (9, 2, (1u64 << 16) - 1),        // wpp=2 (e.g. ic=80)
-            (9, 3, u64::MAX),                // wpp=3, full last word
-            (7, 3, (1u64 << 5) - 1),         // wpp=3, tiny partial mask
-        ] {
-            let n = taps * wpp;
-            let w = words(n, 11);
-            let p = words(n, 47);
-            let want = xnor_row_agree(&w, &p, wpp, mask);
-            let ok: Vec<u8> = (0..taps).map(|t| u8::from(t % 3 != 1)).collect();
-            let want_border = xnor_border_agree(&w, &p, &ok, wpp, mask);
-            for level in levels {
-                let got = row_agree_for(level)(&w, &p, wpp, mask);
-                assert_eq!(got, want, "row level={level} taps={taps} wpp={wpp}");
-                let got_border = border_agree_for(level)(&w, &p, &ok, wpp, mask);
-                assert_eq!(got_border, want_border, "border level={level} taps={taps} wpp={wpp}");
-            }
-        }
-    }
-
-    /// The selectors clamp against runtime detection, so asking for a level
-    /// the CPU lacks still returns a callable, correct implementation.
-    #[test]
-    fn selectors_clamp_to_detected_features() {
-        let w = words(8, 3);
-        let p = words(8, 5);
-        let want = xnor_row_agree(&w, &p, 1, u64::MAX);
-        assert_eq!(row_agree_for(SimdLevel::Avx2)(&w, &p, 1, u64::MAX), want);
-        let ok = [1u8; 8];
-        let want = xnor_border_agree(&w, &p, &ok, 1, u64::MAX);
-        assert_eq!(border_agree_for(SimdLevel::Avx2)(&w, &p, &ok, 1, u64::MAX), want);
     }
 }

@@ -7,10 +7,14 @@
 //!   validity mask, and the XNOR-popcount dot product.
 //! * [`xnor::BinaryConv2d`] / [`xnor::BinaryLinear`] — deployment-path
 //!   layers that are bit-exact against the float reference on `±1` inputs.
-//! * [`count`] — the shared XNOR-popcount agree primitives every inner
-//!   loop above dispatches through (scalar, hardware-popcount, and AVX2
-//!   variants selected by [`scales_tensor::SimdLevel`]), plus the paper's
-//!   cost model (`OPs = OPs_f + OPs_b/64`, `Params = Params_f + Params_b/32`).
+//! * [`direct`] — the one convolution kernel behind `BinaryConv2d`: a
+//!   direct, fused XNOR-popcount loop compiled once per
+//!   [`scales_tensor::SimdLevel`] (portable, `popcnt`, AVX2, AVX-512
+//!   `VPOPCNTDQ`) and run at the level the active backend reports — the
+//!   best one detected by default, the portable loop under
+//!   `SCALES_BACKEND=scalar`.
+//! * [`count`] — the paper's cost model (`OPs = OPs_f + OPs_b/64`,
+//!   `Params = Params_f + Params_b/32`).
 //!
 //! ```
 //! use scales_binary::pack::PackedBits;
@@ -20,9 +24,11 @@
 //! ```
 
 pub mod count;
+pub mod direct;
 pub mod pack;
 pub mod xnor;
 
 pub use count::CostReport;
+pub use direct::{Fused, SignShift};
 pub use pack::PackedBits;
 pub use xnor::{BinaryConv2d, BinaryLinear};

@@ -6,6 +6,21 @@
 //! so zero-padded convolution taps contribute exactly 0 to the dot product,
 //! keeping the packed kernels bit-exact against the float reference.
 
+/// The one sign rule of every packed kernel in this crate: bit 1 encodes
+/// `+1`, bit 0 encodes `−1`, and `sign(0) = +1` (both zeros pack as 1, NaN
+/// as 0). Branch-free, so packing cost does not depend on the data.
+#[inline(always)]
+#[must_use]
+pub fn sign_bit(v: f32) -> u64 {
+    u64::from(v >= 0.0)
+}
+
+/// The sign bits of up to 64 values, value `i` in lane `i`.
+#[inline]
+fn pack_word(values: &[f32]) -> u64 {
+    values.iter().enumerate().fold(0, |word, (i, &v)| word | sign_bit(v) << i)
+}
+
 /// A bit-packed sign vector with a validity mask.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedBits {
@@ -25,14 +40,10 @@ impl PackedBits {
     #[must_use]
     pub fn from_signs(values: &[f32]) -> Self {
         let len = values.len();
-        let words = Self::words_for(len);
-        let mut bits = vec![0u64; words];
-        let mut mask = vec![0u64; words];
-        for (i, &v) in values.iter().enumerate() {
-            if v >= 0.0 {
-                bits[i / 64] |= 1 << (i % 64);
-            }
-            mask[i / 64] |= 1 << (i % 64);
+        let bits = values.chunks(64).map(pack_word).collect();
+        let mut mask = vec![u64::MAX; Self::words_for(len)];
+        if !len.is_multiple_of(64) {
+            mask[len / 64] = (1u64 << (len % 64)) - 1;
         }
         Self { bits, mask, len }
     }
@@ -46,19 +57,12 @@ impl PackedBits {
     #[must_use]
     pub fn from_signs_masked(values: &[f32], valid: &[bool]) -> Self {
         assert_eq!(values.len(), valid.len(), "mask length mismatch");
-        let len = values.len();
-        let words = Self::words_for(len);
-        let mut bits = vec![0u64; words];
-        let mut mask = vec![0u64; words];
-        for (i, (&v, &ok)) in values.iter().zip(valid.iter()).enumerate() {
-            if ok {
-                mask[i / 64] |= 1 << (i % 64);
-                if v >= 0.0 {
-                    bits[i / 64] |= 1 << (i % 64);
-                }
-            }
-        }
-        Self { bits, mask, len }
+        let mask: Vec<u64> = valid
+            .chunks(64)
+            .map(|chunk| chunk.iter().enumerate().fold(0, |m, (i, &ok)| m | u64::from(ok) << i))
+            .collect();
+        let bits = values.chunks(64).zip(&mask).map(|(chunk, &m)| pack_word(chunk) & m).collect();
+        Self { bits, mask, len: values.len() }
     }
 
     /// Lane count.
@@ -169,6 +173,36 @@ mod tests {
         let b: Vec<f32> = (0..n).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
         let expect: f32 = a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum();
         assert_eq!(PackedBits::from_signs(&a).dot(&PackedBits::from_signs(&b)), expect as i32);
+    }
+
+    #[test]
+    fn packing_is_exact_at_word_boundaries_and_on_the_zero_rule() {
+        // −0.0 and 0.0 are +1, NaN is −1; lengths straddle the word size.
+        for len in [1usize, 63, 64, 65, 128, 130] {
+            let v: Vec<f32> = (0..len)
+                .map(|i| match i % 5 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => f32::NAN,
+                    3 => 1.5,
+                    _ => -2.5,
+                })
+                .collect();
+            let valid: Vec<bool> = (0..len).map(|i| i % 3 != 1).collect();
+            let (p, m) = (PackedBits::from_signs(&v), PackedBits::from_signs_masked(&v, &valid));
+            for i in 0..len {
+                let bit = |words: &[u64]| words[i / 64] >> (i % 64) & 1;
+                assert_eq!(bit(p.bits()), u64::from(i % 5 < 2 || i % 5 == 3), "len {len} lane {i}");
+                assert_eq!(bit(p.mask()), 1);
+                assert_eq!(bit(m.mask()), u64::from(valid[i]));
+                assert_eq!(bit(m.bits()), bit(p.bits()) & bit(m.mask()));
+            }
+            // No stray bits above the last lane.
+            if len % 64 != 0 {
+                assert_eq!(p.bits()[len / 64] >> (len % 64), 0);
+                assert_eq!(p.mask()[len / 64] >> (len % 64), 0);
+            }
+        }
     }
 
     #[test]

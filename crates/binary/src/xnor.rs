@@ -1,56 +1,43 @@
-//! Bit-packed XNOR-popcount inference kernels.
+//! Bit-packed XNOR-popcount inference layers.
 //!
 //! These implement the deployment path the paper benchmarks with Larq on a
 //! Snapdragon 870 (Table VI): weights are packed once at construction,
 //! activations are sign-packed per call, and the convolution inner product
-//! runs entirely on `u64` XNOR + popcount, recovering the float result
-//! exactly for `±1` inputs (padded taps contribute 0 via the lane mask).
+//! runs entirely on `u64` XOR + popcount, recovering the float result
+//! exactly for `±1` inputs (zero-padded taps contribute exactly 0).
 //!
-//! The convolution is organised as a bit-level im2col followed by a
-//! "binary GEMM" over output channels, dispatched through
-//! [`scales_tensor::backend`] so the parallel backend splits channel rows
-//! across threads and the simd backend swaps in the hardware-popcount /
-//! AVX2 agree loops from [`crate::count`] (results are identical on every
-//! backend — the inner product is integer-exact).
+//! The convolution is the direct kernel of [`crate::direct`]: no im2col,
+//! lanes are output pixels, and the caller's epilogue (gates, identity
+//! skip) is applied in the store. Output channels are dispatched through
+//! [`scales_tensor::backend`], so the parallel backend splits them across
+//! threads and the simd backend — the default — runs the loop compiled for
+//! the detected [`SimdLevel`] (results are identical on every backend and
+//! level — the inner product is integer-exact).
 
-use crate::pack::PackedBits;
+use crate::direct::{self, Fused, Geometry, Job};
+use crate::pack::{sign_bit, PackedBits};
 use scales_tensor::ops::Conv2dSpec;
-use scales_tensor::workspace::BitScratch;
-use scales_tensor::{Result, Tensor, TensorError};
+use scales_tensor::workspace::{sized, BitScratch};
+use scales_tensor::{Result, SimdLevel, Tensor, TensorError};
 
 /// A binary 2-D convolution with packed weights and per-output-channel
 /// float scales (`ŵ = s_c · sign(w)`).
 ///
 /// Packing is **channel-major**: each spatial position's input-channel
 /// vector is packed into `ceil(IC/64)` words once per image, so the hot
-/// loop gathers whole words rather than individual bits. Weights are packed
-/// in the matching `(ky, kx, channel-word)` order at construction.
+/// loop works on whole words rather than individual bits. Weights are
+/// packed in the matching `(ky, kx, channel-word)` order at construction,
+/// with no bits set above `IC`.
 pub struct BinaryConv2d {
     /// Per output channel: `k·k·wpp` words in (ky, kx, channel-word) order.
     packed_weights: Vec<u64>,
+    /// Per (output channel, tap): [`direct::pad_fix`] of the weights.
+    pad_fix: Vec<i32>,
     scales: Vec<f32>,
     out_channels: usize,
     in_channels: usize,
     kernel: usize,
-    /// Words per pixel (`ceil(IC/64)`).
-    wpp: usize,
-    /// Valid-channel mask for the (single partial) channel word.
-    channel_mask: u64,
     spec: Conv2dSpec,
-}
-
-/// Packing geometry shared by every constructor: words per pixel and the
-/// valid-lane mask for the (single partial) channel word. One home for
-/// the load-bearing formula so the float-weight and serialized-parts
-/// paths can never drift apart.
-fn packing_geometry(in_channels: usize) -> (usize, u64) {
-    let wpp = in_channels.div_ceil(64);
-    let mask = if in_channels.is_multiple_of(64) {
-        u64::MAX
-    } else {
-        (1u64 << (in_channels % 64)) - 1
-    };
-    (wpp, mask)
 }
 
 impl BinaryConv2d {
@@ -74,7 +61,7 @@ impl BinaryConv2d {
             return Err(TensorError::InvalidArgument(format!("kernel must be square, got {kh}x{kw}")));
         }
         let k = kh;
-        let (wpp, channel_mask) = packing_geometry(ic);
+        let wpp = ic.div_ceil(64);
         let per = ic * k * k;
         let mut packed = vec![0u64; oc * k * k * wpp];
         let mut scales = Vec::with_capacity(oc);
@@ -85,22 +72,19 @@ impl BinaryConv2d {
                 for kx in 0..k {
                     for ci in 0..ic {
                         // chunk layout: [ic, k, k]
-                        if chunk[(ci * k + ky) * k + kx] >= 0.0 {
-                            let word = ((c * k + ky) * k + kx) * wpp + ci / 64;
-                            packed[word] |= 1 << (ci % 64);
-                        }
+                        let word = ((c * k + ky) * k + kx) * wpp + ci / 64;
+                        packed[word] |= sign_bit(chunk[(ci * k + ky) * k + kx]) << (ci % 64);
                     }
                 }
             }
         }
         Ok(Self {
+            pad_fix: direct::pad_fix(&packed, wpp, ic),
             packed_weights: packed,
             scales,
             out_channels: oc,
             in_channels: ic,
             kernel: k,
-            wpp,
-            channel_mask,
             spec: Conv2dSpec::same(k),
         })
     }
@@ -129,7 +113,7 @@ impl BinaryConv2d {
         in_channels: usize,
         kernel: usize,
         spec: Conv2dSpec,
-        packed_weights: Vec<u64>,
+        mut packed_weights: Vec<u64>,
         scales: Vec<f32>,
     ) -> Result<Self> {
         if out_channels == 0 || in_channels == 0 || kernel == 0 {
@@ -137,7 +121,7 @@ impl BinaryConv2d {
                 "binary conv needs positive channel counts and kernel size".into(),
             ));
         }
-        let (wpp, channel_mask) = packing_geometry(in_channels);
+        let wpp = in_channels.div_ceil(64);
         // Checked: the extents may come from an untrusted serialized
         // artifact, and an overflow must be a typed error, not a panic
         // (debug) or a wrapped garbage comparison (release).
@@ -162,14 +146,20 @@ impl BinaryConv2d {
                 actual: scales.len(),
             });
         }
+        // The kernel counts whole words, so lanes above `in_channels` in
+        // each tap's last word must be clear — serialized parts are not
+        // trusted to keep that.
+        if !in_channels.is_multiple_of(64) {
+            let valid = (1u64 << (in_channels % 64)) - 1;
+            packed_weights.iter_mut().skip(wpp - 1).step_by(wpp).for_each(|w| *w &= valid);
+        }
         Ok(Self {
+            pad_fix: direct::pad_fix(&packed_weights, wpp, in_channels),
             packed_weights,
             scales,
             out_channels,
             in_channels,
             kernel,
-            wpp,
-            channel_mask,
             spec,
         })
     }
@@ -230,7 +220,7 @@ impl BinaryConv2d {
     /// Run the packed convolution on a float input `[N, IC, H, W]`. The
     /// input is sign-binarized internally; the output is
     /// `s_c · (binary dot)` per channel, with zero-padded taps contributing
-    /// exactly 0 (mask words), bit-exact against the float reference.
+    /// exactly 0, bit-exact against the float reference.
     ///
     /// Allocating convenience wrapper over [`BinaryConv2d::forward_into`];
     /// serving paths thread a reusable [`BitScratch`] instead.
@@ -261,21 +251,8 @@ impl BinaryConv2d {
     /// The zero-allocation core of [`BinaryConv2d::forward`]: convolve a
     /// flat `[n, in_channels, h, w]` input into a caller-provided output
     /// buffer of `n · out_channels · oh · ow` elements (fully
-    /// overwritten), staging the activation bitmap and bit-im2col patches
-    /// in a reusable grow-only [`BitScratch`].
-    ///
-    /// Two structural fast paths keep results integer-exact while skipping
-    /// border bookkeeping:
-    ///
-    /// * the sign packing writes **both polarities** of each word's first
-    ///   channel lane (assignment, then ORs), so the bitmap never needs a
-    ///   zeroing pass;
-    /// * output pixels whose receptive field is entirely in bounds (the
-    ///   *interior* rectangle — the overwhelming majority at serving
-    ///   sizes) run a branch-free inner product with no per-tap `tap_ok`
-    ///   lookups and a constant valid-channel count; only border pixels
-    ///   keep the masked path. Both paths count the same lanes, so the
-    ///   result is bit-identical to the all-masked reference.
+    /// overwritten), staging the activation bitmap in a reusable grow-only
+    /// [`BitScratch`]. [`BinaryConv2d::forward_fused`] with nothing fused.
     ///
     /// # Errors
     ///
@@ -289,169 +266,112 @@ impl BinaryConv2d {
         scratch: &mut BitScratch,
         out: &mut [f32],
     ) -> Result<()> {
-        let ic = self.in_channels;
-        let oc = self.out_channels;
-        let k = self.kernel;
-        let oh = self.spec.out_extent(h, k)?;
-        let ow = self.spec.out_extent(w, k)?;
-        if input.len() != n * ic * h * w {
-            return Err(TensorError::LengthMismatch { expected: n * ic * h * w, actual: input.len() });
+        self.forward_fused(input, n, h, w, &Fused::default(), scratch, out)
+    }
+
+    /// [`BinaryConv2d::forward_into`] with the caller's input shift applied
+    /// in the sign packer and its gates and identity skip applied in the
+    /// store, per element in the order of the [`Fused`] fields — bit-identical
+    /// to running them as separate passes over the output. Runs at the
+    /// active backend's [`SimdLevel`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for mismatched input/output/operand lengths or
+    /// geometry, or a skip on a layer that changes the shape.
+    #[allow(clippy::too_many_arguments)]
+    pub fn forward_fused(
+        &self,
+        input: &[f32],
+        n: usize,
+        h: usize,
+        w: usize,
+        fused: &Fused<'_>,
+        scratch: &mut BitScratch,
+        out: &mut [f32],
+    ) -> Result<()> {
+        let level = scales_tensor::backend::kernel().simd_level();
+        self.forward_at(level, input, n, h, w, fused, scratch, out)
+    }
+
+    /// [`BinaryConv2d::forward_fused`] with the kernel compiled for `level`
+    /// (clamped to what the CPU offers, so any level is safe to ask for) —
+    /// how tests and benches compare the levels in one process.
+    ///
+    /// # Errors
+    ///
+    /// As [`BinaryConv2d::forward_fused`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn forward_at(
+        &self,
+        level: SimdLevel,
+        input: &[f32],
+        n: usize,
+        h: usize,
+        w: usize,
+        fused: &Fused<'_>,
+        scratch: &mut BitScratch,
+        out: &mut [f32],
+    ) -> Result<()> {
+        let (ic, oc) = (self.in_channels, self.out_channels);
+        let g = Geometry::new(ic, self.kernel, self.spec, h, w)?;
+        let (oh, ow) = g.out();
+        let expect = |actual: usize, expected: usize| {
+            if actual == expected {
+                Ok(())
+            } else {
+                Err(TensorError::LengthMismatch { expected, actual })
+            }
+        };
+        expect(input.len(), n * ic * h * w)?;
+        expect(out.len(), n * oc * oh * ow)?;
+        match fused.shift {
+            direct::SignShift::None => {}
+            direct::SignShift::PerChannel(beta) => expect(beta.len(), ic)?,
+            direct::SignShift::PerImage(means) => expect(means.len(), n)?,
         }
-        if out.len() != n * oc * oh * ow {
-            return Err(TensorError::LengthMismatch { expected: n * oc * oh * ow, actual: out.len() });
+        if let Some(gate) = fused.spatial {
+            expect(gate.len(), n * oh * ow)?;
         }
-        let wpp = self.wpp;
-        let kk = k * k;
-        let (stride, pad) = (self.spec.stride, self.spec.padding);
-        // Resolve the backend kernel and its popcount implementations once
-        // per forward: the agree loops come from `count`, picked by the
-        // kernel's advertised SIMD level (scalar/parallel report None and
-        // get the portable loops; simd reports what the CPU offers).
+        if let Some(gate) = fused.channel {
+            expect(gate.len(), n * oc)?;
+        }
+        if fused.skip && (oc, oh, ow) != (ic, h, w) {
+            return Err(TensorError::ShapeMismatch {
+                lhs: vec![n, oc, oh, ow],
+                rhs: vec![n, ic, h, w],
+                op: "binary conv identity skip",
+            });
+        }
+        let BitScratch { act, bases } = scratch;
+        let bitmap = sized(act, g.bitmap_words());
+        let base = sized(bases, oc * g.base_len());
+        direct::base_table(&g, &self.pad_fix, base);
         let kern = scales_tensor::backend::kernel();
-        let row_agree = crate::count::row_agree_for(kern.simd_level());
-        let border_agree = crate::count::border_agree_for(kern.simd_level());
-        // Interior rectangle: output coordinates whose taps are all in
-        // bounds on both axes (half-open ranges; empty when the kernel
-        // over-covers the image).
-        let (y_lo, y_hi) = interior_span(h, k, stride, pad, oh);
-        let (x_lo, x_hi) = interior_span(w, k, stride, pad, ow);
-        let act = scales_tensor::workspace::sized(&mut scratch.act, h * w * wpp);
-        let patches = scales_tensor::workspace::sized(&mut scratch.patches, oh * ow * kk * wpp);
-        let tap_ok = scales_tensor::workspace::sized(&mut scratch.tap_ok, oh * ow * kk);
-        let valid = scales_tensor::workspace::sized(&mut scratch.valid, oh * ow);
         for b in 0..n {
-            // Channel-major sign packing, [h·w][wpp] words. The first
-            // channel of each word *assigns* its lane (both polarities),
-            // later channels OR theirs in — every word is written exactly
-            // once without a zeroing pass, and stale scratch content never
-            // leaks through.
-            for ci in 0..ic {
-                let plane = &input[(b * ic + ci) * h * w..(b * ic + ci + 1) * h * w];
-                let (word, lane) = (ci / 64, ci % 64);
-                let bit = 1u64 << lane;
-                if lane == 0 {
-                    for (p, &v) in plane.iter().enumerate() {
-                        act[p * wpp + word] = u64::from(v >= 0.0);
-                    }
-                } else {
-                    for (p, &v) in plane.iter().enumerate() {
-                        if v >= 0.0 {
-                            act[p * wpp + word] |= bit;
-                        }
-                    }
-                }
-            }
-            // Bit-im2col. Interior pixels gather each kernel row as one
-            // contiguous copy (the kx taps are adjacent bitmap pixels) and
-            // skip the tap bookkeeping entirely; border pixels keep the
-            // masked gather. `tap_ok`/`valid` stay stale on interior
-            // pixels — the GEMM below never reads them there.
-            for oy in 0..oh {
-                let interior_row = oy >= y_lo && oy < y_hi;
-                for ox in 0..ow {
-                    let p = oy * ow + ox;
-                    let row = p * kk * wpp;
-                    if interior_row && ox >= x_lo && ox < x_hi {
-                        let iy0 = oy * stride - pad;
-                        let ix0 = ox * stride - pad;
-                        for ky in 0..k {
-                            let src = ((iy0 + ky) * w + ix0) * wpp;
-                            patches[row + ky * k * wpp..row + (ky + 1) * k * wpp]
-                                .copy_from_slice(&act[src..src + k * wpp]);
-                        }
-                        continue;
-                    }
-                    let mut valid_total = 0i32;
-                    for ky in 0..k {
-                        let iy = (oy * stride + ky) as isize - pad as isize;
-                        for kx in 0..k {
-                            let tap = ky * k + kx;
-                            let ix = (ox * stride + kx) as isize - pad as isize;
-                            let t = row + tap * wpp;
-                            if iy < 0 || iy >= h as isize || ix < 0 || ix >= w as isize {
-                                patches[t..t + wpp].iter_mut().for_each(|v| *v = 0);
-                                tap_ok[p * kk + tap] = 0;
-                            } else {
-                                let src = (iy as usize * w + ix as usize) * wpp;
-                                patches[t..t + wpp].copy_from_slice(&act[src..src + wpp]);
-                                tap_ok[p * kk + tap] = 1;
-                                valid_total += ic as i32;
-                            }
-                        }
-                    }
-                    valid[p] = valid_total;
-                }
-            }
-            // Binary GEMM over [oc × (oh·ow)]: each output channel owns a
-            // contiguous plane, so the backend can dispatch channel rows to
-            // worker threads with no synchronisation. The partial channel
-            // word is masked by `channel_mask` (u64::MAX when IC is a
-            // multiple of 64).
-            let out_image = &mut out[b * oc * oh * ow..(b + 1) * oc * oh * ow];
-            let (patches, tap_ok, valid) = (&*patches, &*tap_ok, &*valid);
-            let weights = &self.packed_weights;
-            let scales = &self.scales;
-            let channel_mask = self.channel_mask;
-            let interior_valid = (kk * ic) as i32;
-            // ~1 popcount word-op per packed word, per pixel.
-            let work = oh * ow * kk * wpp;
+            let image = &input[b * ic * h * w..(b + 1) * ic * h * w];
+            direct::pack(level, &g, image, fused.shift.of_image(b), bitmap);
+            let job = Job {
+                g: &g,
+                bitmap,
+                weights: &self.packed_weights,
+                base,
+                scales: &self.scales,
+                spatial: fused.spatial.map(|gate| &gate[b * oh * ow..(b + 1) * oh * ow]),
+                channel: fused.channel.map(|gate| &gate[b * oc..(b + 1) * oc]),
+                skip: fused.skip.then_some(image),
+            };
+            // Each output channel owns a contiguous plane, so the backend
+            // can hand channel ranges to worker threads with no
+            // synchronisation.
             kern.for_each_row_chunk(
-                out_image,
+                &mut out[b * oc * oh * ow..(b + 1) * oc * oh * ow],
                 oh * ow,
-                work,
-                &|first, chunk| {
-                    for (j, plane) in chunk.chunks_mut(oh * ow).enumerate() {
-                        let c = first + j;
-                        let wrow = &weights[c * kk * wpp..(c + 1) * kk * wpp];
-                        let scale = scales[c];
-                        // Branch-free interior inner product: every tap is
-                        // in bounds, so no tap_ok lookups and the valid
-                        // count is the constant kk·ic. The agree loop is
-                        // the shared `count::xnor_row_agree` (or its
-                        // hardware-popcount/AVX2 twin, per `row_agree`).
-                        let interior = |p: usize| -> f32 {
-                            let prow = &patches[p * kk * wpp..(p + 1) * kk * wpp];
-                            let agree = row_agree(wrow, prow, wpp, channel_mask);
-                            scale * (2 * agree as i32 - interior_valid) as f32
-                        };
-                        // Masked border inner product (out-of-bounds taps
-                        // skipped outright via tap_ok).
-                        let border = |p: usize| -> f32 {
-                            let prow = &patches[p * kk * wpp..(p + 1) * kk * wpp];
-                            let ok = &tap_ok[p * kk..(p + 1) * kk];
-                            let agree = border_agree(wrow, prow, ok, wpp, channel_mask);
-                            scale * (2 * agree as i32 - valid[p]) as f32
-                        };
-                        for oy in 0..oh {
-                            let row = oy * ow;
-                            let (ix0, ix1) =
-                                if oy >= y_lo && oy < y_hi { (x_lo, x_hi) } else { (ow, ow) };
-                            for ox in 0..ix0.min(ow) {
-                                plane[row + ox] = border(row + ox);
-                            }
-                            for ox in ix0..ix1 {
-                                plane[row + ox] = interior(row + ox);
-                            }
-                            for ox in ix1..ow {
-                                plane[row + ox] = border(row + ox);
-                            }
-                        }
-                    }
-                },
+                g.work_per_channel(),
+                &|first, planes| direct::conv(level, &job, first, planes),
             );
         }
         Ok(())
-    }
-}
-
-/// Half-open output-coordinate span whose receptive field is entirely in
-/// bounds along one axis: `o·stride ≥ pad` and `o·stride + k − 1 − pad ≤
-/// extent − 1`. Returns an empty span when no such coordinate exists.
-fn interior_span(extent: usize, k: usize, stride: usize, pad: usize, out_extent: usize) -> (usize, usize) {
-    let lo = pad.div_ceil(stride);
-    match (extent + pad).checked_sub(k).map(|v| v / stride) {
-        Some(hi) if lo <= hi => (lo.min(out_extent), (hi + 1).min(out_extent)),
-        _ => (0, 0),
     }
 }
 
@@ -557,7 +477,7 @@ mod tests {
 
     #[test]
     fn binary_conv_matches_float_conv_across_specs_and_word_counts() {
-        // Exercises the interior/border split on stride/padding variants
+        // Exercises the padded-tap corrections on stride/padding variants
         // (including all-border and all-interior extremes) and the
         // multi-word channel path (IC > 64).
         for &(ic, k, stride, padding) in &[
@@ -609,9 +529,9 @@ mod tests {
     #[test]
     fn simd_backend_forward_is_bit_identical_to_scalar() {
         use scales_tensor::backend::{with_backend, Backend};
-        // Sweep the spec/word-count variants that exercise both agree
-        // paths (interior fast path, masked borders) and wpp 1 and 2;
-        // non-unit scales make any miscount visible in the float output.
+        // Sweep spec/word-count variants on both instances of the loop
+        // (3×3 one-word, and the general one); non-unit scales make any
+        // miscount visible in the float output.
         for &(ic, k, stride, padding) in &[
             (3usize, 3usize, 1usize, 1usize),
             (3, 5, 1, 2),
@@ -629,7 +549,42 @@ mod tests {
             for (a, b) in scalar.data().iter().zip(simd.data().iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "ic={ic} k={k} spec={spec:?}");
             }
+            // Any level is safe to ask for: one the CPU lacks clamps to
+            // the best one it has.
+            let mut out = vec![f32::NAN; scalar.len()];
+            let mut scratch = BitScratch::default();
+            bc.forward_at(SimdLevel::Avx512, input.data(), 2, 9, 8, &Fused::default(), &mut scratch, &mut out)
+                .unwrap();
+            for (a, b) in scalar.data().iter().zip(&out) {
+                assert_eq!(a.to_bits(), b.to_bits(), "ic={ic} k={k} spec={spec:?} at a clamped level");
+            }
         }
+    }
+
+    #[test]
+    fn fused_operands_are_validated_as_typed_errors() {
+        use crate::direct::SignShift;
+        let bc = BinaryConv2d::from_float_weight(&Tensor::ones(&[2, 3, 3, 3])).unwrap();
+        let (input, mut out, mut scratch) = (vec![1.0; 3 * 16], vec![0.0; 2 * 16], BitScratch::default());
+        let mut run = |fused: Fused<'_>| bc.forward_fused(&input, 1, 4, 4, &fused, &mut scratch, &mut out);
+        assert!(run(Fused::default()).is_ok());
+        assert!(run(Fused { shift: SignShift::PerChannel(&[0.0; 2]), ..Fused::default() }).is_err());
+        assert!(run(Fused { shift: SignShift::PerImage(&[]), ..Fused::default() }).is_err());
+        assert!(run(Fused { spatial: Some(&[1.0; 15]), ..Fused::default() }).is_err());
+        assert!(run(Fused { channel: Some(&[1.0; 3]), ..Fused::default() }).is_err());
+        // 3 → 2 channels is not shape-preserving, so there is no identity.
+        assert!(run(Fused { skip: true, ..Fused::default() }).is_err());
+    }
+
+    #[test]
+    fn serialized_weights_with_stray_high_lanes_are_masked() {
+        // 3 input channels: lanes 3.. of every word must not count.
+        let spec = Conv2dSpec::same(1);
+        let clean = BinaryConv2d::from_packed_parts(1, 3, 1, spec, vec![0b101], vec![1.0]).unwrap();
+        let dirty = BinaryConv2d::from_packed_parts(1, 3, 1, spec, vec![!0b010], vec![1.0]).unwrap();
+        assert_eq!(dirty.packed_weights(), clean.packed_weights());
+        let input = Tensor::from_vec(vec![1.0, -1.0, 1.0], &[1, 3, 1, 1]).unwrap();
+        assert_eq!(dirty.forward(&input).unwrap().data(), &[3.0]);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::conv::ScalesConv2d;
 use crate::factory::BodyConv;
 use scales_nn::Module as _;
-use scales_binary::BinaryConv2d;
+use scales_binary::{BinaryConv2d, Fused, SignShift};
 use scales_tensor::ops::{conv1d, conv2d, conv2d_into, global_avg_pool, sigmoid, Conv2dSpec};
 use scales_tensor::workspace::{sized, ConvScratch};
 use scales_tensor::{Result, Tensor, TensorError};
@@ -311,9 +311,11 @@ impl DeployedScalesConv2d {
 
     /// The zero-allocation core of [`DeployedScalesConv2d::forward`]:
     /// serve a flat `[n, in_channels, h, w]` input into a caller-provided
-    /// output buffer (fully overwritten), staging the β-shifted input, the
-    /// packed-bit buffers and the re-scaling gates in a reusable
-    /// [`ConvScratch`]. Bit-identical to the allocating forward.
+    /// output buffer (fully overwritten). The two re-scaling gates are
+    /// computed from the FP input into a reusable [`ConvScratch`], then one
+    /// fused kernel call shifts by β in the sign packer and applies
+    /// `·spatial ·channel +skip` in its store — per element the order of
+    /// the allocating forward's separate passes, so bit-identical to it.
     ///
     /// # Errors
     ///
@@ -328,94 +330,78 @@ impl DeployedScalesConv2d {
         out: &mut [f32],
     ) -> Result<()> {
         let c = self.in_channels;
-        let k = self.conv.kernel();
-        let spec = self.conv.spec();
-        let (oh, ow) = (spec.out_extent(h, k)?, spec.out_extent(w, k)?);
         let oc = self.conv.out_channels();
         if input.len() != n * c * h * w {
             return Err(TensorError::LengthMismatch { expected: n * c * h * w, actual: input.len() });
         }
         let hw = h * w;
-        let ConvScratch { shifted, plane, chan, chan2, bits, .. } = scratch;
-        // β folds into an input shift before the sign packing.
-        if self.beta.is_empty() {
-            self.conv.forward_into(input, n, h, w, bits, out)?;
-        } else {
-            let src = sized(shifted, input.len());
-            src.copy_from_slice(input);
-            for b in 0..n {
-                for ci in 0..c {
-                    let beta = self.beta[ci];
-                    for v in &mut src[(b * c + ci) * hw..(b * c + ci + 1) * hw] {
-                        *v -= beta;
-                    }
-                }
-            }
-            self.conv.forward_into(src, n, h, w, bits, out)?;
-        }
-        // Spatial re-scaling from the FP input: the per-pixel channel dot
-        // replicates `conv2d(input, wmap, 1×1)` — accumulation in
-        // ascending-channel order, matching the GEMM's per-element order.
-        if let Some((wmap, bias)) = &self.spatial {
-            let gate = sized(plane, n * hw);
+        let ConvScratch { plane, chan, chan2, bits, .. } = scratch;
+        // Spatial gate from the FP input: the per-pixel channel dot
+        // replicates `conv2d(input, wmap, 1×1)` — every pixel accumulates
+        // from 0 in ascending-channel order, the GEMM's per-element order.
+        let spatial = self.spatial.as_ref().map(|(wmap, bias)| {
             let wd = wmap.data();
-            for b in 0..n {
-                for p in 0..hw {
-                    let mut acc = 0.0f32;
-                    for (ci, &wv) in wd.iter().enumerate() {
-                        acc += wv * input[(b * c + ci) * hw + p];
-                    }
-                    gate[b * hw + p] = acc;
-                }
-            }
-            for b in 0..n {
-                for p in 0..oh * ow {
-                    let g = sigmoid(gate[b * hw + p] + bias);
-                    for co in 0..oc {
-                        out[((b * oc) + co) * (oh * ow) + p] *= g;
-                    }
-                }
-            }
-        }
-        // Channel re-scaling from the FP input (global average pool →
-        // 1-D conv over channel tokens → sigmoid gate).
-        if let Some(kker) = &self.channel {
+            let gate = pixel_sums(input, n, c, hw, plane, |ci, x| wd[ci] * x);
+            gate.iter_mut().for_each(|acc| *acc = sigmoid(*acc + bias));
+            &*gate
+        });
+        // Channel gate from the FP input (global average pool → 1-D conv
+        // over channel tokens → sigmoid), one value per output channel.
+        let channel = self.channel.as_ref().map(|kker| {
             let pooled = sized(chan, n * c);
             scales_tensor::ops::global_avg_pool_into(input, n, c, hw, pooled);
             let kd = kker.data();
             let pad = kd.len() / 2;
-            let mixed = sized(chan2, n * c);
+            let gate = sized(chan2, n * oc);
             for b in 0..n {
-                for t in 0..c {
+                // `from_parts` guarantees oc ≤ c, so token `co` exists.
+                for co in 0..oc {
                     let mut acc = 0.0f32;
                     for (ki, &kv) in kd.iter().enumerate() {
-                        let pos = t as isize + ki as isize - pad as isize;
+                        let pos = co as isize + ki as isize - pad as isize;
                         if pos < 0 || pos >= c as isize {
                             continue;
                         }
                         acc += pooled[b * c + pos as usize] * kv;
                     }
-                    mixed[b * c + t] = acc;
+                    gate[b * oc + co] = sigmoid(acc);
                 }
             }
-            for b in 0..n {
-                for co in 0..oc {
-                    let g = sigmoid(mixed[b * c + co]);
-                    for v in &mut out[((b * oc) + co) * (oh * ow)..((b * oc) + co + 1) * (oh * ow)] {
-                        *v *= g;
-                    }
-                }
-            }
-        }
-        if self.skip {
-            add_identity_skip(out, (n, oc, oh, ow), input, (n, c, h, w))?;
-        }
-        Ok(())
+            &*gate
+        });
+        let shift = if self.beta.is_empty() { SignShift::None } else { SignShift::PerChannel(&self.beta) };
+        let fused = Fused { shift, spatial, channel, skip: self.skip };
+        self.conv.forward_fused(input, n, h, w, &fused, bits, out)
     }
 }
 
+/// Per image and pixel, the sum over channels of `term(channel, x)` into
+/// `plane[..n·hw]`: every pixel accumulates from 0 in ascending-channel
+/// order, walked channel-outer so each pass streams one contiguous plane.
+fn pixel_sums<'a>(
+    input: &[f32],
+    n: usize,
+    c: usize,
+    hw: usize,
+    plane: &'a mut Vec<f32>,
+    term: impl Fn(usize, f32) -> f32,
+) -> &'a mut [f32] {
+    let sums = sized(plane, n * hw);
+    sums.fill(0.0);
+    for (b, sums) in sums.chunks_mut(hw.max(1)).enumerate() {
+        for ci in 0..c {
+            let x = &input[(b * c + ci) * hw..(b * c + ci + 1) * hw];
+            for (acc, &xv) in sums.iter_mut().zip(x) {
+                *acc += term(ci, xv);
+            }
+        }
+    }
+    sums
+}
+
 /// In-place FP identity skip `out += input`, requiring identical shapes —
-/// the deployed graphs only attach skips to shape-preserving layers.
+/// the deployed graphs only attach skips to shape-preserving layers. Only
+/// for a skip that cannot ride in the binary kernel's store.
 fn add_identity_skip(
     out: &mut [f32],
     out_dims: (usize, usize, usize, usize),
@@ -847,9 +833,10 @@ impl DeployedBodyConv {
     /// The zero-allocation core of [`DeployedBodyConv::forward`]: serve a
     /// flat `[n, in_channels, h, w]` input into a caller-provided output
     /// buffer (fully overwritten), staging every per-call temporary —
-    /// shifted inputs, packed bits, batch-norm reductions, accumulation
-    /// maps — in a reusable [`ConvScratch`]. Bit-identical to the
-    /// allocating forward for every method variant.
+    /// packed bits, batch-norm reductions, accumulation maps — in a
+    /// reusable [`ConvScratch`]. Every binary variant runs the one fused
+    /// kernel ([`BinaryConv2d::forward_fused`]) with its shift, gate and
+    /// skip; bit-identical to the allocating forward for every variant.
     ///
     /// # Errors
     ///
@@ -868,69 +855,42 @@ impl DeployedBodyConv {
         if input.len() != n * c * h * w {
             return Err(TensorError::LengthMismatch { expected: n * c * h * w, actual: input.len() });
         }
-        let in_dims = (n, c, h, w);
-        let out_dims = (n, oc, oh, ow);
         match self {
             DeployedBodyConv::Float(conv) => conv.forward_into(input, n, h, w, &mut scratch.col, out),
             DeployedBodyConv::Scales(conv) => conv.forward_into(input, n, h, w, scratch, out),
             DeployedBodyConv::E2fif { conv, gamma, beta, skip } => {
                 conv.forward_into(input, n, h, w, &mut scratch.bits, out)?;
                 batchnorm_batch_stats_inplace(out, n, oc, oh, ow, gamma, beta, 1e-5, scratch)?;
+                // The batch norm sits between the conv and the skip, so
+                // this one cannot ride in the kernel's store.
                 if *skip {
-                    add_identity_skip(out, out_dims, input, in_dims)?;
+                    add_identity_skip(out, (n, oc, oh, ow), input, (n, c, h, w))?;
                 }
                 Ok(())
             }
             DeployedBodyConv::Btm { conv, skip } => {
                 let chw = c * h * w;
-                let ConvScratch { shifted, bits, .. } = scratch;
-                let src = sized(shifted, n * chw);
-                src.copy_from_slice(input);
-                for b in 0..n {
-                    let plane = &mut src[b * chw..(b + 1) * chw];
-                    let mean: f32 = plane.iter().sum::<f32>() / chw as f32;
-                    for v in plane.iter_mut() {
-                        *v -= mean;
-                    }
+                let ConvScratch { chan, bits, .. } = scratch;
+                let means = sized(chan, n);
+                for (mean, image) in means.iter_mut().zip(input.chunks(chw.max(1))) {
+                    *mean = image.iter().sum::<f32>() / chw as f32;
                 }
-                conv.forward_into(src, n, h, w, bits, out)?;
-                if *skip {
-                    add_identity_skip(out, out_dims, input, in_dims)?;
-                }
-                Ok(())
+                let fused = Fused { shift: SignShift::PerImage(means), skip: *skip, ..Fused::default() };
+                conv.forward_fused(input, n, h, w, &fused, bits, out)
             }
             DeployedBodyConv::Bam { conv, skip } => {
-                conv.forward_into(input, n, h, w, &mut scratch.bits, out)?;
-                // FP accumulation map K = mean_c |x|, applied per pixel
-                // (stride-1 "same" conv keeps oh·ow == h·w).
-                if oh * ow != h * w {
-                    return Err(TensorError::InvalidArgument(
-                        "BAM deployment needs same-size output".into(),
-                    ));
-                }
-                for b in 0..n {
-                    for p in 0..h * w {
-                        let mut k = 0.0f32;
-                        for ci in 0..c {
-                            k += input[(b * c + ci) * h * w + p].abs();
-                        }
-                        k /= c as f32;
-                        for co in 0..oc {
-                            out[(b * oc + co) * oh * ow + p] *= k;
-                        }
-                    }
-                }
-                if *skip {
-                    add_identity_skip(out, out_dims, input, in_dims)?;
-                }
-                Ok(())
+                // FP accumulation map K = mean_c |x| per pixel, applied as
+                // the kernel's per-pixel gate (its length check is the
+                // "same-size output" requirement).
+                let ConvScratch { plane, bits, .. } = scratch;
+                let k = pixel_sums(input, n, c, h * w, plane, |_, x| x.abs());
+                k.iter_mut().for_each(|acc| *acc /= c as f32);
+                let fused = Fused { spatial: Some(k), skip: *skip, ..Fused::default() };
+                conv.forward_fused(input, n, h, w, &fused, bits, out)
             }
             DeployedBodyConv::Basic { conv, skip } => {
-                conv.forward_into(input, n, h, w, &mut scratch.bits, out)?;
-                if *skip {
-                    add_identity_skip(out, out_dims, input, in_dims)?;
-                }
-                Ok(())
+                let fused = Fused { skip: *skip, ..Fused::default() };
+                conv.forward_fused(input, n, h, w, &fused, &mut scratch.bits, out)
             }
         }
     }

@@ -11,12 +11,13 @@
 //!   workers. Each worker runs the *same* inner loop over a disjoint slice
 //!   of the output, so results are bit-identical to the scalar kernel
 //!   regardless of thread count.
-//! * [`SimdKernel`] — dispatches to hand-written x86-64 vector kernels
-//!   (AVX2 float GEMM, hardware-popcount binary GEMM) when the CPU
-//!   supports them (`is_x86_feature_detected!`, see [`crate::simd`]),
-//!   falling back to the scalar loops on non-x86-64 targets or older
-//!   CPUs. Results are bit-identical to the scalar kernel by construction
-//!   (fixed per-lane summation order; see the [`crate::simd`] docs).
+//! * [`SimdKernel`] — the compiled default: runs the x86-64 vector
+//!   kernels (AVX2 float GEMM, the binary convolution compiled for the
+//!   detected level up to AVX-512 `VPOPCNTDQ`) when the CPU supports them
+//!   (`is_x86_feature_detected!`, see [`crate::simd`]), falling back to
+//!   the scalar loops on non-x86-64 targets or older CPUs. Results are
+//!   bit-identical to the scalar kernel by construction (fixed per-lane
+//!   summation order; see the [`crate::simd`] docs).
 //!
 //! Selection is layered, most specific first:
 //!
@@ -31,8 +32,10 @@
 //!    (case-insensitive) overrides the compiled default at first use. An
 //!    unrecognized value is a hard error (panic at first dispatch), never a
 //!    silent fallback;
-//! 4. compile-time default — `Backend::Scalar`, or `Backend::Parallel` when
-//!    the crate's `parallel` feature is enabled.
+//! 4. compile-time default — `Backend::Simd` (the best ISA level detected
+//!    on this CPU, the scalar loops where there is none), or
+//!    `Backend::Parallel` when the crate's `parallel` feature is enabled.
+//!    `Backend::Scalar` stays selectable as the portable reference.
 //!
 //! ```
 //! use scales_tensor::backend::{self, Backend};
@@ -57,14 +60,15 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// Which kernel implementation executes the routed hot loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Single-threaded reference loops.
+    /// Single-threaded portable reference loops.
     Scalar,
     /// Row-blocked loops dispatched over `std::thread::scope` workers.
     Parallel,
-    /// Runtime-detected x86-64 vector kernels (AVX2 float GEMM,
-    /// hardware-popcount binary GEMM), falling back to the scalar loops
-    /// on hardware without them. Always valid to select; see
-    /// [`Backend::detected`] for what the CPU actually offers.
+    /// Runtime-detected x86-64 vector kernels (AVX2 float GEMM, binary
+    /// convolution at the detected level), falling back to the scalar
+    /// loops on hardware without them — the compiled default. Always valid
+    /// to select; see [`Backend::detected`] for what the CPU actually
+    /// offers.
     Simd,
 }
 
@@ -141,7 +145,7 @@ fn compiled_default() -> Backend {
     if cfg!(feature = "parallel") {
         Backend::Parallel
     } else {
-        Backend::Scalar
+        Backend::Simd
     }
 }
 
@@ -258,11 +262,10 @@ pub trait Kernel: Send + Sync {
 
     /// The CPU feature level this kernel dispatches SIMD work at.
     /// [`SimdLevel::None`] for kernels that never vectorize (scalar,
-    /// parallel); the detected level for [`SimdKernel`]. Downstream
-    /// integer hot loops (the binary XNOR-popcount GEMM in
-    /// `scales-binary`) consult this to pick their own scalar or
-    /// hardware-popcount inner loops, keeping the whole selection behind
-    /// the one backend dispatch.
+    /// parallel); the detected level for [`SimdKernel`]. The direct binary
+    /// convolution in `scales-binary` consults this to pick which
+    /// compilation of its one loop runs, keeping the whole selection
+    /// behind the one backend dispatch.
     fn simd_level(&self) -> SimdLevel {
         SimdLevel::None
     }
@@ -460,8 +463,8 @@ impl Kernel for ScalarKernel {
 }
 
 /// Runtime-dispatched SIMD kernel: single-threaded like [`ScalarKernel`],
-/// but the float GEMM runs on the AVX2 microkernel and downstream binary
-/// popcount loops (via [`Kernel::simd_level`]) use hardware popcount when
+/// but the float GEMM runs on the AVX2 microkernel and the binary
+/// convolution (via [`Kernel::simd_level`]) runs at the detected level when
 /// the CPU supports them. Bit-identical to the scalar kernel on every
 /// hardware level (see the [`crate::simd`] module docs for the
 /// lane-order argument); on non-x86-64 targets or CPUs without the

@@ -10,12 +10,14 @@
 //! convolution with analytic gradient kernels, pixel (un)shuffle, window
 //! partitioning for Swin-style attention, and global average pooling.
 //!
-//! Hot loops dispatch through the [`backend`] kernel layer: a scalar
-//! reference kernel, a row-blocked multi-threaded kernel, and a
-//! runtime-detected SIMD kernel ([`simd`]: AVX2 float GEMM + hardware
-//! popcount, falling back to scalar on older CPUs) — all with identical
-//! numerics — selected by the `parallel` feature, the `SCALES_BACKEND`
-//! environment variable, or [`backend::set_backend`] at runtime.
+//! Hot loops dispatch through the [`backend`] kernel layer: a
+//! runtime-detected SIMD kernel ([`simd`]: AVX2 float GEMM and the binary
+//! convolution at the detected level up to AVX-512, falling back to
+//! scalar on older CPUs), a scalar reference kernel, and a row-blocked
+//! multi-threaded kernel — all with identical numerics. Selection, most
+//! specific first: a thread-scoped handle, [`backend::set_backend`] at
+//! runtime, the `SCALES_BACKEND` environment variable, then the compiled
+//! default — simd, or parallel with the `parallel` feature.
 //!
 //! ```
 //! use scales_tensor::{ops, Tensor};

@@ -111,12 +111,31 @@ pub fn global_avg_pool(input: &Tensor) -> Result<Tensor> {
 /// Panics (in debug builds via slice indexing) when the buffers are
 /// shorter than the extents imply.
 pub fn global_avg_pool_into(input: &[f32], n: usize, c: usize, hw: usize, out: &mut [f32]) {
-    for b in 0..n {
-        for ci in 0..c {
-            let base = (b * c + ci) * hw;
-            let s: f32 = input[base..base + hw].iter().sum();
-            out[b * c + ci] = s / hw as f32;
+    // Each plane's sum is one sequential chain of adds — that order is the
+    // bit contract — so `SIDE` planes advance side by side and overlap
+    // their add latencies instead of waiting on one chain at a time.
+    const SIDE: usize = 8;
+    // The neutral element `Iterator::sum` starts from, whatever std uses.
+    let zero: f32 = std::iter::empty::<f32>().sum();
+    let planes = n * c;
+    let mut first = 0;
+    while first + SIDE <= planes {
+        let rows: [&[f32]; SIDE] =
+            std::array::from_fn(|i| &input[(first + i) * hw..(first + i + 1) * hw]);
+        let mut acc = [zero; SIDE];
+        for p in 0..hw {
+            for (a, row) in acc.iter_mut().zip(&rows) {
+                *a += row[p];
+            }
         }
+        for (o, a) in out[first..first + SIDE].iter_mut().zip(acc) {
+            *o = a / hw as f32;
+        }
+        first += SIDE;
+    }
+    for plane in first..planes {
+        let s: f32 = input[plane * hw..(plane + 1) * hw].iter().sum();
+        out[plane] = s / hw as f32;
     }
 }
 
@@ -228,6 +247,20 @@ mod tests {
         assert!(pixel_shuffle(&t, 2).is_err());
         let t = Tensor::zeros(&[1, 4, 3, 3]);
         assert!(pixel_unshuffle(&t, 2).is_err());
+    }
+
+    #[test]
+    fn global_avg_pool_keeps_each_planes_sequential_sum() {
+        // 19 planes: two side-by-side groups and a tail; values whose sum
+        // depends on the order they are added in.
+        let (planes, hw) = (19usize, 37usize);
+        let data: Vec<f32> = (0..planes * hw).map(|i| ((i as f32) * 0.61).sin() * 1e3 + 1e-3).collect();
+        let mut got = vec![f32::NAN; planes];
+        global_avg_pool_into(&data, 1, planes, hw, &mut got);
+        for (plane, g) in got.iter().enumerate() {
+            let want = data[plane * hw..(plane + 1) * hw].iter().sum::<f32>() / hw as f32;
+            assert_eq!(g.to_bits(), want.to_bits(), "plane {plane}");
+        }
     }
 
     #[test]

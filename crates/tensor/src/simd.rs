@@ -2,17 +2,22 @@
 //! [`Backend::Simd`](crate::backend::Backend::Simd).
 //!
 //! Detection runs once per process through `is_x86_feature_detected!` and
-//! is summarized as a [`SimdLevel`] capability ladder:
+//! is summarized as a [`SimdLevel`] capability ladder. Each rung keeps
+//! everything the rungs below it offer (capability checks are `>=`):
 //!
+//! * [`SimdLevel::Avx512`] — AVX-512 F/BW/DQ/VL + `VPOPCNTDQ`: the direct
+//!   binary convolution counts eight pixels per `vpopcntq`; the float GEMM
+//!   stays on the AVX2 microkernel;
 //! * [`SimdLevel::Avx2`] — AVX2 + POPCNT: the 8-lane float GEMM microkernel
-//!   and the vectorized XNOR-popcount binary GEMM both engage;
+//!   engages and the binary convolution is compiled for 256-bit lanes;
 //! * [`SimdLevel::Sse42`] — SSE4.2 + POPCNT: the float GEMM stays scalar,
-//!   binary popcount loops use the hardware `popcnt` instruction;
+//!   the binary convolution uses the hardware `popcnt` instruction;
 //! * [`SimdLevel::None`] — non-x86-64 targets or older CPUs: every loop
 //!   falls back to the scalar reference kernel.
 //!
-//! Selecting the `simd` backend is therefore always valid — it degrades
-//! gracefully instead of faulting on hardware without the instructions.
+//! Selecting the `simd` backend — the compiled default — is therefore
+//! always valid: it degrades gracefully instead of faulting on hardware
+//! without the instructions.
 //!
 //! # Bit-identity contract
 //!
@@ -28,8 +33,8 @@
 //! one lane, so the summation order per element is identical to the plain
 //! ikj reference on every path. Column tails (`n % 8`) and row remainders
 //! (`rows % 4`) reuse the scalar helpers outright. The binary
-//! XNOR-popcount kernels are integer-exact, so they are trivially
-//! identical on every level.
+//! XNOR-popcount convolution is one loop recompiled per level; its counts
+//! are integer-exact, so it is trivially identical on every level.
 
 #[cfg(target_arch = "x86_64")]
 use std::sync::OnceLock;
@@ -46,33 +51,39 @@ pub enum SimdLevel {
     /// No usable vector extensions (non-x86-64, or a CPU without SSE4.2):
     /// scalar reference loops everywhere.
     None,
-    /// SSE4.2 + POPCNT: hardware-popcount binary GEMM, scalar float GEMM.
+    /// SSE4.2 + POPCNT: hardware-popcount binary convolution, scalar float
+    /// GEMM.
     Sse42,
-    /// AVX2 + POPCNT: vectorized float GEMM and XNOR-popcount binary GEMM.
+    /// AVX2 + POPCNT: vectorized float GEMM, 256-bit binary convolution.
     Avx2,
+    /// AVX-512 (F, BW, DQ, VL) + `VPOPCNTDQ`: vector-popcount binary
+    /// convolution on top of everything [`SimdLevel::Avx2`] offers.
+    Avx512,
 }
 
 impl SimdLevel {
-    /// Whether the 8-lane AVX2 float GEMM microkernel engages.
+    /// Whether the 8-lane AVX2 float GEMM microkernel engages (true at
+    /// the AVX2 level and every rung above it).
     #[must_use]
     pub fn has_avx2(self) -> bool {
-        self == SimdLevel::Avx2
+        self >= SimdLevel::Avx2
     }
 
     /// Whether binary popcount loops use the hardware `popcnt`
-    /// instruction (true at both SSE4.2 and AVX2 levels).
+    /// instruction (true from the SSE4.2 level up).
     #[must_use]
     pub fn has_popcnt(self) -> bool {
         self >= SimdLevel::Sse42
     }
 
-    /// Stable display name (`"none"` / `"sse4.2"` / `"avx2"`).
+    /// Stable display name (`"none"` / `"sse4.2"` / `"avx2"` / `"avx512"`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::None => "none",
             SimdLevel::Sse42 => "sse4.2",
             SimdLevel::Avx2 => "avx2",
+            SimdLevel::Avx512 => "avx512",
         }
     }
 }
@@ -91,8 +102,19 @@ pub fn detected() -> SimdLevel {
         static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
         *LEVEL.get_or_init(|| {
             // POPCNT is checked explicitly even though every AVX2-era CPU
-            // has it: the binary kernels rely on it at both levels.
-            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt") {
+            // has it: the binary kernels rely on it at every level.
+            let avx2 = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt");
+            // The AVX-512 rung names every subset its kernel is compiled
+            // with, not just VPOPCNTDQ.
+            let avx512 = avx2
+                && is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512bw")
+                && is_x86_feature_detected!("avx512dq")
+                && is_x86_feature_detected!("avx512vl")
+                && is_x86_feature_detected!("avx512vpopcntdq");
+            if avx512 {
+                SimdLevel::Avx512
+            } else if avx2 {
                 SimdLevel::Avx2
             } else if is_x86_feature_detected!("sse4.2") && is_x86_feature_detected!("popcnt") {
                 SimdLevel::Sse42
@@ -105,6 +127,14 @@ pub fn detected() -> SimdLevel {
     {
         SimdLevel::None
     }
+}
+
+/// Every level this CPU offers, weakest first: the ladder up to
+/// [`detected`]. What differential tests and per-level benches sweep.
+pub fn available() -> impl Iterator<Item = SimdLevel> {
+    [SimdLevel::None, SimdLevel::Sse42, SimdLevel::Avx2, SimdLevel::Avx512]
+        .into_iter()
+        .filter(|level| *level <= detected())
 }
 
 /// The AVX2 float GEMM microkernel. Compiled only on x86-64; callers gate
@@ -211,6 +241,8 @@ mod tests {
             assert!(level.has_popcnt(), "AVX2 level implies hardware popcount");
         }
         assert_eq!(level.name(), level.to_string());
+        assert_eq!(available().next(), Some(SimdLevel::None));
+        assert_eq!(available().last(), Some(level));
     }
 
     #[test]
@@ -221,5 +253,9 @@ mod tests {
         assert!(SimdLevel::Sse42.has_popcnt());
         assert!(!SimdLevel::Sse42.has_avx2());
         assert!(SimdLevel::Avx2.has_avx2() && SimdLevel::Avx2.has_popcnt());
+        // A rung above AVX2 keeps everything below it.
+        assert!(SimdLevel::Avx2 < SimdLevel::Avx512);
+        assert!(SimdLevel::Avx512.has_avx2() && SimdLevel::Avx512.has_popcnt());
+        assert_eq!(SimdLevel::Avx512.name(), "avx512");
     }
 }

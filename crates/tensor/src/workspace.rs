@@ -1,9 +1,9 @@
 //! Reusable scratch buffers for the zero-allocation inference path.
 //!
 //! Every hot kernel that used to allocate per call (float im2col, the
-//! bit-packed activation bitmap and bit-im2col of the binary convolution,
-//! shifted-input copies, gate maps, batch-norm reductions) instead writes
-//! into a [`ConvScratch`] owned by the caller. Buffers grow on first use
+//! bit-packed activation bitmap of the binary convolution, gate maps,
+//! batch-norm reductions) instead writes into a [`ConvScratch`] owned by
+//! the caller. Buffers grow on first use
 //! and are **never shrunk**, so after a warm-up forward at a given shape
 //! the steady state performs no heap allocation.
 //!
@@ -21,34 +21,29 @@ pub fn sized<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
     &mut buf[..len]
 }
 
-/// Bit-domain scratch of the packed binary convolution: the channel-major
-/// activation bitmap, the bit-im2col patch matrix, and the border-pixel
-/// tap bookkeeping.
+/// Bit-domain scratch of the direct binary convolution: the zero-padded
+/// sign bitmap of one image and the integer corrections that cancel what
+/// its padding taps count.
 #[derive(Default)]
 pub struct BitScratch {
-    /// Channel-major sign bitmap of one image: `h·w · ceil(IC/64)` words.
+    /// Zero-padded sign bitmap of one image, word-plane-major:
+    /// `ceil(IC/64)` planes of `(h + 2·pad)` rows, one word per pixel.
     pub act: Vec<u64>,
-    /// Bit-im2col patches: `oh·ow · k² · ceil(IC/64)` words.
-    pub patches: Vec<u64>,
-    /// Per-(pixel, tap) in-bounds flag — written (and read) for border
-    /// pixels only; interior pixels take the branch-free path.
-    pub tap_ok: Vec<u8>,
-    /// Per-pixel in-bounds channel count — border pixels only.
-    pub valid: Vec<i32>,
+    /// Per output channel and row class (each border row, then all
+    /// interior rows), the dot product every output column starts from
+    /// once its padded taps are cancelled.
+    pub bases: Vec<i32>,
 }
 
 /// The full per-stream convolution scratch: float buffers for im2col,
-/// shifted inputs, gate maps and reductions, plus the [`BitScratch`] of
-/// the binary kernels. One `ConvScratch` serves every layer of a network
+/// gate maps and reductions, plus the [`BitScratch`] of the binary
+/// kernels. One `ConvScratch` serves every layer of a network
 /// because layers execute sequentially.
 #[derive(Default)]
 pub struct ConvScratch {
     /// Float im2col matrix (also reused as the widest reduction /
     /// resampling temporary).
     pub col: Vec<f32>,
-    /// Shifted copy of a layer input (β-threshold / per-image-mean
-    /// shifts).
-    pub shifted: Vec<f32>,
     /// Per-pixel gate map (spatial re-scaling branch) and mid-width
     /// reductions.
     pub plane: Vec<f32>,

@@ -101,11 +101,14 @@
 //! # }
 //! ```
 //!
-//! Hot loops dispatch through [`tensor::backend`]: a scalar reference
-//! kernel and a blocked multi-threaded kernel with identical numerics,
-//! selected per engine ([`serve::EngineBuilder::backend`]), by the
-//! `parallel` cargo feature, by `SCALES_BACKEND=scalar|parallel`
-//! (case-insensitive; unrecognized values are a hard error), or by
+//! Hot loops dispatch through [`tensor::backend`]: the runtime-detected
+//! SIMD kernel (the default — AVX2 float GEMM and the binary convolution
+//! at the best ISA level the CPU reports, the scalar loops where there is
+//! none), the scalar reference kernel and a blocked multi-threaded kernel,
+//! all with identical numerics, selected per engine
+//! ([`serve::EngineBuilder::backend`]), by the `parallel` cargo feature,
+//! by `SCALES_BACKEND=scalar|parallel|simd` (case-insensitive;
+//! unrecognized values are a hard error), or by
 //! `tensor::backend::set_backend` at runtime.
 //!
 //! ```

@@ -398,12 +398,22 @@ fn slo_headers_drive_tenants_deadlines_and_typed_statuses() {
             String::from_utf8_lossy(&body)
         );
 
-        // The scrape carries the tenant lane and the expired refusal.
-        let (status, _, metrics) = send(addr, b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
-        assert_eq!(status, 200);
-        let text = String::from_utf8(metrics).unwrap();
+        // The scrape carries the tenant lane and the expired refusal. The
+        // worker books a lane's completion just *after* it resolves the
+        // ticket, so give that a moment rather than race it.
+        let completed = "scales_runtime_tenant_requests_completed_total{tenant=\"acme\"} 1";
+        let mut text = String::new();
+        for _ in 0..200 {
+            let (status, _, metrics) = send(addr, b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+            assert_eq!(status, 200);
+            text = String::from_utf8(metrics).unwrap();
+            if text.contains(completed) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
         for needle in [
-            "scales_runtime_tenant_requests_completed_total{tenant=\"acme\"} 1",
+            completed,
             "scales_runtime_tenant_queue_depth{tenant=\"acme\"} 0",
             "scales_runtime_tenant_weight{tenant=\"acme\"} 1",
             "scales_runtime_requests_expired_total 1",

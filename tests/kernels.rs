@@ -1,0 +1,210 @@
+//! Generated differential tests for the direct XNOR-popcount convolution
+//! (ROADMAP item 4b): random shapes — channel counts across the 64-lane
+//! word boundary, kernels larger than the image, strides, over-padding,
+//! widths that leave ragged vector tails, batches —
+//! on which every backend and every `SimdLevel` the CPU offers must agree
+//! bit-for-bit with each other and with the float reference, and the fused
+//! SCALES epilogue must agree with the same operations run as separate
+//! passes.
+
+use proptest::prelude::*;
+use scales::binary::{BinaryConv2d, Fused, SignShift};
+use scales::core::{DeployedScalesConv2d, ScalesComponents, ScalesConv2d};
+use scales::nn::init::rng;
+use scales::tensor::backend::{with_backend, Backend};
+use scales::tensor::ops::{conv2d, Conv2dSpec};
+use scales::tensor::workspace::{BitScratch, ConvScratch};
+use scales::tensor::{simd, Tensor};
+
+/// SplitMix64 stream for the test data (the strategies only pick shapes).
+struct Stream(u64);
+
+impl Stream {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn signs(&mut self, n: usize) -> Vec<f32> {
+        (0..n).map(|_| if self.next() & 1 == 0 { 1.0 } else { -1.0 }).collect()
+    }
+
+    /// Values in `[-1, 1)` with an exact zero now and then (the
+    /// `sign(0) = +1` rule must survive the in-register β shift).
+    fn values(&mut self, n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|_| match self.next() % 16 {
+                0 => 0.0,
+                _ => (self.next() >> 40) as f32 / (1u64 << 23) as f32 - 1.0,
+            })
+            .collect()
+    }
+}
+
+fn bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// A scratch whose buffers are longer than any case needs and full of
+/// garbage, as a long-lived serving workspace would hand it over.
+fn stale_scratch() -> BitScratch {
+    BitScratch { act: vec![0xDEAD_BEEF_DEAD_BEEF; 40_000], bases: vec![-12_345; 40_000] }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `forward_into` on ±1 data equals `s_c · conv2d` exactly, on every
+    /// backend and at every SIMD level, whatever the geometry.
+    #[test]
+    fn direct_kernel_matches_float_conv_on_every_backend_and_level(
+        ic in 1usize..201,
+        oc in 1usize..7,
+        k_pick in 0usize..3,
+        stride in 1usize..3,
+        pad_pick in 0usize..6,
+        h in 1usize..41,
+        w in 1usize..41,
+        n in 1usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let k = [1, 3, 5][k_pick];
+        let spec = Conv2dSpec { stride, padding: pad_pick % (k + 1) };
+        let mut data = Stream(seed);
+        let weight = Tensor::from_vec(data.signs(oc * ic * k * k), &[oc, ic, k, k]).unwrap();
+        let input = Tensor::from_vec(data.signs(n * ic * h * w), &[n, ic, h, w]).unwrap();
+        let scales: Vec<f32> = data.values(oc).iter().map(|v| v * 2.0 + 0.25).collect();
+        let mut conv = BinaryConv2d::from_float_weight(&weight).unwrap().with_spec(spec);
+        conv.set_scales(scales.clone()).unwrap();
+        let label = format!("ic={ic} oc={oc} k={k} {spec:?} {h}x{w} n={n} seed={seed}");
+
+        let Ok(reference) = conv2d(&input, &weight, spec) else {
+            // An image smaller than the un-padded kernel: both sides refuse.
+            prop_assert!(conv.forward(&input).is_err(), "{}: kernel accepted a bad geometry", label);
+            return Ok(());
+        };
+        let plane = reference.len() / (n * oc);
+        let want: Vec<u32> = reference
+            .data()
+            .iter()
+            .enumerate()
+            .map(|(i, dot)| (scales[i / plane % oc] * dot).to_bits())
+            .collect();
+
+        let mut scratch = stale_scratch();
+        let mut got = vec![f32::NAN; want.len()];
+        for backend in [Backend::Scalar, Backend::Parallel, Backend::Simd] {
+            got.fill(f32::NAN);
+            with_backend(backend, || conv.forward_into(input.data(), n, h, w, &mut scratch, &mut got)).unwrap();
+            prop_assert!(bits(&got) == want, "{}: backend {}", label, backend);
+        }
+        for level in simd::available() {
+            got.fill(f32::NAN);
+            conv.forward_at(level, input.data(), n, h, w, &Fused::default(), &mut scratch, &mut got).unwrap();
+            prop_assert!(bits(&got) == want, "{}: level {}", label, level);
+        }
+    }
+
+    /// Every `Fused` operand, alone and together, equals the same operation
+    /// as a separate pass over the unfused output — at every level.
+    #[test]
+    fn fused_operands_match_separate_passes(
+        c in 1usize..80,
+        side_h in 1usize..24,
+        side_w in 1usize..24,
+        n in 1usize..3,
+        which in 0usize..32,
+        seed in 0u64..1_000_000,
+    ) {
+        let (h, w) = (side_h, side_w);
+        let mut data = Stream(seed);
+        let weight = Tensor::from_vec(data.values(c * c * 9), &[c, c, 3, 3]).unwrap();
+        let conv = BinaryConv2d::from_float_weight(&weight).unwrap();
+        let input = data.values(n * c * h * w);
+        let (beta, means) = (data.values(c), data.values(n));
+        let (spatial, channel) = (data.values(n * h * w), data.values(n * c));
+        let fused = Fused {
+            shift: match which % 3 {
+                0 => SignShift::None,
+                1 => SignShift::PerChannel(&beta),
+                _ => SignShift::PerImage(&means),
+            },
+            spatial: (which & 4 != 0).then_some(&spatial[..]),
+            channel: (which & 8 != 0).then_some(&channel[..]),
+            skip: which & 16 != 0,
+        };
+        // Unfused: shift a copy of the input, convolve, then one pass per
+        // operand in `Fused` field order.
+        let mut shifted = input.clone();
+        for (i, v) in shifted.iter_mut().enumerate() {
+            let (b, ci) = (i / (c * h * w), i / (h * w) % c);
+            match fused.shift {
+                SignShift::None => {}
+                SignShift::PerChannel(beta) => *v -= beta[ci],
+                SignShift::PerImage(means) => *v -= means[b],
+            }
+        }
+        let mut scratch = stale_scratch();
+        let mut want = vec![f32::NAN; input.len()];
+        with_backend(Backend::Scalar, || conv.forward_into(&shifted, n, h, w, &mut scratch, &mut want)).unwrap();
+        for (i, v) in want.iter_mut().enumerate() {
+            let (b, co, p) = (i / (c * h * w), i / (h * w) % c, i % (h * w));
+            if let Some(gate) = fused.spatial {
+                *v *= gate[b * h * w + p];
+            }
+            if let Some(gate) = fused.channel {
+                *v *= gate[b * c + co];
+            }
+            if fused.skip {
+                *v += input[i];
+            }
+        }
+        let mut got = vec![f32::NAN; input.len()];
+        for level in simd::available() {
+            got.fill(f32::NAN);
+            conv.forward_at(level, &input, n, h, w, &fused, &mut scratch, &mut got).unwrap();
+            prop_assert!(
+                bits(&got) == bits(&want),
+                "c={} {}x{} n={} which={} seed={}: level {}", c, h, w, n, which, seed, level
+            );
+        }
+    }
+}
+
+/// The deployed SCALES layer's fused `forward_into` against its allocating
+/// `forward` — the pass-by-pass reference — for every component subset,
+/// with and without the skip, on the portable and the detected kernels.
+#[test]
+fn fused_scales_layer_matches_the_unfused_forward_for_every_component_set() {
+    let mut scratch = ConvScratch::new();
+    let mut data = Stream(7);
+    for mask in 0..16usize {
+        let components = ScalesComponents {
+            lsf: mask & 1 != 0,
+            spatial: mask & 2 != 0,
+            channel: mask & 4 != 0,
+            channel_kernel: 5,
+        };
+        let skip = mask & 8 != 0;
+        // Channel counts on both sides of the 64-lane word, ragged and
+        // whole-vector widths, and a batch.
+        for &(c, h, w, n) in &[(6usize, 8usize, 8usize, 1usize), (70, 5, 19, 2), (64, 17, 16, 1)] {
+            let layer = ScalesConv2d::with_components(c, c, 3, components, skip, &mut rng(400 + mask as u64));
+            if let Some(lsf) = layer.lsf() {
+                lsf.alpha().set_value(Tensor::from_vec(vec![0.8], &[1]).unwrap());
+                lsf.beta().set_value(Tensor::from_vec(data.values(c), lsf.beta().value().shape()).unwrap());
+            }
+            let deployed = DeployedScalesConv2d::from_trained(&layer).unwrap();
+            let input = Tensor::from_vec(data.values(n * c * h * w), &[n, c, h, w]).unwrap();
+            let want = deployed.forward(&input).unwrap();
+            for backend in [Backend::Scalar, Backend::Simd] {
+                let mut got = vec![f32::NAN; want.len()];
+                with_backend(backend, || deployed.forward_into(input.data(), n, h, w, &mut scratch, &mut got))
+                    .unwrap();
+                assert_eq!(bits(&got), bits(want.data()), "{components:?} skip={skip} c={c} {h}x{w} n={n} {backend}");
+            }
+        }
+    }
+}

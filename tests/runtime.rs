@@ -441,6 +441,20 @@ fn queued_requests_whose_deadline_passes_are_retracted_not_served_late() {
     });
 }
 
+/// When the runtime finished the last of `tickets`, by its own
+/// `infer_done` stamp — the dispatch order, which a waiter thread's wake-up
+/// time is not once forwards are microseconds apart.
+fn last_infer_done(tickets: Vec<Ticket>) -> std::time::Instant {
+    tickets
+        .into_iter()
+        .map(|t| {
+            let response = t.wait().expect("queued request must serve");
+            response.stamps().expect("runtime responses carry stamps").infer_done
+        })
+        .max()
+        .expect("at least one ticket")
+}
+
 /// Deadline-tagged lane heads outrank the weighted rotation, earliest
 /// deadline first: with one queued request per tenant lane and the queue
 /// drained strictly one request at a time, the completion order is
@@ -469,21 +483,12 @@ fn deadline_tagged_requests_are_scheduled_earliest_deadline_first() {
             )
             .unwrap();
         assert_eq!(wedge.wait().unwrap().images().len(), 12);
-        // Completion stamps: with one worker and max_batch 1 the serving
-        // is strictly serial, so resolution order is dispatch order.
-        let order = std::thread::scope(|scope| {
-            let stamp = |ticket: Ticket, label: &'static str| {
-                scope.spawn(move || {
-                    assert!(ticket.wait().is_ok(), "{label} must serve");
-                    (std::time::Instant::now(), label)
-                })
-            };
-            let handles =
-                [stamp(tight, "tight"), stamp(loose, "loose"), stamp(untagged, "untagged")];
-            let mut done: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-            done.sort();
-            done.into_iter().map(|(_, label)| label).collect::<Vec<_>>()
-        });
+        // With one worker and max_batch 1 the serving is strictly serial,
+        // so the runtime's own `infer_done` stamps are the dispatch order.
+        let mut done = [(tight, "tight"), (loose, "loose"), (untagged, "untagged")]
+            .map(|(ticket, label)| (last_infer_done(vec![ticket]), label));
+        done.sort();
+        let order = done.map(|(_, label)| label);
         assert_eq!(order, ["tight", "loose", "untagged"], "EDF order");
         let stats = runtime.shutdown();
         assert_eq!(stats.completed, 4);
@@ -519,21 +524,7 @@ fn weighted_tenants_are_not_starved_by_a_hot_low_weight_tenant() {
             })
             .collect();
         assert_eq!(wedge.wait().unwrap().images().len(), 12);
-        let finished_at = |tickets: Vec<Ticket>| {
-            tickets
-                .into_iter()
-                .map(|t| {
-                    assert!(t.wait().is_ok());
-                    std::time::Instant::now()
-                })
-                .max()
-                .unwrap()
-        };
-        let (gold_done, bronze_done) = std::thread::scope(|scope| {
-            let g = scope.spawn(move || finished_at(gold));
-            let b = scope.spawn(move || finished_at(bronze));
-            (g.join().unwrap(), b.join().unwrap())
-        });
+        let (gold_done, bronze_done) = (last_infer_done(gold), last_infer_done(bronze));
         // Strict FIFO would drain all of bronze first; weighted
         // round-robin must finish the weight-3 lane before the weight-1
         // lane that got there first.
@@ -765,21 +756,7 @@ fn deadline_spam_does_not_starve_the_weighted_rotation() {
             })
             .collect();
         assert_eq!(wedge.wait().unwrap().images().len(), 12);
-        let finished_at = |tickets: Vec<Ticket>| {
-            tickets
-                .into_iter()
-                .map(|t| {
-                    assert!(t.wait().is_ok());
-                    std::time::Instant::now()
-                })
-                .max()
-                .unwrap()
-        };
-        let (gold_done, spam_done) = std::thread::scope(|scope| {
-            let g = scope.spawn(move || finished_at(gold));
-            let s = scope.spawn(move || finished_at(spam));
-            (g.join().unwrap(), s.join().unwrap())
-        });
+        let (gold_done, spam_done) = (last_infer_done(gold), last_infer_done(spam));
         assert!(
             gold_done < spam_done,
             "gold (weight 3, no deadlines) must not wait out the deadline spammer's backlog"
