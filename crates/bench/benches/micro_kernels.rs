@@ -5,6 +5,10 @@
 //!   (head / body / tail convolutions over a 64×64 LR image, plus the
 //!   paper-scale 64-channel body), scalar vs the runtime-detected SIMD
 //!   kernel (bit-identical outputs, asserted here);
+//! * the direct float convolution of the deployed path at the paper's tail
+//!   and head shapes and the lite tail, compiled for every `SimdLevel` the
+//!   CPU offers, beside the im2col → GEMM `conv2d` it replaced there
+//!   (bit-identical outputs, asserted here);
 //! * the direct XNOR-popcount convolution at the paper's body shape
 //!   (64 → 64, 3×3, 32×32), compiled for every `SimdLevel` the CPU offers,
 //!   and a whole deployed SCALES body convolution (LSF shift, spatial and
@@ -14,8 +18,11 @@
 //!   scalar and simd backends.
 //!
 //! The run **asserts** ratios, never nanoseconds: on AVX2 hardware the SIMD
-//! float GEMM ≥ 1.3× scalar on the paper-scale shape; every detected level
-//! of the binary convolution at least as fast as the portable loop; and a
+//! float GEMM ≥ 1.3× scalar on the paper-scale shape; the direct float
+//! convolution on the 64 → 48 tail ≤ 0.6× the im2col → GEMM time at the
+//! detected level and ≤ 1.1× the scalar one as compiled portably; every
+//! detected level of the binary convolution at least as fast as the
+//! portable loop; and a
 //! full SCALES body convolution ≤ 1.5× the bare binary convolution — the
 //! paper's "the scalings are cheap" claim as a floor.
 //!
@@ -32,6 +39,7 @@ use scales_binary::{BinaryConv2d, Fused};
 use scales_core::{BodyConv, DeployedBodyConv, Method};
 use scales_tensor::backend;
 use scales_tensor::backend::Backend;
+use scales_tensor::ops::{conv2d, conv2d_into_at, Conv2dSpec};
 use scales_tensor::workspace::{BitScratch, ConvScratch};
 use scales_tensor::{simd, SimdLevel, Tensor};
 use std::time::Instant;
@@ -117,6 +125,64 @@ fn main() {
             paper_gemm_speedup >= 1.3,
             "AVX2 float GEMM must be >= 1.3x scalar on the paper-scale shape, got {paper_gemm_speedup:.2}x"
         );
+    }
+
+    // The direct float convolution at the deployed head / tail shapes,
+    // once per level this CPU offers, beside the im2col → GEMM `conv2d`
+    // (allocation included) on the simd and scalar backends.
+    println!("\n  {:<22} {:>12} {:>9}", "float conv 3x3", "time", "vs gemm");
+    // The ratio floors are asserted on the paper's tail, the shape that
+    // dominates a deployed forward.
+    for &(label, ic, oc, side, asserted) in &[
+        ("tail_64x48_32", 64usize, 48usize, 32usize, true),
+        ("head_3x64_32", 3, 64, 32, false),
+        ("tail_16x12_16", 16, 12, 16, false),
+    ] {
+        let spec = Conv2dSpec::same(3);
+        let input = Tensor::from_vec(filled(ic * side * side, 5.0), &[1, ic, side, side]).unwrap();
+        let weight = Tensor::from_vec(filled(oc * ic * 9, 6.0), &[oc, ic, 3, 3]).unwrap();
+        let reps = reps * 4;
+        let gemm = |backend| {
+            backend::with_backend(backend, || {
+                best_of(reps, || {
+                    std::hint::black_box(conv2d(&input, &weight, spec).unwrap());
+                })
+            })
+        };
+        let (gemm_simd, gemm_scalar) = (gemm(Backend::Simd), gemm(Backend::Scalar));
+        let want = conv2d(&input, &weight, spec).unwrap();
+        println!("  {label:<22} {:>9.1} us {:>9}", gemm_simd * 1e6, "im2col");
+        json.push(format!("\"floatconv_{label}_gemm_us\":{:.1}", gemm_simd * 1e6));
+        let mut planes = Vec::new();
+        let mut out = vec![0.0f32; want.len()];
+        for level in simd::available() {
+            let t = best_of(reps, || {
+                conv2d_into_at(level, input.data(), 1, ic, side, side, &weight, None, spec, &mut planes, &mut out)
+                    .unwrap();
+            });
+            assert!(
+                want.data().iter().zip(&out).all(|(x, y)| x.to_bits() == y.to_bits()),
+                "float conv at {level} must be bit-identical to im2col -> GEMM at {label}"
+            );
+            println!("  {:<22} {:>9.1} us {:>8.2}x", level.name(), t * 1e6, t / gemm_simd);
+            json.push(format!("\"floatconv_{label}_level_{}_us\":{:.1}", level.name(), t * 1e6));
+            if asserted && level == SimdLevel::None {
+                assert!(
+                    t <= gemm_scalar * 1.1,
+                    "the portable float conv must cost <= 1.1x the scalar im2col -> GEMM ({:.1} vs {:.1} us)",
+                    t * 1e6,
+                    gemm_scalar * 1e6
+                );
+            }
+            if asserted && level == Backend::detected() && level.has_avx2() {
+                assert!(
+                    t <= gemm_simd * 0.6,
+                    "the float conv at {level} must cost <= 0.6x im2col -> GEMM ({:.1} vs {:.1} us)",
+                    t * 1e6,
+                    gemm_simd * 1e6
+                );
+            }
+        }
     }
 
     // The direct binary convolution at the paper's body shape, once per

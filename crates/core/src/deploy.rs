@@ -20,9 +20,9 @@ use crate::conv::ScalesConv2d;
 use crate::factory::BodyConv;
 use scales_nn::Module as _;
 use scales_binary::{BinaryConv2d, Fused, SignShift};
-use scales_tensor::ops::{conv1d, conv2d, conv2d_into, global_avg_pool, sigmoid, Conv2dSpec};
+use scales_tensor::ops::{conv1d, conv2d, conv2d_into_at, global_avg_pool, sigmoid, Conv2dSpec};
 use scales_tensor::workspace::{sized, ConvScratch};
-use scales_tensor::{Result, Tensor, TensorError};
+use scales_tensor::{Result, SimdLevel, Tensor, TensorError};
 
 /// Why a `Deployed`-precision serving engine is running the training path
 /// instead of a lowered graph.
@@ -497,8 +497,10 @@ impl FloatConv2d {
 
     /// The zero-allocation core of [`FloatConv2d::forward`]: convolve a
     /// flat `[n, ic, h, w]` input into a caller-provided output buffer
-    /// (fully overwritten), staging im2col in a reusable grow-only
-    /// buffer. Bit-identical to the allocating forward.
+    /// (fully overwritten) with the direct kernel at the active backend's
+    /// [`SimdLevel`]; `planes` is the reusable grow-only scratch for one
+    /// image's zero-padded input planes. Bit-identical to the allocating
+    /// forward.
     ///
     /// # Errors
     ///
@@ -510,40 +512,55 @@ impl FloatConv2d {
         n: usize,
         h: usize,
         w: usize,
-        col: &mut Vec<f32>,
+        planes: &mut Vec<f32>,
         out: &mut [f32],
     ) -> Result<()> {
-        let ic = self.weight.shape()[1];
-        conv2d_into(input, n, ic, h, w, &self.weight, self.spec, col, out)?;
-        if let Some(bias) = &self.bias {
-            let (oc, oh, ow) = self.out_shape(h, w)?;
-            if bias.shape() == [1, oc, 1, 1] {
-                // The canonical lowered bias: one value per channel.
-                let bd = bias.data();
-                for b in 0..n {
-                    for (co, &bv) in bd.iter().enumerate() {
-                        for v in &mut out[((b * oc) + co) * oh * ow..((b * oc) + co + 1) * oh * ow] {
-                            *v += bv;
-                        }
-                    }
-                }
-            } else {
-                // General broadcastable bias (possible via
-                // `FloatConv2d::new` from serialized parts): replicate the
-                // allocating `zip_map` element-for-element.
-                let yshape = [n, oc, oh, ow];
-                let bshape = scales_tensor::shape::broadcast_shape(&yshape, bias.shape())?;
-                if bshape != yshape {
-                    return Err(TensorError::ShapeMismatch {
-                        lhs: yshape.to_vec(),
-                        rhs: bias.shape().to_vec(),
-                        op: "deployed float conv bias broadcast",
-                    });
-                }
-                for (i, v) in out.iter_mut().enumerate() {
-                    *v += bias.data()
-                        [scales_tensor::shape::broadcast_src_index(i, &yshape, bias.shape())];
-                }
+        let level = scales_tensor::backend::kernel().simd_level();
+        self.forward_at(level, input, n, h, w, planes, out)
+    }
+
+    /// [`FloatConv2d::forward_into`] with the kernel compiled for `level`
+    /// (clamped to what the CPU offers, so any level is safe to ask for) —
+    /// how tests and benches compare the levels in one process.
+    ///
+    /// # Errors
+    ///
+    /// As [`FloatConv2d::forward_into`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn forward_at(
+        &self,
+        level: SimdLevel,
+        input: &[f32],
+        n: usize,
+        h: usize,
+        w: usize,
+        planes: &mut Vec<f32>,
+        out: &mut [f32],
+    ) -> Result<()> {
+        let (oc, ic) = (self.weight.shape()[0], self.weight.shape()[1]);
+        // The canonical lowered bias, one value per channel, is added in
+        // the kernel's store.
+        let (fused, broadcast) = match &self.bias {
+            Some(bias) if bias.shape() == [1, oc, 1, 1] => (Some(bias.data()), None),
+            other => (None, other.as_ref()),
+        };
+        conv2d_into_at(level, input, n, ic, h, w, &self.weight, fused, self.spec, planes, out)?;
+        if let Some(bias) = broadcast {
+            // General broadcastable bias (possible via `FloatConv2d::new`
+            // from serialized parts): replicate the allocating `zip_map`
+            // element-for-element.
+            let (_, oh, ow) = self.out_shape(h, w)?;
+            let yshape = [n, oc, oh, ow];
+            let bshape = scales_tensor::shape::broadcast_shape(&yshape, bias.shape())?;
+            if bshape != yshape {
+                return Err(TensorError::ShapeMismatch {
+                    lhs: yshape.to_vec(),
+                    rhs: bias.shape().to_vec(),
+                    op: "deployed float conv bias broadcast",
+                });
+            }
+            for (i, v) in out.iter_mut().enumerate() {
+                *v += bias.data()[scales_tensor::shape::broadcast_src_index(i, &yshape, bias.shape())];
             }
         }
         Ok(())
@@ -593,8 +610,8 @@ fn batchnorm_batch_stats_inplace(
         });
     }
     let (hw, chw) = (h * w, c * h * w);
-    let ConvScratch { col, plane, chan, chan2, .. } = scratch;
-    let m1 = sized(col, chw); // per-(c,h,w) batch mean
+    let ConvScratch { padded, plane, chan, chan2, .. } = scratch;
+    let m1 = sized(padded, chw); // per-(c,h,w) batch mean
     let m2 = sized(plane, c * w); // then reduced over height
     let mean = sized(chan, c); // then reduced over width
     let denom = sized(chan2, c);
@@ -856,7 +873,7 @@ impl DeployedBodyConv {
             return Err(TensorError::LengthMismatch { expected: n * c * h * w, actual: input.len() });
         }
         match self {
-            DeployedBodyConv::Float(conv) => conv.forward_into(input, n, h, w, &mut scratch.col, out),
+            DeployedBodyConv::Float(conv) => conv.forward_into(input, n, h, w, &mut scratch.padded, out),
             DeployedBodyConv::Scales(conv) => conv.forward_into(input, n, h, w, scratch, out),
             DeployedBodyConv::E2fif { conv, gamma, beta, skip } => {
                 conv.forward_into(input, n, h, w, &mut scratch.bits, out)?;

@@ -72,6 +72,13 @@ impl BicubicAxisTaps {
         self.spans.len()
     }
 
+    /// Bytes the tap tables hold on the heap, by allocated capacity.
+    #[must_use]
+    pub fn memory_bytes(&self) -> usize {
+        self.taps.capacity() * std::mem::size_of::<(usize, f32)>()
+            + self.spans.capacity() * std::mem::size_of::<(usize, usize)>()
+    }
+
     /// The `(source index, weight)` taps of output coordinate `o`.
     ///
     /// # Panics

@@ -91,14 +91,14 @@ impl DeployedChannelAttention {
         if out.len() != n * c * hw {
             return Err(TensorError::LengthMismatch { expected: n * c * hw, actual: out.len() });
         }
-        let ConvScratch { col, chan, chan2, .. } = scratch;
+        let ConvScratch { padded, chan, chan2, .. } = scratch;
         let pooled = scales_tensor::workspace::sized(chan, n * c);
         scales_tensor::ops::global_avg_pool_into(x, n, c, hw, pooled);
         let mid = scales_tensor::workspace::sized(chan2, n * cr);
-        self.down.forward_into(pooled, n, 1, 1, col, mid)?;
+        self.down.forward_into(pooled, n, 1, 1, padded, mid)?;
         mid.iter_mut().for_each(|v| *v = v.max(0.0));
         // The excite conv writes back over the (now dead) pooled buffer.
-        self.up.forward_into(mid, n, 1, 1, col, pooled)?;
+        self.up.forward_into(mid, n, 1, 1, padded, pooled)?;
         pooled.iter_mut().for_each(|v| *v = sigmoid(*v));
         for b in 0..n {
             for ci in 0..c {

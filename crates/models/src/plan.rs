@@ -19,7 +19,9 @@
 //!   precomputed per axis.
 //!
 //! [`DeployedNetwork::forward_planned`] then executes the graph through a
-//! [`Workspace`] whose slot buffers and [`ConvScratch`] grow on the first
+//! [`Workspace`] whose slot buffers and [`ConvScratch`] (one image's
+//! zero-padded input planes for the direct float convolution, the binary
+//! kernel's sign bitmap, gate maps and reductions) grow on the first
 //! request at a given shape and are reused verbatim afterwards: the steady
 //! state performs **zero heap allocation** up to the returned output
 //! tensor itself. Results are bit-identical to the allocating forward —
@@ -89,16 +91,24 @@ impl Plan {
         self.shapes.len()
     }
 
-    /// Bytes of bookkeeping this plan holds (shape table, slot map, slot
-    /// sizes). The arena buffers themselves belong to the [`Workspace`]
+    /// Bytes of bookkeeping this plan holds on the heap, by allocated
+    /// capacity: shape table, slot map, slot sizes, and the bicubic tap
+    /// tables. The arena buffers themselves belong to the [`Workspace`]
     /// and are accounted by [`Workspace::memory_bytes`].
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
-        self.shapes.len() * std::mem::size_of::<[usize; 4]>()
-            + self.slot_of.len() * std::mem::size_of::<Option<usize>>()
-            + self.slot_sizes.len() * std::mem::size_of::<usize>()
-            + self.bicubic.len()
+        let taps: usize = self
+            .bicubic
+            .iter()
+            .flatten()
+            .map(|(y, x)| y.memory_bytes() + x.memory_bytes())
+            .sum();
+        self.shapes.capacity() * std::mem::size_of::<[usize; 4]>()
+            + self.slot_of.capacity() * std::mem::size_of::<Option<usize>>()
+            + self.slot_sizes.capacity() * std::mem::size_of::<usize>()
+            + self.bicubic.capacity()
                 * std::mem::size_of::<Option<(BicubicAxisTaps, BicubicAxisTaps)>>()
+            + taps
     }
 
     fn value<'a>(&self, input: &'a [f32], slots: &'a [Vec<f32>], id: ValueId) -> &'a [f32] {
@@ -188,7 +198,7 @@ impl Plan {
         match op {
             DeployedOp::FloatConv { conv, src } => {
                 let [n, _, h, w] = self.shapes[*src];
-                conv.forward_into(self.value(input, slots, *src), n, h, w, &mut scratch.col, out)
+                conv.forward_into(self.value(input, slots, *src), n, h, w, &mut scratch.padded, out)
             }
             DeployedOp::Body { conv, src } => {
                 let [n, _, h, w] = self.shapes[*src];
@@ -294,7 +304,7 @@ impl Plan {
                         w,
                         xtaps,
                         ytaps,
-                        &mut scratch.col,
+                        &mut scratch.padded,
                         &mut out[b * c * oh * ow..(b + 1) * c * oh * ow],
                     )?;
                 }
@@ -613,16 +623,25 @@ impl Workspace {
         self.profile.clear();
     }
 
-    /// Bytes resident in this workspace: the arena slot buffers (by
-    /// allocated capacity) plus every cached plan's bookkeeping. This is
-    /// the serving stack's plan-cache memory accounting — what a router
-    /// charges a model for beyond its packed weights.
+    /// Bytes resident in this workspace, every buffer by allocated
+    /// capacity: the arena slot buffers, the kernel [`ConvScratch`], and
+    /// every cached plan's bookkeeping. This is the serving stack's
+    /// plan-cache memory accounting — what a router charges a model for
+    /// beyond its packed weights.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         let slots: usize =
             self.slots.iter().map(|s| s.capacity() * std::mem::size_of::<f32>()).sum();
         let plans: usize = self.plans.iter().map(Plan::memory_bytes).sum();
-        slots + plans
+        let tables = self.slots.capacity() * std::mem::size_of::<Vec<f32>>()
+            + self.plans.capacity() * std::mem::size_of::<Plan>();
+        slots + self.scratch.memory_bytes() + plans + tables
+    }
+
+    /// The kernel scratch the planned forwards run on.
+    #[must_use]
+    pub fn scratch(&self) -> &ConvScratch {
+        &self.scratch
     }
 }
 
@@ -717,6 +736,33 @@ mod tests {
         }
         assert_eq!(ws.plans_built(), 2, "one plan per shape");
         assert_eq!(ws.plan_hits(), 2, "second round reuses both");
+    }
+
+    #[test]
+    fn memory_bytes_counts_the_arena_the_scratch_and_the_tap_tables() {
+        let channels = 16;
+        let net = srresnet(SrConfig { channels, blocks: 1, scale: 2, method: Method::scales(), seed: 60 })
+            .unwrap();
+        let deployed = net.lower().unwrap();
+        let mut ws = Workspace::new();
+        assert_eq!(ws.memory_bytes(), 0, "nothing is resident before the first forward");
+        let _ = deployed.forward_planned(&probe(1, 40, 40, 7.0), &mut ws).unwrap();
+
+        let plan = &ws.plans()[0];
+        let arena = plan.arena_len() * 4;
+        let scratch = ws.scratch().memory_bytes();
+        let plans = plan.memory_bytes();
+        // Slots are sized exactly to the plan; what is left is the slot
+        // and plan tables themselves.
+        let tables = ws.memory_bytes() - (arena + scratch + plans);
+        assert!((1..1024).contains(&tables), "tables {tables}");
+        // The tail conv's padded input planes and the body conv's sign
+        // bitmap at 40×40 are in the total, as is the heap behind the
+        // ×2 bicubic taps (80 outputs per axis, at least 4 taps each).
+        assert!(ws.scratch().padded.capacity() >= channels * 42 * 42);
+        assert!(ws.scratch().bits.act.capacity() >= 42 * 42);
+        assert!(scratch >= (channels * 42 * 42) * 4 + (42 * 42) * 8, "scratch {scratch}");
+        assert!(plans >= 2 * 80 * 4 * std::mem::size_of::<(usize, f32)>(), "plans {plans}");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Kernel-dispatch backend: every hot loop in the workspace (GEMM, im2col
-//! convolution batches, large elementwise reductions, and the packed
-//! XNOR-popcount channel loops in `scales-binary`) routes through the
-//! [`Kernel`] selected here.
+//! convolution batches, large elementwise reductions, and the
+//! output-channel loops of the two direct convolutions — float in
+//! [`crate::ops::direct`], XNOR-popcount in `scales-binary`) routes
+//! through the [`Kernel`] selected here.
 //!
 //! Three kernels ship:
 //!
@@ -12,8 +13,9 @@
 //!   of the output, so results are bit-identical to the scalar kernel
 //!   regardless of thread count.
 //! * [`SimdKernel`] — the compiled default: runs the x86-64 vector
-//!   kernels (AVX2 float GEMM, the binary convolution compiled for the
-//!   detected level up to AVX-512 `VPOPCNTDQ`) when the CPU supports them
+//!   kernels (AVX2 float GEMM, the direct float and binary convolutions
+//!   compiled for the detected level up to AVX-512) when the CPU supports
+//!   them
 //!   (`is_x86_feature_detected!`, see [`crate::simd`]), falling back to
 //!   the scalar loops on non-x86-64 targets or older CPUs. Results are
 //!   bit-identical to the scalar kernel by construction (fixed per-lane
@@ -64,8 +66,8 @@ pub enum Backend {
     Scalar,
     /// Row-blocked loops dispatched over `std::thread::scope` workers.
     Parallel,
-    /// Runtime-detected x86-64 vector kernels (AVX2 float GEMM, binary
-    /// convolution at the detected level), falling back to the scalar
+    /// Runtime-detected x86-64 vector kernels (AVX2 float GEMM, the direct
+    /// float and binary convolutions at the detected level), falling back to the scalar
     /// loops on hardware without them — the compiled default. Always valid
     /// to select; see [`Backend::detected`] for what the CPU actually
     /// offers.
@@ -262,9 +264,10 @@ pub trait Kernel: Send + Sync {
 
     /// The CPU feature level this kernel dispatches SIMD work at.
     /// [`SimdLevel::None`] for kernels that never vectorize (scalar,
-    /// parallel); the detected level for [`SimdKernel`]. The direct binary
-    /// convolution in `scales-binary` consults this to pick which
-    /// compilation of its one loop runs, keeping the whole selection
+    /// parallel); the detected level for [`SimdKernel`]. The direct float
+    /// convolution ([`crate::ops::conv2d_into`]) and the direct binary
+    /// convolution in `scales-binary` consult this to pick which
+    /// compilation of their one loop runs, keeping the whole selection
     /// behind the one backend dispatch.
     fn simd_level(&self) -> SimdLevel {
         SimdLevel::None
@@ -463,9 +466,9 @@ impl Kernel for ScalarKernel {
 }
 
 /// Runtime-dispatched SIMD kernel: single-threaded like [`ScalarKernel`],
-/// but the float GEMM runs on the AVX2 microkernel and the binary
-/// convolution (via [`Kernel::simd_level`]) runs at the detected level when
-/// the CPU supports them. Bit-identical to the scalar kernel on every
+/// but the float GEMM runs on the AVX2 microkernel and the direct float and
+/// binary convolutions (via [`Kernel::simd_level`]) run at the detected
+/// level when the CPU supports them. Bit-identical to the scalar kernel on every
 /// hardware level (see the [`crate::simd`] module docs for the
 /// lane-order argument); on non-x86-64 targets or CPUs without the
 /// features it *is* the scalar kernel.

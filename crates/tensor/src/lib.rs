@@ -7,13 +7,14 @@
 //! The crate provides exactly what the reproduction's training and inference
 //! stack needs and nothing more: a contiguous row-major [`Tensor`],
 //! NumPy-style broadcasting, matrix multiplication, im2col 2-D/1-D
-//! convolution with analytic gradient kernels, pixel (un)shuffle, window
+//! convolution with analytic gradient kernels, the direct (im2col-free)
+//! 2-D convolution the deployed path runs, pixel (un)shuffle, window
 //! partitioning for Swin-style attention, and global average pooling.
 //!
 //! Hot loops dispatch through the [`backend`] kernel layer: a
-//! runtime-detected SIMD kernel ([`simd`]: AVX2 float GEMM and the binary
-//! convolution at the detected level up to AVX-512, falling back to
-//! scalar on older CPUs), a scalar reference kernel, and a row-blocked
+//! runtime-detected SIMD kernel ([`simd`]: AVX2 float GEMM, and the direct
+//! float and binary convolutions at the detected level up to AVX-512,
+//! falling back to scalar on older CPUs), a scalar reference kernel, and a row-blocked
 //! multi-threaded kernel — all with identical numerics. Selection, most
 //! specific first: a thread-scoped handle, [`backend::set_backend`] at
 //! runtime, the `SCALES_BACKEND` environment variable, then the compiled

@@ -1,9 +1,13 @@
-//! Convolution kernels: im2col-based 2-D convolution with the gradient
-//! kernels needed by reverse-mode autodiff, plus 1-D convolution used by the
-//! SCALES channel re-scaling module.
+//! Convolution kernels: the im2col → GEMM 2-D convolution [`conv2d`] with
+//! the gradient kernels reverse-mode autodiff needs (the training tape),
+//! the deployed path's [`conv2d_into`] — the same convolution, bit for
+//! bit, run by the direct kernel in [`direct`] — and the
+//! 1-D convolution used by the SCALES channel re-scaling module.
 
 use crate::error::{Result, TensorError};
+use crate::ops::direct::{self, Geometry, Job};
 use crate::ops::matmul::gemm;
+use crate::simd::SimdLevel;
 use crate::tensor::Tensor;
 
 /// Static hyper-parameters of a 2-D convolution.
@@ -202,15 +206,19 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Result<Tenso
     Ok(out)
 }
 
-/// The zero-allocation core of [`conv2d`]: convolve a flat `[n, c, h, w]`
-/// input into a caller-provided output buffer, staging the im2col matrix
-/// in a reusable grow-only scratch buffer.
+/// The zero-allocation deployed convolution: convolve a flat
+/// `[n, c, h, w]` input into a caller-provided output buffer with the
+/// direct kernel ([`direct`]) at the active backend's
+/// [`SimdLevel`] — no im2col matrix and no GEMM. `planes` is the reusable
+/// grow-only scratch holding one image's zero-padded input planes
+/// (`c · (h + 2p) · (w + 2p)` floats; untouched when `padding` is 0).
 ///
 /// `out` must hold exactly `n · oc · oh · ow` elements and is fully
-/// overwritten. Results are bit-identical to [`conv2d`] on every backend:
-/// each image runs the same blocked GEMM with the same per-element
-/// summation order (the batch is processed serially here; the backend
-/// still splits each image's GEMM rows across threads).
+/// overwritten. Results are bit-identical to [`conv2d`] on every backend
+/// and level: each output element takes the same products in the same
+/// order as its im2col → GEMM row (see the [`direct`]
+/// docs). The batch is processed serially; the backend splits each
+/// image's output channels across threads.
 ///
 /// # Errors
 ///
@@ -225,7 +233,35 @@ pub fn conv2d_into(
     w: usize,
     weight: &Tensor,
     spec: Conv2dSpec,
-    col: &mut Vec<f32>,
+    planes: &mut Vec<f32>,
+    out: &mut [f32],
+) -> Result<()> {
+    let level = crate::backend::kernel().simd_level();
+    conv2d_into_at(level, input, n, c, h, w, weight, None, spec, planes, out)
+}
+
+/// [`conv2d_into`] with a per-output-channel `bias` added in the store
+/// (`v = acc; v += bias[oc]`, as a separate pass would) and the kernel
+/// compiled for `level` (clamped to what the CPU offers, so any level is
+/// safe to ask for) — how tests and benches compare the levels in one
+/// process.
+///
+/// # Errors
+///
+/// As [`conv2d_into`], plus a `bias` that is not one value per output
+/// channel.
+#[allow(clippy::too_many_arguments)]
+pub fn conv2d_into_at(
+    level: SimdLevel,
+    input: &[f32],
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    weight: &Tensor,
+    bias: Option<&[f32]>,
+    spec: Conv2dSpec,
+    planes: &mut Vec<f32>,
     out: &mut [f32],
 ) -> Result<()> {
     if weight.rank() != 4 {
@@ -248,19 +284,27 @@ pub fn conv2d_into(
     if out.len() != n * oc * oh * ow {
         return Err(TensorError::LengthMismatch { expected: n * oc * oh * ow, actual: out.len() });
     }
-    let krows = c * kh * kw;
-    let colbuf = crate::workspace::sized(col, krows * oh * ow);
-    out.fill(0.0);
-    for b in 0..n {
-        im2col(&input[b * c * h * w..(b + 1) * c * h * w], c, h, w, kh, kw, spec, oh, ow, colbuf);
-        crate::backend::kernel().gemm(
-            weight.data(),
-            colbuf,
-            &mut out[b * oc * oh * ow..(b + 1) * oc * oh * ow],
-            oc,
-            krows,
-            oh * ow,
-        );
+    if let Some(bias) = bias {
+        if bias.len() != oc {
+            return Err(TensorError::LengthMismatch { expected: oc, actual: bias.len() });
+        }
+    }
+    let g = Geometry { ic: c, h, w, kh, kw, spec, oh, ow };
+    let padded = crate::workspace::sized(planes, g.scratch_len());
+    let kern = crate::backend::kernel();
+    for (image, out) in input.chunks(c * h * w).zip(out.chunks_mut(oc * oh * ow)) {
+        let planes = if spec.padding == 0 {
+            image
+        } else {
+            direct::pad_image(&g, image, padded);
+            &*padded
+        };
+        let job = Job { g: &g, planes, weights: weight.data(), bias };
+        // Each output channel owns a contiguous plane, so the backend can
+        // hand channel ranges to worker threads with no synchronisation.
+        kern.for_each_row_chunk(out, oh * ow, g.work_per_channel(), &|first, chunk| {
+            direct::conv(level, &job, first, chunk);
+        });
     }
     Ok(())
 }

@@ -4,12 +4,13 @@
 //! autograd crate wraps them with gradient rules.
 
 pub mod conv;
+pub mod direct;
 pub mod image;
 pub mod matmul;
 
 pub use conv::{
     conv1d, conv1d_backward_input, conv1d_backward_weight, conv2d, conv2d_backward_input,
-    conv2d_backward_weight, conv2d_into, Conv2dSpec,
+    conv2d_backward_weight, conv2d_into, conv2d_into_at, Conv2dSpec,
 };
 pub use image::{
     global_avg_pool, global_avg_pool_into, pixel_shuffle, pixel_unshuffle, window_merge,

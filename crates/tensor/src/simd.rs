@@ -6,12 +6,15 @@
 //! everything the rungs below it offer (capability checks are `>=`):
 //!
 //! * [`SimdLevel::Avx512`] — AVX-512 F/BW/DQ/VL + `VPOPCNTDQ`: the direct
-//!   binary convolution counts eight pixels per `vpopcntq`; the float GEMM
-//!   stays on the AVX2 microkernel;
+//!   binary convolution counts eight pixels per `vpopcntq` and the direct
+//!   float convolution ([`crate::ops::direct`]) runs 4 × 48-position tiles
+//!   on 512-bit lanes; the float GEMM stays on the AVX2 microkernel;
 //! * [`SimdLevel::Avx2`] — AVX2 + POPCNT: the 8-lane float GEMM microkernel
-//!   engages and the binary convolution is compiled for 256-bit lanes;
-//! * [`SimdLevel::Sse42`] — SSE4.2 + POPCNT: the float GEMM stays scalar,
-//!   the binary convolution uses the hardware `popcnt` instruction;
+//!   engages, the float convolution runs 4 × 16-position tiles and the
+//!   binary convolution is compiled for 256-bit lanes;
+//! * [`SimdLevel::Sse42`] — SSE4.2 + POPCNT: the float GEMM and the float
+//!   convolution (4 × 8-position tiles) stay on the portable loops, the
+//!   binary convolution uses the hardware `popcnt` instruction;
 //! * [`SimdLevel::None`] — non-x86-64 targets or older CPUs: every loop
 //!   falls back to the scalar reference kernel.
 //!
@@ -32,7 +35,20 @@
 //! Lanes never reduce across each other: every output element is exactly
 //! one lane, so the summation order per element is identical to the plain
 //! ikj reference on every path. Column tails (`n % 8`) and row remainders
-//! (`rows % 4`) reuse the scalar helpers outright. The binary
+//! (`rows % 4`) reuse the scalar helpers outright.
+//!
+//! The direct float convolution extends the same argument to the deployed
+//! path. It is one loop recompiled per level in which every output element
+//! is again exactly one lane: the lane starts at `+0.0` (the GEMM's
+//! zero-filled `c`) and takes `acc += w · x` for `(ci, ky, kx)` ascending —
+//! the GEMM's ascending `p` over one im2col column — as a separate multiply
+//! and add, never FMA. Padded taps are not skipped: they multiply the
+//! `+0.0` the padded plane holds, exactly as they multiply the `0.0` im2col
+//! writes, so `−0.0`, infinities and NaN-ness come out the same (NaN
+//! *payloads* are not part of the contract: where two NaNs meet, x86
+//! returns the first operand's, and operand order is the compiler's
+//! choice). Tile width, channel blocking and the overlapped last tile only
+//! change which lane computes an element, never how. The binary
 //! XNOR-popcount convolution is one loop recompiled per level; its counts
 //! are integer-exact, so it is trivially identical on every level.
 
@@ -51,13 +67,15 @@ pub enum SimdLevel {
     /// No usable vector extensions (non-x86-64, or a CPU without SSE4.2):
     /// scalar reference loops everywhere.
     None,
-    /// SSE4.2 + POPCNT: hardware-popcount binary convolution, scalar float
-    /// GEMM.
+    /// SSE4.2 + POPCNT: hardware-popcount binary convolution, portable
+    /// float GEMM and float convolution.
     Sse42,
-    /// AVX2 + POPCNT: vectorized float GEMM, 256-bit binary convolution.
+    /// AVX2 + POPCNT: vectorized float GEMM, 256-bit float and binary
+    /// convolutions.
     Avx2,
     /// AVX-512 (F, BW, DQ, VL) + `VPOPCNTDQ`: vector-popcount binary
-    /// convolution on top of everything [`SimdLevel::Avx2`] offers.
+    /// convolution and 512-bit float convolution on top of everything
+    /// [`SimdLevel::Avx2`] offers.
     Avx512,
 }
 

@@ -1,9 +1,9 @@
 //! Reusable scratch buffers for the zero-allocation inference path.
 //!
-//! Every hot kernel that used to allocate per call (float im2col, the
-//! bit-packed activation bitmap of the binary convolution, gate maps,
-//! batch-norm reductions) instead writes into a [`ConvScratch`] owned by
-//! the caller. Buffers grow on first use
+//! Every hot kernel that used to allocate per call (the zero-padded input
+//! planes of the direct float convolution, the bit-packed activation
+//! bitmap of the binary convolution, gate maps, batch-norm reductions)
+//! instead writes into a [`ConvScratch`] owned by the caller. Buffers grow on first use
 //! and are **never shrunk**, so after a warm-up forward at a given shape
 //! the steady state performs no heap allocation.
 //!
@@ -12,10 +12,13 @@
 //! helper hands out exactly-sized views without zeroing.
 
 /// Grow-only view: returns `&mut buf[..len]`, growing the buffer when it
-/// is too short. The returned region may contain stale data from a
-/// previous use — callers must fully overwrite whatever they later read.
+/// is too short — to exactly `len`, since a scratch buffer's size is a
+/// high-water mark over the shapes served, not a sequence of pushes to
+/// amortise. The returned region may contain stale data from a previous
+/// use — callers must fully overwrite whatever they later read.
 pub fn sized<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
     if buf.len() < len {
+        buf.reserve_exact(len - buf.len());
         buf.resize(len, T::default());
     }
     &mut buf[..len]
@@ -35,15 +38,16 @@ pub struct BitScratch {
     pub bases: Vec<i32>,
 }
 
-/// The full per-stream convolution scratch: float buffers for im2col,
-/// gate maps and reductions, plus the [`BitScratch`] of the binary
-/// kernels. One `ConvScratch` serves every layer of a network
+/// The full per-stream convolution scratch: float buffers for the padded
+/// input planes, gate maps and reductions, plus the [`BitScratch`] of the
+/// binary kernels. One `ConvScratch` serves every layer of a network
 /// because layers execute sequentially.
 #[derive(Default)]
 pub struct ConvScratch {
-    /// Float im2col matrix (also reused as the widest reduction /
-    /// resampling temporary).
-    pub col: Vec<f32>,
+    /// One image's zero-padded input planes for the direct float
+    /// convolution, `ic · (h + 2p) · (w + 2p)` floats (also reused as the
+    /// widest reduction / resampling temporary).
+    pub padded: Vec<f32>,
     /// Per-pixel gate map (spatial re-scaling branch) and mid-width
     /// reductions.
     pub plane: Vec<f32>,
@@ -62,6 +66,17 @@ impl ConvScratch {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Bytes this scratch holds on the heap, every buffer by allocated
+    /// capacity.
+    #[must_use]
+    pub fn memory_bytes(&self) -> usize {
+        let floats =
+            self.padded.capacity() + self.plane.capacity() + self.chan.capacity() + self.chan2.capacity();
+        floats * std::mem::size_of::<f32>()
+            + self.bits.act.capacity() * std::mem::size_of::<u64>()
+            + self.bits.bases.capacity() * std::mem::size_of::<i32>()
     }
 }
 
@@ -85,6 +100,23 @@ mod tests {
     #[test]
     fn scratch_defaults_are_empty() {
         let s = ConvScratch::new();
-        assert!(s.col.is_empty() && s.bits.act.is_empty());
+        assert!(s.padded.is_empty() && s.bits.act.is_empty());
+        assert_eq!(s.memory_bytes(), 0);
+    }
+
+    #[test]
+    fn memory_bytes_counts_every_buffer_by_capacity() {
+        let mut s = ConvScratch::new();
+        s.padded = Vec::with_capacity(10);
+        s.plane = Vec::with_capacity(3);
+        s.chan = Vec::with_capacity(2);
+        s.chan2 = Vec::with_capacity(1);
+        s.bits.act = Vec::with_capacity(5);
+        s.bits.bases = Vec::with_capacity(7);
+        let want = 4 * (s.padded.capacity() + s.plane.capacity() + s.chan.capacity() + s.chan2.capacity())
+            + 8 * s.bits.act.capacity()
+            + 4 * s.bits.bases.capacity();
+        assert_eq!(s.memory_bytes(), want);
+        assert!(want >= 4 * 16 + 8 * 5 + 4 * 7);
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`tensor`] | dense f32 tensors, im2col convolution, broadcasting, [`tensor::backend`] kernel dispatch (scalar / parallel) with a register-blocked GEMM microkernel, [`tensor::workspace`] reusable kernel scratch |
+//! | [`tensor`] | dense f32 tensors, im2col → GEMM convolution with gradients, the direct float convolution of the deployed path, broadcasting, [`tensor::backend`] kernel dispatch (scalar / parallel) with a register-blocked GEMM microkernel, [`tensor::workspace`] reusable kernel scratch |
 //! | [`autograd`] | reverse-mode tape with STE binarization gradients |
 //! | [`nn`] | layers, Adam, losses, init |
 //! | [`binary`] | bit-packed XNOR-popcount kernels, BNN cost model |
@@ -102,9 +102,9 @@
 //! ```
 //!
 //! Hot loops dispatch through [`tensor::backend`]: the runtime-detected
-//! SIMD kernel (the default — AVX2 float GEMM and the binary convolution
-//! at the best ISA level the CPU reports, the scalar loops where there is
-//! none), the scalar reference kernel and a blocked multi-threaded kernel,
+//! SIMD kernel (the default — AVX2 float GEMM and the direct float and
+//! binary convolutions at the best ISA level the CPU reports, the scalar
+//! loops where there is none), the scalar reference kernel and a blocked multi-threaded kernel,
 //! all with identical numerics, selected per engine
 //! ([`serve::EngineBuilder::backend`]), by the `parallel` cargo feature,
 //! by `SCALES_BACKEND=scalar|parallel|simd` (case-insensitive;

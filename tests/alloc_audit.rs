@@ -7,6 +7,13 @@
 //! `forward` path is measured alongside as a contrast, proving the audit
 //! would catch a regression.
 //!
+//! The same test then serves the four shapes a paper-profile session sees
+//! (the 32×32 light image and the 40×40 / 40×24 / 24×24 tiles of the heavy
+//! one) through one workspace and checks the arena side: the float scratch
+//! never outgrows one image's zero-padded input planes — no
+//! `IC·k²·oh·ow` staging buffer exists — and a second pass over the shapes
+//! regrows nothing.
+//!
 //! This file holds exactly one test: the counter is process-global, and
 //! the default test harness runs tests concurrently — a sibling test's
 //! allocations would pollute the deltas.
@@ -113,4 +120,54 @@ fn steady_state_audit() {
         "expected the allocating forward to allocate far more than the planned one, \
          got {allocating_per_call} vs {planned_per_call}"
     );
+
+    mixed_shapes_audit();
+}
+
+/// One workspace (what a `Session` owns) serving a paper-width network at
+/// the shapes `session_cnn` produces.
+fn mixed_shapes_audit() {
+    const CHANNELS: usize = 64;
+    let net = srresnet(SrConfig {
+        channels: CHANNELS,
+        blocks: 1,
+        scale: 4,
+        method: Method::scales(),
+        seed: 91,
+    })
+    .unwrap();
+    let deployed = net.lower().unwrap();
+    let shapes = [(32, 32), (40, 40), (40, 24), (24, 24)];
+    let inputs: Vec<Tensor> = shapes
+        .iter()
+        .map(|&(h, w)| {
+            Tensor::from_vec((0..3 * h * w).map(|i| ((i as f32) * 0.13).sin() * 0.4 + 0.5).collect(), &[1, 3, h, w])
+                .unwrap()
+        })
+        .collect();
+
+    let mut ws = Workspace::new();
+    for x in &inputs {
+        let _ = deployed.forward_planned(x, &mut ws).unwrap();
+    }
+    // The widest float conv input is the tail's: 64 channels of the
+    // 40×40 tile, padded by one pixel. The kernel needs no slack past it.
+    let padded = ws.scratch().padded.capacity();
+    assert!(
+        padded <= CHANNELS * 42 * 42,
+        "float scratch holds {padded} floats: more than one image's padded planes ({})",
+        CHANNELS * 42 * 42
+    );
+    let resident = ws.memory_bytes();
+
+    let before = allocations();
+    for x in &inputs {
+        let _ = deployed.forward_planned(x, &mut ws).unwrap();
+    }
+    let second_pass = allocations() - before;
+    assert!(
+        second_pass <= 2 * shapes.len(),
+        "a second pass over served shapes must allocate only its outputs, got {second_pass} allocations"
+    );
+    assert_eq!(ws.memory_bytes(), resident, "no arena slot or scratch buffer regrew");
 }

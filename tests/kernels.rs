@@ -1,15 +1,16 @@
-//! Generated differential tests for the direct XNOR-popcount convolution
-//! (ROADMAP item 4b): random shapes — channel counts across the 64-lane
-//! word boundary, kernels larger than the image, strides, over-padding,
-//! widths that leave ragged vector tails, batches —
-//! on which every backend and every `SimdLevel` the CPU offers must agree
-//! bit-for-bit with each other and with the float reference, and the fused
-//! SCALES epilogue must agree with the same operations run as separate
-//! passes.
+//! Generated differential tests for the two direct convolution kernels —
+//! XNOR-popcount (`scales::binary`) and float (`FloatConv2d::forward_into`):
+//! random shapes — channel counts across the 64-lane word boundary and the
+//! float kernel's channel block, kernels larger than the image, strides,
+//! over-padding, widths that leave ragged vector tails, batches — on which
+//! every backend and every `SimdLevel` the CPU offers must agree
+//! bit-for-bit with each other and with the im2col → GEMM reference, and
+//! the fused SCALES epilogue must agree with the same operations run as
+//! separate passes.
 
 use proptest::prelude::*;
 use scales::binary::{BinaryConv2d, Fused, SignShift};
-use scales::core::{DeployedScalesConv2d, ScalesComponents, ScalesConv2d};
+use scales::core::{DeployedScalesConv2d, FloatConv2d, ScalesComponents, ScalesConv2d};
 use scales::nn::init::rng;
 use scales::tensor::backend::{with_backend, Backend};
 use scales::tensor::ops::{conv2d, Conv2dSpec};
@@ -41,10 +42,36 @@ impl Stream {
             })
             .collect()
     }
+
+    /// [`Stream::values`] salted with what float kernels get wrong: `−0.0`
+    /// (a padded tap's `+0.0` product must not flip it), and now and then
+    /// a NaN or an infinity.
+    fn hostile_values(&mut self, n: usize) -> Vec<f32> {
+        let mut values = self.values(n);
+        for v in &mut values {
+            match self.next() % 512 {
+                0..=15 => *v = -0.0,
+                16 => *v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][(self.next() % 3) as usize],
+                _ => {}
+            }
+        }
+        values
+    }
 }
 
 fn bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// [`bits`] with every NaN mapped to one pattern. Where two NaNs meet (an
+/// input NaN and the `0 · ∞` of another tap), x86 returns the first
+/// operand's sign and payload, and which operand of a commutative `+` or
+/// `·` comes first is the compiler's choice per compilation — Rust leaves
+/// NaN payloads unspecified. Which elements are NaN is part of the
+/// contract; every other element, `−0.0` and the infinities included, is
+/// compared bit for bit.
+fn float_bits(values: &[f32]) -> Vec<u32> {
+    values.iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
 }
 
 /// A scratch whose buffers are longer than any case needs and full of
@@ -104,6 +131,55 @@ proptest! {
             got.fill(f32::NAN);
             conv.forward_at(level, input.data(), n, h, w, &Fused::default(), &mut scratch, &mut got).unwrap();
             prop_assert!(bits(&got) == want, "{}: level {}", label, level);
+        }
+    }
+
+    /// The direct float convolution equals im2col → GEMM (`conv2d` + bias)
+    /// bit for bit, on every backend and at every SIMD level, whatever the
+    /// geometry and however hostile the data.
+    #[test]
+    fn direct_float_conv_matches_im2col_gemm_on_every_backend_and_level(
+        ic in 1usize..71,
+        oc in 1usize..10,
+        k_pick in 0usize..3,
+        stride in 1usize..3,
+        pad_pick in 0usize..6,
+        h in 1usize..41,
+        w in 1usize..41,
+        n in 1usize..3,
+        with_bias in 0usize..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let k = [1, 3, 5][k_pick];
+        let spec = Conv2dSpec { stride, padding: pad_pick % (k + 1) };
+        let mut data = Stream(seed);
+        let weight = Tensor::from_vec(data.hostile_values(oc * ic * k * k), &[oc, ic, k, k]).unwrap();
+        let bias = (with_bias == 1).then(|| Tensor::from_vec(data.values(oc), &[1, oc, 1, 1]).unwrap());
+        let input = Tensor::from_vec(data.hostile_values(n * ic * h * w), &[n, ic, h, w]).unwrap();
+        let conv = FloatConv2d::new(weight, bias, spec).unwrap();
+        let label = format!("ic={ic} oc={oc} k={k} {spec:?} {h}x{w} n={n} bias={with_bias} seed={seed}");
+
+        // A long-lived workspace hands the scratch over oversized and full
+        // of garbage.
+        let mut scratch = vec![f32::NAN; 150_000];
+        let Ok(reference) = with_backend(Backend::Scalar, || conv.forward(&input)) else {
+            // An image smaller than the un-padded kernel: both sides refuse.
+            let refused = conv.forward_into(input.data(), n, h, w, &mut scratch, &mut []).is_err();
+            prop_assert!(refused, "{}: kernel accepted a bad geometry", label);
+            return Ok(());
+        };
+        let want = float_bits(reference.data());
+
+        let mut got = vec![f32::NAN; want.len()];
+        for backend in [Backend::Scalar, Backend::Parallel, Backend::Simd] {
+            got.fill(f32::NAN);
+            with_backend(backend, || conv.forward_into(input.data(), n, h, w, &mut scratch, &mut got)).unwrap();
+            prop_assert!(float_bits(&got) == want, "{}: backend {}", label, backend);
+        }
+        for level in simd::available() {
+            got.fill(f32::NAN);
+            conv.forward_at(level, input.data(), n, h, w, &mut scratch, &mut got).unwrap();
+            prop_assert!(float_bits(&got) == want, "{}: level {}", label, level);
         }
     }
 
