@@ -42,10 +42,7 @@ impl Var {
     pub fn gelu(&self) -> Var {
         const C: f32 = 0.797_884_6; // sqrt(2/pi)
         let x = self.value();
-        let value = x.map(|v| {
-            let inner = C * (v + 0.044_715 * v * v * v);
-            0.5 * v * (1.0 + inner.tanh())
-        });
+        let value = x.map(scales_tensor::ops::gelu);
         Var::from_op(value, vec![self.clone()], move |g| {
             vec![g
                 .zip_map(&x, |gi, v| {

@@ -10,9 +10,11 @@
 //!   CPU offers, beside the im2col → GEMM `conv2d` it replaced there
 //!   (bit-identical outputs, asserted here);
 //! * the direct XNOR-popcount convolution at the paper's body shape
-//!   (64 → 64, 3×3, 32×32), compiled for every `SimdLevel` the CPU offers,
-//!   and a whole deployed SCALES body convolution (LSF shift, spatial and
-//!   channel re-scaling, skip — all fused into that kernel) beside it;
+//!   (64 → 64, 3×3, 32×32) and at the `k = 1` shapes a lowered transformer
+//!   linear runs (32 → 32 and 64 → 32 at 16×16), compiled for every
+//!   `SimdLevel` the CPU offers, and a whole deployed SCALES body
+//!   convolution (LSF shift, spatial and channel re-scaling, skip — all
+//!   fused into that kernel) beside it;
 //! * the bit-packed binary convolution on a 64×64 image, comparing the
 //!   allocating `forward` against the scratch-reusing `forward_into`, on
 //!   scalar and simd backends.
@@ -185,10 +187,43 @@ fn main() {
         }
     }
 
-    // The direct binary convolution at the paper's body shape, once per
-    // level this CPU offers, then the whole deployed SCALES layer around
-    // it on the detected level.
+    // The direct binary convolution at the paper's body shape and at the
+    // 1×1 shapes of a lowered transformer linear, once per level this CPU
+    // offers, then the whole deployed SCALES layer around the body shape on
+    // the detected level.
     {
+        // Kernel rows are short; take more samples so the ratios hold on a
+        // noisy runner.
+        let reps = reps * 20;
+        let mut bits = BitScratch::default();
+        let mut per_level = |label: &str, key: &str, conv: &BinaryConv2d, side: usize| {
+            let input = filled(conv.in_channels() * side * side, 4.0);
+            let mut out = vec![0.0f32; conv.out_channels() * side * side];
+            println!("\n  {label:<22} {:>12} {:>9}", "time", "vs none");
+            let mut portable = f64::NAN;
+            let mut want: Vec<u32> = Vec::new();
+            for level in simd::available() {
+                let t = best_of(reps, || {
+                    conv.forward_at(level, &input, 1, side, side, &Fused::default(), &mut bits, &mut out).unwrap();
+                });
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                if level == SimdLevel::None {
+                    (portable, want) = (t, got);
+                } else {
+                    assert!(got == want, "{label} at {level} must be bit-identical to the portable loop");
+                }
+                println!("  {:<22} {:>9.1} us {:>8.2}x", level.name(), t * 1e6, portable / t);
+                json.push(format!("\"{key}_level_{}_us\":{:.1}", level.name(), t * 1e6));
+                // 10% timer jitter allowed; a level that loses to the loop it
+                // was compiled from is a dispatch or codegen regression.
+                assert!(
+                    t <= portable * 1.1,
+                    "{label} at {level} must not lose to the portable loop ({:.1} vs {:.1} us)",
+                    t * 1e6,
+                    portable * 1e6
+                );
+            }
+        };
         let (ch, side) = (64usize, 32usize);
         let trained = BodyConv::new(Method::scales(), ch, ch, 3, &mut scales_nn::init::rng(6)).unwrap();
         let body = DeployedBodyConv::from_trained(&trained).unwrap();
@@ -196,36 +231,16 @@ fn main() {
             panic!("a SCALES body convolution lowers to the SCALES variant");
         };
         let conv = layer.conv();
+        per_level("binary conv 64ch 32x32", "binconv", conv, side);
+        for (label, key, ic, oc) in [
+            ("bin 1x1 32->32 16x16", "binconv_k1_32x32", 32usize, 32usize),
+            ("bin 1x1 64->32 16x16", "binconv_k1_64x32", 64, 32),
+        ] {
+            let weight = Tensor::from_vec(filled(oc * ic, 7.0), &[oc, ic, 1, 1]).unwrap();
+            per_level(label, key, &BinaryConv2d::from_float_weight(&weight).unwrap(), 16);
+        }
         let input = filled(ch * side * side, 4.0);
         let mut out = vec![0.0f32; ch * side * side];
-        let mut bits = BitScratch::default();
-        // Kernel rows are short; take more samples so the ratios hold on a
-        // noisy runner.
-        let reps = reps * 20;
-        println!("\n  {:<22} {:>12} {:>9}", "binary conv 64ch 32x32", "time", "vs none");
-        let mut portable = f64::NAN;
-        let mut want: Vec<u32> = Vec::new();
-        for level in simd::available() {
-            let t = best_of(reps, || {
-                conv.forward_at(level, &input, 1, side, side, &Fused::default(), &mut bits, &mut out).unwrap();
-            });
-            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-            if level == SimdLevel::None {
-                (portable, want) = (t, got);
-            } else {
-                assert!(got == want, "binary conv at {level} must be bit-identical to the portable loop");
-            }
-            println!("  {:<22} {:>9.1} us {:>8.2}x", level.name(), t * 1e6, portable / t);
-            json.push(format!("\"binconv_level_{}_us\":{:.1}", level.name(), t * 1e6));
-            // 10% timer jitter allowed; a level that loses to the loop it
-            // was compiled from is a dispatch or codegen regression.
-            assert!(
-                t <= portable * 1.1,
-                "binary conv at {level} must not lose to the portable loop ({:.1} vs {:.1} us)",
-                t * 1e6,
-                portable * 1e6
-            );
-        }
         let (bare, whole) = backend::with_backend(Backend::Simd, || {
             let mut scratch = ConvScratch::new();
             let bare = best_of(reps, || conv.forward_into(&input, 1, side, side, &mut bits, &mut out).unwrap());

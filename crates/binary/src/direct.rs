@@ -23,8 +23,11 @@
 //! interior rows), so there is no border branch either.
 //!
 //! The store applies the fused epilogue per element in the unfused pass
-//! order (`v = s_c·dot; v *= spatial[p]; v *= channel[c]; v += x`), each a
-//! separate IEEE operation, so every `f32::to_bits` contract holds.
+//! order (`v = s_c·dot; v += bias[c]; v *= spatial[p]; v *= channel[c];
+//! v += x`), each a separate IEEE operation, so every `f32::to_bits`
+//! contract holds. The bias is the one a binary *linear* layer carries (a
+//! 1×1 call): it sits between the dot and the gates, where the training
+//! tape's `matmul.add(bias).mul(gate).add(input)` puts it.
 //!
 //! Every inner loop is a plain walk over equal-length slices, the shape
 //! LLVM's loop vectorizer handles at any width. `pack_image` and
@@ -71,12 +74,15 @@ impl SignShift<'_> {
 }
 
 /// What one [`BinaryConv2d::forward_fused`](crate::BinaryConv2d::forward_fused)
-/// call fuses around the XNOR-popcount: a shift before the sign, and gates
-/// and the identity skip in the store, applied per element in field order.
+/// call fuses around the XNOR-popcount: a shift before the sign, and the
+/// bias, gates and identity skip in the store, applied per element in field
+/// order.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Fused<'a> {
     /// Subtracted from the input before the sign.
     pub shift: SignShift<'a>,
+    /// Per-output-channel bias `[oc]`, added to `s_c·dot` before any gate.
+    pub bias: Option<&'a [f32]>,
     /// Per-pixel gate `[n, oh·ow]`, multiplied first.
     pub spatial: Option<&'a [f32]>,
     /// Per-output-channel gate `[n, oc]`, multiplied second.
@@ -259,10 +265,11 @@ pub(crate) struct Job<'a> {
     pub(crate) g: &'a Geometry,
     pub(crate) bitmap: &'a [u64],
     /// Per output channel: `k² × wpp` weight words, [`base_table`]
-    /// entries, and the float scale.
+    /// entries, the float scale and the bias.
     pub(crate) weights: &'a [u64],
     pub(crate) base: &'a [i32],
     pub(crate) scales: &'a [f32],
+    pub(crate) bias: Option<&'a [f32]>,
     /// This image's epilogue operands: per-pixel gate `[oh·ow]`,
     /// per-channel gate `[oc]`, skip source `[oc, oh·ow]`.
     pub(crate) spatial: Option<&'a [f32]>,
@@ -283,8 +290,8 @@ fn conv_image(job: &Job<'_>, first: usize, planes: &mut [f32]) {
 }
 
 /// The multiplicative and additive neutral elements the store uses for an
-/// absent gate or skip: `v · 1.0` and `v + (−0.0)` are `v` bit for bit, so
-/// one fused loop serves every [`Fused`] combination.
+/// absent gate, bias or skip: `v · 1.0` and `v + (−0.0)` are `v` bit for
+/// bit, so one fused loop serves every [`Fused`] combination.
 static ONES: [f32; SEGMENT] = [1.0; SEGMENT];
 static NEG_ZEROS: [f32; SEGMENT] = [-0.0; SEGMENT];
 
@@ -302,6 +309,7 @@ fn conv_planes<const K: usize>(job: &Job<'_>, first: usize, planes: &mut [f32]) 
         let weights = &job.weights[c * taps..(c + 1) * taps];
         let classes = &job.base[c * per..(c + 1) * per];
         let (scale, channel) = (job.scales[c], job.channel.map_or(1.0, |gate| gate[c]));
+        let bias = job.bias.map_or(-0.0, |bias| bias[c]);
         let skip = job.skip.map(|x| &x[c * oh * ow..(c + 1) * oh * ow]);
         for q0 in (0..span).step_by(SEGMENT) {
             let len = SEGMENT.min(span - q0);
@@ -361,7 +369,7 @@ fn conv_planes<const K: usize>(job: &Job<'_>, first: usize, planes: &mut [f32]) 
                 let skip = skip.map_or(&NEG_ZEROS[..n], |x| &x[at..at + n]);
                 let differ = &differ[row0 + lo * stride - q0..];
                 let store = |v: &mut f32, (((d, base), s), x): (((&u64, &i32), &f32), &f32)| {
-                    *v = scale * (base - 2 * *d as i32) as f32 * s * channel + x;
+                    *v = (scale * (base - 2 * *d as i32) as f32 + bias) * s * channel + x;
                 };
                 let out = out[at..at + n].iter_mut();
                 if stride == 1 {

@@ -7,8 +7,8 @@
 //! exactly for `±1` inputs (zero-padded taps contribute exactly 0).
 //!
 //! The convolution is the direct kernel of [`crate::direct`]: no im2col,
-//! lanes are output pixels, and the caller's epilogue (gates, identity
-//! skip) is applied in the store. Output channels are dispatched through
+//! lanes are output pixels, and the caller's epilogue (bias, gates,
+//! identity skip) is applied in the store. Output channels are dispatched through
 //! [`scales_tensor::backend`], so the parallel backend splits them across
 //! threads and the simd backend — the default — runs the loop compiled for
 //! the detected [`SimdLevel`] (results are identical on every backend and
@@ -270,7 +270,7 @@ impl BinaryConv2d {
     }
 
     /// [`BinaryConv2d::forward_into`] with the caller's input shift applied
-    /// in the sign packer and its gates and identity skip applied in the
+    /// in the sign packer and its bias, gates and identity skip applied in the
     /// store, per element in the order of the [`Fused`] fields — bit-identical
     /// to running them as separate passes over the output. Runs at the
     /// active backend's [`SimdLevel`].
@@ -330,6 +330,9 @@ impl BinaryConv2d {
             direct::SignShift::PerChannel(beta) => expect(beta.len(), ic)?,
             direct::SignShift::PerImage(means) => expect(means.len(), n)?,
         }
+        if let Some(bias) = fused.bias {
+            expect(bias.len(), oc)?;
+        }
         if let Some(gate) = fused.spatial {
             expect(gate.len(), n * oh * ow)?;
         }
@@ -357,6 +360,7 @@ impl BinaryConv2d {
                 weights: &self.packed_weights,
                 base,
                 scales: &self.scales,
+                bias: fused.bias,
                 spatial: fused.spatial.map(|gate| &gate[b * oh * ow..(b + 1) * oh * ow]),
                 channel: fused.channel.map(|gate| &gate[b * oc..(b + 1) * oc]),
                 skip: fused.skip.then_some(image),
@@ -570,6 +574,7 @@ mod tests {
         assert!(run(Fused::default()).is_ok());
         assert!(run(Fused { shift: SignShift::PerChannel(&[0.0; 2]), ..Fused::default() }).is_err());
         assert!(run(Fused { shift: SignShift::PerImage(&[]), ..Fused::default() }).is_err());
+        assert!(run(Fused { bias: Some(&[0.0; 3]), ..Fused::default() }).is_err());
         assert!(run(Fused { spatial: Some(&[1.0; 15]), ..Fused::default() }).is_err());
         assert!(run(Fused { channel: Some(&[1.0; 3]), ..Fused::default() }).is_err());
         // 3 → 2 channels is not shape-preserving, so there is no identity.

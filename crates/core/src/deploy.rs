@@ -1,10 +1,11 @@
 //! Deployment: fold trained binary layers into the bit-packed
 //! XNOR-popcount inference path.
 //!
-//! [`DeployedScalesConv2d`] lowers a single [`ScalesConv2d`];
+//! [`DeployedScalesConv2d`] lowers a single [`ScalesConv2d`] — or a
+//! [`ScalesLinear`], which is the same layer with a 1×1 kernel;
 //! [`DeployedBodyConv`] lowers *any* [`BodyConv`] method variant (FP,
-//! E2FIF, BTM, BAM, BiBERT-style, SCALES), which is what whole-network
-//! lowering in `scales-models` builds on.
+//! E2FIF, BTM, BAM, BiBERT-style, SCALES) and any [`BodyLinear`], which is
+//! what whole-network lowering in `scales-models` builds on.
 //!
 //! This is the Larq role in the paper's Table VI: after training, the
 //! latent FP weights are sign-packed once, the weight scale `s_c` and the
@@ -13,56 +14,93 @@
 //! `sign((x−β)/α) = sign(x−β)` for `α > 0`), and only the two small
 //! re-scaling branches plus the skip run in floating point.
 //!
+//! A transformer's per-token linear over `[B, L, C]` is a 1×1 convolution
+//! over the `[N, C, H, W]` map the tokens were cut from, so the linears
+//! lower to the same types with `k = 1`: the token-wise spatial gate
+//! `sigmoid(Linear(C→1))` is the per-pixel gate, there is no channel
+//! branch, and the linear's bias — added between the binary product and
+//! the gate — rides in the kernel's store (`Fused::bias`).
+//!
 //! [`DeployedScalesConv2d::forward`] is numerically equivalent to the
 //! training-path forward (verified by unit and integration tests).
 
 use crate::conv::ScalesConv2d;
-use crate::factory::BodyConv;
+use crate::factory::{BodyConv, BodyLinear};
+use crate::linear::ScalesLinear;
+use crate::lsf::LsfBinarizer;
+use scales_autograd::Var;
 use scales_nn::Module as _;
 use scales_binary::{BinaryConv2d, Fused, SignShift};
 use scales_tensor::ops::{conv1d, conv2d, conv2d_into_at, global_avg_pool, sigmoid, Conv2dSpec};
 use scales_tensor::workspace::{sized, ConvScratch};
 use scales_tensor::{Result, SimdLevel, Tensor, TensorError};
 
-/// Why a `Deployed`-precision serving engine is running the training path
-/// instead of a lowered graph.
-///
-/// Produced when whole-network lowering fails (e.g. the transformer
-/// family has no deployment lowering yet); the serving layer surfaces it
-/// so operators can see the degradation instead of silently paying the
-/// tape-building cost per request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeployFallback {
-    reason: String,
+/// Sign-pack a latent weight `[OC, IC, k, k]` and fold the LSF into it: `α`
+/// into the per-channel scales (`ŷ = α·s_c·(xnor dot)`), `β` returned as the
+/// input shift (empty without LSF).
+fn pack_with_lsf(weight: &Tensor, lsf: Option<&LsfBinarizer>) -> Result<(BinaryConv2d, Vec<f32>)> {
+    let oc = weight.shape()[0];
+    let per = weight.len() / oc;
+    let mut conv = BinaryConv2d::from_float_weight(weight)?;
+    let (alpha, beta) = match lsf {
+        Some(lsf) => {
+            let a = lsf.alpha().value().data()[0].max(1e-6);
+            (a, lsf.beta().value().data().to_vec())
+        }
+        None => (1.0, Vec::new()),
+    };
+    let scales: Vec<f32> = (0..oc)
+        .map(|c| {
+            let chunk = &weight.data()[c * per..(c + 1) * per];
+            alpha * chunk.iter().map(|v| v.abs()).sum::<f32>() / per as f32
+        })
+        .collect();
+    conv.set_scales(scales)?;
+    Ok((conv, beta))
 }
 
-impl DeployFallback {
-    /// Record a fallback with the lowering failure's message.
-    #[must_use]
-    pub fn new(reason: impl Into<String>) -> Self {
-        Self { reason: reason.into() }
-    }
+/// The spatial branch's predictor — a `C → 1` 1×1 conv or token linear,
+/// `[weight, bias]` — as the `[1, C, 1, 1]` map and scalar bias of the
+/// deployed per-pixel gate.
+fn spatial_gate(params: &[Var], channels: usize) -> Result<(Tensor, f32)> {
+    let [weight, bias] = params else {
+        return Err(TensorError::InvalidArgument("spatial branch must hold weight and bias".into()));
+    };
+    Ok((weight.value().reshape(&[1, channels, 1, 1])?, bias.value().data()[0]))
+}
 
-    /// The lowering failure that forced the fallback.
-    #[must_use]
-    pub fn reason(&self) -> &str {
-        &self.reason
+/// A `[out, in]` linear weight as the `[out, in, 1, 1]` kernel of the 1×1
+/// convolution it is on an NCHW map.
+fn as_1x1_kernel(weight: &Var) -> Result<Tensor> {
+    let w = weight.value();
+    match *w.shape() {
+        [out, inf] => w.reshape(&[out, inf, 1, 1]),
+        _ => Err(TensorError::RankMismatch { expected: 2, actual: w.rank(), op: "linear weight" }),
     }
 }
 
-impl std::fmt::Display for DeployFallback {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "serving the training path: {}", self.reason)
+/// In-place `y[b, c, ·] += bias[c]` over `[N, OC, OH, OW]` — the separate
+/// pass of the allocating forwards; the planned path adds it in the
+/// kernel's store.
+fn add_channel_bias(y: &mut Tensor, bias: &[f32]) -> Result<()> {
+    let (oc, plane) = (y.shape()[1], y.shape()[2] * y.shape()[3]);
+    if bias.len() != oc {
+        return Err(TensorError::LengthMismatch { expected: oc, actual: bias.len() });
     }
+    for (plane, &b) in y.data_mut().chunks_mut(plane.max(1)).zip(bias.iter().cycle()) {
+        plane.iter_mut().for_each(|v| *v += b);
+    }
+    Ok(())
 }
-
-impl std::error::Error for DeployFallback {}
 
 /// A trained SCALES convolution lowered to the packed binary kernel.
 pub struct DeployedScalesConv2d {
     conv: BinaryConv2d,
     /// Per-input-channel threshold β (empty when LSF was disabled).
     beta: Vec<f32>,
+    /// Per-output-channel bias, added before the gates (lowered linears;
+    /// convolution layers have none).
+    bias: Option<Vec<f32>>,
     /// Spatial branch: 1×1 conv weight `[1, C, 1, 1]` and bias.
     spatial: Option<(Tensor, f32)>,
     /// Channel branch: Conv1d weight `[1, 1, k]`.
@@ -80,51 +118,33 @@ impl DeployedScalesConv2d {
     /// (cannot happen for layers built by this crate).
     pub fn from_trained(layer: &ScalesConv2d) -> Result<Self> {
         let weight = layer.weight().value();
-        let oc = weight.shape()[0];
         let ic = weight.shape()[1];
-        let per = weight.len() / oc;
-        let mut conv = BinaryConv2d::from_float_weight(&weight)?;
-        // Fold α into the per-channel scales: ŷ = α·s_c·(xnor dot).
-        let (alpha, beta) = match layer.lsf() {
-            Some(lsf) => {
-                let a = lsf.alpha().value().data()[0].max(1e-6);
-                (a, lsf.beta().value().data().to_vec())
-            }
-            None => (1.0, Vec::new()),
-        };
-        let scales: Vec<f32> = (0..oc)
-            .map(|c| {
-                let chunk = &weight.data()[c * per..(c + 1) * per];
-                alpha * chunk.iter().map(|v| v.abs()).sum::<f32>() / per as f32
-            })
-            .collect();
-        conv.set_scales(scales)?;
-        let spatial = match layer.spatial() {
-            Some(s) => {
-                let params = s.params();
-                if params.len() != 2 {
-                    return Err(TensorError::InvalidArgument(
-                        "spatial branch must hold weight and bias".into(),
-                    ));
-                }
-                Some((params[0].value(), params[1].value().data()[0]))
-            }
-            None => None,
-        };
+        let (conv, beta) = pack_with_lsf(&weight, layer.lsf())?;
+        let spatial = layer.spatial().map(|s| spatial_gate(&s.params(), ic)).transpose()?;
         let channel = layer.channel().map(|c| c.params()[0].value());
-        Ok(Self {
-            conv,
-            beta,
-            spatial,
-            channel,
-            skip: layer.has_skip(),
-            in_channels: ic,
-        })
+        Ok(Self { conv, beta, bias: None, spatial, channel, skip: layer.has_skip(), in_channels: ic })
+    }
+
+    /// Fold a trained binary linear into the packed `k = 1` form it has on
+    /// the NCHW feature map: the token gate becomes the per-pixel gate and
+    /// the bias rides in the kernel's store.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the trained layer's tensors are malformed
+    /// (cannot happen for layers built by this crate).
+    pub fn from_trained_linear(layer: &ScalesLinear) -> Result<Self> {
+        let ic = layer.in_features();
+        let (conv, beta) = pack_with_lsf(&as_1x1_kernel(layer.weight())?, layer.lsf())?;
+        let spatial = layer.spatial().map(|s| spatial_gate(&s.params(), ic)).transpose()?;
+        let bias = Some(layer.bias().value().data().to_vec());
+        Self::from_parts(conv, beta, bias, spatial, None, layer.has_skip(), ic)
     }
 
     /// Rebuild a lowered layer from its serialized parts: the packed
     /// convolution, the folded channel thresholds β (empty when LSF was
-    /// off), the spatial branch (1×1 map weight `[1, C, 1, 1]` plus bias),
+    /// off), the per-output-channel bias (lowered linears only),
+    /// the spatial branch (1×1 map weight `[1, C, 1, 1]` plus bias),
     /// the channel branch Conv1d kernel `[1, 1, k]`, the FP-skip flag, and
     /// the input channel count. Inverse of the accessors below.
     ///
@@ -132,7 +152,8 @@ impl DeployedScalesConv2d {
     ///
     /// Returns an error when any part disagrees with the layer geometry
     /// the forward assumes: β must be empty or one value per input
-    /// channel, the packed conv must consume `in_channels`, the spatial
+    /// channel, the bias one value per output channel, the packed conv
+    /// must consume `in_channels`, the spatial
     /// map must be a `[1, in_channels, 1, 1]` 1×1 conv weight, and the
     /// channel kernel must be `[1, 1, odd]` gating at most `in_channels`
     /// outputs. The parts may come from an untrusted serialized artifact,
@@ -141,6 +162,7 @@ impl DeployedScalesConv2d {
     pub fn from_parts(
         conv: BinaryConv2d,
         beta: Vec<f32>,
+        bias: Option<Vec<f32>>,
         spatial: Option<(Tensor, f32)>,
         channel: Option<Tensor>,
         skip: bool,
@@ -148,6 +170,14 @@ impl DeployedScalesConv2d {
     ) -> Result<Self> {
         if !beta.is_empty() && beta.len() != in_channels {
             return Err(TensorError::LengthMismatch { expected: in_channels, actual: beta.len() });
+        }
+        if let Some(bias) = &bias {
+            if bias.len() != conv.out_channels() {
+                return Err(TensorError::LengthMismatch {
+                    expected: conv.out_channels(),
+                    actual: bias.len(),
+                });
+            }
         }
         if conv.in_channels() != in_channels {
             return Err(TensorError::ShapeMismatch {
@@ -196,7 +226,7 @@ impl DeployedScalesConv2d {
                 )));
             }
         }
-        Ok(Self { conv, beta, spatial, channel, skip, in_channels })
+        Ok(Self { conv, beta, bias, spatial, channel, skip, in_channels })
     }
 
     /// The packed binary convolution with folded α·s_c scales.
@@ -209,6 +239,12 @@ impl DeployedScalesConv2d {
     #[must_use]
     pub fn beta(&self) -> &[f32] {
         &self.beta
+    }
+
+    /// The per-output-channel bias of a lowered linear.
+    #[must_use]
+    pub fn bias(&self) -> Option<&[f32]> {
+        self.bias.as_deref()
     }
 
     /// The spatial re-scaling branch: 1×1 map weight and bias.
@@ -277,6 +313,9 @@ impl DeployedScalesConv2d {
         let mut y = self.conv.forward(&shifted)?;
         let oc = y.shape()[1];
         let (oh, ow) = (y.shape()[2], y.shape()[3]);
+        if let Some(bias) = &self.bias {
+            add_channel_bias(&mut y, bias)?;
+        }
         // Spatial re-scaling from the FP input.
         if let Some((wmap, bias)) = &self.spatial {
             let m = conv2d(input, wmap, Conv2dSpec { stride: 1, padding: 0 })?;
@@ -314,7 +353,7 @@ impl DeployedScalesConv2d {
     /// output buffer (fully overwritten). The two re-scaling gates are
     /// computed from the FP input into a reusable [`ConvScratch`], then one
     /// fused kernel call shifts by β in the sign packer and applies
-    /// `·spatial ·channel +skip` in its store — per element the order of
+    /// `+bias ·spatial ·channel +skip` in its store — per element the order of
     /// the allocating forward's separate passes, so bit-identical to it.
     ///
     /// # Errors
@@ -370,7 +409,7 @@ impl DeployedScalesConv2d {
             &*gate
         });
         let shift = if self.beta.is_empty() { SignShift::None } else { SignShift::PerChannel(&self.beta) };
-        let fused = Fused { shift, spatial, channel, skip: self.skip };
+        let fused = Fused { shift, bias: self.bias.as_deref(), spatial, channel, skip: self.skip };
         self.conv.forward_fused(input, n, h, w, &fused, bits, out)
     }
 }
@@ -719,6 +758,9 @@ pub enum DeployedBodyConv {
     Basic {
         /// Packed binary convolution.
         conv: BinaryConv2d,
+        /// Per-output-channel bias, added before the skip (lowered
+        /// BiBERT-style linears; the convolution has none).
+        bias: Option<Vec<f32>>,
         /// Whether the FP identity skip applies.
         skip: bool,
     },
@@ -765,7 +807,42 @@ impl DeployedBodyConv {
             BodyConv::Basic(conv) => {
                 let weight = conv.params()[0].value();
                 let square = weight.shape()[0] == weight.shape()[1];
-                DeployedBodyConv::Basic { conv: BinaryConv2d::from_float_weight(&weight)?, skip: square }
+                DeployedBodyConv::Basic {
+                    conv: BinaryConv2d::from_float_weight(&weight)?,
+                    bias: None,
+                    skip: square,
+                }
+            }
+        })
+    }
+
+    /// Lower a trained transformer [`BodyLinear`] of any method to the 1×1
+    /// body convolution it is on the NCHW feature map.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the trained layer's tensors are malformed.
+    pub fn from_trained_linear(layer: &BodyLinear) -> Result<Self> {
+        Ok(match layer {
+            BodyLinear::Fp(linear) => {
+                let weight = as_1x1_kernel(linear.weight())?;
+                let oc = weight.shape()[0];
+                let bias =
+                    linear.params().get(1).map(|b| b.value().reshape(&[1, oc, 1, 1])).transpose()?;
+                DeployedBodyConv::Float(FloatConv2d::new(weight, bias, Conv2dSpec::same(1))?)
+            }
+            BodyLinear::Bibert(linear) => {
+                // Stable param order: [weight, bias].
+                let params = linear.params();
+                let weight = as_1x1_kernel(&params[0])?;
+                DeployedBodyConv::Basic {
+                    skip: weight.shape()[0] == weight.shape()[1],
+                    conv: BinaryConv2d::from_float_weight(&weight)?,
+                    bias: Some(params[1].value().data().to_vec()),
+                }
+            }
+            BodyLinear::Scales(linear) => {
+                DeployedBodyConv::Scales(DeployedScalesConv2d::from_trained_linear(linear)?)
             }
         })
     }
@@ -836,8 +913,11 @@ impl DeployedBodyConv {
                     Ok(y)
                 }
             }
-            DeployedBodyConv::Basic { conv, skip } => {
-                let y = conv.forward(input)?;
+            DeployedBodyConv::Basic { conv, bias, skip } => {
+                let mut y = conv.forward(input)?;
+                if let Some(bias) = bias {
+                    add_channel_bias(&mut y, bias)?;
+                }
                 if *skip {
                     y.zip_map(input, |a, b| a + b)
                 } else {
@@ -905,8 +985,8 @@ impl DeployedBodyConv {
                 let fused = Fused { spatial: Some(k), skip: *skip, ..Fused::default() };
                 conv.forward_fused(input, n, h, w, &fused, bits, out)
             }
-            DeployedBodyConv::Basic { conv, skip } => {
-                let fused = Fused { skip: *skip, ..Fused::default() };
+            DeployedBodyConv::Basic { conv, bias, skip } => {
+                let fused = Fused { bias: bias.as_deref(), skip: *skip, ..Fused::default() };
                 conv.forward_fused(input, n, h, w, &fused, &mut scratch.bits, out)
             }
         }
@@ -997,18 +1077,6 @@ mod tests {
     }
 
     #[test]
-    fn deploy_fallback_composes_as_a_std_error() {
-        // The whole point of the Error impl: `?` in examples and bins
-        // that return Box<dyn Error>.
-        fn surface(f: DeployFallback) -> std::result::Result<(), Box<dyn std::error::Error>> {
-            Err(f)?
-        }
-        let err = surface(DeployFallback::new("no lowering for transformers")).unwrap_err();
-        assert!(err.to_string().contains("training path"));
-        assert!(err.to_string().contains("no lowering for transformers"));
-    }
-
-    #[test]
     fn deployed_full_scales_matches_training_path() {
         check_equivalence(ScalesComponents::full(), true, 91);
     }
@@ -1030,6 +1098,7 @@ mod tests {
         assert!(DeployedScalesConv2d::from_parts(
             make_conv(),
             vec![0.0; 6],
+            Some(vec![0.0; 6]),
             Some((Tensor::ones(&[1, 6, 1, 1]), 0.1)),
             Some(Tensor::ones(&[1, 1, 5])),
             true,
@@ -1037,11 +1106,15 @@ mod tests {
         )
         .is_ok());
         // Packed conv consuming a different channel count.
-        assert!(DeployedScalesConv2d::from_parts(make_conv(), vec![], None, None, true, 8).is_err());
+        assert!(DeployedScalesConv2d::from_parts(make_conv(), vec![], None, None, None, true, 8).is_err());
+        // A bias that is not one value per output channel.
+        assert!(DeployedScalesConv2d::from_parts(make_conv(), vec![], Some(vec![0.0; 5]), None, None, true, 6)
+            .is_err());
         // Spatial map that is not a [1, C, 1, 1] 1×1 weight.
         assert!(DeployedScalesConv2d::from_parts(
             make_conv(),
             vec![],
+            None,
             Some((Tensor::ones(&[1, 6, 3, 3]), 0.0)),
             None,
             true,
@@ -1056,6 +1129,7 @@ mod tests {
         assert!(DeployedScalesConv2d::from_parts(
             padded,
             vec![],
+            None,
             Some((Tensor::ones(&[1, 6, 1, 1]), 0.0)),
             None,
             false,
@@ -1067,6 +1141,7 @@ mod tests {
             assert!(DeployedScalesConv2d::from_parts(
                 make_conv(),
                 vec![],
+                None,
                 None,
                 Some(bad),
                 true,
@@ -1181,6 +1256,50 @@ mod tests {
         .enumerate()
         {
             check_body_conv_equivalence(m, 6, 6, 200 + i as u64);
+        }
+    }
+
+    /// `[n, c, h, w]` map → the `[n, h·w, c]` tokens a linear sees.
+    fn as_tokens(x: &Tensor) -> Tensor {
+        let (n, c, hw) = (x.shape()[0], x.shape()[1], x.shape()[2] * x.shape()[3]);
+        x.reshape(&[n, c, hw]).unwrap().permute(&[0, 2, 1]).unwrap()
+    }
+
+    #[test]
+    fn lowered_body_linear_is_the_1x1_conv_of_the_training_linear_for_every_method() {
+        // Square (skip) and both MLP shapes, every method a transformer
+        // can build, including a subset without LSF (plain-sign packer);
+        // biases, α and β nudged off their init so every fold is live.
+        let mut scratch = ConvScratch::new();
+        for (i, m) in crate::Method::transformer_registry().into_iter().enumerate() {
+            for (inf, outf) in [(6usize, 6usize), (6, 12), (12, 6)] {
+                let layer = BodyLinear::new(m, inf, outf, &mut rng(500 + i as u64)).unwrap();
+                for (j, p) in layer.params().iter().enumerate().skip(1) {
+                    p.update_value(|t| {
+                        for (k, v) in t.data_mut().iter_mut().enumerate() {
+                            *v += ((j * 7 + k) as f32 * 0.61).sin() * 0.1;
+                        }
+                    });
+                }
+                let deployed = DeployedBodyConv::from_trained_linear(&layer).unwrap();
+                assert_eq!((deployed.in_channels(), deployed.out_channels()), (inf, outf), "{m}");
+                let input = Tensor::from_vec(
+                    (0..2 * inf * 20).map(|k| ((k as f32 + i as f32) * 0.23).sin()).collect(),
+                    &[2, inf, 4, 5],
+                )
+                .unwrap();
+                let reference = layer.forward(&Var::new(as_tokens(&input))).unwrap().value();
+                let fast = deployed.forward(&input).unwrap();
+                assert_eq!(fast.shape(), &[2, outf, 4, 5], "{m}");
+                for (a, b) in as_tokens(&fast).data().iter().zip(reference.data()) {
+                    assert!((a - b).abs() < 1e-4, "{m} {inf}->{outf}: {a} vs {b}");
+                }
+                let mut got = vec![f32::NAN; fast.len()];
+                deployed.forward_into(input.data(), 2, 4, 5, &mut scratch, &mut got).unwrap();
+                for (a, b) in fast.data().iter().zip(&got) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{m} {inf}->{outf}");
+                }
+            }
         }
     }
 

@@ -45,7 +45,7 @@ mod spatial;
 
 pub use channel::ChannelRescale;
 pub use conv::ScalesConv2d;
-pub use deploy::{DeployFallback, DeployedBodyConv, DeployedScalesConv2d, FloatConv2d};
+pub use deploy::{DeployedBodyConv, DeployedScalesConv2d, FloatConv2d};
 pub use factory::{BodyConv, BodyLinear};
 pub use linear::ScalesLinear;
 pub use lsf::LsfBinarizer;

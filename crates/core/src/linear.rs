@@ -5,6 +5,16 @@
 //! the FP input, plus an identity skip when the feature count is preserved.
 //! There is no channel re-scaling here — LayerNorm already removes
 //! channel-to-channel variation in transformers (paper §III-B).
+//!
+//! A per-token linear over `[B, L, C]` tokens *is* a 1×1 convolution over
+//! the `[N, C, H, W]` feature map the tokens were cut from, and that is how
+//! the layer deploys: [`DeployedScalesConv2d::from_trained_linear`] folds it
+//! into the packed `k = 1` body convolution (β in the sign packer, `α·mean|w|`
+//! in the per-channel scales, the token gate as the per-pixel gate), with
+//! the one thing a convolution layer lacks — the bias between the dot and
+//! the gate — carried into the kernel's store.
+//!
+//! [`DeployedScalesConv2d::from_trained_linear`]: crate::DeployedScalesConv2d::from_trained_linear
 
 use crate::lsf::LsfBinarizer;
 use crate::method::ScalesComponents;
@@ -64,6 +74,30 @@ impl ScalesLinear {
     #[must_use]
     pub fn weight(&self) -> &Var {
         &self.weight
+    }
+
+    /// The bias `[out]`, added between the binary product and the gate.
+    #[must_use]
+    pub fn bias(&self) -> &Var {
+        &self.bias
+    }
+
+    /// The LSF binarizer, when enabled.
+    #[must_use]
+    pub fn lsf(&self) -> Option<&LsfBinarizer> {
+        self.lsf.as_ref()
+    }
+
+    /// The token-wise spatial re-scaling branch, when enabled.
+    #[must_use]
+    pub fn spatial(&self) -> Option<&SpatialRescaleToken> {
+        self.spatial.as_ref()
+    }
+
+    /// Whether the layer carries the identity skip (`in == out`).
+    #[must_use]
+    pub fn has_skip(&self) -> bool {
+        self.skip
     }
 
     /// Clamp the LSF α after an optimizer step (no-op without LSF).

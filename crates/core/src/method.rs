@@ -100,6 +100,23 @@ impl Method {
         ]
     }
 
+    /// Every method a transformer body (`BodyLinear`) can be built with: FP,
+    /// the BiBERT baseline, SCALES and its component subsets — the last one
+    /// without LSF, so the plain-sign packer path of a lowered linear is
+    /// covered too. The transformer rows of the suites that iterate
+    /// [`Method::cnn_registry`].
+    #[must_use]
+    pub fn transformer_registry() -> Vec<Method> {
+        vec![
+            Method::FullPrecision,
+            Method::Bibert,
+            Method::Scales(ScalesComponents::full()),
+            Method::Scales(ScalesComponents::lsf_only()),
+            Method::Scales(ScalesComponents::lsf_spatial()),
+            Method::Scales(ScalesComponents { lsf: false, ..ScalesComponents::full() }),
+        ]
+    }
+
     /// Capability row, matching the paper's Table I.
     #[must_use]
     pub fn capabilities(&self) -> Capabilities {

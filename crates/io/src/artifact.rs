@@ -20,6 +20,24 @@
 //! serialized, so a loaded artifact serves `f32::to_bits`-identical
 //! outputs with no training stack present.
 //!
+//! | op tag | op | payload after the operand ids |
+//! |---|---|---|
+//! | 0 | `FloatConv` | float conv |
+//! | 1 | `Body` | u8 body tag + body payload |
+//! | 2 / 3 | `Relu` / `Prelu` | — / f32 slope |
+//! | 4 / 5 | `Add` / `Concat` | — (two ids) / (u32 count, then the ids) |
+//! | 6 | `ChannelAttention` | two float convs |
+//! | 7 / 8 | `PixelShuffle` / `BicubicUp` | u32 factor |
+//! | 9 (v2) | `LayerNorm` | f32s γ, f32s β, f32 ε |
+//! | 10 (v2) | `WindowAttention` | (three ids `q`, `k`, `v`) u32 window |
+//! | 11 / 12 (v2) | `Gelu` / `Scale` | — / f32 factor |
+//!
+//! **Format version 2** adds tags 9–12 and, at the end of the SCALES (body
+//! tag 1) and Basic (body tag 5) payloads, a flag byte plus an `f32s`
+//! per-output-channel bias — what a lowered transformer linear carries.
+//! A version 1 file has neither and keeps loading: the reader decodes the
+//! payload of the version the header states.
+//!
 //! Graph wiring is validated while decoding: op `i` may only reference
 //! values `0..=i` (the SSA property of the builder), and the output id
 //! must name a produced value. Violations are [`Error::Corrupt`].
@@ -122,6 +140,30 @@ fn read_binary_conv(r: &mut Reader<'_>) -> Result<BinaryConv2d> {
         .map_err(|e| Error::Corrupt { offset, what: format!("packed binary conv: {e}") })
 }
 
+fn write_bias(w: &mut Writer, bias: Option<&[f32]>) {
+    w.put_bool(bias.is_some());
+    if let Some(bias) = bias {
+        w.put_f32s(bias);
+    }
+}
+
+/// The v2 bias field of a body payload (absent from v1 files): one value
+/// per output channel.
+fn read_bias(r: &mut Reader<'_>, version: u16, oc: usize) -> Result<Option<Vec<f32>>> {
+    if version < 2 || !r.take_bool()? {
+        return Ok(None);
+    }
+    let offset = r.offset();
+    let bias = r.take_f32s()?;
+    if bias.len() != oc {
+        return Err(Error::Corrupt {
+            offset,
+            what: format!("body conv bias has {} values for {oc} output channels", bias.len()),
+        });
+    }
+    Ok(Some(bias))
+}
+
 fn write_body(w: &mut Writer, body: &DeployedBodyConv) {
     match body {
         DeployedBodyConv::Float(conv) => {
@@ -149,6 +191,7 @@ fn write_body(w: &mut Writer, body: &DeployedBodyConv) {
             }
             w.put_bool(conv.skip());
             w.put_len(conv.in_channels());
+            write_bias(w, conv.bias());
         }
         DeployedBodyConv::E2fif { conv, gamma, beta, skip } => {
             w.put_u8(2);
@@ -167,15 +210,16 @@ fn write_body(w: &mut Writer, body: &DeployedBodyConv) {
             write_binary_conv(w, conv);
             w.put_bool(*skip);
         }
-        DeployedBodyConv::Basic { conv, skip } => {
+        DeployedBodyConv::Basic { conv, bias, skip } => {
             w.put_u8(5);
             write_binary_conv(w, conv);
             w.put_bool(*skip);
+            write_bias(w, bias.as_deref());
         }
     }
 }
 
-fn read_body(r: &mut Reader<'_>) -> Result<DeployedBodyConv> {
+fn read_body(r: &mut Reader<'_>, version: u16) -> Result<DeployedBodyConv> {
     let offset = r.offset();
     Ok(match r.take_u8()? {
         0 => DeployedBodyConv::Float(read_float_conv(r)?),
@@ -187,8 +231,9 @@ fn read_body(r: &mut Reader<'_>) -> Result<DeployedBodyConv> {
             let channel = if r.take_bool()? { Some(r.take_tensor()?) } else { None };
             let skip = r.take_bool()?;
             let in_channels = r.take_len()?;
+            let bias = read_bias(r, version, conv.out_channels())?;
             DeployedBodyConv::Scales(
-                DeployedScalesConv2d::from_parts(conv, beta, spatial, channel, skip, in_channels)
+                DeployedScalesConv2d::from_parts(conv, beta, bias, spatial, channel, skip, in_channels)
                     .map_err(|e| Error::Corrupt { offset, what: format!("scales conv: {e}") })?,
             )
         }
@@ -202,7 +247,12 @@ fn read_body(r: &mut Reader<'_>) -> Result<DeployedBodyConv> {
         }
         3 => DeployedBodyConv::Btm { conv: read_binary_conv(r)?, skip: r.take_bool()? },
         4 => DeployedBodyConv::Bam { conv: read_binary_conv(r)?, skip: r.take_bool()? },
-        5 => DeployedBodyConv::Basic { conv: read_binary_conv(r)?, skip: r.take_bool()? },
+        5 => {
+            let conv = read_binary_conv(r)?;
+            let skip = r.take_bool()?;
+            let bias = read_bias(r, version, conv.out_channels())?;
+            DeployedBodyConv::Basic { conv, bias, skip }
+        }
         tag => {
             return Err(Error::Corrupt { offset, what: format!("unknown body conv tag {tag}") })
         }
@@ -258,12 +308,35 @@ fn write_op(w: &mut Writer, op: &DeployedOp) {
             w.put_len(*src);
             w.put_len(*scale);
         }
+        DeployedOp::LayerNorm { gamma, beta, eps, src } => {
+            w.put_u8(9);
+            w.put_len(*src);
+            w.put_f32s(gamma);
+            w.put_f32s(beta);
+            w.put_f32(*eps);
+        }
+        DeployedOp::WindowAttention { window, q, k, v } => {
+            w.put_u8(10);
+            for id in [q, k, v] {
+                w.put_len(*id);
+            }
+            w.put_len(*window);
+        }
+        DeployedOp::Gelu { src } => {
+            w.put_u8(11);
+            w.put_len(*src);
+        }
+        DeployedOp::Scale { factor, src } => {
+            w.put_u8(12);
+            w.put_len(*src);
+            w.put_f32(*factor);
+        }
     }
 }
 
-/// Read one op. `produced` is how many values exist so far (input
-/// included), bounding every operand reference.
-fn read_op(r: &mut Reader<'_>, produced: usize) -> Result<DeployedOp> {
+/// Read one op of a `version` payload. `produced` is how many values exist
+/// so far (input included), bounding every operand reference.
+fn read_op(r: &mut Reader<'_>, produced: usize, version: u16) -> Result<DeployedOp> {
     let offset = r.offset();
     let tag = r.take_u8()?;
     let take_value = |r: &mut Reader<'_>| -> Result<usize> {
@@ -284,7 +357,7 @@ fn read_op(r: &mut Reader<'_>, produced: usize) -> Result<DeployedOp> {
         }
         1 => {
             let src = take_value(r)?;
-            DeployedOp::Body { conv: Box::new(read_body(r)?), src }
+            DeployedOp::Body { conv: Box::new(read_body(r, version)?), src }
         }
         2 => DeployedOp::Relu { src: take_value(r)? },
         3 => {
@@ -318,7 +391,37 @@ fn read_op(r: &mut Reader<'_>, produced: usize) -> Result<DeployedOp> {
             let src = take_value(r)?;
             DeployedOp::BicubicUp { scale: take_factor(r, "bicubic upscale")?, src }
         }
-        tag => return Err(Error::Corrupt { offset, what: format!("unknown op tag {tag}") }),
+        9 if version >= 2 => {
+            let src = take_value(r)?;
+            let gamma = r.take_f32s()?;
+            let beta = r.take_f32s()?;
+            let eps = r.take_f32()?;
+            if gamma.is_empty() || gamma.len() != beta.len() {
+                return Err(Error::Corrupt {
+                    offset,
+                    what: format!("layer norm with {} gains and {} shifts", gamma.len(), beta.len()),
+                });
+            }
+            if !(eps.is_finite() && eps > 0.0) {
+                return Err(Error::Corrupt { offset, what: format!("layer norm epsilon {eps}") });
+            }
+            DeployedOp::LayerNorm { gamma, beta, eps, src }
+        }
+        10 if version >= 2 => {
+            let (q, k, v) = (take_value(r)?, take_value(r)?, take_value(r)?);
+            DeployedOp::WindowAttention { window: take_factor(r, "attention window")?, q, k, v }
+        }
+        11 if version >= 2 => DeployedOp::Gelu { src: take_value(r)? },
+        12 if version >= 2 => {
+            let src = take_value(r)?;
+            DeployedOp::Scale { factor: r.take_f32()?, src }
+        }
+        tag => {
+            return Err(Error::Corrupt {
+                offset,
+                what: format!("unknown op tag {tag} in a version {version} artifact"),
+            })
+        }
     })
 }
 
@@ -337,7 +440,7 @@ pub(crate) fn to_bytes(net: &DeployedNetwork) -> Vec<u8> {
 
 pub(crate) fn from_bytes(bytes: &[u8]) -> Result<DeployedNetwork> {
     let mut r = Reader::new(bytes);
-    let kind = read_header(&mut r)?;
+    let (kind, version) = read_header(&mut r)?;
     if kind != ArtifactKind::Deployed {
         return Err(Error::WrongKind { expected: ArtifactKind::Deployed, found: kind });
     }
@@ -380,13 +483,17 @@ pub(crate) fn from_bytes(bytes: &[u8]) -> Result<DeployedNetwork> {
         // Raw push (not the builder conveniences, which elide identity
         // ops) so value ids land exactly where the writer recorded them.
         let offset = r.offset();
-        let op = read_op(&mut r, i + 1)?;
+        let op = read_op(&mut r, i + 1, version)?;
         let w = match &op {
             DeployedOp::FloatConv { conv, .. } => conv.out_channels() as u64,
             DeployedOp::Body { conv, .. } => conv.out_channels() as u64,
             DeployedOp::Relu { src }
             | DeployedOp::Prelu { src, .. }
-            | DeployedOp::BicubicUp { src, .. } => width[*src],
+            | DeployedOp::BicubicUp { src, .. }
+            | DeployedOp::LayerNorm { src, .. }
+            | DeployedOp::Gelu { src }
+            | DeployedOp::Scale { src, .. } => width[*src],
+            DeployedOp::WindowAttention { v, .. } => width[*v],
             // The CA gate broadcasts against its input, so the value can
             // be as wide as the excite conv's output — count that too.
             DeployedOp::ChannelAttention { ca, src } => {
@@ -431,7 +538,7 @@ mod tests {
     use super::*;
     use crate::{artifact_from_bytes, artifact_to_bytes};
     use scales_core::Method;
-    use scales_models::{rcan, rdn, srresnet, SrConfig, SrNetwork};
+    use scales_models::{hat, rcan, rdn, srresnet, SrConfig, SrNetwork};
     use scales_tensor::Tensor;
 
     fn probe(h: usize, w: usize) -> Tensor {
@@ -500,6 +607,17 @@ mod tests {
         })
         .unwrap();
         assert_round_trip(&net, "RDN/E2FIF");
+    }
+
+    #[test]
+    fn hat_artifact_round_trips_bit_exactly() {
+        // Exercises the four version-2 ops and the bias on both binary
+        // body payloads that carry one (SCALES, Basic).
+        for method in [Method::scales(), Method::Bibert] {
+            let net =
+                hat(SrConfig { channels: 8, blocks: 1, scale: 2, method, seed: 30 }).unwrap();
+            assert_round_trip(&net, &format!("HAT/{method}"));
+        }
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub(crate) fn to_bytes(net: &dyn SrNetwork) -> Vec<u8> {
 
 pub(crate) fn from_bytes(bytes: &[u8]) -> Result<Box<dyn SrNetwork>> {
     let mut r = Reader::new(bytes);
-    let kind = read_header(&mut r)?;
+    let (kind, _) = read_header(&mut r)?;
     if kind != ArtifactKind::Checkpoint {
         return Err(Error::WrongKind { expected: ArtifactKind::Checkpoint, found: kind });
     }

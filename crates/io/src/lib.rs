@@ -26,7 +26,7 @@
 //! | offset | size | field |
 //! |---|---|---|
 //! | 0 | 8 | magic `b"SCALESIO"` |
-//! | 8 | 2 | format version (little-endian u16, currently 1) |
+//! | 8 | 2 | format version (little-endian u16, currently 2) |
 //! | 10 | 1 | kind: 1 = checkpoint, 2 = deployed artifact |
 //! | 11 | 1 | reserved (0) |
 //!
@@ -36,6 +36,11 @@
 //! `u64` words. Loaders reject wrong magic, versions from the future,
 //! truncated payloads and trailing garbage with a typed [`Error`] — a
 //! partial read is never accepted.
+//!
+//! | version | change |
+//! |---|---|
+//! | 1 | the CNN family: checkpoints, and deployed graphs of op tags 0–8 |
+//! | 2 | deployed graphs of the transformer family: op tags 9–12 (`LayerNorm`, `WindowAttention`, `Gelu`, `Scale`) and an optional per-channel bias on the SCALES / Basic body-conv payloads (lowered linears). Checkpoints are unchanged. Version 1 files keep loading. |
 //!
 //! ## Serving straight from disk
 //!
@@ -65,7 +70,7 @@ pub const MAGIC: [u8; 8] = *b"SCALESIO";
 /// Older versions remain readable for as long as their decoders stay
 /// in-tree; newer versions are rejected with
 /// [`Error::UnsupportedVersion`].
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Which payload an artifact file carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,8 +264,9 @@ pub(crate) fn write_header(w: &mut wire::Writer, kind: ArtifactKind) {
     w.put_u8(0);
 }
 
-/// Decode and validate the 12-byte header, returning the stored kind.
-pub(crate) fn read_header(r: &mut wire::Reader<'_>) -> Result<ArtifactKind> {
+/// Decode and validate the 12-byte header, returning the stored kind and
+/// the format version the payload was written in.
+pub(crate) fn read_header(r: &mut wire::Reader<'_>) -> Result<(ArtifactKind, u16)> {
     let magic = r.take(MAGIC.len()).map_err(|_| Error::BadMagic {
         // A file shorter than the magic cannot be a SCALES artifact
         // either; report it the same way.
@@ -277,7 +283,7 @@ pub(crate) fn read_header(r: &mut wire::Reader<'_>) -> Result<ArtifactKind> {
     let kind_tag = r.take_u8()?;
     let kind = ArtifactKind::from_tag(kind_tag).ok_or(Error::UnknownKind(kind_tag))?;
     let _reserved = r.take_u8()?;
-    Ok(kind)
+    Ok((kind, version))
 }
 
 /// Sniff which artifact kind a byte buffer holds (header only).
@@ -288,7 +294,7 @@ pub(crate) fn read_header(r: &mut wire::Reader<'_>) -> Result<ArtifactKind> {
 /// [`Error::UnsupportedVersion`], [`Error::UnknownKind`] or
 /// [`Error::Truncated`].
 pub fn sniff_kind(bytes: &[u8]) -> Result<ArtifactKind> {
-    read_header(&mut wire::Reader::new(bytes))
+    read_header(&mut wire::Reader::new(bytes)).map(|(kind, _)| kind)
 }
 
 /// Sniff which artifact kind a file holds (reads the header only).

@@ -34,7 +34,8 @@ impl Arch {
     pub const ALL: [Arch; 6] =
         [Arch::SrResNet, Arch::Edsr, Arch::Rdn, Arch::Rcan, Arch::SwinIr, Arch::Hat];
 
-    /// The CNN family — every architecture with a deployment lowering.
+    /// The CNN family (every architecture, transformers included, has a
+    /// deployment lowering; the families differ in which methods build).
     pub const CNN: [Arch; 4] = [Arch::SrResNet, Arch::Edsr, Arch::Rdn, Arch::Rcan];
 
     /// Display name, also the stable identifier persisted by `scales-io`.

@@ -92,13 +92,9 @@ pub trait SrNetwork: Module + Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns an error for architectures without a lowering (the
-    /// transformer family, for now).
-    fn lower(&self) -> Result<crate::deploy::DeployedNetwork> {
-        Err(TensorError::InvalidArgument(
-            "deployment lowering is not implemented for this architecture".into(),
-        ))
-    }
+    /// Returns an error when a trained layer's tensors are malformed
+    /// (cannot happen for networks built by this crate).
+    fn lower(&self) -> Result<crate::deploy::DeployedNetwork>;
 
     /// Super-resolve a single image (batch-of-one convenience).
     ///

@@ -5,24 +5,36 @@
 //! attention, the bicubic global skip) run as raw-tensor float ops through
 //! the `scales-tensor` backend.
 //!
+//! Every architecture of the zoo lowers, the transformer family included,
+//! and the graph is **NCHW throughout**: a transformer block's per-token
+//! linears are `k = 1` body convolutions on the feature map, and its
+//! LayerNorm, window attention and GELU are the NCHW-native kernels of
+//! [`scales_tensor::ops::token`] — no token tensor is ever built, and
+//! window partition / merge survive only as index arithmetic inside the
+//! attention op.
+//!
 //! This is the whole-graph analogue of the paper's Table VI deployment
 //! (Larq on a Snapdragon 870): training builds an autograd tape per call;
 //! the deployed graph allocates no tape, packs each binary weight once at
 //! lowering time, and is what the serving/bench paths execute.
 //!
-//! **Numerical-equivalence contract:** for every architecture that
-//! implements [`SrNetwork::lower`] and every [`Method`] registry row, the
-//! deployed forward matches the training-path forward within `1e-4`
-//! per output value (integer-exact binary convolutions; the FP branches
-//! round identically up to f32 accumulation order). The contract is
-//! enforced by tests in this module, `tests/deploy.rs`, and the examples.
+//! **Numerical-equivalence contract:** for every architecture and every
+//! [`Method`] it can be built with, the deployed forward matches the
+//! training-path forward within `1e-4` per output value (integer-exact
+//! binary convolutions; the FP branches round identically up to f32
+//! accumulation order, and the transformer's float ops keep the tape's
+//! per-element order exactly, so every downstream binarizer takes the
+//! sign training took). The contract is enforced by tests in this module,
+//! `tests/deploy.rs`, and the examples.
 //!
 //! [`Method`]: scales_core::Method
 
 use crate::common::SrNetwork;
 use scales_core::{DeployedBodyConv, FloatConv2d};
 use scales_data::{resize_bicubic_tensor, Image};
-use scales_tensor::ops::{global_avg_pool, pixel_shuffle, sigmoid};
+use scales_tensor::ops::{
+    gelu, global_avg_pool, layer_norm_into, pixel_shuffle, sigmoid, window_attention_into,
+};
 use scales_tensor::workspace::ConvScratch;
 use scales_tensor::{Result, Tensor, TensorError};
 
@@ -30,7 +42,15 @@ use scales_tensor::{Result, Tensor, TensorError};
 /// op `i` produces value `i + 1`).
 pub type ValueId = usize;
 
-/// SE-style channel attention in deployed form (RCAN blocks).
+/// A full-precision `Conv2d` layer (weight, optional bias, spec) in deployed
+/// form.
+fn lower_conv(conv: &scales_nn::layers::Conv2d) -> Result<FloatConv2d> {
+    use scales_nn::Module as _;
+    let bias = conv.params().get(1).map(scales_autograd::Var::value);
+    FloatConv2d::new(conv.weight().value(), bias, conv.spec())
+}
+
+/// SE-style channel attention in deployed form (RCAN and HAT blocks).
 pub struct DeployedChannelAttention {
     down: FloatConv2d,
     up: FloatConv2d,
@@ -41,6 +61,15 @@ impl DeployedChannelAttention {
     #[must_use]
     pub fn new(down: FloatConv2d, up: FloatConv2d) -> Self {
         Self { down, up }
+    }
+
+    /// Lower a trained gate (RCAN blocks, HAT's channel-attention branch).
+    ///
+    /// # Errors
+    ///
+    /// Propagates malformed-tensor errors.
+    pub(crate) fn from_trained(ca: &crate::common::ChannelAttention) -> Result<Self> {
+        Ok(Self { down: lower_conv(ca.down())?, up: lower_conv(ca.up())? })
     }
 
     /// The 1×1 squeeze convolution (for serialization).
@@ -175,15 +204,51 @@ pub enum DeployedOp {
         /// Input value.
         src: ValueId,
     },
+    /// LayerNorm per pixel across channels ([`layer_norm_into`]).
+    LayerNorm {
+        /// Per-channel gain.
+        gamma: Vec<f32>,
+        /// Per-channel shift.
+        beta: Vec<f32>,
+        /// Variance floor added before the square root.
+        eps: f32,
+        /// Input value.
+        src: ValueId,
+    },
+    /// Single-head self-attention inside non-overlapping pixel windows
+    /// ([`window_attention_into`]).
+    WindowAttention {
+        /// Window side; must divide both spatial extents.
+        window: usize,
+        /// Query map.
+        q: ValueId,
+        /// Key map.
+        k: ValueId,
+        /// Value map.
+        v: ValueId,
+    },
+    /// Elementwise GELU ([`gelu`]).
+    Gelu {
+        /// Input value.
+        src: ValueId,
+    },
+    /// Elementwise multiply by a constant.
+    Scale {
+        /// The constant.
+        factor: f32,
+        /// Input value.
+        src: ValueId,
+    },
 }
 
-/// A borrowed, allocation-free view of one op's input values: unary and
-/// binary ops store their ids inline, `Concat` hands out its slice. This
+/// A borrowed, allocation-free view of one op's input values: ops of fixed
+/// arity store their ids inline, `Concat` hands out its slice. This
 /// keeps the per-op hot loops (`forward`, the plan walk) free of the
 /// `Vec` clone the old `inputs()` paid on every call.
 pub(crate) enum OpInputs<'a> {
     One([ValueId; 1]),
     Two([ValueId; 2]),
+    Three([ValueId; 3]),
     Many(&'a [ValueId]),
 }
 
@@ -193,6 +258,7 @@ impl OpInputs<'_> {
         match self {
             OpInputs::One(ids) => ids,
             OpInputs::Two(ids) => ids,
+            OpInputs::Three(ids) => ids,
             OpInputs::Many(ids) => ids,
         }
     }
@@ -216,6 +282,10 @@ impl DeployedOp {
             DeployedOp::ChannelAttention { .. } => "channel_attention",
             DeployedOp::PixelShuffle { .. } => "pixel_shuffle",
             DeployedOp::BicubicUp { .. } => "bicubic_up",
+            DeployedOp::LayerNorm { .. } => "layer_norm",
+            DeployedOp::WindowAttention { .. } => "window_attention",
+            DeployedOp::Gelu { .. } => "gelu",
+            DeployedOp::Scale { .. } => "scale",
         }
     }
 
@@ -227,8 +297,12 @@ impl DeployedOp {
             | DeployedOp::Prelu { src, .. }
             | DeployedOp::ChannelAttention { src, .. }
             | DeployedOp::PixelShuffle { src, .. }
-            | DeployedOp::BicubicUp { src, .. } => OpInputs::One([*src]),
+            | DeployedOp::BicubicUp { src, .. }
+            | DeployedOp::LayerNorm { src, .. }
+            | DeployedOp::Gelu { src }
+            | DeployedOp::Scale { src, .. } => OpInputs::One([*src]),
             DeployedOp::Add { lhs, rhs } => OpInputs::Two([*lhs, *rhs]),
+            DeployedOp::WindowAttention { q, k, v, .. } => OpInputs::Three([*q, *k, *v]),
             DeployedOp::Concat { srcs } => OpInputs::Many(srcs),
         }
     }
@@ -363,6 +437,28 @@ impl DeployedNetwork {
                     }
                     Tensor::from_vec(data, &[n, c, h * scale, w * scale])?
                 }
+                DeployedOp::LayerNorm { gamma, beta, eps, src } => {
+                    let x = take(&mut values, *src)?;
+                    let (n, c, hw) = (x.shape()[0], x.shape()[1], x.shape()[2] * x.shape()[3]);
+                    let mut out = Tensor::zeros(x.shape());
+                    layer_norm_into(x.data(), n, c, hw, gamma, beta, *eps, &mut Vec::new(), out.data_mut())?;
+                    out
+                }
+                DeployedOp::WindowAttention { window, q, k, v } => {
+                    let (q, k, v) =
+                        (take(&mut values, *q)?, take(&mut values, *k)?, take(&mut values, *v)?);
+                    let (n, c, h, w) = (q.shape()[0], q.shape()[1], q.shape()[2], q.shape()[3]);
+                    let mut out = Tensor::zeros(q.shape());
+                    window_attention_into(
+                        q.data(), k.data(), v.data(), n, c, h, w, *window, &mut Vec::new(), out.data_mut(),
+                    )?;
+                    out
+                }
+                DeployedOp::Gelu { src } => take(&mut values, *src)?.map(gelu),
+                DeployedOp::Scale { factor, src } => {
+                    let f = *factor;
+                    take(&mut values, *src)?.map(|v| v * f)
+                }
             };
             values[i + 1] = Some(out);
             // Free values whose last consumer was this op.
@@ -425,10 +521,7 @@ impl DeployedNetworkBuilder {
     ///
     /// Propagates malformed-tensor errors.
     pub fn float_conv(&mut self, conv: &scales_nn::layers::Conv2d, src: ValueId) -> Result<ValueId> {
-        use scales_nn::Module as _;
-        let bias = conv.params().get(1).map(scales_autograd::Var::value);
-        let lowered = FloatConv2d::new(conv.weight().value(), bias, conv.spec())?;
-        Ok(self.push(DeployedOp::FloatConv { conv: lowered, src }))
+        Ok(self.push(DeployedOp::FloatConv { conv: lower_conv(conv)?, src }))
     }
 
     /// Lower a trained body convolution of any method.
@@ -439,6 +532,41 @@ impl DeployedNetworkBuilder {
     pub fn body(&mut self, conv: &scales_core::BodyConv, src: ValueId) -> Result<ValueId> {
         let lowered = DeployedBodyConv::from_trained(conv)?;
         Ok(self.push(DeployedOp::Body { conv: Box::new(lowered), src }))
+    }
+
+    /// Lower a trained transformer body linear of any method to the `k = 1`
+    /// body convolution it is on the NCHW feature map.
+    ///
+    /// # Errors
+    ///
+    /// Propagates lowering errors.
+    pub fn body_linear(&mut self, linear: &scales_core::BodyLinear, src: ValueId) -> Result<ValueId> {
+        let lowered = DeployedBodyConv::from_trained_linear(linear)?;
+        Ok(self.push(DeployedOp::Body { conv: Box::new(lowered), src }))
+    }
+
+    /// Lower a trained `LayerNorm` (normalising across channels per pixel).
+    pub fn layer_norm(&mut self, ln: &scales_nn::layers::LayerNorm, src: ValueId) -> ValueId {
+        use scales_nn::Module as _;
+        // Stable param order: [gamma, beta].
+        let params = ln.params();
+        let (gamma, beta) = (params[0].value().data().to_vec(), params[1].value().data().to_vec());
+        self.push(DeployedOp::LayerNorm { gamma, beta, eps: ln.eps(), src })
+    }
+
+    /// Append single-head window self-attention over `q`, `k`, `v`.
+    pub fn window_attention(&mut self, window: usize, q: ValueId, k: ValueId, v: ValueId) -> ValueId {
+        self.push(DeployedOp::WindowAttention { window, q, k, v })
+    }
+
+    /// Append a GELU.
+    pub fn gelu(&mut self, src: ValueId) -> ValueId {
+        self.push(DeployedOp::Gelu { src })
+    }
+
+    /// Append a multiply by a constant.
+    pub fn scale(&mut self, factor: f32, src: ValueId) -> ValueId {
+        self.push(DeployedOp::Scale { factor, src })
     }
 
     /// Append a ReLU.
@@ -465,9 +593,18 @@ impl DeployedNetworkBuilder {
         self.push(DeployedOp::Concat { srcs })
     }
 
-    /// Append a channel-attention gate.
-    pub fn channel_attention(&mut self, ca: DeployedChannelAttention, src: ValueId) -> ValueId {
-        self.push(DeployedOp::ChannelAttention { ca, src })
+    /// Lower a trained channel-attention gate.
+    ///
+    /// # Errors
+    ///
+    /// Propagates malformed-tensor errors.
+    pub fn channel_attention(
+        &mut self,
+        ca: &crate::common::ChannelAttention,
+        src: ValueId,
+    ) -> Result<ValueId> {
+        let ca = DeployedChannelAttention::from_trained(ca)?;
+        Ok(self.push(DeployedOp::ChannelAttention { ca, src }))
     }
 
     /// Append the tail upsample (identity at ×1).
@@ -500,7 +637,8 @@ impl DeployedNetworkBuilder {
 ///
 /// # Errors
 ///
-/// Returns an error for architectures without a lowering (transformers).
+/// Propagates the architecture's lowering errors (malformed trained
+/// tensors; no in-tree architecture lacks a lowering).
 pub fn lower(net: &dyn SrNetwork) -> Result<DeployedNetwork> {
     net.lower()
 }
@@ -628,15 +766,34 @@ mod tests {
     }
 
     #[test]
-    fn transformer_lowering_reports_unsupported() {
-        let net = crate::swinir(SrConfig {
-            channels: 8,
-            blocks: 1,
-            scale: 2,
-            method: Method::FullPrecision,
-            seed: 19,
-        })
-        .unwrap();
-        assert!(net.lower().is_err());
+    fn lowered_transformers_match_training_path() {
+        // The inversion of the old "no lowering" pin: both transformer
+        // archs lower for every method a `BodyLinear` can build, pack
+        // every binary layer, and match the tape. 8×12 is window-aligned
+        // and non-square.
+        let x = probe(3, 8, 12);
+        for (arch, build) in [("SwinIR", crate::swinir as fn(SrConfig) -> _), ("HAT", crate::hat)] {
+            for m in [Method::FullPrecision, Method::Bibert, Method::scales()] {
+                let net =
+                    build(SrConfig { channels: 8, blocks: 2, scale: 2, method: m, seed: 19 }).unwrap();
+                let deployed = net.lower().unwrap();
+                assert_eq!(deployed.name(), arch);
+                // Per block 6 linears + 1 conv, plus the body-end conv.
+                let packed = if m == Method::FullPrecision { 0 } else { 2 * 7 + 1 };
+                assert_eq!(deployed.packed_layers(), packed, "{arch}/{m}");
+                assert_equiv(&net, &x, &format!("{arch}/{m}"));
+            }
+        }
+    }
+
+    #[test]
+    fn new_ops_are_named_for_the_profiler() {
+        let net = crate::hat(SrConfig { channels: 8, blocks: 1, scale: 2, method: Method::scales(), seed: 20 })
+            .unwrap();
+        let deployed = net.lower().unwrap();
+        let kinds: Vec<&str> = deployed.ops().iter().map(DeployedOp::kind).collect();
+        for kind in ["layer_norm", "window_attention", "gelu", "scale", "channel_attention", "body_conv"] {
+            assert!(kinds.contains(&kind), "{kind} missing from {kinds:?}");
+        }
     }
 }

@@ -13,23 +13,26 @@
 //!   every value to a slot in a shared arena, reusing slots the moment
 //!   their previous value dies (best-fit by size, so the arena stays
 //!   close to the live-set high-water mark rather than the graph depth).
-//!   Elementwise ops (`Relu`, `Prelu`, `Add`) run **in place** on a dying
-//!   operand's slot, skipping the copy entirely;
+//!   Elementwise ops (`Relu`, `Prelu`, `Gelu`, `Scale`, `Add`) run **in
+//!   place** on a dying operand's slot, skipping the copy entirely;
 //! * **bicubic taps** — the global-skip resampler's filter weights,
 //!   precomputed per axis.
 //!
 //! [`DeployedNetwork::forward_planned`] then executes the graph through a
 //! [`Workspace`] whose slot buffers and [`ConvScratch`] (one image's
 //! zero-padded input planes for the direct float convolution, the binary
-//! kernel's sign bitmap, gate maps and reductions) grow on the first
+//! kernel's sign bitmap, gate maps and reductions, one attention window's
+//! `q` / `k` / `v` tiles and scores) grow on the first
 //! request at a given shape and are reused verbatim afterwards: the steady
 //! state performs **zero heap allocation** up to the returned output
 //! tensor itself. Results are bit-identical to the allocating forward —
 //! every kernel the planned path uses (`forward_into` on the conv layers,
 //! the in-place elementwise loops, the staged batch-norm and bicubic
 //! twins) reproduces its allocating counterpart's per-element arithmetic
-//! order exactly, and the property suite in `tests/planned.rs` enforces
-//! `f32::to_bits` equality across the whole method registry.
+//! order exactly — the transformer ops (`LayerNorm`, `WindowAttention`) are
+//! one slice-to-slice function each, called by both executors — and the
+//! property suite in `tests/planned.rs` enforces `f32::to_bits` equality
+//! across every architecture and method.
 //!
 //! A [`Workspace`] belongs to one network (in practice: one serving
 //! session). Plans are cached per input shape inside it, so a session
@@ -38,6 +41,7 @@
 use crate::deploy::{DeployedNetwork, DeployedOp, ValueId};
 use scales_data::BicubicAxisTaps;
 use scales_telemetry::OpProfile;
+use scales_tensor::ops::{check_window, gelu, layer_norm_into, window_attention_into};
 use scales_tensor::workspace::ConvScratch;
 use scales_tensor::{Result, Tensor, TensorError};
 use std::time::Instant;
@@ -183,6 +187,26 @@ impl Plan {
         Tensor::from_vec(data, &oshape)
     }
 
+    /// Elementwise `out = f(src)` — applied in place when the plan gave the
+    /// op its dying operand's slot (`out` then already holds `src`).
+    fn map_op(
+        &self,
+        src: ValueId,
+        oslot: usize,
+        input: &[f32],
+        slots: &[Vec<f32>],
+        out: &mut [f32],
+        f: impl Fn(f32) -> f32,
+    ) {
+        if self.slot_of[src] == Some(oslot) {
+            out.iter_mut().for_each(|v| *v = f(*v));
+        } else {
+            for (o, &x) in out.iter_mut().zip(self.value(input, slots, src)) {
+                *o = f(x);
+            }
+        }
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn run_op(
         &self,
@@ -205,26 +229,32 @@ impl Plan {
                 conv.forward_into(self.value(input, slots, *src), n, h, w, scratch, out)
             }
             DeployedOp::Relu { src } => {
-                if self.slot_of[*src] == Some(oslot) {
-                    out.iter_mut().for_each(|v| *v = v.max(0.0));
-                } else {
-                    for (o, &x) in out.iter_mut().zip(self.value(input, slots, *src)) {
-                        *o = x.max(0.0);
-                    }
-                }
+                self.map_op(*src, oslot, input, slots, out, |v| v.max(0.0));
                 Ok(())
             }
             DeployedOp::Prelu { slope, src } => {
                 let s = *slope;
-                let f = |v: f32| if v > 0.0 { v } else { s * v };
-                if self.slot_of[*src] == Some(oslot) {
-                    out.iter_mut().for_each(|v| *v = f(*v));
-                } else {
-                    for (o, &x) in out.iter_mut().zip(self.value(input, slots, *src)) {
-                        *o = f(x);
-                    }
-                }
+                self.map_op(*src, oslot, input, slots, out, |v| if v > 0.0 { v } else { s * v });
                 Ok(())
+            }
+            DeployedOp::Gelu { src } => {
+                self.map_op(*src, oslot, input, slots, out, gelu);
+                Ok(())
+            }
+            DeployedOp::Scale { factor, src } => {
+                let f = *factor;
+                self.map_op(*src, oslot, input, slots, out, |v| v * f);
+                Ok(())
+            }
+            DeployedOp::LayerNorm { gamma, beta, eps, src } => {
+                let [n, c, h, w] = self.shapes[*src];
+                let x = self.value(input, slots, *src);
+                layer_norm_into(x, n, c, h * w, gamma, beta, *eps, &mut scratch.plane, out)
+            }
+            DeployedOp::WindowAttention { window, q, k, v } => {
+                let [n, c, h, w] = self.shapes[*q];
+                let [q, k, v] = [q, k, v].map(|id| self.value(input, slots, *id));
+                window_attention_into(q, k, v, n, c, h, w, *window, &mut scratch.padded, out)
             }
             DeployedOp::Add { lhs, rhs } => {
                 if lhs != rhs && self.slot_of[*lhs] == Some(oslot) {
@@ -356,7 +386,25 @@ fn infer_shape(op: &DeployedOp, shapes: &[[usize; 4]]) -> Result<[usize; 4]> {
         }
         DeployedOp::Relu { src }
         | DeployedOp::Prelu { src, .. }
+        | DeployedOp::Gelu { src }
+        | DeployedOp::Scale { src, .. }
         | DeployedOp::ChannelAttention { src, .. } => Ok(shapes[*src]),
+        DeployedOp::LayerNorm { gamma, beta, src, .. } => {
+            let c = shapes[*src][1];
+            if gamma.len() != c || beta.len() != c {
+                return Err(TensorError::ShapeMismatch {
+                    lhs: shapes[*src].to_vec(),
+                    rhs: vec![gamma.len(), beta.len()],
+                    op: "planned layer-norm channels",
+                });
+            }
+            Ok(shapes[*src])
+        }
+        DeployedOp::WindowAttention { window, q, k, v } => {
+            let [_, _, h, w] = shapes[*q];
+            check_window(h, w, *window)?;
+            same_shape(&[*q, *k, *v])
+        }
         DeployedOp::Add { lhs, rhs } => same_shape(&[*lhs, *rhs]),
         DeployedOp::Concat { srcs } => {
             if srcs.is_empty() {
@@ -453,9 +501,10 @@ impl DeployedNetwork {
                     && slot_of[v].is_some()
             };
             let inplace = match op {
-                DeployedOp::Relu { src } | DeployedOp::Prelu { src, .. } => {
-                    steal(*src, None).then_some(*src)
-                }
+                DeployedOp::Relu { src }
+                | DeployedOp::Prelu { src, .. }
+                | DeployedOp::Gelu { src }
+                | DeployedOp::Scale { src, .. } => steal(*src, None).then_some(*src),
                 DeployedOp::Add { lhs, rhs } => {
                     if steal(*lhs, Some(*rhs)) {
                         Some(*lhs)
@@ -649,7 +698,7 @@ impl Workspace {
 mod tests {
     use super::*;
     use crate::common::{SrConfig, SrNetwork};
-    use crate::{edsr, rcan, rdn, srresnet};
+    use crate::{edsr, hat, rcan, rdn, srresnet, swinir};
     use scales_core::Method;
 
     fn probe(n: usize, h: usize, w: usize, seed: f32) -> Tensor {
@@ -686,7 +735,40 @@ mod tests {
             assert_planned_bit_identical(&edsr(cfg(52)).unwrap(), &x, "EDSR");
             assert_planned_bit_identical(&rdn(cfg(53)).unwrap(), &x, "RDN");
             assert_planned_bit_identical(&rcan(cfg(54)).unwrap(), &x, "RCAN");
+            assert_planned_bit_identical(&swinir(cfg(61)).unwrap(), &x, "SwinIR");
+            assert_planned_bit_identical(&hat(cfg(62)).unwrap(), &x, "HAT");
         }
+    }
+
+    #[test]
+    fn window_misaligned_input_is_a_typed_planning_error() {
+        let net = swinir(SrConfig { channels: 8, blocks: 1, scale: 2, method: Method::scales(), seed: 63 })
+            .unwrap();
+        let deployed = net.lower().unwrap();
+        let err = deployed.plan(&[1, 3, 18, 12]).err().expect("18 is not a multiple of the window");
+        let text = err.to_string();
+        assert!(text.contains("18x12") && text.contains("window 4"), "{text}");
+        // The failed shape leaves no plan behind; an aligned one then serves.
+        let mut ws = Workspace::new();
+        assert!(deployed.forward_planned(&probe(1, 18, 12, 8.0), &mut ws).is_err());
+        assert_eq!(ws.plans_built(), 0);
+        assert!(deployed.forward_planned(&probe(1, 16, 12, 9.0), &mut ws).is_ok());
+        // The allocating interpreter refuses the same way.
+        assert!(deployed.forward(&probe(1, 18, 12, 8.0)).is_err());
+    }
+
+    #[test]
+    fn transformer_elementwise_ops_run_in_place() {
+        // Gelu and Scale join the in-place set: a HAT block's arena stays
+        // at the live-set width (the shallow feature, block input,
+        // attended and the q / k / v maps) however many blocks are stacked.
+        let slots = |blocks| {
+            let net = hat(SrConfig { channels: 8, blocks, scale: 2, method: Method::scales(), seed: 64 })
+                .unwrap();
+            net.lower().unwrap().plan(&[1, 3, 8, 8]).unwrap().slot_count()
+        };
+        assert_eq!(slots(2), slots(4));
+        assert!(slots(4) <= 6, "slot count {}", slots(4));
     }
 
     #[test]

@@ -126,12 +126,7 @@ impl SrNetwork for Rcan {
     }
 
     fn lower(&self) -> Result<crate::deploy::DeployedNetwork> {
-        use crate::deploy::{DeployedChannelAttention, DeployedNetworkBuilder};
-        use scales_core::FloatConv2d;
-        let lower_1x1 = |conv: &scales_nn::layers::Conv2d| -> Result<FloatConv2d> {
-            let bias = conv.params().get(1).map(scales_autograd::Var::value);
-            FloatConv2d::new(conv.weight().value(), bias, conv.spec())
-        };
+        use crate::deploy::DeployedNetworkBuilder;
         let mut b = DeployedNetworkBuilder::new("RCAN", self.config.scale);
         let input = b.input();
         let shallow = b.float_conv(self.head.conv(), input)?;
@@ -145,11 +140,7 @@ impl SrNetwork for Rcan {
                 let mid = b.relu(mid);
                 b.body(&block.conv2, mid)?
             };
-            let ca = DeployedChannelAttention::new(
-                lower_1x1(block.ca.down())?,
-                lower_1x1(block.ca.up())?,
-            );
-            let gated = b.channel_attention(ca, y);
+            let gated = b.channel_attention(&block.ca, y)?;
             // Binary body convs already carry identity skips.
             x = if block.binary { gated } else { b.add(gated, x) };
         }

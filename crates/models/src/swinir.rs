@@ -4,6 +4,14 @@
 //! Both follow the Fig. 2 skeleton with transformer basic blocks in the
 //! body; HAT-lite additionally activates the channel-attention branch in
 //! every block (see [`crate::transformer`]).
+//!
+//! Both lower to the packed, planned deployment graph like the CNN family
+//! ([`SrNetwork::lower`]): the head, tail and bicubic skip are the usual
+//! float ops, and each block is the NCHW-native op sequence of
+//! [`TransformerBlock::lower`](crate::transformer::TransformerBlock) — every
+//! binary linear a `k = 1` body convolution on the fused XNOR-popcount
+//! kernel. Inputs must be divisible by [`WINDOW`]; anything else is a typed
+//! planning error, not a panic.
 
 use crate::arch::Arch;
 use crate::common::{bicubic_skip, head_cost, tail_cost, Head, SrConfig, SrNetwork, Tail};
@@ -110,6 +118,23 @@ impl SrNetwork for SwinSr {
 
     fn config(&self) -> SrConfig {
         self.config
+    }
+
+    fn lower(&self) -> Result<crate::deploy::DeployedNetwork> {
+        let mut b = crate::deploy::DeployedNetworkBuilder::new(self.arch.name(), self.config.scale);
+        let input = b.input();
+        let shallow = b.float_conv(self.head.conv(), input)?;
+        let mut x = shallow;
+        for block in &self.blocks {
+            x = block.lower(&mut b, x)?;
+        }
+        let deep = b.body(&self.body_end, x)?;
+        let fused = b.add(deep, shallow);
+        let tail = b.float_conv(self.tail.conv(), fused)?;
+        let up = b.pixel_shuffle(self.tail.factor(), tail);
+        let skip = b.bicubic_up(self.config.scale, input);
+        let out = b.add(up, skip);
+        Ok(b.finish(out))
     }
 
     fn cost(&self, lr_h: usize, lr_w: usize) -> CostReport {

@@ -12,9 +12,21 @@
 //! transformer. Attention here is single-head: at lite widths (≤ 32
 //! channels) multiple heads only shrink the per-head dimension without
 //! changing the binarization behaviour being studied.
+//!
+//! The token layout is a training-path convenience only. [`lower`] emits
+//! the block **NCHW-native**: a per-token linear is a 1×1 convolution on
+//! the feature map and LayerNorm is per pixel across channels, so the
+//! deployed block is `LayerNorm → 3 × Body(k=1) → WindowAttention →
+//! Body(k=1) → Add → LayerNorm → Body(k=1) → Gelu → Body(k=1) → Add →
+//! Body(k=3) [→ Add(·, Scale{0.1}(ChannelAttention(·)))] → Add`, with
+//! every binary linear on the fused XNOR-popcount kernel and the window
+//! partition reduced to index arithmetic inside the attention op.
+//!
+//! [`lower`]: TransformerBlock::lower
 
 use crate::common::ChannelAttention;
 use crate::cost::{body_conv_cost, body_linear_cost};
+use crate::deploy::{DeployedNetworkBuilder, ValueId};
 use crate::probe::Recorder;
 use rand::rngs::StdRng;
 use scales_autograd::Var;
@@ -135,6 +147,37 @@ impl TransformerBlock {
             y = y.add(&cab.forward(&merged)?.scale(0.1))?;
         }
         y.add(x)
+    }
+
+    /// Append this block's deployed ops to `b`, reading the NCHW feature
+    /// map `x` and returning the block's output value (see the module docs
+    /// for the emitted sequence; it mirrors [`forward_features`] op for op).
+    ///
+    /// # Errors
+    ///
+    /// Propagates layer-lowering errors.
+    ///
+    /// [`forward_features`]: TransformerBlock::forward_features
+    pub fn lower(&self, b: &mut DeployedNetworkBuilder, x: ValueId) -> Result<ValueId> {
+        let normed = b.layer_norm(&self.ln1, x);
+        let q = b.body_linear(&self.q, normed)?;
+        let k = b.body_linear(&self.k, normed)?;
+        let v = b.body_linear(&self.v, normed)?;
+        let ctx = b.window_attention(self.window, q, k, v);
+        let projected = b.body_linear(&self.proj, ctx)?;
+        let attended = b.add(x, projected);
+        let normed = b.layer_norm(&self.ln2, attended);
+        let mid = b.body_linear(&self.mlp1, normed)?;
+        let mid = b.gelu(mid);
+        let mlp = b.body_linear(&self.mlp2, mid)?;
+        let merged = b.add(attended, mlp);
+        let mut y = b.body(&self.conv, merged)?;
+        if let Some(cab) = &self.cab {
+            let gated = b.channel_attention(cab, merged)?;
+            let gated = b.scale(0.1, gated);
+            y = b.add(y, gated);
+        }
+        Ok(b.add(y, x))
     }
 
     /// Trainable parameters.

@@ -33,6 +33,12 @@ impl LayerNorm {
     pub fn features(&self) -> usize {
         self.features
     }
+
+    /// The variance floor added before the square root.
+    #[must_use]
+    pub fn eps(&self) -> f32 {
+        self.eps
+    }
 }
 
 impl Module for LayerNorm {

@@ -3,7 +3,6 @@
 //! [`Session`](crate::Session)s.
 
 use crate::tile::TilePolicy;
-use scales_core::DeployFallback;
 use scales_models::{DeployedNetwork, InferModel};
 use scales_tensor::backend::{self, Backend};
 use scales_tensor::{Result, Tensor, TensorError};
@@ -16,9 +15,9 @@ pub enum Precision {
     /// tape per forward.
     Training,
     /// The packed deployment graph — tape-free, bit-packed binary body
-    /// convolutions. Auto-lowered at engine build; architectures without
-    /// a lowering fall back to `Training` with a reported
-    /// [`DeployFallback`].
+    /// convolutions and linears. Auto-lowered at engine build; every
+    /// architecture of the zoo lowers, and a model that cannot fails the
+    /// build with its lowering error.
     Deployed,
 }
 
@@ -109,7 +108,7 @@ impl<'m> EngineBuilder<'m> {
     }
 
     /// Requested forward path (default: [`Precision::Deployed`], the fast
-    /// serving path, with automatic fallback).
+    /// serving path).
     #[must_use]
     pub fn precision(mut self, precision: Precision) -> Self {
         self.precision = precision;
@@ -137,15 +136,16 @@ impl<'m> EngineBuilder<'m> {
     /// Resolve the configuration into a ready engine.
     ///
     /// With [`Precision::Deployed`] this is where auto-lowering runs (and
-    /// where its one-time packing cost is paid); a model without a
-    /// lowering degrades to the training path and the reason is kept on
-    /// [`Engine::fallback`].
+    /// where its one-time packing cost is paid).
     ///
     /// # Errors
     ///
     /// Returns an error when no model was set (or both a model and a
     /// model path were), when a [`EngineBuilder::model_path`] artifact
-    /// fails to load, when the tile policy is geometrically invalid, or
+    /// fails to load, when the tile policy is geometrically invalid, when
+    /// [`Precision::Deployed`] is requested for a model that cannot lower
+    /// (the lowering error itself — never a silent degradation to the
+    /// 50–100× slower training path), or
     /// when [`Precision::Training`] is requested for a model that is
     /// already a deployed graph (it has no training path, and silently
     /// substituting the deployed one would hide a numerics difference of
@@ -187,7 +187,7 @@ impl<'m> EngineBuilder<'m> {
             }
         };
         let scale = model.scale();
-        let (lowered, effective, fallback) = match self.precision {
+        let lowered = match self.precision {
             Precision::Training if model.is_deployed() => {
                 return Err(TensorError::InvalidArgument(
                     "cannot serve a deployed network at training precision: \
@@ -195,21 +195,13 @@ impl<'m> EngineBuilder<'m> {
                         .into(),
                 ));
             }
-            Precision::Training => (None, Precision::Training, None),
-            Precision::Deployed if model.is_deployed() => (None, Precision::Deployed, None),
-            Precision::Deployed => match model.try_lower() {
-                Ok(net) => (Some(net), Precision::Deployed, None),
-                Err(e) => {
-                    (None, Precision::Training, Some(DeployFallback::new(e.to_string())))
-                }
-            },
+            Precision::Deployed if !model.is_deployed() => Some(model.try_lower()?),
+            Precision::Training | Precision::Deployed => None,
         };
         Ok(Engine {
             model,
             lowered,
-            requested: self.precision,
-            effective,
-            fallback,
+            precision: self.precision,
             backend: self.backend.unwrap_or_else(backend::active),
             tile: self.tile,
             scale,
@@ -225,9 +217,7 @@ pub struct Engine<'m> {
     /// build; absent when serving the model directly (training path, or a
     /// model that is already deployed).
     lowered: Option<DeployedNetwork>,
-    requested: Precision,
-    effective: Precision,
-    fallback: Option<DeployFallback>,
+    precision: Precision,
     backend: Backend,
     tile: TilePolicy,
     scale: usize,
@@ -259,22 +249,10 @@ impl<'m> Engine<'m> {
         self.backend
     }
 
-    /// The precision actually served (after any deployment fallback).
+    /// The precision served — always the one the builder asked for.
     #[must_use]
     pub fn precision(&self) -> Precision {
-        self.effective
-    }
-
-    /// The precision the builder asked for.
-    #[must_use]
-    pub fn requested_precision(&self) -> Precision {
-        self.requested
-    }
-
-    /// Why a `Deployed` request degraded to the training path, if it did.
-    #[must_use]
-    pub fn fallback(&self) -> Option<&DeployFallback> {
-        self.fallback.as_ref()
+        self.precision
     }
 
     /// The engine-default tile policy.

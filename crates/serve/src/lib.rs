@@ -13,9 +13,9 @@
 //!    [`Backend`](scales_tensor::Backend) handle, and a [`TilePolicy`].
 //! 2. [`EngineBuilder::build`] resolves the configuration once:
 //!    `Precision::Deployed` auto-lowers the model to the packed binary
-//!    graph, falling back to the training path — with a reported
-//!    [`DeployFallback`](scales_core::DeployFallback) — for architectures
-//!    without a lowering (the transformer family).
+//!    graph — every architecture of the zoo lowers, CNN and transformer
+//!    alike — and a model that cannot lower fails the build with its
+//!    lowering error instead of silently serving the training path.
 //! 3. [`Session::infer`] serves [`SrRequest`]s: images are split into
 //!    tiled and batchable work by the tile policy (per-request
 //!    overridable), batchable images are micro-batched by shape bucket so

@@ -379,22 +379,25 @@ mod tests {
     }
 
     #[test]
-    fn stats_report_training_precision_after_deployment_fallback() {
-        // A transformer cannot lower; a Deployed request degrades and the
-        // per-response stats must say so rather than echoing the request.
+    fn stats_report_deployed_precision_for_a_lowered_transformer() {
+        // The inversion of the old fallback pin: a transformer lowers, so
+        // a Deployed request is served deployed — planned, with packed
+        // layers — and the per-response stats say so.
         let net = scales_models::swinir(SrConfig {
             channels: 8,
             blocks: 1,
             scale: 2,
-            method: Method::FullPrecision,
+            method: Method::scales(),
             seed: 66,
         })
         .unwrap();
         let engine =
             Engine::builder().model_ref(&net).precision(Precision::Deployed).build().unwrap();
+        assert!(engine.lowered().is_some_and(|graph| graph.packed_layers() > 0));
         let stats =
             engine.session().infer(SrRequest::single(probe_image(8, 8, 67))).unwrap().stats();
-        assert_eq!(stats.precision, Precision::Training);
+        assert_eq!(stats.precision, Precision::Deployed);
+        assert_eq!(stats.plans_built, 1, "served by the planned executor");
         assert_eq!(stats.batches, 1);
         assert_eq!(stats.tiled, 0);
     }
@@ -509,7 +512,6 @@ mod tests {
         let deployed =
             Engine::builder().model_ref(&net).precision(Precision::Deployed).build().unwrap();
         assert_eq!(deployed.precision(), Precision::Deployed);
-        assert!(deployed.fallback().is_none());
         assert!(deployed.lowered().is_some());
         let img = probe_image(10, 10, 8);
         let a = training.session().super_resolve(&img).unwrap();
@@ -520,7 +522,30 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_architecture_falls_back_with_a_report() {
+    fn a_model_that_cannot_lower_fails_the_deployed_build_with_the_lowering_error() {
+        // No in-tree architecture lacks a lowering any more, so the model
+        // that cannot lower is a stub; what used to degrade to the
+        // training path with a note is now the build error.
+        struct NoLowering;
+        impl crate::InferModel for NoLowering {
+            fn scale(&self) -> usize {
+                2
+            }
+            fn forward_infer(&self, batch: &Tensor) -> Result<Tensor> {
+                Ok(batch.clone())
+            }
+            fn try_lower(&self) -> Result<scales_models::DeployedNetwork> {
+                Err(TensorError::InvalidArgument("this layer has no packed form".into()))
+            }
+        }
+        let built = Engine::builder().model(NoLowering).precision(Precision::Deployed).build();
+        let err = built.err().expect("a model that cannot lower must fail a Deployed build");
+        assert!(err.to_string().contains("no packed form"), "{err}");
+        // The training path of the same model is still servable on request.
+        let training =
+            Engine::builder().model(NoLowering).precision(Precision::Training).build().unwrap();
+        assert_eq!(training.precision(), Precision::Training);
+        // And the transformer family is no longer such a model.
         let net = scales_models::swinir(SrConfig {
             channels: 8,
             blocks: 1,
@@ -531,11 +556,8 @@ mod tests {
         .unwrap();
         let engine =
             Engine::builder().model_ref(&net).precision(Precision::Deployed).build().unwrap();
-        assert_eq!(engine.requested_precision(), Precision::Deployed);
-        assert_eq!(engine.precision(), Precision::Training, "degraded to training");
-        let fallback = engine.fallback().expect("fallback must be reported");
-        assert!(!fallback.reason().is_empty());
-        assert!(fallback.to_string().contains("training path"));
+        assert_eq!(engine.precision(), Precision::Deployed);
+        assert!(engine.lowered().is_some());
     }
 
     #[test]
@@ -544,7 +566,6 @@ mod tests {
         let lowered = net.lower().unwrap();
         let engine = Engine::builder().model(lowered).build().unwrap();
         assert_eq!(engine.precision(), Precision::Deployed);
-        assert!(engine.fallback().is_none());
         let img = probe_image(8, 8, 10);
         let direct = net.lower().unwrap().super_resolve(&img).unwrap();
         let served = engine.session().super_resolve(&img).unwrap();

@@ -7,6 +7,7 @@ pub mod conv;
 pub mod direct;
 pub mod image;
 pub mod matmul;
+pub mod token;
 
 pub use conv::{
     conv1d, conv1d_backward_input, conv1d_backward_weight, conv2d, conv2d_backward_input,
@@ -17,6 +18,7 @@ pub use image::{
     window_partition,
 };
 pub use matmul::{batched_matmul, gemm, matmul};
+pub use token::{check_window, gelu, layer_norm_into, window_attention_into};
 
 /// The logistic function `1 / (1 + e^{-x})`.
 ///

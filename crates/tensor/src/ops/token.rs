@@ -1,0 +1,272 @@
+//! NCHW-native forms of a transformer block's full-precision token ops:
+//! LayerNorm, single-head window self-attention and GELU, as flat
+//! slice-to-slice kernels for the deployed path.
+//!
+//! The training tape runs these on a `[B, L, C]` token layout between a
+//! window partition and a window merge. None of them needs that layout:
+//! LayerNorm is per pixel across channels, attention only has to know which
+//! pixels share a window, and GELU is elementwise — so here they read and
+//! write `[N, C, H, W]` directly and the partition survives only as index
+//! arithmetic inside [`window_attention_into`].
+//!
+//! Every kernel reproduces its tape op's per-element arithmetic order
+//! exactly (each states which), because what follows them in a binary
+//! transformer is a sign: the deployed network must binarize the values
+//! training binarized. Lanes are pixels (or the tokens of one window), every
+//! inner loop is a plain walk over equal-length slices, and nothing depends
+//! on the backend, so scalar, parallel and simd agree by construction.
+
+use crate::error::{Result, TensorError};
+use crate::workspace::sized;
+
+/// GELU, tanh approximation — the single scalar form shared by the autograd
+/// activation and the deployed op, so both agree bit for bit.
+#[inline]
+#[must_use]
+pub fn gelu(v: f32) -> f32 {
+    const C: f32 = 0.797_884_6; // sqrt(2/pi)
+    let inner = C * (v + 0.044_715 * v * v * v);
+    0.5 * v * (1.0 + inner.tanh())
+}
+
+fn expect_len(actual: usize, expected: usize) -> Result<()> {
+    if actual == expected {
+        Ok(())
+    } else {
+        Err(TensorError::LengthMismatch { expected, actual })
+    }
+}
+
+/// LayerNorm over the channel axis of a flat `[n, c, hw]` volume — what
+/// `scales_nn::layers::LayerNorm` computes per token — into `out` (fully
+/// overwritten). Per pixel, in the tape's order: ascending-channel sum
+/// `· 1/c`, centre, ascending sum of squares `· 1/c`,
+/// `sqrt(max(var + eps, 1e-12))`, then `x / d · γ + β`. `stats` is reusable
+/// grow-only scratch (two planes of `hw`).
+///
+/// # Errors
+///
+/// Returns an error when `gamma` / `beta` are not one value per channel or
+/// a buffer's length disagrees with the extents.
+#[allow(clippy::too_many_arguments)]
+pub fn layer_norm_into(
+    x: &[f32],
+    n: usize,
+    c: usize,
+    hw: usize,
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    stats: &mut Vec<f32>,
+    out: &mut [f32],
+) -> Result<()> {
+    expect_len(gamma.len(), c)?;
+    expect_len(beta.len(), c)?;
+    expect_len(x.len(), n * c * hw)?;
+    expect_len(out.len(), n * c * hw)?;
+    if c * hw == 0 {
+        return Ok(());
+    }
+    let inv = 1.0 / c as f32;
+    let (mean, denom) = sized(stats, 2 * hw).split_at_mut(hw);
+    for (image, out) in x.chunks(c * hw).zip(out.chunks_mut(c * hw)) {
+        mean.fill(0.0);
+        for plane in image.chunks(hw) {
+            for (m, &v) in mean.iter_mut().zip(plane) {
+                *m += v;
+            }
+        }
+        mean.iter_mut().for_each(|m| *m *= inv);
+        denom.fill(0.0);
+        for (plane, centred) in image.chunks(hw).zip(out.chunks_mut(hw)) {
+            for (((o, &v), &m), d) in centred.iter_mut().zip(plane).zip(&*mean).zip(&mut *denom) {
+                *o = v - m;
+                *d += *o * *o;
+            }
+        }
+        denom.iter_mut().for_each(|d| *d = (*d * inv + eps).max(1e-12).sqrt());
+        for ((centred, &g), &b) in out.chunks_mut(hw).zip(gamma).zip(beta) {
+            for (o, &d) in centred.iter_mut().zip(&*denom) {
+                *o = *o / d * g + b;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Single-head self-attention inside non-overlapping `window × window`
+/// pixel windows of flat `[n, c, h, w]` maps `q`, `k`, `v`, into `out`
+/// (same shape, fully overwritten) — the tape's `window_partition →
+/// q·kᵀ → ·1/√c → softmax → ·v → window_merge` without a token tensor.
+///
+/// Per window, in the tape's order: every score is an ascending-channel dot
+/// from `0.0` then `· 1/√c`; the softmax subtracts the row maximum, takes
+/// `exp`, sums ascending and divides; every context value is an
+/// ascending-token sum from `0.0`. Lanes are the window's query tokens, so
+/// the scores are held transposed (`[key][query]`) and every inner loop is
+/// contiguous. `staging` is reusable grow-only scratch: the window's
+/// `q` / `k` / `v` tiles (`3 · c · t` floats, `t = window²`), its `t × t`
+/// scores and two rows of `t`.
+///
+/// # Errors
+///
+/// Returns an error when `h` or `w` is not divisible by `window` (or
+/// `window` is 0), or a buffer's length disagrees with the extents.
+#[allow(clippy::too_many_arguments)]
+pub fn window_attention_into(
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    window: usize,
+    staging: &mut Vec<f32>,
+    out: &mut [f32],
+) -> Result<()> {
+    check_window(h, w, window)?;
+    for len in [q.len(), k.len(), v.len(), out.len()] {
+        expect_len(len, n * c * h * w)?;
+    }
+    if c == 0 {
+        return Ok(());
+    }
+    let (t, hw) = (window * window, h * w);
+    let scale = 1.0 / (c as f32).sqrt();
+    let staging = sized(staging, 3 * c * t + t * t + 2 * t);
+    let (tiles, rest) = staging.split_at_mut(3 * c * t);
+    let (scores, rows) = rest.split_at_mut(t * t);
+    let (row_a, row_b) = rows.split_at_mut(t);
+    for b in 0..n {
+        let image = b * c * hw..(b + 1) * c * hw;
+        let (q, k, v, out) = (&q[image.clone()], &k[image.clone()], &v[image.clone()], &mut out[image]);
+        for corner in (0..h / window).flat_map(|wy| (0..w / window).map(move |wx| (wy * w + wx) * window)) {
+            // The window's pixel rows of channel `ci`, as offsets into a map.
+            let rows_of = |ci: usize| (0..window).map(move |ty| ci * hw + corner + ty * w);
+            for (map, tile) in [q, k, v].into_iter().zip(tiles.chunks_mut(c * t)) {
+                for (ci, channel) in tile.chunks_mut(t).enumerate() {
+                    for (row, at) in channel.chunks_mut(window).zip(rows_of(ci)) {
+                        row.copy_from_slice(&map[at..at + window]);
+                    }
+                }
+            }
+            let (qt, rest) = tiles.split_at(c * t);
+            let (kt, vt) = rest.split_at(c * t);
+            // scores[j][i] = Σ_c q[c][i] · k[c][j], ascending c.
+            scores.fill(0.0);
+            for (qc, kc) in qt.chunks(t).zip(kt.chunks(t)) {
+                for (row, &kj) in scores.chunks_mut(t).zip(kc) {
+                    for (s, &qi) in row.iter_mut().zip(qc) {
+                        *s += qi * kj;
+                    }
+                }
+            }
+            // Softmax over the keys of each query: columns of `scores`.
+            let (max, sum) = (&mut *row_a, &mut *row_b);
+            max.fill(f32::NEG_INFINITY);
+            for row in scores.chunks_mut(t) {
+                for (s, m) in row.iter_mut().zip(&mut *max) {
+                    *s *= scale;
+                    *m = m.max(*s);
+                }
+            }
+            sum.fill(0.0);
+            for row in scores.chunks_mut(t) {
+                for ((s, &m), total) in row.iter_mut().zip(&*max).zip(&mut *sum) {
+                    *s = (*s - m).exp();
+                    *total += *s;
+                }
+            }
+            for row in scores.chunks_mut(t) {
+                for (s, &total) in row.iter_mut().zip(&*sum) {
+                    *s /= total;
+                }
+            }
+            // out[c][i] = Σ_j attn[i][j] · v[c][j], ascending j.
+            let context = &mut *row_a;
+            for (ci, vc) in vt.chunks(t).enumerate() {
+                context.fill(0.0);
+                for (row, &vj) in scores.chunks(t).zip(vc) {
+                    for (acc, &a) in context.iter_mut().zip(row) {
+                        *acc += a * vj;
+                    }
+                }
+                for (row, at) in context.chunks(window).zip(rows_of(ci)) {
+                    out[at..at + window].copy_from_slice(row);
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The geometry [`window_attention_into`] accepts: a positive `window` that
+/// divides both spatial extents — also the planned executor's shape check.
+///
+/// # Errors
+///
+/// Returns an error naming the extents and the window otherwise.
+pub fn check_window(h: usize, w: usize, window: usize) -> Result<()> {
+    if window == 0 || !h.is_multiple_of(window) || !w.is_multiple_of(window) {
+        return Err(TensorError::InvalidArgument(format!(
+            "spatial extents {h}x{w} not divisible by attention window {window}"
+        )));
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn layer_norm_normalises_every_pixel_across_channels() {
+        let (n, c, hw) = (2, 5, 7);
+        let x: Vec<f32> = (0..n * c * hw).map(|i| ((i as f32) * 0.37).sin() * 3.0 + 1.0).collect();
+        let (gamma, beta) = (vec![1.0; c], vec![0.0; c]);
+        let mut out = vec![f32::NAN; x.len()];
+        // Oversized stale scratch, as a long-lived workspace hands it over.
+        let mut stats = vec![f32::NAN; 100];
+        layer_norm_into(&x, n, c, hw, &gamma, &beta, 1e-5, &mut stats, &mut out).unwrap();
+        for b in 0..n {
+            for p in 0..hw {
+                let px: Vec<f32> = (0..c).map(|ci| out[(b * c + ci) * hw + p]).collect();
+                let mean = px.iter().sum::<f32>() / c as f32;
+                let var = px.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / c as f32;
+                assert!(mean.abs() < 1e-5 && (var - 1.0).abs() < 1e-2, "mean {mean} var {var}");
+            }
+        }
+        assert!(layer_norm_into(&x, n, c, hw, &gamma[1..], &beta, 1e-5, &mut stats, &mut out).is_err());
+        assert!(layer_norm_into(&x[1..], n, c, hw, &gamma, &beta, 1e-5, &mut stats, &mut out).is_err());
+    }
+
+    #[test]
+    fn attention_mixes_only_within_a_window_and_rejects_ragged_extents() {
+        // Uniform q and k give uniform attention: every output pixel is the
+        // mean of v over its own window.
+        let (c, h, w, window) = (3, 4, 6, 2);
+        let ones = vec![1.0f32; c * h * w];
+        let v: Vec<f32> = (0..c * h * w).map(|i| i as f32).collect();
+        let mut out = vec![f32::NAN; v.len()];
+        let mut staging = Vec::new();
+        window_attention_into(&ones, &ones, &v, 1, c, h, w, window, &mut staging, &mut out).unwrap();
+        for ci in 0..c {
+            for y in 0..h {
+                for x in 0..w {
+                    let (y0, x0) = (y / window * window, x / window * window);
+                    let mean = (0..window * window)
+                        .map(|i| v[ci * h * w + (y0 + i / window) * w + x0 + i % window])
+                        .sum::<f32>()
+                        / (window * window) as f32;
+                    let got = out[ci * h * w + y * w + x];
+                    assert!((got - mean).abs() < 1e-4, "({ci},{y},{x}): {got} vs {mean}");
+                }
+            }
+        }
+        let err = window_attention_into(&ones, &ones, &v, 1, c, h, w, 4, &mut staging, &mut out).unwrap_err();
+        assert!(err.to_string().contains("4x6") && err.to_string().contains("window 4"), "{err}");
+        assert!(check_window(4, 6, 0).is_err());
+        assert!(window_attention_into(&ones[1..], &ones, &v, 1, c, h, w, 2, &mut staging, &mut out).is_err());
+    }
+}

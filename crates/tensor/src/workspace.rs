@@ -2,8 +2,9 @@
 //!
 //! Every hot kernel that used to allocate per call (the zero-padded input
 //! planes of the direct float convolution, the bit-packed activation
-//! bitmap of the binary convolution, gate maps, batch-norm reductions)
-//! instead writes into a [`ConvScratch`] owned by the caller. Buffers grow on first use
+//! bitmap of the binary convolution, gate maps, batch-norm reductions, one
+//! attention window's tiles and scores) instead writes into a
+//! [`ConvScratch`] owned by the caller. Buffers grow on first use
 //! and are **never shrunk**, so after a warm-up forward at a given shape
 //! the steady state performs no heap allocation.
 //!
@@ -46,10 +47,11 @@ pub struct BitScratch {
 pub struct ConvScratch {
     /// One image's zero-padded input planes for the direct float
     /// convolution, `ic · (h + 2p) · (w + 2p)` floats (also reused as the
-    /// widest reduction / resampling temporary).
+    /// widest reduction / resampling temporary, and as window attention's
+    /// staging: one window's `q` / `k` / `v` tiles and its scores).
     pub padded: Vec<f32>,
-    /// Per-pixel gate map (spatial re-scaling branch) and mid-width
-    /// reductions.
+    /// Per-pixel gate map (spatial re-scaling branch), mid-width
+    /// reductions, and LayerNorm's per-pixel mean and deviation.
     pub plane: Vec<f32>,
     /// Per-channel temporaries (pooled activations, folded gates).
     pub chan: Vec<f32>,

@@ -124,7 +124,8 @@ mod tests {
         let net = srresnet(SrConfig { channels: 8, blocks: 1, scale: 2, method: Method::scales(), seed: 7 }).unwrap();
         let training = evaluate(&net, &set).unwrap();
         let engine = Engine::builder().model_ref(&net).precision(Precision::Deployed).build().unwrap();
-        assert!(engine.fallback().is_none());
+        assert_eq!(engine.precision(), Precision::Deployed);
+        assert!(engine.lowered().is_some_and(|graph| graph.packed_layers() > 0));
         let deployed = evaluate_with(&engine.session(), &set).unwrap();
         assert!((training.psnr - deployed.psnr).abs() < 0.05, "{} vs {}", training.psnr, deployed.psnr);
         assert!((training.ssim - deployed.ssim).abs() < 0.01);

@@ -73,7 +73,7 @@ fn network_fingerprint(net: &dyn SrNetwork) -> u64 {
 ///
 /// # Errors
 ///
-/// Propagates lowering errors (e.g. architectures without a lowering).
+/// Propagates lowering errors.
 pub fn lower_cached_in(dir: &Path, net: &dyn SrNetwork, key: &str) -> Result<DeployedNetwork> {
     let path = dir.join(format!("{key}-{:016x}.sca", network_fingerprint(net)));
     if path.exists() {
@@ -359,17 +359,75 @@ mod tests {
 
     #[test]
     fn lower_cached_propagates_unsupported_architectures() {
-        let net = Arch::SwinIr
-            .build(SrConfig {
-                channels: 8,
-                blocks: 1,
-                scale: 2,
-                method: Method::FullPrecision,
-                seed: 6,
-            })
-            .unwrap();
+        // Every in-tree architecture lowers now, so the unsupported one is
+        // an out-of-tree network: a real model whose `lower` refuses.
+        struct NoLowering(Box<dyn SrNetwork>);
+        impl scales_nn::Module for NoLowering {
+            fn forward(&self, input: &scales_autograd::Var) -> Result<scales_autograd::Var> {
+                self.0.forward(input)
+            }
+            fn params(&self) -> Vec<scales_autograd::Var> {
+                self.0.params()
+            }
+        }
+        impl SrNetwork for NoLowering {
+            fn scale(&self) -> usize {
+                self.0.scale()
+            }
+            fn arch(&self) -> Arch {
+                self.0.arch()
+            }
+            fn config(&self) -> SrConfig {
+                self.0.config()
+            }
+            fn cost(&self, lr_h: usize, lr_w: usize) -> CostReport {
+                self.0.cost(lr_h, lr_w)
+            }
+            fn forward_recorded(
+                &self,
+                input: &scales_autograd::Var,
+                recorder: &mut scales_models::Recorder,
+            ) -> Result<scales_autograd::Var> {
+                self.0.forward_recorded(input, recorder)
+            }
+            fn lower(&self) -> Result<DeployedNetwork> {
+                Err(scales_tensor::TensorError::InvalidArgument("no packed form".into()))
+            }
+        }
+        let net = NoLowering(
+            Arch::SrResNet
+                .build(SrConfig { channels: 8, blocks: 1, scale: 2, method: Method::scales(), seed: 6 })
+                .unwrap(),
+        );
         let dir = std::env::temp_dir().join(format!("scales-cache-t-{}", std::process::id()));
-        assert!(lower_cached_in(&dir, net.as_ref(), "swinir").is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+        let err = lower_cached_in(&dir, &net, "stub").err().expect("the lowering error propagates");
+        assert!(err.to_string().contains("no packed form"), "{err}");
+        assert!(!dir.exists(), "a failed lowering must not leave a cache entry");
+    }
+
+    #[test]
+    fn lower_cached_serves_transformers_bit_identically_from_the_cache() {
+        // The inversion of the old "transformers have no lowering" pin.
+        let dir = std::env::temp_dir().join(format!("scales-cache-tr-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let x = scales_tensor::Tensor::from_vec(
+            (0..3 * 64).map(|i| (i as f32 * 0.31).sin() * 0.4 + 0.5).collect(),
+            &[1, 3, 8, 8],
+        )
+        .unwrap();
+        for arch in [Arch::SwinIr, Arch::Hat] {
+            let net = arch
+                .build(SrConfig { channels: 8, blocks: 1, scale: 2, method: Method::scales(), seed: 6 })
+                .unwrap();
+            let lowered = lower_cached_in(&dir, net.as_ref(), arch.name()).unwrap();
+            assert!(lowered.packed_layers() > 0, "{arch}");
+            let cached = lower_cached_in(&dir, net.as_ref(), arch.name()).unwrap();
+            let (a, b) = (lowered.forward(&x).unwrap(), cached.forward(&x).unwrap());
+            for (p, q) in a.data().iter().zip(b.data()) {
+                assert_eq!(p.to_bits(), q.to_bits(), "{arch}");
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

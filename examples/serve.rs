@@ -77,17 +77,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(exact.stats().tiled, 0);
     println!("session totals: {} requests, {} images", session.requests(), session.images_served());
 
-    // 5. Unsupported architectures degrade gracefully: the transformer
-    //    family has no deployment lowering, so a Deployed engine falls
-    //    back to the training path and says why.
-    let swin = swinir(SrConfig { channels: 8, blocks: 1, scale: 2, method: Method::FullPrecision, seed: 9 })?;
-    let fallback_engine =
-        Engine::builder().model(swin).precision(Precision::Deployed).build()?;
+    // 5. The transformer family serves on the same packed, planned path:
+    //    its binary linears lower to 1x1 body convolutions on the fused
+    //    XNOR-popcount kernel (inputs must divide the attention window).
+    let swin = swinir(SrConfig { channels: 8, blocks: 1, scale: 2, method: Method::scales(), seed: 9 })?;
+    let swin_engine = Engine::builder().model(swin).precision(Precision::Deployed).build()?;
+    let stats = swin_engine.session().infer(SrRequest::single(scene(16, 16, 5)))?.stats();
     println!(
-        "transformer engine: requested={} serving={} ({})",
-        fallback_engine.requested_precision(),
-        fallback_engine.precision(),
-        fallback_engine.fallback().map_or_else(|| "no fallback".into(), ToString::to_string),
+        "transformer engine: serving={} ({} packed layers, {} plan built)",
+        stats.precision,
+        swin_engine.lowered().map_or(0, |graph| graph.packed_layers()),
+        stats.plans_built,
     );
     Ok(())
 }

@@ -30,9 +30,9 @@
 //! All inference goes through one request-oriented API: build an
 //! [`serve::Engine`] (model + precision + backend + tile policy), open a
 //! [`serve::Session`], and [`infer`](serve::Session::infer). Deployed
-//! precision auto-lowers the network to the packed binary graph and falls
-//! back to the training path (with a reported
-//! [`core::DeployFallback`]) for architectures without a lowering.
+//! precision auto-lowers the network to the packed binary graph — every
+//! architecture of the zoo, the transformers included — and a model that
+//! cannot lower fails the build with its lowering error.
 //!
 //! ```
 //! use scales::core::Method;

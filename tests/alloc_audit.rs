@@ -12,7 +12,10 @@
 //! one) through one workspace and checks the arena side: the float scratch
 //! never outgrows one image's zero-padded input planes — no
 //! `IC·k²·oh·ow` staging buffer exists — and a second pass over the shapes
-//! regrows nothing.
+//! regrows nothing. And the same for the transformer profile
+//! (`session_transformer`'s SwinIR-lite at 16×16, 24×24, 16×16): what
+//! window attention stages lives in the same scratch, is counted in
+//! `Workspace::memory_bytes`, and stops growing after the first pass.
 //!
 //! This file holds exactly one test: the counter is process-global, and
 //! the default test harness runs tests concurrently — a sibling test's
@@ -24,7 +27,7 @@
 //! scratch reuse are backend-independent.
 
 use scales::core::Method;
-use scales::models::{srresnet, SrConfig, SrNetwork, Workspace};
+use scales::models::{srresnet, swinir, SrConfig, SrNetwork, Workspace};
 use scales::tensor::backend::{self, Backend};
 use scales::tensor::Tensor;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -122,6 +125,7 @@ fn steady_state_audit() {
     );
 
     mixed_shapes_audit();
+    transformer_audit();
 }
 
 /// One workspace (what a `Session` owns) serving a paper-width network at
@@ -138,18 +142,10 @@ fn mixed_shapes_audit() {
     .unwrap();
     let deployed = net.lower().unwrap();
     let shapes = [(32, 32), (40, 40), (40, 24), (24, 24)];
-    let inputs: Vec<Tensor> = shapes
-        .iter()
-        .map(|&(h, w)| {
-            Tensor::from_vec((0..3 * h * w).map(|i| ((i as f32) * 0.13).sin() * 0.4 + 0.5).collect(), &[1, 3, h, w])
-                .unwrap()
-        })
-        .collect();
+    let inputs: Vec<Tensor> = shapes.iter().map(|&(h, w)| probe(h, w)).collect();
 
     let mut ws = Workspace::new();
-    for x in &inputs {
-        let _ = deployed.forward_planned(x, &mut ws).unwrap();
-    }
+    serve_all(&deployed, &inputs, &mut ws);
     // The widest float conv input is the tail's: 64 channels of the
     // 40×40 tile, padded by one pixel. The kernel needs no slack past it.
     let padded = ws.scratch().padded.capacity();
@@ -158,16 +154,59 @@ fn mixed_shapes_audit() {
         "float scratch holds {padded} floats: more than one image's padded planes ({})",
         CHANNELS * 42 * 42
     );
-    let resident = ws.memory_bytes();
+    assert_second_pass_allocates_only_outputs(&deployed, &inputs, &mut ws);
+}
 
-    let before = allocations();
-    for x in &inputs {
-        let _ = deployed.forward_planned(x, &mut ws).unwrap();
+fn probe(h: usize, w: usize) -> Tensor {
+    Tensor::from_vec((0..3 * h * w).map(|i| ((i as f32) * 0.13).sin() * 0.4 + 0.5).collect(), &[1, 3, h, w])
+        .unwrap()
+}
+
+fn serve_all(deployed: &scales::models::DeployedNetwork, inputs: &[Tensor], ws: &mut Workspace) {
+    for x in inputs {
+        let _ = deployed.forward_planned(x, ws).unwrap();
     }
+}
+
+/// After `ws` has served `inputs` once, serving them again acquires nothing
+/// but the outputs and leaves every arena slot and scratch buffer as it was.
+fn assert_second_pass_allocates_only_outputs(
+    deployed: &scales::models::DeployedNetwork,
+    inputs: &[Tensor],
+    ws: &mut Workspace,
+) {
+    let resident = ws.memory_bytes();
+    let before = allocations();
+    serve_all(deployed, inputs, ws);
     let second_pass = allocations() - before;
     assert!(
-        second_pass <= 2 * shapes.len(),
+        second_pass <= 2 * inputs.len(),
         "a second pass over served shapes must allocate only its outputs, got {second_pass} allocations"
     );
     assert_eq!(ws.memory_bytes(), resident, "no arena slot or scratch buffer regrew");
+}
+
+/// One workspace serving the benchmark's SwinIR-lite profile at the shapes
+/// `session_transformer` sends: light, heavy, light again.
+fn transformer_audit() {
+    const CHANNELS: usize = 32;
+    const WINDOW: usize = 4;
+    let net = swinir(SrConfig { channels: CHANNELS, blocks: 4, scale: 2, method: Method::scales(), seed: 12 })
+        .unwrap();
+    let deployed = net.lower().unwrap();
+    assert_eq!(deployed.packed_layers(), 4 * (6 + 1) + 1);
+    let inputs = [probe(16, 16), probe(24, 24), probe(16, 16)];
+
+    let mut ws = Workspace::new();
+    serve_all(&deployed, &inputs, &mut ws);
+    // What attention stages — one window's q / k / v tiles, its t × t
+    // scores and two rows of t — shares the float scratch with the padded
+    // conv planes, so it is charged to the workspace by capacity; here the
+    // tail's padded 24×24 input is the larger of the two.
+    let t = WINDOW * WINDOW;
+    let padded = ws.scratch().padded.capacity();
+    assert!(padded >= 3 * CHANNELS * t + t * t + 2 * t, "attention staging missing from the scratch: {padded}");
+    assert!(padded <= CHANNELS * 26 * 26, "float scratch holds {padded} floats");
+    assert!(ws.memory_bytes() >= ws.scratch().memory_bytes() + 4 * ws.plans()[1].arena_len());
+    assert_second_pass_allocates_only_outputs(&deployed, &inputs, &mut ws);
 }

@@ -1,6 +1,7 @@
 //! Whole-network deployment equivalence: the packed `DeployedNetwork`
 //! must reproduce the training-path forward for **every** method in the
-//! `Method` registry, across random inputs and seeds, and tiled serving
+//! `Method` registry — and, on SwinIR / HAT, for every method a transformer
+//! can be built with — across random inputs and seeds, and tiled serving
 //! must reproduce full-image serving.
 //!
 //! Also the serving-parity suite: `Session::infer` must be bit-identical
@@ -10,8 +11,9 @@
 
 use proptest::prelude::*;
 use scales::core::{Method, ScalesComponents};
-use scales::models::{srresnet, SrConfig, SrNetwork};
+use scales::models::{hat, srresnet, swinir, SrConfig, SrNetwork};
 use scales::nn::init::rng;
+use scales::nn::Module as _;
 use scales::serve::{Engine, Precision, SrRequest, TilePolicy, TileSpec};
 use scales::train::{
     super_resolve_batch, super_resolve_batch_deployed, super_resolve_tiled,
@@ -75,6 +77,41 @@ proptest! {
                 .map(|(a, b)| (a - b).abs())
                 .fold(0.0f32, f32::max);
             prop_assert!(worst < 1e-4, "{}: worst |err| = {}", label, worst);
+        }
+        // The transformer rows of the same contract, at a window-aligned
+        // shape (square, ragged or multi-window), every parameter nudged
+        // off its init so the biases, β and the LayerNorm affines are live.
+        let (h, w) = [(8, 8), (12, 8), (16, 16)][size % 3];
+        let img = probe_image(h, w, seed);
+        for method in Method::transformer_registry() {
+            let cfg = SrConfig { channels: 8, blocks: 1, scale: 2, method, seed: seed ^ 0xA5A5 };
+            for (arch, net) in [("SwinIR", swinir(cfg).unwrap()), ("HAT", hat(cfg).unwrap())] {
+                for (i, p) in net.params().iter().enumerate() {
+                    p.update_value(|t| {
+                        for (j, v) in t.data_mut().iter_mut().enumerate() {
+                            *v += ((i * 131 + j) as f32 * 0.29).sin() * 0.05;
+                        }
+                    });
+                }
+                let deployed = net.lower().unwrap();
+                prop_assert!(
+                    (deployed.packed_layers() > 0) == (method != Method::FullPrecision),
+                    "{}/{}: {} packed layers", arch, method, deployed.packed_layers()
+                );
+                let reference = net.super_resolve(&img).unwrap();
+                let fast = deployed.super_resolve(&img).unwrap();
+                let worst = reference
+                    .tensor()
+                    .data()
+                    .iter()
+                    .zip(fast.tensor().data().iter())
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0f32, f32::max);
+                prop_assert!(
+                    worst < 1e-4,
+                    "{}/{}, seed {}, {}x{}: worst |err| = {}", arch, method, seed, h, w, worst
+                );
+            }
         }
     }
 

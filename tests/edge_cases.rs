@@ -6,7 +6,7 @@ use scales::autograd::Var;
 use scales::core::{DeployedScalesConv2d, Method, ScalesConv2d, ScalesComponents};
 use scales::data::{Benchmark, Image, TrainSet};
 use scales::metrics::{psnr_y, ssim_y};
-use scales::models::{srresnet, SrConfig, SrNetwork};
+use scales::models::{srresnet, swinir, SrConfig, SrNetwork};
 use scales::nn::init::rng;
 use scales::nn::Module;
 use scales::tensor::Tensor;
@@ -19,6 +19,27 @@ fn one_pixel_lr_input_superresolves() {
     let sr = net.super_resolve(&lr).unwrap();
     assert_eq!((sr.height(), sr.width()), (2, 2));
     assert!(sr.tensor().data().iter().all(|v| v.is_finite()));
+}
+
+#[test]
+fn window_misaligned_request_is_a_typed_error_and_the_session_keeps_serving() {
+    // Geometry a deployed transformer cannot serve is refused by the plan's
+    // shape inference, naming the extents and the window — not a panic deep
+    // inside a kernel — and leaves the session able to serve the next one.
+    use scales::serve::{Engine, Precision, SrRequest};
+    let net = swinir(SrConfig { channels: 8, blocks: 1, scale: 2, method: Method::scales(), seed: 3 }).unwrap();
+    let engine = Engine::builder().model_ref(&net).precision(Precision::Deployed).build().unwrap();
+    let session = engine.session();
+    let err = session.infer(SrRequest::single(Image::zeros(18, 18))).map(|_| ()).unwrap_err();
+    let text = err.to_string();
+    assert!(text.contains("18x18") && text.contains("window 4"), "{text}");
+    let served = session.infer(SrRequest::single(Image::zeros(16, 16))).unwrap();
+    assert_eq!(served.stats().plans_built, 1, "the refused shape left no plan behind");
+    assert_eq!((served.images()[0].height(), served.images()[0].width()), (32, 32));
+    // A mixed request with one bad image fails as a whole, still typed.
+    let mixed = SrRequest::batch(vec![Image::zeros(16, 16), Image::zeros(16, 18)]);
+    assert!(session.infer(mixed).is_err());
+    assert!(session.super_resolve(&Image::zeros(16, 16)).is_ok());
 }
 
 #[test]

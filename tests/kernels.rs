@@ -7,13 +7,21 @@
 //! bit-for-bit with each other and with the im2col → GEMM reference, and
 //! the fused SCALES epilogue must agree with the same operations run as
 //! separate passes.
+//!
+//! And for the NCHW-native transformer ops of the deployed path
+//! (`layer_norm_into`, `window_attention_into`, GELU / `Scale`): each
+//! against the composition of tensor ops the training tape runs on its
+//! token layout, bit for bit.
 
 use proptest::prelude::*;
+use scales::autograd::Var;
 use scales::binary::{BinaryConv2d, Fused, SignShift};
 use scales::core::{DeployedScalesConv2d, FloatConv2d, ScalesComponents, ScalesConv2d};
+use scales::models::{DeployedNetworkBuilder, DeployedOp, Workspace};
 use scales::nn::init::rng;
+use scales::nn::Module as _;
 use scales::tensor::backend::{with_backend, Backend};
-use scales::tensor::ops::{conv2d, Conv2dSpec};
+use scales::tensor::ops::{conv2d, layer_norm_into, window_attention_into, Conv2dSpec};
 use scales::tensor::workspace::{BitScratch, ConvScratch};
 use scales::tensor::{simd, Tensor};
 
@@ -184,22 +192,30 @@ proptest! {
     }
 
     /// Every `Fused` operand, alone and together, equals the same operation
-    /// as a separate pass over the unfused output — at every level.
+    /// as a separate pass over the unfused output — at every level, for the
+    /// 3×3 body convolution and for the `k = 1` form a lowered linear runs
+    /// (pixels of one word, exactly one, and several with a masked tail).
     #[test]
     fn fused_operands_match_separate_passes(
         c in 1usize..80,
+        linear_pick in 0usize..12,
         side_h in 1usize..24,
         side_w in 1usize..24,
         n in 1usize..3,
-        which in 0usize..32,
+        which in 0usize..64,
         seed in 0u64..1_000_000,
     ) {
         let (h, w) = (side_h, side_w);
+        // Half the cases are 1×1 at the channel counts that matter there.
+        let (c, k) = match [1usize, 31, 32, 64, 65, 130].get(linear_pick) {
+            Some(&ic) => (ic, 1),
+            None => (c, 3),
+        };
         let mut data = Stream(seed);
-        let weight = Tensor::from_vec(data.values(c * c * 9), &[c, c, 3, 3]).unwrap();
+        let weight = Tensor::from_vec(data.values(c * c * k * k), &[c, c, k, k]).unwrap();
         let conv = BinaryConv2d::from_float_weight(&weight).unwrap();
         let input = data.values(n * c * h * w);
-        let (beta, means) = (data.values(c), data.values(n));
+        let (beta, means, bias) = (data.values(c), data.values(n), data.values(c));
         let (spatial, channel) = (data.values(n * h * w), data.values(n * c));
         let fused = Fused {
             shift: match which % 3 {
@@ -207,6 +223,7 @@ proptest! {
                 1 => SignShift::PerChannel(&beta),
                 _ => SignShift::PerImage(&means),
             },
+            bias: (which & 32 != 0).then_some(&bias[..]),
             spatial: (which & 4 != 0).then_some(&spatial[..]),
             channel: (which & 8 != 0).then_some(&channel[..]),
             skip: which & 16 != 0,
@@ -227,6 +244,9 @@ proptest! {
         with_backend(Backend::Scalar, || conv.forward_into(&shifted, n, h, w, &mut scratch, &mut want)).unwrap();
         for (i, v) in want.iter_mut().enumerate() {
             let (b, co, p) = (i / (c * h * w), i / (h * w) % c, i % (h * w));
+            if let Some(bias) = fused.bias {
+                *v += bias[co];
+            }
             if let Some(gate) = fused.spatial {
                 *v *= gate[b * h * w + p];
             }
@@ -243,9 +263,103 @@ proptest! {
             conv.forward_at(level, &input, n, h, w, &fused, &mut scratch, &mut got).unwrap();
             prop_assert!(
                 bits(&got) == bits(&want),
-                "c={} {}x{} n={} which={} seed={}: level {}", c, h, w, n, which, seed, level
+                "c={} k={} {}x{} n={} which={} seed={}: level {}", c, k, h, w, n, which, seed, level
             );
         }
+    }
+
+    /// `layer_norm_into` on an NCHW map equals `nn::LayerNorm` — the tape's
+    /// mean / centre / variance / normalise / affine chain — on the same
+    /// values laid out as tokens, bit for bit, hostile values included.
+    #[test]
+    fn layer_norm_matches_the_tape_on_tokens(
+        c in 1usize..71,
+        h in 1usize..25,
+        w in 1usize..25,
+        n in 1usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut data = Stream(seed);
+        let x = Tensor::from_vec(data.hostile_values(n * c * h * w), &[n, c, h * w]).unwrap();
+        let ln = scales::nn::layers::LayerNorm::new(c);
+        let (gamma, beta) = (data.values(c), data.values(c));
+        ln.params()[0].set_value(Tensor::from_vec(gamma.clone(), &[c]).unwrap());
+        ln.params()[1].set_value(Tensor::from_vec(beta.clone(), &[c]).unwrap());
+        let tokens = Var::new(x.permute(&[0, 2, 1]).unwrap());
+        let want = ln.forward(&tokens).unwrap().value().permute(&[0, 2, 1]).unwrap();
+
+        let mut stats = vec![f32::NAN; 2_000];
+        let mut got = vec![f32::NAN; x.len()];
+        layer_norm_into(x.data(), n, c, h * w, &gamma, &beta, ln.eps(), &mut stats, &mut got).unwrap();
+        prop_assert!(
+            float_bits(&got) == float_bits(want.data()),
+            "c={} {}x{} n={} seed={}", c, h, w, n, seed
+        );
+    }
+
+    /// `window_attention_into` on NCHW maps equals the tape's
+    /// `window_partition → q·kᵀ → ·1/√c → softmax → ·v → window_merge` on
+    /// the same values, bit for bit, hostile values included.
+    #[test]
+    fn window_attention_matches_the_tape_on_tokens(
+        c in 1usize..71,
+        window_pick in 0usize..3,
+        windows_h in 1usize..7,
+        windows_w in 1usize..7,
+        n in 1usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let window = [1usize, 2, 4][window_pick];
+        let (h, w) = (windows_h * window, windows_w * window);
+        let mut data = Stream(seed);
+        let mut map = || Tensor::from_vec(data.hostile_values(n * c * h * w), &[n, c, h, w]).unwrap();
+        let (q, k, v) = (map(), map(), map());
+        let tokens = |t: &Tensor| Var::new(t.clone()).window_partition(window).unwrap();
+        let scores = tokens(&q)
+            .batched_matmul(&tokens(&k).permute(&[0, 2, 1]).unwrap())
+            .unwrap()
+            .scale(1.0 / (c as f32).sqrt());
+        let context = scores.softmax_last_axis().unwrap().batched_matmul(&tokens(&v)).unwrap();
+        let want = context.window_merge(n, c, h, w, window).unwrap().value();
+
+        let mut staging = vec![f32::NAN; 20_000];
+        let mut got = vec![f32::NAN; q.len()];
+        for backend in [Backend::Scalar, Backend::Parallel, Backend::Simd] {
+            got.fill(f32::NAN);
+            with_backend(backend, || {
+                window_attention_into(q.data(), k.data(), v.data(), n, c, h, w, window, &mut staging, &mut got)
+            })
+            .unwrap();
+            prop_assert!(
+                float_bits(&got) == float_bits(want.data()),
+                "c={} window={} {}x{} n={} seed={}: backend {}", c, window, h, w, n, seed, backend
+            );
+        }
+        // A window that does not divide the extents is a typed error.
+        let refused = window_attention_into(q.data(), k.data(), v.data(), n, c, h, w, h + 1, &mut staging, &mut got);
+        prop_assert!(refused.is_err());
+    }
+}
+
+/// The two elementwise transformer ops, through both executors, against
+/// the tape's `gelu` / `scale` on the same hostile values.
+#[test]
+fn gelu_and_scale_ops_match_the_tape_in_both_executors() {
+    let mut data = Stream(11);
+    let x = Tensor::from_vec(data.hostile_values(2 * 5 * 6 * 7), &[2, 5, 6, 7]).unwrap();
+    let tape = Var::new(x.clone());
+    for (op, want) in [
+        (DeployedOp::Gelu { src: 0 }, tape.gelu().value()),
+        (DeployedOp::Scale { factor: 0.1, src: 0 }, tape.scale(0.1).value()),
+    ] {
+        let mut b = DeployedNetworkBuilder::new("one-op", 1);
+        let label = op.kind();
+        let out = b.push(op);
+        let graph = b.finish(out);
+        let allocating = graph.forward(&x).unwrap();
+        let planned = graph.forward_planned(&x, &mut Workspace::new()).unwrap();
+        assert_eq!(float_bits(allocating.data()), float_bits(want.data()), "{label}, allocating");
+        assert_eq!(float_bits(planned.data()), float_bits(want.data()), "{label}, planned");
     }
 }
 

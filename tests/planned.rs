@@ -1,12 +1,13 @@
 //! Planned-executor equivalence: `DeployedNetwork::forward_planned` must
 //! be **bit-identical** (`f32::to_bits`) to the allocating
-//! `DeployedNetwork::forward` — across the whole CNN method registry,
-//! every lowerable architecture, all three backends, and mixed batch sizes —
-//! and a `Session` must build one plan per input shape and reuse it.
+//! `DeployedNetwork::forward` — across the whole CNN method registry and
+//! every method a transformer can be built with, every architecture (CNN
+//! and transformer), all three backends, and mixed batch sizes — and a
+//! `Session` must build one plan per input shape and reuse it.
 
 use proptest::prelude::*;
 use scales::core::Method;
-use scales::models::{edsr, rcan, rdn, srresnet, SrConfig, SrNetwork, Workspace};
+use scales::models::{edsr, hat, rcan, rdn, srresnet, swinir, SrConfig, SrNetwork, Workspace};
 use scales::nn::init::rng;
 use scales::serve::{Engine, Precision, SrRequest};
 use scales::tensor::backend::{self, Backend};
@@ -16,6 +17,9 @@ use scales::tensor::Tensor;
 fn cnn_method_registry() -> Vec<Method> {
     Method::cnn_registry()
 }
+
+/// Window-aligned transformer input shapes: square, ragged, multi-window.
+const ALIGNED: [(usize, usize); 3] = [(8, 8), (12, 8), (16, 16)];
 
 fn probe_batch(n: usize, h: usize, w: usize, seed: f32) -> Tensor {
     Tensor::from_vec(
@@ -75,10 +79,29 @@ proptest! {
                 });
             }
         }
+        // The transformer rows of the same matrix, at a window-aligned shape.
+        let (h, w) = ALIGNED[size % ALIGNED.len()];
+        for method in Method::transformer_registry() {
+            let cfg = SrConfig { channels: 8, blocks: 1, scale: 2, method, seed: seed ^ 0x3C3C };
+            for (name, net) in [("SwinIR", swinir(cfg).unwrap()), ("HAT", hat(cfg).unwrap())] {
+                for be in [Backend::Scalar, Backend::Parallel, Backend::Simd] {
+                    backend::with_backend(be, || {
+                        for n in [1usize, 2, 3] {
+                            let batch = probe_batch(n, h, w, seed as f32);
+                            assert_planned_is_bit_identical(
+                                &net,
+                                &batch,
+                                &format!("{name}/{method}, {h}x{w}, {} backend, batch {n}", be.name()),
+                            );
+                        }
+                    });
+                }
+            }
+        }
     }
 }
 
-/// Acceptance sweep: every lowerable architecture × every registry row.
+/// Acceptance sweep: every architecture × every method it can be built with.
 #[test]
 fn planned_executor_is_bit_identical_on_every_arch_and_method() {
     let batch = probe_batch(1, 6, 6, 40.0);
@@ -91,6 +114,14 @@ fn planned_executor_is_bit_identical_on_every_arch_and_method() {
         check("EDSR", &edsr(cfg).unwrap());
         check("RDN", &rdn(cfg).unwrap());
         check("RCAN", &rcan(cfg).unwrap());
+    }
+    for method in Method::transformer_registry() {
+        let cfg = SrConfig { channels: 8, blocks: 2, scale: 2, method, seed: 45 };
+        for (h, w) in ALIGNED {
+            let batch = probe_batch(1, h, w, 46.0);
+            assert_planned_is_bit_identical(&swinir(cfg).unwrap(), &batch, &format!("SwinIR/{method} {h}x{w}"));
+            assert_planned_is_bit_identical(&hat(cfg).unwrap(), &batch, &format!("HAT/{method} {h}x{w}"));
+        }
     }
 }
 

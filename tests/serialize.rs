@@ -2,19 +2,22 @@
 //! enforced end-to-end through `Session::infer`:
 //!
 //! * **bit-identity** — for every CNN method in the registry and every
-//!   lowerable architecture, a reloaded checkpoint and a reloaded
-//!   deployed artifact serve outputs with identical `f32::to_bits` to the
-//!   in-memory model, at both serving precisions;
+//!   architecture (CNN and transformer), a reloaded checkpoint and a
+//!   reloaded deployed artifact serve outputs with identical
+//!   `f32::to_bits` to the in-memory model, at both serving precisions;
+//! * **compatibility** — a checked-in format-version-1 artifact keeps
+//!   loading and serving bit-identically;
 //! * **negative paths** — truncated files, wrong magic, future format
-//!   versions and arch/method mismatches all surface as typed
-//!   `scales::io::Error` variants; a partial read is never accepted.
+//!   versions, arch/method mismatches and every malformed field of the
+//!   version-2 ops all surface as typed `scales::io::Error` variants; a
+//!   partial read is never accepted.
 
 use scales::core::Method;
 use scales::io::{
-    load_artifact, load_checkpoint, read_kind, save_artifact, save_checkpoint, ArtifactKind,
-    Error, FORMAT_VERSION,
+    artifact_from_bytes, artifact_to_bytes, checkpoint_from_bytes, load_artifact, load_checkpoint,
+    read_kind, save_artifact, save_checkpoint, ArtifactKind, Error, FORMAT_VERSION,
 };
-use scales::models::{Arch, SrConfig, SrNetwork};
+use scales::models::{Arch, DeployedNetworkBuilder, DeployedOp, SrConfig, SrNetwork};
 use scales::nn::init::rng;
 use scales::serve::{Engine, Precision, Session, SrRequest};
 use std::path::PathBuf;
@@ -54,14 +57,21 @@ fn trained_like(arch: Arch, method: Method, seed: u64) -> Box<dyn SrNetwork> {
     net
 }
 
+/// Serve one request of three images (seeds `seed..`) and return the outputs.
+fn serve_sizes(session: &Session<'_, '_>, sizes: [(usize, usize); 3], seed: u64) -> Vec<scales::data::Image> {
+    let images = sizes.iter().zip(seed..).map(|(&(h, w), seed)| probe_image(h, w, seed)).collect();
+    session.infer(SrRequest::batch(images)).expect("serve").into_images()
+}
+
 /// Serve a mixed-size request (two shape buckets) and return the images.
 fn serve_mixed(session: &Session<'_, '_>) -> Vec<scales::data::Image> {
-    let request = SrRequest::batch(vec![
-        probe_image(8, 8, 301),
-        probe_image(6, 10, 302),
-        probe_image(8, 8, 303),
-    ]);
-    session.infer(request).expect("serve").into_images()
+    serve_sizes(session, [(8, 8), (6, 10), (8, 8)], 301)
+}
+
+/// [`serve_mixed`] at window-aligned sizes (transformer inputs must divide
+/// the attention window), still two shape buckets.
+fn serve_aligned(session: &Session<'_, '_>) -> Vec<scales::data::Image> {
+    serve_sizes(session, [(8, 8), (4, 8), (8, 8)], 304)
 }
 
 fn assert_bit_identical(
@@ -126,7 +136,7 @@ fn artifact_round_trip_serves_bit_identically_for_every_cnn_method() {
 #[test]
 fn every_lowerable_arch_round_trips_both_forms() {
     let dir = scratch("archs");
-    for (i, arch) in Arch::CNN.into_iter().enumerate() {
+    for (i, arch) in Arch::ALL.into_iter().enumerate() {
         for method in [Method::FullPrecision, Method::scales()] {
             let net = trained_like(arch, method, 600 + i as u64);
             let ckpt = dir.join(format!("{arch}-{i}.ckpt.sca"));
@@ -139,25 +149,25 @@ fn every_lowerable_arch_round_trips_both_forms() {
                 .build()
                 .unwrap();
             let label = format!("{arch}/{method}");
-            let a = serve_mixed(&reference.session());
+            let a = serve_aligned(&reference.session());
             // load_checkpoint(save_checkpoint(net)) serves bit-identically.
             let from_ckpt = Engine::builder()
                 .model(load_checkpoint(&ckpt).unwrap())
                 .precision(Precision::Deployed)
                 .build()
                 .unwrap();
-            assert!(from_ckpt.fallback().is_none(), "{label}");
-            assert_bit_identical(&a, &serve_mixed(&from_ckpt.session()), &label);
+            assert_eq!(from_ckpt.precision(), Precision::Deployed, "{label}");
+            assert_bit_identical(&a, &serve_aligned(&from_ckpt.session()), &label);
             // load_artifact(save_artifact(lower(net))) serves bit-identically.
             let from_dep = Engine::builder().model(load_artifact(&dep).unwrap()).build().unwrap();
-            assert_bit_identical(&a, &serve_mixed(&from_dep.session()), &label);
+            assert_bit_identical(&a, &serve_aligned(&from_dep.session()), &label);
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn transformer_checkpoints_round_trip_and_fall_back_like_the_source() {
+fn transformer_checkpoints_round_trip_and_serve_deployed_like_the_source() {
     let dir = scratch("transformer");
     for (i, arch) in [Arch::SwinIr, Arch::Hat].into_iter().enumerate() {
         let net = trained_like(arch, Method::Bibert, 700 + i as u64);
@@ -165,35 +175,53 @@ fn transformer_checkpoints_round_trip_and_fall_back_like_the_source() {
         save_checkpoint(&path, net.as_ref()).unwrap();
         let loaded = load_checkpoint(&path).unwrap();
         assert_eq!(loaded.arch(), arch);
-        let mem =
-            Engine::builder().model_ref(net.as_ref()).precision(Precision::Training).build().unwrap();
-        let disk = Engine::builder()
-            .model_ref(loaded.as_ref())
-            .precision(Precision::Training)
-            .build()
-            .unwrap();
-        // Window-aligned sizes (transformer inputs must divide WINDOW).
-        let serve_aligned = |session: &Session<'_, '_>| {
-            session
-                .infer(SrRequest::batch(vec![
-                    probe_image(8, 8, 304),
-                    probe_image(4, 8, 305),
-                    probe_image(8, 8, 306),
-                ]))
-                .expect("serve")
-                .into_images()
-        };
-        let a = serve_aligned(&mem.session());
-        let b = serve_aligned(&disk.session());
-        assert_bit_identical(&a, &b, arch.name());
-        // A deployed request on a reloaded transformer degrades with a
-        // report, exactly like the in-memory model.
-        let fallback =
-            Engine::builder().model_ref(loaded.as_ref()).precision(Precision::Deployed).build().unwrap();
-        assert_eq!(fallback.precision(), Precision::Training);
-        assert!(fallback.fallback().is_some(), "{arch}");
+        // At both precisions the reloaded model serves like the source,
+        // and a deployed request is served deployed — on packed layers —
+        // where it used to degrade to the training path with a report.
+        for precision in [Precision::Training, Precision::Deployed] {
+            let mem =
+                Engine::builder().model_ref(net.as_ref()).precision(precision).build().unwrap();
+            let disk =
+                Engine::builder().model_ref(loaded.as_ref()).precision(precision).build().unwrap();
+            assert_eq!(disk.precision(), precision, "{arch}");
+            let a = serve_aligned(&mem.session());
+            assert_bit_identical(&a, &serve_aligned(&disk.session()), arch.name());
+            if precision == Precision::Deployed {
+                let graph = disk.lowered().expect("a deployed build lowers the checkpoint");
+                assert!(graph.packed_layers() > 0, "{arch}");
+                // And the same graph through an artifact file.
+                let dep = dir.join(format!("{arch}.dep.sca"));
+                save_artifact(&dep, graph).unwrap();
+                let from_dep = Engine::builder().model_path(&dep).build().unwrap();
+                assert_eq!(from_dep.precision(), Precision::Deployed);
+                assert_bit_identical(&a, &serve_aligned(&from_dep.session()), arch.name());
+            }
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The fixture pair under `tests/fixtures/` was written by the last
+/// format-version-1 writer (the commit before version 2): a perturbed
+/// SRResNet-SCALES ×2 (8 channels, 1 block), as a checkpoint and as the
+/// deployed artifact lowered from it. Version 2 only adds to the format, so
+/// both must keep loading, and the old artifact must serve exactly what a
+/// fresh lowering of the same weights serves.
+#[test]
+fn version_1_artifacts_still_load_and_serve_bit_identically() {
+    let ckpt = include_bytes!("fixtures/srresnet_scales_v1.ckpt.sca");
+    let dep = include_bytes!("fixtures/srresnet_scales_v1.dep.sca");
+    for bytes in [&ckpt[..], &dep[..]] {
+        assert_eq!(bytes[8..10], 1u16.to_le_bytes(), "the fixtures are version 1 files");
+    }
+    let net = checkpoint_from_bytes(ckpt).expect("v1 checkpoint loads");
+    let old = artifact_from_bytes(dep).expect("v1 artifact loads");
+    let fresh = net.lower().unwrap();
+    assert_eq!(old.packed_layers(), fresh.packed_layers());
+    assert_eq!(old.num_ops(), fresh.num_ops());
+    let a = serve_mixed(&Engine::builder().model(fresh).build().unwrap().session());
+    let b = serve_mixed(&Engine::builder().model(old).build().unwrap().session());
+    assert_bit_identical(&a, &b, "v1 artifact vs fresh lowering");
 }
 
 #[test]
@@ -217,7 +245,6 @@ fn model_path_sniffs_and_serves_either_kind() {
     // Deployed-artifact path: already packed.
     let from_dep = Engine::builder().model_path(&dep).build().unwrap();
     assert_eq!(from_dep.precision(), Precision::Deployed);
-    assert!(from_dep.fallback().is_none());
     assert_bit_identical(&a, &serve_mixed(&from_dep.session()), "model_path artifact");
     // A packed graph has no training path — same error as the in-memory case.
     assert!(Engine::builder().model_path(&dep).precision(Precision::Training).build().is_err());
@@ -363,4 +390,68 @@ fn trailing_bytes_are_a_typed_error() {
         Err(Error::TrailingBytes { .. })
     ));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One mutation per field format version 2 added: each must be
+/// `Error::Corrupt` at load — never a panic, a runaway allocation or a
+/// deferred failure at the first forward.
+#[test]
+fn malformed_version_2_fields_are_corrupt_at_load() {
+    use scales::binary::BinaryConv2d;
+    use scales::core::DeployedBodyConv;
+    use scales::tensor::Tensor;
+    // A one-op graph over the network input (value 0).
+    let graph = |op: DeployedOp| {
+        let mut b = DeployedNetworkBuilder::new("hostile", 2);
+        let v = b.push(op);
+        artifact_to_bytes(&b.finish(v))
+    };
+    let layer_norm = |gamma: usize, beta: usize, eps: f32| DeployedOp::LayerNorm {
+        gamma: vec![1.0; gamma],
+        beta: vec![0.0; beta],
+        eps,
+        src: 0,
+    };
+    let cases: Vec<(&str, Vec<u8>)> = vec![
+        ("gamma and beta of different lengths", graph(layer_norm(3, 4, 1e-5))),
+        ("empty gamma and beta", graph(layer_norm(0, 0, 1e-5))),
+        ("zero epsilon", graph(layer_norm(3, 3, 0.0))),
+        ("negative epsilon", graph(layer_norm(3, 3, -1e-5))),
+        ("NaN epsilon", graph(layer_norm(3, 3, f32::NAN))),
+        ("window of zero", graph(DeployedOp::WindowAttention { window: 0, q: 0, k: 0, v: 0 })),
+        (
+            "window beyond the factor bound",
+            graph(DeployedOp::WindowAttention { window: 65, q: 0, k: 0, v: 0 }),
+        ),
+        (
+            "bias that is not one value per output channel",
+            graph(DeployedOp::Body {
+                conv: Box::new(DeployedBodyConv::Basic {
+                    conv: BinaryConv2d::from_float_weight(&Tensor::ones(&[4, 3, 1, 1])).unwrap(),
+                    bias: Some(vec![0.0; 5]),
+                    skip: false,
+                }),
+                src: 0,
+            }),
+        ),
+    ];
+    for (label, bytes) in cases {
+        let err = artifact_from_bytes(&bytes).map(|_| ()).unwrap_err();
+        assert!(matches!(err, Error::Corrupt { offset, .. } if offset > 12), "{label}: {err}");
+    }
+    // Well-formed twins of the same graphs load.
+    assert!(artifact_from_bytes(&graph(layer_norm(3, 3, 1e-5))).is_ok());
+    let gelu = graph(DeployedOp::Gelu { src: 0 });
+    assert!(artifact_from_bytes(&gelu).is_ok());
+    // The op tag is the byte after name, scale, op count and output id.
+    let tag_at = 12 + 4 + "hostile".len() + 12;
+    assert_eq!(gelu[tag_at], 11);
+    // A tag version 2 does not define.
+    let mut unknown = gelu.clone();
+    unknown[tag_at] = 13;
+    assert!(matches!(artifact_from_bytes(&unknown), Err(Error::Corrupt { .. })));
+    // A version 2 tag in a file that claims version 1.
+    let mut too_old = gelu;
+    too_old[8..10].copy_from_slice(&1u16.to_le_bytes());
+    assert!(matches!(artifact_from_bytes(&too_old), Err(Error::Corrupt { .. })));
 }
