@@ -10,6 +10,7 @@
 
 use crate::config::HttpConfig;
 use crate::error::RequestError;
+use scales_telemetry::is_wire_safe_name;
 use std::io::Read;
 
 /// A parsed request head: everything before the body.
@@ -254,8 +255,11 @@ impl<R: Read> RequestReader<R> {
                 "expect" if value.eq_ignore_ascii_case("100-continue") => {
                     head.expect_continue = true;
                 }
+                // The runtime enforces the same rule; checking at the
+                // wire makes a hostile header a clean `400` before any
+                // image bytes are decoded.
                 "x-scales-tenant" => {
-                    if !valid_tenant(value) {
+                    if !is_wire_safe_name(value) {
                         return Err(RequestError::BadHeader {
                             what: "tenant must be 1-64 characters of [A-Za-z0-9._-]",
                         });
@@ -267,7 +271,7 @@ impl<R: Read> RequestReader<R> {
                 // a bad id is ignored (the server generates one), while
                 // a bad tenant is a 400 — it would change which
                 // admission lane does the accounting.
-                "x-scales-request-id" if valid_tenant(value) => {
+                "x-scales-request-id" if is_wire_safe_name(value) => {
                     head.request_id = Some(value.clone());
                 }
                 "x-scales-deadline-ms" => {
@@ -313,17 +317,6 @@ impl<R: Read> RequestReader<R> {
         }
         Ok(body)
     }
-}
-
-/// Same tenant-name rule the runtime and router enforce (1–64 characters
-/// of `[A-Za-z0-9._-]`), applied at the wire so a hostile header is a
-/// clean `400` before any image bytes are decoded.
-fn valid_tenant(name: &str) -> bool {
-    !name.is_empty()
-        && name.len() <= 64
-        && name
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-')
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use crate::parser::{RequestHead, RequestReader};
 use scales_data::{decode_image, encode_image};
 use scales_router::{ModelRouter, RouterError};
 use scales_runtime::{LatencyHistogram, RejectReason, Runtime, RuntimeStats, SubmitError};
-use scales_serve::SrRequest;
+use scales_serve::{SrRequest, SrResponse};
 use scales_telemetry::{render_traces_json, FlightRecorder, OpProfile, RequestId, RequestTrace, Stage};
 use std::collections::VecDeque;
 use std::io::Write;
@@ -586,7 +586,12 @@ fn route(
     }
     match (head.method.as_str(), path) {
         ("POST", "/v1/upscale") => match &shared.target {
-            Target::Single(runtime) => upscale(shared, reader, head, arrived, draft, runtime),
+            Target::Single(runtime) => upscale(reader, head, arrived, draft, None, |request| {
+                runtime.submit_wait_timeout(request, shared.config.request_timeout).map_err(|err| {
+                    let (status, retry) = submit_status(&err);
+                    Response::text(status, format!("{err}\n")).retry_after(retry)
+                })
+            }),
             // A fleet has no anonymous default model; naming one is the
             // only unambiguous contract. Final status, no body read.
             Target::Fleet(_) => Ok(Response::text(
@@ -597,14 +602,7 @@ fn route(
         },
         ("GET" | "HEAD", "/metrics") => {
             drain_body(reader, head)?;
-            Ok(Response {
-                status: 200,
-                content_type: "text/plain; version=0.0.4",
-                body: render_metrics(shared).into_bytes(),
-                allow: None,
-                retry_after: None,
-                close: false,
-            })
+            Ok(Response::new(200, "text/plain; version=0.0.4", render_metrics(shared).into_bytes()))
         }
         ("GET" | "HEAD", "/healthz") => {
             drain_body(reader, head)?;
@@ -647,14 +645,7 @@ fn route_models(
         return match head.method.as_str() {
             "GET" | "HEAD" => {
                 drain_body(reader, head)?;
-                Ok(Response {
-                    status: 200,
-                    content_type: "application/json",
-                    body: render_model_list(router).into_bytes(),
-                    allow: None,
-                    retry_after: None,
-                    close: false,
-                })
+                Ok(Response::new(200, "application/json", render_model_list(router).into_bytes()))
             }
             _ => Ok(Response::text(405, "use GET\n").allow("GET, HEAD").close_if_unread(head)),
         };
@@ -669,7 +660,11 @@ fn route_models(
     };
     match action {
         "upscale" => match head.method.as_str() {
-            "POST" => fleet_upscale(shared, reader, head, arrived, draft, router, name),
+            "POST" => upscale(reader, head, arrived, draft, Some(name), |request| {
+                router
+                    .submit_wait_timeout(name, request, shared.config.request_timeout)
+                    .map_err(|err| router_error_response(&err))
+            }),
             _ => Ok(Response::text(405, "use POST\n").allow("POST").close_if_unread(head)),
         },
         "reload" => match head.method.as_str() {
@@ -774,14 +769,7 @@ fn render_profiles_json(profiles: &[(Option<String>, OpProfile)]) -> String {
 /// every body this server writes ends in one).
 fn json_response(mut body: String) -> Response {
     body.push('\n');
-    Response {
-        status: 200,
-        content_type: "application/json",
-        body: body.into_bytes(),
-        allow: None,
-        retry_after: None,
-        close: false,
-    }
+    Response::new(200, "application/json", body.into_bytes())
 }
 
 /// Consume a declared body this route does not use, so keep-alive
@@ -854,19 +842,24 @@ fn submit_status(err: &SubmitError) -> (u16, Option<u32>) {
     }
 }
 
-/// `POST /v1/upscale`: decode → submit (bounded wait) → encode in the
-/// same wire format.
-fn upscale(
-    shared: &Shared,
+/// `POST /v1/upscale` and `POST /v1/models/{name}/upscale`: decode →
+/// submit (bounded wait) → encode in the same wire format. `submit` is
+/// the one step the two server modes do differently — hand the request
+/// to the runtime, or route it by model name (`model`, which also tags
+/// the trace) — and its error side is the refusal already rendered for
+/// the wire.
+fn upscale<E: std::fmt::Display>(
     reader: &mut RequestReader<TcpStream>,
     head: &RequestHead,
     arrived: Instant,
     draft: &mut TraceDraft,
-    runtime: &Runtime,
+    model: Option<&str>,
+    submit: impl FnOnce(SrRequest) -> Result<Result<SrResponse, E>, Response>,
 ) -> Result<Response, RequestError> {
     if !head.has_length {
         return Err(RequestError::LengthRequired);
     }
+    draft.model = model.map(str::to_string);
     send_continue(reader, head)?;
     let body = reader.read_body(head.content_length)?;
     draft.mark(Stage::Parse);
@@ -874,13 +867,11 @@ fn upscale(
     draft.mark(Stage::Decode);
     let (image, format) = decoded?;
     let request = build_request(image, head, arrived).request_id(draft.id.clone());
-    let outcome = runtime.submit_wait_timeout(request, shared.config.request_timeout);
-    let served = match outcome {
-        Err(err) => {
+    let served = match submit(request) {
+        Err(refusal) => {
             // The failed admission wait is the submit span.
             draft.mark(Stage::Submit);
-            let (status, retry) = submit_status(&err);
-            return Ok(Response::text(status, format!("{err}\n")).retry_after(retry));
+            return Ok(refusal);
         }
         Ok(Err(infer_err)) => {
             // Error resolutions carry no stamps; the round trip is the
@@ -894,14 +885,7 @@ fn upscale(
     let encoded = encode_image(&served.images()[0], format);
     draft.mark(Stage::Encode);
     match encoded {
-        Ok(bytes) => Ok(Response {
-            status: 200,
-            content_type: format.content_type(),
-            body: bytes,
-            allow: None,
-            retry_after: None,
-            close: false,
-        }),
+        Ok(bytes) => Ok(Response::new(200, format.content_type(), bytes)),
         Err(err) => Ok(Response::text(500, format!("encoding the result failed: {err}\n"))),
     }
 }
@@ -910,7 +894,7 @@ fn upscale(
 /// submit, queue-wait, batch-wait, and infer stages. (Encode then starts
 /// at infer-done, so ticket wake-up and unpacking are attributed to
 /// encode, not left unaccounted.)
-fn mark_runtime_stages(draft: &mut TraceDraft, served: &scales_serve::SrResponse) {
+fn mark_runtime_stages(draft: &mut TraceDraft, served: &SrResponse) {
     if let Some(stamps) = served.stamps() {
         draft.mark_at(Stage::Submit, stamps.enqueued);
         draft.mark_at(Stage::QueueWait, stamps.dequeued);
@@ -919,68 +903,11 @@ fn mark_runtime_stages(draft: &mut TraceDraft, served: &scales_serve::SrResponse
     }
 }
 
-/// `POST /v1/models/{name}/upscale`: the fleet version of [`upscale`] —
-/// same wire contract, routed by model name.
-fn fleet_upscale(
-    shared: &Shared,
-    reader: &mut RequestReader<TcpStream>,
-    head: &RequestHead,
-    arrived: Instant,
-    draft: &mut TraceDraft,
-    router: &ModelRouter,
-    name: &str,
-) -> Result<Response, RequestError> {
-    if !head.has_length {
-        return Err(RequestError::LengthRequired);
-    }
-    draft.model = Some(name.to_string());
-    send_continue(reader, head)?;
-    let body = reader.read_body(head.content_length)?;
-    draft.mark(Stage::Parse);
-    let decoded = decode_image(&body);
-    draft.mark(Stage::Decode);
-    let (image, format) = decoded?;
-    let request = build_request(image, head, arrived).request_id(draft.id.clone());
-    let outcome = router.submit_wait_timeout(name, request, shared.config.request_timeout);
-    let served = match outcome {
-        Err(err) => {
-            draft.mark(Stage::Submit);
-            return Ok(router_error_response(&err));
-        }
-        Ok(Err(infer_err)) => {
-            draft.mark(Stage::Infer);
-            return Ok(Response::text(500, format!("inference failed: {infer_err}\n")));
-        }
-        Ok(Ok(response)) => response,
-    };
-    mark_runtime_stages(draft, &served);
-    let encoded = encode_image(&served.images()[0], format);
-    draft.mark(Stage::Encode);
-    match encoded {
-        Ok(bytes) => Ok(Response {
-            status: 200,
-            content_type: format.content_type(),
-            body: bytes,
-            allow: None,
-            retry_after: None,
-            close: false,
-        }),
-        Err(err) => Ok(Response::text(500, format!("encoding the result failed: {err}\n"))),
-    }
-}
-
 /// `POST /v1/models/{name}/reload`: zero-downtime hot-swap from the
 /// model's artifact path.
 fn reload_model(router: &ModelRouter, name: &str) -> Response {
     match router.reload(name) {
-        Ok(stats) => Response {
-            status: 200,
-            content_type: "application/json",
-            body: render_model_json(&stats).into_bytes(),
-            allow: None,
-            retry_after: None,
-            close: false,
-        },
+        Ok(stats) => Response::new(200, "application/json", render_model_json(&stats).into_bytes()),
         Err(err) => router_error_response(&err),
     }
 }
@@ -1112,15 +1039,12 @@ struct Response {
 }
 
 impl Response {
+    fn new(status: u16, content_type: &'static str, body: Vec<u8>) -> Self {
+        Self { status, content_type, body, allow: None, retry_after: None, close: false }
+    }
+
     fn text(status: u16, body: impl Into<String>) -> Self {
-        Self {
-            status,
-            content_type: "text/plain; charset=utf-8",
-            body: body.into().into_bytes(),
-            allow: None,
-            retry_after: None,
-            close: false,
-        }
+        Self::new(status, "text/plain; charset=utf-8", body.into().into_bytes())
     }
 
     fn allow(mut self, methods: &'static str) -> Self {

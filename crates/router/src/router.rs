@@ -208,99 +208,12 @@ impl RouterStats {
     /// fleet is empty.
     #[must_use]
     pub fn merged_runtime(&self) -> RuntimeStats {
-        let mut acc: Option<RuntimeStats> = None;
-        for model in &self.models {
-            if let Some(stats) = &model.runtime {
-                acc = Some(fold_runtime(acc, stats));
-            }
+        let mut merged = RuntimeStats::default();
+        for stats in self.models.iter().filter_map(|m| m.runtime.as_ref()) {
+            merged.merge(stats);
         }
-        acc.unwrap_or_else(|| RuntimeStats {
-            workers: 0,
-            backend: scales_tensor::backend::Backend::Scalar,
-            simd: scales_tensor::SimdLevel::None,
-            max_batch: 0,
-            submitted: 0,
-            rejected: 0,
-            shed: 0,
-            quota_rejected: 0,
-            expired: 0,
-            deadline_misses: 0,
-            completed: 0,
-            failed: 0,
-            images: 0,
-            dispatches: 0,
-            coalesced: 0,
-            queue_depth: 0,
-            queue_high_water: 0,
-            workspace_bytes: 0,
-            batch_fill: 0.0,
-            busy: Duration::ZERO,
-            elapsed: Duration::ZERO,
-            latency: scales_runtime::LatencyHistogram::default(),
-            queue_wait: scales_runtime::LatencyHistogram::default(),
-            batch_wait: scales_runtime::LatencyHistogram::default(),
-            infer: scales_runtime::LatencyHistogram::default(),
-            late_discarded: 0,
-            op_profile: scales_telemetry::OpProfile::default(),
-            tenants: Vec::new(),
-        })
+        merged
     }
-}
-
-/// Fold `s` into `acc`: counters and latency add, high-water marks take
-/// the max, `workspace_bytes` takes the latest (`s` wins — callers fold
-/// retired versions first, then the live one).
-#[allow(clippy::cast_precision_loss)]
-fn fold_runtime(acc: Option<RuntimeStats>, s: &RuntimeStats) -> RuntimeStats {
-    let Some(mut a) = acc else { return s.clone() };
-    a.workers = a.workers.max(s.workers);
-    a.max_batch = a.max_batch.max(s.max_batch);
-    a.submitted += s.submitted;
-    a.rejected += s.rejected;
-    a.shed += s.shed;
-    a.quota_rejected += s.quota_rejected;
-    a.expired += s.expired;
-    a.deadline_misses += s.deadline_misses;
-    a.completed += s.completed;
-    a.failed += s.failed;
-    a.images += s.images;
-    a.dispatches += s.dispatches;
-    a.coalesced += s.coalesced;
-    a.queue_depth += s.queue_depth;
-    a.queue_high_water = a.queue_high_water.max(s.queue_high_water);
-    a.workspace_bytes = s.workspace_bytes;
-    for t in &s.tenants {
-        match a.tenants.iter_mut().find(|have| have.tenant == t.tenant) {
-            Some(have) => {
-                have.weight = t.weight; // latest fold wins, like workspace_bytes
-                have.queued += t.queued;
-                have.submitted += t.submitted;
-                have.completed += t.completed;
-                have.failed += t.failed;
-                have.rejected += t.rejected;
-                have.shed += t.shed;
-                have.quota_rejected += t.quota_rejected;
-                have.expired += t.expired;
-                have.deadline_misses += t.deadline_misses;
-            }
-            None => a.tenants.push(t.clone()),
-        }
-    }
-    a.tenants.sort_by(|x, y| x.tenant.cmp(&y.tenant));
-    a.batch_fill = if a.dispatches == 0 || a.max_batch == 0 {
-        0.0
-    } else {
-        a.images as f64 / (a.dispatches as f64 * a.max_batch as f64)
-    };
-    a.busy += s.busy;
-    a.elapsed += s.elapsed;
-    a.latency.merge(&s.latency);
-    a.queue_wait.merge(&s.queue_wait);
-    a.batch_wait.merge(&s.batch_wait);
-    a.infer.merge(&s.infer);
-    a.late_discarded += s.late_discarded;
-    a.op_profile.merge(&s.op_profile);
-    a
 }
 
 /// What a successful artifact load produced, before it is installed.
@@ -496,7 +409,7 @@ impl ModelRouter {
         if let Some(old) = old {
             let final_stats = drain(old);
             let mut st = lock(&entry.state);
-            st.retired = Some(fold_runtime(st.retired.take(), &final_stats));
+            st.retired.get_or_insert_default().merge(&final_stats);
         }
         self.enforce_budget(Some(name));
         Ok(self.snapshot(&entry))
@@ -544,12 +457,17 @@ impl ModelRouter {
     /// in fleet mode (plus its own connection counters). Empty fleet →
     /// empty string.
     #[must_use]
-    #[allow(clippy::too_many_lines)]
     pub fn render_prometheus(&self) -> String {
+        Self::render_fleet(&self.list())
+    }
+
+    /// [`ModelRouter::render_prometheus`] as a function of the per-model
+    /// reports alone, so the format can be pinned on hand-built records.
+    #[allow(clippy::too_many_lines)]
+    fn render_fleet(models: &[ModelStats]) -> String {
         use std::fmt::Write as _;
         /// Metric name, help text, and per-model value extractor.
         type MetricColumn = (&'static str, &'static str, fn(&ModelStats) -> u64);
-        let models = self.list();
         if models.is_empty() {
             return String::new();
         }
@@ -608,7 +526,7 @@ impl ModelRouter {
         ];
         for (metric, help, value) in counters {
             let _ = writeln!(out, "# HELP {metric} {help}\n# TYPE {metric} counter");
-            for m in &models {
+            for m in models {
                 let _ = writeln!(out, "{metric}{{model=\"{}\"}} {}", m.name, value(m));
             }
         }
@@ -632,7 +550,7 @@ impl ModelRouter {
         ];
         for (metric, help, value) in gauges {
             let _ = writeln!(out, "# HELP {metric} {help}\n# TYPE {metric} gauge");
-            for m in &models {
+            for m in models {
                 let _ = writeln!(out, "{metric}{{model=\"{}\"}} {}", m.name, value(m));
             }
         }
@@ -641,7 +559,7 @@ impl ModelRouter {
             "# HELP scales_model_info Model identity (constant 1; labels carry the info).\n\
              # TYPE scales_model_info gauge"
         );
-        for m in &models {
+        for m in models {
             let _ = writeln!(
                 out,
                 "scales_model_info{{model=\"{}\",arch=\"{}\",scale=\"{}\",fingerprint=\"{:016x}\",state=\"{}\"}} 1",
@@ -654,32 +572,11 @@ impl ModelRouter {
             "# HELP {name} End-to-end request latency per model (enqueue to ticket resolution).\n\
              # TYPE {name} histogram"
         );
-        for m in &models {
-            let Some(stats) = &m.runtime else { continue };
-            let mut cumulative = 0u64;
-            for (i, &count) in stats.latency.bucket_counts().iter().enumerate() {
-                cumulative += count;
-                let _ = writeln!(
-                    out,
-                    "{name}_bucket{{model=\"{}\",le=\"{}\"}} {cumulative}",
-                    m.name,
-                    scales_runtime::LatencyHistogram::bucket_bound(i).as_secs_f64()
-                );
+        for m in models {
+            if let Some(stats) = &m.runtime {
+                let labels = format!("model=\"{}\",", m.name);
+                stats.latency.render_prometheus_into(&mut out, name, &labels);
             }
-            let _ = writeln!(
-                out,
-                "{name}_bucket{{model=\"{}\",le=\"+Inf\"}} {}",
-                m.name,
-                stats.latency.count()
-            );
-            let _ = writeln!(
-                out,
-                "{name}_sum{{model=\"{}\"}} {}",
-                m.name,
-                stats.latency.sum().as_secs_f64()
-            );
-            let _ =
-                writeln!(out, "{name}_count{{model=\"{}\"}} {}", m.name, stats.latency.count());
         }
         out
     }
@@ -698,7 +595,7 @@ impl ModelRouter {
             if let Some(old) = old {
                 let final_stats = drain(old);
                 let mut st = lock(&entry.state);
-                st.retired = Some(fold_runtime(st.retired.take(), &final_stats));
+                st.retired.get_or_insert_default().merge(&final_stats);
             }
         }
         self.stats()
@@ -839,7 +736,7 @@ impl ModelRouter {
         };
         let mut runtime = st.retired.clone();
         if let Some(live) = &live {
-            runtime = Some(fold_runtime(runtime, live));
+            runtime.get_or_insert_default().merge(live);
         }
         ModelStats {
             name: entry.name.clone(),
@@ -891,7 +788,7 @@ impl ModelRouter {
             let final_stats = drain(old);
             let mut st = lock(&victim.state);
             st.evictions += 1;
-            st.retired = Some(fold_runtime(st.retired.take(), &final_stats));
+            st.retired.get_or_insert_default().merge(&final_stats);
         }
     }
 }
@@ -937,17 +834,18 @@ fn drain(mut version: Arc<ModelVersion>) -> RuntimeStats {
 /// Names embed in URLs, Prometheus labels and JSON unescaped, so the
 /// alphabet is locked down at registration.
 fn validate_name(name: &str) -> Result<(), RouterError> {
-    let fail = |reason| RouterError::InvalidName { name: name.into(), reason };
-    if name.is_empty() {
-        return Err(fail("must not be empty"));
+    if scales_telemetry::is_wire_safe_name(name) {
+        return Ok(());
     }
-    if name.len() > 64 {
-        return Err(fail("must be at most 64 characters"));
-    }
-    if !name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-') {
-        return Err(fail("allowed characters are A-Z a-z 0-9 . _ -"));
-    }
-    Ok(())
+    // Only the explanation branches here; validity was decided above.
+    let reason = if name.is_empty() {
+        "must not be empty"
+    } else if name.len() > 64 {
+        "must be at most 64 characters"
+    } else {
+        "allowed characters are A-Z a-z 0-9 . _ -"
+    };
+    Err(RouterError::InvalidName { name: name.into(), reason })
 }
 
 #[cfg(test)]
@@ -990,72 +888,69 @@ mod tests {
         assert_eq!(stats.latency.count(), 0);
     }
 
+    /// The whole per-model latency block, byte for byte (the other
+    /// families are substring-checked over the wire in `tests/http.rs`).
     #[test]
-    fn folding_runtime_stats_accumulates_counters() {
-        let zero = RouterStats { models: Vec::new() }.merged_runtime();
-        let mut a = zero.clone();
-        a.workers = 2;
-        a.max_batch = 8;
-        a.submitted = 10;
-        a.completed = 9;
-        a.images = 18;
-        a.dispatches = 3;
-        a.queue_high_water = 5;
-        a.workspace_bytes = 100;
-        let mut b = zero;
-        b.workers = 1;
-        b.max_batch = 8;
-        b.submitted = 5;
-        b.completed = 5;
-        b.images = 6;
-        b.dispatches = 3;
-        b.queue_high_water = 2;
-        b.workspace_bytes = 700;
-        let folded = fold_runtime(Some(a), &b);
-        assert_eq!(folded.workers, 2, "workers take the max");
-        assert_eq!(folded.submitted, 15);
-        assert_eq!(folded.completed, 14);
-        assert_eq!(folded.images, 24);
-        assert_eq!(folded.queue_high_water, 5);
-        assert_eq!(folded.workspace_bytes, 700, "latest fold wins the gauge");
-        let expected_fill = 24.0 / (6.0 * 8.0);
-        assert!((folded.batch_fill - expected_fill).abs() < 1e-12);
-    }
-
-    #[test]
-    fn folding_merges_tenant_lanes_by_name() {
-        let tenant = |name: &str, submitted: u64, shed: u64| scales_runtime::TenantStats {
-            tenant: name.into(),
-            weight: 2,
-            queued: 1,
-            submitted,
-            completed: submitted,
-            failed: 0,
-            rejected: 0,
-            shed,
-            quota_rejected: 0,
-            expired: 0,
-            deadline_misses: 0,
+    fn latency_histogram_block_is_pinned() {
+        let mut runtime = RuntimeStats::default();
+        for us in [3, 700, 700, 40_000] {
+            runtime.latency.record(Duration::from_micros(us));
+        }
+        let model = ModelStats {
+            name: "edsr-x2".into(),
+            arch: "EDSR".into(),
+            scale: 2,
+            version: 1,
+            fingerprint: 0xabc,
+            state: ModelState::Serving,
+            weight_bytes: 10,
+            resident_bytes: 20,
+            evictions: 0,
+            swaps: 0,
+            reloadable: false,
+            runtime: Some(runtime),
         };
-        let zero = RouterStats { models: Vec::new() }.merged_runtime();
-        let mut a = zero.clone();
-        a.shed = 3;
-        a.expired = 1;
-        a.tenants = vec![tenant("acme", 5, 3)];
-        let mut b = zero;
-        b.shed = 1;
-        b.deadline_misses = 2;
-        b.tenants = vec![tenant("zeta", 2, 0), tenant("acme", 4, 1)];
-        let folded = fold_runtime(Some(a), &b);
-        assert_eq!(folded.shed, 4);
-        assert_eq!(folded.expired, 1);
-        assert_eq!(folded.deadline_misses, 2);
-        assert_eq!(folded.tenants.len(), 2, "lanes merge by tenant name");
-        assert_eq!(folded.tenants[0].tenant, "acme");
-        assert_eq!(folded.tenants[0].submitted, 9);
-        assert_eq!(folded.tenants[0].shed, 4);
-        assert_eq!(folded.tenants[0].queued, 2);
-        assert_eq!(folded.tenants[1].tenant, "zeta");
-        assert_eq!(folded.tenants[1].submitted, 2);
+        let text = ModelRouter::render_fleet(&[model]);
+        let block = &text[text.find("# HELP scales_model_request_latency_seconds").unwrap()..];
+        let expected = "\
+            # HELP scales_model_request_latency_seconds End-to-end request latency per model (enqueue to ticket resolution).\n\
+            # TYPE scales_model_request_latency_seconds histogram\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.000001\"} 0\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.000002\"} 0\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.000004\"} 1\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.000008\"} 1\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.000016\"} 1\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.000032\"} 1\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.000064\"} 1\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.000128\"} 1\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.000256\"} 1\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.000512\"} 1\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.001024\"} 3\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.002048\"} 3\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.004096\"} 3\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.008192\"} 3\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.016384\"} 3\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.032768\"} 3\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.065536\"} 4\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.131072\"} 4\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.262144\"} 4\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"0.524288\"} 4\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"1.048576\"} 4\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"2.097152\"} 4\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"4.194304\"} 4\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"8.388608\"} 4\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"16.777216\"} 4\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"33.554432\"} 4\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"67.108864\"} 4\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"134.217728\"} 4\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"268.435456\"} 4\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"536.870912\"} 4\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"1073.741824\"} 4\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"2147.483648\"} 4\n\
+            scales_model_request_latency_seconds_bucket{model=\"edsr-x2\",le=\"+Inf\"} 4\n\
+            scales_model_request_latency_seconds_sum{model=\"edsr-x2\"} 0.041403\n\
+            scales_model_request_latency_seconds_count{model=\"edsr-x2\"} 4\n\
+        ";
+        assert_eq!(block, expected);
     }
 }

@@ -141,17 +141,6 @@ fn profile_ops_from_env() -> bool {
     std::env::var("SCALES_PROFILE_OPS").is_ok_and(|v| !v.is_empty() && v != "0")
 }
 
-/// Shared tenant-name rule (also the router's model-name rule): 1–64
-/// characters of `[A-Za-z0-9._-]`. Keeps names safe to embed in HTTP
-/// headers and Prometheus label values without escaping.
-pub(crate) fn valid_tenant_name(name: &str) -> bool {
-    !name.is_empty()
-        && name.len() <= 64
-        && name
-            .bytes()
-            .all(|b| b.is_ascii_alphanumeric() || b == b'.' || b == b'_' || b == b'-')
-}
-
 impl RuntimeConfig {
     /// Check the sizing and admission policy are servable.
     ///
@@ -213,7 +202,7 @@ impl RuntimeConfig {
             )));
         }
         for (i, (name, weight)) in self.tenant_weights.iter().enumerate() {
-            if !valid_tenant_name(name) {
+            if !scales_telemetry::is_wire_safe_name(name) {
                 return Err(TensorError::InvalidArgument(format!(
                     "tenant weight name {name:?} is invalid: 1-64 characters of [A-Za-z0-9._-]"
                 )));

@@ -275,7 +275,7 @@ pub struct TenantStats {
 /// Aggregated snapshot of a runtime's serving counters, returned by
 /// [`Runtime::stats`](crate::Runtime::stats) (live) and
 /// [`Runtime::shutdown`](crate::Runtime::shutdown) (final).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RuntimeStats {
     /// Worker threads in the pool.
     pub workers: usize,
@@ -359,6 +359,65 @@ pub struct RuntimeStats {
 }
 
 impl RuntimeStats {
+    /// Fold `other` into `self`: counters, durations and histograms add,
+    /// sizing and high-water marks take the max, tenant lanes merge by
+    /// name, and the readings that describe *now* (`backend`, `simd`,
+    /// `workspace_bytes`, a lane's `weight`) take `other`'s — so fold
+    /// older records first and the live one last. Folding into
+    /// [`RuntimeStats::default`] reproduces `other`.
+    #[allow(clippy::cast_precision_loss)]
+    pub fn merge(&mut self, other: &Self) {
+        self.workers = self.workers.max(other.workers);
+        self.backend = other.backend;
+        self.simd = other.simd;
+        self.max_batch = self.max_batch.max(other.max_batch);
+        self.submitted += other.submitted;
+        self.rejected += other.rejected;
+        self.shed += other.shed;
+        self.quota_rejected += other.quota_rejected;
+        self.expired += other.expired;
+        self.deadline_misses += other.deadline_misses;
+        self.completed += other.completed;
+        self.failed += other.failed;
+        self.images += other.images;
+        self.dispatches += other.dispatches;
+        self.coalesced += other.coalesced;
+        self.queue_depth += other.queue_depth;
+        self.queue_high_water = self.queue_high_water.max(other.queue_high_water);
+        self.workspace_bytes = other.workspace_bytes;
+        for t in &other.tenants {
+            match self.tenants.iter_mut().find(|have| have.tenant == t.tenant) {
+                Some(have) => {
+                    have.weight = t.weight;
+                    have.queued += t.queued;
+                    have.submitted += t.submitted;
+                    have.completed += t.completed;
+                    have.failed += t.failed;
+                    have.rejected += t.rejected;
+                    have.shed += t.shed;
+                    have.quota_rejected += t.quota_rejected;
+                    have.expired += t.expired;
+                    have.deadline_misses += t.deadline_misses;
+                }
+                None => self.tenants.push(t.clone()),
+            }
+        }
+        self.tenants.sort_by(|x, y| x.tenant.cmp(&y.tenant));
+        self.batch_fill = if self.dispatches == 0 || self.max_batch == 0 {
+            0.0
+        } else {
+            self.images as f64 / (self.dispatches as f64 * self.max_batch as f64)
+        };
+        self.busy += other.busy;
+        self.elapsed += other.elapsed;
+        self.latency.merge(&other.latency);
+        self.queue_wait.merge(&other.queue_wait);
+        self.batch_wait.merge(&other.batch_wait);
+        self.infer.merge(&other.infer);
+        self.late_discarded += other.late_discarded;
+        self.op_profile.merge(&other.op_profile);
+    }
+
     /// Completed requests per second of runtime lifetime.
     #[must_use]
     pub fn requests_per_sec(&self) -> f64 {
@@ -744,6 +803,82 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert_eq!(a.max(), Duration::from_micros(500));
         assert!(a.mean() > Duration::from_micros(300));
+    }
+
+    #[test]
+    fn folding_runtime_stats_accumulates_counters() {
+        let mut folded = RuntimeStats {
+            workers: 2,
+            max_batch: 8,
+            submitted: 10,
+            completed: 9,
+            images: 18,
+            dispatches: 3,
+            queue_high_water: 5,
+            workspace_bytes: 100,
+            ..RuntimeStats::default()
+        };
+        folded.merge(&RuntimeStats {
+            workers: 1,
+            backend: Backend::Simd,
+            simd: SimdLevel::Avx2,
+            max_batch: 8,
+            submitted: 5,
+            completed: 5,
+            images: 6,
+            dispatches: 3,
+            queue_high_water: 2,
+            workspace_bytes: 700,
+            ..RuntimeStats::default()
+        });
+        assert_eq!(folded.workers, 2, "workers take the max");
+        assert_eq!(folded.submitted, 15);
+        assert_eq!(folded.completed, 14);
+        assert_eq!(folded.images, 24);
+        assert_eq!(folded.queue_high_water, 5);
+        assert_eq!(folded.workspace_bytes, 700, "latest fold wins the gauge");
+        assert_eq!((folded.backend, folded.simd), (Backend::Simd, SimdLevel::Avx2));
+        let expected_fill = 24.0 / (6.0 * 8.0);
+        assert!((folded.batch_fill - expected_fill).abs() < 1e-12);
+    }
+
+    #[test]
+    fn folding_merges_tenant_lanes_by_name() {
+        let tenant = |name: &str, submitted: u64, shed: u64| TenantStats {
+            tenant: name.into(),
+            weight: 2,
+            queued: 1,
+            submitted,
+            completed: submitted,
+            failed: 0,
+            rejected: 0,
+            shed,
+            quota_rejected: 0,
+            expired: 0,
+            deadline_misses: 0,
+        };
+        let mut folded = RuntimeStats {
+            shed: 3,
+            expired: 1,
+            tenants: vec![tenant("acme", 5, 3)],
+            ..RuntimeStats::default()
+        };
+        folded.merge(&RuntimeStats {
+            shed: 1,
+            deadline_misses: 2,
+            tenants: vec![tenant("zeta", 2, 0), tenant("acme", 4, 1)],
+            ..RuntimeStats::default()
+        });
+        assert_eq!(folded.shed, 4);
+        assert_eq!(folded.expired, 1);
+        assert_eq!(folded.deadline_misses, 2);
+        assert_eq!(folded.tenants.len(), 2, "lanes merge by tenant name");
+        assert_eq!(folded.tenants[0].tenant, "acme");
+        assert_eq!(folded.tenants[0].submitted, 9);
+        assert_eq!(folded.tenants[0].shed, 4);
+        assert_eq!(folded.tenants[0].queued, 2);
+        assert_eq!(folded.tenants[1].tenant, "zeta");
+        assert_eq!(folded.tenants[1].submitted, 2);
     }
 
     #[test]

@@ -488,18 +488,7 @@ impl Runtime {
     /// and [`SubmitError::InvalidRequest`] for a request that could never
     /// be served.
     pub fn submit(&self, request: SrRequest) -> std::result::Result<Ticket, SubmitError> {
-        let parts = validate(request)?;
-        let mut st = lock(&self.inner.state);
-        self.admit(&mut st, &parts)?;
-        let capacity = self.inner.config.queue_capacity;
-        if st.total_queued >= capacity {
-            sweep_expired(&self.inner, &mut st, Instant::now());
-            if st.total_queued >= capacity {
-                charge(&mut st, parts.tenant.as_deref(), |l| &mut l.rejected, |r| &mut r.rejected);
-                return Err(SubmitError::QueueFull { capacity });
-            }
-        }
-        Ok(self.enqueue(&mut st, parts))
+        self.admit_and_enqueue(request, Block::Never)
     }
 
     /// Enqueue a request, blocking while the queue is full.
@@ -512,18 +501,7 @@ impl Runtime {
     /// quota, a passed deadline, or shutdown refuse immediately rather
     /// than waiting out the overload.
     pub fn submit_wait(&self, request: SrRequest) -> std::result::Result<Ticket, SubmitError> {
-        let parts = validate(request)?;
-        let mut st = lock(&self.inner.state);
-        loop {
-            self.admit(&mut st, &parts)?;
-            if st.total_queued >= self.inner.config.queue_capacity {
-                sweep_expired(&self.inner, &mut st, Instant::now());
-            }
-            if st.total_queued < self.inner.config.queue_capacity {
-                return Ok(self.enqueue(&mut st, parts));
-            }
-            st = wait(&self.inner.space, st);
-        }
+        self.admit_and_enqueue(request, Block::UntilSpace)
     }
 
     /// Submit and wait for the response, bounding the **whole** round
@@ -552,31 +530,7 @@ impl Runtime {
         timeout: std::time::Duration,
     ) -> std::result::Result<Result<SrResponse>, SubmitError> {
         let deadline = Instant::now() + timeout;
-        let parts = validate(request)?;
-        let ticket = {
-            let mut st = lock(&self.inner.state);
-            loop {
-                self.admit(&mut st, &parts)?;
-                if st.total_queued >= self.inner.config.queue_capacity {
-                    sweep_expired(&self.inner, &mut st, Instant::now());
-                }
-                if st.total_queued < self.inner.config.queue_capacity {
-                    break self.enqueue(&mut st, parts);
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    charge(
-                        &mut st,
-                        parts.tenant.as_deref(),
-                        |l| &mut l.rejected,
-                        |r| &mut r.rejected,
-                    );
-                    return Err(SubmitError::Timeout { timeout });
-                }
-                let (guard, _timed_out) = wait_timeout(&self.inner.space, st, deadline - now);
-                st = guard;
-            }
-        };
+        let ticket = self.admit_and_enqueue(request, Block::Until { deadline, timeout })?;
         let remaining = deadline.saturating_duration_since(Instant::now());
         match ticket.wait_timeout(remaining) {
             Ok(Ok(response)) => Ok(Ok(response)),
@@ -589,6 +543,48 @@ impl Runtime {
                 still_pending.cell.abandon();
                 Err(SubmitError::Timeout { timeout })
             }
+        }
+    }
+
+    /// The one admission loop behind every submit path: validate, then
+    /// under the queue lock run the fail-fast checks ([`Runtime::admit`]),
+    /// retract expired entries if the queue looks full, and enqueue once
+    /// there is space. A queue that stays full is where the paths differ
+    /// — `block` says how long to wait for a worker to free a slot; a
+    /// refusal for space is charged to the tenant as `rejected`.
+    fn admit_and_enqueue(
+        &self,
+        request: SrRequest,
+        block: Block,
+    ) -> std::result::Result<Ticket, SubmitError> {
+        let parts = validate(request)?;
+        let capacity = self.inner.config.queue_capacity;
+        let mut st = lock(&self.inner.state);
+        loop {
+            self.admit(&mut st, &parts)?;
+            if st.total_queued >= capacity {
+                sweep_expired(&self.inner, &mut st, Instant::now());
+            }
+            if st.total_queued < capacity {
+                return Ok(self.enqueue(&mut st, parts));
+            }
+            let refusal = match block {
+                Block::Never => SubmitError::QueueFull { capacity },
+                Block::UntilSpace => {
+                    st = wait(&self.inner.space, st);
+                    continue;
+                }
+                Block::Until { deadline, timeout } => {
+                    let now = Instant::now();
+                    if now < deadline {
+                        st = wait_timeout(&self.inner.space, st, deadline - now).0;
+                        continue;
+                    }
+                    SubmitError::Timeout { timeout }
+                }
+            };
+            charge(&mut st, parts.tenant.as_deref(), |l| &mut l.rejected, |r| &mut r.rejected);
+            return Err(refusal);
         }
     }
 
@@ -767,6 +763,18 @@ fn fail_queued(st: &mut QueueState, message: &str) {
     }
 }
 
+/// How long a submit path may block on a full queue.
+#[derive(Clone, Copy)]
+enum Block {
+    /// Not at all: a full queue is [`SubmitError::QueueFull`].
+    Never,
+    /// Until a worker frees a slot.
+    UntilSpace,
+    /// Until `deadline`, then [`SubmitError::Timeout`] carrying the
+    /// caller's `timeout`.
+    Until { deadline: Instant, timeout: std::time::Duration },
+}
+
 /// What survives request validation: the payload plus the admission
 /// metadata (tenant tag, absolute deadline).
 struct Admitted {
@@ -783,7 +791,7 @@ struct Admitted {
 fn validate(request: SrRequest) -> std::result::Result<Admitted, SubmitError> {
     let tenant = request.tenant_tag().map(str::to_owned);
     if let Some(name) = &tenant {
-        if !crate::config::valid_tenant_name(name) {
+        if !scales_telemetry::is_wire_safe_name(name) {
             return Err(SubmitError::InvalidRequest(format!(
                 "tenant name {name:?} is invalid: 1-64 characters of [A-Za-z0-9._-]"
             )));

@@ -80,7 +80,7 @@ impl<'m> EngineBuilder<'m> {
     }
 
     /// Serve a borrowed model; the engine lives at most as long as the
-    /// borrow. This is what the legacy free-function wrappers use.
+    /// borrow.
     #[must_use]
     pub fn model_ref<M: InferModel + ?Sized>(mut self, model: &'m M) -> Self {
         self.model = Some(Box::new(ByRef(model)));

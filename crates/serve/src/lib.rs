@@ -24,11 +24,6 @@
 //!    [`scales_tensor::backend::with_thread_backend`] — no process-global
 //!    backend state is read or written on this path.
 //!
-//! Outputs are bit-identical to the legacy free functions in
-//! `scales_train::infer` (now deprecated wrappers over this engine); the
-//! parity is enforced by `tests/deploy.rs` across the whole method
-//! registry.
-//!
 //! ```
 //! use scales_serve::{Engine, Precision, SrRequest, TilePolicy};
 //! use scales_models::{srresnet, SrConfig};

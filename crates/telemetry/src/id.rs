@@ -8,6 +8,17 @@ use std::sync::Arc;
 /// a generated id is never the all-zero string.
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
+/// The one wire-safe name rule of the serving stack: 1–64 bytes of
+/// `[A-Za-z0-9._-]`. Tenant names, model names and request ids all obey
+/// it, so any of them embeds in a URL, an HTTP header, a Prometheus label
+/// value or a JSON string without escaping. Each caller wraps a `false`
+/// in its own typed error.
+#[must_use]
+pub fn is_wire_safe_name(name: &str) -> bool {
+    (1..=64).contains(&name.len())
+        && name.bytes().all(|b| b.is_ascii_alphanumeric() || b"._-".contains(&b))
+}
+
 /// A request's trace id.
 ///
 /// The id is either client-supplied (the `X-Scales-Request-Id` header,
@@ -22,28 +33,28 @@ pub struct RequestId(Arc<str>);
 impl RequestId {
     /// Accept a client-supplied id.
     ///
-    /// The rule matches the tenant/model-name rule used everywhere else
-    /// in the stack — 1–64 characters of `[A-Za-z0-9._-]` — so an id is
-    /// always safe to echo in a response header, embed in a Prometheus
-    /// exemplar, or print in a log line without escaping.
+    /// The rule is [`is_wire_safe_name`], the tenant/model-name rule used
+    /// everywhere else in the stack, so an id is always safe to echo in a
+    /// response header, embed in a Prometheus exemplar, or print in a log
+    /// line without escaping.
     ///
     /// # Errors
     ///
     /// [`TelemetryError::InvalidRequestId`] when empty, longer than 64
     /// bytes, or containing any other character.
     pub fn parse(id: &str) -> Result<Self, TelemetryError> {
-        if id.is_empty() {
-            return Err(TelemetryError::InvalidRequestId { what: "empty" });
+        if is_wire_safe_name(id) {
+            return Ok(Self(Arc::from(id)));
         }
-        if id.len() > 64 {
-            return Err(TelemetryError::InvalidRequestId { what: "longer than 64 bytes" });
-        }
-        if !id.bytes().all(|b| b.is_ascii_alphanumeric() || b"._-".contains(&b)) {
-            return Err(TelemetryError::InvalidRequestId {
-                what: "allowed characters are [A-Za-z0-9._-]",
-            });
-        }
-        Ok(Self(Arc::from(id)))
+        // Only the explanation branches here; validity was decided above.
+        let what = if id.is_empty() {
+            "empty"
+        } else if id.len() > 64 {
+            "longer than 64 bytes"
+        } else {
+            "allowed characters are [A-Za-z0-9._-]"
+        };
+        Err(TelemetryError::InvalidRequestId { what })
     }
 
     /// Mint a fresh id from the process-unique atomic counter, prefixed
@@ -107,6 +118,29 @@ impl std::error::Error for TelemetryError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_name_rule_is_one_table() {
+        let cases: [(&str, bool); 14] = [
+            ("", false),
+            ("a", true),
+            (&"x".repeat(64), true),
+            (&"x".repeat(65), false),
+            ("a.b", true),
+            ("a_b", true),
+            ("a-b", true),
+            ("._-", true),
+            ("AZaz09", true),
+            ("has space", false),
+            ("quote\"", false),
+            ("sla/sh", false),
+            ("new\nline", false),
+            ("ünïcode", false),
+        ];
+        for (name, ok) in cases {
+            assert_eq!(is_wire_safe_name(name), ok, "{name:?}");
+        }
+    }
 
     #[test]
     fn valid_ids_parse_verbatim() {

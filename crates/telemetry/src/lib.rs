@@ -46,7 +46,7 @@ mod profile;
 mod recorder;
 mod trace;
 
-pub use id::{RequestId, TelemetryError};
+pub use id::{is_wire_safe_name, RequestId, TelemetryError};
 pub use profile::{OpProfile, OpProfileEntry};
 pub use recorder::FlightRecorder;
 pub use trace::{render_traces_json, RequestTrace, RuntimeStamps, Stage, STAGES};

@@ -60,9 +60,12 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Which kernel implementation executes the routed hot loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Single-threaded portable reference loops.
+    /// Single-threaded portable reference loops. As the `Default` this
+    /// is the zero value of a stats record, not the backend a process
+    /// runs (that is [`active`]).
+    #[default]
     Scalar,
     /// Row-blocked loops dispatched over `std::thread::scope` workers.
     Parallel,

@@ -62,10 +62,11 @@ use std::sync::OnceLock;
 /// [`Kernel::simd_level`](crate::backend::Kernel::simd_level): the scalar
 /// and parallel kernels always report [`SimdLevel::None`] (they never
 /// dispatch SIMD), the simd kernel reports what the CPU offers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum SimdLevel {
     /// No usable vector extensions (non-x86-64, or a CPU without SSE4.2):
     /// scalar reference loops everywhere.
+    #[default]
     None,
     /// SSE4.2 + POPCNT: hardware-popcount binary convolution, portable
     /// float GEMM and float convolution.

@@ -9,24 +9,15 @@
 //!   standard Y-channel + shave protocol.
 //! * [`experiment`] — one-call table rows: build (architecture, method,
 //!   scale), train, evaluate on all four benchmarks, account cost.
-//! * [`infer`] — the legacy free-function serving surface, now thin
-//!   deprecated wrappers over the unified `scales-serve`
-//!   Engine/Session API (which also powers [`eval`] and [`experiment`]).
 //! * [`report`] — paper-style plain-text tables and the
 //!   `target/scales-report/` sink.
 
 pub mod eval;
 pub mod experiment;
-pub mod infer;
 pub mod report;
 pub mod trainer;
 
 pub use eval::{evaluate, evaluate_bicubic, evaluate_with, Score};
 pub use experiment::{lower_cached, lower_cached_in, run_row, Arch, Budget, RowResult};
-#[allow(deprecated)]
-pub use infer::{
-    super_resolve_batch, super_resolve_batch_deployed, super_resolve_tiled,
-    super_resolve_tiled_deployed, TileSpec,
-};
 pub use report::{format_score, render_table, report_dir, write_report};
 pub use trainer::{train, TrainConfig, TrainStats};

@@ -23,7 +23,7 @@
 //! | [`http`] | the network edge: [`http::HttpServer`], a std-only HTTP/1.1 front end over the runtime or a model fleet — hardened parser, `POST /v1/upscale` and `/v1/models/{name}/...` wire-image round trips with `X-Scales-Tenant` / `X-Scales-Deadline-Ms` SLO headers and typed 429/503/504 overload statuses, Prometheus `GET /metrics`, `GET /v1/debug/traces` / `GET /v1/debug/profile` observability endpoints, graceful drain |
 //! | [`telemetry`] | request-scoped observability: [`telemetry::RequestId`] trace context (`X-Scales-Request-Id`), eight-stage span attribution in [`telemetry::RequestTrace`], the [`telemetry::FlightRecorder`] ring of recent/slow traces, and [`telemetry::OpProfile`] per-op plan profiles |
 //! | `scales-faults` | injectable failure plane for chaos tests: named fault points armed with delay/panic/error actions, compiled into test builds only (the `faults` features) — a release build never links it |
-//! | [`train`] | trainer, evaluator, experiment harness (legacy free-function serving wrappers in [`train::infer`]) |
+//! | [`train`] | trainer, evaluator, experiment harness |
 //!
 //! ## Serving engine
 //!

@@ -4,10 +4,8 @@
 //! can be built with — across random inputs and seeds, and tiled serving
 //! must reproduce full-image serving.
 //!
-//! Also the serving-parity suite: `Session::infer` must be bit-identical
-//! to each legacy free function (which this file therefore calls on
-//! purpose despite their deprecation).
-#![allow(deprecated)]
+//! Also the serving-parity suite: batched and tiled `Session::infer`
+//! against per-image forwards, and the backends against each other.
 
 use proptest::prelude::*;
 use scales::core::{Method, ScalesComponents};
@@ -15,10 +13,6 @@ use scales::models::{hat, srresnet, swinir, SrConfig, SrNetwork};
 use scales::nn::init::rng;
 use scales::nn::Module as _;
 use scales::serve::{Engine, Precision, SrRequest, TilePolicy, TileSpec};
-use scales::train::{
-    super_resolve_batch, super_resolve_batch_deployed, super_resolve_tiled,
-    super_resolve_tiled_deployed,
-};
 
 /// Every registry row with a CNN body (bicubic has no network to lower).
 fn cnn_method_registry() -> Vec<Method> {
@@ -129,7 +123,7 @@ proptest! {
             channels: 8,
             blocks: 1,
             scale: 2,
-            // Local-only components: exact stitching (see scales::train::infer docs).
+            // Local-only components: exact stitching (see the scales::serve tile docs).
             method: Method::Scales(ScalesComponents::lsf_spatial()),
             seed: seed ^ 0x5A5A,
         })
@@ -138,7 +132,12 @@ proptest! {
         let img = probe_image(h, w, seed);
         let full = deployed.super_resolve(&img).unwrap();
         // Receptive radius: head 1 + body 2 + body-end 1 + tail 1 + bicubic 2 = 7.
-        let tiled = super_resolve_tiled_deployed(&deployed, &img, TileSpec::new(tile, 7).unwrap()).unwrap();
+        let engine = Engine::builder()
+            .model_ref(&deployed)
+            .tile_policy(TilePolicy::Fixed(TileSpec::new(tile, 7).unwrap()))
+            .build()
+            .unwrap();
+        let tiled = engine.session().super_resolve(&img).unwrap();
         let worst = full
             .tensor()
             .data()
@@ -162,8 +161,9 @@ fn batched_deployed_serving_matches_per_image() {
     .unwrap();
     let deployed = net.lower().unwrap();
     let images: Vec<_> = (0..3).map(|i| probe_image(8, 8, 600 + i)).collect();
-    let batched = super_resolve_batch_deployed(&deployed, &images).unwrap();
-    for (img, sr) in images.iter().zip(batched.iter()) {
+    let engine = Engine::builder().model_ref(&deployed).build().unwrap();
+    let batched = engine.session().infer(SrRequest::batch(images.clone())).unwrap();
+    for (img, sr) in images.iter().zip(batched.images()) {
         let single = deployed.super_resolve(img).unwrap();
         assert_images_close(sr, &single, 1e-5, "batched vs single");
     }
@@ -176,70 +176,6 @@ fn assert_images_identical(a: &scales::data::Image, b: &scales::data::Image, lab
         assert!(
             x.to_bits() == y.to_bits(),
             "{label}: value {i} differs bitwise: {x} vs {y}"
-        );
-    }
-}
-
-/// `Session::infer` must be bit-identical to `super_resolve_batch` /
-/// `super_resolve_batch_deployed` for every CNN method in the registry.
-#[test]
-fn engine_batch_is_bit_identical_to_legacy_for_every_method() {
-    let images: Vec<_> = (0..2).map(|i| probe_image(8, 8, 700 + i)).collect();
-    for method in cnn_method_registry() {
-        let net = srresnet(SrConfig { channels: 8, blocks: 1, scale: 2, method, seed: 31 }).unwrap();
-
-        let legacy = super_resolve_batch(&net, &images).unwrap();
-        let engine =
-            Engine::builder().model_ref(&net).precision(Precision::Training).build().unwrap();
-        let served = engine.session().infer(SrRequest::batch(images.clone())).unwrap();
-        for (a, b) in legacy.iter().zip(served.images()) {
-            assert_images_identical(a, b, &format!("training batch, {method}"));
-        }
-
-        let deployed = net.lower().unwrap();
-        let legacy = super_resolve_batch_deployed(&deployed, &images).unwrap();
-        let engine =
-            Engine::builder().model_ref(&deployed).precision(Precision::Deployed).build().unwrap();
-        let served = engine.session().infer(SrRequest::batch(images.clone())).unwrap();
-        for (a, b) in legacy.iter().zip(served.images()) {
-            assert_images_identical(a, b, &format!("deployed batch, {method}"));
-        }
-    }
-}
-
-/// `Session::infer` with a fixed tile policy must be bit-identical to
-/// `super_resolve_tiled` / `super_resolve_tiled_deployed`.
-#[test]
-fn engine_tiled_is_bit_identical_to_legacy_for_every_method() {
-    let img = probe_image(14, 11, 808);
-    let spec = TileSpec::new(6, 4).unwrap();
-    for method in cnn_method_registry() {
-        let net = srresnet(SrConfig { channels: 8, blocks: 1, scale: 2, method, seed: 32 }).unwrap();
-
-        let legacy = super_resolve_tiled(&net, &img, spec).unwrap();
-        let engine = Engine::builder()
-            .model_ref(&net)
-            .precision(Precision::Training)
-            .tile_policy(TilePolicy::Fixed(spec))
-            .build()
-            .unwrap();
-        assert_images_identical(
-            &legacy,
-            &engine.session().super_resolve(&img).unwrap(),
-            &format!("training tiled, {method}"),
-        );
-
-        let deployed = net.lower().unwrap();
-        let legacy = super_resolve_tiled_deployed(&deployed, &img, spec).unwrap();
-        let engine = Engine::builder()
-            .model_ref(&deployed)
-            .tile_policy(TilePolicy::Fixed(spec))
-            .build()
-            .unwrap();
-        assert_images_identical(
-            &legacy,
-            &engine.session().super_resolve(&img).unwrap(),
-            &format!("deployed tiled, {method}"),
         );
     }
 }

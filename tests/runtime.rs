@@ -766,3 +766,83 @@ fn deadline_spam_does_not_starve_the_weighted_rotation() {
         assert_eq!(stats.deadline_misses, 0, "the spam deadlines were generous");
     });
 }
+
+/// Outcome conservation under overload: a hot low-weight tenant (tight
+/// deadlines on every other request) and a cold weighted tenant burst
+/// concurrently into a short queue with a shed watermark below it and a
+/// tenant quota below that. Every submission lands in exactly one typed
+/// bucket, the buckets close over the number attempted, and the runtime's
+/// own ledger agrees with the callers' tallies. How the burst splits
+/// across the buckets is the scheduler's business and is not asserted.
+#[test]
+fn every_submission_under_overload_gets_exactly_one_typed_outcome() {
+    /// One tenant's tally: `[served, queue_full, shed, quota, expired]`.
+    fn drive(runtime: &Runtime, tenant: &str, count: u64, deadline: Option<Duration>) -> [u64; 5] {
+        let mut tally = [0u64; 5];
+        let mut tickets = Vec::new();
+        for i in 0..count {
+            let mut request = SrRequest::single(probe(16, 16, 9_000 + i)).tenant(tenant);
+            if let Some(budget) = deadline.filter(|_| i % 2 == 0) {
+                request = request.deadline_in(budget);
+            }
+            match runtime.submit(request) {
+                Ok(ticket) => tickets.push(ticket),
+                Err(SubmitError::QueueFull { .. }) => tally[1] += 1,
+                Err(SubmitError::Shedding { .. }) => tally[2] += 1,
+                Err(SubmitError::TenantQuota { .. }) => tally[3] += 1,
+                Err(SubmitError::Expired) => tally[4] += 1,
+                Err(other) => panic!("untyped refusal under overload: {other}"),
+            }
+        }
+        for ticket in tickets {
+            match ticket.wait() {
+                Ok(_) => tally[0] += 1,
+                Err(ServeError::Rejected(SubmitError::Expired)) => tally[4] += 1,
+                Err(other) => panic!("an accepted ticket must serve or expire, got: {other}"),
+            }
+        }
+        tally
+    }
+
+    with_watchdog(240, "overload-conservation", || {
+        let runtime = Runtime::spawn(
+            engine_for(Method::scales(), backend::active(), 7),
+            RuntimeConfig {
+                workers: 2,
+                queue_capacity: 16,
+                max_batch: 4,
+                max_wait: Duration::from_millis(1),
+                shed: ShedPolicy { queue_watermark: Some(12), ..ShedPolicy::default() },
+                tenant_quota: Some(10),
+                tenant_weights: vec![("cold".into(), 3)],
+                ..RuntimeConfig::default()
+            },
+        )
+        .unwrap();
+        // The hot tenant offers 3× the cold tenant's load at a third of
+        // its weight.
+        let (hot_share, cold_share) = (48, 16);
+        let (hot, cold) = std::thread::scope(|scope| {
+            let hot = scope
+                .spawn(|| drive(&runtime, "hot", hot_share, Some(Duration::from_millis(5))));
+            let cold = scope.spawn(|| drive(&runtime, "cold", cold_share, None));
+            (hot.join().expect("hot tenant"), cold.join().expect("cold tenant"))
+        });
+        let stats = runtime.shutdown();
+
+        assert_eq!(hot.iter().sum::<u64>(), hot_share, "hot outcomes must close: {hot:?}");
+        assert_eq!(cold.iter().sum::<u64>(), cold_share, "cold outcomes must close: {cold:?}");
+        let [served, queue_full, shed, quota, expired] =
+            std::array::from_fn(|bucket| hot[bucket] + cold[bucket]);
+        assert_eq!(stats.completed, served);
+        assert_eq!(stats.rejected, queue_full);
+        assert_eq!(stats.shed, shed);
+        assert_eq!(stats.quota_rejected, quota);
+        assert_eq!(stats.expired, expired);
+        assert_eq!(stats.failed, 0, "overload must never surface as an inference failure");
+        // The hot lane holds at most its quota (10) and the watermark is
+        // 12, so the cold tenant's first request is always admitted — and
+        // an admitted request without a deadline is always served.
+        assert!(cold[0] > 0, "the weighted cold tenant must not be starved");
+    });
+}
