@@ -145,7 +145,7 @@ fn main() {
         let weight = Tensor::from_vec(filled(oc * ic * 9, 6.0), &[oc, ic, 3, 3]).unwrap();
         let reps = reps * 4;
         let gemm = |backend| {
-            backend::with_backend(backend, || {
+            backend::with_thread_backend(backend, || {
                 best_of(reps, || {
                     std::hint::black_box(conv2d(&input, &weight, spec).unwrap());
                 })
@@ -241,7 +241,7 @@ fn main() {
         }
         let input = filled(ch * side * side, 4.0);
         let mut out = vec![0.0f32; ch * side * side];
-        let (bare, whole) = backend::with_backend(Backend::Simd, || {
+        let (bare, whole) = backend::with_thread_backend(Backend::Simd, || {
             let mut scratch = ConvScratch::new();
             let bare = best_of(reps, || conv.forward_into(&input, 1, side, side, &mut bits, &mut out).unwrap());
             let whole =
@@ -277,13 +277,13 @@ fn main() {
         let mut out = vec![0.0f32; ch * 64 * 64];
         // Warm the scratch so the timed region is the steady state.
         conv.forward_into(input.data(), 1, 64, 64, &mut scratch, &mut out).unwrap();
-        let fast = backend::with_backend(Backend::Scalar, || {
+        let fast = backend::with_thread_backend(Backend::Scalar, || {
             best_of(reps, || {
                 conv.forward_into(input.data(), 1, 64, 64, &mut scratch, &mut out).unwrap();
             })
         });
         let scalar_out = out.clone();
-        let simd = backend::with_backend(Backend::Simd, || {
+        let simd = backend::with_thread_backend(Backend::Simd, || {
             best_of(reps, || {
                 conv.forward_into(input.data(), 1, 64, 64, &mut scratch, &mut out).unwrap();
             })

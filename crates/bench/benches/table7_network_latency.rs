@@ -5,8 +5,6 @@
 //!
 //! * training-precision engine, scalar backend — the seed's only
 //!   inference route;
-//! * training-precision engine, parallel backend — same math on the
-//!   blocked multi-threaded tensor kernels;
 //! * training-precision engine, simd backend (the compiled default) —
 //!   runtime-detected AVX2 float GEMM, bit-identical outputs;
 //! * deployed-precision engine (packed XNOR-popcount body) on each
@@ -20,14 +18,8 @@
 //! process-global backend selection is never touched, which is itself the
 //! smoke test for per-engine backend threading.
 //!
-//! Deployed graphs come through `scales_train::lower_cached`: point
-//! `SCALES_ARTIFACT_CACHE` at a directory and only the first engine pays
-//! the lowering/packing cost — every later one deserializes the packed
-//! `scales-io` artifact from disk (bit-identical by format contract).
-//!
-//! Expected shape: deployed ≫ training path (no tape, packed body convs);
-//! the parallel backend beats scalar whenever more than one core is
-//! available, and on a single core the deployed path still dominates.
+//! Expected shape: deployed ≫ training path (no tape, packed body convs)
+//! on both backends.
 //!
 //! ```sh
 //! cargo bench --bench table7_network_latency
@@ -35,9 +27,8 @@
 
 use scales_core::Method;
 use scales_data::Image;
-use scales_models::{srresnet, SrConfig, Workspace};
+use scales_models::{srresnet, SrConfig, SrNetwork, Workspace};
 use scales_serve::{Engine, Precision, Session};
-use scales_train::lower_cached;
 use scales_tensor::backend::Backend;
 use scales_tensor::Tensor;
 use std::time::{Duration, Instant};
@@ -79,21 +70,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut rows = Vec::new();
     let mut packed_layers = 0;
-    for backend_kind in [Backend::Scalar, Backend::Parallel, Backend::Simd] {
+    for backend_kind in [Backend::Scalar, Backend::Simd] {
         let training = Engine::builder()
             .model_ref(&net)
             .precision(Precision::Training)
             .backend(backend_kind)
             .build()?;
-        // With SCALES_ARTIFACT_CACHE set only the first iteration lowers;
-        // the second deserializes the packed scales-io artifact.
-        // The cache key must encode every axis the artifact itself cannot
-        // reveal (method and seed here; arch/scale are checked by
-        // lower_cached).
-        let graph = lower_cached(
-            &net,
-            &format!("srresnet-{}-c{CHANNELS}b{BLOCKS}s{SEED}", Method::scales()),
-        )?;
+        let graph = net.lower()?;
         packed_layers = graph.packed_layers();
         let deployed = Engine::builder()
             .model(graph)
@@ -127,12 +110,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "deployed whole-network serving must beat the seed scalar path"
     );
     if Backend::detected().has_avx2() {
-        // rows: [scalar, parallel, simd]. The portable loop is the same
+        // rows: [scalar, simd]. The portable loop is the same
         // direct kernel, so the scalar row moved with the simd one: on this
         // probe the detected level serves in 0.4-0.6x the scalar time
         // (float GEMM 1.4x, binary conv 2.5-5x). 0.8 leaves room for timer
         // jitter; the per-kernel floors are asserted in micro_kernels.
-        let (scalar_deploy, simd_deploy) = (rows[0].2, rows[2].2);
+        let (scalar_deploy, simd_deploy) = (rows[0].2, rows[1].2);
         assert!(
             simd_deploy.as_secs_f64() <= scalar_deploy.as_secs_f64() * 0.8,
             "simd deployed serving must beat scalar by 20% (got {simd_deploy:.2?} vs {scalar_deploy:.2?})"
@@ -153,10 +136,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (the serving route before the graph memory plan) on the same probe:
     // same graph, same backend, bit-identical outputs — only the executor
     // differs.
-    let graph = lower_cached(
-        &net,
-        &format!("srresnet-{}-c{CHANNELS}b{BLOCKS}s{SEED}", Method::scales()),
-    )?;
+    let graph = net.lower()?;
     let batch = {
         let t = input.tensor();
         t.reshape(&[1, 3, SIZE, SIZE])?

@@ -184,11 +184,6 @@ impl Geometry {
     pub(crate) fn base_len(&self) -> usize {
         (self.y.border_count() + 1) * self.x.out
     }
-
-    /// Popcount word-ops per output channel (the backend's threading hint).
-    pub(crate) fn work_per_channel(&self) -> usize {
-        self.y.out * self.x.out * self.k * self.k * self.wpp
-    }
 }
 
 /// Per (output channel, tap): what cancels that tap's count when it reads
@@ -277,15 +272,15 @@ pub(crate) struct Job<'a> {
     pub(crate) skip: Option<&'a [f32]>,
 }
 
-/// Convolve output channels `first..` of one image into `planes`
-/// (`oh·ow` floats each), through the instance of the loop for the kernel
+/// Convolve one image into `planes` (one per output channel, `oh·ow`
+/// floats each), through the instance of the loop for the kernel
 /// size every trained body convolution has.
 #[inline(always)]
-fn conv_image(job: &Job<'_>, first: usize, planes: &mut [f32]) {
+fn conv_image(job: &Job<'_>, planes: &mut [f32]) {
     if job.g.k == 3 {
-        conv_planes::<3>(job, first, planes);
+        conv_planes::<3>(job, planes);
     } else {
-        conv_planes::<0>(job, first, planes);
+        conv_planes::<0>(job, planes);
     }
 }
 
@@ -298,14 +293,14 @@ static NEG_ZEROS: [f32; SEGMENT] = [-0.0; SEGMENT];
 /// [`conv_image`] with the taps of a `K×K` kernel unrolled, or for any
 /// kernel when `K` is 0.
 #[inline(always)]
-fn conv_planes<const K: usize>(job: &Job<'_>, first: usize, planes: &mut [f32]) {
+fn conv_planes<const K: usize>(job: &Job<'_>, planes: &mut [f32]) {
     let g = job.g;
     let (k, wpp, stride, row) = (g.k, g.wpp, g.spec.stride, g.row());
     let (oh, ow) = g.out();
     let (taps, per) = (k * k * wpp, g.base_len());
     // One past the last output pixel's position.
     let span = (oh - 1) * stride * row + (ow - 1) * stride + 1;
-    for (c, out) in (first..).zip(planes.chunks_mut(oh * ow)) {
+    for (c, out) in planes.chunks_mut(oh * ow).enumerate() {
         let weights = &job.weights[c * taps..(c + 1) * taps];
         let classes = &job.base[c * per..(c + 1) * per];
         let (scale, channel) = (job.scales[c], job.channel.map_or(1.0, |gate| gate[c]));
@@ -402,20 +397,20 @@ pub(crate) fn pack(level: SimdLevel, g: &Geometry, image: &[f32], shift: (&[f32]
 }
 
 /// [`conv_image`] at `level`, clamped to what the CPU offers.
-pub(crate) fn conv(level: SimdLevel, job: &Job<'_>, first: usize, planes: &mut [f32]) {
+pub(crate) fn conv(level: SimdLevel, job: &Job<'_>, planes: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     {
         // SAFETY (all arms): as in `pack`.
         match level.min(scales_tensor::simd::detected()) {
-            SimdLevel::Avx512 => return unsafe { x86::conv_avx512(job, first, planes) },
-            SimdLevel::Avx2 => return unsafe { x86::conv_avx2(job, first, planes) },
-            SimdLevel::Sse42 => return unsafe { x86::conv_popcnt(job, first, planes) },
+            SimdLevel::Avx512 => return unsafe { x86::conv_avx512(job, planes) },
+            SimdLevel::Avx2 => return unsafe { x86::conv_avx2(job, planes) },
+            SimdLevel::Sse42 => return unsafe { x86::conv_popcnt(job, planes) },
             SimdLevel::None => {}
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = level;
-    conv_image(job, first, planes);
+    conv_image(job, planes);
 }
 
 /// The two generic bodies recompiled per x86-64 feature level.
@@ -439,8 +434,8 @@ mod x86 {
             /// The CPU must support the enabled features (runtime-checked
             /// by [`super::conv`]).
             #[target_feature($(enable = $feature),+)]
-            pub(super) unsafe fn $conv(job: &Job<'_>, first: usize, planes: &mut [f32]) {
-                conv_image(job, first, planes);
+            pub(super) unsafe fn $conv(job: &Job<'_>, planes: &mut [f32]) {
+                conv_image(job, planes);
             }
         };
     }

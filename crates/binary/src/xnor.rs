@@ -8,11 +8,11 @@
 //!
 //! The convolution is the direct kernel of [`crate::direct`]: no im2col,
 //! lanes are output pixels, and the caller's epilogue (bias, gates,
-//! identity skip) is applied in the store. Output channels are dispatched through
-//! [`scales_tensor::backend`], so the parallel backend splits them across
-//! threads and the simd backend — the default — runs the loop compiled for
-//! the detected [`SimdLevel`] (results are identical on every backend and
-//! level — the inner product is integer-exact).
+//! identity skip) is applied in the store. The active
+//! [`scales_tensor::backend`] picks which compilation of the loop runs: the
+//! simd backend — the default — the one for the detected [`SimdLevel`],
+//! the scalar backend the portable one (results are identical on every
+//! backend and level — the inner product is integer-exact).
 
 use crate::direct::{self, Fused, Geometry, Job};
 use crate::pack::{sign_bit, PackedBits};
@@ -350,7 +350,6 @@ impl BinaryConv2d {
         let bitmap = sized(act, g.bitmap_words());
         let base = sized(bases, oc * g.base_len());
         direct::base_table(&g, &self.pad_fix, base);
-        let kern = scales_tensor::backend::kernel();
         for b in 0..n {
             let image = &input[b * ic * h * w..(b + 1) * ic * h * w];
             direct::pack(level, &g, image, fused.shift.of_image(b), bitmap);
@@ -365,15 +364,7 @@ impl BinaryConv2d {
                 channel: fused.channel.map(|gate| &gate[b * oc..(b + 1) * oc]),
                 skip: fused.skip.then_some(image),
             };
-            // Each output channel owns a contiguous plane, so the backend
-            // can hand channel ranges to worker threads with no
-            // synchronisation.
-            kern.for_each_row_chunk(
-                &mut out[b * oc * oh * ow..(b + 1) * oc * oh * ow],
-                oh * ow,
-                g.work_per_channel(),
-                &|first, planes| direct::conv(level, &job, first, planes),
-            );
+            direct::conv(level, &job, &mut out[b * oc * oh * ow..(b + 1) * oc * oh * ow]);
         }
         Ok(())
     }
@@ -532,7 +523,7 @@ mod tests {
 
     #[test]
     fn simd_backend_forward_is_bit_identical_to_scalar() {
-        use scales_tensor::backend::{with_backend, Backend};
+        use scales_tensor::backend::{with_thread_backend, Backend};
         // Sweep spec/word-count variants on both instances of the loop
         // (3×3 one-word, and the general one); non-unit scales make any
         // miscount visible in the float output.
@@ -547,8 +538,8 @@ mod tests {
             let weight = Tensor::from_vec(signs(4 * ic * k * k, 62), &[4, ic, k, k]).unwrap();
             let mut bc = BinaryConv2d::from_float_weight(&weight).unwrap().with_spec(spec);
             bc.set_scales(vec![0.5, 1.25, 2.0, 0.75]).unwrap();
-            let scalar = with_backend(Backend::Scalar, || bc.forward(&input).unwrap());
-            let simd = with_backend(Backend::Simd, || bc.forward(&input).unwrap());
+            let scalar = with_thread_backend(Backend::Scalar, || bc.forward(&input).unwrap());
+            let simd = with_thread_backend(Backend::Simd, || bc.forward(&input).unwrap());
             assert_eq!(scalar.shape(), simd.shape());
             for (a, b) in scalar.data().iter().zip(simd.data().iter()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "ic={ic} k={k} spec={spec:?}");

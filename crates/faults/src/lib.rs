@@ -160,17 +160,25 @@ pub fn fire(point: &'static str) -> Option<FaultAction> {
 mod tests {
     use super::*;
 
-    // Each test uses unique point names: the registry is process-global
-    // and the harness runs tests concurrently.
+    /// The registry is process-global and the harness runs tests
+    /// concurrently, so every test here holds this lock for its whole
+    /// body (taken first, so it outlives the test's fault guards): `fire`
+    /// counts a hit on *any* point while *some* point is armed.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn unarmed_points_fire_nothing() {
+        let _serial = serial();
         assert_eq!(fire("test.unarmed"), None);
         assert_eq!(hits("test.unarmed"), 0);
     }
 
     #[test]
     fn armed_point_fires_until_the_guard_drops() {
+        let _serial = serial();
         let guard = arm("test.forever", FaultAction::Panic);
         assert_eq!(fire("test.forever"), Some(FaultAction::Panic));
         assert_eq!(fire("test.forever"), Some(FaultAction::Panic));
@@ -180,6 +188,7 @@ mod tests {
 
     #[test]
     fn limited_plan_spends_its_budget_then_goes_quiet() {
+        let _serial = serial();
         let _guard = arm_times("test.limited", FaultAction::Error("boom".into()), 2);
         assert_eq!(fire("test.limited"), Some(FaultAction::Error("boom".into())));
         assert_eq!(fire("test.limited"), Some(FaultAction::Error("boom".into())));
@@ -190,6 +199,7 @@ mod tests {
 
     #[test]
     fn rearming_replaces_the_plan() {
+        let _serial = serial();
         let _guard = arm_times("test.rearm", FaultAction::Panic, 1);
         let _guard2 = arm("test.rearm", FaultAction::Delay(Duration::from_millis(1)));
         assert_eq!(

@@ -42,8 +42,9 @@ pub trait InferModel: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns an error for architectures without a lowering and for
-    /// models that already *are* deployed graphs.
+    /// Returns an error for models that already *are* deployed graphs,
+    /// and propagates [`SrNetwork::lower`]'s (every in-tree architecture
+    /// lowers).
     fn try_lower(&self) -> Result<DeployedNetwork>;
 
     /// Whether this model already runs the tape-free deployed path.

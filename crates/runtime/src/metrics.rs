@@ -282,8 +282,8 @@ pub struct RuntimeStats {
     /// Backend the runtime's engine dispatches forwards under.
     pub backend: Backend,
     /// CPU SIMD level the backend's kernel dispatches at
-    /// ([`SimdLevel::None`] for the scalar
-    /// and parallel kernels, the detected feature level for simd).
+    /// ([`SimdLevel::None`] for the scalar kernel, the detected feature
+    /// level for simd).
     pub simd: SimdLevel,
     /// The configured dispatch target ([`RuntimeConfig::max_batch`](crate::RuntimeConfig::max_batch)).
     pub max_batch: usize,
@@ -550,7 +550,7 @@ impl RuntimeStats {
             out,
             "# HELP {name} End-to-end request latency (enqueue to ticket resolution).\n# TYPE {name} histogram"
         );
-        histogram_lines(&mut out, name, "", &self.latency);
+        self.latency.render_prometheus_into(&mut out, name, "");
         let _ = writeln!(
             out,
             "# HELP scales_runtime_late_discarded_total Responses resolved after their submitter gave up waiting (result discarded unread).\n\
@@ -562,9 +562,8 @@ impl RuntimeStats {
             out,
             "# HELP scales_build_info Build metadata of the serving stack (constant 1; labels carry the info).\n\
              # TYPE scales_build_info gauge\n\
-             scales_build_info{{version=\"{}\",features=\"{}\"}} 1",
-            env!("CARGO_PKG_VERSION"),
-            scales_tensor::backend::compiled_features()
+             scales_build_info{{version=\"{}\",features=\"default\"}} 1",
+            env!("CARGO_PKG_VERSION")
         );
         // Per-stage histograms render only once the runtime has served
         // work, and the per-op series only while the profiler is on, so
@@ -581,7 +580,7 @@ impl RuntimeStats {
                 "# HELP {name} Per-request stage spans inside the runtime (queue wait, batch assembly, forward).\n# TYPE {name} histogram"
             );
             for (stage, hist) in stages {
-                histogram_lines(&mut out, name, &format!("stage=\"{stage}\","), hist);
+                hist.render_prometheus_into(&mut out, name, &format!("stage=\"{stage}\","));
             }
         }
         if !self.op_profile.is_empty() {
@@ -681,12 +680,6 @@ impl RuntimeStats {
 /// formatting (stable across platforms).
 fn seconds(d: Duration) -> String {
     format!("{}", d.as_secs_f64())
-}
-
-/// Append one histogram's series (see
-/// [`LatencyHistogram::render_prometheus_into`]).
-fn histogram_lines(out: &mut String, name: &str, labels: &str, hist: &LatencyHistogram) {
-    hist.render_prometheus_into(out, name, labels);
 }
 
 #[allow(clippy::cast_precision_loss)]
@@ -1030,11 +1023,7 @@ scales_runtime_info{backend=\"scalar\",simd=\"none\"} 1
         assert_eq!(lines[LATENCY_BUCKETS + 7], "# TYPE scales_build_info gauge");
         assert_eq!(
             lines[LATENCY_BUCKETS + 8],
-            format!(
-                "scales_build_info{{version=\"{}\",features=\"{}\"}} 1",
-                env!("CARGO_PKG_VERSION"),
-                scales_tensor::backend::compiled_features()
-            )
+            format!("scales_build_info{{version=\"{}\",features=\"default\"}} 1", env!("CARGO_PKG_VERSION"))
         );
         // Trace-derived series are gated on data: none here.
         assert!(!text.contains("scales_runtime_stage_seconds"));

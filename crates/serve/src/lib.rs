@@ -3,7 +3,7 @@
 //! The serving layer of the SCALES reproduction: one request-oriented API
 //! over every inference axis the workspace grew — training vs deployed
 //! precision, single images vs batches, full-image vs tiled forwards, and
-//! scalar vs parallel compute backends.
+//! scalar vs simd compute backends.
 //!
 //! The shape is the classic serving-engine triple:
 //!

@@ -124,8 +124,8 @@ pub struct InferStats {
     /// Backend the work ran under.
     pub backend: Backend,
     /// CPU SIMD level the backend's kernel dispatched at
-    /// ([`SimdLevel::None`] for the scalar and parallel kernels, the
-    /// detected feature level for the simd kernel).
+    /// ([`SimdLevel::None`] for the scalar kernel, the detected feature
+    /// level for the simd kernel).
     pub simd: SimdLevel,
     /// Precision the work ran at.
     pub precision: Precision,

@@ -340,7 +340,7 @@ mod tests {
             let engine = Engine::builder()
                 .model_ref(&net)
                 .precision(precision)
-                .backend(Backend::Parallel)
+                .backend(Backend::Scalar)
                 .tile_policy(TilePolicy::Auto { max_side: 12, overlap: 7 })
                 .build()
                 .unwrap();
@@ -356,9 +356,9 @@ mod tests {
             assert_eq!(stats.images, 5, "{precision}");
             assert_eq!(stats.batches, 3, "{precision}: three shape buckets");
             assert_eq!(stats.tiled, 1, "{precision}: only the oversized image tiles");
-            assert_eq!(stats.backend, Backend::Parallel, "{precision}");
+            assert_eq!(stats.backend, Backend::Scalar, "{precision}");
             assert_eq!(stats.backend, engine.backend(), "{precision}");
-            assert_eq!(stats.simd, scales_tensor::SimdLevel::None, "{precision}: parallel kernel never dispatches SIMD");
+            assert_eq!(stats.simd, scales_tensor::SimdLevel::None, "{precision}: scalar kernel never dispatches SIMD");
             assert_eq!(stats.precision, precision);
         }
     }
@@ -590,7 +590,7 @@ mod tests {
         let before = backend::active();
         let img = probe_image(9, 9, 11);
         let mut outputs = Vec::new();
-        for be in [Backend::Scalar, Backend::Parallel] {
+        for be in [Backend::Scalar, Backend::Simd] {
             let engine = Engine::builder()
                 .model_ref(&net)
                 .precision(Precision::Deployed)

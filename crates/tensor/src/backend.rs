@@ -1,79 +1,71 @@
-//! Kernel-dispatch backend: every hot loop in the workspace (GEMM, im2col
-//! convolution batches, large elementwise reductions, and the
-//! output-channel loops of the two direct convolutions — float in
-//! [`crate::ops::direct`], XNOR-popcount in `scales-binary`) routes
-//! through the [`Kernel`] selected here.
+//! Kernel-dispatch backend: which ISA level runs the hot loops. The float
+//! GEMM is a method of the [`Kernel`] selected here, and the two direct
+//! convolutions (float in [`crate::ops::direct`], XNOR-popcount in
+//! `scales-binary`) ask it ([`Kernel::simd_level`]) which compilation of
+//! their one loop to run.
 //!
-//! Three kernels ship:
+//! Two kernels ship, both single-threaded (the serving stack spends cores
+//! at the request level, one worker per core):
 //!
-//! * [`ScalarKernel`] — the single-threaded reference; byte-for-byte the
-//!   seed semantics.
-//! * [`ParallelKernel`] — splits row-blocks across `std::thread::scope`
-//!   workers. Each worker runs the *same* inner loop over a disjoint slice
-//!   of the output, so results are bit-identical to the scalar kernel
-//!   regardless of thread count.
-//! * [`SimdKernel`] — the compiled default: runs the x86-64 vector
+//! * [`ScalarKernel`] — the portable reference; byte-for-byte the seed
+//!   semantics.
+//! * [`SimdKernel`] — the default: runs the x86-64 vector
 //!   kernels (AVX2 float GEMM, the direct float and binary convolutions
 //!   compiled for the detected level up to AVX-512) when the CPU supports
-//!   them
-//!   (`is_x86_feature_detected!`, see [`crate::simd`]), falling back to
-//!   the scalar loops on non-x86-64 targets or older CPUs. Results are
+//!   them (`is_x86_feature_detected!`, see [`crate::simd`]), falling back
+//!   to the scalar loops on non-x86-64 targets or older CPUs. Results are
 //!   bit-identical to the scalar kernel by construction (fixed per-lane
 //!   summation order; see the [`crate::simd`] docs).
 //!
 //! Selection is layered, most specific first:
 //!
 //! 1. thread-scoped handle — [`with_thread_backend`] runs a closure with a
-//!    backend passed by value, visible only on the calling thread. This is
-//!    how `scales-serve` engines carry their own backend without touching
-//!    process state: two engines on different threads can run different
-//!    kernels concurrently.
-//! 2. runtime — [`set_backend`] overrides the process-wide selection
-//!    (tests and benches use this to compare kernels in one process);
-//! 3. process environment — `SCALES_BACKEND=scalar|parallel|simd`
-//!    (case-insensitive) overrides the compiled default at first use. An
-//!    unrecognized value is a hard error (panic at first dispatch), never a
-//!    silent fallback;
-//! 4. compile-time default — `Backend::Simd` (the best ISA level detected
-//!    on this CPU, the scalar loops where there is none), or
-//!    `Backend::Parallel` when the crate's `parallel` feature is enabled.
-//!    `Backend::Scalar` stays selectable as the portable reference.
+//!    backend passed by value, visible only on the calling thread. Tests
+//!    and benches compare kernels in one process this way, and it is how
+//!    `scales-serve` engines carry their own backend
+//!    (`EngineBuilder::backend`) without touching process state: two
+//!    engines on different threads can run different kernels concurrently.
+//! 2. process environment — `SCALES_BACKEND=scalar|simd`
+//!    (case-insensitive), read once at first use. An unrecognized value is
+//!    a hard error (panic at first dispatch), never a silent fallback;
+//! 3. otherwise `Backend::Simd` (the best ISA level detected on this CPU,
+//!    the scalar loops where there is none).
 //!
 //! ```
 //! use scales_tensor::backend::{self, Backend};
 //!
-//! let prev = backend::active();
-//! backend::set_backend(Backend::Parallel);
-//! assert_eq!(backend::active(), Backend::Parallel);
-//! // A thread-scoped handle beats the process-wide selection…
+//! let process_default = backend::active();
+//! // A thread-scoped handle beats the process default…
 //! backend::with_thread_backend(Backend::Scalar, || {
 //!     assert_eq!(backend::active(), Backend::Scalar);
+//!     assert_eq!(backend::kernel().name(), "scalar");
 //! });
 //! // …and is gone once the scope ends.
-//! assert_eq!(backend::active(), Backend::Parallel);
-//! backend::set_backend(prev);
+//! assert_eq!(backend::active(), process_default);
+//! // Names parse case-insensitively; anything else is a typed error.
+//! assert_eq!("SIMD".parse::<Backend>()?, Backend::Simd);
+//! assert!("gpu".parse::<Backend>().is_err());
+//! # Ok::<(), scales_tensor::TensorError>(())
 //! ```
 
 use crate::simd::SimdLevel;
 use crate::TensorError;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 /// Which kernel implementation executes the routed hot loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Single-threaded portable reference loops. As the `Default` this
-    /// is the zero value of a stats record, not the backend a process
-    /// runs (that is [`active`]).
+    /// Portable reference loops. As the `Default` this is the zero value
+    /// of a stats record, not the backend a process runs (that is
+    /// [`active`]).
     #[default]
     Scalar,
-    /// Row-blocked loops dispatched over `std::thread::scope` workers.
-    Parallel,
     /// Runtime-detected x86-64 vector kernels (AVX2 float GEMM, the direct
-    /// float and binary convolutions at the detected level), falling back to the scalar
-    /// loops on hardware without them — the compiled default. Always valid
-    /// to select; see [`Backend::detected`] for what the CPU actually
-    /// offers.
+    /// float and binary convolutions at the detected level), falling back
+    /// to the scalar loops on hardware without them — the process default.
+    /// Always valid to select; see [`Backend::detected`] for what the CPU
+    /// actually offers.
     Simd,
 }
 
@@ -83,17 +75,15 @@ impl Backend {
     pub fn kernel(self) -> &'static dyn Kernel {
         match self {
             Backend::Scalar => &ScalarKernel,
-            Backend::Parallel => &ParallelKernel,
             Backend::Simd => &SimdKernel,
         }
     }
 
-    /// Stable display name (`"scalar"` / `"parallel"` / `"simd"`).
+    /// Stable display name (`"scalar"` / `"simd"`).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Parallel => "parallel",
             Backend::Simd => "simd",
         }
     }
@@ -116,8 +106,7 @@ impl std::fmt::Display for Backend {
 impl std::str::FromStr for Backend {
     type Err = TensorError;
 
-    /// Parse a backend name, case-insensitively (`"scalar"`, `"Parallel"`,
-    /// `"SIMD"`, …).
+    /// Parse a backend name, case-insensitively (`"scalar"`, `"SIMD"`, …).
     ///
     /// # Errors
     ///
@@ -127,54 +116,27 @@ impl std::str::FromStr for Backend {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         if s.eq_ignore_ascii_case("scalar") {
             Ok(Backend::Scalar)
-        } else if s.eq_ignore_ascii_case("parallel") {
-            Ok(Backend::Parallel)
         } else if s.eq_ignore_ascii_case("simd") {
             Ok(Backend::Simd)
         } else {
             Err(TensorError::InvalidArgument(format!(
-                "unrecognized backend {s:?}: expected \"scalar\", \"parallel\" or \"simd\""
+                "unrecognized backend {s:?}: expected \"scalar\" or \"simd\""
             )))
         }
     }
 }
 
-const BACKEND_UNSET: u8 = 0;
-const BACKEND_SCALAR: u8 = 1;
-const BACKEND_PARALLEL: u8 = 2;
-const BACKEND_SIMD: u8 = 3;
-
-static ACTIVE: AtomicU8 = AtomicU8::new(BACKEND_UNSET);
-
-fn compiled_default() -> Backend {
-    if cfg!(feature = "parallel") {
-        Backend::Parallel
-    } else {
-        Backend::Simd
-    }
-}
-
-/// The cargo feature set this kernel layer was compiled with, as a
-/// stable label value (`"default"` or `"parallel"`). Feature flags only
-/// exist at this crate's compile time, so the serving stack's
-/// `scales_build_info` metric reads them here instead of re-testing
-/// `cfg!` in a crate where the feature is never enabled.
-#[must_use]
-pub fn compiled_features() -> &'static str {
-    if cfg!(feature = "parallel") {
-        "parallel"
-    } else {
-        "default"
-    }
-}
-
-fn initial_backend() -> Backend {
-    match std::env::var("SCALES_BACKEND") {
+/// The process default: `SCALES_BACKEND` when set, else [`Backend::Simd`].
+/// Read once; a panic on an invalid value leaves the cell empty, so every
+/// later dispatch fails the same way.
+fn process_default() -> Backend {
+    static DEFAULT: OnceLock<Backend> = OnceLock::new();
+    *DEFAULT.get_or_init(|| match std::env::var("SCALES_BACKEND") {
         Ok(v) => v
             .parse()
             .unwrap_or_else(|e| panic!("invalid SCALES_BACKEND environment variable: {e}")),
-        Err(_) => compiled_default(),
-    }
+        Err(_) => Backend::Simd,
+    })
 }
 
 thread_local! {
@@ -185,10 +147,10 @@ thread_local! {
 /// Run `f` with `backend` active on **this thread only**, restoring the
 /// previous thread-scoped handle afterwards (including on panic).
 ///
-/// Unlike [`set_backend`] this mutates no process state: the handle is
-/// passed by value and consulted before the global selection, so callers
-/// (notably `scales-serve` engines) can each carry their own backend while
-/// other threads keep theirs.
+/// This mutates no process state: the handle is passed by value and
+/// consulted before the process default, so callers (notably
+/// `scales-serve` engines) can each carry their own backend while other
+/// threads keep theirs. Nested scopes stack — the innermost wins.
 pub fn with_thread_backend<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
     struct Restore(Option<Backend>);
     impl Drop for Restore {
@@ -200,42 +162,11 @@ pub fn with_thread_backend<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// The currently active backend.
+/// The currently active backend: the innermost [`with_thread_backend`]
+/// scope on this thread, else the process default.
 #[must_use]
 pub fn active() -> Backend {
-    if let Some(b) = THREAD_BACKEND.with(Cell::get) {
-        return b;
-    }
-    match ACTIVE.load(Ordering::Relaxed) {
-        BACKEND_SCALAR => Backend::Scalar,
-        BACKEND_PARALLEL => Backend::Parallel,
-        BACKEND_SIMD => Backend::Simd,
-        _ => {
-            let b = initial_backend();
-            set_backend(b);
-            b
-        }
-    }
-}
-
-/// Override the active backend for the whole process.
-///
-/// **This does not affect running engines or runtimes.** A
-/// `scales_serve::Engine` captures its backend **by value** at build time
-/// and installs it thread-scoped ([`with_thread_backend`]) around every
-/// forward — the thread-scoped handle is consulted *before* this global —
-/// so a `scales-runtime` worker pool keeps serving on the backend its
-/// engine was built with no matter what is set here. `set_backend` only
-/// changes (a) code that dispatches outside any engine/thread scope and
-/// (b) the default captured by engines built *afterwards* without an
-/// explicit `EngineBuilder::backend` choice.
-pub fn set_backend(backend: Backend) {
-    let v = match backend {
-        Backend::Scalar => BACKEND_SCALAR,
-        Backend::Parallel => BACKEND_PARALLEL,
-        Backend::Simd => BACKEND_SIMD,
-    };
-    ACTIVE.store(v, Ordering::Relaxed);
+    THREAD_BACKEND.with(Cell::get).unwrap_or_else(process_default)
 }
 
 /// The kernel of the active backend.
@@ -244,82 +175,26 @@ pub fn kernel() -> &'static dyn Kernel {
     active().kernel()
 }
 
-/// Run `f` with the given backend active, restoring the previous
-/// selection afterwards (including on panic). Test/bench helper.
-///
-/// Implemented as a thread-scoped handle (see [`with_thread_backend`]),
-/// so it composes with nested scopes — the innermost always wins — and
-/// never mutates the process-global selection other threads see.
-pub fn with_backend<T>(backend: Backend, f: impl FnOnce() -> T) -> T {
-    with_thread_backend(backend, f)
-}
-
-/// Work below this many f32 ops stays single-threaded even on the parallel
-/// kernel — thread-scope setup would dominate.
-const PARALLEL_FLOP_THRESHOLD: usize = 1 << 15;
-
 /// A compute kernel the tensor, convolution and binary hot loops dispatch
-/// to. Implementations must produce identical numerical results; they may
-/// only differ in scheduling.
+/// to. Implementations must produce identical numerical results; they
+/// differ only in which instructions run the loops.
 pub trait Kernel: Send + Sync {
     /// Kernel display name.
     fn name(&self) -> &'static str;
 
-    /// The CPU feature level this kernel dispatches SIMD work at.
-    /// [`SimdLevel::None`] for kernels that never vectorize (scalar,
-    /// parallel); the detected level for [`SimdKernel`]. The direct float
-    /// convolution ([`crate::ops::conv2d_into`]) and the direct binary
-    /// convolution in `scales-binary` consult this to pick which
-    /// compilation of their one loop runs, keeping the whole selection
-    /// behind the one backend dispatch.
+    /// The CPU feature level this kernel dispatches SIMD work at:
+    /// [`SimdLevel::None`] for [`ScalarKernel`], the detected level for
+    /// [`SimdKernel`]. The direct float convolution
+    /// ([`crate::ops::conv2d_into`]) and the direct binary convolution in
+    /// `scales-binary` consult this to pick which compilation of their one
+    /// loop runs, keeping the whole selection behind the one backend
+    /// dispatch.
     fn simd_level(&self) -> SimdLevel {
         SimdLevel::None
     }
 
     /// Raw GEMM `c[m×n] += a[m×k] · b[k×n]` over flat row-major slices.
     fn gemm(&self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize);
-
-    /// Split `data` into consecutive row-chunks (`row_len` elements per
-    /// row) and invoke `f(first_row, chunk)` for each; chunks are disjoint,
-    /// so the parallel kernel may run them concurrently. `work_per_row` is
-    /// a rough op count used to decide whether threading pays off.
-    /// `data.len()` must be a multiple of `row_len`.
-    fn for_each_row_chunk(
-        &self,
-        data: &mut [f32],
-        row_len: usize,
-        work_per_row: usize,
-        f: &(dyn Fn(usize, &mut [f32]) + Sync),
-    );
-
-    /// Sum of a flat slice (the elementwise-reduction entry point).
-    ///
-    /// Both kernels reduce fixed-size blocks in index order (see
-    /// [`SUM_BLOCK`]), so the result is identical across backends and core
-    /// counts.
-    fn sum(&self, data: &[f32]) -> f32 {
-        sum_block_serial(data)
-    }
-}
-
-/// Block size of the deterministic blocked sum: partial sums are taken per
-/// `SUM_BLOCK` elements and reduced in block order, so scalar and parallel
-/// kernels agree bit-for-bit regardless of thread count. Slices at most
-/// one block long reduce to a plain sequential sum.
-pub const SUM_BLOCK: usize = 4096;
-
-fn sum_block_serial(data: &[f32]) -> f32 {
-    if data.len() <= SUM_BLOCK {
-        return data.iter().sum();
-    }
-    data.chunks(SUM_BLOCK).map(|c| c.iter().sum::<f32>()).sum()
-}
-
-/// Serial GEMM building block for callers already inside a parallel
-/// region (nesting thread scopes would oversubscribe the machine).
-pub fn gemm_serial(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n);
-    gemm_rows(a, b, c, 0, m, k, n);
 }
 
 /// Reference single-threaded kernel (exact seed semantics).
@@ -340,12 +215,11 @@ pub(crate) const GEMM_MR: usize = 4;
 /// Every output element accumulates its products in ascending-`p` order in
 /// every path (row quad, single-row remainder, column tail), which is the
 /// same per-element summation order as the plain ikj reference loop —
-/// results are bit-identical across kernels, row splits, and tile
-/// boundaries.
-fn gemm_rows(a: &[f32], b: &[f32], c: &mut [f32], first_row: usize, rows: usize, k: usize, n: usize) {
+/// results are bit-identical across kernels and tile boundaries.
+fn gemm_rows(a: &[f32], b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
     let mut r = 0;
     while r + GEMM_MR <= rows {
-        let base = (first_row + r) * k;
+        let base = r * k;
         let block = &mut c[r * n..(r + GEMM_MR) * n];
         let (c0, block) = block.split_at_mut(n);
         let (c1, block) = block.split_at_mut(n);
@@ -365,7 +239,7 @@ fn gemm_rows(a: &[f32], b: &[f32], c: &mut [f32], first_row: usize, rows: usize,
         r += GEMM_MR;
     }
     while r < rows {
-        let base = (first_row + r) * k;
+        let base = r * k;
         gemm_row_single(&a[base..base + k], b, &mut c[r * n..(r + 1) * n], k, n);
         r += 1;
     }
@@ -450,31 +324,17 @@ impl Kernel for ScalarKernel {
 
     fn gemm(&self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
         debug_assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n);
-        gemm_rows(a, b, c, 0, m, k, n);
-    }
-
-    fn for_each_row_chunk(
-        &self,
-        data: &mut [f32],
-        row_len: usize,
-        _work_per_row: usize,
-        f: &(dyn Fn(usize, &mut [f32]) + Sync),
-    ) {
-        if row_len == 0 || data.is_empty() {
-            return;
-        }
-        debug_assert_eq!(data.len() % row_len, 0, "data must be whole rows");
-        f(0, data);
+        gemm_rows(a, b, c, m, k, n);
     }
 }
 
-/// Runtime-dispatched SIMD kernel: single-threaded like [`ScalarKernel`],
-/// but the float GEMM runs on the AVX2 microkernel and the direct float and
-/// binary convolutions (via [`Kernel::simd_level`]) run at the detected
-/// level when the CPU supports them. Bit-identical to the scalar kernel on every
-/// hardware level (see the [`crate::simd`] module docs for the
-/// lane-order argument); on non-x86-64 targets or CPUs without the
-/// features it *is* the scalar kernel.
+/// Runtime-dispatched SIMD kernel: the float GEMM runs on the AVX2
+/// microkernel and the direct float and binary convolutions (via
+/// [`Kernel::simd_level`]) run at the detected level when the CPU supports
+/// them. Bit-identical to the scalar kernel on every hardware level (see
+/// the [`crate::simd`] module docs for the lane-order argument); on
+/// non-x86-64 targets or CPUs without the features it *is* the scalar
+/// kernel.
 pub struct SimdKernel;
 
 impl Kernel for SimdKernel {
@@ -491,119 +351,10 @@ impl Kernel for SimdKernel {
         #[cfg(target_arch = "x86_64")]
         if crate::simd::detected().has_avx2() {
             // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { crate::simd::x86::gemm_rows_avx2(a, b, c, 0, m, k, n) };
+            unsafe { crate::simd::x86::gemm_rows_avx2(a, b, c, m, k, n) };
             return;
         }
-        gemm_rows(a, b, c, 0, m, k, n);
-    }
-
-    fn for_each_row_chunk(
-        &self,
-        data: &mut [f32],
-        row_len: usize,
-        _work_per_row: usize,
-        f: &(dyn Fn(usize, &mut [f32]) + Sync),
-    ) {
-        if row_len == 0 || data.is_empty() {
-            return;
-        }
-        debug_assert_eq!(data.len() % row_len, 0, "data must be whole rows");
-        f(0, data);
-    }
-}
-
-/// Number of workers worth spawning for `chunks` independent chunks.
-fn worker_count(chunks: usize) -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from).min(chunks).max(1)
-}
-
-/// Blocked multi-threaded kernel.
-pub struct ParallelKernel;
-
-impl Kernel for ParallelKernel {
-    fn name(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn gemm(&self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        debug_assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n);
-        let workers = worker_count(m);
-        if workers <= 1 || m * k * n < PARALLEL_FLOP_THRESHOLD {
-            gemm_rows(a, b, c, 0, m, k, n);
-            return;
-        }
-        // Split output rows into one block per worker; each worker owns a
-        // disjoint &mut slice of c, so no synchronisation is needed.
-        let rows_per = m.div_ceil(workers);
-        std::thread::scope(|scope| {
-            let mut rest = &mut c[..m * n];
-            let mut row = 0;
-            while row < m {
-                let take = rows_per.min(m - row);
-                let (chunk, tail) = rest.split_at_mut(take * n);
-                rest = tail;
-                let first = row;
-                scope.spawn(move || gemm_rows(a, b, chunk, first, take, k, n));
-                row += take;
-            }
-        });
-    }
-
-    fn for_each_row_chunk(
-        &self,
-        data: &mut [f32],
-        row_len: usize,
-        work_per_row: usize,
-        f: &(dyn Fn(usize, &mut [f32]) + Sync),
-    ) {
-        if row_len == 0 || data.is_empty() {
-            return;
-        }
-        debug_assert_eq!(data.len() % row_len, 0, "data must be whole rows");
-        let rows = data.len() / row_len;
-        let workers = worker_count(rows);
-        if workers <= 1 || rows * work_per_row < PARALLEL_FLOP_THRESHOLD {
-            f(0, data);
-            return;
-        }
-        let rows_per = rows.div_ceil(workers);
-        std::thread::scope(|scope| {
-            let mut rest = data;
-            let mut row = 0;
-            while row < rows {
-                let take = rows_per.min(rows - row);
-                let (chunk, tail) = rest.split_at_mut(take * row_len);
-                rest = tail;
-                let first = row;
-                scope.spawn(move || f(first, chunk));
-                row += take;
-            }
-        });
-    }
-
-    fn sum(&self, data: &[f32]) -> f32 {
-        let blocks = data.len().div_ceil(SUM_BLOCK);
-        let workers = worker_count(blocks);
-        if workers <= 1 || data.len() < PARALLEL_FLOP_THRESHOLD {
-            return sum_block_serial(data);
-        }
-        // Same fixed-size block partials as the serial path, computed
-        // concurrently and reduced in block order — bit-identical to
-        // ScalarKernel::sum on any core count.
-        let mut partials = vec![0.0f32; blocks];
-        std::thread::scope(|scope| {
-            let blocks_per = blocks.div_ceil(workers);
-            for (w, out) in partials.chunks_mut(blocks_per).enumerate() {
-                let start = w * blocks_per * SUM_BLOCK;
-                let slice = &data[start..(start + out.len() * SUM_BLOCK).min(data.len())];
-                scope.spawn(move || {
-                    for (o, c) in out.iter_mut().zip(slice.chunks(SUM_BLOCK)) {
-                        *o = c.iter().sum();
-                    }
-                });
-            }
-        });
-        partials.iter().sum()
+        gemm_rows(a, b, c, m, k, n);
     }
 }
 
@@ -613,18 +364,6 @@ mod tests {
 
     fn filled(n: usize, seed: f32) -> Vec<f32> {
         (0..n).map(|i| ((i as f32 + seed) * 0.37).sin()).collect()
-    }
-
-    #[test]
-    fn kernels_agree_on_gemm() {
-        let (m, k, n) = (37, 29, 41);
-        let a = filled(m * k, 1.0);
-        let b = filled(k * n, 2.0);
-        let mut c1 = vec![0.0; m * n];
-        let mut c2 = vec![0.0; m * n];
-        ScalarKernel.gemm(&a, &b, &mut c1, m, k, n);
-        ParallelKernel.gemm(&a, &b, &mut c2, m, k, n);
-        assert_eq!(c1, c2, "parallel gemm must be bit-identical");
     }
 
     /// The plain ikj loop whose per-element summation order the blocked
@@ -668,63 +407,13 @@ mod tests {
     }
 
     #[test]
-    fn kernels_agree_on_large_gemm() {
-        // Above the threading threshold.
-        let (m, k, n) = (64, 64, 64);
-        let a = filled(m * k, 3.0);
-        let b = filled(k * n, 4.0);
-        let mut c1 = vec![0.0; m * n];
-        let mut c2 = vec![0.0; m * n];
-        ScalarKernel.gemm(&a, &b, &mut c1, m, k, n);
-        ParallelKernel.gemm(&a, &b, &mut c2, m, k, n);
-        assert_eq!(c1, c2);
-    }
-
-    #[test]
-    fn row_chunks_cover_every_row_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let rows = 63;
-        let row_len = 17;
-        let mut data = vec![0.0f32; rows * row_len];
-        let visits = AtomicUsize::new(0);
-        ParallelKernel.for_each_row_chunk(&mut data, row_len, 1 << 20, &|first, chunk| {
-            assert_eq!(chunk.len() % row_len, 0);
-            for (r, row) in chunk.chunks_mut(row_len).enumerate() {
-                for v in row.iter_mut() {
-                    *v += (first + r) as f32;
-                }
-            }
-            visits.fetch_add(chunk.len() / row_len, Ordering::Relaxed);
-        });
-        assert_eq!(visits.load(Ordering::Relaxed), rows);
-        for r in 0..rows {
-            assert!(data[r * row_len..(r + 1) * row_len].iter().all(|&v| v == r as f32));
-        }
-    }
-
-    #[test]
-    fn kernels_agree_bitwise_on_sum() {
-        for n in [100, SUM_BLOCK, SUM_BLOCK + 17, 100_000] {
-            let data = filled(n, 5.0);
-            assert_eq!(ScalarKernel.sum(&data), ParallelKernel.sum(&data), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn blocked_sum_stays_close_to_sequential() {
-        let data = filled(100_000, 5.0);
-        let sequential: f32 = data.iter().sum();
-        assert!((ScalarKernel.sum(&data) - sequential).abs() < 1e-2);
-    }
-
-    #[test]
     fn with_backend_composes_with_thread_scopes_without_touching_global_state() {
         // Process-global selection as a fresh thread sees it.
         let global_before = std::thread::spawn(active).join().unwrap();
         with_thread_backend(Backend::Scalar, || {
-            with_backend(Backend::Parallel, || {
+            with_thread_backend(Backend::Simd, || {
                 // The innermost override wins for the closure.
-                assert_eq!(active(), Backend::Parallel);
+                assert_eq!(active(), Backend::Simd);
             });
             assert_eq!(active(), Backend::Scalar, "outer scope restored");
         });
@@ -737,9 +426,6 @@ mod tests {
         for s in ["scalar", "Scalar", "SCALAR"] {
             assert_eq!(s.parse::<Backend>().unwrap(), Backend::Scalar, "{s}");
         }
-        for s in ["parallel", "Parallel", "PARALLEL"] {
-            assert_eq!(s.parse::<Backend>().unwrap(), Backend::Parallel, "{s}");
-        }
         for s in ["simd", "Simd", "SIMD"] {
             assert_eq!(s.parse::<Backend>().unwrap(), Backend::Simd, "{s}");
         }
@@ -747,10 +433,10 @@ mod tests {
 
     #[test]
     fn backend_parsing_rejects_unknown_values_with_a_clear_error() {
-        for s in ["gpu", "", "scalar ", "auto", "avx2", "simd "] {
+        for s in ["gpu", "", "scalar ", "auto", "avx2", "simd ", "parallel"] {
             let err = s.parse::<Backend>().unwrap_err().to_string();
             assert!(
-                err.contains("scalar") && err.contains("parallel") && err.contains("simd"),
+                err.contains("unrecognized backend") && err.contains("\"scalar\"") && err.contains("\"simd\""),
                 "error for {s:?} must name the valid values, got: {err}"
             );
         }
@@ -758,7 +444,7 @@ mod tests {
 
     #[test]
     fn backend_display_round_trips_through_from_str() {
-        for be in [Backend::Scalar, Backend::Parallel, Backend::Simd] {
+        for be in [Backend::Scalar, Backend::Simd] {
             assert_eq!(be.to_string(), be.name());
             assert_eq!(be.to_string().parse::<Backend>().unwrap(), be);
             assert_eq!(be.kernel().name(), be.name());
@@ -768,10 +454,9 @@ mod tests {
     #[test]
     fn detected_features_match_the_simd_kernel() {
         // Backend::detected() is the capability the simd kernel reports;
-        // the other kernels never dispatch SIMD.
+        // the scalar kernel never dispatches SIMD.
         assert_eq!(Backend::detected(), SimdKernel.simd_level());
         assert_eq!(ScalarKernel.simd_level(), SimdLevel::None);
-        assert_eq!(ParallelKernel.simd_level(), SimdLevel::None);
     }
 
     #[test]
@@ -800,52 +485,39 @@ mod tests {
     }
 
     #[test]
-    fn simd_row_chunks_behave_like_scalar() {
-        let rows = 9;
-        let row_len = 5;
-        let mut data = vec![0.0f32; rows * row_len];
-        SimdKernel.for_each_row_chunk(&mut data, row_len, 1, &|first, chunk| {
-            assert_eq!(first, 0, "single-threaded kernel hands over everything at once");
-            assert_eq!(chunk.len(), rows * row_len);
-            chunk.iter_mut().for_each(|v| *v = 1.0);
-        });
-        assert!(data.iter().all(|&v| v == 1.0));
-        SimdKernel.for_each_row_chunk(&mut [], 5, 1, &|_, _| panic!("no rows, no calls"));
-    }
-
-    #[test]
     fn thread_backend_overrides_and_restores() {
         let prev = active();
-        with_thread_backend(Backend::Parallel, || {
-            assert_eq!(active(), Backend::Parallel);
+        with_thread_backend(Backend::Simd, || {
+            assert_eq!(active(), Backend::Simd);
             // Nested scopes stack.
             with_thread_backend(Backend::Scalar, || {
                 assert_eq!(active(), Backend::Scalar);
             });
-            assert_eq!(active(), Backend::Parallel);
+            assert_eq!(active(), Backend::Simd);
         });
         assert_eq!(active(), prev);
     }
 
     #[test]
     fn thread_backend_does_not_leak_to_other_threads() {
-        with_thread_backend(Backend::Parallel, || {
+        with_thread_backend(Backend::Scalar, || {
             // A fresh thread has no thread-scoped handle installed.
             let seen = std::thread::spawn(|| THREAD_BACKEND.with(Cell::get)).join().unwrap();
             assert_eq!(seen, None);
-            assert_eq!(THREAD_BACKEND.with(Cell::get), Some(Backend::Parallel));
+            assert_eq!(THREAD_BACKEND.with(Cell::get), Some(Backend::Scalar));
         });
     }
 
     #[test]
     fn backend_override_round_trip() {
         let prev = active();
-        with_backend(Backend::Parallel, || {
-            assert_eq!(active(), Backend::Parallel);
-            assert_eq!(kernel().name(), "parallel");
+        with_thread_backend(Backend::Simd, || {
+            assert_eq!(active(), Backend::Simd);
+            assert_eq!(kernel().name(), "simd");
         });
-        with_backend(Backend::Scalar, || {
+        with_thread_backend(Backend::Scalar, || {
             assert_eq!(active(), Backend::Scalar);
+            assert_eq!(kernel().name(), "scalar");
         });
         assert_eq!(active(), prev);
     }

@@ -14,11 +14,10 @@
 //! Hot loops dispatch through the [`backend`] kernel layer: a
 //! runtime-detected SIMD kernel ([`simd`]: AVX2 float GEMM, and the direct
 //! float and binary convolutions at the detected level up to AVX-512,
-//! falling back to scalar on older CPUs), a scalar reference kernel, and a row-blocked
-//! multi-threaded kernel — all with identical numerics. Selection, most
-//! specific first: a thread-scoped handle, [`backend::set_backend`] at
-//! runtime, the `SCALES_BACKEND` environment variable, then the compiled
-//! default — simd, or parallel with the `parallel` feature.
+//! falling back to scalar on older CPUs) and a scalar reference kernel,
+//! with identical numerics. Selection, most specific first: a
+//! thread-scoped handle ([`backend::with_thread_backend`]), the
+//! `SCALES_BACKEND` environment variable, then simd.
 //!
 //! ```
 //! use scales_tensor::{ops, Tensor};

@@ -178,29 +178,16 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Result<Tenso
     let kw = weight.shape()[3];
     let krows = ic * kh * kw;
     let mut out = Tensor::zeros(&[n, oc, oh, ow]);
-    let (ind, wd) = (input.data(), weight.data());
-    if n == 1 {
-        // Single image: let the backend parallelise the GEMM itself over
-        // output-channel rows.
-        let mut col = vec![0.0f32; krows * oh * ow];
-        im2col(ind, ic, h, w, kh, kw, spec, oh, ow, &mut col);
-        gemm(wd, &col, out.data_mut(), oc, krows, oh * ow);
-    } else {
-        // Batch: one image per chunk row, each worker owning its own
-        // im2col buffer and running the serial GEMM.
-        let work = krows * oh * ow * (oc + 1);
-        crate::backend::kernel().for_each_row_chunk(
-            out.data_mut(),
-            oc * oh * ow,
-            work,
-            &|first, chunk| {
-                let mut col = vec![0.0f32; krows * oh * ow];
-                for (j, o) in chunk.chunks_mut(oc * oh * ow).enumerate() {
-                    let b = first + j;
-                    im2col(&ind[b * ic * h * w..(b + 1) * ic * h * w], ic, h, w, kh, kw, spec, oh, ow, &mut col);
-                    crate::backend::gemm_serial(wd, &col, o, oc, krows, oh * ow);
-                }
-            },
+    let mut col = vec![0.0f32; krows * oh * ow];
+    for b in 0..n {
+        im2col(&input.data()[b * ic * h * w..(b + 1) * ic * h * w], ic, h, w, kh, kw, spec, oh, ow, &mut col);
+        gemm(
+            weight.data(),
+            &col,
+            &mut out.data_mut()[b * oc * oh * ow..(b + 1) * oc * oh * ow],
+            oc,
+            krows,
+            oh * ow,
         );
     }
     Ok(out)
@@ -216,9 +203,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, spec: Conv2dSpec) -> Result<Tenso
 /// `out` must hold exactly `n · oc · oh · ow` elements and is fully
 /// overwritten. Results are bit-identical to [`conv2d`] on every backend
 /// and level: each output element takes the same products in the same
-/// order as its im2col → GEMM row (see the [`direct`]
-/// docs). The batch is processed serially; the backend splits each
-/// image's output channels across threads.
+/// order as its im2col → GEMM row (see the [`direct`] docs).
 ///
 /// # Errors
 ///
@@ -291,7 +276,6 @@ pub fn conv2d_into_at(
     }
     let g = Geometry { ic: c, h, w, kh, kw, spec, oh, ow };
     let padded = crate::workspace::sized(planes, g.scratch_len());
-    let kern = crate::backend::kernel();
     for (image, out) in input.chunks(c * h * w).zip(out.chunks_mut(oc * oh * ow)) {
         let planes = if spec.padding == 0 {
             image
@@ -299,12 +283,7 @@ pub fn conv2d_into_at(
             direct::pad_image(&g, image, padded);
             &*padded
         };
-        let job = Job { g: &g, planes, weights: weight.data(), bias };
-        // Each output channel owns a contiguous plane, so the backend can
-        // hand channel ranges to worker threads with no synchronisation.
-        kern.for_each_row_chunk(out, oh * ow, g.work_per_channel(), &|first, chunk| {
-            direct::conv(level, &job, first, chunk);
-        });
+        direct::conv(level, &Job { g: &g, planes, weights: weight.data(), bias }, out);
     }
     Ok(())
 }

@@ -75,11 +75,6 @@ impl Geometry {
     fn span(&self) -> usize {
         ((self.oh - 1) * self.row() + (self.ow - 1)) * self.spec.stride + 1
     }
-
-    /// Multiply-adds per output channel (the backend's threading hint).
-    pub(crate) fn work_per_channel(&self) -> usize {
-        self.oh * self.ow * self.ic * self.kh * self.kw
-    }
 }
 
 /// Copy one `[ic, h, w]` image into its zero-padded planes, overwriting
@@ -200,22 +195,22 @@ fn conv_block<const C: usize, const L: usize, const KW: usize>(job: &Job<'_>, fi
     }
 }
 
-/// Convolve output channels `first..` of one image into `planes` (`oh·ow`
+/// Convolve one image into `planes` (one per output channel, `oh·ow`
 /// floats each): [`CHANNELS`] at a time, then the remainder singly.
 #[inline(always)]
-fn conv_planes<const L: usize>(job: &Job<'_>, first: usize, planes: &mut [f32]) {
+fn conv_planes<const L: usize>(job: &Job<'_>, planes: &mut [f32]) {
     match job.g.kw {
-        3 => conv_channels::<L, 3>(job, first, planes),
-        1 => conv_channels::<L, 1>(job, first, planes),
-        _ => conv_channels::<L, 0>(job, first, planes),
+        3 => conv_channels::<L, 3>(job, planes),
+        1 => conv_channels::<L, 1>(job, planes),
+        _ => conv_channels::<L, 0>(job, planes),
     }
 }
 
 #[inline(always)]
-fn conv_channels<const L: usize, const KW: usize>(job: &Job<'_>, first: usize, planes: &mut [f32]) {
+fn conv_channels<const L: usize, const KW: usize>(job: &Job<'_>, planes: &mut [f32]) {
     let pixels = job.g.oh * job.g.ow;
     let mut blocks = planes.chunks_exact_mut(CHANNELS * pixels);
-    let mut c = first;
+    let mut c = 0;
     for block in &mut blocks {
         conv_block::<CHANNELS, L, KW>(job, c, block);
         c += CHANNELS;
@@ -227,20 +222,20 @@ fn conv_channels<const L: usize, const KW: usize>(job: &Job<'_>, first: usize, p
 }
 
 /// [`conv_planes`] at `level`, clamped to what the CPU offers.
-pub(crate) fn conv(level: SimdLevel, job: &Job<'_>, first: usize, planes: &mut [f32]) {
+pub(crate) fn conv(level: SimdLevel, job: &Job<'_>, planes: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     {
         // SAFETY (both arms): the clamp against runtime detection
         // guarantees the CPU has every feature the wrapper enables.
         match level.min(crate::simd::detected()) {
-            SimdLevel::Avx512 => return unsafe { x86::conv_avx512(job, first, planes) },
-            SimdLevel::Avx2 => return unsafe { x86::conv_avx2(job, first, planes) },
+            SimdLevel::Avx512 => return unsafe { x86::conv_avx512(job, planes) },
+            SimdLevel::Avx2 => return unsafe { x86::conv_avx2(job, planes) },
             SimdLevel::Sse42 | SimdLevel::None => {}
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = level;
-    conv_planes::<8>(job, first, planes);
+    conv_planes::<8>(job, planes);
 }
 
 /// The generic body recompiled per x86-64 feature level, at the tile
@@ -253,8 +248,8 @@ mod x86 {
     ///
     /// The CPU must support AVX2 (runtime-checked by [`super::conv`]).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn conv_avx2(job: &Job<'_>, first: usize, planes: &mut [f32]) {
-        conv_planes::<16>(job, first, planes);
+    pub(super) unsafe fn conv_avx2(job: &Job<'_>, planes: &mut [f32]) {
+        conv_planes::<16>(job, planes);
     }
 
     /// # Safety
@@ -262,7 +257,7 @@ mod x86 {
     /// The CPU must support AVX2 and AVX-512F (runtime-checked by
     /// [`super::conv`]).
     #[target_feature(enable = "avx2", enable = "avx512f")]
-    pub(super) unsafe fn conv_avx512(job: &Job<'_>, first: usize, planes: &mut [f32]) {
-        conv_planes::<48>(job, first, planes);
+    pub(super) unsafe fn conv_avx512(job: &Job<'_>, planes: &mut [f32]) {
+        conv_planes::<48>(job, planes);
     }
 }

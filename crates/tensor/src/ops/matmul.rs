@@ -2,12 +2,10 @@
 //!
 //! `f32` GEMM dispatched through the active [`crate::backend`] kernel: a
 //! register-blocked microkernel (4-row × 8-column accumulator tiles held
-//! across the whole inner-product loop) that the scalar backend runs
-//! single-threaded and the parallel backend splits into output-row blocks
-//! across threads (bit-identical results — every element accumulates in
-//! the same ascending-`p` order on every path). No SIMD intrinsics are
-//! used; the compiler autovectorises the fixed-width tiles well for the
-//! model sizes in this reproduction.
+//! across the whole inner-product loop), portable on the scalar backend
+//! and AVX2 intrinsics ([`crate::simd`]) on the simd backend where the CPU
+//! has them. Results are bit-identical — every element accumulates in the
+//! same ascending-`p` order, multiply then add, on every path.
 
 use crate::backend;
 use crate::error::{Result, TensorError};
@@ -76,22 +74,16 @@ pub fn batched_matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
         });
     }
     let mut out = Tensor::zeros(&[ba, m, n]);
-    let (ad, bd) = (a.data(), b.data());
-    // One batch entry per chunk row: entries run concurrently on the
-    // parallel backend, each with the serial inner GEMM.
-    backend::kernel().for_each_row_chunk(out.data_mut(), m * n, m * k * n, &|first, chunk| {
-        for (j, c) in chunk.chunks_mut(m * n).enumerate() {
-            let i = first + j;
-            backend::gemm_serial(
-                &ad[i * m * k..(i + 1) * m * k],
-                &bd[i * k * n..(i + 1) * k * n],
-                c,
-                m,
-                k,
-                n,
-            );
-        }
-    });
+    for i in 0..ba {
+        gemm(
+            &a.data()[i * m * k..(i + 1) * m * k],
+            &b.data()[i * k * n..(i + 1) * k * n],
+            &mut out.data_mut()[i * m * n..(i + 1) * m * n],
+            m,
+            k,
+            n,
+        );
+    }
     Ok(out)
 }
 
@@ -112,19 +104,6 @@ mod tests {
         let a = Tensor::zeros(&[2, 3]);
         let b = Tensor::zeros(&[2, 3]);
         assert!(matmul(&a, &b).is_err());
-    }
-
-    #[test]
-    fn scalar_and_parallel_kernels_agree_via_public_gemm() {
-        use crate::backend::{Kernel as _, ParallelKernel, ScalarKernel};
-        let (m, k, n) = (48, 33, 52);
-        let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.13).sin()).collect();
-        let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.29).cos()).collect();
-        let mut c1 = vec![0.0; m * n];
-        let mut c2 = vec![0.0; m * n];
-        ScalarKernel.gemm(&a, &b, &mut c1, m, k, n);
-        ParallelKernel.gemm(&a, &b, &mut c2, m, k, n);
-        assert_eq!(c1, c2);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! transformer is a sign: the deployed network must binarize the values
 //! training binarized. Lanes are pixels (or the tokens of one window), every
 //! inner loop is a plain walk over equal-length slices, and nothing depends
-//! on the backend, so scalar, parallel and simd agree by construction.
+//! on the backend, so scalar and simd agree by construction.
 
 use crate::error::{Result, TensorError};
 use crate::workspace::sized;

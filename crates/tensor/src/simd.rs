@@ -60,8 +60,8 @@ use std::sync::OnceLock;
 /// Reported by [`Backend::detected`](crate::backend::Backend::detected)
 /// and carried per kernel via
 /// [`Kernel::simd_level`](crate::backend::Kernel::simd_level): the scalar
-/// and parallel kernels always report [`SimdLevel::None`] (they never
-/// dispatch SIMD), the simd kernel reports what the CPU offers.
+/// kernel always reports [`SimdLevel::None`] (it never dispatches SIMD),
+/// the simd kernel reports what the CPU offers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum SimdLevel {
     /// No usable vector extensions (non-x86-64, or a CPU without SSE4.2):
@@ -184,17 +184,16 @@ pub(crate) mod x86 {
         a: &[f32],
         b: &[f32],
         c: &mut [f32],
-        first_row: usize,
         rows: usize,
         k: usize,
         n: usize,
     ) {
-        debug_assert!(a.len() >= (first_row + rows) * k);
+        debug_assert!(a.len() >= rows * k);
         debug_assert!(b.len() >= k * n && c.len() >= rows * n);
         let tiles = n - n % GEMM_NR;
         let mut r = 0;
         while r + GEMM_MR <= rows {
-            let base = (first_row + r) * k;
+            let base = r * k;
             let a0 = &a[base..base + k];
             let a1 = &a[base + k..base + 2 * k];
             let a2 = &a[base + 2 * k..base + 3 * k];
@@ -241,7 +240,7 @@ pub(crate) mod x86 {
             r += GEMM_MR;
         }
         while r < rows {
-            let base = (first_row + r) * k;
+            let base = r * k;
             gemm_row_single(&a[base..base + k], b, &mut c[r * n..(r + 1) * n], k, n);
             r += 1;
         }

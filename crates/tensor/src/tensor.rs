@@ -4,6 +4,9 @@
 use crate::error::{Result, TensorError};
 use crate::shape::{broadcast_shape, broadcast_src_index, check_axis, strides, volume};
 
+/// Block size of [`Tensor::sum`]'s fixed summation order.
+const SUM_BLOCK: usize = 4096;
+
 /// A dense `f32` tensor stored contiguously in row-major order.
 ///
 /// This is the single storage type used throughout the SCALES reproduction:
@@ -248,11 +251,18 @@ impl Tensor {
         Ok(out)
     }
 
-    /// Sum of all elements (routed through the active backend kernel's
-    /// reduction, which chunks large tensors across threads).
+    /// Sum of all elements: partial sums over consecutive 4096-element
+    /// blocks (`SUM_BLOCK`), each in index order, reduced in block order.
+    /// The order is part of the bit-identity contract (losses and
+    /// statistics computed from it are compared with `to_bits`), so it
+    /// never depends on the backend. A tensor at most one block long is a
+    /// plain sequential sum.
     #[must_use]
     pub fn sum(&self) -> f32 {
-        crate::backend::kernel().sum(&self.data)
+        if self.data.len() <= SUM_BLOCK {
+            return self.data.iter().sum();
+        }
+        self.data.chunks(SUM_BLOCK).map(|c| c.iter().sum::<f32>()).sum()
     }
 
     /// Arithmetic mean of all elements (0 for an empty tensor).
@@ -485,6 +495,18 @@ mod tests {
     fn from_vec_validates_length() {
         assert!(Tensor::from_vec(vec![1.0; 5], &[2, 3]).is_err());
         assert!(Tensor::from_vec(vec![1.0; 6], &[2, 3]).is_ok());
+    }
+
+    #[test]
+    fn blocked_sum_stays_close_to_sequential() {
+        let data: Vec<f32> = (0..100_000).map(|i| ((i as f32 + 5.0) * 0.37).sin()).collect();
+        let sum = Tensor::from_vec(data.clone(), &[data.len()]).unwrap().sum();
+        let sequential: f32 = data.iter().sum();
+        assert!((sum - sequential).abs() < 1e-2);
+        // The order itself is pinned: 4096-element partials in index
+        // order, reduced in block order.
+        let blocked: f32 = data.chunks(4096).map(|c| c.iter().sum::<f32>()).sum();
+        assert_eq!(sum.to_bits(), blocked.to_bits());
     }
 
     #[test]

@@ -18,6 +18,6 @@ pub mod report;
 pub mod trainer;
 
 pub use eval::{evaluate, evaluate_bicubic, evaluate_with, Score};
-pub use experiment::{lower_cached, lower_cached_in, run_row, Arch, Budget, RowResult};
+pub use experiment::{run_row, Arch, Budget, RowResult};
 pub use report::{format_score, render_table, report_dir, write_report};
 pub use trainer::{train, TrainConfig, TrainStats};

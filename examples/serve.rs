@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let engine = Engine::builder()
         .model(net)
         .precision(Precision::Deployed)
-        .backend(Backend::Parallel)
+        .backend(Backend::Scalar)
         .tile_policy(TilePolicy::auto()) // LR sides above 64 px tile transparently
         .build()?;
     println!(

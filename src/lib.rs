@@ -8,7 +8,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`tensor`] | dense f32 tensors, im2col → GEMM convolution with gradients, the direct float convolution of the deployed path, broadcasting, [`tensor::backend`] kernel dispatch (scalar / parallel) with a register-blocked GEMM microkernel, [`tensor::workspace`] reusable kernel scratch |
+//! | [`tensor`] | dense f32 tensors, im2col → GEMM convolution with gradients, the direct float convolution of the deployed path, broadcasting, [`tensor::backend`] kernel dispatch (scalar / simd) with a register-blocked GEMM microkernel, [`tensor::workspace`] reusable kernel scratch |
 //! | [`autograd`] | reverse-mode tape with STE binarization gradients |
 //! | [`nn`] | layers, Adam, losses, init |
 //! | [`binary`] | bit-packed XNOR-popcount kernels, BNN cost model |
@@ -104,12 +104,12 @@
 //! Hot loops dispatch through [`tensor::backend`]: the runtime-detected
 //! SIMD kernel (the default — AVX2 float GEMM and the direct float and
 //! binary convolutions at the best ISA level the CPU reports, the scalar
-//! loops where there is none), the scalar reference kernel and a blocked multi-threaded kernel,
-//! all with identical numerics, selected per engine
-//! ([`serve::EngineBuilder::backend`]), by the `parallel` cargo feature,
-//! by `SCALES_BACKEND=scalar|parallel|simd` (case-insensitive;
-//! unrecognized values are a hard error), or by
-//! `tensor::backend::set_backend` at runtime.
+//! loops where there is none) and the scalar reference kernel, with
+//! identical numerics, selected per engine
+//! ([`serve::EngineBuilder::backend`]), per thread
+//! (`tensor::backend::with_thread_backend`), or for the process by
+//! `SCALES_BACKEND=scalar|simd` (case-insensitive; unrecognized values are
+//! a hard error).
 //!
 //! ```
 //! use scales::core::Method;

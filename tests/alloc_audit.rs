@@ -19,12 +19,8 @@
 //!
 //! This file holds exactly one test: the counter is process-global, and
 //! the default test harness runs tests concurrently — a sibling test's
-//! allocations would pollute the deltas.
-
-//! The audit pins the **scalar** backend: the parallel kernel's
-//! `std::thread::scope` workers allocate per spawn (thread stacks), which
-//! is a property of OS threads, not of the executor — the arena and
-//! scratch reuse are backend-independent.
+//! allocations would pollute the deltas. It runs the audit once per
+//! backend, one after the other.
 
 use scales::core::Method;
 use scales::models::{srresnet, swinir, SrConfig, SrNetwork, Workspace};
@@ -69,7 +65,9 @@ fn allocations() -> usize {
 
 #[test]
 fn steady_state_planned_forward_allocates_only_the_output() {
-    backend::with_backend(Backend::Scalar, steady_state_audit);
+    for be in [Backend::Scalar, Backend::Simd] {
+        backend::with_thread_backend(be, steady_state_audit);
+    }
 }
 
 fn steady_state_audit() {

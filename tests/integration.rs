@@ -5,8 +5,9 @@ use scales::autograd::Var;
 use scales::binary::{BinaryConv2d, BinaryLinear};
 use scales::core::{Method, ScalesComponents};
 use scales::data::Benchmark;
-use scales::models::{edsr, srresnet, swinir, SrConfig, SrNetwork};
+use scales::models::{edsr, srresnet, swinir, Arch, SrConfig, SrNetwork};
 use scales::nn::Module;
+use scales::tensor::backend::{with_thread_backend, Backend};
 use scales::tensor::Tensor;
 use scales::train::{evaluate, evaluate_bicubic, train, TrainConfig};
 
@@ -122,6 +123,31 @@ fn transformer_methods_train_one_step_without_nan() {
         let net = swinir(SrConfig { channels: 8, blocks: 1, scale: 2, method, seed: 9 }).unwrap();
         let stats = train(&net, quick_train_config(4)).unwrap();
         assert!(stats.history.iter().all(|l| l.is_finite()), "{method} produced NaN loss");
+    }
+}
+
+/// Training is the one place batched convolutions and the tape's batched
+/// attention matmuls run: two iterations at batch 4 must leave the same
+/// parameters, bit for bit, on both backends (and the same loss history).
+#[test]
+fn training_is_bit_identical_across_backends() {
+    let config = SrConfig { channels: 8, blocks: 1, scale: 2, method: Method::scales(), seed: 9 };
+    for arch in [Arch::SrResNet, Arch::SwinIr] {
+        let run = |be| {
+            with_thread_backend(be, || {
+                let net = arch.build(config).unwrap();
+                let stats = train(net.as_ref(), TrainConfig { batch: 4, ..quick_train_config(2) }).unwrap();
+                let params: Vec<Vec<u32>> = net
+                    .params()
+                    .iter()
+                    .map(|p| p.with_value(|t| t.data().iter().map(|v| v.to_bits()).collect()))
+                    .collect();
+                (params, stats.history.iter().map(|l| l.to_bits()).collect::<Vec<_>>())
+            })
+        };
+        let (scalar, simd) = (run(Backend::Scalar), run(Backend::Simd));
+        assert_eq!(scalar.1, simd.1, "{arch}: loss history");
+        assert!(scalar.0 == simd.0, "{arch}: trained parameters differ between backends");
     }
 }
 

@@ -6,7 +6,8 @@
 //! every backend and every `SimdLevel` the CPU offers must agree
 //! bit-for-bit with each other and with the im2col → GEMM reference, and
 //! the fused SCALES epilogue must agree with the same operations run as
-//! separate passes.
+//! separate passes. The reference's own batched GEMM callers (`conv2d`,
+//! `batched_matmul`) are compared across backends too.
 //!
 //! And for the NCHW-native transformer ops of the deployed path
 //! (`layer_norm_into`, `window_attention_into`, GELU / `Scale`): each
@@ -20,8 +21,8 @@ use scales::core::{DeployedScalesConv2d, FloatConv2d, ScalesComponents, ScalesCo
 use scales::models::{DeployedNetworkBuilder, DeployedOp, Workspace};
 use scales::nn::init::rng;
 use scales::nn::Module as _;
-use scales::tensor::backend::{with_backend, Backend};
-use scales::tensor::ops::{conv2d, layer_norm_into, window_attention_into, Conv2dSpec};
+use scales::tensor::backend::{with_thread_backend, Backend};
+use scales::tensor::ops::{batched_matmul, conv2d, layer_norm_into, matmul, window_attention_into, Conv2dSpec};
 use scales::tensor::workspace::{BitScratch, ConvScratch};
 use scales::tensor::{simd, Tensor};
 
@@ -130,9 +131,9 @@ proptest! {
 
         let mut scratch = stale_scratch();
         let mut got = vec![f32::NAN; want.len()];
-        for backend in [Backend::Scalar, Backend::Parallel, Backend::Simd] {
+        for backend in [Backend::Scalar, Backend::Simd] {
             got.fill(f32::NAN);
-            with_backend(backend, || conv.forward_into(input.data(), n, h, w, &mut scratch, &mut got)).unwrap();
+            with_thread_backend(backend, || conv.forward_into(input.data(), n, h, w, &mut scratch, &mut got)).unwrap();
             prop_assert!(bits(&got) == want, "{}: backend {}", label, backend);
         }
         for level in simd::available() {
@@ -154,7 +155,7 @@ proptest! {
         pad_pick in 0usize..6,
         h in 1usize..41,
         w in 1usize..41,
-        n in 1usize..3,
+        n in 1usize..4,
         with_bias in 0usize..2,
         seed in 0u64..1_000_000,
     ) {
@@ -170,7 +171,7 @@ proptest! {
         // A long-lived workspace hands the scratch over oversized and full
         // of garbage.
         let mut scratch = vec![f32::NAN; 150_000];
-        let Ok(reference) = with_backend(Backend::Scalar, || conv.forward(&input)) else {
+        let Ok(reference) = with_thread_backend(Backend::Scalar, || conv.forward(&input)) else {
             // An image smaller than the un-padded kernel: both sides refuse.
             let refused = conv.forward_into(input.data(), n, h, w, &mut scratch, &mut []).is_err();
             prop_assert!(refused, "{}: kernel accepted a bad geometry", label);
@@ -178,10 +179,26 @@ proptest! {
         };
         let want = float_bits(reference.data());
 
+        // The reference itself — one im2col → GEMM per image — is the same
+        // on the simd GEMM, and a batch is its images convolved one by one.
+        let on_simd = with_thread_backend(Backend::Simd, || conv.forward(&input)).unwrap();
+        prop_assert!(float_bits(on_simd.data()) == want, "{}: conv2d on simd", label);
+        let per_image = want.len() / n;
+        for b in 0..n {
+            let image = input.slice_axis(0, b, 1).unwrap();
+            let alone = with_thread_backend(Backend::Simd, || conv.forward(&image)).unwrap();
+            prop_assert!(
+                float_bits(alone.data()) == want[b * per_image..(b + 1) * per_image],
+                "{}: image {} alone",
+                label,
+                b
+            );
+        }
+
         let mut got = vec![f32::NAN; want.len()];
-        for backend in [Backend::Scalar, Backend::Parallel, Backend::Simd] {
+        for backend in [Backend::Scalar, Backend::Simd] {
             got.fill(f32::NAN);
-            with_backend(backend, || conv.forward_into(input.data(), n, h, w, &mut scratch, &mut got)).unwrap();
+            with_thread_backend(backend, || conv.forward_into(input.data(), n, h, w, &mut scratch, &mut got)).unwrap();
             prop_assert!(float_bits(&got) == want, "{}: backend {}", label, backend);
         }
         for level in simd::available() {
@@ -241,7 +258,7 @@ proptest! {
         }
         let mut scratch = stale_scratch();
         let mut want = vec![f32::NAN; input.len()];
-        with_backend(Backend::Scalar, || conv.forward_into(&shifted, n, h, w, &mut scratch, &mut want)).unwrap();
+        with_thread_backend(Backend::Scalar, || conv.forward_into(&shifted, n, h, w, &mut scratch, &mut want)).unwrap();
         for (i, v) in want.iter_mut().enumerate() {
             let (b, co, p) = (i / (c * h * w), i / (h * w) % c, i % (h * w));
             if let Some(bias) = fused.bias {
@@ -324,9 +341,9 @@ proptest! {
 
         let mut staging = vec![f32::NAN; 20_000];
         let mut got = vec![f32::NAN; q.len()];
-        for backend in [Backend::Scalar, Backend::Parallel, Backend::Simd] {
+        for backend in [Backend::Scalar, Backend::Simd] {
             got.fill(f32::NAN);
-            with_backend(backend, || {
+            with_thread_backend(backend, || {
                 window_attention_into(q.data(), k.data(), v.data(), n, c, h, w, window, &mut staging, &mut got)
             })
             .unwrap();
@@ -338,6 +355,46 @@ proptest! {
         // A window that does not divide the extents is a typed error.
         let refused = window_attention_into(q.data(), k.data(), v.data(), n, c, h, w, h + 1, &mut staging, &mut got);
         prop_assert!(refused.is_err());
+    }
+}
+
+/// The batched GEMM callers — `batched_matmul`, and `conv2d` as one
+/// im2col → GEMM per image — on the simd backend against the scalar one,
+/// at GEMM shapes around every register-tile boundary (rows around the
+/// 4-row quad, columns around and below the 8-wide tile, odd `k`): a 1×1
+/// convolution of `k` channels over a `1 × n` image into `m` channels is
+/// exactly the `m × k × n` product. And a batch equals its entries
+/// multiplied one by one (for `conv2d` the generated float-conv case above
+/// checks the same).
+#[test]
+fn batched_gemm_callers_are_bit_identical_across_backends_at_tile_boundaries() {
+    let mut data = Stream(19);
+    for &(m, k, n) in
+        &[(1usize, 1usize, 1usize), (3, 5, 7), (4, 9, 8), (5, 13, 9), (8, 27, 16), (13, 7, 23), (17, 64, 33), (4, 3, 4)]
+    {
+        for batch in [1usize, 2, 5] {
+            let a = Tensor::from_vec(data.hostile_values(batch * m * k), &[batch, m, k]).unwrap();
+            let b = Tensor::from_vec(data.hostile_values(batch * k * n), &[batch, k, n]).unwrap();
+            let want = with_thread_backend(Backend::Scalar, || batched_matmul(&a, &b).unwrap());
+            let got = with_thread_backend(Backend::Simd, || batched_matmul(&a, &b).unwrap());
+            assert_eq!(float_bits(got.data()), float_bits(want.data()), "batched_matmul {batch}x({m},{k},{n})");
+            for i in 0..batch {
+                let entry = |t: &Tensor, rows, cols| t.slice_axis(0, i, 1).unwrap().reshape(&[rows, cols]).unwrap();
+                let alone = with_thread_backend(Backend::Simd, || matmul(&entry(&a, m, k), &entry(&b, k, n)).unwrap());
+                assert_eq!(
+                    float_bits(alone.data()),
+                    float_bits(&want.data()[i * m * n..(i + 1) * m * n]),
+                    "batched_matmul {batch}x({m},{k},{n}): entry {i} alone"
+                );
+            }
+        }
+        let weight = Tensor::from_vec(data.hostile_values(m * k), &[m, k, 1, 1]).unwrap();
+        for images in [1usize, 2, 3] {
+            let input = Tensor::from_vec(data.hostile_values(images * k * n), &[images, k, 1, n]).unwrap();
+            let want = with_thread_backend(Backend::Scalar, || conv2d(&input, &weight, Conv2dSpec::default()).unwrap());
+            let got = with_thread_backend(Backend::Simd, || conv2d(&input, &weight, Conv2dSpec::default()).unwrap());
+            assert_eq!(float_bits(got.data()), float_bits(want.data()), "conv2d {images}x({m},{k},{n})");
+        }
     }
 }
 
@@ -391,7 +448,7 @@ fn fused_scales_layer_matches_the_unfused_forward_for_every_component_set() {
             let want = deployed.forward(&input).unwrap();
             for backend in [Backend::Scalar, Backend::Simd] {
                 let mut got = vec![f32::NAN; want.len()];
-                with_backend(backend, || deployed.forward_into(input.data(), n, h, w, &mut scratch, &mut got))
+                with_thread_backend(backend, || deployed.forward_into(input.data(), n, h, w, &mut scratch, &mut got))
                     .unwrap();
                 assert_eq!(bits(&got), bits(want.data()), "{components:?} skip={skip} c={c} {h}x{w} n={n} {backend}");
             }

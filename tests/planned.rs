@@ -2,7 +2,7 @@
 //! be **bit-identical** (`f32::to_bits`) to the allocating
 //! `DeployedNetwork::forward` — across the whole CNN method registry and
 //! every method a transformer can be built with, every architecture (CNN
-//! and transformer), all three backends, and mixed batch sizes — and a
+//! and transformer), both backends, and mixed batch sizes — and a
 //! `Session` must build one plan per input shape and reuse it.
 
 use proptest::prelude::*;
@@ -51,7 +51,7 @@ proptest! {
 
     /// The headline contract of this PR: the zero-allocation planned
     /// executor reproduces the allocating forward bit-for-bit for every
-    /// registry method, on all three backends, across mixed batch sizes.
+    /// registry method, on both backends, across mixed batch sizes.
     #[test]
     fn planned_executor_is_bit_identical_for_every_method_backend_and_batch(
         seed in 0u64..10_000,
@@ -66,8 +66,8 @@ proptest! {
                 seed: seed ^ 0x3C3C,
             })
             .unwrap();
-            for be in [Backend::Scalar, Backend::Parallel, Backend::Simd] {
-                backend::with_backend(be, || {
+            for be in [Backend::Scalar, Backend::Simd] {
+                backend::with_thread_backend(be, || {
                     for n in [1usize, 2, 3] {
                         let batch = probe_batch(n, size, size, seed as f32);
                         assert_planned_is_bit_identical(
@@ -84,8 +84,8 @@ proptest! {
         for method in Method::transformer_registry() {
             let cfg = SrConfig { channels: 8, blocks: 1, scale: 2, method, seed: seed ^ 0x3C3C };
             for (name, net) in [("SwinIR", swinir(cfg).unwrap()), ("HAT", hat(cfg).unwrap())] {
-                for be in [Backend::Scalar, Backend::Parallel, Backend::Simd] {
-                    backend::with_backend(be, || {
+                for be in [Backend::Scalar, Backend::Simd] {
+                    backend::with_thread_backend(be, || {
                         for n in [1usize, 2, 3] {
                             let batch = probe_batch(n, h, w, seed as f32);
                             assert_planned_is_bit_identical(

@@ -4,10 +4,10 @@
 //! coalesced across callers by the dynamic batcher, executed by whichever
 //! worker got there first — are **bit-identical** (`f32::to_bits`) to a
 //! serial `Session::infer` of the same request, across the CNN method
-//! registry and all three compute backends. On top of that: per-caller response
-//! ordering under many submitter threads, typed backpressure when the
-//! bounded queue fills, independence from the process-global backend
-//! selection, and deadlock-free graceful shutdown under load (every test
+//! registry and both compute backends (each response served under its
+//! engine's backend, not the process default). On top of that: per-caller
+//! response ordering under many submitter threads, typed backpressure when
+//! the bounded queue fills, and deadlock-free graceful shutdown under load (every test
 //! is bounded by a watchdog).
 
 use scales::core::Method;
@@ -69,13 +69,13 @@ fn assert_images_bit_identical(got: &[Image], want: &[Image], label: &str) {
 }
 
 /// Bit-identity of runtime serving vs serial `Session::infer`, for every
-/// CNN registry method on all three backends, with mixed-size requests that the
+/// CNN registry method on both backends, with mixed-size requests that the
 /// batcher is free to coalesce.
 #[test]
 fn runtime_matches_serial_session_bitwise_across_the_method_registry() {
     with_watchdog(240, "registry-bit-identity", || {
         for method in Method::cnn_registry() {
-            for be in [Backend::Scalar, Backend::Parallel, Backend::Simd] {
+            for be in [Backend::Scalar, Backend::Simd] {
                 let label = format!("{method}, {} backend", be.name());
                 // Two engines built from identical networks: one serves
                 // serially, one through the pool.
@@ -108,6 +108,9 @@ fn runtime_matches_serial_session_bitwise_across_the_method_registry() {
                 for (ticket, want) in tickets.into_iter().zip(&want) {
                     let response = ticket.wait().unwrap();
                     assert_images_bit_identical(response.images(), want, &label);
+                    // Workers run under the engine's handle, whatever the
+                    // process default is.
+                    assert_eq!(response.stats().backend, be, "{label}");
                 }
                 let stats = runtime.shutdown();
                 assert_eq!(stats.completed, 4, "{label}");
@@ -225,29 +228,6 @@ fn a_full_queue_rejects_submissions_with_a_typed_error() {
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.completed, 3);
         assert_eq!(stats.queue_high_water, 2);
-    });
-}
-
-/// `set_backend` must not affect a running runtime: workers run under the
-/// engine's captured backend handle, never the process global.
-#[test]
-fn global_set_backend_does_not_reach_a_running_runtime() {
-    with_watchdog(120, "global-backend-isolation", || {
-        let before = backend::active();
-        let serial = engine_for(Method::scales(), Backend::Scalar, 66);
-        let want = serial.session().infer(SrRequest::single(probe(8, 8, 67))).unwrap();
-        let runtime = Runtime::spawn(
-            engine_for(Method::scales(), Backend::Scalar, 66),
-            RuntimeConfig { workers: 1, ..RuntimeConfig::default() },
-        )
-        .unwrap();
-        // Flip the process-global selection while the pool is live.
-        backend::set_backend(Backend::Parallel);
-        let got = runtime.submit(SrRequest::single(probe(8, 8, 67))).unwrap().wait().unwrap();
-        backend::set_backend(before);
-        assert_eq!(got.stats().backend, Backend::Scalar, "engine handle wins");
-        assert_images_bit_identical(got.images(), want.images(), "backend isolation");
-        let _ = runtime.shutdown();
     });
 }
 
