@@ -5,8 +5,9 @@
 //!
 //! * [`pack::PackedBits`] — sign vectors packed into `u64` words with a
 //!   validity mask, and the XNOR-popcount dot product.
-//! * [`xnor::BinaryConv2d`] / [`xnor::BinaryLinear`] — deployment-path
-//!   layers that are bit-exact against the float reference on `±1` inputs.
+//! * [`xnor::BinaryConv2d`] — the deployment-path layer (a binary linear
+//!   is its `k = 1` case), bit-exact against the float reference on `±1`
+//!   inputs.
 //! * [`direct`] — the one convolution kernel behind `BinaryConv2d`: a
 //!   direct, fused XNOR-popcount loop compiled once per
 //!   [`scales_tensor::SimdLevel`] (portable, `popcnt`, AVX2, AVX-512
@@ -31,4 +32,4 @@ pub mod xnor;
 pub use count::CostReport;
 pub use direct::{Fused, SignShift};
 pub use pack::PackedBits;
-pub use xnor::{BinaryConv2d, BinaryLinear};
+pub use xnor::BinaryConv2d;

@@ -3,8 +3,8 @@
 //! A binarized vector over `{−1, +1}` is stored as bits in `u64` words:
 //! bit = 1 encodes `+1`, bit = 0 encodes `−1`, with `sign(0) = +1` matching
 //! the autograd binarizers. A parallel *mask* records which lanes are valid
-//! so zero-padded convolution taps contribute exactly 0 to the dot product,
-//! keeping the packed kernels bit-exact against the float reference.
+//! so the unused tail of the last word contributes exactly 0 to the dot
+//! product, keeping the packed kernels bit-exact against the float reference.
 
 /// The one sign rule of every packed kernel in this crate: bit 1 encodes
 /// `+1`, bit 0 encodes `−1`, and `sign(0) = +1` (both zeros pack as 1, NaN
@@ -46,23 +46,6 @@ impl PackedBits {
             mask[len / 64] = (1u64 << (len % 64)) - 1;
         }
         Self { bits, mask, len }
-    }
-
-    /// Pack with an explicit validity mask (invalid lanes contribute 0 to
-    /// dot products — used for padded convolution taps).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the two slices differ in length.
-    #[must_use]
-    pub fn from_signs_masked(values: &[f32], valid: &[bool]) -> Self {
-        assert_eq!(values.len(), valid.len(), "mask length mismatch");
-        let mask: Vec<u64> = valid
-            .chunks(64)
-            .map(|chunk| chunk.iter().enumerate().fold(0, |m, (i, &ok)| m | u64::from(ok) << i))
-            .collect();
-        let bits = values.chunks(64).zip(&mask).map(|(chunk, &m)| pack_word(chunk) & m).collect();
-        Self { bits, mask, len: values.len() }
     }
 
     /// Lane count.
@@ -159,14 +142,6 @@ mod tests {
     }
 
     #[test]
-    fn masked_lanes_contribute_zero() {
-        let a = PackedBits::from_signs_masked(&[1.0, -1.0, 1.0], &[true, false, true]);
-        let b = PackedBits::from_signs(&[1.0, -1.0, -1.0]);
-        // lane0: +1, lane1 masked: 0, lane2: −1 → total 0.
-        assert_eq!(a.dot(&b), 0);
-    }
-
-    #[test]
     fn dot_spans_multiple_words() {
         let n = 200;
         let a: Vec<f32> = (0..n).map(|i| if i % 3 == 0 { 1.0 } else { -1.0 }).collect();
@@ -188,14 +163,11 @@ mod tests {
                     _ => -2.5,
                 })
                 .collect();
-            let valid: Vec<bool> = (0..len).map(|i| i % 3 != 1).collect();
-            let (p, m) = (PackedBits::from_signs(&v), PackedBits::from_signs_masked(&v, &valid));
+            let p = PackedBits::from_signs(&v);
             for i in 0..len {
                 let bit = |words: &[u64]| words[i / 64] >> (i % 64) & 1;
                 assert_eq!(bit(p.bits()), u64::from(i % 5 < 2 || i % 5 == 3), "len {len} lane {i}");
                 assert_eq!(bit(p.mask()), 1);
-                assert_eq!(bit(m.mask()), u64::from(valid[i]));
-                assert_eq!(bit(m.bits()), bit(p.bits()) & bit(m.mask()));
             }
             // No stray bits above the last lane.
             if len % 64 != 0 {

@@ -15,7 +15,7 @@
 //! backend and level — the inner product is integer-exact).
 
 use crate::direct::{self, Fused, Geometry, Job};
-use crate::pack::{sign_bit, PackedBits};
+use crate::pack::sign_bit;
 use scales_tensor::ops::Conv2dSpec;
 use scales_tensor::workspace::{sized, BitScratch};
 use scales_tensor::{Result, SimdLevel, Tensor, TensorError};
@@ -370,72 +370,6 @@ impl BinaryConv2d {
     }
 }
 
-/// A binary linear layer with packed weights and per-output scales.
-pub struct BinaryLinear {
-    packed_weights: Vec<PackedBits>,
-    scales: Vec<f32>,
-    in_features: usize,
-}
-
-impl BinaryLinear {
-    /// Pack a float weight matrix `[out, in]` with XNOR-Net per-row scales.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for non-matrix weights.
-    pub fn from_float_weight(weight: &Tensor) -> Result<Self> {
-        if weight.rank() != 2 {
-            return Err(TensorError::RankMismatch { expected: 2, actual: weight.rank(), op: "binary linear weight" });
-        }
-        let (out, inf) = (weight.shape()[0], weight.shape()[1]);
-        let mut packed = Vec::with_capacity(out);
-        let mut scales = Vec::with_capacity(out);
-        for r in 0..out {
-            let row = &weight.data()[r * inf..(r + 1) * inf];
-            packed.push(PackedBits::from_signs(row));
-            scales.push(row.iter().map(|v| v.abs()).sum::<f32>() / inf as f32);
-        }
-        Ok(Self { packed_weights: packed, scales, in_features: inf })
-    }
-
-    /// Output feature count.
-    #[must_use]
-    pub fn out_features(&self) -> usize {
-        self.packed_weights.len()
-    }
-
-    /// Apply to `[..., in] → [..., out]`, sign-binarizing the input.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the trailing axis does not match.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        let shape = input.shape().to_vec();
-        let last = *shape.last().ok_or_else(|| {
-            TensorError::InvalidArgument("binary linear needs rank >= 1".into())
-        })?;
-        if last != self.in_features {
-            return Err(TensorError::ShapeMismatch {
-                lhs: shape,
-                rhs: vec![self.out_features(), self.in_features],
-                op: "binary linear",
-            });
-        }
-        let m = input.len() / last;
-        let out_f = self.out_features();
-        let mut out_shape = shape.clone();
-        *out_shape.last_mut().expect("rank >= 1") = out_f;
-        let mut out = Tensor::zeros(&out_shape);
-        for r in 0..m {
-            let row = PackedBits::from_signs(&input.data()[r * last..(r + 1) * last]);
-            for (c, (pw, &s)) in self.packed_weights.iter().zip(self.scales.iter()).enumerate() {
-                out.data_mut()[r * out_f + c] = s * pw.dot(&row) as f32;
-            }
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -595,29 +529,13 @@ mod tests {
     }
 
     #[test]
-    fn binary_linear_matches_float_matmul_on_sign_inputs() {
-        let x = Tensor::from_vec(signs(4 * 16, 3), &[4, 16]).unwrap();
-        let w = Tensor::from_vec(signs(8 * 16, 4), &[8, 16]).unwrap();
-        let bl = BinaryLinear::from_float_weight(&w).unwrap();
-        let y = bl.forward(&x).unwrap();
-        assert_eq!(y.shape(), &[4, 8]);
-        // Reference: x · (s ⊙ sign(w))ᵀ with s = mean|w| = 1 here (w is ±1).
-        for r in 0..4 {
-            for c in 0..8 {
-                let dot: f32 = (0..16).map(|i| x.at(&[r, i]) * w.at(&[c, i])).sum();
-                assert!((y.at(&[r, c]) - dot).abs() < 1e-4);
-            }
-        }
-    }
-
-    #[test]
     fn weight_scale_is_mean_abs() {
-        let w = Tensor::from_vec(vec![2.0, -4.0, 1.0, -1.0], &[1, 4]).unwrap();
-        let bl = BinaryLinear::from_float_weight(&w).unwrap();
-        let x = Tensor::ones(&[1, 4]);
-        let y = bl.forward(&x).unwrap();
-        // sign(w) = [1,-1,1,-1]; dot with ones = 0 → 0·2 = 0
-        assert_eq!(y.data()[0], 0.0);
+        let w = Tensor::from_vec(vec![2.0, -4.0, 1.0, -1.0], &[1, 4, 1, 1]).unwrap();
+        let bc = BinaryConv2d::from_float_weight(&w).unwrap();
+        assert_eq!(bc.scales(), &[2.0]);
+        // sign(w) = [1,-1,1,-1]; dot with sign(-3) everywhere = 0 → 2·0 = 0
+        let y = bc.forward(&Tensor::full(&[1, 4, 1, 1], -3.0)).unwrap();
+        assert_eq!(y.data(), &[0.0]);
     }
 
     #[test]

@@ -866,7 +866,7 @@ fn upscale<E: std::fmt::Display>(
     let decoded = decode_image(&body);
     draft.mark(Stage::Decode);
     let (image, format) = decoded?;
-    let request = build_request(image, head, arrived).request_id(draft.id.clone());
+    let request = build_request(image, head, arrived);
     let served = match submit(request) {
         Err(refusal) => {
             // The failed admission wait is the submit span.

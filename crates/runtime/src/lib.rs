@@ -6,8 +6,16 @@
 //! submission queue with explicit backpressure, cross-request dynamic
 //! batching, and a mutex-sharded [`metrics`] subsystem. No external
 //! dependencies, no async executor: plain threads, a `Mutex` + two
-//! `Condvar`s for the queue, and a `Mutex` + `Condvar` one-shot per
-//! in-flight request.
+//! `Condvar`s for the queue — the whole synchronisation story of admission
+//! and scheduling — and a `Mutex` + `Condvar` one-shot per in-flight
+//! request.
+//!
+//! `queue.rs` is the policy: every admission and scheduling decision below
+//! is a method of one plain value that takes the time as an argument and
+//! returns a typed decision — no lock, no clock read, no thread — and is
+//! model-checked under a virtual clock (`cargo test -p scales-runtime
+//! queue`). `runtime.rs` is the threads: it keeps that value behind the
+//! one mutex, takes the timestamps, waits, wakes, and runs the forwards.
 //!
 //! The lifecycle is:
 //!
@@ -62,10 +70,11 @@
 //!   ([`RuntimeConfig::tenant_quota`], refusing with
 //!   [`SubmitError::TenantQuota`]). The lane table is bounded
 //!   ([`RuntimeConfig::max_tenant_lanes`]): idle unweighted lanes are
-//!   retired at the cap (their counters folded into the global totals),
-//!   and a refused request never creates a lane, so untrusted tenant
-//!   names cannot grow server state. Per-lane counters surface as
-//!   [`TenantStats`].
+//!   retired at the cap (their counters folded into the global totals), a
+//!   new tenant that finds every lane busy shares the anonymous lane *and
+//!   its quota* — rotating names buys nothing — and a refused request
+//!   never creates a lane, so untrusted tenant names cannot grow server
+//!   state. Per-lane counters surface as [`TenantStats`].
 //! - **Load shedding** — a [`ShedPolicy`] refuses work early
 //!   ([`SubmitError::Shedding`]) on a queue-depth watermark or while the
 //!   p99 latency over a sliding window of recent dispatches exceeds a
@@ -103,6 +112,7 @@
 
 mod config;
 pub mod metrics;
+mod queue;
 mod runtime;
 mod ticket;
 

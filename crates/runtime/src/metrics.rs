@@ -272,6 +272,38 @@ pub struct TenantStats {
     pub deadline_misses: u64,
 }
 
+/// The eight counters of a [`TenantStats`] row, named once: [`Counters`]
+/// is what a tenant lane keeps — the runtime's one ledger — and what `+=`
+/// folds. The admission half of the global [`RuntimeStats`] is the sum
+/// over the live lanes plus the aggregate that absorbs retired lanes and
+/// lane-less refusals, so retiring a lane never loses a count.
+macro_rules! ledger {
+    ($($counter:ident),*) => {
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        pub(crate) struct Counters {
+            $(pub $counter: u64,)*
+        }
+
+        impl std::ops::AddAssign for Counters {
+            fn add_assign(&mut self, other: Self) {
+                $(self.$counter += other.$counter;)*
+            }
+        }
+
+        impl TenantStats {
+            /// The public row of one lane's ledger.
+            pub(crate) fn new(tenant: String, weight: u32, queued: usize, c: Counters) -> Self {
+                Self { tenant, weight, queued, $($counter: c.$counter,)* }
+            }
+
+            fn counters(&self) -> Counters {
+                Counters { $($counter: self.$counter,)* }
+            }
+        }
+    };
+}
+ledger!(submitted, completed, failed, rejected, shed, quota_rejected, expired, deadline_misses);
+
 /// Aggregated snapshot of a runtime's serving counters, returned by
 /// [`Runtime::stats`](crate::Runtime::stats) (live) and
 /// [`Runtime::shutdown`](crate::Runtime::shutdown) (final).
@@ -388,16 +420,10 @@ impl RuntimeStats {
         for t in &other.tenants {
             match self.tenants.iter_mut().find(|have| have.tenant == t.tenant) {
                 Some(have) => {
-                    have.weight = t.weight;
-                    have.queued += t.queued;
-                    have.submitted += t.submitted;
-                    have.completed += t.completed;
-                    have.failed += t.failed;
-                    have.rejected += t.rejected;
-                    have.shed += t.shed;
-                    have.quota_rejected += t.quota_rejected;
-                    have.expired += t.expired;
-                    have.deadline_misses += t.deadline_misses;
+                    let mut sum = have.counters();
+                    sum += t.counters();
+                    let queued = have.queued + t.queued;
+                    *have = TenantStats::new(t.tenant.clone(), t.weight, queued, sum);
                 }
                 None => self.tenants.push(t.clone()),
             }

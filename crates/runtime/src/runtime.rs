@@ -1,19 +1,19 @@
-//! [`Runtime`] — worker pool, bounded submission queue, and the
-//! cross-request dynamic batcher, fronted by an SLO-aware admission
-//! controller: per-tenant lanes drained by weighted round-robin,
-//! earliest-deadline-first scheduling of deadline-tagged work, and
-//! configurable load shedding.
+//! [`Runtime`] — the worker pool around the [`Queue`]: the one lock and
+//! its two condition variables, the blocking submit paths, the worker
+//! loop and its batching waits, the dispatch itself, and the panic guards.
+//! Every admission and scheduling decision is the queue's (`queue.rs`);
+//! this file takes the timestamps, holds the lock, waits, and wakes.
 
-use crate::metrics::{RuntimeStats, TenantStats, WorkerShard};
-use crate::ticket::{Ticket, TicketCell};
+use crate::metrics::{RuntimeStats, WorkerShard};
+use crate::queue::{Admission, Admitted, Entry, Gathered, Queue};
+use crate::ticket::Ticket;
 use crate::{lock, wait, wait_timeout, RuntimeConfig};
 use scales_data::Image;
-use scales_serve::{Engine, InferStats, Session, SrRequest, SrResponse, TilePolicy};
+use scales_serve::{Engine, InferStats, Session, SrRequest, SrResponse};
 use scales_telemetry::RuntimeStamps;
 use scales_tensor::{Result, TensorError};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -163,194 +163,13 @@ impl std::error::Error for ServeError {
     }
 }
 
-/// One accepted request waiting in (or popped from) its tenant lane.
-struct Entry {
-    images: Vec<Image>,
-    tile: Option<TilePolicy>,
-    tenant: Option<Arc<str>>,
-    deadline: Option<Instant>,
-    cell: Arc<TicketCell>,
-    enqueued: Instant,
-    /// When a worker popped this entry from its lane (`None` while
-    /// queued) — the boundary between the queue-wait and batch-wait
-    /// trace stages.
-    dequeued: Option<Instant>,
-}
-
-impl Entry {
-    fn expired(&self, now: Instant) -> bool {
-        self.deadline.is_some_and(|d| d <= now)
-    }
-}
-
-/// One tenant's FIFO queue plus its admission counters. Lanes are created
-/// on the first **accepted** request of a tenant (or up front for
-/// weighted tenants) and the table is bounded by
-/// [`RuntimeConfig::max_tenant_lanes`] — tenant names are
-/// client-controlled, so unbounded growth would let a hostile client
-/// inflate memory, metrics cardinality, and scheduler scans. At the cap,
-/// idle unweighted lanes are retired (counters folded into
-/// [`QueueState::retired`]) to make room.
-struct Lane {
-    tenant: Option<Arc<str>>,
-    weight: u32,
-    /// Remaining dequeues in the current weighted-round-robin cycle.
-    credits: u32,
-    entries: VecDeque<Entry>,
-    submitted: u64,
-    completed: u64,
-    failed: u64,
-    rejected: u64,
-    shed: u64,
-    quota_rejected: u64,
-    expired: u64,
-    deadline_misses: u64,
-}
-
-impl Lane {
-    fn new(tenant: Option<Arc<str>>, weight: u32) -> Self {
-        Self {
-            tenant,
-            weight,
-            credits: 0,
-            entries: VecDeque::new(),
-            submitted: 0,
-            completed: 0,
-            failed: 0,
-            rejected: 0,
-            shed: 0,
-            quota_rejected: 0,
-            expired: 0,
-            deadline_misses: 0,
-        }
-    }
-}
-
-/// Lane-attributed counters that feed the **global** totals. Every live
-/// lane carries its own set; this aggregate absorbs the counts of retired
-/// lanes and of refusals whose tenant never had a lane, so the global
-/// arithmetic (`submitted == completed + failed + expired`, refusal
-/// counters) stays exact no matter how the lane table churns.
-#[derive(Debug, Default, Clone, Copy)]
-struct LaneTotals {
-    submitted: u64,
-    rejected: u64,
-    shed: u64,
-    quota_rejected: u64,
-    expired: u64,
-    deadline_misses: u64,
-}
-
-/// Everything behind the queue mutex.
-struct QueueState {
-    lanes: Vec<Lane>,
-    /// Entries across all lanes — the quantity bounded by
-    /// `queue_capacity`.
-    total_queued: usize,
-    /// Where the weighted round-robin left off.
-    rr_cursor: usize,
-    shutting_down: bool,
-    high_water: usize,
-    /// Accepted requests failed without a dispatch (shutdown sweep, pool
-    /// death) — folded into `RuntimeStats::failed` so
-    /// `submitted == completed + failed + expired` holds at shutdown.
-    failed_unserved: u64,
-    /// Counters of retired lanes and of lane-less refusals (see
-    /// [`LaneTotals`]).
-    retired: LaneTotals,
-}
-
-impl QueueState {
-    fn new(config: &RuntimeConfig) -> Self {
-        // The anonymous lane plus one lane per weighted tenant, so
-        // configured weights are visible in the stats from the start.
-        let mut lanes = vec![Lane::new(None, 1)];
-        for (name, weight) in &config.tenant_weights {
-            lanes.push(Lane::new(Some(Arc::from(name.as_str())), *weight));
-        }
-        Self {
-            lanes,
-            total_queued: 0,
-            rr_cursor: 0,
-            shutting_down: false,
-            high_water: 0,
-            failed_unserved: 0,
-            retired: LaneTotals::default(),
-        }
-    }
-}
-
-/// Index of the tenant's lane, when one exists. Refusal and accounting
-/// paths use this instead of [`ensure_lane`] so a client-controlled
-/// tenant name can only ever grow the lane table through **accepted**
-/// work — a refused request must not cost the server a lane.
-fn lane_index(st: &QueueState, tenant: Option<&str>) -> Option<usize> {
-    st.lanes.iter().position(|l| l.tenant.as_deref() == tenant)
-}
-
-/// Whether a lane can be retired to make room at the cap: tagged, not
-/// configured with a weight (weighted lanes are part of the stats
-/// surface from spawn), nothing queued, and nothing in flight — the
-/// counter identity `submitted == completed + failed + expired` holds
-/// exactly when every accepted request of the lane has resolved.
-fn evictable(lane: &Lane, config: &RuntimeConfig) -> bool {
-    let Some(name) = lane.tenant.as_deref() else {
-        return false;
-    };
-    lane.entries.is_empty()
-        && lane.submitted == lane.completed + lane.failed + lane.expired
-        && !config.tenant_weights.iter().any(|(weighted, _)| weighted == name)
-}
-
-/// Remove lane `i`, folding its globally-summed counters into
-/// `st.retired` so the aggregate totals are unchanged (the per-tenant
-/// series disappears — that cardinality bound is the point).
-fn retire_lane(st: &mut QueueState, i: usize) {
-    let lane = st.lanes.remove(i);
-    debug_assert!(lane.entries.is_empty(), "retired lanes must be idle");
-    st.retired.submitted += lane.submitted;
-    st.retired.rejected += lane.rejected;
-    st.retired.shed += lane.shed;
-    st.retired.quota_rejected += lane.quota_rejected;
-    st.retired.expired += lane.expired;
-    st.retired.deadline_misses += lane.deadline_misses;
-    if st.rr_cursor > i {
-        st.rr_cursor -= 1;
-    } else if st.rr_cursor >= st.lanes.len() {
-        st.rr_cursor = 0;
-    }
-}
-
-/// Find or create the lane for `tenant`, keeping the table bounded by
-/// [`RuntimeConfig::max_tenant_lanes`]: at the cap, an idle unweighted
-/// lane is retired to make room; when every tagged lane is weighted or
-/// still has unresolved work, the request falls back to the **anonymous
-/// lane** — served and counted, just without its own per-tenant series.
-fn ensure_lane<'a>(
-    st: &'a mut QueueState,
-    tenant: Option<&str>,
-    config: &RuntimeConfig,
-) -> &'a mut Lane {
-    if let Some(i) = lane_index(st, tenant) {
-        return &mut st.lanes[i];
-    }
-    // `tenant` is tagged here: the anonymous lane always exists at 0.
-    let tagged = st.lanes.iter().filter(|l| l.tenant.is_some()).count();
-    if tagged >= config.max_tenant_lanes {
-        match st.lanes.iter().position(|l| evictable(l, config)) {
-            Some(idle) => retire_lane(st, idle),
-            None => return &mut st.lanes[0],
-        }
-    }
-    st.lanes.push(Lane::new(tenant.map(Arc::from), config.tenant_weight(tenant)));
-    st.lanes.last_mut().expect("just pushed")
-}
-
 /// State shared between the handle and the workers.
 struct Inner {
     engine: Engine<'static>,
     config: RuntimeConfig,
-    state: Mutex<QueueState>,
+    /// The whole admission and scheduling state, p99 window included,
+    /// behind the runtime's one lock.
+    state: Mutex<Queue>,
     /// Signaled on enqueue and on shutdown: workers wait here.
     work: Condvar,
     /// Signaled on dequeue and on shutdown: [`Runtime::submit_wait`]
@@ -363,36 +182,14 @@ struct Inner {
     /// fails the queued tickets — a pool with no workers must refuse
     /// intake, not accept tickets nobody will ever resolve.
     alive: AtomicUsize,
-    /// Observed p99 queue-to-response latency in nanoseconds over the
-    /// sliding window of [`P99_WINDOW`] most recent resolutions,
-    /// re-sampled by workers after every dispatch. The shed policy's p99
-    /// trip wire reads this instead of sorting samples on the submit
-    /// path.
-    p99_ns: AtomicU64,
-    /// When `p99_ns` was last refreshed, as nanoseconds since `started`.
-    /// The trip wire uses this to detect a stale reading: once a trip
-    /// drains the queue, no dispatches run to refresh the sample, so a
-    /// reading older than [`ShedPolicy::p99_recovery`] re-arms admission
-    /// instead of latching the outage permanently.
-    ///
-    /// [`ShedPolicy::p99_recovery`]: crate::ShedPolicy::p99_recovery
-    p99_at_ns: AtomicU64,
-    /// The sliding window of recent queue-to-response latencies (ns)
-    /// behind `p99_ns`. Lock order: `state` before `recent`, never the
-    /// reverse.
-    recent: Mutex<VecDeque<u64>>,
     started: Instant,
 }
 
-/// Sliding-window size for the shed policy's p99 sample: large enough
-/// that one unlucky dispatch cannot trip the wire, small enough that the
-/// estimate tracks the current regime rather than the process lifetime.
-const P99_WINDOW: usize = 256;
-
-/// Nanoseconds since the runtime started, saturating (585 years of
-/// uptime overflows u64 — not a case worth branching for).
-fn elapsed_ns(inner: &Inner) -> u64 {
-    u64::try_from(inner.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+/// Wake the submitters blocked for space when a queue step freed slots.
+fn wake_space(inner: &Inner, freed: usize) {
+    if freed > 0 {
+        inner.space.notify_all();
+    }
 }
 
 /// A running worker pool over one shared [`Engine`].
@@ -429,18 +226,14 @@ impl Runtime {
     pub fn spawn(engine: Engine<'static>, config: RuntimeConfig) -> Result<Self> {
         config.validate()?;
         let workers = config.workers;
-        let state = QueueState::new(&config);
         let inner = Arc::new(Inner {
             engine,
+            state: Mutex::new(Queue::new(config.clone())),
             config,
-            state: Mutex::new(state),
             work: Condvar::new(),
             space: Condvar::new(),
             shards: (0..workers).map(|_| Mutex::new(WorkerShard::default())).collect(),
             alive: AtomicUsize::new(workers),
-            p99_ns: AtomicU64::new(0),
-            p99_at_ns: AtomicU64::new(0),
-            recent: Mutex::new(VecDeque::with_capacity(P99_WINDOW)),
             started: Instant::now(),
         });
         let mut handles = Vec::with_capacity(workers);
@@ -547,119 +340,47 @@ impl Runtime {
     }
 
     /// The one admission loop behind every submit path: validate, then
-    /// under the queue lock run the fail-fast checks ([`Runtime::admit`]),
-    /// retract expired entries if the queue looks full, and enqueue once
-    /// there is space. A queue that stays full is where the paths differ
-    /// — `block` says how long to wait for a worker to free a slot; a
-    /// refusal for space is charged to the tenant as `rejected`.
+    /// under the queue lock let the [`Queue`] decide. A queue that stays
+    /// full is where the paths differ — `block` says how long to wait for
+    /// a worker to free a slot, with every fail-fast check run again on
+    /// each wake-up; a caller that stops waiting is counted as `rejected`.
     fn admit_and_enqueue(
         &self,
         request: SrRequest,
         block: Block,
     ) -> std::result::Result<Ticket, SubmitError> {
-        let parts = validate(request)?;
-        let capacity = self.inner.config.queue_capacity;
-        let mut st = lock(&self.inner.state);
+        let mut parts = validate(request)?;
+        let inner = &*self.inner;
+        let mut st = lock(&inner.state);
         loop {
-            self.admit(&mut st, &parts)?;
-            if st.total_queued >= capacity {
-                sweep_expired(&self.inner, &mut st, Instant::now());
-            }
-            if st.total_queued < capacity {
-                return Ok(self.enqueue(&mut st, parts));
-            }
+            let now = Instant::now();
+            let (admission, freed) = st.submit(parts, now);
+            wake_space(inner, freed);
+            parts = match admission {
+                Admission::Accepted(ticket) => {
+                    inner.work.notify_one();
+                    return Ok(ticket);
+                }
+                Admission::Refused(refusal) => return Err(refusal),
+                Admission::Full(parts) => parts,
+            };
             let refusal = match block {
-                Block::Never => SubmitError::QueueFull { capacity },
+                Block::Never => SubmitError::QueueFull { capacity: inner.config.queue_capacity },
                 Block::UntilSpace => {
-                    st = wait(&self.inner.space, st);
+                    st = wait(&inner.space, st);
                     continue;
                 }
                 Block::Until { deadline, timeout } => {
-                    let now = Instant::now();
                     if now < deadline {
-                        st = wait_timeout(&self.inner.space, st, deadline - now).0;
+                        st = wait_timeout(&inner.space, st, deadline - now).0;
                         continue;
                     }
                     SubmitError::Timeout { timeout }
                 }
             };
-            charge(&mut st, parts.tenant.as_deref(), |l| &mut l.rejected, |r| &mut r.rejected);
+            st.refuse_for_space(parts.tenant.as_deref());
             return Err(refusal);
         }
-    }
-
-    /// The fail-fast admission checks shared by every submit path:
-    /// shutdown, a passed deadline, the shed policy, and the tenant
-    /// quota. Capacity is *not* checked here — the blocking paths wait it
-    /// out instead. Refusals are charged to the tenant's **existing**
-    /// lane or the retired aggregate ([`charge`]); a refused request
-    /// never creates a lane.
-    fn admit(
-        &self,
-        st: &mut QueueState,
-        parts: &Admitted,
-    ) -> std::result::Result<(), SubmitError> {
-        let config = &self.inner.config;
-        let tenant = parts.tenant.as_deref();
-        if st.shutting_down {
-            return Err(SubmitError::ShuttingDown);
-        }
-        if parts.deadline.is_some_and(|d| d <= Instant::now()) {
-            charge(st, tenant, |l| &mut l.expired, |r| &mut r.expired);
-            return Err(SubmitError::Expired);
-        }
-        // Before refusing for space, retract expired entries buried in
-        // the lanes: dead work must not hold the shed watermark or a
-        // tenant quota against live work.
-        let queued = |st: &QueueState| lane_index(st, tenant).map_or(0, |i| st.lanes[i].entries.len());
-        let watermark_hit = config.shed.queue_watermark.is_some_and(|mark| st.total_queued >= mark);
-        let quota_hit = config.tenant_quota.is_some_and(|quota| queued(st) >= quota);
-        if watermark_hit || quota_hit {
-            sweep_expired(&self.inner, st, Instant::now());
-        }
-        if let Some(reason) = shed_reason(&self.inner, st) {
-            charge(st, tenant, |l| &mut l.shed, |r| &mut r.shed);
-            return Err(SubmitError::Shedding { reason });
-        }
-        if let Some(quota) = config.tenant_quota {
-            // A tenant without a lane has nothing queued, so only an
-            // existing lane can be at quota. (A tenant folded into the
-            // anonymous lane at a busy lane cap shares *its* quota.)
-            if let Some(i) = lane_index(st, tenant) {
-                if st.lanes[i].entries.len() >= quota {
-                    st.lanes[i].quota_rejected += 1;
-                    return Err(SubmitError::TenantQuota {
-                        tenant: parts.tenant.clone().unwrap_or_else(|| "default".into()),
-                        quota,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Build the entry under the queue lock — `enqueued` is stamped here,
-    /// the moment the request actually enters its lane (not when it was
-    /// validated, which `submit_wait` can separate by a long block).
-    fn enqueue(&self, st: &mut MutexGuard<'_, QueueState>, parts: Admitted) -> Ticket {
-        let Admitted { images, tile, tenant, deadline } = parts;
-        let cell = TicketCell::new();
-        let ticket = Ticket { cell: Arc::clone(&cell) };
-        let lane = ensure_lane(st, tenant.as_deref(), &self.inner.config);
-        lane.submitted += 1;
-        lane.entries.push_back(Entry {
-            images,
-            tile,
-            tenant: lane.tenant.clone(),
-            deadline,
-            cell,
-            enqueued: Instant::now(),
-            dequeued: None,
-        });
-        st.total_queued += 1;
-        st.high_water = st.high_water.max(st.total_queued);
-        self.inner.work.notify_one();
-        ticket
     }
 
     /// Aggregate a live snapshot of the serving counters.
@@ -673,93 +394,37 @@ impl Runtime {
     /// accepted ticket is resolved before this returns.
     #[must_use = "the final stats are the runtime's lifetime report; drop the runtime instead if you don't want them"]
     pub fn shutdown(mut self) -> RuntimeStats {
-        self.begin_shutdown();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-        sweep_leftovers(&self.inner);
+        self.drain_and_join();
         snapshot(&self.inner)
     }
 
     fn begin_shutdown(&self) {
-        let mut st = lock(&self.inner.state);
-        st.shutting_down = true;
-        drop(st);
+        lock(&self.inner.state).begin_shutdown();
         self.inner.work.notify_all();
         self.inner.space.notify_all();
+    }
+
+    /// Stop intake, let the workers drain the lanes, and join them — a
+    /// no-op once the pool is joined. The drain normally empties the lanes
+    /// before the workers exit; entries can only remain if every worker
+    /// died panicking, and even then no accepted ticket may be left
+    /// blocking forever.
+    fn drain_and_join(&mut self) {
+        if self.handles.is_empty() {
+            return;
+        }
+        self.begin_shutdown();
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+        lock(&self.inner.state)
+            .fail_queued("runtime shut down before this request could be served");
     }
 }
 
 impl Drop for Runtime {
     fn drop(&mut self) {
-        if self.handles.is_empty() {
-            return; // `shutdown` already joined the pool
-        }
-        self.begin_shutdown();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-        sweep_leftovers(&self.inner);
-    }
-}
-
-/// Whether the shed policy refuses new work right now.
-///
-/// The p99 trip wire is self-recovering: a reading only refuses work
-/// while it is fresher than [`ShedPolicy::p99_recovery`]. A trip that
-/// succeeds in draining the queue stops all dispatches — nothing would
-/// ever refresh the sample — so a stale over-trip reading is treated as
-/// evidence the overload has passed, and the window is reset to re-arm
-/// admission. A *real* ongoing overload keeps producing slow dispatches,
-/// which keep the reading fresh and the wire tripped.
-///
-/// [`ShedPolicy::p99_recovery`]: crate::ShedPolicy::p99_recovery
-fn shed_reason(inner: &Inner, st: &QueueState) -> Option<&'static str> {
-    let policy = inner.config.shed;
-    if policy.queue_watermark.is_some_and(|mark| st.total_queued >= mark) {
-        return Some("queue depth watermark");
-    }
-    if let Some(trip) = policy.p99_trip {
-        if u128::from(inner.p99_ns.load(Ordering::Relaxed)) > trip.as_nanos() {
-            let age = elapsed_ns(inner).saturating_sub(inner.p99_at_ns.load(Ordering::Relaxed));
-            if u128::from(age) <= policy.p99_recovery.as_nanos() {
-                return Some("p99 latency trip wire");
-            }
-            // Stale over-trip reading: re-arm. Forgetting the window is
-            // deliberate — those samples describe the regime that tripped
-            // the wire, not the one this request is being admitted into.
-            inner.p99_ns.store(0, Ordering::Relaxed);
-            lock(&inner.recent).clear();
-        }
-    }
-    None
-}
-
-/// After the workers are joined, resolve anything still queued. The drain
-/// loop normally empties the lanes before the workers exit; entries can
-/// only remain here if every worker died panicking, and even then no
-/// accepted ticket may be left blocking forever.
-fn sweep_leftovers(inner: &Inner) {
-    let mut st = lock(&inner.state);
-    fail_queued(
-        &mut st,
-        "runtime shut down before this request could be served",
-    );
-}
-
-/// Fail every queued entry with `message`, keeping the per-lane and
-/// unserved counters exact.
-fn fail_queued(st: &mut QueueState, message: &str) {
-    for lane in &mut st.lanes {
-        while let Some(entry) = lane.entries.pop_front() {
-            if entry.cell.resolve_if_pending(Err(ServeError::Infer(
-                TensorError::InvalidArgument(message.into()),
-            ))) {
-                lane.failed += 1;
-                st.failed_unserved += 1;
-            }
-            st.total_queued -= 1;
-        }
+        self.drain_and_join();
     }
 }
 
@@ -773,15 +438,6 @@ enum Block {
     /// Until `deadline`, then [`SubmitError::Timeout`] carrying the
     /// caller's `timeout`.
     Until { deadline: Instant, timeout: std::time::Duration },
-}
-
-/// What survives request validation: the payload plus the admission
-/// metadata (tenant tag, absolute deadline).
-struct Admitted {
-    images: Vec<Image>,
-    tile: Option<TilePolicy>,
-    tenant: Option<String>,
-    deadline: Option<Instant>,
 }
 
 /// Reject requests that could never be served, so they cannot poison a
@@ -842,8 +498,8 @@ fn worker_loop(inner: &Inner, worker: usize) {
             let was = self.inner.alive.fetch_sub(1, Ordering::SeqCst);
             if was == 1 && std::thread::panicking() {
                 let mut st = lock(&self.inner.state);
-                st.shutting_down = true;
-                fail_queued(&mut st, "runtime has no live workers left (all panicked)");
+                st.begin_shutdown();
+                st.fail_queued("runtime has no live workers left (all panicked)");
                 drop(st);
                 self.inner.space.notify_all();
             }
@@ -863,254 +519,59 @@ fn worker_loop(inner: &Inner, worker: usize) {
     }
 }
 
-/// Resolve and account every expired entry at the head of a lane. Expiry
-/// is lazy — an expired entry buried behind live ones is retracted when
-/// it surfaces at its lane head (or at the final pre-dispatch check) —
-/// but an expired entry is *never* handed to a session.
-fn expire_stale_heads(inner: &Inner, st: &mut QueueState, now: Instant) {
-    let mut freed = false;
-    for lane in &mut st.lanes {
-        while lane.entries.front().is_some_and(|e| e.expired(now)) {
-            let entry = lane.entries.pop_front().expect("front checked");
-            entry.cell.resolve(Err(ServeError::Rejected(SubmitError::Expired)));
-            lane.expired += 1;
-            st.total_queued -= 1;
-            freed = true;
-        }
-    }
-    if freed {
-        inner.space.notify_all();
-    }
-}
-
-/// Retract every expired entry anywhere in the lanes — not just the
-/// heads. Admission runs this when a refusal for *space* is on the table
-/// (queue capacity, shed watermark, tenant quota), so dead entries buried
-/// behind live ones cannot hold capacity against live work. Returns how
-/// many entries were freed.
-fn sweep_expired(inner: &Inner, st: &mut QueueState, now: Instant) -> usize {
-    let mut freed = 0;
-    for lane in &mut st.lanes {
-        let Lane { ref mut entries, ref mut expired, .. } = *lane;
-        entries.retain(|e| {
-            if e.expired(now) {
-                e.cell.resolve(Err(ServeError::Rejected(SubmitError::Expired)));
-                *expired += 1;
-                freed += 1;
-                false
-            } else {
-                true
-            }
-        });
-    }
-    if freed > 0 {
-        st.total_queued -= freed;
-        inner.space.notify_all();
-    }
-    freed
-}
-
-/// Bump a per-tenant counter without creating a lane: the tenant's live
-/// lane when one exists, the retired aggregate otherwise. Refusal paths
-/// use this so a client-controlled tenant name cannot grow the lane
-/// table without ever being admitted.
-fn charge(
-    st: &mut QueueState,
-    tenant: Option<&str>,
-    lane_counter: fn(&mut Lane) -> &mut u64,
-    retired_counter: fn(&mut LaneTotals) -> &mut u64,
-) {
-    match lane_index(st, tenant) {
-        Some(i) => *lane_counter(&mut st.lanes[i]) += 1,
-        None => *retired_counter(&mut st.retired) += 1,
-    }
-}
-
-/// The earliest deadline anywhere in the queue — the moment a sleeping
-/// worker must wake to retract expired work promptly.
-fn earliest_deadline(st: &QueueState) -> Option<Instant> {
-    st.lanes
-        .iter()
-        .flat_map(|lane| lane.entries.iter().filter_map(|e| e.deadline))
-        .min()
-}
-
-/// Pick the next entry to anchor a dispatch: earliest-deadline-first
-/// *within* the weighted rotation — among lanes still holding credits
-/// this cycle, a deadline-tagged head is drained before the cursor scan,
-/// earliest first. FIFO order within a lane is never violated.
-///
-/// Bounding EDF by credits is what keeps deadlines from defeating
-/// fairness: deadline tags order work inside a cycle but cannot buy more
-/// than the lane's weight per cycle, so a tenant stamping every request
-/// with a far-future deadline (the tag is client-controlled) still
-/// cannot starve untagged tenants.
-fn pop_next(inner: &Inner, st: &mut QueueState, now: Instant) -> Option<Entry> {
-    expire_stale_heads(inner, st, now);
-    if st.total_queued == 0 {
-        return None;
-    }
-    // Weighted round-robin: when every backlogged lane is out of
-    // credits, grant a fresh cycle (weight credits each).
-    if !st.lanes.iter().any(|l| !l.entries.is_empty() && l.credits > 0) {
-        for lane in &mut st.lanes {
-            if !lane.entries.is_empty() {
-                lane.credits = lane.weight;
-            }
-        }
-    }
-    // EDF among the credit-holding lanes: urgent work goes first within
-    // the cycle, spending a credit like any other dispatch.
-    let edf = st
-        .lanes
-        .iter()
-        .enumerate()
-        .filter(|(_, lane)| lane.credits > 0)
-        .filter_map(|(i, lane)| lane.entries.front().and_then(|e| e.deadline).map(|d| (d, i)))
-        .min_by_key(|&(d, _)| d);
-    let i = match edf {
-        Some((_, i)) => i,
-        None => {
-            // Scan from the cursor so a lane spends its credits
-            // consecutively (coalescing-friendly).
-            let n = st.lanes.len();
-            (0..n)
-                .map(|k| (st.rr_cursor + k) % n)
-                .find(|&i| !st.lanes[i].entries.is_empty() && st.lanes[i].credits > 0)?
-        }
-    };
-    st.lanes[i].credits -= 1;
-    st.rr_cursor = i;
-    let mut entry = st.lanes[i].entries.pop_front()?;
-    entry.dequeued = Some(Instant::now());
-    st.total_queued -= 1;
-    Some(entry)
-}
-
-/// One fairness round over the lanes: take at most one compatible head
-/// (same tile override, fits within `max_batch`) per lane. Returns
-/// whether anything was taken.
-fn gather_round(
-    inner: &Inner,
-    st: &mut QueueState,
-    batch: &mut Vec<Entry>,
-    images: &mut usize,
-    now: Instant,
-) -> bool {
-    expire_stale_heads(inner, st, now);
-    let max_batch = inner.config.max_batch;
-    let tile = batch[0].tile;
-    let mut took = false;
-    let n = st.lanes.len();
-    for k in 0..n {
-        let i = (st.rr_cursor + k) % n;
-        let compatible = st.lanes[i]
-            .entries
-            .front()
-            .is_some_and(|e| e.tile == tile && *images + e.images.len() <= max_batch);
-        if compatible {
-            let mut entry = st.lanes[i].entries.pop_front().expect("front checked");
-            entry.dequeued = Some(Instant::now());
-            st.total_queued -= 1;
-            *images += entry.images.len();
-            batch.push(entry);
-            inner.space.notify_all();
-            took = true;
-            if *images >= max_batch {
-                break;
-            }
-        }
-    }
-    took
-}
-
-/// The cross-request dynamic batcher. Blocks for work (waking early to
-/// retract expired entries), anchors a batch on the scheduler's pick,
-/// then gathers compatible heads across the lanes — waiting up to
-/// `max_wait` for stragglers while the queue is empty. Returns `None`
-/// when the runtime is shutting down and the lanes are fully drained;
-/// the returned batch can be empty when everything gathered expired
-/// during the straggler window.
+/// The cross-request dynamic batcher. Blocks for work, anchors a batch on
+/// the scheduler's pick, then gathers compatible heads across the lanes —
+/// waiting up to `max_wait` for stragglers while the queue is empty.
+/// Returns `None` when the runtime is shutting down and the lanes are
+/// fully drained; the returned batch can be empty when everything
+/// gathered expired during the straggler window.
 fn next_dispatch(inner: &Inner) -> Option<Vec<Entry>> {
     let mut st = lock(&inner.state);
     let first = loop {
-        if let Some(entry) = pop_next(inner, &mut st, Instant::now()) {
+        let (popped, freed) = st.pop(Instant::now());
+        wake_space(inner, freed);
+        if let Some(entry) = popped {
             break entry;
         }
-        if st.shutting_down {
+        if st.shutting_down() {
             return None;
         }
-        // Sleep until work arrives — or until the earliest queued
-        // deadline passes, so expired entries are retracted promptly
-        // instead of waiting for the next submission to wake a worker.
-        st = match earliest_deadline(&st) {
-            Some(d) => {
-                let now = Instant::now();
-                if d <= now {
-                    continue;
-                }
-                wait_timeout(&inner.work, st, d - now).0
-            }
-            None => wait(&inner.work, st),
-        };
+        // Nothing is queued (`pop` retracts what expired and hands out
+        // anything live), so there is no deadline to wake for either.
+        st = wait(&inner.work, st);
     };
-    inner.space.notify_all();
-    let max_batch = inner.config.max_batch;
     let window = Instant::now() + inner.config.max_wait;
-    let mut images = first.images.len();
     let mut batch = vec![first];
     loop {
-        let took = gather_round(inner, &mut st, &mut batch, &mut images, Instant::now());
-        // Dispatch when full or shutting down; when only incompatible
-        // heads remain (never reorder around them within a lane), keep
-        // gathering while rounds still make progress; otherwise wait out
-        // the batching window for stragglers.
-        if images >= max_batch || st.shutting_down {
-            break;
-        }
-        if st.total_queued > 0 {
-            if took {
-                continue;
-            }
-            break;
-        }
         let now = Instant::now();
-        if now >= window {
-            break;
-        }
-        let (guard, timed_out) = wait_timeout(&inner.work, st, window - now);
-        st = guard;
-        if timed_out {
-            // One last gather below is pointless — the wait only returns
-            // with the lock held, so the queue state is current.
-            break;
-        }
-    }
-    // The hard guarantee behind `SubmitError::Expired`: nothing expired
-    // is ever dispatched. The straggler window can outlive a gathered
-    // entry's deadline; retract those here, at the last moment before
-    // the batch leaves the lock.
-    let now = Instant::now();
-    let mut kept = Vec::with_capacity(batch.len());
-    for entry in batch {
-        if entry.expired(now) {
-            entry.cell.resolve(Err(ServeError::Rejected(SubmitError::Expired)));
-            // In-flight entries pin their lane (see `evictable`), so this
-            // finds it; `charge` keeps the totals exact regardless.
-            charge(&mut st, entry.tenant.as_deref(), |l| &mut l.expired, |r| &mut r.expired);
-        } else {
-            kept.push(entry);
+        let (next, freed) = st.gather(&mut batch, now);
+        wake_space(inner, freed);
+        match next {
+            Gathered::Seal => break,
+            Gathered::Again => {}
+            Gathered::Wait => {
+                if now >= window {
+                    break;
+                }
+                let (guard, timed_out) = wait_timeout(&inner.work, st, window - now);
+                st = guard;
+                if timed_out {
+                    // One last gather is pointless — the wait only
+                    // returns with the lock held, so the queue state is
+                    // current.
+                    break;
+                }
+            }
         }
     }
     // This worker may have consumed a submit's `notify_one` for an entry
-    // it is deliberately leaving queued (incompatible tile override, or a
-    // batch that would not fit). Re-signal so an idle worker picks it up
-    // instead of waiting out this whole dispatch.
-    if st.total_queued > 0 {
+    // it is deliberately leaving queued. Re-signal so an idle worker picks
+    // it up instead of waiting out this whole dispatch.
+    if st.seal(&mut batch, Instant::now()) {
         inner.work.notify_one();
     }
     drop(st);
-    Some(kept)
+    Some(batch)
 }
 
 /// On unwind — a panic inside the forward path — resolve every
@@ -1130,20 +591,8 @@ impl Drop for ResolveOnPanic<'_> {
         }
         // The panic came out of the forward path, so this thread holds
         // neither the state lock nor a shard lock here.
-        let mut st = lock(&self.inner.state);
-        for entry in self.entries {
-            if entry.cell.resolve_if_pending(Err(ServeError::Infer(
-                TensorError::InvalidArgument(
-                    "runtime worker panicked while serving this dispatch".into(),
-                ),
-            ))) {
-                // In-flight entries pin their lane (see `evictable`).
-                if let Some(i) = lane_index(&st, entry.tenant.as_deref()) {
-                    st.lanes[i].failed += 1;
-                }
-                st.failed_unserved += 1;
-            }
-        }
+        lock(&self.inner.state)
+            .abandon(self.entries, "runtime worker panicked while serving this dispatch");
     }
 }
 
@@ -1203,7 +652,6 @@ fn serve_dispatch(inner: &Inner, worker: usize, session: &Session<'_, 'static>, 
         shard.coalesced += entries.len() as u64;
     }
     let served_ok = result.is_ok();
-    let mut sampled = Vec::with_capacity(entries.len());
     match result {
         Ok(response) => {
             // Per-caller stats: own image count; the shared dispatch's
@@ -1215,9 +663,7 @@ fn serve_dispatch(inner: &Inner, worker: usize, session: &Session<'_, 'static>, 
                 debug_assert_eq!(own.len(), n, "response images must cover the dispatch");
                 shard.completed += 1;
                 shard.images += n as u64;
-                let latency = entry.enqueued.elapsed();
-                shard.latency.record(latency);
-                sampled.push(u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX));
+                shard.latency.record(entry.enqueued.elapsed());
                 let stamps = record_stages(&mut shard, entry, served_at, infer_done);
                 entry.cell.resolve(Ok(SrResponse::from_parts(
                     own,
@@ -1234,9 +680,7 @@ fn serve_dispatch(inner: &Inner, worker: usize, session: &Session<'_, 'static>, 
             // that error.
             for entry in &entries {
                 shard.failed += 1;
-                let latency = entry.enqueued.elapsed();
-                shard.latency.record(latency);
-                sampled.push(u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX));
+                shard.latency.record(entry.enqueued.elapsed());
                 let _ = record_stages(&mut shard, entry, served_at, infer_done);
                 entry.cell.resolve(Err(ServeError::Infer(e.clone())));
             }
@@ -1249,29 +693,9 @@ fn serve_dispatch(inner: &Inner, worker: usize, session: &Session<'_, 'static>, 
     }
     drop(shard);
 
-    // Per-tenant accounting happens post-dispatch under one brief state
-    // lock: completions, failures, and deadline misses (served, but after
-    // the deadline passed mid-flight — the late-but-served counterpart of
-    // the never-dispatched `Expired`). In-flight entries pin their lane
-    // (see `evictable`), so the lookup always lands.
-    let resolved_at = Instant::now();
-    let mut st = lock(&inner.state);
-    for entry in &entries {
-        let Some(i) = lane_index(&st, entry.tenant.as_deref()) else {
-            continue;
-        };
-        let lane = &mut st.lanes[i];
-        if served_ok {
-            lane.completed += 1;
-            if entry.deadline.is_some_and(|d| resolved_at > d) {
-                lane.deadline_misses += 1;
-            }
-        } else {
-            lane.failed += 1;
-        }
-    }
-    drop(st);
-    note_latencies(inner, &sampled);
+    // The ledger and the p99 window are updated post-dispatch, under one
+    // brief state lock.
+    lock(&inner.state).complete(&entries, served_ok, Instant::now());
 }
 
 /// Record one served entry's stage spans into the worker's shard and
@@ -1296,68 +720,7 @@ fn record_stages(
     RuntimeStamps { enqueued: entry.enqueued, dequeued, sealed, infer_done }
 }
 
-/// Fold this dispatch's queue-to-response latencies into the sliding
-/// window and re-sample its p99 into the shared cache the shed policy's
-/// trip wire reads. Windowed — not lifetime-cumulative — so the estimate
-/// can come back down when the overload passes.
-fn note_latencies(inner: &Inner, sampled: &[u64]) {
-    let mut recent = lock(&inner.recent);
-    for &ns in sampled {
-        if recent.len() == P99_WINDOW {
-            recent.pop_front();
-        }
-        recent.push_back(ns);
-    }
-    let mut sorted: Vec<u64> = recent.iter().copied().collect();
-    drop(recent);
-    if sorted.is_empty() {
-        return;
-    }
-    sorted.sort_unstable();
-    let rank = (sorted.len() * 99).div_ceil(100).max(1);
-    inner.p99_ns.store(sorted[rank - 1], Ordering::Relaxed);
-    inner.p99_at_ns.store(elapsed_ns(inner), Ordering::Relaxed);
-}
-
 fn snapshot(inner: &Inner) -> RuntimeStats {
-    let st = lock(&inner.state);
-    let queue_depth = st.total_queued;
-    let queue_high_water = st.high_water;
-    let failed_unserved = st.failed_unserved;
-    // Seed the global sums with the retired aggregate so retiring a lane
-    // (or refusing a lane-less tenant) never loses a count.
-    let mut submitted = st.retired.submitted;
-    let mut rejected = st.retired.rejected;
-    let mut shed = st.retired.shed;
-    let mut quota_rejected = st.retired.quota_rejected;
-    let mut expired = st.retired.expired;
-    let mut deadline_misses = st.retired.deadline_misses;
-    let mut tenants = Vec::new();
-    for lane in &st.lanes {
-        submitted += lane.submitted;
-        rejected += lane.rejected;
-        shed += lane.shed;
-        quota_rejected += lane.quota_rejected;
-        expired += lane.expired;
-        deadline_misses += lane.deadline_misses;
-        if let Some(name) = &lane.tenant {
-            tenants.push(TenantStats {
-                tenant: name.to_string(),
-                weight: lane.weight,
-                queued: lane.entries.len(),
-                submitted: lane.submitted,
-                completed: lane.completed,
-                failed: lane.failed,
-                rejected: lane.rejected,
-                shed: lane.shed,
-                quota_rejected: lane.quota_rejected,
-                expired: lane.expired,
-                deadline_misses: lane.deadline_misses,
-            });
-        }
-    }
-    drop(st);
-    tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
     let mut agg = WorkerShard::default();
     for shard in &inner.shards {
         agg.merge(&lock(shard));
@@ -1368,24 +731,16 @@ fn snapshot(inner: &Inner) -> RuntimeStats {
     } else {
         agg.images as f64 / (agg.dispatches * inner.config.max_batch as u64) as f64
     };
-    RuntimeStats {
+    let mut stats = RuntimeStats {
         workers: inner.config.workers,
         backend: inner.engine.backend(),
         simd: inner.engine.backend().kernel().simd_level(),
         max_batch: inner.config.max_batch,
-        submitted,
-        rejected,
-        shed,
-        quota_rejected,
-        expired,
-        deadline_misses,
         completed: agg.completed,
-        failed: agg.failed + failed_unserved,
+        failed: agg.failed,
         images: agg.images,
         dispatches: agg.dispatches,
         coalesced: agg.coalesced,
-        queue_depth,
-        queue_high_water,
         workspace_bytes: agg.workspace_bytes,
         batch_fill,
         busy: agg.busy,
@@ -1396,8 +751,11 @@ fn snapshot(inner: &Inner) -> RuntimeStats {
         infer: agg.infer,
         late_discarded: agg.late_discarded,
         op_profile: agg.op_profile,
-        tenants,
-    }
+        ..RuntimeStats::default()
+    };
+    lock(&inner.state).report(&mut stats);
+    stats.tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
+    stats
 }
 
 #[cfg(test)]
@@ -1405,7 +763,7 @@ mod tests {
     use super::*;
     use scales_core::Method;
     use scales_models::{srresnet, SrConfig};
-    use scales_serve::Precision;
+    use scales_serve::{Precision, TilePolicy};
 
     fn small_engine() -> Engine<'static> {
         let net = srresnet(SrConfig {

@@ -3,7 +3,7 @@
 use crate::engine::Precision;
 use crate::tile::TilePolicy;
 use scales_data::Image;
-use scales_telemetry::{RequestId, RuntimeStamps};
+use scales_telemetry::RuntimeStamps;
 use scales_tensor::backend::Backend;
 use scales_tensor::SimdLevel;
 use std::time::{Duration, Instant};
@@ -16,7 +16,6 @@ pub struct SrRequest {
     tile: Option<TilePolicy>,
     tenant: Option<String>,
     deadline: Option<Instant>,
-    request_id: Option<RequestId>,
 }
 
 impl SrRequest {
@@ -30,7 +29,7 @@ impl SrRequest {
     /// the session micro-batches same-sized images together.
     #[must_use]
     pub fn batch(images: Vec<Image>) -> Self {
-        Self { images, tile: None, tenant: None, deadline: None, request_id: None }
+        Self { images, tile: None, tenant: None, deadline: None }
     }
 
     /// Override the engine's tile policy for this request only.
@@ -66,23 +65,6 @@ impl SrRequest {
     #[must_use]
     pub fn deadline_in(self, budget: Duration) -> Self {
         self.deadline_at(Instant::now() + budget)
-    }
-
-    /// Tag this request with its trace id — the correlation handle the
-    /// HTTP edge echoes as `X-Scales-Request-Id` and the flight recorder
-    /// keys its traces by. The id travels with the request through
-    /// router, runtime queue, and ticket so every layer can attribute
-    /// the work to the same trace.
-    #[must_use]
-    pub fn request_id(mut self, id: RequestId) -> Self {
-        self.request_id = Some(id);
-        self
-    }
-
-    /// The trace id, if the request carries one.
-    #[must_use]
-    pub fn request_id_tag(&self) -> Option<&RequestId> {
-        self.request_id.as_ref()
     }
 
     /// The requested images.

@@ -2,7 +2,7 @@
 //! metrics, plus the deployment path against the training path.
 
 use scales::autograd::Var;
-use scales::binary::{BinaryConv2d, BinaryLinear};
+use scales::binary::BinaryConv2d;
 use scales::core::{Method, ScalesComponents};
 use scales::data::Benchmark;
 use scales::models::{edsr, srresnet, swinir, Arch, SrConfig, SrNetwork};
@@ -101,8 +101,11 @@ fn deployment_binary_linear_matches_training_path() {
     let xb = Var::new(input.clone()).sign_ste();
     let wb = Var::param(weight.clone()).binarize_weight_per_channel().unwrap();
     let reference = xb.matmul(&wb.permute(&[1, 0]).unwrap()).unwrap().value();
-    let packed = BinaryLinear::from_float_weight(&weight).unwrap();
-    let fast = packed.forward(&input).unwrap();
+    // Deployment path: every linear ships as a `k = 1` packed conv over a
+    // `[n, in, 1, 1]` plane (same per-row scales by construction).
+    let packed = BinaryConv2d::from_float_weight(&weight.reshape(&[5, 12, 1, 1]).unwrap()).unwrap();
+    let fast = packed.forward(&input.reshape(&[3, 12, 1, 1]).unwrap()).unwrap();
+    assert_eq!(fast.shape(), &[3, 5, 1, 1]);
     for (a, b) in fast.data().iter().zip(reference.data().iter()) {
         assert!((a - b).abs() < 1e-3, "{a} vs {b}");
     }

@@ -14,7 +14,9 @@ use scales::core::Method;
 use scales::data::Image;
 use scales::models::{srresnet, SrConfig};
 use scales::nn::init::rng;
-use scales::runtime::{Runtime, RuntimeConfig, ServeError, ShedPolicy, SubmitError, Ticket};
+use scales::runtime::{
+    Runtime, RuntimeConfig, RuntimeStats, ServeError, ShedPolicy, SubmitError, Ticket,
+};
 use scales::serve::{Engine, Precision, SrRequest};
 use scales::tensor::backend::{self, Backend};
 use std::time::Duration;
@@ -68,6 +70,38 @@ fn assert_images_bit_identical(got: &[Image], want: &[Image], label: &str) {
     }
 }
 
+/// What every final `shutdown()` report must satisfy: the queue is drained,
+/// every accepted request resolved exactly once, and no tenant lane counts
+/// more than the runtime as a whole. `expired` counts deadlines refused at
+/// the door (never `submitted`) as well as retractions from the queue, so
+/// from the report alone the accepted requests that neither completed nor
+/// failed are bounded by it — with no deadline in play that is the
+/// equality `submitted == completed + failed`.
+fn assert_ledger_closes(stats: &RuntimeStats) {
+    assert_eq!(stats.queue_depth, 0, "shutdown drains the queue");
+    let resolved = stats.completed + stats.failed;
+    assert!(
+        resolved <= stats.submitted && stats.submitted <= resolved + stats.expired,
+        "accepted requests must resolve exactly once: submitted {}, completed {}, failed {}, expired {}",
+        stats.submitted, stats.completed, stats.failed, stats.expired
+    );
+    let lanes = |counter: fn(&scales::runtime::TenantStats) -> u64| -> u64 {
+        stats.tenants.iter().map(counter).sum()
+    };
+    for (name, tenants, global) in [
+        ("submitted", lanes(|t| t.submitted), stats.submitted),
+        ("completed", lanes(|t| t.completed), stats.completed),
+        ("failed", lanes(|t| t.failed), stats.failed),
+        ("rejected", lanes(|t| t.rejected), stats.rejected),
+        ("shed", lanes(|t| t.shed), stats.shed),
+        ("quota_rejected", lanes(|t| t.quota_rejected), stats.quota_rejected),
+        ("expired", lanes(|t| t.expired), stats.expired),
+        ("deadline_misses", lanes(|t| t.deadline_misses), stats.deadline_misses),
+    ] {
+        assert!(tenants <= global, "tenant lanes count {tenants} {name}, the runtime only {global}");
+    }
+}
+
 /// Bit-identity of runtime serving vs serial `Session::infer`, for every
 /// CNN registry method on both backends, with mixed-size requests that the
 /// batcher is free to coalesce.
@@ -113,6 +147,7 @@ fn runtime_matches_serial_session_bitwise_across_the_method_registry() {
                     assert_eq!(response.stats().backend, be, "{label}");
                 }
                 let stats = runtime.shutdown();
+                assert_ledger_closes(&stats);
                 assert_eq!(stats.completed, 4, "{label}");
                 assert_eq!(stats.images, 6, "{label}");
                 assert_eq!(stats.failed, 0, "{label}");
@@ -180,6 +215,7 @@ fn concurrent_submitters_each_get_their_own_responses_in_order() {
                 }
             });
             let stats = runtime.shutdown();
+            assert_ledger_closes(&stats);
             assert_eq!(stats.completed, 12, "{method}");
             assert_eq!(stats.failed, 0, "{method}");
             assert!(stats.queue_high_water <= 8, "{method}: bounded queue respected");
@@ -225,6 +261,7 @@ fn a_full_queue_rejects_submissions_with_a_typed_error() {
         assert!(q1.wait().is_ok());
         assert!(q2.wait().is_ok());
         let stats = runtime.shutdown();
+        assert_ledger_closes(&stats);
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.completed, 3);
         assert_eq!(stats.queue_high_water, 2);
@@ -270,6 +307,7 @@ fn graceful_shutdown_under_load_resolves_every_accepted_ticket() {
             submitters.into_iter().flat_map(|s| s.join().unwrap()).collect()
         });
         let stats = runtime.shutdown();
+        assert_ledger_closes(&stats);
         // Every accepted ticket resolved during the drain — none dropped,
         // none left pending.
         for ticket in tickets {
@@ -321,6 +359,7 @@ fn shutdown_racing_submitters_stays_deadlock_free() {
         std::thread::sleep(Duration::from_millis(3));
         let rt = runtime.lock().unwrap().take().expect("runtime present");
         let stats = rt.shutdown();
+        assert_ledger_closes(&stats);
         for thread in threads {
             thread.join().unwrap();
         }
@@ -356,6 +395,7 @@ fn dynamic_batching_coalesces_a_backlog_of_single_image_callers() {
             assert_eq!(response.stats().images, 1, "caller sees its own image count");
         }
         let stats = runtime.shutdown();
+        assert_ledger_closes(&stats);
         assert_eq!(stats.completed, 16);
         // 16 singles with max_batch 8 and a 50 ms window: the burst is
         // already queued when the worker gathers, so dispatches must be
@@ -413,6 +453,7 @@ fn queued_requests_whose_deadline_passes_are_retracted_not_served_late() {
         assert_eq!(wedge.wait().unwrap().images().len(), 12);
         assert!(patient.wait().is_ok());
         let stats = runtime.shutdown();
+        assert_ledger_closes(&stats);
         assert_eq!(stats.expired, 1);
         assert_eq!(stats.completed, 2);
         assert_eq!(stats.failed, 0);
@@ -471,6 +512,7 @@ fn deadline_tagged_requests_are_scheduled_earliest_deadline_first() {
         let order = done.map(|(_, label)| label);
         assert_eq!(order, ["tight", "loose", "untagged"], "EDF order");
         let stats = runtime.shutdown();
+        assert_ledger_closes(&stats);
         assert_eq!(stats.completed, 4);
         assert_eq!(stats.expired, 0, "generous deadlines never expire");
     });
@@ -510,6 +552,7 @@ fn weighted_tenants_are_not_starved_by_a_hot_low_weight_tenant() {
         // lane that got there first.
         assert!(gold_done < bronze_done, "gold (weight 3) must not wait out bronze's backlog");
         let stats = runtime.shutdown();
+        assert_ledger_closes(&stats);
         assert_eq!(stats.completed, 9);
         let tenants: Vec<&str> = stats.tenants.iter().map(|t| t.tenant.as_str()).collect();
         assert_eq!(tenants, ["bronze", "gold"], "tagged lanes reported, sorted");
@@ -553,11 +596,65 @@ fn a_tenant_at_its_quota_is_refused_without_blocking_other_tenants() {
         }
         assert!(cold.wait().is_ok());
         let stats = runtime.shutdown();
+        assert_ledger_closes(&stats);
         assert_eq!(stats.quota_rejected, 1);
         assert_eq!(stats.completed, 4);
         let hot_lane = stats.tenants.iter().find(|t| t.tenant == "hot").unwrap();
         assert_eq!(hot_lane.quota_rejected, 1);
         assert_eq!(hot_lane.completed, 2);
+    });
+}
+
+/// The quota follows the lane a request actually joins: at a busy lane cap
+/// a new tenant folds into the anonymous lane and is held to *its* quota,
+/// so rotating tenant names buys nothing — and the honest untagged traffic
+/// sharing that lane is refused only while the folded requests are queued.
+#[test]
+fn rotating_tenant_names_cannot_bypass_the_lane_quota() {
+    with_watchdog(120, "quota-fold", || {
+        let config = RuntimeConfig {
+            tenant_quota: Some(2),
+            max_tenant_lanes: 1,
+            queue_capacity: 64,
+            ..RuntimeConfig::default()
+        };
+        let (runtime, wedge) = wedged_runtime(config, 29);
+        // The one tagged lane is pinned by queued work, so it cannot be
+        // retired to make room for another name.
+        let pinned =
+            runtime.submit(SrRequest::single(probe(6, 6, 2_900)).tenant("pinned")).unwrap();
+        let mut folded = Vec::new();
+        for i in 0..20 {
+            let request = SrRequest::single(probe(6, 6, 2_901 + i)).tenant(format!("rotating-{i}"));
+            match runtime.submit(request) {
+                Ok(ticket) => folded.push(ticket),
+                Err(SubmitError::TenantQuota { tenant, quota }) => {
+                    assert_eq!(tenant, "default", "held to the lane it would join");
+                    assert_eq!(quota, 2);
+                }
+                Err(other) => panic!("expected TenantQuota, got {other}"),
+            }
+        }
+        assert_eq!(folded.len(), 2, "the anonymous lane's quota bounds every folded tenant");
+        match runtime.submit(SrRequest::single(probe(6, 6, 2_950))) {
+            Err(SubmitError::TenantQuota { .. }) => {}
+            other => panic!("the shared lane is at its quota, got {other:?}"),
+        }
+        assert_eq!(wedge.wait().unwrap().images().len(), 12);
+        assert!(pinned.wait().is_ok());
+        for ticket in folded {
+            assert!(ticket.wait().is_ok());
+        }
+        // The folded requests are served: untagged traffic is admitted again.
+        let honest = runtime.submit(SrRequest::single(probe(6, 6, 2_951))).unwrap();
+        assert!(honest.wait().is_ok());
+        let stats = runtime.shutdown();
+        assert_ledger_closes(&stats);
+        assert_eq!(stats.completed, 5);
+        assert_eq!(stats.quota_rejected, 19);
+        let tenants: Vec<&str> = stats.tenants.iter().map(|t| t.tenant.as_str()).collect();
+        assert_eq!(tenants, ["pinned"], "a folded tenant never gets a lane");
+        assert_eq!(stats.tenants[0].quota_rejected, 0, "charged to the lane that was full");
     });
 }
 
@@ -596,6 +693,7 @@ fn the_shed_watermark_refuses_work_before_the_queue_is_full() {
         assert!(q1.wait().is_ok());
         assert!(q2.wait().is_ok());
         let stats = runtime.shutdown();
+        assert_ledger_closes(&stats);
         assert_eq!(stats.shed, 3);
         assert_eq!(stats.completed, 3);
         assert_eq!(stats.rejected, 0, "shedding is its own counter, not `rejected`");
@@ -648,6 +746,7 @@ fn a_tripped_p99_wire_recovers_once_its_reading_goes_stale() {
             .expect("a stale trip reading must re-arm admission");
         assert!(revived.wait().is_ok(), "recovered runtime must serve again");
         let stats = runtime.shutdown();
+        assert_ledger_closes(&stats);
         assert!(stats.shed >= 1, "the trip itself was counted");
         assert_eq!(stats.completed, served + 1);
     });
@@ -686,6 +785,7 @@ fn untrusted_tenant_names_cannot_grow_the_lane_table() {
             other => panic!("expected Expired, got {other:?}"),
         }
         let stats = runtime.shutdown();
+        assert_ledger_closes(&stats);
         assert!(
             stats.tenants.len() <= 2,
             "lane table must stay within max_tenant_lanes, got {:?}",
@@ -742,6 +842,7 @@ fn deadline_spam_does_not_starve_the_weighted_rotation() {
             "gold (weight 3, no deadlines) must not wait out the deadline spammer's backlog"
         );
         let stats = runtime.shutdown();
+        assert_ledger_closes(&stats);
         assert_eq!(stats.completed, 9);
         assert_eq!(stats.deadline_misses, 0, "the spam deadlines were generous");
     });
@@ -809,6 +910,7 @@ fn every_submission_under_overload_gets_exactly_one_typed_outcome() {
             (hot.join().expect("hot tenant"), cold.join().expect("cold tenant"))
         });
         let stats = runtime.shutdown();
+        assert_ledger_closes(&stats);
 
         assert_eq!(hot.iter().sum::<u64>(), hot_share, "hot outcomes must close: {hot:?}");
         assert_eq!(cold.iter().sum::<u64>(), cold_share, "cold outcomes must close: {cold:?}");
