@@ -9,9 +9,9 @@
 //! method), one forward of the lite serving profile (32 channels, 4 blocks,
 //! ×2, 16×16 LR) on the training tape and on the lowered graph through the
 //! planned executor — asserting ratios, never nanoseconds: deployed ≤ 0.2×
-//! tape on every row, and planned bit-identical to the allocating
-//! interpreter — then where a deployed SwinIR-SCALES forward goes, per op
-//! kind.
+//! tape on every row, and planned bit-identical to the reuse-off forward
+//! (`DeployedNetwork::forward`) — then where a deployed SwinIR-SCALES
+//! forward goes, per op kind.
 //!
 //! ```sh
 //! SCALES_BENCH_ITERS=400 cargo bench --bench table4_transformer
@@ -56,10 +56,10 @@ fn measured(methods: &[Method]) -> Result<String, Box<dyn std::error::Error>> {
             let deployed = net.lower()?;
             let mut ws = Workspace::new();
             let planned = deployed.forward_planned(&x, &mut ws)?;
-            let allocating = deployed.forward(&x)?;
+            let unshared = deployed.forward(&x)?;
             assert!(
-                planned.data().iter().zip(allocating.data()).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{arch}/{method}: planned must be bit-identical to the allocating interpreter"
+                planned.data().iter().zip(unshared.data()).all(|(a, b)| a.to_bits() == b.to_bits()),
+                "{arch}/{method}: planned must be bit-identical to the reuse-off forward"
             );
             let input = Var::new(x.clone());
             let tape = best_ms(3, || drop(net.forward(&input).expect("tape forward")));

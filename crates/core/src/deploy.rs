@@ -21,6 +21,11 @@
 //! branch, and the linear's bias — added between the binary product and
 //! the gate — rides in the kernel's store (`Fused::bias`).
 //!
+//! Every layer has one arithmetic body, its `forward_into` (gates staged
+//! in a [`ConvScratch`], one fused kernel call); `forward` is that body
+//! behind a rank / channel check, a fresh output and a fresh scratch. The
+//! exception is [`FloatConv2d::forward`], which stays on im2col → GEMM: it
+//! is the reference the direct float kernel is compared against.
 //! [`DeployedScalesConv2d::forward`] is numerically equivalent to the
 //! training-path forward (verified by unit and integration tests).
 
@@ -31,7 +36,7 @@ use crate::lsf::LsfBinarizer;
 use scales_autograd::Var;
 use scales_nn::Module as _;
 use scales_binary::{BinaryConv2d, Fused, SignShift};
-use scales_tensor::ops::{conv1d, conv2d, conv2d_into_at, global_avg_pool, sigmoid, Conv2dSpec};
+use scales_tensor::ops::{conv2d, conv2d_into_at, sigmoid, Conv2dSpec};
 use scales_tensor::workspace::{sized, ConvScratch};
 use scales_tensor::{Result, SimdLevel, Tensor, TensorError};
 
@@ -79,18 +84,27 @@ fn as_1x1_kernel(weight: &Var) -> Result<Tensor> {
     }
 }
 
-/// In-place `y[b, c, ·] += bias[c]` over `[N, OC, OH, OW]` — the separate
-/// pass of the allocating forwards; the planned path adds it in the
-/// kernel's store.
-fn add_channel_bias(y: &mut Tensor, bias: &[f32]) -> Result<()> {
-    let (oc, plane) = (y.shape()[1], y.shape()[2] * y.shape()[3]);
-    if bias.len() != oc {
-        return Err(TensorError::LengthMismatch { expected: oc, actual: bias.len() });
+/// The dimensions of `input` once it is known to be `[N, in_channels, H,
+/// W]` — the check of the allocating `forward` wrappers.
+fn checked_nchw(input: &Tensor, in_channels: usize) -> Result<[usize; 4]> {
+    let [n, c, h, w] = *input.shape() else {
+        return Err(TensorError::RankMismatch { expected: 4, actual: input.rank(), op: "deployed conv" });
+    };
+    if c != in_channels {
+        return Err(TensorError::ShapeMismatch {
+            lhs: input.shape().to_vec(),
+            rhs: vec![0, in_channels, 0, 0],
+            op: "deployed conv channels",
+        });
     }
-    for (plane, &b) in y.data_mut().chunks_mut(plane.max(1)).zip(bias.iter().cycle()) {
-        plane.iter_mut().for_each(|v| *v += b);
-    }
-    Ok(())
+    Ok([n, c, h, w])
+}
+
+/// Output dimensions `(oc, oh, ow)` of a packed convolution for an input of
+/// spatial extent `(h, w)`.
+fn packed_out_shape(conv: &BinaryConv2d, h: usize, w: usize) -> Result<(usize, usize, usize)> {
+    let (k, spec) = (conv.kernel(), conv.spec());
+    Ok((conv.out_channels(), spec.out_extent(h, k)?, spec.out_extent(w, k)?))
 }
 
 /// A trained SCALES convolution lowered to the packed binary kernel.
@@ -284,68 +298,11 @@ impl DeployedScalesConv2d {
     ///
     /// Returns an error for mismatched geometry.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        if input.rank() != 4 {
-            return Err(TensorError::RankMismatch { expected: 4, actual: input.rank(), op: "deployed conv" });
-        }
-        let (n, c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2], input.shape()[3]);
-        if c != self.in_channels {
-            return Err(TensorError::ShapeMismatch {
-                lhs: input.shape().to_vec(),
-                rhs: vec![0, self.in_channels, 0, 0],
-                op: "deployed conv channels",
-            });
-        }
-        // β folds into an input shift before the sign packing.
-        let shifted = if self.beta.is_empty() {
-            input.clone()
-        } else {
-            let mut t = input.clone();
-            for b in 0..n {
-                for ci in 0..c {
-                    let beta = self.beta[ci];
-                    for v in &mut t.data_mut()[(b * c + ci) * h * w..(b * c + ci + 1) * h * w] {
-                        *v -= beta;
-                    }
-                }
-            }
-            t
-        };
-        let mut y = self.conv.forward(&shifted)?;
-        let oc = y.shape()[1];
-        let (oh, ow) = (y.shape()[2], y.shape()[3]);
-        if let Some(bias) = &self.bias {
-            add_channel_bias(&mut y, bias)?;
-        }
-        // Spatial re-scaling from the FP input.
-        if let Some((wmap, bias)) = &self.spatial {
-            let m = conv2d(input, wmap, Conv2dSpec { stride: 1, padding: 0 })?;
-            for b in 0..n {
-                for p in 0..oh * ow {
-                    let g = sigmoid(m.data()[b * oh * ow + p] + bias);
-                    for co in 0..oc {
-                        y.data_mut()[((b * oc) + co) * oh * ow + p] *= g;
-                    }
-                }
-            }
-        }
-        // Channel re-scaling from the FP input.
-        if let Some(k) = &self.channel {
-            let pooled = global_avg_pool(input)?; // [N, C, 1, 1]
-            let tokens = pooled.reshape(&[n, 1, c])?;
-            let mixed = conv1d(&tokens, k, k.shape()[2] / 2)?;
-            for b in 0..n {
-                for co in 0..oc {
-                    let g = sigmoid(mixed.data()[b * c + co]);
-                    for v in &mut y.data_mut()[((b * oc) + co) * oh * ow..((b * oc) + co + 1) * oh * ow] {
-                        *v *= g;
-                    }
-                }
-            }
-        }
-        if self.skip {
-            y = y.zip_map(input, |a, b| a + b)?;
-        }
-        Ok(y)
+        let [n, _, h, w] = checked_nchw(input, self.in_channels)?;
+        let (oc, oh, ow) = packed_out_shape(&self.conv, h, w)?;
+        let mut out = Tensor::zeros(&[n, oc, oh, ow]);
+        self.forward_into(input.data(), n, h, w, &mut ConvScratch::new(), out.data_mut())?;
+        Ok(out)
     }
 
     /// The zero-allocation core of [`DeployedScalesConv2d::forward`]:
@@ -353,8 +310,9 @@ impl DeployedScalesConv2d {
     /// output buffer (fully overwritten). The two re-scaling gates are
     /// computed from the FP input into a reusable [`ConvScratch`], then one
     /// fused kernel call shifts by β in the sign packer and applies
-    /// `+bias ·spatial ·channel +skip` in its store — per element the order of
-    /// the allocating forward's separate passes, so bit-identical to it.
+    /// `+bias ·spatial ·channel +skip` in its store — per element the order
+    /// of the same steps run as separate passes over the unfused output
+    /// (`tests/kernels.rs` keeps that pass-by-pass form as the oracle).
     ///
     /// # Errors
     ///
@@ -606,29 +564,12 @@ impl FloatConv2d {
     }
 }
 
-/// Per-channel batch-statistics batch norm in deployed form, matching
-/// `scales_nn::layers::BatchNorm2d` (which uses batch statistics at
-/// evaluation too — see its module docs for why).
-fn batchnorm_batch_stats(y: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Result<Tensor> {
-    // Same nested-mean reduction order as the training layer so the two
-    // paths agree to f32 rounding.
-    let mean = y.mean_axis(0, true)?.mean_axis(2, true)?.mean_axis(3, true)?;
-    let centered = y.zip_map(&mean, |a, m| a - m)?;
-    let var = centered
-        .zip_map(&centered, |a, b| a * b)?
-        .mean_axis(0, true)?
-        .mean_axis(2, true)?
-        .mean_axis(3, true)?;
-    let denom = var.map(|v| (v + eps).sqrt());
-    let normed = centered.zip_map(&denom, |a, d| a / d)?;
-    normed.zip_map(gamma, |a, g| a * g)?.zip_map(beta, |a, b| a + b)
-}
-
-/// In-place scratch-buffered twin of [`batchnorm_batch_stats`]: the same
-/// staged reductions (sum over batch, then height, then width, each
-/// divided by its extent after the full sum) in the same per-element
-/// order, so the result is bit-identical — without allocating the six
-/// intermediate tensors.
+/// Per-channel batch-statistics batch norm in deployed form, in place and
+/// scratch-buffered: the staged reductions of `mean_axis(0) → (2) → (3)`
+/// (sum over batch, then height, then width, each divided by its extent
+/// after the full sum) in the same per-element order as the training
+/// layer's tensor chain, so the result is bit-identical to it — without
+/// allocating the six intermediate tensors.
 #[allow(clippy::too_many_arguments)]
 fn batchnorm_batch_stats_inplace(
     y: &mut [f32],
@@ -854,77 +795,11 @@ impl DeployedBodyConv {
     ///
     /// Returns an error for mismatched geometry.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        match self {
-            DeployedBodyConv::Float(conv) => conv.forward(input),
-            DeployedBodyConv::Scales(conv) => conv.forward(input),
-            DeployedBodyConv::E2fif { conv, gamma, beta, skip } => {
-                let y = conv.forward(input)?;
-                let y = batchnorm_batch_stats(&y, gamma, beta, 1e-5)?;
-                if *skip {
-                    y.zip_map(input, |a, b| a + b)
-                } else {
-                    Ok(y)
-                }
-            }
-            DeployedBodyConv::Btm { conv, skip } => {
-                let (n, chw) = (input.shape()[0], input.len() / input.shape()[0]);
-                let mut shifted = input.clone();
-                for b in 0..n {
-                    let plane = &mut shifted.data_mut()[b * chw..(b + 1) * chw];
-                    let mean: f32 = plane.iter().sum::<f32>() / chw as f32;
-                    for v in plane.iter_mut() {
-                        *v -= mean;
-                    }
-                }
-                let y = conv.forward(&shifted)?;
-                if *skip {
-                    y.zip_map(input, |a, b| a + b)
-                } else {
-                    Ok(y)
-                }
-            }
-            DeployedBodyConv::Bam { conv, skip } => {
-                let mut y = conv.forward(input)?;
-                let (n, c) = (input.shape()[0], input.shape()[1]);
-                let (h, w) = (input.shape()[2], input.shape()[3]);
-                let (oc, oh, ow) = (y.shape()[1], y.shape()[2], y.shape()[3]);
-                // FP accumulation map K = mean_c |x|, applied per pixel
-                // (stride-1 "same" conv keeps oh·ow == h·w).
-                if oh * ow != h * w {
-                    return Err(TensorError::InvalidArgument(
-                        "BAM deployment needs same-size output".into(),
-                    ));
-                }
-                for b in 0..n {
-                    for p in 0..h * w {
-                        let mut k = 0.0f32;
-                        for ci in 0..c {
-                            k += input.data()[(b * c + ci) * h * w + p].abs();
-                        }
-                        k /= c as f32;
-                        for co in 0..oc {
-                            y.data_mut()[(b * oc + co) * oh * ow + p] *= k;
-                        }
-                    }
-                }
-                if *skip {
-                    y.zip_map(input, |a, b| a + b)
-                } else {
-                    Ok(y)
-                }
-            }
-            DeployedBodyConv::Basic { conv, bias, skip } => {
-                let mut y = conv.forward(input)?;
-                if let Some(bias) = bias {
-                    add_channel_bias(&mut y, bias)?;
-                }
-                if *skip {
-                    y.zip_map(input, |a, b| a + b)
-                } else {
-                    Ok(y)
-                }
-            }
-        }
+        let [n, _, h, w] = checked_nchw(input, self.in_channels())?;
+        let (oc, oh, ow) = self.out_shape(h, w)?;
+        let mut out = Tensor::zeros(&[n, oc, oh, ow]);
+        self.forward_into(input.data(), n, h, w, &mut ConvScratch::new(), out.data_mut())?;
+        Ok(out)
     }
 
     /// The zero-allocation core of [`DeployedBodyConv::forward`]: serve a
@@ -933,7 +808,7 @@ impl DeployedBodyConv {
     /// packed bits, batch-norm reductions, accumulation maps — in a
     /// reusable [`ConvScratch`]. Every binary variant runs the one fused
     /// kernel ([`BinaryConv2d::forward_fused`]) with its shift, gate and
-    /// skip; bit-identical to the allocating forward for every variant.
+    /// skip; stale scratch contents never reach the output.
     ///
     /// # Errors
     ///
@@ -1014,17 +889,11 @@ impl DeployedBodyConv {
     pub fn out_shape(&self, h: usize, w: usize) -> Result<(usize, usize, usize)> {
         match self {
             DeployedBodyConv::Float(c) => c.out_shape(h, w),
-            DeployedBodyConv::Scales(c) => {
-                let (k, spec) = (c.conv.kernel(), c.conv.spec());
-                Ok((c.out_channels(), spec.out_extent(h, k)?, spec.out_extent(w, k)?))
-            }
-            DeployedBodyConv::E2fif { conv, .. }
+            DeployedBodyConv::Scales(DeployedScalesConv2d { conv, .. })
+            | DeployedBodyConv::E2fif { conv, .. }
             | DeployedBodyConv::Btm { conv, .. }
             | DeployedBodyConv::Bam { conv, .. }
-            | DeployedBodyConv::Basic { conv, .. } => {
-                let (k, spec) = (conv.kernel(), conv.spec());
-                Ok((conv.out_channels(), spec.out_extent(h, k)?, spec.out_extent(w, k)?))
-            }
+            | DeployedBodyConv::Basic { conv, .. } => packed_out_shape(conv, h, w),
         }
     }
 
@@ -1213,6 +1082,48 @@ mod tests {
                 for (a, b) in want.data().iter().zip(got.iter()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "{m}, n={n}, hw={hw}");
                 }
+            }
+        }
+    }
+
+    /// Per-channel batch-statistics batch norm as the tensor-op chain of
+    /// `scales_nn::layers::BatchNorm2d` (which uses batch statistics at
+    /// evaluation too — see its module docs for why): the bit-level spec of
+    /// [`batchnorm_batch_stats_inplace`].
+    fn batchnorm_batch_stats(y: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> Result<Tensor> {
+        // Same nested-mean reduction order as the training layer so the two
+        // paths agree to f32 rounding.
+        let mean = y.mean_axis(0, true)?.mean_axis(2, true)?.mean_axis(3, true)?;
+        let centered = y.zip_map(&mean, |a, m| a - m)?;
+        let var = centered
+            .zip_map(&centered, |a, b| a * b)?
+            .mean_axis(0, true)?
+            .mean_axis(2, true)?
+            .mean_axis(3, true)?;
+        let denom = var.map(|v| (v + eps).sqrt());
+        let normed = centered.zip_map(&denom, |a, d| a / d)?;
+        normed.zip_map(gamma, |a, g| a * g)?.zip_map(beta, |a, b| a + b)
+    }
+
+    #[test]
+    fn batchnorm_batch_stats_inplace_matches_the_tensor_chain_bitwise() {
+        // Largest shape first, so the later ones run on stale scratch.
+        let mut scratch = ConvScratch::new();
+        for (i, (n, c, h, w)) in [(2usize, 6usize, 8usize, 8usize), (3, 5, 7, 3), (1, 3, 4, 5), (1, 1, 1, 1)]
+            .into_iter()
+            .enumerate()
+        {
+            let wave = |len: usize, step: f32| -> Vec<f32> {
+                (0..len).map(|j| ((j as f32 + i as f32) * step).sin()).collect()
+            };
+            let y = Tensor::from_vec(wave(n * c * h * w, 0.37), &[n, c, h, w]).unwrap();
+            let gamma = Tensor::from_vec(wave(c, 0.91), &[1, c, 1, 1]).unwrap();
+            let beta = Tensor::from_vec(wave(c, 1.73), &[1, c, 1, 1]).unwrap();
+            let want = batchnorm_batch_stats(&y, &gamma, &beta, 1e-5).unwrap();
+            let mut got = y.data().to_vec();
+            batchnorm_batch_stats_inplace(&mut got, n, c, h, w, &gamma, &beta, 1e-5, &mut scratch).unwrap();
+            for (a, b) in want.data().iter().zip(&got) {
+                assert_eq!(a.to_bits(), b.to_bits(), "n={n} c={c} {h}x{w}");
             }
         }
     }

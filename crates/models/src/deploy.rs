@@ -18,6 +18,14 @@
 //! the deployed graph allocates no tape, packs each binary weight once at
 //! lowering time, and is what the serving/bench paths execute.
 //!
+//! This module is the graph as data — ops, ids, the builder, liveness —
+//! plus the one layer `scales-core` does not have (the channel-attention
+//! gate, a single `forward_into` body like theirs). It walks no graph: the
+//! one interpreter is [`crate::plan`], where
+//! [`DeployedNetwork::forward_planned`] (serving) and
+//! [`DeployedNetwork::forward`] (the same executor with slot reuse off)
+//! both live, and CI greps that no tensor-level op creeps back in here.
+//!
 //! **Numerical-equivalence contract:** for every architecture and every
 //! [`Method`] it can be built with, the deployed forward matches the
 //! training-path forward within `1e-4` per output value (integer-exact
@@ -31,12 +39,10 @@
 
 use crate::common::SrNetwork;
 use scales_core::{DeployedBodyConv, FloatConv2d};
-use scales_data::{resize_bicubic_tensor, Image};
-use scales_tensor::ops::{
-    gelu, global_avg_pool, layer_norm_into, pixel_shuffle, sigmoid, window_attention_into,
-};
+use scales_data::Image;
+use scales_tensor::ops::sigmoid;
 use scales_tensor::workspace::ConvScratch;
-use scales_tensor::{Result, Tensor, TensorError};
+use scales_tensor::{Result, TensorError};
 
 /// Identifies a value in the deployed op graph (0 is the network input;
 /// op `i` produces value `i + 1`).
@@ -84,16 +90,9 @@ impl DeployedChannelAttention {
         &self.up
     }
 
-    fn forward(&self, x: &Tensor) -> Result<Tensor> {
-        let pooled = global_avg_pool(x)?; // [N, C, 1, 1]
-        let gate = self.up.forward(&self.down.forward(&pooled)?.map(|v| v.max(0.0)))?;
-        let gate = gate.map(sigmoid);
-        x.zip_map(&gate, |a, g| a * g)
-    }
-
-    /// Zero-allocation twin of the gate: pooled activations, the two 1×1
-    /// convolutions, and the sigmoid gate all stage in [`ConvScratch`];
-    /// bit-identical to the allocating forward.
+    /// The gate — global average pool → 1×1 squeeze → ReLU → 1×1 excite →
+    /// sigmoid → per-channel multiply — with the pooled activations, both
+    /// convolutions and the gate staged in [`ConvScratch`].
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn forward_into(
         &self,
@@ -204,7 +203,7 @@ pub enum DeployedOp {
         /// Input value.
         src: ValueId,
     },
-    /// LayerNorm per pixel across channels ([`layer_norm_into`]).
+    /// LayerNorm per pixel across channels ([`scales_tensor::ops::layer_norm_into`]).
     LayerNorm {
         /// Per-channel gain.
         gamma: Vec<f32>,
@@ -216,7 +215,7 @@ pub enum DeployedOp {
         src: ValueId,
     },
     /// Single-head self-attention inside non-overlapping pixel windows
-    /// ([`window_attention_into`]).
+    /// ([`scales_tensor::ops::window_attention_into`]).
     WindowAttention {
         /// Window side; must divide both spatial extents.
         window: usize,
@@ -227,7 +226,7 @@ pub enum DeployedOp {
         /// Value map.
         v: ValueId,
     },
-    /// Elementwise GELU ([`gelu`]).
+    /// Elementwise GELU ([`scales_tensor::ops::gelu`]).
     Gelu {
         /// Input value.
         src: ValueId,
@@ -243,8 +242,7 @@ pub enum DeployedOp {
 
 /// A borrowed, allocation-free view of one op's input values: ops of fixed
 /// arity store their ids inline, `Concat` hands out its slice. This
-/// keeps the per-op hot loops (`forward`, the plan walk) free of the
-/// `Vec` clone the old `inputs()` paid on every call.
+/// keeps the planner's walk free of a `Vec` per op.
 pub(crate) enum OpInputs<'a> {
     One([ValueId; 1]),
     Two([ValueId; 2]),
@@ -314,8 +312,8 @@ pub struct DeployedNetwork {
     output: ValueId,
     scale: usize,
     name: String,
-    /// For each value id, the index of the last op consuming it (used to
-    /// free intermediates during evaluation).
+    /// For each value id, the index of the last op consuming it
+    /// (`usize::MAX` when never consumed).
     last_use: Vec<usize>,
 }
 
@@ -373,104 +371,6 @@ impl DeployedNetwork {
                 )
             })
             .count()
-    }
-
-    /// Run deployed inference on an input batch `[N, 3, H, W]`.
-    ///
-    /// Intermediates are freed as soon as their last consumer has run, so
-    /// peak memory tracks the network's live-value width rather than its
-    /// depth.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for mismatched geometry.
-    pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        if input.rank() != 4 {
-            return Err(TensorError::RankMismatch {
-                expected: 4,
-                actual: input.rank(),
-                op: "deployed network input",
-            });
-        }
-        let mut values: Vec<Option<Tensor>> = vec![None; self.ops.len() + 1];
-        values[0] = Some(input.clone());
-        for (i, op) in self.ops.iter().enumerate() {
-            // Move a value out of the store when this op is its final
-            // (single) consumer; clone only when it is still live.
-            let inputs = op.inputs();
-            let take = |values: &mut Vec<Option<Tensor>>, id: ValueId| -> Result<Tensor> {
-                let movable = self.last_use[id] == i
-                    && id != self.output
-                    && inputs.as_slice().iter().filter(|&&x| x == id).count() == 1;
-                let v = if movable { values[id].take() } else { values[id].clone() };
-                v.ok_or_else(|| TensorError::InvalidArgument(format!("value {id} freed too early")))
-            };
-            let out = match op {
-                DeployedOp::FloatConv { conv, src } => conv.forward(&take(&mut values, *src)?)?,
-                DeployedOp::Body { conv, src } => conv.forward(&take(&mut values, *src)?)?,
-                DeployedOp::Relu { src } => take(&mut values, *src)?.map(|v| v.max(0.0)),
-                DeployedOp::Prelu { slope, src } => {
-                    let s = *slope;
-                    take(&mut values, *src)?.map(|v| if v > 0.0 { v } else { s * v })
-                }
-                DeployedOp::Add { lhs, rhs } => {
-                    take(&mut values, *lhs)?.zip_map(&take(&mut values, *rhs)?, |a, b| a + b)?
-                }
-                DeployedOp::Concat { srcs } => {
-                    let parts: Vec<Tensor> =
-                        srcs.iter().map(|&s| take(&mut values, s)).collect::<Result<_>>()?;
-                    let refs: Vec<&Tensor> = parts.iter().collect();
-                    Tensor::concat(&refs, 1)?
-                }
-                DeployedOp::ChannelAttention { ca, src } => ca.forward(&take(&mut values, *src)?)?,
-                DeployedOp::PixelShuffle { factor, src } => {
-                    pixel_shuffle(&take(&mut values, *src)?, *factor)?
-                }
-                DeployedOp::BicubicUp { scale, src } => {
-                    let t = take(&mut values, *src)?;
-                    let (n, c, h, w) = (t.shape()[0], t.shape()[1], t.shape()[2], t.shape()[3]);
-                    let mut data = Vec::with_capacity(n * c * h * w * scale * scale);
-                    for b in 0..n {
-                        let img = t.slice_axis(0, b, 1)?.reshape(&[c, h, w])?;
-                        let up = resize_bicubic_tensor(&img, h * scale, w * scale)?;
-                        data.extend_from_slice(up.data());
-                    }
-                    Tensor::from_vec(data, &[n, c, h * scale, w * scale])?
-                }
-                DeployedOp::LayerNorm { gamma, beta, eps, src } => {
-                    let x = take(&mut values, *src)?;
-                    let (n, c, hw) = (x.shape()[0], x.shape()[1], x.shape()[2] * x.shape()[3]);
-                    let mut out = Tensor::zeros(x.shape());
-                    layer_norm_into(x.data(), n, c, hw, gamma, beta, *eps, &mut Vec::new(), out.data_mut())?;
-                    out
-                }
-                DeployedOp::WindowAttention { window, q, k, v } => {
-                    let (q, k, v) =
-                        (take(&mut values, *q)?, take(&mut values, *k)?, take(&mut values, *v)?);
-                    let (n, c, h, w) = (q.shape()[0], q.shape()[1], q.shape()[2], q.shape()[3]);
-                    let mut out = Tensor::zeros(q.shape());
-                    window_attention_into(
-                        q.data(), k.data(), v.data(), n, c, h, w, *window, &mut Vec::new(), out.data_mut(),
-                    )?;
-                    out
-                }
-                DeployedOp::Gelu { src } => take(&mut values, *src)?.map(gelu),
-                DeployedOp::Scale { factor, src } => {
-                    let f = *factor;
-                    take(&mut values, *src)?.map(|v| v * f)
-                }
-            };
-            values[i + 1] = Some(out);
-            // Free values whose last consumer was this op.
-            for (id, &last) in self.last_use.iter().enumerate() {
-                if last == i && id != self.output {
-                    values[id] = None;
-                }
-            }
-        }
-        values[self.output]
-            .take()
-            .ok_or_else(|| TensorError::InvalidArgument("deployed graph has no output".into()))
     }
 
     /// Super-resolve a single image (batch-of-one convenience, mirroring
@@ -620,13 +520,17 @@ impl DeployedNetworkBuilder {
         self.push(DeployedOp::BicubicUp { scale, src })
     }
 
-    /// Seal the graph with its output value.
+    /// Seal the graph with its output value. Ids are not validated here:
+    /// an op reading a value that does not exist before it, or an output
+    /// that no op produces, is a typed error at [`DeployedNetwork::plan`].
     #[must_use]
     pub fn finish(self, output: ValueId) -> DeployedNetwork {
         let mut last_use = vec![usize::MAX; self.ops.len() + 1];
         for (i, op) in self.ops.iter().enumerate() {
             for &id in op.inputs().as_slice() {
-                last_use[id] = i;
+                if let Some(last) = last_use.get_mut(id) {
+                    *last = i;
+                }
             }
         }
         DeployedNetwork { ops: self.ops, output, scale: self.scale, name: self.name, last_use }
@@ -650,6 +554,7 @@ mod tests {
     use crate::{edsr, rcan, rdn, srresnet};
     use scales_autograd::Var;
     use scales_core::Method;
+    use scales_tensor::Tensor;
 
     fn probe(c: usize, h: usize, w: usize) -> Tensor {
         Tensor::from_vec(

@@ -1,14 +1,14 @@
-//! Planned zero-allocation execution of a [`DeployedNetwork`].
+//! The one interpreter of a [`DeployedNetwork`]: a [`Plan`] per input
+//! shape, executed by `Plan::run_op` — the only function that runs a
+//! [`DeployedOp`].
 //!
-//! [`DeployedNetwork::forward`] allocates a fresh tensor per op and a
-//! fresh `Vec<Option<Tensor>>` per call. For serving, that is pure
-//! overhead: the graph, the input shape, and therefore every
-//! intermediate's size are fixed after the first request. A [`Plan`]
-//! captures exactly that invariant structure once:
+//! The graph, the input shape, and therefore every intermediate's size are
+//! fixed after the first request. A [`Plan`] captures exactly that
+//! invariant structure once:
 //!
-//! * **shape inference** — the `[n, c, h, w]` of every SSA value;
-//! * **liveness** — each value's last consumer (the same table the
-//!   allocating forward uses to free tensors early);
+//! * **shape inference** — the `[n, c, h, w]` of every SSA value (and the
+//!   check that every op reads only values produced before it);
+//! * **liveness** — each value's last consumer;
 //! * **slot assignment** — a linear scan over the live intervals maps
 //!   every value to a slot in a shared arena, reusing slots the moment
 //!   their previous value dies (best-fit by size, so the arena stays
@@ -18,21 +18,26 @@
 //! * **bicubic taps** — the global-skip resampler's filter weights,
 //!   precomputed per axis.
 //!
-//! [`DeployedNetwork::forward_planned`] then executes the graph through a
+//! [`DeployedNetwork::forward_planned`] executes the graph through a
 //! [`Workspace`] whose slot buffers and [`ConvScratch`] (one image's
 //! zero-padded input planes for the direct float convolution, the binary
 //! kernel's sign bitmap, gate maps and reductions, one attention window's
 //! `q` / `k` / `v` tiles and scores) grow on the first
 //! request at a given shape and are reused verbatim afterwards: the steady
 //! state performs **zero heap allocation** up to the returned output
-//! tensor itself. Results are bit-identical to the allocating forward —
-//! every kernel the planned path uses (`forward_into` on the conv layers,
-//! the in-place elementwise loops, the staged batch-norm and bicubic
-//! twins) reproduces its allocating counterpart's per-element arithmetic
-//! order exactly — the transformer ops (`LayerNorm`, `WindowAttention`) are
-//! one slice-to-slice function each, called by both executors — and the
-//! property suite in `tests/planned.rs` enforces `f32::to_bits` equality
-//! across every architecture and method.
+//! tensor itself.
+//!
+//! [`DeployedNetwork::forward`] is the same executor with slot reuse off:
+//! one slot per value, nothing in place, nothing recycled, fresh buffers
+//! and a fresh scratch per call. Both run identical kernels on identical
+//! operands, so the two can differ only where the planner aliased two
+//! values that were live together — which makes `forward` the aliasing
+//! oracle: `tests/planned.rs` enforces `f32::to_bits` equality of the two
+//! across every architecture and method, and the model check in this
+//! module's tests does the same over generated op graphs, next to the
+//! slot-assignment invariants themselves. (The kernels are pinned
+//! separately, against `conv2d`, separate passes and the training tape,
+//! by `tests/kernels.rs`.)
 //!
 //! A [`Workspace`] belongs to one network (in practice: one serving
 //! session). Plans are cached per input shape inside it, so a session
@@ -453,9 +458,18 @@ impl DeployedNetwork {
     ///
     /// # Errors
     ///
-    /// Returns an error for a non-rank-4 input shape or a graph whose ops
-    /// cannot accept the inferred intermediate shapes.
+    /// Returns an error for a non-rank-4 input shape, a graph whose ops
+    /// cannot accept the inferred intermediate shapes, or a malformed
+    /// graph: an op reading a value no earlier op produces, or an output
+    /// id past the last value.
     pub fn plan(&self, input_shape: &[usize]) -> Result<Plan> {
+        self.schedule(input_shape, true)
+    }
+
+    /// [`DeployedNetwork::plan`], with slot reuse on or off. Off, every
+    /// value gets a slot of its own and no op runs in place: the schedule
+    /// [`DeployedNetwork::forward`] executes.
+    fn schedule(&self, input_shape: &[usize], reuse: bool) -> Result<Plan> {
         let [n, c, h, w] = match *input_shape {
             [n, c, h, w] => [n, c, h, w],
             _ => {
@@ -468,10 +482,23 @@ impl DeployedNetwork {
         };
         let last_use = self.last_use();
         let nvals = self.num_ops() + 1;
+        if self.output() >= nvals {
+            return Err(TensorError::InvalidArgument(format!(
+                "graph output is value {}, but the graph has only {nvals} values",
+                self.output()
+            )));
+        }
         let mut shapes: Vec<[usize; 4]> = Vec::with_capacity(nvals);
         shapes.push([n, c, h, w]);
         let mut bicubic = Vec::with_capacity(self.num_ops());
-        for op in self.ops() {
+        for (i, op) in self.ops().iter().enumerate() {
+            // Op `i` may read the input and the values of ops `0..i`.
+            if let Some(id) = op.inputs().as_slice().iter().find(|&&id| id > i) {
+                return Err(TensorError::InvalidArgument(format!(
+                    "op {i} ({}) reads value {id}, which no earlier op produces",
+                    op.kind()
+                )));
+            }
             shapes.push(infer_shape(op, &shapes)?);
             bicubic.push(match op {
                 DeployedOp::BicubicUp { scale, src } => {
@@ -491,6 +518,11 @@ impl DeployedNetwork {
         for (i, op) in self.ops().iter().enumerate() {
             let out_id = i + 1;
             let need = vol(shapes[out_id]);
+            if !reuse {
+                slot_of[out_id] = Some(slot_sizes.len());
+                slot_sizes.push(need);
+                continue;
+            }
             // Elementwise ops take over a dying operand's slot and run in
             // place (never the network input or the graph output).
             let steal = |v: ValueId, other: Option<ValueId>| {
@@ -567,6 +599,22 @@ impl DeployedNetwork {
         })
     }
 
+    /// Run deployed inference on an input batch `[N, 3, H, W]` with slot
+    /// reuse off: the executor of [`DeployedNetwork::forward_planned`] on a
+    /// one-slot-per-value schedule, fresh buffers and a fresh scratch. No
+    /// two values ever share memory, which is what makes this the oracle
+    /// the planner's aliasing is tested against — and it holds every
+    /// intermediate until the call returns, so serving paths use
+    /// `forward_planned`.
+    ///
+    /// # Errors
+    ///
+    /// As [`DeployedNetwork::plan`], for the shape of `input`.
+    pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
+        let schedule = self.schedule(input.shape(), false)?;
+        schedule.execute(self, input, &mut Vec::new(), &mut ConvScratch::new(), None)
+    }
+
     /// Run deployed inference through the planned zero-allocation
     /// executor. The plan for `input`'s shape is built (and cached in
     /// `ws`) on first use; afterwards the forward reuses the workspace's
@@ -579,13 +627,8 @@ impl DeployedNetwork {
     ///
     /// Returns an error for non-rank-4 inputs or mismatched geometry.
     pub fn forward_planned(&self, input: &Tensor, ws: &mut Workspace) -> Result<Tensor> {
-        if input.rank() != 4 {
-            return Err(TensorError::RankMismatch {
-                expected: 4,
-                actual: input.rank(),
-                op: "deployed network input",
-            });
-        }
+        // A shape of the wrong rank matches no cached plan and is refused
+        // by `plan`.
         let idx = match ws.plans.iter().position(|p| p.input_shape.as_slice() == input.shape()) {
             Some(i) => {
                 ws.plan_hits += 1;
@@ -698,8 +741,12 @@ impl Workspace {
 mod tests {
     use super::*;
     use crate::common::{SrConfig, SrNetwork};
+    use crate::deploy::{DeployedChannelAttention, DeployedNetworkBuilder};
     use crate::{edsr, hat, rcan, rdn, srresnet, swinir};
-    use scales_core::Method;
+    use scales_core::{BodyConv, BodyLinear, DeployedBodyConv, FloatConv2d, Method};
+    use scales_nn::init;
+    use scales_tensor::ops::Conv2dSpec;
+    use std::collections::BTreeMap;
 
     fn probe(n: usize, h: usize, w: usize, seed: f32) -> Tensor {
         Tensor::from_vec(
@@ -753,7 +800,7 @@ mod tests {
         assert!(deployed.forward_planned(&probe(1, 18, 12, 8.0), &mut ws).is_err());
         assert_eq!(ws.plans_built(), 0);
         assert!(deployed.forward_planned(&probe(1, 16, 12, 9.0), &mut ws).is_ok());
-        // The allocating interpreter refuses the same way.
+        // `forward` plans the same way, so it refuses the same way.
         assert!(deployed.forward(&probe(1, 18, 12, 8.0)).is_err());
     }
 
@@ -926,5 +973,391 @@ mod tests {
         .lower()
         .unwrap();
         assert!(other.forward_planned(&probe(1, 8, 8, 5.0), &mut ws).is_err());
+    }
+
+    #[test]
+    fn malformed_graphs_are_typed_errors_not_panics() {
+        let x = probe(1, 4, 4, 10.0);
+        let refused = |net: &DeployedNetwork, what: &str| {
+            for result in [net.plan(x.shape()).map(drop), net.forward(&x).map(drop)] {
+                let text = result.expect_err(what).to_string();
+                assert!(text.contains(what), "{text}");
+            }
+            let mut ws = Workspace::new();
+            assert!(net.forward_planned(&x, &mut ws).is_err(), "{what}");
+            assert_eq!(ws.plans_built(), 0, "{what}");
+        };
+        // An id past the last value, and a forward reference to a value a
+        // later op does produce.
+        for bad in [7, 2] {
+            let mut b = DeployedNetworkBuilder::new("malformed", 1);
+            b.push(DeployedOp::Relu { src: bad });
+            b.push(DeployedOp::Add { lhs: 0, rhs: 1 });
+            refused(&b.finish(2), &format!("op 0 (relu) reads value {bad}"));
+        }
+        let mut b = DeployedNetworkBuilder::new("malformed", 1);
+        b.push(DeployedOp::Relu { src: 0 });
+        refused(&b.finish(2), "graph output is value 2");
+    }
+
+    // ---- Model check of the planner -------------------------------------
+    //
+    // Generated well-typed op graphs over all thirteen op kinds; on each,
+    // the slot assignment is checked against the liveness rules it must
+    // respect and the best-fit policy it promises, and the planned forward
+    // (slot reuse on, stale arena) against `forward` (slot reuse off).
+
+    /// splitmix64: a fixed seed is a fixed sequence on every platform.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            usize::try_from(self.next() % n as u64).unwrap()
+        }
+
+        fn chance(&mut self, percent: usize) -> bool {
+            self.below(100) < percent
+        }
+
+        fn pick<T: Copy>(&mut self, items: &[T]) -> T {
+            items[self.below(items.len())]
+        }
+
+        /// Values in `[-1, 1)`.
+        fn values(&mut self, n: usize) -> Vec<f32> {
+            (0..n).map(|_| (self.next() >> 40) as f32 / (1u64 << 23) as f32 - 1.0).collect()
+        }
+
+        /// [`Rng::values`] salted with `-0.0`, and now and then a NaN or an
+        /// infinity.
+        fn hostile(&mut self, n: usize) -> Vec<f32> {
+            let mut values = self.values(n);
+            for v in &mut values {
+                match self.below(256) {
+                    0..=7 => *v = -0.0,
+                    8 => *v = self.pick(&[f32::NAN, f32::INFINITY, f32::NEG_INFINITY]),
+                    _ => {}
+                }
+            }
+            values
+        }
+
+        fn tensor(&mut self, shape: &[usize]) -> Tensor {
+            Tensor::from_vec(self.values(shape.iter().product()), shape).unwrap()
+        }
+
+        fn float_conv(&mut self, ic: usize, oc: usize, k: usize) -> FloatConv2d {
+            let bias = self.chance(50).then(|| self.tensor(&[1, oc, 1, 1]));
+            FloatConv2d::new(self.tensor(&[oc, ic, k, k]), bias, Conv2dSpec::same(k)).unwrap()
+        }
+    }
+
+    /// How often the generator reached each corner the check guards.
+    #[derive(Default)]
+    struct Seen(BTreeMap<&'static str, usize>);
+
+    impl Seen {
+        fn note(&mut self, corner: &'static str) {
+            *self.0.entry(corner).or_default() += 1;
+        }
+    }
+
+    /// Largest spatial extent and channel count a generated value may
+    /// reach: the graphs stay small enough to run three thousand forwards
+    /// unoptimised.
+    const MAX_SIDE: usize = 8;
+    const MAX_CHANNELS: usize = 12;
+
+    /// A random well-typed graph and the input shape it was typed for.
+    /// Operands lean towards the newest value, so chains — and with them
+    /// dying single-use operands — are common, but reach back often enough
+    /// that values get several consumers, long lives, or none.
+    fn generate(rng: &mut Rng) -> (DeployedNetwork, [usize; 4]) {
+        let input = [1 + rng.below(3), rng.pick(&[2, 3, 4]), rng.pick(&[2, 4]), rng.pick(&[2, 4])];
+        let mut shapes = vec![input];
+        let mut b = DeployedNetworkBuilder::new("generated", 1);
+        let ops = 2 + rng.below(13);
+        while shapes.len() <= ops {
+            let src = if rng.chance(55) { shapes.len() - 1 } else { rng.below(shapes.len()) };
+            let [_, c, h, w] = shapes[src];
+            // Some value of `src`'s shape, `src` itself included.
+            let like = |rng: &mut Rng| {
+                let same: Vec<ValueId> = (0..shapes.len()).filter(|&v| shapes[v] == shapes[src]).collect();
+                rng.pick(&same)
+            };
+            let out_channels = |rng: &mut Rng| if rng.chance(60) { c } else { rng.pick(&[2, 3, 4, 8]) };
+            let can_double = 2 * h <= MAX_SIDE && 2 * w <= MAX_SIDE;
+            let op = match rng.below(13) {
+                0 if c <= MAX_CHANNELS => {
+                    let (oc, k) = (out_channels(rng), rng.pick(&[1, 3]));
+                    DeployedOp::FloatConv { conv: rng.float_conv(c, oc, k), src }
+                }
+                1 if c <= MAX_CHANNELS => {
+                    let (oc, seed) = (out_channels(rng), rng.next());
+                    let conv = if rng.chance(70) {
+                        let method = rng.pick(&Method::cnn_registry());
+                        let layer = BodyConv::new(method, c, oc, rng.pick(&[1, 3]), &mut init::rng(seed));
+                        DeployedBodyConv::from_trained(&layer.unwrap())
+                    } else {
+                        let method = rng.pick(&Method::transformer_registry());
+                        let layer = BodyLinear::new(method, c, oc, &mut init::rng(seed));
+                        DeployedBodyConv::from_trained_linear(&layer.unwrap())
+                    };
+                    DeployedOp::Body { conv: Box::new(conv.unwrap()), src }
+                }
+                2 => DeployedOp::Relu { src },
+                3 => DeployedOp::Prelu { slope: 0.25, src },
+                4 => DeployedOp::Gelu { src },
+                5 => DeployedOp::Scale { factor: 0.5, src },
+                6 => DeployedOp::Add { lhs: src, rhs: like(rng) },
+                7 => {
+                    // Same batch and extents, any channels, repeats allowed.
+                    let fits: Vec<ValueId> = (0..shapes.len())
+                        .filter(|&v| [shapes[v][0], shapes[v][2], shapes[v][3]] == [input[0], h, w])
+                        .collect();
+                    let srcs: Vec<ValueId> = (0..2 + rng.below(3)).map(|_| rng.pick(&fits)).collect();
+                    if srcs.iter().map(|&v| shapes[v][1]).sum::<usize>() > MAX_CHANNELS {
+                        continue;
+                    }
+                    DeployedOp::Concat { srcs }
+                }
+                8 => {
+                    let squeezed = (c / 2).max(1);
+                    let (down, up) = (rng.float_conv(c, squeezed, 1), rng.float_conv(squeezed, c, 1));
+                    DeployedOp::ChannelAttention { ca: DeployedChannelAttention::new(down, up), src }
+                }
+                9 if c % 4 == 0 && can_double => DeployedOp::PixelShuffle { factor: 2, src },
+                10 if can_double => DeployedOp::BicubicUp { scale: if 3 * h.max(w) <= MAX_SIDE { 3 } else { 2 }, src },
+                11 => DeployedOp::LayerNorm { gamma: rng.values(c), beta: rng.values(c), eps: 1e-5, src },
+                12 => {
+                    let windows: Vec<usize> = [1, 2, 4].into_iter().filter(|win| h % win == 0 && w % win == 0).collect();
+                    DeployedOp::WindowAttention { window: rng.pick(&windows), q: src, k: like(rng), v: like(rng) }
+                }
+                _ => continue,
+            };
+            shapes.push(infer_shape(&op, &shapes).expect("generated ops are well typed"));
+            b.push(op);
+        }
+        let output = if rng.chance(60) { ops } else { 1 + rng.below(ops) };
+        (b.finish(output), input)
+    }
+
+    fn is_elementwise(op: &DeployedOp) -> bool {
+        matches!(
+            op,
+            DeployedOp::Relu { .. }
+                | DeployedOp::Prelu { .. }
+                | DeployedOp::Gelu { .. }
+                | DeployedOp::Scale { .. }
+                | DeployedOp::Add { .. }
+        )
+    }
+
+    /// The slot assignment of `plan` against the rules it must respect,
+    /// derived from the graph's liveness alone.
+    fn check_slots(net: &DeployedNetwork, plan: &Plan, seen: &mut Seen, label: &str) {
+        let (ops, out, last_use) = (net.ops(), net.output(), net.last_use());
+        let nvals = ops.len() + 1;
+        assert_eq!(plan.slot_of[0], None, "{label}: the input is read from the request");
+        let slot = |v: ValueId| plan.slot_of[v].expect("every op output has a slot");
+        let size = |v: ValueId| vol(plan.shapes[v]);
+        // The last op that reads `v`: forever for the output, its own
+        // producer for a value nothing consumes.
+        let read_until = |v: ValueId| match last_use[v] {
+            _ if v == out => usize::MAX,
+            usize::MAX => v - 1,
+            last => last,
+        };
+        // How long the planner keeps `v`'s slot: it never releases a value
+        // nothing consumes.
+        let held_until = |v: ValueId| if last_use[v] == usize::MAX { usize::MAX } else { read_until(v) };
+
+        for v in 1..nvals {
+            assert!(plan.slot_sizes[slot(v)] >= size(v), "{label}: value {v} overflows slot {}", slot(v));
+            // Two values share a slot only when the earlier is never read
+            // after the later is written (the in-place case, where it is
+            // read *while* the later is written, is checked per op below).
+            for u in 1..v {
+                assert!(
+                    slot(u) != slot(v) || read_until(u) < v,
+                    "{label}: value {v} is written over value {u}, still read by op {}",
+                    read_until(u)
+                );
+            }
+        }
+        if last_use[out] != usize::MAX {
+            seen.note("output consumed downstream");
+        }
+
+        let mut most_held = 0;
+        for (i, op) in ops.iter().enumerate() {
+            let (v, inputs) = (i + 1, op.inputs());
+            let inputs = inputs.as_slice();
+            most_held = most_held.max((1..=v).filter(|&u| held_until(u) >= i).count());
+            seen.note(op.kind());
+            // An operand named twice, and whether its slot is released here
+            // (once, not twice).
+            let repeated: Vec<ValueId> =
+                (1..inputs.len()).filter(|&j| inputs[..j].contains(&inputs[j])).map(|j| inputs[j]).collect();
+            match op {
+                _ if repeated.is_empty() => {}
+                DeployedOp::Add { .. } => seen.note("add of a value to itself"),
+                DeployedOp::Concat { .. } => seen.note("concat with a repeated operand"),
+                _ => seen.note("q / k / v sharing a value"),
+            }
+            if repeated.iter().any(|&u| u != 0 && u != out && last_use[u] == i) {
+                seen.note("repeated operand dies at its op");
+            }
+
+            // In place: only an elementwise op, only on an operand that
+            // dies here, is named once, and is neither the network input
+            // nor the graph output — and then always, left operand first.
+            let stealable = |u: ValueId| {
+                u != 0 && u != out && last_use[u] == i && inputs.iter().filter(|&&x| x == u).count() == 1
+            };
+            let expected = inputs.iter().copied().find(|&u| is_elementwise(op) && stealable(u));
+            for &u in inputs.iter().filter(|&&u| u != 0) {
+                assert_eq!(slot(u) == slot(v), expected == Some(u), "{label}: op {i} ({}) and its operand {u}", op.kind());
+            }
+            match (expected, op) {
+                (Some(u), DeployedOp::Add { lhs, .. }) if u != *lhs => seen.note("in place on the right operand"),
+                (Some(_), _) => seen.note("in place"),
+                (None, op) if is_elementwise(op) => seen.note("elementwise, not in place"),
+                (None, _) => {}
+            }
+            if expected.is_some() {
+                continue;
+            }
+
+            // Otherwise best fit over the slots free when op `i` runs —
+            // reconstructed from the plan: a slot is free when no value it
+            // hosted so far is still held (operands dying here still are).
+            let hosted = |t: usize| (1..v).filter(move |&u| slot(u) == t);
+            let sized = |t: usize| hosted(t).map(size).max().expect("free slots have hosted a value");
+            let created = (1..v).map(slot).max().map_or(0, |t| t + 1);
+            let free: Vec<usize> = (0..created).filter(|&t| hosted(t).all(|u| held_until(u) < i)).collect();
+            let fitting = free.iter().map(|&t| sized(t)).filter(|&sz| sz >= size(v)).min();
+            match (free.is_empty(), fitting) {
+                (true, _) => {
+                    assert_eq!(slot(v), created, "{label}: op {i} must open a new slot");
+                    seen.note("opened a slot");
+                }
+                (false, Some(tightest)) => {
+                    assert!(free.contains(&slot(v)), "{label}: op {i} took an occupied or new slot");
+                    assert_eq!(sized(slot(v)), tightest, "{label}: op {i} is not the best fit");
+                    seen.note(if tightest > size(v) { "reused a larger slot" } else { "reused a slot of its size" });
+                }
+                (false, None) => {
+                    let largest = free.iter().map(|&t| sized(t)).max();
+                    assert!(free.contains(&slot(v)), "{label}: op {i} took an occupied or new slot");
+                    assert_eq!(Some(sized(slot(v))), largest, "{label}: op {i} must grow the largest free slot");
+                    seen.note("grew a free slot");
+                }
+            }
+        }
+        assert!(
+            plan.slot_count() <= most_held,
+            "{label}: {} slots for at most {most_held} values held at once",
+            plan.slot_count()
+        );
+
+        for v in 1..nvals {
+            let readers = ops.iter().filter(|op| op.inputs().as_slice().contains(&v)).count();
+            match readers {
+                0 if v != out => seen.note("dead value"),
+                2.. => seen.note("value with several consumers"),
+                _ => {}
+            }
+        }
+    }
+
+    /// NaN-ness plus the exact bits of everything else (an in-place `Add`
+    /// on its right operand computes `rhs + lhs`, and which NaN payload a
+    /// commutative `+` keeps is unspecified).
+    fn float_bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
+    }
+
+    #[test]
+    fn generated_graphs_plan_without_aliasing_and_match_the_reuse_off_forward() {
+        let mut seen = Seen::default();
+        // One arena and one scratch for the whole run, handed from graph
+        // to graph like a long-lived session would keep them: oversized,
+        // and full of the previous graph's values.
+        let mut slots = vec![vec![f32::NAN; 2_048]; 4];
+        let mut scratch = ConvScratch::new();
+        for seed in 0..1_200u64 {
+            let mut rng = Rng(seed);
+            let (net, input) = generate(&mut rng);
+            let label = format!("seed {seed}");
+            let plan = net.plan(&input).unwrap();
+            check_slots(&net, &plan, &mut seen, &label);
+            seen.note(["batch 1", "batch 2", "batch 3"][input[0] - 1]);
+            // The oracle's own schedule shares nothing: value `v` alone in
+            // slot `v - 1`, sized to it.
+            let unshared = net.schedule(&input, false).unwrap();
+            for v in 1..unshared.num_values() {
+                assert_eq!(unshared.slot_of[v], Some(v - 1), "{label}");
+                assert_eq!(unshared.slot_sizes[v - 1], vol(unshared.shapes[v]), "{label}");
+            }
+
+            let len = vol(input);
+            let data = if rng.chance(50) { rng.hostile(len) } else { rng.values(len) };
+            let x = Tensor::from_vec(data, &input).unwrap();
+            let want = net.forward(&x).unwrap();
+            let mut ws = Workspace { slots, scratch, ..Workspace::default() };
+            for round in 0..2 {
+                let got = net.forward_planned(&x, &mut ws).unwrap();
+                assert_eq!(got.shape(), want.shape(), "{label}");
+                assert!(float_bits(got.data()) == float_bits(want.data()), "{label}, round {round}: planned != reuse off");
+            }
+            (slots, scratch) = (ws.slots, ws.scratch);
+        }
+        // The generator must actually reach what the check guards.
+        let kinds = [
+            "float_conv",
+            "body_conv",
+            "relu",
+            "prelu",
+            "add",
+            "concat",
+            "channel_attention",
+            "pixel_shuffle",
+            "bicubic_up",
+            "layer_norm",
+            "window_attention",
+            "gelu",
+            "scale",
+        ];
+        let corners = [
+            "in place",
+            "in place on the right operand",
+            "elementwise, not in place",
+            "opened a slot",
+            "reused a slot of its size",
+            "reused a larger slot",
+            "grew a free slot",
+            "add of a value to itself",
+            "concat with a repeated operand",
+            "q / k / v sharing a value",
+            "repeated operand dies at its op",
+            "value with several consumers",
+            "output consumed downstream",
+            "dead value",
+            "batch 1",
+            "batch 2",
+            "batch 3",
+        ];
+        for corner in kinds.into_iter().chain(corners) {
+            assert!(seen.0.get(corner).is_some_and(|&n| n >= 20), "{corner}: {:?}", seen.0);
+        }
     }
 }

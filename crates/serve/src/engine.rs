@@ -270,8 +270,10 @@ impl<'m> Engine<'m> {
     /// One forward through whichever path this engine resolved to. A
     /// deployed graph — auto-lowered at build or passed in pre-lowered —
     /// runs through the planned zero-allocation executor against the
-    /// caller's [`Workspace`] (bit-identical to the allocating forward);
-    /// the training path ignores the workspace. Callers are responsible
+    /// caller's [`Workspace`] — never through
+    /// [`DeployedNetwork::forward`], the same executor with slot reuse off
+    /// that tests use as the aliasing oracle; the training path ignores
+    /// the workspace. Callers are responsible
     /// for running under [`Engine::backend`]; sessions do.
     pub(crate) fn forward_with(
         &self,

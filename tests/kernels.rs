@@ -13,16 +13,27 @@
 //! (`layer_norm_into`, `window_attention_into`, GELU / `Scale`): each
 //! against the composition of tensor ops the training tape runs on its
 //! token layout, bit for bit.
+//!
+//! And for the ops the graph executor writes out by hand (`Relu`, `Prelu`,
+//! `Add`, `Concat`, `PixelShuffle`, `BicubicUp`, `ChannelAttention`) and
+//! the deployed SCALES layer: each against its tensor-level formulation,
+//! which lives here, in test code — the executor and the layers keep one
+//! body each.
 
 use proptest::prelude::*;
 use scales::autograd::Var;
 use scales::binary::{BinaryConv2d, Fused, SignShift};
 use scales::core::{DeployedScalesConv2d, FloatConv2d, ScalesComponents, ScalesConv2d};
+use scales::data::resize_bicubic_tensor;
+use scales::models::deploy::DeployedChannelAttention;
 use scales::models::{DeployedNetworkBuilder, DeployedOp, Workspace};
 use scales::nn::init::rng;
 use scales::nn::Module as _;
 use scales::tensor::backend::{with_thread_backend, Backend};
-use scales::tensor::ops::{batched_matmul, conv2d, layer_norm_into, matmul, window_attention_into, Conv2dSpec};
+use scales::tensor::ops::{
+    batched_matmul, conv1d, conv2d, global_avg_pool, layer_norm_into, matmul, pixel_shuffle, sigmoid,
+    window_attention_into, Conv2dSpec,
+};
 use scales::tensor::workspace::{BitScratch, ConvScratch};
 use scales::tensor::{simd, Tensor};
 
@@ -398,6 +409,18 @@ fn batched_gemm_callers_are_bit_identical_across_backends_at_tile_boundaries() {
     }
 }
 
+/// Run a small graph (its last op is the output) on `x` through both
+/// schedules of the one executor: slot reuse off (`forward`) and planned.
+fn in_both_executors(ops: Vec<DeployedOp>, x: &Tensor) -> [(&'static str, Tensor); 2] {
+    let mut b = DeployedNetworkBuilder::new("one-op", 1);
+    let out = ops.into_iter().map(|op| b.push(op)).last().expect("at least one op");
+    let graph = b.finish(out);
+    [
+        ("reuse off", graph.forward(x).unwrap()),
+        ("planned", graph.forward_planned(x, &mut Workspace::new()).unwrap()),
+    ]
+}
+
 /// The two elementwise transformer ops, through both executors, against
 /// the tape's `gelu` / `scale` on the same hostile values.
 #[test]
@@ -409,20 +432,93 @@ fn gelu_and_scale_ops_match_the_tape_in_both_executors() {
         (DeployedOp::Gelu { src: 0 }, tape.gelu().value()),
         (DeployedOp::Scale { factor: 0.1, src: 0 }, tape.scale(0.1).value()),
     ] {
-        let mut b = DeployedNetworkBuilder::new("one-op", 1);
         let label = op.kind();
-        let out = b.push(op);
-        let graph = b.finish(out);
-        let allocating = graph.forward(&x).unwrap();
-        let planned = graph.forward_planned(&x, &mut Workspace::new()).unwrap();
-        assert_eq!(float_bits(allocating.data()), float_bits(want.data()), "{label}, allocating");
-        assert_eq!(float_bits(planned.data()), float_bits(want.data()), "{label}, planned");
+        for (executor, got) in in_both_executors(vec![op], &x) {
+            assert_eq!(float_bits(got.data()), float_bits(want.data()), "{label}, {executor}");
+        }
     }
 }
 
-/// The deployed SCALES layer's fused `forward_into` against its allocating
-/// `forward` — the pass-by-pass reference — for every component subset,
-/// with and without the skip, on the portable and the detected kernels.
+/// Every other op the executor writes out by hand, against the
+/// tensor-level operation it stands for, on hostile values: `Relu` /
+/// `Prelu` / `Add` vs `map` / `zip_map`, `Concat` vs `Tensor::concat`,
+/// `PixelShuffle` vs `ops::pixel_shuffle`, `BicubicUp` vs
+/// `resize_bicubic_tensor` per image, and `ChannelAttention` vs
+/// `global_avg_pool → conv2d → relu → conv2d → sigmoid → multiply`.
+#[test]
+fn graph_ops_match_their_tensor_level_formulation_in_both_executors() {
+    let mut data = Stream(13);
+    let (n, c, h, w) = (2usize, 8usize, 6usize, 7usize);
+    let x = Tensor::from_vec(data.hostile_values(n * c * h * w), &[n, c, h, w]).unwrap();
+    let relu = |t: &Tensor| t.map(|v| v.max(0.0));
+    let halved = x.map(|v| v * 0.5);
+    let halve = || DeployedOp::Scale { factor: 0.5, src: 0 };
+
+    let bicubic = |scale: usize| {
+        let images: Vec<Tensor> = (0..n)
+            .map(|b| {
+                let image = x.slice_axis(0, b, 1).unwrap().reshape(&[c, h, w]).unwrap();
+                let up = resize_bicubic_tensor(&image, h * scale, w * scale).unwrap();
+                up.reshape(&[1, c, h * scale, w * scale]).unwrap()
+            })
+            .collect();
+        Tensor::concat(&images.iter().collect::<Vec<_>>(), 0).unwrap()
+    };
+
+    let squeeze = 3;
+    let mut gate_conv = |oc: usize, ic: usize| {
+        let weight = Tensor::from_vec(data.values(oc * ic), &[oc, ic, 1, 1]).unwrap();
+        let bias = Tensor::from_vec(data.values(oc), &[1, oc, 1, 1]).unwrap();
+        move || FloatConv2d::new(weight.clone(), Some(bias.clone()), Conv2dSpec::default()).unwrap()
+    };
+    let (down, up) = (gate_conv(squeeze, c), gate_conv(c, squeeze));
+    let gate = up()
+        .forward(&relu(&down().forward(&global_avg_pool(&x).unwrap()).unwrap()))
+        .unwrap()
+        .map(sigmoid);
+
+    let cases: Vec<(&str, Vec<DeployedOp>, Tensor)> = vec![
+        ("relu", vec![DeployedOp::Relu { src: 0 }], relu(&x)),
+        (
+            "prelu",
+            vec![DeployedOp::Prelu { slope: 0.25, src: 0 }],
+            x.map(|v| if v > 0.0 { v } else { 0.25 * v }),
+        ),
+        ("add x + x", vec![DeployedOp::Add { lhs: 0, rhs: 0 }], x.zip_map(&x, |a, b| a + b).unwrap()),
+        (
+            // The planner runs this one in place on the dying right operand.
+            "add x + x/2",
+            vec![halve(), DeployedOp::Add { lhs: 0, rhs: 1 }],
+            x.zip_map(&halved, |a, b| a + b).unwrap(),
+        ),
+        (
+            "concat",
+            vec![halve(), DeployedOp::Relu { src: 0 }, DeployedOp::Concat { srcs: vec![0, 1, 2, 0] }],
+            Tensor::concat(&[&x, &halved, &relu(&x), &x], 1).unwrap(),
+        ),
+        ("pixel_shuffle", vec![DeployedOp::PixelShuffle { factor: 2, src: 0 }], pixel_shuffle(&x, 2).unwrap()),
+        ("bicubic x2", vec![DeployedOp::BicubicUp { scale: 2, src: 0 }], bicubic(2)),
+        ("bicubic x3", vec![DeployedOp::BicubicUp { scale: 3, src: 0 }], bicubic(3)),
+        (
+            "channel_attention",
+            vec![DeployedOp::ChannelAttention { ca: DeployedChannelAttention::new(down(), up()), src: 0 }],
+            x.zip_map(&gate, |a, g| a * g).unwrap(),
+        ),
+    ];
+    for (label, ops, want) in cases {
+        for (executor, got) in in_both_executors(ops, &x) {
+            assert_eq!(got.shape(), want.shape(), "{label}, {executor}");
+            assert_eq!(float_bits(got.data()), float_bits(want.data()), "{label}, {executor}");
+        }
+    }
+}
+
+/// The deployed SCALES layer's fused `forward_into` — and `forward`, the
+/// same body on a fresh scratch — against the unfused pass order written as
+/// tensor ops (β shift → packed conv → spatial gate → channel gate → skip,
+/// each a separate pass, the gates via `conv2d` / `global_avg_pool` /
+/// `conv1d`), for every component subset, with and without the skip, on the
+/// portable and the detected kernels.
 #[test]
 fn fused_scales_layer_matches_the_unfused_forward_for_every_component_set() {
     let mut scratch = ConvScratch::new();
@@ -445,12 +541,44 @@ fn fused_scales_layer_matches_the_unfused_forward_for_every_component_set() {
             }
             let deployed = DeployedScalesConv2d::from_trained(&layer).unwrap();
             let input = Tensor::from_vec(data.values(n * c * h * w), &[n, c, h, w]).unwrap();
-            let want = deployed.forward(&input).unwrap();
+            let hw = h * w;
+
+            // β folds into an input shift before the sign packing.
+            let mut shifted = input.clone();
+            if !deployed.beta().is_empty() {
+                for (i, v) in shifted.data_mut().iter_mut().enumerate() {
+                    *v -= deployed.beta()[i / hw % c];
+                }
+            }
+            let mut want = deployed.conv().forward(&shifted).unwrap();
+            // Spatial re-scaling from the FP input: a 1×1 conv to one map.
+            if let Some((wmap, bias)) = deployed.spatial() {
+                let m = conv2d(&input, wmap, Conv2dSpec { stride: 1, padding: 0 }).unwrap();
+                for (i, v) in want.data_mut().iter_mut().enumerate() {
+                    *v *= sigmoid(m.data()[i / (c * hw) * hw + i % hw] + bias);
+                }
+            }
+            // Channel re-scaling from the FP input: GAP → Conv1d over the
+            // channel tokens.
+            if let Some(k) = deployed.channel() {
+                let tokens = global_avg_pool(&input).unwrap().reshape(&[n, 1, c]).unwrap();
+                let mixed = conv1d(&tokens, k, k.shape()[2] / 2).unwrap();
+                for (i, v) in want.data_mut().iter_mut().enumerate() {
+                    *v *= sigmoid(mixed.data()[i / hw]);
+                }
+            }
+            if deployed.skip() {
+                want = want.zip_map(&input, |a, b| a + b).unwrap();
+            }
+
+            let label = format!("{components:?} skip={skip} c={c} {h}x{w} n={n}");
             for backend in [Backend::Scalar, Backend::Simd] {
                 let mut got = vec![f32::NAN; want.len()];
                 with_thread_backend(backend, || deployed.forward_into(input.data(), n, h, w, &mut scratch, &mut got))
                     .unwrap();
-                assert_eq!(bits(&got), bits(want.data()), "{components:?} skip={skip} c={c} {h}x{w} n={n} {backend}");
+                assert_eq!(bits(&got), bits(want.data()), "{label} {backend}");
+                let fresh = with_thread_backend(backend, || deployed.forward(&input)).unwrap();
+                assert_eq!(bits(fresh.data()), bits(want.data()), "{label} {backend}, forward");
             }
         }
     }
