@@ -16,7 +16,7 @@
 //! | `POST /v1/models/{name}/upscale` | fleet | The same wire contract, routed by model name through [`ModelRouter::submit_wait_timeout`](scales_router::ModelRouter::submit_wait_timeout); an unknown name is a `404`. |
 //! | `GET /v1/models` | fleet | The fleet as JSON: name, arch, scale, version, artifact fingerprint, serving state, memory charges. |
 //! | `POST /v1/models/{name}/reload` | fleet | Zero-downtime hot-swap from the model's artifact path ([`ModelRouter::reload`](scales_router::ModelRouter::reload)); in-memory models answer `409`. |
-//! | `GET /metrics` | both | Prometheus text: the runtime's series, or the fleet's `model`-labeled series, plus the front end's own counters and stage histograms. |
+//! | `GET /metrics` | both | Prometheus text: the runtime's series, or the fleet's `model`-labeled series, plus the front end's own counters and stage histograms (the README's "Metric families" table lists every family). |
 //! | `GET /healthz` | both | `200 ok` liveness probe. |
 //! | `GET /v1/debug/traces` | both | The flight recorder as JSON: recent completed-request traces with per-stage nanoseconds; `?slow=1` returns the separately-retained slow ring. |
 //! | `GET /v1/debug/profile` | both | Per-op plan profiles (`?model={name}` selects one fleet model); empty until profiling is on ([`RuntimeConfig::profile_ops`](scales_runtime::RuntimeConfig::profile_ops)). |
@@ -27,6 +27,11 @@
 //! the [`FlightRecorder`](scales_telemetry::FlightRecorder) with its
 //! eight stage spans (`parse` → `write`), retrievable over the wire at
 //! `GET /v1/debug/traces` or in-process via [`HttpServer::traces`].
+//!
+//! The server assembles no text format itself: `/metrics` goes through
+//! [`scales_telemetry::Exposition`] and every JSON document through
+//! [`scales_telemetry::JsonWriter`], so whatever a name or label holds (an
+//! artifact's architecture name is free-form UTF-8) the writer escapes it.
 //!
 //! Hardening is the point, not an afterthought: request lines and
 //! headers are length- and count-bounded, bodies are

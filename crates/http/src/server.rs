@@ -20,7 +20,10 @@ use scales_data::{decode_image, encode_image};
 use scales_router::{ModelRouter, RouterError};
 use scales_runtime::{LatencyHistogram, RejectReason, Runtime, RuntimeStats, SubmitError};
 use scales_serve::{SrRequest, SrResponse};
-use scales_telemetry::{render_traces_json, FlightRecorder, OpProfile, RequestId, RequestTrace, Stage};
+use scales_telemetry::{
+    render_traces_json, Exposition, FamilyKind, FlightRecorder, JsonWriter, OpProfile, RequestId,
+    RequestTrace, Stage,
+};
 use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -741,28 +744,21 @@ fn debug_profile(shared: &Shared, query: Option<&str>) -> Response {
 }
 
 /// The profile document: one object per model (the model is `null` on a
-/// single-runtime server). Model names come from the router's validated
-/// alphabet and op kinds are static strings, so no escaping is needed.
+/// single-runtime server).
 fn render_profiles_json(profiles: &[(Option<String>, OpProfile)]) -> String {
-    let mut out = String::with_capacity(64 + profiles.len() * 256);
-    out.push_str("{\"profiles\":[");
-    for (i, (model, profile)) in profiles.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match model {
-            Some(name) => out.push_str(&format!("{{\"model\":\"{name}\"")),
-            None => out.push_str("{\"model\":null"),
-        }
-        out.push_str(&format!(
-            ",\"calls\":{},\"total_ns\":{},\"ops\":{}}}",
-            profile.total_calls(),
-            profile.total_ns(),
-            profile.to_json()
-        ));
-    }
-    out.push_str("]}");
-    out
+    let mut w = JsonWriter::default();
+    w.object(|w| {
+        w.key("profiles").array(|w| {
+            for (model, profile) in profiles {
+                w.object(|w| {
+                    w.key("model").string_or_null(model.as_deref());
+                    w.key("calls").int(profile.total_calls()).key("total_ns").int(profile.total_ns());
+                    w.key("ops").raw(&profile.to_json());
+                });
+            }
+        });
+    });
+    w.finish()
 }
 
 /// A `200 application/json` response (a trailing newline is appended —
@@ -929,77 +925,55 @@ fn router_error_response(err: &RouterError) -> Response {
     Response::text(status, format!("{err}\n")).retry_after(retry)
 }
 
-/// The `GET /v1/models` document: the fleet as a JSON array. Hand-rolled
-/// like the wire codecs — every value is a number, a bool, or a string
-/// from a validated alphabet (names) or a fixed set (arch, state), so no
-/// escaping is needed.
+/// The `GET /v1/models` document: the fleet as a JSON array.
 fn render_model_list(router: &ModelRouter) -> String {
-    let models = router.list();
-    let mut out = String::with_capacity(128 * models.len() + 16);
-    out.push_str("{\"models\":[");
-    for (i, m) in models.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&render_model_json(m));
-    }
-    out.push_str("]}\n");
-    out
+    let mut w = JsonWriter::default();
+    w.object(|w| {
+        w.key("models").array(|w| {
+            for m in &router.list() {
+                w.raw(&render_model_json(m));
+            }
+        });
+    });
+    w.finish() + "\n"
 }
 
 /// One model's identity and state as a JSON object.
 fn render_model_json(m: &scales_router::ModelStats) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"arch\":\"{}\",\"scale\":{},\"version\":{},\
-         \"fingerprint\":\"{:016x}\",\"state\":\"{}\",\"weight_bytes\":{},\
-         \"resident_bytes\":{},\"reloadable\":{},\"evictions\":{},\"swaps\":{}}}",
-        m.name,
-        m.arch,
-        m.scale,
-        m.version,
-        m.fingerprint,
-        m.state,
-        m.weight_bytes,
-        m.resident_bytes,
-        m.reloadable,
-        m.evictions,
-        m.swaps,
-    )
+    let mut w = JsonWriter::default();
+    w.object(|w| {
+        w.key("name").string(&m.name).key("arch").string(&m.arch);
+        w.key("scale").int(m.scale as u64).key("version").int(m.version);
+        w.key("fingerprint").string(&format!("{:016x}", m.fingerprint));
+        w.key("state").string(&m.state.to_string());
+        w.key("weight_bytes").int(m.weight_bytes as u64);
+        w.key("resident_bytes").int(m.resident_bytes as u64);
+        w.key("reloadable").bool(m.reloadable);
+        w.key("evictions").int(m.evictions).key("swaps").int(m.swaps);
+    });
+    w.finish()
 }
 
 /// The `/metrics` document: the serving target's Prometheus rendering
 /// (per-model series in fleet mode) plus the HTTP front end's own
 /// counters.
 fn render_metrics(shared: &Shared) -> String {
-    let mut out = match &shared.target {
+    let target = match &shared.target {
         Target::Single(runtime) => runtime.stats().render_prometheus(),
         Target::Fleet(router) => router.render_prometheus(),
     };
-    let mut counter = |name: &str, help: &str, value: u64| {
-        out.push_str(&format!(
-            "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"
-        ));
-    };
-    counter(
-        "scales_http_connections_total",
-        "Connections accepted by the HTTP front end.",
-        shared.connections.load(Ordering::Relaxed),
-    );
-    counter(
-        "scales_http_requests_total",
-        "HTTP responses sent.",
-        shared.requests.load(Ordering::Relaxed),
-    );
-    counter(
-        "scales_http_errors_total",
-        "HTTP responses with a 4xx or 5xx status.",
-        shared.errors.load(Ordering::Relaxed),
-    );
-    counter(
-        "scales_http_refused_total",
-        "Connections refused off a full accept backlog with an immediate 503.",
-        shared.refused.load(Ordering::Relaxed),
-    );
+    let mut expo = Exposition::default();
+    #[rustfmt::skip]
+    let counters = [
+        ("scales_http_connections_total", "Connections accepted by the HTTP front end.", &shared.connections),
+        ("scales_http_requests_total", "HTTP responses sent.", &shared.requests),
+        ("scales_http_errors_total", "HTTP responses with a 4xx or 5xx status.", &shared.errors),
+        ("scales_http_refused_total", "Connections refused off a full accept backlog with an immediate 503.", &shared.refused),
+    ];
+    for (name, help, count) in counters {
+        expo.family(name, help, FamilyKind::Counter);
+        expo.sample(&[], count.load(Ordering::Relaxed));
+    }
     // The HTTP-side stage histograms render only once a response has
     // been written (all three together, so scrapes always see a
     // consistent label set).
@@ -1009,15 +983,12 @@ fn render_metrics(shared: &Shared) -> String {
         ("write", *lock(&shared.write_hist)),
     ];
     if stages.iter().any(|(_, h)| h.count() > 0) {
-        let name = "scales_http_stage_seconds";
-        out.push_str(&format!(
-            "# HELP {name} Per-request stage spans at the HTTP edge (wire-codec decode, wire-codec encode, response write).\n# TYPE {name} histogram\n"
-        ));
+        expo.family("scales_http_stage_seconds", "Per-request stage spans at the HTTP edge (wire-codec decode, wire-codec encode, response write).", FamilyKind::Histogram);
         for (stage, hist) in &stages {
-            hist.render_prometheus_into(&mut out, name, &format!("stage=\"{stage}\","));
+            hist.render_into(&mut expo, &[("stage", stage)]);
         }
     }
-    out
+    target + &expo.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -1121,5 +1092,86 @@ pub(crate) fn reason_phrase(status: u16) -> &'static str {
         504 => "Gateway Timeout",
         505 => "HTTP Version Not Supported",
         _ => "Unknown",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scales_router::{ModelState, ModelStats, RouterConfig};
+
+    fn model(name: &str, reloadable: bool) -> ModelStats {
+        ModelStats {
+            name: name.into(),
+            arch: "SRResNet".into(),
+            scale: 2,
+            version: 3,
+            fingerprint: 0x1a9f_85fe_86a6_0916,
+            state: ModelState::Serving,
+            weight_bytes: 6914,
+            resident_bytes: 7001,
+            evictions: 1,
+            swaps: 2,
+            reloadable,
+            runtime: None,
+        }
+    }
+
+    // The three goldens below are byte-for-byte what the hand-assembled
+    // writers produced before `JsonWriter` (recorded at the parent of
+    // ISSUE 23); the two telemetry documents are pinned the same way by
+    // `traces_render_as_json` / `profiles_render_as_json`.
+
+    #[test]
+    fn model_document_is_pinned() {
+        assert_eq!(
+            render_model_json(&model("alpha", true)),
+            "{\"name\":\"alpha\",\"arch\":\"SRResNet\",\"scale\":2,\"version\":3,\
+             \"fingerprint\":\"1a9f85fe86a60916\",\"state\":\"serving\",\"weight_bytes\":6914,\
+             \"resident_bytes\":7001,\"reloadable\":true,\"evictions\":1,\"swaps\":2}"
+        );
+        let evicted = ModelStats { state: ModelState::Evicted, fingerprint: 0xabc, ..model("b", false) };
+        assert!(render_model_json(&evicted)
+            .contains("\"fingerprint\":\"0000000000000abc\",\"state\":\"evicted\""));
+    }
+
+    #[test]
+    fn model_list_document_is_pinned() {
+        let tiny = |name: &str| {
+            let mut b = scales_models::DeployedNetworkBuilder::new(name, 2);
+            let up = b.bicubic_up(2, b.input());
+            b.finish(up)
+        };
+        let router = ModelRouter::new(RouterConfig::default()).unwrap();
+        assert_eq!(render_model_list(&router), "{\"models\":[]}\n");
+        router.register_model("beta", tiny("Bicubic")).unwrap();
+        router.register_model("alpha", tiny("Bicubic")).unwrap();
+        let listed = router.list();
+        let (a, b) = (render_model_json(&listed[0]), render_model_json(&listed[1]));
+        assert!(a.starts_with("{\"name\":\"alpha\",\"arch\":\"Bicubic\",\"scale\":2,\"version\":1,"));
+        assert_eq!(render_model_list(&router), format!("{{\"models\":[{a},{b}]}}\n"));
+        let _ = router.shutdown();
+    }
+
+    #[test]
+    fn profile_document_is_pinned() {
+        assert_eq!(render_profiles_json(&[]), "{\"profiles\":[]}");
+        let mut profile = OpProfile::new();
+        profile.record("body_conv", 1500);
+        profile.record("relu", 40);
+        profile.record("body_conv", 500);
+        assert_eq!(
+            render_profiles_json(&[(None, profile.clone())]),
+            "{\"profiles\":[{\"model\":null,\"calls\":3,\"total_ns\":2040,\"ops\":[\
+             {\"op\":\"body_conv\",\"calls\":2,\"total_ns\":2000},\
+             {\"op\":\"relu\",\"calls\":1,\"total_ns\":40}]}]}"
+        );
+        assert_eq!(
+            render_profiles_json(&[(Some("alpha".into()), OpProfile::new()), (Some("beta".into()), profile)]),
+            "{\"profiles\":[{\"model\":\"alpha\",\"calls\":0,\"total_ns\":0,\"ops\":[]},\
+             {\"model\":\"beta\",\"calls\":3,\"total_ns\":2040,\"ops\":[\
+             {\"op\":\"body_conv\",\"calls\":2,\"total_ns\":2000},\
+             {\"op\":\"relu\",\"calls\":1,\"total_ns\":40}]}]}"
+        );
     }
 }

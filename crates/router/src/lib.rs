@@ -40,7 +40,10 @@
 //! [`ModelStats`] (identity, version, FNV-1a artifact fingerprint, state,
 //! memory charges, folded serving counters across every version), and
 //! [`ModelRouter::render_prometheus`] renders the same as
-//! `model`-labeled Prometheus series for `GET /metrics`.
+//! `model`-labeled Prometheus series for `GET /metrics`: the runtime's
+//! admission-ledger table under its per-model scope (tenant-quota
+//! refusals included), then the router's own rows, written through
+//! [`scales_telemetry::Exposition`] — which escapes label values.
 //!
 //! ```no_run
 //! use scales_router::{ModelRouter, RouterConfig};

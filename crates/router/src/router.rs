@@ -6,6 +6,7 @@ use crate::lock;
 use scales_models::SrNetwork;
 use scales_runtime::{Runtime, RuntimeConfig, RuntimeStats};
 use scales_serve::{Engine, SrRequest, SrResponse};
+use scales_telemetry::{Exposition, FamilyKind};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -450,12 +451,13 @@ impl ModelRouter {
     }
 
     /// Render the fleet's per-model serving record in the Prometheus
-    /// text exposition format: request counters, latency histograms,
-    /// eviction/swap counters, memory gauges, and an info series — every
-    /// line labeled `model="<name>"`, one `# HELP`/`# TYPE` block per
-    /// metric. This is what the HTTP front end's `GET /metrics` serves
-    /// in fleet mode (plus its own connection counters). Empty fleet →
-    /// empty string.
+    /// text exposition format: the admission ledger (the runtime's table
+    /// under its per-model scope), images served, eviction/swap counters,
+    /// memory gauges, an info series and the latency histogram
+    /// — every sample labeled `model="<name>"`, one `# HELP`/`# TYPE`
+    /// block per family. This is what the HTTP front end's `GET /metrics`
+    /// serves in fleet mode (plus its own connection counters). Empty
+    /// fleet → empty string.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         Self::render_fleet(&self.list())
@@ -463,122 +465,54 @@ impl ModelRouter {
 
     /// [`ModelRouter::render_prometheus`] as a function of the per-model
     /// reports alone, so the format can be pinned on hand-built records.
-    #[allow(clippy::too_many_lines)]
     fn render_fleet(models: &[ModelStats]) -> String {
-        use std::fmt::Write as _;
-        /// Metric name, help text, and per-model value extractor.
-        type MetricColumn = (&'static str, &'static str, fn(&ModelStats) -> u64);
+        use FamilyKind::{Counter, Gauge, Histogram};
+        /// One of the router's own per-model families: name, help, kind,
+        /// and the reading it takes from a model's report.
+        type ModelRow = (&'static str, &'static str, FamilyKind, fn(&ModelStats) -> u64);
         if models.is_empty() {
             return String::new();
         }
-        let mut out = String::with_capacity(4096 * models.len());
-        let counters: [MetricColumn; 10] = [
-            (
-                "scales_model_requests_submitted_total",
-                "Requests accepted for this model across all versions.",
-                |m| m.runtime.as_ref().map_or(0, |r| r.submitted),
-            ),
-            (
-                "scales_model_requests_completed_total",
-                "Requests served successfully for this model across all versions.",
-                |m| m.runtime.as_ref().map_or(0, |r| r.completed),
-            ),
-            (
-                "scales_model_requests_failed_total",
-                "Requests resolved with an error for this model.",
-                |m| m.runtime.as_ref().map_or(0, |r| r.failed),
-            ),
-            (
-                "scales_model_requests_rejected_total",
-                "Requests rejected at submission for this model.",
-                |m| m.runtime.as_ref().map_or(0, |r| r.rejected),
-            ),
-            (
-                "scales_model_requests_shed_total",
-                "Requests refused early by this model's shed policy.",
-                |m| m.runtime.as_ref().map_or(0, |r| r.shed),
-            ),
-            (
-                "scales_model_requests_expired_total",
-                "Requests whose deadline passed before this model dispatched them.",
-                |m| m.runtime.as_ref().map_or(0, |r| r.expired),
-            ),
-            (
-                "scales_model_deadline_misses_total",
-                "Requests this model served after their deadline.",
-                |m| m.runtime.as_ref().map_or(0, |r| r.deadline_misses),
-            ),
-            (
-                "scales_model_images_total",
-                "Images served by this model across all versions.",
-                |m| m.runtime.as_ref().map_or(0, |r| r.images),
-            ),
-            (
-                "scales_model_evictions_total",
-                "Times the memory budget drained this model.",
-                |m| m.evictions,
-            ),
-            (
-                "scales_model_swaps_total",
-                "Hot-swaps that replaced a serving version of this model.",
-                |m| m.swaps,
-            ),
+        let mut expo = Exposition::default();
+        let idle = RuntimeStats::default();
+        let served = models.iter().map(|m| (m.name.as_str(), m.runtime.as_ref().unwrap_or(&idle)));
+        RuntimeStats::render_model_ledger(&mut expo, served);
+        #[rustfmt::skip]
+        let rows: [ModelRow; 7] = [
+            ("scales_model_images_total", "Images served, per model.", Counter, |m| m.runtime.as_ref().map_or(0, |r| r.images)),
+            ("scales_model_evictions_total", "Times the memory budget drained this model.", Counter, |m| m.evictions),
+            ("scales_model_swaps_total", "Hot-swaps that replaced a serving version of this model.", Counter, |m| m.swaps),
+            ("scales_model_memory_bytes", "Bytes charged against the budget (weights + live workspaces).", Gauge, |m| m.resident_bytes as u64),
+            ("scales_model_weight_bytes", "Packed-weight bytes (serialized artifact size) of the current version.", Gauge, |m| m.weight_bytes as u64),
+            ("scales_model_version", "Monotonic version counter of the model's loads.", Gauge, |m| m.version),
+            ("scales_model_serving", "1 while a runtime is resident, 0 while evicted.", Gauge, |m| u64::from(m.state == ModelState::Serving)),
         ];
-        for (metric, help, value) in counters {
-            let _ = writeln!(out, "# HELP {metric} {help}\n# TYPE {metric} counter");
+        for (name, help, kind, value) in rows {
+            expo.family(name, help, kind);
             for m in models {
-                let _ = writeln!(out, "{metric}{{model=\"{}\"}} {}", m.name, value(m));
+                expo.sample(&[("model", &m.name)], value(m));
             }
         }
-        let gauges: [MetricColumn; 4] = [
-            (
-                "scales_model_memory_bytes",
-                "Bytes charged against the budget (weights + live workspaces).",
-                |m| m.resident_bytes as u64,
-            ),
-            (
-                "scales_model_weight_bytes",
-                "Packed-weight bytes (serialized artifact size) of the current version.",
-                |m| m.weight_bytes as u64,
-            ),
-            ("scales_model_version", "Monotonic version counter of the model's loads.", |m| {
-                m.version
-            }),
-            ("scales_model_serving", "1 while a runtime is resident, 0 while evicted.", |m| {
-                u64::from(m.state == ModelState::Serving)
-            }),
-        ];
-        for (metric, help, value) in gauges {
-            let _ = writeln!(out, "# HELP {metric} {help}\n# TYPE {metric} gauge");
-            for m in models {
-                let _ = writeln!(out, "{metric}{{model=\"{}\"}} {}", m.name, value(m));
-            }
-        }
-        let _ = writeln!(
-            out,
-            "# HELP scales_model_info Model identity (constant 1; labels carry the info).\n\
-             # TYPE scales_model_info gauge"
-        );
+        expo.family("scales_model_info", "Model identity (constant 1; labels carry the info).", Gauge);
         for m in models {
-            let _ = writeln!(
-                out,
-                "scales_model_info{{model=\"{}\",arch=\"{}\",scale=\"{}\",fingerprint=\"{:016x}\",state=\"{}\"}} 1",
-                m.name, m.arch, m.scale, m.fingerprint, m.state
+            expo.sample(
+                &[
+                    ("model", &m.name),
+                    ("arch", &m.arch),
+                    ("scale", &m.scale.to_string()),
+                    ("fingerprint", &format!("{:016x}", m.fingerprint)),
+                    ("state", &m.state.to_string()),
+                ],
+                1,
             );
         }
-        let name = "scales_model_request_latency_seconds";
-        let _ = writeln!(
-            out,
-            "# HELP {name} End-to-end request latency per model (enqueue to ticket resolution).\n\
-             # TYPE {name} histogram"
-        );
+        expo.family("scales_model_request_latency_seconds", "End-to-end request latency per model (enqueue to ticket resolution).", Histogram);
         for m in models {
             if let Some(stats) = &m.runtime {
-                let labels = format!("model=\"{}\",", m.name);
-                stats.latency.render_prometheus_into(&mut out, name, &labels);
+                stats.latency.render_into(&mut expo, &[("model", &m.name)]);
             }
         }
-        out
+        expo.finish()
     }
 
     /// Drain the whole fleet: refuse new work and new models, shut every
@@ -831,8 +765,8 @@ fn drain(mut version: Arc<ModelVersion>) -> RuntimeStats {
     }
 }
 
-/// Names embed in URLs, Prometheus labels and JSON unescaped, so the
-/// alphabet is locked down at registration.
+/// Names are URL path segments, and render in Prometheus labels and JSON
+/// as themselves, so the alphabet is locked down at registration.
 fn validate_name(name: &str) -> Result<(), RouterError> {
     if scales_telemetry::is_wire_safe_name(name) {
         return Ok(());
@@ -886,6 +820,50 @@ mod tests {
         assert_eq!(stats.submitted, 0);
         assert_eq!(stats.completed, 0);
         assert_eq!(stats.latency.count(), 0);
+    }
+
+    /// The per-model scope renders the runtime's whole ledger table: a
+    /// tenant-quota refusal is visible per model (the fleet used to type
+    /// out seven of the eight counters and drop this one), under the
+    /// global help text with the scope's suffix.
+    #[test]
+    fn fleet_renders_the_whole_ledger_per_model() {
+        let model = ModelStats {
+            name: "edsr-x2".into(),
+            arch: "EDSR".into(),
+            scale: 2,
+            version: 1,
+            fingerprint: 0xabc,
+            state: ModelState::Serving,
+            weight_bytes: 10,
+            resident_bytes: 20,
+            evictions: 0,
+            swaps: 0,
+            reloadable: false,
+            runtime: Some(RuntimeStats { submitted: 5, quota_rejected: 2, images: 3, ..RuntimeStats::default() }),
+        };
+        let text = ModelRouter::render_fleet(&[model]);
+        assert!(
+            text.contains(
+                "# HELP scales_model_requests_quota_rejected_total Requests refused at a tenant lane quota, per model.\n\
+                 # TYPE scales_model_requests_quota_rejected_total counter\n\
+                 scales_model_requests_quota_rejected_total{model=\"edsr-x2\"} 2\n"
+            ),
+            "{text}"
+        );
+        for (family, value) in [
+            ("scales_model_requests_submitted_total", 5),
+            ("scales_model_requests_rejected_total", 0),
+            ("scales_model_requests_shed_total", 0),
+            ("scales_model_requests_expired_total", 0),
+            ("scales_model_deadline_misses_total", 0),
+            ("scales_model_requests_completed_total", 0),
+            ("scales_model_requests_failed_total", 0),
+            ("scales_model_images_total", 3),
+        ] {
+            assert!(text.contains(&format!("{family}{{model=\"edsr-x2\"}} {value}\n")), "{family}:\n{text}");
+            assert_eq!(text.matches(&format!("# TYPE {family} counter\n")).count(), 1, "{family}");
+        }
     }
 
     /// The whole per-model latency block, byte for byte (the other

@@ -14,9 +14,15 @@
 //! geometric fixed buckets; [`LatencyHistogram::p50`] / `p99` read
 //! quantiles from the bucket counts without recording individual samples.
 //!
+//! Rendering knows no text format: every family is rows fed to
+//! [`scales_telemetry::Exposition`]. The admission ledger is declared once
+//! (`LEDGER`) and rendered under three label scopes — `scales_runtime_*`,
+//! `scales_runtime_tenant_*` (`tenant`) and, for `scales-router` through
+//! [`RuntimeStats::render_model_ledger`], `scales_model_*` (`model`).
+//!
 //! [`Runtime::stats`]: crate::Runtime::stats
 
-use scales_telemetry::OpProfile;
+use scales_telemetry::{Exposition, FamilyKind, OpProfile};
 use scales_tensor::backend::Backend;
 use scales_tensor::SimdLevel;
 use std::time::Duration;
@@ -156,32 +162,16 @@ impl LatencyHistogram {
         self.quantile(0.99)
     }
 
-    /// Append this histogram's cumulative `_bucket` series plus `_sum`
-    /// and `_count` under an already-written `# HELP`/`# TYPE` header.
-    /// `labels` is empty for a bare series, or a `key="value",` prefix
-    /// spliced in front of the `le` label (and carried, sans comma, on
-    /// `_sum`/`_count`) — the shared rendering behind the runtime's own
-    /// series and the HTTP front end's `scales_http_stage_seconds`.
-    pub fn render_prometheus_into(&self, out: &mut String, name: &str, labels: &str) {
-        use std::fmt::Write as _;
+    /// Append this histogram as one labelled series of the histogram
+    /// family `expo` has open (bounds and sum in seconds) — shared by the
+    /// runtime's, the router's and the HTTP front end's histograms.
+    pub fn render_into(&self, expo: &mut Exposition, labels: &[(&str, &str)]) {
         let mut cumulative = 0u64;
-        for (i, &count) in self.counts.iter().enumerate() {
+        let buckets = self.counts.iter().enumerate().map(|(i, &count)| {
             cumulative += count;
-            let _ = writeln!(
-                out,
-                "{name}_bucket{{{labels}le=\"{}\"}} {cumulative}",
-                seconds(Self::bucket_bound(i))
-            );
-        }
-        let _ = writeln!(out, "{name}_bucket{{{labels}le=\"+Inf\"}} {}", self.count());
-        if labels.is_empty() {
-            let _ = writeln!(out, "{name}_sum {}", seconds(self.sum()));
-            let _ = writeln!(out, "{name}_count {}", self.count());
-        } else {
-            let bare = labels.trim_end_matches(',');
-            let _ = writeln!(out, "{name}_sum{{{bare}}} {}", seconds(self.sum()));
-            let _ = writeln!(out, "{name}_count{{{bare}}} {}", self.count());
-        }
+            (Self::bucket_bound(i).as_secs_f64(), cumulative)
+        });
+        expo.histogram(labels, buckets, self.sum().as_secs_f64(), self.count());
     }
 }
 
@@ -300,9 +290,54 @@ macro_rules! ledger {
                 Counters { $($counter: self.$counter,)* }
             }
         }
+
+        impl RuntimeStats {
+            /// The admission half of the snapshot.
+            fn counters(&self) -> Counters {
+                Counters { $($counter: self.$counter,)* }
+            }
+        }
     };
 }
 ledger!(submitted, completed, failed, rejected, shed, quota_rejected, expired, deadline_misses);
+
+/// One ledger family: the name stem a scope prefixes, the help sentence
+/// it finishes, and the counter it reads.
+type LedgerFamily = (&'static str, &'static str, fn(&Counters) -> u64);
+
+/// The ledger as `/metrics` families, declared once, one row per line. A
+/// new `ledger!` counter plus one row here renders globally, per tenant
+/// lane and per model.
+#[rustfmt::skip]
+const LEDGER: [LedgerFamily; 8] = [
+    ("requests_submitted_total", "Requests accepted into the queue", |c| c.submitted),
+    ("requests_rejected_total", "Requests rejected at submission (queue full or admission timeout)", |c| c.rejected),
+    ("requests_shed_total", "Requests refused early by the shed policy", |c| c.shed),
+    ("requests_quota_rejected_total", "Requests refused at a tenant lane quota", |c| c.quota_rejected),
+    ("requests_expired_total", "Requests whose deadline passed before dispatch (never served)", |c| c.expired),
+    ("deadline_misses_total", "Requests served after their deadline passed mid-flight", |c| c.deadline_misses),
+    ("requests_completed_total", "Requests served successfully", |c| c.completed),
+    ("requests_failed_total", "Requests resolved with an error", |c| c.failed),
+];
+
+/// Render the [`LEDGER`] of `rows` — `(label value, counters)` — under one
+/// label scope: `prefix` opens every family name, `label` is the key that
+/// tells the rows apart (`None`: one unlabelled row), `help_end` finishes
+/// every help sentence.
+fn render_ledger(
+    expo: &mut Exposition,
+    prefix: &str,
+    label: Option<&str>,
+    help_end: &str,
+    rows: &[(&str, Counters)],
+) {
+    for (stem, help, counter) in LEDGER {
+        expo.family(&format!("{prefix}{stem}"), &format!("{help}{help_end}"), FamilyKind::Counter);
+        for (row, counters) in rows {
+            expo.sample(label.map(|key| (key, *row)).as_slice(), counter(counters));
+        }
+    }
+}
 
 /// Aggregated snapshot of a runtime's serving counters, returned by
 /// [`Runtime::stats`](crate::Runtime::stats) (live) and
@@ -469,243 +504,85 @@ impl RuntimeStats {
     /// line layout is a deliberate, test-visible act.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(4096);
-        let mut counter = |name: &str, help: &str, value: String| {
-            let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}");
-        };
-        counter(
-            "scales_runtime_requests_submitted_total",
-            "Requests accepted into the queue.",
-            self.submitted.to_string(),
-        );
-        counter(
-            "scales_runtime_requests_rejected_total",
-            "Requests rejected at submission (queue full or admission timeout).",
-            self.rejected.to_string(),
-        );
-        counter(
-            "scales_runtime_requests_shed_total",
-            "Requests refused early by the shed policy.",
-            self.shed.to_string(),
-        );
-        counter(
-            "scales_runtime_requests_quota_rejected_total",
-            "Requests refused at a tenant lane quota.",
-            self.quota_rejected.to_string(),
-        );
-        counter(
-            "scales_runtime_requests_expired_total",
-            "Requests whose deadline passed before dispatch (never served).",
-            self.expired.to_string(),
-        );
-        counter(
-            "scales_runtime_deadline_misses_total",
-            "Requests served after their deadline passed mid-flight.",
-            self.deadline_misses.to_string(),
-        );
-        counter(
-            "scales_runtime_requests_completed_total",
-            "Requests served successfully.",
-            self.completed.to_string(),
-        );
-        counter(
-            "scales_runtime_requests_failed_total",
-            "Requests resolved with an error.",
-            self.failed.to_string(),
-        );
-        counter("scales_runtime_images_total", "Images served.", self.images.to_string());
-        counter(
-            "scales_runtime_dispatches_total",
-            "Coalesced forward dispatches (one Session::infer each).",
-            self.dispatches.to_string(),
-        );
-        counter(
-            "scales_runtime_requests_coalesced_total",
-            "Requests that shared a dispatch with at least one other request.",
-            self.coalesced.to_string(),
-        );
-        counter(
-            "scales_runtime_busy_seconds_total",
-            "Worker wall time spent inside forwards.",
-            seconds(self.busy),
-        );
-        let mut gauge = |name: &str, help: &str, value: String| {
-            let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {value}");
-        };
-        gauge("scales_runtime_workers", "Worker threads in the pool.", self.workers.to_string());
-        gauge(
-            "scales_runtime_max_batch",
-            "Configured images per coalesced dispatch.",
-            self.max_batch.to_string(),
-        );
-        gauge(
-            "scales_runtime_queue_depth",
-            "Requests queued (accepted, not yet dispatched) at scrape time.",
-            self.queue_depth.to_string(),
-        );
-        gauge(
-            "scales_runtime_queue_high_water",
-            "Deepest the queue has been.",
-            self.queue_high_water.to_string(),
-        );
-        gauge(
-            "scales_runtime_workspace_bytes",
-            "Bytes resident across worker planned-executor workspaces.",
-            self.workspace_bytes.to_string(),
-        );
-        gauge(
-            "scales_runtime_batch_fill",
-            "Mean images per dispatch relative to max_batch.",
-            self.batch_fill.to_string(),
-        );
-        gauge(
-            "scales_runtime_uptime_seconds",
-            "Wall time since the runtime started.",
-            seconds(self.elapsed),
-        );
-        let _ = writeln!(
-            out,
-            "# HELP scales_runtime_info Serving backend of the runtime's engine (constant 1; labels carry the info).\n\
-             # TYPE scales_runtime_info gauge\n\
-             scales_runtime_info{{backend=\"{}\",simd=\"{}\"}} 1",
-            self.backend, self.simd
-        );
-        let name = "scales_runtime_request_latency_seconds";
-        let _ = writeln!(
-            out,
-            "# HELP {name} End-to-end request latency (enqueue to ticket resolution).\n# TYPE {name} histogram"
-        );
-        self.latency.render_prometheus_into(&mut out, name, "");
-        let _ = writeln!(
-            out,
-            "# HELP scales_runtime_late_discarded_total Responses resolved after their submitter gave up waiting (result discarded unread).\n\
-             # TYPE scales_runtime_late_discarded_total counter\n\
-             scales_runtime_late_discarded_total {}",
-            self.late_discarded
-        );
-        let _ = writeln!(
-            out,
-            "# HELP scales_build_info Build metadata of the serving stack (constant 1; labels carry the info).\n\
-             # TYPE scales_build_info gauge\n\
-             scales_build_info{{version=\"{}\",features=\"default\"}} 1",
-            env!("CARGO_PKG_VERSION")
-        );
+        use FamilyKind::{Counter, Gauge, Histogram};
+        let mut expo = Exposition::default();
+        render_ledger(&mut expo, "scales_runtime_", None, ".", &[("", self.counters())]);
+        #[rustfmt::skip]
+        let scalars: [(&str, &str, FamilyKind, String); 11] = [
+            ("scales_runtime_images_total", "Images served.", Counter, self.images.to_string()),
+            ("scales_runtime_dispatches_total", "Coalesced forward dispatches (one Session::infer each).", Counter, self.dispatches.to_string()),
+            ("scales_runtime_requests_coalesced_total", "Requests that shared a dispatch with at least one other request.", Counter, self.coalesced.to_string()),
+            ("scales_runtime_busy_seconds_total", "Worker wall time spent inside forwards.", Counter, self.busy.as_secs_f64().to_string()),
+            ("scales_runtime_workers", "Worker threads in the pool.", Gauge, self.workers.to_string()),
+            ("scales_runtime_max_batch", "Configured images per coalesced dispatch.", Gauge, self.max_batch.to_string()),
+            ("scales_runtime_queue_depth", "Requests queued (accepted, not yet dispatched) at scrape time.", Gauge, self.queue_depth.to_string()),
+            ("scales_runtime_queue_high_water", "Deepest the queue has been.", Gauge, self.queue_high_water.to_string()),
+            ("scales_runtime_workspace_bytes", "Bytes resident across worker planned-executor workspaces.", Gauge, self.workspace_bytes.to_string()),
+            ("scales_runtime_batch_fill", "Mean images per dispatch relative to max_batch.", Gauge, self.batch_fill.to_string()),
+            ("scales_runtime_uptime_seconds", "Wall time since the runtime started.", Gauge, self.elapsed.as_secs_f64().to_string()),
+        ];
+        for (name, help, kind, value) in scalars {
+            expo.family(name, help, kind);
+            expo.sample(&[], value);
+        }
+        expo.family("scales_runtime_info", "Serving backend of the runtime's engine (constant 1; labels carry the info).", Gauge);
+        expo.sample(&[("backend", &self.backend.to_string()), ("simd", &self.simd.to_string())], 1);
+        expo.family("scales_runtime_request_latency_seconds", "End-to-end request latency (enqueue to ticket resolution).", Histogram);
+        self.latency.render_into(&mut expo, &[]);
+        expo.family("scales_runtime_late_discarded_total", "Responses resolved after their submitter gave up waiting (result discarded unread).", Counter);
+        expo.sample(&[], self.late_discarded);
+        expo.family("scales_build_info", "Build metadata of the serving stack (constant 1; labels carry the info).", Gauge);
+        expo.sample(&[("version", env!("CARGO_PKG_VERSION")), ("features", "default")], 1);
         // Per-stage histograms render only once the runtime has served
         // work, and the per-op series only while the profiler is on, so
         // the base rendering stays exactly the pinned text.
-        let stages: [(&str, &LatencyHistogram); 3] = [
-            ("queue_wait", &self.queue_wait),
-            ("batch_wait", &self.batch_wait),
-            ("infer", &self.infer),
-        ];
+        let stages =
+            [("queue_wait", &self.queue_wait), ("batch_wait", &self.batch_wait), ("infer", &self.infer)];
         if stages.iter().any(|(_, h)| h.count() > 0) {
-            let name = "scales_runtime_stage_seconds";
-            let _ = writeln!(
-                out,
-                "# HELP {name} Per-request stage spans inside the runtime (queue wait, batch assembly, forward).\n# TYPE {name} histogram"
-            );
+            expo.family("scales_runtime_stage_seconds", "Per-request stage spans inside the runtime (queue wait, batch assembly, forward).", Histogram);
             for (stage, hist) in stages {
-                hist.render_prometheus_into(&mut out, name, &format!("stage=\"{stage}\","));
+                hist.render_into(&mut expo, &[("stage", stage)]);
             }
         }
         if !self.op_profile.is_empty() {
-            let name = "scales_plan_op_calls_total";
-            let _ = writeln!(
-                out,
-                "# HELP {name} Planned-executor op executions, per deployed op kind.\n# TYPE {name} counter"
-            );
+            expo.family("scales_plan_op_calls_total", "Planned-executor op executions, per deployed op kind.", Counter);
             for e in self.op_profile.entries() {
-                let _ = writeln!(out, "{name}{{op=\"{}\"}} {}", e.kind, e.calls);
+                expo.sample(&[("op", e.kind)], e.calls);
             }
-            let name = "scales_plan_op_seconds_total";
-            let _ = writeln!(
-                out,
-                "# HELP {name} Wall time inside planned-executor ops, per deployed op kind.\n# TYPE {name} counter"
-            );
+            expo.family("scales_plan_op_seconds_total", "Wall time inside planned-executor ops, per deployed op kind.", Counter);
             for e in self.op_profile.entries() {
-                let _ = writeln!(
-                    out,
-                    "{name}{{op=\"{}\"}} {}",
-                    e.kind,
-                    seconds(Duration::from_nanos(e.total_ns))
-                );
+                expo.sample(&[("op", e.kind)], Duration::from_nanos(e.total_ns).as_secs_f64());
             }
         }
         // Per-tenant lane series, after the scalar block so tenant-free
         // runtimes render the exact historical text.
         if !self.tenants.is_empty() {
-            let mut tenant_counter = |name: &str, help: &str, value: fn(&TenantStats) -> u64| {
-                let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} counter");
-                for t in &self.tenants {
-                    let _ = writeln!(out, "{name}{{tenant=\"{}\"}} {}", t.tenant, value(t));
-                }
-            };
-            tenant_counter(
-                "scales_runtime_tenant_requests_submitted_total",
-                "Requests accepted, per tenant lane.",
-                |t| t.submitted,
-            );
-            tenant_counter(
-                "scales_runtime_tenant_requests_completed_total",
-                "Requests served successfully, per tenant lane.",
-                |t| t.completed,
-            );
-            tenant_counter(
-                "scales_runtime_tenant_requests_failed_total",
-                "Requests resolved with an error, per tenant lane.",
-                |t| t.failed,
-            );
-            tenant_counter(
-                "scales_runtime_tenant_requests_rejected_total",
-                "Requests rejected for capacity, per tenant lane.",
-                |t| t.rejected,
-            );
-            tenant_counter(
-                "scales_runtime_tenant_requests_shed_total",
-                "Requests refused by the shed policy, per tenant lane.",
-                |t| t.shed,
-            );
-            tenant_counter(
-                "scales_runtime_tenant_requests_quota_rejected_total",
-                "Requests refused at the lane quota, per tenant lane.",
-                |t| t.quota_rejected,
-            );
-            tenant_counter(
-                "scales_runtime_tenant_requests_expired_total",
-                "Requests expired before dispatch, per tenant lane.",
-                |t| t.expired,
-            );
-            tenant_counter(
-                "scales_runtime_tenant_deadline_misses_total",
-                "Requests served after their deadline, per tenant lane.",
-                |t| t.deadline_misses,
-            );
-            let mut tenant_gauge = |name: &str, help: &str, value: fn(&TenantStats) -> u64| {
-                let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} gauge");
-                for t in &self.tenants {
-                    let _ = writeln!(out, "{name}{{tenant=\"{}\"}} {}", t.tenant, value(t));
-                }
-            };
-            tenant_gauge(
-                "scales_runtime_tenant_queue_depth",
-                "Requests queued at scrape time, per tenant lane.",
-                |t| t.queued as u64,
-            );
-            tenant_gauge(
-                "scales_runtime_tenant_weight",
-                "Weighted-round-robin dequeue weight of the tenant lane.",
-                |t| u64::from(t.weight),
-            );
+            let lanes: Vec<(&str, Counters)> =
+                self.tenants.iter().map(|t| (t.tenant.as_str(), t.counters())).collect();
+            render_ledger(&mut expo, "scales_runtime_tenant_", Some("tenant"), ", per tenant lane.", &lanes);
+            expo.family("scales_runtime_tenant_queue_depth", "Requests queued at scrape time, per tenant lane.", Gauge);
+            for t in &self.tenants {
+                expo.sample(&[("tenant", &t.tenant)], t.queued);
+            }
+            expo.family("scales_runtime_tenant_weight", "Weighted-round-robin dequeue weight of the tenant lane.", Gauge);
+            for t in &self.tenants {
+                expo.sample(&[("tenant", &t.tenant)], t.weight);
+            }
         }
-        out
+        expo.finish()
     }
-}
 
-/// A duration as a Prometheus value: seconds, shortest-round-trip f64
-/// formatting (stable across platforms).
-fn seconds(d: Duration) -> String {
-    format!("{}", d.as_secs_f64())
+    /// The per-model scope of the admission ledger: `model`-labelled
+    /// `scales_model_*` counters over one `(model name, folded stats)` row
+    /// per model — how `scales-router` opens its fleet rendering.
+    pub fn render_model_ledger<'a>(
+        expo: &mut Exposition,
+        models: impl IntoIterator<Item = (&'a str, &'a RuntimeStats)>,
+    ) {
+        let rows: Vec<(&str, Counters)> =
+            models.into_iter().map(|(model, stats)| (model, stats.counters())).collect();
+        render_ledger(expo, "scales_model_", Some("model"), ", per model.", &rows);
+    }
 }
 
 #[allow(clippy::cast_precision_loss)]
@@ -1199,7 +1076,7 @@ scales_runtime_info{backend=\"scalar\",simd=\"none\"} 1
         let tail_at = text.find(histogram_count).unwrap() + histogram_count.len();
         let tail = &text[tail_at..];
         for line in [
-            "# HELP scales_runtime_tenant_requests_submitted_total Requests accepted, per tenant lane.",
+            "# HELP scales_runtime_tenant_requests_submitted_total Requests accepted into the queue, per tenant lane.",
             "# TYPE scales_runtime_tenant_requests_submitted_total counter",
             "scales_runtime_tenant_requests_submitted_total{tenant=\"acme\"} 5",
             "scales_runtime_tenant_requests_submitted_total{tenant=\"zeta\"} 2",

@@ -920,46 +920,6 @@ mod tests {
     }
 
     #[test]
-    fn submit_wait_timeout_expires_while_blocked_for_queue_space() {
-        // One worker wedged on a slow-ish dispatch + capacity 1 keeps the
-        // queue full long enough for a short space-wait to expire.
-        let runtime = Runtime::spawn(
-            small_engine(),
-            RuntimeConfig {
-                workers: 1,
-                queue_capacity: 1,
-                max_batch: 1,
-                max_wait: std::time::Duration::ZERO,
-                ..RuntimeConfig::default()
-            },
-        )
-        .unwrap();
-        // Big enough to keep the single worker busy for a beat.
-        let busy: Vec<Ticket> = (0..4)
-            .filter_map(|i| runtime.submit(SrRequest::single(probe(48, 48, 50 + i))).ok())
-            .collect();
-        let mut saw_timeout = false;
-        for i in 0..50 {
-            match runtime.submit_wait_timeout(
-                SrRequest::single(probe(8, 8, 60 + i)),
-                std::time::Duration::from_micros(50),
-            ) {
-                Err(SubmitError::Timeout { .. }) => {
-                    saw_timeout = true;
-                    break;
-                }
-                Err(e) => panic!("unexpected submit error: {e}"),
-                Ok(_) => {}
-            }
-        }
-        assert!(saw_timeout, "a 50 µs deadline against a wedged queue must expire");
-        for ticket in busy {
-            let _ = ticket.wait();
-        }
-        let _ = runtime.shutdown();
-    }
-
-    #[test]
     fn submit_error_display_is_exhaustive() {
         // Every variant renders a non-empty, variant-specific message —
         // the `scales-io` error-surface discipline applied to the

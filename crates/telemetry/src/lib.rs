@@ -6,7 +6,7 @@
 //! dependencies — every serving crate (models, serve, runtime, router,
 //! http) threads these types without pulling anything else in.
 //!
-//! Four pieces:
+//! Five pieces:
 //!
 //! - [`RequestId`] — the trace handle. The HTTP edge accepts a valid
 //!   `X-Scales-Request-Id` header or mints one from a process-unique
@@ -20,13 +20,16 @@
 //!   and sum *exactly* to the recorded total.
 //! - [`FlightRecorder`] — a mutex-sharded fixed-capacity ring of recent
 //!   traces plus a separate ring retaining slow requests above a
-//!   threshold; snapshots render as hand-rolled JSON for
-//!   `GET /v1/debug/traces` and are available as typed values
-//!   in-process.
+//!   threshold; snapshots render as JSON for `GET /v1/debug/traces` and
+//!   are available as typed values in-process.
 //! - [`OpProfile`] — cumulative calls/nanoseconds per deployed-op kind,
 //!   accumulated in the planned executor's workspace when profiling is
 //!   switched on (zero cost when off) and aggregated per model for
 //!   `GET /v1/debug/profile` and the `scales_plan_op_*` series.
+//! - [`Exposition`] + [`JsonWriter`] — the two text writers. Every
+//!   `/metrics` family and every JSON document of the stack is rendered
+//!   through them, so the Prometheus text format and JSON (escaping
+//!   included) are known here and nowhere else — CI greps for it.
 //!
 //! ```
 //! use scales_telemetry::{FlightRecorder, RequestId, RequestTrace, Stage};
@@ -41,12 +44,16 @@
 //! assert!(recorder.slow().is_empty(), "1 ms is under the 250 ms threshold");
 //! ```
 
+mod expo;
 mod id;
+mod json;
 mod profile;
 mod recorder;
 mod trace;
 
+pub use expo::{Exposition, FamilyKind};
 pub use id::{is_wire_safe_name, RequestId, TelemetryError};
+pub use json::JsonWriter;
 pub use profile::{OpProfile, OpProfileEntry};
 pub use recorder::FlightRecorder;
 pub use trace::{render_traces_json, RequestTrace, RuntimeStamps, Stage, STAGES};

@@ -1,5 +1,7 @@
 //! Per-op plan profiles: where planned-forward wall time actually goes.
 
+use crate::JsonWriter;
+
 /// Cumulative per-op-kind profile of the planned executor.
 ///
 /// When profiling is switched on, the executor stamps the monotonic
@@ -89,24 +91,20 @@ impl OpProfile {
         self.entries.clear();
     }
 
-    /// Render as a hand-rolled JSON array of
-    /// `{"op":…,"calls":…,"total_ns":…}` objects, in entry order — the
-    /// per-model payload of `GET /v1/debug/profile`.
+    /// Render as a JSON array of `{"op":…,"calls":…,"total_ns":…}`
+    /// objects, in entry order — the per-model payload of
+    /// `GET /v1/debug/profile`.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(32 + self.entries.len() * 48);
-        out.push('[');
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let mut w = JsonWriter::default();
+        w.array(|w| {
+            for e in &self.entries {
+                w.object(|w| {
+                    w.key("op").string(e.kind).key("calls").int(e.calls).key("total_ns").int(e.total_ns);
+                });
             }
-            out.push_str(&format!(
-                "{{\"op\":\"{}\",\"calls\":{},\"total_ns\":{}}}",
-                e.kind, e.calls, e.total_ns
-            ));
-        }
-        out.push(']');
-        out
+        });
+        w.finish()
     }
 }
 

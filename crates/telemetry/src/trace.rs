@@ -1,7 +1,7 @@
 //! Completed-request traces: eight telescoping stage spans over one
 //! monotonic timeline.
 
-use crate::RequestId;
+use crate::{JsonWriter, RequestId};
 use std::time::Instant;
 
 /// The eight serving stages of one request, in pipeline order. Used as
@@ -86,37 +86,26 @@ impl RequestTrace {
         self.stage_ns[stage as usize]
     }
 
-    /// Render this trace as one hand-rolled JSON object.
+    /// Render this trace as one JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\"id\":");
-        json_string(&mut out, self.id.as_str());
-        out.push_str(",\"tenant\":");
-        match &self.tenant {
-            Some(t) => json_string(&mut out, t),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"model\":");
-        match &self.model {
-            Some(m) => json_string(&mut out, m),
-            None => out.push_str("null"),
-        }
-        out.push_str(&format!(",\"status\":{},\"total_ns\":{}", self.status, self.total_ns));
-        out.push_str(",\"deadline_slack_ns\":");
-        match self.deadline_slack_ns {
-            Some(s) => out.push_str(&s.to_string()),
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"stages\":{");
-        for (i, name) in STAGES.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{name}\":{}", self.stage_ns[i]));
-        }
-        out.push_str("}}");
-        out
+        let mut w = JsonWriter::default();
+        w.object(|w| {
+            w.key("id").string(self.id.as_str());
+            w.key("tenant").string_or_null(self.tenant.as_deref());
+            w.key("model").string_or_null(self.model.as_deref());
+            w.key("status").int(self.status).key("total_ns").int(self.total_ns);
+            match self.deadline_slack_ns {
+                Some(slack) => w.key("deadline_slack_ns").int(slack),
+                None => w.key("deadline_slack_ns").null(),
+            };
+            w.key("stages").object(|w| {
+                for (name, ns) in STAGES.iter().zip(self.stage_ns) {
+                    w.key(name).int(ns);
+                }
+            });
+        });
+        w.finish()
     }
 }
 
@@ -125,31 +114,15 @@ impl RequestTrace {
 /// `GET /v1/debug/traces`.
 #[must_use]
 pub fn render_traces_json(traces: &[RequestTrace]) -> String {
-    let mut out = String::with_capacity(64 + traces.len() * 256);
-    out.push_str(&format!("{{\"count\":{},\"traces\":[", traces.len()));
-    for (i, trace) in traces.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&trace.to_json());
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Escape-and-quote `s` into `out` (the minimal JSON string escapes:
-/// quote, backslash, and control characters).
-fn json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    let mut w = JsonWriter::default();
+    w.object(|w| {
+        w.key("count").int(traces.len() as u64).key("traces").array(|w| {
+            for trace in traces {
+                w.raw(&trace.to_json());
+            }
+        });
+    });
+    w.finish()
 }
 
 /// The runtime-side stage stamps, taken on the monotonic clock while a
@@ -172,6 +145,14 @@ pub struct RuntimeStamps {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The writer's string escape, in the shape the pinned
+    /// `json_strings_escape_hostile_content` calls it.
+    fn json_string(out: &mut String, s: &str) {
+        let mut w = JsonWriter::default();
+        w.string(s);
+        out.push_str(&w.finish());
+    }
 
     fn trace() -> RequestTrace {
         let mut t = RequestTrace::new(RequestId::parse("t-1").unwrap(), 200);

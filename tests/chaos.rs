@@ -14,7 +14,7 @@ use scales::data::{Image, WireFormat};
 use scales::http::{HttpConfig, HttpServer};
 use scales::models::{srresnet, SrConfig, SrNetwork};
 use scales::router::{ModelRouter, RouterConfig, RouterError};
-use scales::runtime::{Runtime, RuntimeConfig, ServeError, ShedPolicy, Ticket};
+use scales::runtime::{Runtime, RuntimeConfig, ServeError, ShedPolicy, SubmitError, Ticket};
 use scales::serve::{Engine, Precision, SrRequest};
 use scales_faults::{self as faults, FaultAction};
 use std::io::{Read, Write};
@@ -122,6 +122,60 @@ fn a_worker_panic_mid_dispatch_resolves_its_ticket_and_service_continues() {
         assert_eq!(stats.submitted, 17);
         assert_eq!(stats.completed, 16);
         assert_eq!(stats.failed, 1);
+    });
+}
+
+/// A bounded admission wait against a wedged queue: with the one worker
+/// stalled inside a dispatch and the one queue slot taken, a
+/// `submit_wait_timeout` blocked for space gives up with a typed
+/// `Timeout`, charged to `rejected` exactly once — and the wedged work
+/// still completes. (Until ISSUE 23 this was a unit test racing a 50 µs
+/// wait against a real forward, which the optimised build won; the
+/// injected delay makes the wedge a fact instead of a race.)
+#[test]
+fn a_blocked_admission_wait_times_out_once_against_a_wedged_queue() {
+    let _chaos = chaos_lock();
+    with_watchdog(120, "blocked-admission-timeout", || {
+        let runtime = Runtime::spawn(
+            engine(41),
+            RuntimeConfig {
+                workers: 1,
+                queue_capacity: 1,
+                max_batch: 1,
+                max_wait: Duration::ZERO,
+                ..RuntimeConfig::default()
+            },
+        )
+        .unwrap();
+        // The first dispatch stalls for a second; later ones run free.
+        let wedge =
+            faults::arm_times("runtime.dispatch", FaultAction::Delay(Duration::from_secs(1)), 1);
+        let in_dispatch = runtime.submit(SrRequest::single(probe(6, 6, 4_100))).unwrap();
+        // The fault point is evaluated after the pop, so one hit means the
+        // worker holds the first request and the queue slot is free again.
+        while faults::hits("runtime.dispatch") == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let queued = runtime.submit(SrRequest::single(probe(6, 6, 4_101))).unwrap();
+
+        // The very first blocked submit expires: the stall outlasts it 50×.
+        let timeout = Duration::from_millis(20);
+        match runtime.submit_wait_timeout(SrRequest::single(probe(6, 6, 4_102)), timeout) {
+            Err(SubmitError::Timeout { timeout: reported }) => assert_eq!(reported, timeout),
+            Err(other) => panic!("expected an admission timeout, got: {other}"),
+            Ok(_) => panic!("a full queue behind a stalled worker cannot admit"),
+        }
+        let stats = runtime.stats();
+        assert_eq!(stats.rejected, 1, "the expired wait is charged exactly once");
+        assert_eq!((stats.submitted, stats.completed), (2, 0), "the wedge still holds");
+
+        // Release the fault and drain: both accepted requests are served.
+        drop(wedge);
+        assert!(in_dispatch.wait().is_ok());
+        assert!(queued.wait().is_ok());
+        let stats = runtime.shutdown();
+        assert_eq!((stats.submitted, stats.completed, stats.failed), (2, 2, 0));
+        assert_eq!(stats.rejected, 1);
     });
 }
 

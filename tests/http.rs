@@ -826,6 +826,8 @@ fn fleet_routes_lists_reloads_and_reports_per_model_metrics() {
             "scales_model_memory_bytes{model=\"alpha\"}",
             "scales_model_version{model=\"alpha\"} 2",
             "scales_model_swaps_total{model=\"alpha\"} 1",
+            "scales_model_requests_quota_rejected_total{model=\"alpha\"} 0",
+            "scales_model_requests_quota_rejected_total{model=\"beta\"} 0",
             "scales_http_requests_total",
         ] {
             assert!(text.contains(needle), "metrics must contain {needle}");
