@@ -670,7 +670,7 @@ pub enum DeployedBodyConv {
     Float(FloatConv2d),
     /// SCALES layer with folded scales and FP re-scaling branches.
     Scales(DeployedScalesConv2d),
-    /// E2FIF: packed conv → batch-stats BN → FP identity skip.
+    /// E2FIF: packed conv → per-image-stats BN → FP identity skip.
     E2fif {
         /// Packed binary convolution with XNOR-Net per-channel scales.
         conv: BinaryConv2d,
@@ -832,7 +832,12 @@ impl DeployedBodyConv {
             DeployedBodyConv::Scales(conv) => conv.forward_into(input, n, h, w, scratch, out),
             DeployedBodyConv::E2fif { conv, gamma, beta, skip } => {
                 conv.forward_into(input, n, h, w, &mut scratch.bits, out)?;
-                batchnorm_batch_stats_inplace(out, n, oc, oh, ow, gamma, beta, 1e-5, scratch)?;
+                // Each image is normalised by its own statistics, so an
+                // image served inside a batch reads exactly as served
+                // alone (the training tape normalises over its batch).
+                for image in out.chunks_mut((oc * oh * ow).max(1)) {
+                    batchnorm_batch_stats_inplace(image, 1, oc, oh, ow, gamma, beta, 1e-5, scratch)?;
+                }
                 // The batch norm sits between the conv and the skip, so
                 // this one cannot ride in the kernel's store.
                 if *skip {

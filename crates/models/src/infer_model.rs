@@ -47,11 +47,6 @@ pub trait InferModel: Send + Sync {
     /// lowers).
     fn try_lower(&self) -> Result<DeployedNetwork>;
 
-    /// Whether this model already runs the tape-free deployed path.
-    fn is_deployed(&self) -> bool {
-        false
-    }
-
     /// The deployed op graph behind this handle, when it is one — the hook
     /// the serving layer uses to route pre-lowered models through the
     /// planned zero-allocation executor
@@ -86,10 +81,6 @@ impl InferModel for DeployedNetwork {
 
     fn try_lower(&self) -> Result<DeployedNetwork> {
         Err(TensorError::InvalidArgument("model is already a deployed network".into()))
-    }
-
-    fn is_deployed(&self) -> bool {
-        true
     }
 
     fn as_deployed(&self) -> Option<&DeployedNetwork> {
@@ -137,7 +128,7 @@ mod tests {
                 .unwrap();
         let model: &dyn InferModel = &net;
         assert_eq!(model.scale(), 2);
-        assert!(!model.is_deployed());
+        assert!(model.as_deployed().is_none());
         let x = probe(6, 6);
         let y = model.forward_infer(&x).unwrap();
         assert_eq!(y.shape(), &[1, 3, 12, 12]);
@@ -153,7 +144,7 @@ mod tests {
                 .unwrap();
         let deployed = net.lower().unwrap();
         let model: &dyn InferModel = &deployed;
-        assert!(model.is_deployed());
+        assert!(model.as_deployed().is_some());
         assert!(model.try_lower().is_err(), "a deployed graph cannot lower again");
         let x = probe(6, 6);
         assert_eq!(model.forward_infer(&x).unwrap().data(), deployed.forward(&x).unwrap().data());

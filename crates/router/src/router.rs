@@ -3,10 +3,11 @@
 
 use crate::error::RouterError;
 use crate::lock;
-use scales_models::SrNetwork;
+use scales_models::{DeployedNetwork, SrNetwork};
 use scales_runtime::{Runtime, RuntimeConfig, RuntimeStats};
 use scales_serve::{Engine, SrRequest, SrResponse};
 use scales_telemetry::{Exposition, FamilyKind};
+use scales_tensor::TensorError;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -85,19 +86,14 @@ impl std::fmt::Display for ModelState {
     }
 }
 
-/// One loaded version of a model: its runtime and the weight bytes it
-/// was admitted with. Submitters clone the `Arc` for the duration of one
-/// request; a swap drains the old version by waiting for those clones to
-/// drop before shutting the runtime down.
-struct ModelVersion {
-    runtime: Runtime,
-    weight_bytes: usize,
-}
-
 /// The mutable half of a registry entry, behind the entry's own mutex.
+#[derive(Default)]
 struct EntryState {
-    /// The serving version; `None` while evicted.
-    current: Option<Arc<ModelVersion>>,
+    /// The serving version's runtime; `None` while evicted. Submitters
+    /// clone the `Arc` for the duration of one request; a swap drains the
+    /// old version by waiting for those clones to drop before shutting
+    /// the runtime down.
+    current: Option<Arc<Runtime>>,
     /// Monotonic version counter; 1 is the first load.
     version: u64,
     arch: String,
@@ -114,6 +110,19 @@ struct EntryState {
     /// Folded final stats of every drained version, so a model's serving
     /// record survives hot-swaps and evictions.
     retired: Option<RuntimeStats>,
+}
+
+impl EntryState {
+    /// Make `loaded` the serving version — the next version number and
+    /// its identity — and hand back the version it replaces, if any.
+    fn swap_in(&mut self, loaded: LoadedVersion) -> Option<Arc<Runtime>> {
+        self.version += 1;
+        self.arch = loaded.arch;
+        self.scale = loaded.scale;
+        self.fingerprint = loaded.fingerprint;
+        self.weight_bytes = loaded.weight_bytes;
+        self.current.replace(loaded.runtime)
+    }
 }
 
 /// One named model in the registry.
@@ -219,7 +228,7 @@ impl RouterStats {
 
 /// What a successful artifact load produced, before it is installed.
 struct LoadedVersion {
-    version: Arc<ModelVersion>,
+    runtime: Arc<Runtime>,
     arch: String,
     scale: usize,
     fingerprint: u64,
@@ -285,20 +294,12 @@ impl ModelRouter {
     pub fn register_model(
         &self,
         name: &str,
-        model: scales_models::DeployedNetwork,
+        model: DeployedNetwork,
     ) -> Result<ModelStats, RouterError> {
         validate_name(name)?;
         let bytes = scales_io::artifact_to_bytes(&model);
-        let fingerprint = scales_io::fingerprint(&bytes);
-        let weight_bytes = bytes.len();
-        let arch = model.name().to_string();
-        let scale = model.scale();
-        let version = self.spawn_version(name, model, weight_bytes)?;
-        self.install(
-            name,
-            None,
-            LoadedVersion { version, arch, scale, fingerprint, weight_bytes },
-        )
+        let loaded = self.spawn_version(name, model, &bytes)?;
+        self.install(name, None, loaded)
     }
 
     /// Route one request to the model named `name`, bounding the whole
@@ -329,28 +330,24 @@ impl ModelRouter {
         let mut reloaded = false;
         let version = {
             let mut st = lock(&entry.state);
-            st.last_used = self.inner.clock.fetch_add(1, Ordering::Relaxed);
+            st.last_used = self.tick();
             match &st.current {
                 Some(v) => Arc::clone(v),
                 None => {
                     // Lazily re-admit an evicted model from its source.
                     let source = entry
                         .source
-                        .clone()
+                        .as_deref()
                         .ok_or_else(|| RouterError::NotReloadable { name: name.into() })?;
-                    let loaded = self.load_version(name, &source)?;
-                    st.version += 1;
-                    st.arch = loaded.arch;
-                    st.scale = loaded.scale;
-                    st.fingerprint = loaded.fingerprint;
-                    st.weight_bytes = loaded.weight_bytes;
-                    st.current = Some(Arc::clone(&loaded.version));
+                    let loaded = self.load_version(name, source)?;
+                    let runtime = Arc::clone(&loaded.runtime);
+                    st.swap_in(loaded);
                     reloaded = true;
-                    loaded.version
+                    runtime
                 }
             }
         };
-        let outcome = version.runtime.submit_wait_timeout(request, timeout);
+        let outcome = version.submit_wait_timeout(request, timeout);
         // Dropping `version` releases this request's hold on the `Arc` —
         // that is what lets a concurrent swap's drain proceed, and it
         // must happen before any budget sweep this thread runs (draining
@@ -390,27 +387,18 @@ impl ModelRouter {
         let entry = self.entry(name)?;
         let source = entry
             .source
-            .clone()
+            .as_deref()
             .ok_or_else(|| RouterError::NotReloadable { name: name.into() })?;
-        let loaded = self.load_version(name, &source)?;
+        let loaded = self.load_version(name, source)?;
         let old = {
             let mut st = lock(&entry.state);
-            st.version += 1;
-            st.arch = loaded.arch;
-            st.scale = loaded.scale;
-            st.fingerprint = loaded.fingerprint;
-            st.weight_bytes = loaded.weight_bytes;
-            st.last_used = self.inner.clock.fetch_add(1, Ordering::Relaxed);
-            let old = st.current.replace(loaded.version);
-            if old.is_some() {
-                st.swaps += 1;
-            }
+            st.last_used = self.tick();
+            let old = st.swap_in(loaded);
+            st.swaps += u64::from(old.is_some());
             old
         };
         if let Some(old) = old {
-            let final_stats = drain(old);
-            let mut st = lock(&entry.state);
-            st.retired.get_or_insert_default().merge(&final_stats);
+            retire(&entry, old, false);
         }
         self.enforce_budget(Some(name));
         Ok(self.snapshot(&entry))
@@ -527,9 +515,7 @@ impl ModelRouter {
         for entry in &entries {
             let old = lock(&entry.state).current.take();
             if let Some(old) = old {
-                let final_stats = drain(old);
-                let mut st = lock(&entry.state);
-                st.retired.get_or_insert_default().merge(&final_stats);
+                retire(entry, old, false);
             }
         }
         self.stats()
@@ -568,49 +554,51 @@ impl ModelRouter {
     }
 
     /// Read + decode + spawn a runtime for the artifact at `path` —
-    /// everything a (re)load pays, entirely off the serving path.
+    /// everything a (re)load pays, entirely off the serving path. A
+    /// checkpoint is lowered here, so both kinds serve as the same packed
+    /// graph through the same path.
     fn load_version(&self, name: &str, path: &Path) -> Result<LoadedVersion, RouterError> {
         let fail = |detail: String| RouterError::Load { name: name.into(), detail };
         let bytes = self
             .read_artifact(path)
             .map_err(|e| fail(format!("reading {}: {e}", path.display())))?;
-        let fingerprint = scales_io::fingerprint(&bytes);
-        let weight_bytes = bytes.len();
-        let kind = scales_io::sniff_kind(&bytes).map_err(|e| fail(e.to_string()))?;
-        match kind {
+        let net = match scales_io::sniff_kind(&bytes).map_err(|e| fail(e.to_string()))? {
             scales_io::ArtifactKind::Checkpoint => {
-                let net =
+                let trained =
                     scales_io::checkpoint_from_bytes(&bytes).map_err(|e| fail(e.to_string()))?;
-                let arch = net.arch().name().to_string();
-                let scale = SrNetwork::scale(&net);
-                let version = self.spawn_version(name, net, weight_bytes)?;
-                Ok(LoadedVersion { version, arch, scale, fingerprint, weight_bytes })
+                trained.lower().map_err(|e| fail(e.to_string()))?
             }
             scales_io::ArtifactKind::Deployed => {
-                let net =
-                    scales_io::artifact_from_bytes(&bytes).map_err(|e| fail(e.to_string()))?;
-                let arch = net.name().to_string();
-                let scale = net.scale();
-                let version = self.spawn_version(name, net, weight_bytes)?;
-                Ok(LoadedVersion { version, arch, scale, fingerprint, weight_bytes })
+                scales_io::artifact_from_bytes(&bytes).map_err(|e| fail(e.to_string()))?
             }
-        }
+        };
+        self.spawn_version(name, net, &bytes)
     }
 
-    /// Build an engine around `model` (deployed precision by default,
-    /// with the builder's documented training fallback) and spawn its
-    /// runtime worker pool.
-    fn spawn_version<M: scales_models::InferModel + 'static>(
+    /// Spawn a runtime worker pool around `net`, whose serialized form
+    /// `bytes` is what the version is fingerprinted and charged by.
+    fn spawn_version(
         &self,
         name: &str,
-        model: M,
-        weight_bytes: usize,
-    ) -> Result<Arc<ModelVersion>, RouterError> {
-        let fail = |detail: String| RouterError::Load { name: name.into(), detail };
-        let engine = Engine::builder().model(model).build().map_err(|e| fail(e.to_string()))?;
-        let runtime = Runtime::spawn(engine, self.inner.config.runtime.clone())
-            .map_err(|e| fail(e.to_string()))?;
-        Ok(Arc::new(ModelVersion { runtime, weight_bytes }))
+        net: DeployedNetwork,
+        bytes: &[u8],
+    ) -> Result<LoadedVersion, RouterError> {
+        let fail = |e: TensorError| RouterError::Load { name: name.into(), detail: e.to_string() };
+        let (arch, scale) = (net.name().to_string(), net.scale());
+        let engine = Engine::builder().model(net).build().map_err(fail)?;
+        let runtime = Runtime::spawn(engine, self.inner.config.runtime.clone()).map_err(fail)?;
+        Ok(LoadedVersion {
+            runtime: Arc::new(runtime),
+            arch,
+            scale,
+            fingerprint: scales_io::fingerprint(bytes),
+            weight_bytes: bytes.len(),
+        })
+    }
+
+    /// The LRU clock's next stamp.
+    fn tick(&self) -> u64 {
+        self.inner.clock.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Insert a freshly loaded model under `name`, then let the budget
@@ -621,39 +609,26 @@ impl ModelRouter {
         source: Option<PathBuf>,
         loaded: LoadedVersion,
     ) -> Result<ModelStats, RouterError> {
-        if self.inner.shutdown.load(Ordering::Acquire) {
-            // The fresh runtime served nothing; drain it quietly.
-            let _ = drain(loaded.version);
-            return Err(RouterError::ShuttingDown);
-        }
-        let entry = Arc::new(ModelEntry {
-            name: name.to_string(),
-            source,
-            state: Mutex::new(EntryState {
-                current: Some(loaded.version),
-                version: 1,
-                arch: loaded.arch,
-                scale: loaded.scale,
-                fingerprint: loaded.fingerprint,
-                weight_bytes: loaded.weight_bytes,
-                evictions: 0,
-                swaps: 0,
-                last_used: self.inner.clock.fetch_add(1, Ordering::Relaxed),
-                retired: None,
-            }),
-        });
-        {
+        let mut state = EntryState { last_used: self.tick(), ..EntryState::default() };
+        state.swap_in(loaded);
+        let entry =
+            Arc::new(ModelEntry { name: name.to_string(), source, state: Mutex::new(state) });
+        let refusal = if self.inner.shutdown.load(Ordering::Acquire) {
+            Some(RouterError::ShuttingDown)
+        } else {
             let mut models = lock(&self.inner.models);
-            if models.contains_key(name) {
-                // Lost a registration race: the runtime we spawned for
-                // nothing is drained outside the map lock.
-                drop(models);
-                if let Some(v) = lock(&entry.state).current.take() {
-                    let _ = drain(v);
-                }
-                return Err(RouterError::DuplicateModel { name: name.into() });
+            let taken = models.contains_key(name);
+            if !taken {
+                models.insert(name.to_string(), Arc::clone(&entry));
             }
-            models.insert(name.to_string(), Arc::clone(&entry));
+            taken.then(|| RouterError::DuplicateModel { name: name.into() })
+        };
+        if let Some(refusal) = refusal {
+            // The runtime spawned for nothing is drained quietly, outside
+            // the map lock.
+            let stray = lock(&entry.state).current.take();
+            let _ = stray.map(drain);
+            return Err(refusal);
         }
         self.enforce_budget(Some(name));
         Ok(self.snapshot(&entry))
@@ -663,8 +638,8 @@ impl ModelRouter {
         let st = lock(&entry.state);
         let (state, resident_bytes, live) = match &st.current {
             Some(v) => {
-                let stats = v.runtime.stats();
-                (ModelState::Serving, v.weight_bytes + stats.workspace_bytes, Some(stats))
+                let stats = v.stats();
+                (ModelState::Serving, st.weight_bytes + stats.workspace_bytes, Some(stats))
             }
             None => (ModelState::Evicted, 0, None),
         };
@@ -706,7 +681,7 @@ impl ModelRouter {
             for entry in &entries {
                 let st = lock(&entry.state);
                 let Some(v) = &st.current else { continue };
-                total += st.weight_bytes + v.runtime.stats().workspace_bytes;
+                total += st.weight_bytes + v.stats().workspace_bytes;
                 if entry.source.is_some() && protect != Some(entry.name.as_str()) {
                     let colder = coldest.as_ref().is_none_or(|(used, _)| st.last_used < *used);
                     if colder {
@@ -719,10 +694,7 @@ impl ModelRouter {
             }
             let Some((_, victim)) = coldest else { return };
             let Some(old) = lock(&victim.state).current.take() else { continue };
-            let final_stats = drain(old);
-            let mut st = lock(&victim.state);
-            st.evictions += 1;
-            st.retired.get_or_insert_default().merge(&final_stats);
+            retire(&victim, old, true);
         }
     }
 }
@@ -753,16 +725,27 @@ fn read_once(path: &Path) -> std::io::Result<Vec<u8>> {
 /// the zero-drop guarantee: a submitter holding the `Arc` keeps the
 /// runtime alive until its request resolves, so a swap or eviction never
 /// refuses work that was already routed here.
-fn drain(mut version: Arc<ModelVersion>) -> RuntimeStats {
+fn drain(mut version: Arc<Runtime>) -> RuntimeStats {
     loop {
         match Arc::try_unwrap(version) {
-            Ok(sole) => return sole.runtime.shutdown(),
+            Ok(sole) => return sole.shutdown(),
             Err(shared) => {
                 version = shared;
                 std::thread::sleep(Duration::from_micros(500));
             }
         }
     }
+}
+
+/// Drain `old`, a version `entry` no longer serves, and fold its final
+/// stats into the entry's record — what a reload, an eviction and the
+/// fleet shutdown each do with the version they take out; an eviction is
+/// counted in the same critical section.
+fn retire(entry: &ModelEntry, old: Arc<Runtime>, evicted: bool) {
+    let final_stats = drain(old);
+    let mut st = lock(&entry.state);
+    st.retired.get_or_insert_default().merge(&final_stats);
+    st.evictions += u64::from(evicted);
 }
 
 /// Names are URL path segments, and render in Prometheus labels and JSON

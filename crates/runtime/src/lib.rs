@@ -4,18 +4,20 @@
 //! hand-rolled, std-only worker pool that turns one single-caller
 //! [`Engine`](scales_serve::Engine) into a multi-tenant server — bounded
 //! submission queue with explicit backpressure, cross-request dynamic
-//! batching, and a mutex-sharded [`metrics`] subsystem. No external
+//! batching, and one serving record ([`metrics`]). No external
 //! dependencies, no async executor: plain threads, a `Mutex` + two
-//! `Condvar`s for the queue — the whole synchronisation story of admission
-//! and scheduling — and a `Mutex` + `Condvar` one-shot per in-flight
-//! request.
+//! `Condvar`s for the queue — the whole synchronisation story of admission,
+//! scheduling and accounting — and a `Mutex` + `Condvar` one-shot per
+//! in-flight request.
 //!
 //! `queue.rs` is the policy: every admission and scheduling decision below
 //! is a method of one plain value that takes the time as an argument and
 //! returns a typed decision — no lock, no clock read, no thread — and is
 //! model-checked under a virtual clock (`cargo test -p scales-runtime
-//! queue`). `runtime.rs` is the threads: it keeps that value behind the
-//! one mutex, takes the timestamps, waits, wakes, and runs the forwards.
+//! queue`). The same value holds the ledger and the serving record, which a
+//! worker books once per dispatch before any of its tickets resolve.
+//! `runtime.rs` is the threads: it keeps that value behind the one mutex,
+//! takes the timestamps, waits, wakes, and runs the forwards.
 //!
 //! The lifecycle is:
 //!
@@ -40,10 +42,14 @@
 //!    callers amortize dispatch, plan lookup, and GEMM setup.
 //! 4. Each caller's [`Ticket`] resolves to its own
 //!    [`SrResponse`](scales_serve::SrResponse) — the images of *its*
-//!    request, in *its* order, bit-identical (`f32::to_bits`) to what a
-//!    serial `Session::infer` of that request alone would produce
-//!    (enforced by `tests/runtime.rs` across the CNN method registry and
-//!    both backends).
+//!    request, in *its* order, and at
+//!    [`Precision::Deployed`](scales_serve::Precision::Deployed)
+//!    bit-identical (`f32::to_bits`) to what a serial `Session::infer` of
+//!    that request alone would produce (enforced by `tests/runtime.rs` on
+//!    perturbed networks across the CNN method registry and both
+//!    backends). At `Precision::Training` the tape's E2FIF batch norm
+//!    normalises over the whole coalesced batch, so that one method's
+//!    output depends on its batch neighbours.
 //! 5. [`Runtime::shutdown`] stops intake, drains every queued request,
 //!    joins the workers, and returns the final [`RuntimeStats`] —
 //!    throughput, queue high-water, batch fill ratio, and p50/p99 latency

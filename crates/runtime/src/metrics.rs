@@ -1,13 +1,12 @@
-//! The runtime's observability subsystem: mutex-sharded per-worker
-//! counters, fixed-bucket latency histograms, and the aggregated
-//! [`RuntimeStats`] snapshot.
+//! The runtime's observability subsystem: the admission ledger, fixed-bucket
+//! latency histograms, and the [`RuntimeStats`] snapshot.
 //!
-//! Counters are **sharded, not shared**: each worker owns one private
-//! shard behind its own `Mutex` and touches nothing else on the hot
-//! path, so recording a dispatch is an uncontended lock — "lock-free
-//! -ish" without atomics gymnastics. Only [`Runtime::stats`] /
-//! [`Runtime::shutdown`](crate::Runtime::shutdown) walk all shards and
-//! fold them into one snapshot.
+//! The runtime keeps **one record**, inside the queue value behind its one
+//! lock: each lane's ledger (`Counters`) and the serving half (images,
+//! dispatches, busy time, histograms) are booked by a worker in one
+//! critical section per dispatch, before any of its tickets resolve, so a
+//! caller that reads [`Runtime::stats`] after its response sees it counted
+//! in every scope. A snapshot is one lock acquisition, not a fold.
 //!
 //! Latency is tracked end-to-end (enqueue → ticket resolution, so queueing
 //! and batching-window time are included) in a [`LatencyHistogram`] with
@@ -70,7 +69,7 @@ impl LatencyHistogram {
         self.max_ns = self.max_ns.max(u64::try_from(ns).unwrap_or(u64::MAX));
     }
 
-    /// Fold another histogram into this one (shard aggregation).
+    /// Fold another histogram into this one ([`RuntimeStats::merge`]).
     pub fn merge(&mut self, other: &Self) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
@@ -175,60 +174,6 @@ impl LatencyHistogram {
     }
 }
 
-/// One worker's private counter shard. Workers only ever lock their own.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct WorkerShard {
-    /// Requests resolved successfully.
-    pub completed: u64,
-    /// Requests resolved with an error (the whole dispatch failed).
-    pub failed: u64,
-    /// Images served across all completed requests.
-    pub images: u64,
-    /// Coalesced forward dispatches (one `Session::infer` call each).
-    pub dispatches: u64,
-    /// Requests that shared their dispatch with at least one other
-    /// request — the callers dynamic batching actually helped.
-    pub coalesced: u64,
-    /// Wall time spent inside `Session::infer`.
-    pub busy: Duration,
-    /// Bytes resident in this worker's session workspace (arena slots +
-    /// cached plans), re-sampled after every dispatch.
-    pub workspace_bytes: usize,
-    /// End-to-end request latency (enqueue → resolution).
-    pub latency: LatencyHistogram,
-    /// Queue residence per request (enqueue → worker pop).
-    pub queue_wait: LatencyHistogram,
-    /// Batch-assembly wait per request (worker pop → batch sealed).
-    pub batch_wait: LatencyHistogram,
-    /// Forward span per request (batch sealed → infer done).
-    pub infer: LatencyHistogram,
-    /// Responses resolved after their submitter's `submit_wait_timeout`
-    /// deadline gave up — served work whose result nobody read.
-    pub late_discarded: u64,
-    /// Latest per-op plan profile sampled from this worker's session
-    /// (cumulative over the session's lifetime; empty while profiling
-    /// is off).
-    pub op_profile: OpProfile,
-}
-
-impl WorkerShard {
-    pub(crate) fn merge(&mut self, other: &Self) {
-        self.completed += other.completed;
-        self.failed += other.failed;
-        self.images += other.images;
-        self.dispatches += other.dispatches;
-        self.coalesced += other.coalesced;
-        self.busy += other.busy;
-        self.workspace_bytes += other.workspace_bytes;
-        self.latency.merge(&other.latency);
-        self.queue_wait.merge(&other.queue_wait);
-        self.batch_wait.merge(&other.batch_wait);
-        self.infer.merge(&other.infer);
-        self.late_discarded += other.late_discarded;
-        self.op_profile.merge(&other.op_profile);
-    }
-}
-
 /// One tenant lane's admission and serving counters, reported inside
 /// [`RuntimeStats::tenants`]. Only *tagged* tenants appear here —
 /// untagged traffic shares the anonymous lane and is visible in the
@@ -295,6 +240,11 @@ macro_rules! ledger {
             /// The admission half of the snapshot.
             fn counters(&self) -> Counters {
                 Counters { $($counter: self.$counter,)* }
+            }
+
+            /// Overwrite the admission half of the snapshot.
+            pub(crate) fn set_counters(&mut self, c: Counters) {
+                $(self.$counter = c.$counter;)*
             }
         }
     };
@@ -432,20 +382,14 @@ impl RuntimeStats {
     /// `workspace_bytes`, a lane's `weight`) take `other`'s — so fold
     /// older records first and the live one last. Folding into
     /// [`RuntimeStats::default`] reproduces `other`.
-    #[allow(clippy::cast_precision_loss)]
     pub fn merge(&mut self, other: &Self) {
         self.workers = self.workers.max(other.workers);
         self.backend = other.backend;
         self.simd = other.simd;
         self.max_batch = self.max_batch.max(other.max_batch);
-        self.submitted += other.submitted;
-        self.rejected += other.rejected;
-        self.shed += other.shed;
-        self.quota_rejected += other.quota_rejected;
-        self.expired += other.expired;
-        self.deadline_misses += other.deadline_misses;
-        self.completed += other.completed;
-        self.failed += other.failed;
+        let mut ledger = self.counters();
+        ledger += other.counters();
+        self.set_counters(ledger);
         self.images += other.images;
         self.dispatches += other.dispatches;
         self.coalesced += other.coalesced;
@@ -464,11 +408,7 @@ impl RuntimeStats {
             }
         }
         self.tenants.sort_by(|x, y| x.tenant.cmp(&y.tenant));
-        self.batch_fill = if self.dispatches == 0 || self.max_batch == 0 {
-            0.0
-        } else {
-            self.images as f64 / (self.dispatches as f64 * self.max_batch as f64)
-        };
+        self.fill_batch();
         self.busy += other.busy;
         self.elapsed += other.elapsed;
         self.latency.merge(&other.latency);
@@ -477,6 +417,17 @@ impl RuntimeStats {
         self.infer.merge(&other.infer);
         self.late_discarded += other.late_discarded;
         self.op_profile.merge(&other.op_profile);
+    }
+
+    /// Set [`RuntimeStats::batch_fill`] from the counters it is defined
+    /// over — the one place its formula is written.
+    #[allow(clippy::cast_precision_loss)]
+    pub(crate) fn fill_batch(&mut self) {
+        self.batch_fill = if self.dispatches == 0 || self.max_batch == 0 {
+            0.0
+        } else {
+            self.images as f64 / (self.dispatches as f64 * self.max_batch as f64)
+        };
     }
 
     /// Completed requests per second of runtime lifetime.

@@ -1,8 +1,8 @@
 //! The runtime's admission and scheduling policy as one plain value:
 //! tenant lanes and placement, the lane quota, the shed watermark and p99
 //! window, expiry sweeps, the EDF-inside-weighted-rotation pop, the gather
-//! round, the pre-dispatch expiry seal, completion accounting, and
-//! shutdown failing.
+//! round, the pre-dispatch expiry seal, the runtime's one serving record,
+//! and shutdown failing.
 //!
 //! [`Queue`] holds no lock, waits on nothing, and never reads a clock:
 //! every method takes the current time as `now` and returns a typed
@@ -17,6 +17,7 @@ use crate::ticket::{Ticket, TicketCell};
 use crate::RuntimeConfig;
 use scales_data::Image;
 use scales_serve::TilePolicy;
+use scales_telemetry::{OpProfile, RuntimeStamps};
 use scales_tensor::TensorError;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -57,6 +58,32 @@ impl Entry {
         self.cell.resolve(Err(ServeError::Rejected(SubmitError::Expired)));
         counters.expired += 1;
     }
+
+    /// The stage stamps of this entry in a dispatch that sealed at
+    /// `sealed` and whose forward returned at `infer_done`.
+    pub fn stamps(&self, sealed: Instant, infer_done: Instant) -> RuntimeStamps {
+        let dequeued = self.dequeued.unwrap_or(self.enqueued);
+        RuntimeStamps { enqueued: self.enqueued, dequeued, sealed, infer_done }
+    }
+}
+
+/// What one dispatch did, handed by its worker to [`Queue::complete`].
+pub(crate) struct Dispatch {
+    /// The worker that ran it.
+    pub worker: usize,
+    /// Whether the forward succeeded: every entry completed, or every
+    /// entry failed.
+    pub served: bool,
+    /// Images in the forward.
+    pub images: usize,
+    /// When the batch sealed and the forward began.
+    pub sealed: Instant,
+    /// When the forward returned.
+    pub infer_done: Instant,
+    /// The worker session's workspace bytes after the forward.
+    pub workspace_bytes: usize,
+    /// The worker session's cumulative op profile after the forward.
+    pub op_profile: OpProfile,
 }
 
 fn unserved(message: &str) -> ServeError {
@@ -146,10 +173,16 @@ pub(crate) struct Queue {
     cursor: usize,
     shutting_down: bool,
     high_water: usize,
-    failed_unserved: u64,
     /// Ledgers of retired lanes and of refusals whose tenant never had a
     /// lane.
     retired: Counters,
+    /// The serving half of the record — images, dispatches, coalesced,
+    /// busy, the four histograms, late-discarded — as booked by
+    /// [`Queue::complete`]; [`Queue::report`] fills in the rest.
+    record: RuntimeStats,
+    /// Per worker, the latest workspace bytes and cumulative op profile
+    /// of its session: re-sampled, not accumulated, after every dispatch.
+    readings: Vec<(usize, OpProfile)>,
     /// Queue-to-response latencies of the most recent [`P99_WINDOW`]
     /// resolutions. Kept only while the p99 trip wire is armed.
     recent: VecDeque<Duration>,
@@ -172,14 +205,15 @@ impl Queue {
             lanes.push(Lane::new(Some(name), *weight));
         }
         Self {
+            readings: vec![(0, OpProfile::default()); config.workers],
             config,
             lanes,
             queued: 0,
             cursor: 0,
             shutting_down: false,
             high_water: 0,
-            failed_unserved: 0,
             retired: Counters::default(),
+            record: RuntimeStats::default(),
             recent: VecDeque::new(),
             p99: None,
         }
@@ -505,14 +539,35 @@ impl Queue {
         }
     }
 
-    /// Account a dispatch whose tickets the worker has just resolved:
-    /// completions, failures, and deadline misses (served, but after the
-    /// deadline passed mid-flight — the late-but-served counterpart of the
-    /// never-dispatched `Expired`); then fold its queue-to-response
-    /// latencies into the p99 window when that wire is armed. Windowed —
-    /// not lifetime-cumulative — so the estimate can come back down when
-    /// the overload passes.
-    pub fn complete(&mut self, batch: &[Entry], served: bool, now: Instant) {
+    /// Book a dispatch whose tickets the worker is about to resolve, all
+    /// of it at once: the serving record (images, busy time, each entry's
+    /// latency and stage spans, a response its submitter gave up on); the
+    /// ledger's completions, failures, and deadline misses (served, but
+    /// after the deadline passed mid-flight — the late-but-served
+    /// counterpart of the never-dispatched `Expired`); then the p99 window
+    /// when that wire is armed. Windowed — not lifetime-cumulative — so the
+    /// estimate can come back down when the overload passes.
+    pub fn complete(&mut self, batch: &[Entry], dispatch: Dispatch, now: Instant) {
+        let Dispatch { worker, served, images, sealed, infer_done, workspace_bytes, op_profile } =
+            dispatch;
+        let record = &mut self.record;
+        record.dispatches += 1;
+        record.busy += infer_done.saturating_duration_since(sealed);
+        if batch.len() > 1 {
+            record.coalesced += batch.len() as u64;
+        }
+        if served {
+            record.images += images as u64;
+        }
+        for entry in batch {
+            let RuntimeStamps { enqueued, dequeued, .. } = entry.stamps(sealed, infer_done);
+            record.latency.record(now.saturating_duration_since(enqueued));
+            record.queue_wait.record(dequeued.saturating_duration_since(enqueued));
+            record.batch_wait.record(sealed.saturating_duration_since(dequeued));
+            record.infer.record(infer_done.saturating_duration_since(sealed));
+            record.late_discarded += u64::from(entry.cell.is_abandoned());
+        }
+        self.readings[worker] = (workspace_bytes, op_profile);
         for entry in batch {
             let counters = self.land(entry);
             if !served {
@@ -544,7 +599,6 @@ impl Queue {
     pub fn abandon(&mut self, batch: &[Entry], message: &str) {
         for entry in batch {
             if entry.cell.resolve_if_pending(Err(unserved(message))) {
-                self.failed_unserved += 1;
                 self.land(entry).failed += 1;
             }
         }
@@ -557,7 +611,6 @@ impl Queue {
             for entry in lane.entries.drain(..) {
                 if entry.cell.resolve_if_pending(Err(unserved(message))) {
                     lane.counters.failed += 1;
-                    self.failed_unserved += 1;
                 }
                 freed += 1;
             }
@@ -575,13 +628,14 @@ impl Queue {
         self.shutting_down
     }
 
-    /// Fill the queue's half of a stats snapshot: depth and high-water, the
-    /// admission counters summed over every lane's ledger plus the retired
-    /// aggregate (so retiring a lane, or refusing a lane-less tenant, never
-    /// loses a count), the tagged lanes in table order — and, on top of
-    /// the failures the worker shards counted, the accepted requests that
-    /// failed without a dispatch (shutdown sweep, worker panic, pool death).
-    pub fn report(&self, stats: &mut RuntimeStats) {
+    /// The record as a stats snapshot, short of what only the runtime
+    /// knows (pool, backend, uptime): the serving half as booked, the
+    /// ledger summed over every lane plus the retired aggregate (so
+    /// retiring a lane, or refusing a lane-less tenant, never loses a
+    /// count), the tagged lanes in table order, depth and high-water, and
+    /// the workers' latest readings.
+    pub fn report(&self) -> RuntimeStats {
+        let mut stats = self.record.clone();
         let mut totals = self.retired;
         for lane in &self.lanes {
             totals += lane.counters;
@@ -590,15 +644,16 @@ impl Queue {
                 stats.tenants.push(TenantStats::new(name, lane.weight, queued, lane.counters));
             }
         }
+        stats.set_counters(totals);
         stats.queue_depth = self.queued;
         stats.queue_high_water = self.high_water;
-        stats.submitted = totals.submitted;
-        stats.rejected = totals.rejected;
-        stats.shed = totals.shed;
-        stats.quota_rejected = totals.quota_rejected;
-        stats.expired = totals.expired;
-        stats.deadline_misses = totals.deadline_misses;
-        stats.failed += self.failed_unserved;
+        for (bytes, profile) in &self.readings {
+            stats.workspace_bytes += bytes;
+            stats.op_profile.merge(profile);
+        }
+        stats.max_batch = self.config.max_batch;
+        stats.fill_batch();
+        stats
     }
 }
 
@@ -731,7 +786,11 @@ mod tests {
         /// Deadlines refused at the door: counted in `expired`, never in
         /// `submitted`.
         door_expired: u64,
-        unserved: u64,
+        /// The serving half: dispatches completed, images they served,
+        /// and entries they resolved.
+        dispatches: u64,
+        images: u64,
+        booked: u64,
         high_water: usize,
         shutdown: bool,
         window: VecDeque<Duration>,
@@ -768,7 +827,9 @@ mod tests {
                 lanes,
                 retired: Counters::default(),
                 door_expired: 0,
-                unserved: 0,
+                dispatches: 0,
+                images: 0,
+                booked: 0,
                 high_water: 0,
                 shutdown: false,
                 window: VecDeque::new(),
@@ -963,14 +1024,18 @@ mod tests {
         assert_eq!(
             ledger.submitted + m.door_expired,
             ledger.completed + ledger.failed + ledger.expired + (q.queued + in_flight) as u64,
-            "submitted = completed + failed + expired + queued + in flight"
+            "Σ lanes: submitted = completed + failed + expired + queued + in flight"
         );
-        let mut stats = RuntimeStats::default();
-        q.report(&mut stats);
+        // The report's global counters are that same ledger — completions
+        // and failures included, with no second count beside it — so the
+        // law holds on what a scrape reads, too.
+        let stats = q.report();
         assert_eq!((stats.queue_depth, stats.queue_high_water), (q.queued, q.high_water));
         assert_eq!(
             (
                 stats.submitted,
+                stats.completed,
+                stats.failed,
                 stats.rejected,
                 stats.shed,
                 stats.quota_rejected,
@@ -979,6 +1044,8 @@ mod tests {
             ),
             (
                 ledger.submitted,
+                ledger.completed,
+                ledger.failed,
                 ledger.rejected,
                 ledger.shed,
                 ledger.quota_rejected,
@@ -986,7 +1053,17 @@ mod tests {
                 ledger.deadline_misses
             )
         );
-        assert_eq!(stats.failed, m.unserved, "failures no worker shard saw");
+        assert_eq!(
+            stats.submitted + m.door_expired,
+            stats.completed + stats.failed + stats.expired + (stats.queue_depth + in_flight) as u64,
+            "globally: submitted = completed + failed + expired + queued + in flight"
+        );
+        // The serving half is booked by the same call, per dispatch and
+        // per dispatched entry.
+        assert_eq!((stats.dispatches, stats.images), (m.dispatches, m.images));
+        for hist in [&stats.latency, &stats.queue_wait, &stats.batch_wait, &stats.infer] {
+            assert_eq!(hist.count(), m.booked, "one sample per dispatched entry");
+        }
         let names: Vec<&str> = m.lanes.iter().filter_map(|l| l.name.as_deref()).collect();
         assert_eq!(stats.tenants.iter().map(|t| t.tenant.as_str()).collect::<Vec<_>>(), names);
         // Exactly the requests that were served or failed hold an unread
@@ -1230,12 +1307,26 @@ mod tests {
         assert_eq!(kept_in_order.next(), None);
     }
 
-    /// Resolve a sealed batch the way `serve_dispatch` does, then account
-    /// it. Like the worker loop, skip a batch that sealed out to nothing.
+    /// Book a sealed batch, then resolve it, the way `serve_dispatch` does.
+    /// Like the worker loop, skip a batch that sealed out to nothing.
     fn complete(q: &mut Queue, m: &mut Model, batch: &[Entry], served: bool, now: Instant) {
         if batch.is_empty() {
             return;
         }
+        let images = batch.iter().map(|e| e.images.len()).sum();
+        let dispatch = Dispatch {
+            worker: 0,
+            served,
+            images,
+            sealed: now,
+            infer_done: now,
+            workspace_bytes: 0,
+            op_profile: OpProfile::default(),
+        };
+        q.complete(batch, dispatch, now);
+        m.dispatches += 1;
+        m.images += if served { images as u64 } else { 0 };
+        m.booked += batch.len() as u64;
         for entry in batch {
             entry.cell.resolve(if served {
                 Ok(SrResponse::from_parts(
@@ -1271,7 +1362,6 @@ mod tests {
                 m.window.push_back(latency);
             }
         }
-        q.complete(batch, served, now);
         if m.config.shed.p99_trip.is_some() {
             // Nearest-rank p99, restated: the smallest sample that at
             // least 99 % of the window does not exceed.
@@ -1335,7 +1425,6 @@ mod tests {
                     q.abandon(&batch.entries, "worker died");
                     for entry in &batch.entries {
                         m.land(m.ids[&key(&entry.cell)], State::Failed).failed += 1;
-                        m.unserved += 1;
                     }
                     seen.saw("abandoned a batch");
                 }
@@ -1377,7 +1466,6 @@ mod tests {
             for id in lane.fifo.drain(..) {
                 m.reqs[id].state = State::Failed;
                 lane.counters.failed += 1;
-                m.unserved += 1;
             }
         }
         check(&q, &m, now);

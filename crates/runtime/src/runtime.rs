@@ -1,16 +1,16 @@
 //! [`Runtime`] — the worker pool around the [`Queue`]: the one lock and
 //! its two condition variables, the blocking submit paths, the worker
 //! loop and its batching waits, the dispatch itself, and the panic guards.
-//! Every admission and scheduling decision is the queue's (`queue.rs`);
-//! this file takes the timestamps, holds the lock, waits, and wakes.
+//! Every admission and scheduling decision, and the serving record, is the
+//! queue's (`queue.rs`); this file takes the timestamps, holds the lock,
+//! waits, and wakes.
 
-use crate::metrics::{RuntimeStats, WorkerShard};
-use crate::queue::{Admission, Admitted, Entry, Gathered, Queue};
+use crate::metrics::RuntimeStats;
+use crate::queue::{Admission, Admitted, Dispatch, Entry, Gathered, Queue};
 use crate::ticket::Ticket;
 use crate::{lock, wait, wait_timeout, RuntimeConfig};
 use scales_data::Image;
 use scales_serve::{Engine, InferStats, Session, SrRequest, SrResponse};
-use scales_telemetry::RuntimeStamps;
 use scales_tensor::{Result, TensorError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -167,16 +167,14 @@ impl std::error::Error for ServeError {
 struct Inner {
     engine: Engine<'static>,
     config: RuntimeConfig,
-    /// The whole admission and scheduling state, p99 window included,
-    /// behind the runtime's one lock.
+    /// The whole admission and scheduling state, p99 window and serving
+    /// record included, behind the runtime's one lock.
     state: Mutex<Queue>,
     /// Signaled on enqueue and on shutdown: workers wait here.
     work: Condvar,
     /// Signaled on dequeue and on shutdown: [`Runtime::submit_wait`]
     /// blockers wait here.
     space: Condvar,
-    /// One shard per worker; worker `w` only ever locks `shards[w]`.
-    shards: Vec<Mutex<WorkerShard>>,
     /// Workers still running. When the last one dies *panicking* (a bug
     /// in a forward), its exit guard flips the pool to shutting-down and
     /// fails the queued tickets — a pool with no workers must refuse
@@ -232,7 +230,6 @@ impl Runtime {
             config,
             work: Condvar::new(),
             space: Condvar::new(),
-            shards: (0..workers).map(|_| Mutex::new(WorkerShard::default())).collect(),
             alive: AtomicUsize::new(workers),
             started: Instant::now(),
         });
@@ -383,7 +380,8 @@ impl Runtime {
         }
     }
 
-    /// Aggregate a live snapshot of the serving counters.
+    /// A live snapshot of the serving record. A request whose ticket has
+    /// resolved is already counted in it, globally and in its lane.
     #[must_use]
     pub fn stats(&self) -> RuntimeStats {
         snapshot(&self.inner)
@@ -589,8 +587,8 @@ impl Drop for ResolveOnPanic<'_> {
         if !std::thread::panicking() {
             return;
         }
-        // The panic came out of the forward path, so this thread holds
-        // neither the state lock nor a shard lock here.
+        // The panic came out of the forward path, so this thread does not
+        // hold the state lock here.
         lock(&self.inner.state)
             .abandon(self.entries, "runtime worker panicked while serving this dispatch");
     }
@@ -619,8 +617,8 @@ fn dispatch_fault() -> Option<TensorError> {
     None
 }
 
-/// Serve one coalesced batch through the worker's session and hand every
-/// caller its own slice of the response.
+/// Serve one coalesced batch through the worker's session, book it, and
+/// hand every caller its own slice of the response.
 fn serve_dispatch(inner: &Inner, worker: usize, session: &Session<'_, 'static>, batch: Vec<Entry>) {
     let counts: Vec<usize> = batch.iter().map(|e| e.images.len()).collect();
     let total: usize = counts.iter().sum();
@@ -634,24 +632,24 @@ fn serve_dispatch(inner: &Inner, worker: usize, session: &Session<'_, 'static>, 
     if let Some(policy) = entries[0].tile {
         request = request.tile_policy(policy);
     }
-    let served_at = Instant::now();
+    let sealed = Instant::now();
     let result = match dispatch_fault() {
         Some(injected) => Err(injected),
         None => session.infer(request),
     };
     let infer_done = Instant::now();
-    let busy = infer_done.saturating_duration_since(served_at);
-
-    let mut shard = lock(&inner.shards[worker]);
-    shard.dispatches += 1;
-    shard.busy += busy;
-    // Re-sample (not accumulate): capacity only ever grows, so the latest
-    // reading is this worker's current resident footprint.
-    shard.workspace_bytes = session.workspace_bytes();
-    if entries.len() > 1 {
-        shard.coalesced += entries.len() as u64;
-    }
-    let served_ok = result.is_ok();
+    let dispatch = Dispatch {
+        worker,
+        served: result.is_ok(),
+        images: total,
+        sealed,
+        infer_done,
+        workspace_bytes: session.workspace_bytes(),
+        op_profile: session.op_profile(),
+    };
+    // Booked before any ticket resolves: a caller that reads the stats
+    // after its response finds it counted.
+    lock(&inner.state).complete(&entries, dispatch, Instant::now());
     match result {
         Ok(response) => {
             // Per-caller stats: own image count; the shared dispatch's
@@ -661,15 +659,11 @@ fn serve_dispatch(inner: &Inner, worker: usize, session: &Session<'_, 'static>, 
             for (entry, n) in entries.iter().zip(counts) {
                 let own: Vec<Image> = images.by_ref().take(n).collect();
                 debug_assert_eq!(own.len(), n, "response images must cover the dispatch");
-                shard.completed += 1;
-                shard.images += n as u64;
-                shard.latency.record(entry.enqueued.elapsed());
-                let stamps = record_stages(&mut shard, entry, served_at, infer_done);
                 entry.cell.resolve(Ok(SrResponse::from_parts(
                     own,
                     InferStats { images: n, ..stats },
                 )
-                .with_stamps(stamps)));
+                .with_stamps(entry.stamps(sealed, infer_done))));
             }
         }
         Err(e) => {
@@ -679,81 +673,20 @@ fn serve_dispatch(inner: &Inner, worker: usize, session: &Session<'_, 'static>, 
             // coalesced request would also have hit; every caller sees
             // that error.
             for entry in &entries {
-                shard.failed += 1;
-                shard.latency.record(entry.enqueued.elapsed());
-                let _ = record_stages(&mut shard, entry, served_at, infer_done);
                 entry.cell.resolve(Err(ServeError::Infer(e.clone())));
             }
         }
     }
-    // Re-sample like `workspace_bytes`: the session profile is
-    // cumulative, so the latest reading supersedes the previous one.
-    if inner.config.profile_ops {
-        shard.op_profile = session.op_profile();
-    }
-    drop(shard);
-
-    // The ledger and the p99 window are updated post-dispatch, under one
-    // brief state lock.
-    lock(&inner.state).complete(&entries, served_ok, Instant::now());
-}
-
-/// Record one served entry's stage spans into the worker's shard and
-/// return the stamps attached to its response: queue wait (enqueue →
-/// pop), batch wait (pop → batch sealed), and the forward span shared by
-/// the whole coalesced dispatch. An abandoned cell — the submitter's
-/// `submit_wait_timeout` gave up mid-flight — is counted as
-/// late-discarded work here, at the resolution it never reads.
-fn record_stages(
-    shard: &mut WorkerShard,
-    entry: &Entry,
-    sealed: Instant,
-    infer_done: Instant,
-) -> RuntimeStamps {
-    let dequeued = entry.dequeued.unwrap_or(entry.enqueued);
-    shard.queue_wait.record(dequeued.saturating_duration_since(entry.enqueued));
-    shard.batch_wait.record(sealed.saturating_duration_since(dequeued));
-    shard.infer.record(infer_done.saturating_duration_since(sealed));
-    if entry.cell.is_abandoned() {
-        shard.late_discarded += 1;
-    }
-    RuntimeStamps { enqueued: entry.enqueued, dequeued, sealed, infer_done }
 }
 
 fn snapshot(inner: &Inner) -> RuntimeStats {
-    let mut agg = WorkerShard::default();
-    for shard in &inner.shards {
-        agg.merge(&lock(shard));
-    }
-    #[allow(clippy::cast_precision_loss)]
-    let batch_fill = if agg.dispatches == 0 {
-        0.0
-    } else {
-        agg.images as f64 / (agg.dispatches * inner.config.max_batch as u64) as f64
-    };
     let mut stats = RuntimeStats {
         workers: inner.config.workers,
         backend: inner.engine.backend(),
         simd: inner.engine.backend().kernel().simd_level(),
-        max_batch: inner.config.max_batch,
-        completed: agg.completed,
-        failed: agg.failed,
-        images: agg.images,
-        dispatches: agg.dispatches,
-        coalesced: agg.coalesced,
-        workspace_bytes: agg.workspace_bytes,
-        batch_fill,
-        busy: agg.busy,
         elapsed: inner.started.elapsed(),
-        latency: agg.latency,
-        queue_wait: agg.queue_wait,
-        batch_wait: agg.batch_wait,
-        infer: agg.infer,
-        late_discarded: agg.late_discarded,
-        op_profile: agg.op_profile,
-        ..RuntimeStats::default()
+        ..lock(&inner.state).report()
     };
-    lock(&inner.state).report(&mut stats);
     stats.tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
     stats
 }

@@ -43,9 +43,6 @@ impl<M: InferModel + ?Sized> InferModel for ByRef<'_, M> {
     fn try_lower(&self) -> Result<DeployedNetwork> {
         self.0.try_lower()
     }
-    fn is_deployed(&self) -> bool {
-        self.0.is_deployed()
-    }
     fn as_deployed(&self) -> Option<&DeployedNetwork> {
         self.0.as_deployed()
     }
@@ -187,15 +184,16 @@ impl<'m> EngineBuilder<'m> {
             }
         };
         let scale = model.scale();
+        let deployed = model.as_deployed().is_some();
         let lowered = match self.precision {
-            Precision::Training if model.is_deployed() => {
+            Precision::Training if deployed => {
                 return Err(TensorError::InvalidArgument(
                     "cannot serve a deployed network at training precision: \
                      a lowered graph has no training path"
                         .into(),
                 ));
             }
-            Precision::Deployed if !model.is_deployed() => Some(model.try_lower()?),
+            Precision::Deployed if !deployed => Some(model.try_lower()?),
             Precision::Training | Precision::Deployed => None,
         };
         Ok(Engine {

@@ -8,9 +8,17 @@
 //! conv radii along the deepest path, plus 2 for the bicubic skip kernel)
 //! and (b) the network contains no whole-image operators. Global operators
 //! — the SCALES channel-rescale GAP, BTM's per-image threshold, E2FIF's
-//! batch-stats BN — see per-tile statistics instead, which is the standard
-//! trade-off of tiled SR serving; the local-only configurations (FP, BAM,
-//! `ScalesComponents::lsf_spatial()`) stitch bit-exactly.
+//! per-image BN statistics — see per-tile statistics instead, which is the
+//! standard trade-off of tiled SR serving; the local-only configurations
+//! (FP, BAM, `ScalesComponents::lsf_spatial()`) stitch bit-exactly.
+//!
+//! None of them couples one image to another at
+//! [`Precision::Deployed`](crate::Precision::Deployed): E2FIF's deployed BN
+//! normalises each image by its own statistics, so an image reads the same
+//! served alone, in a shape bucket, or coalesced by the runtime with other
+//! callers' work. The training tape keeps E2FIF's batch statistics (its
+//! training semantics), so a [`Precision::Training`](crate::Precision::Training)
+//! engine serving E2FIF is still batch-coupled.
 
 use scales_tensor::{Result, TensorError};
 

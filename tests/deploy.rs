@@ -7,11 +7,13 @@
 //! Also the serving-parity suite: batched and tiled `Session::infer`
 //! against per-image forwards, and the backends against each other.
 
+mod common;
+
+use common::trained_like;
 use proptest::prelude::*;
 use scales::core::{Method, ScalesComponents};
-use scales::models::{hat, srresnet, swinir, SrConfig, SrNetwork};
+use scales::models::{hat, srresnet, swinir, Arch, SrConfig, SrNetwork};
 use scales::nn::init::rng;
-use scales::nn::Module as _;
 use scales::serve::{Engine, Precision, SrRequest, TilePolicy, TileSpec};
 
 /// Every registry row with a CNN body (bicubic has no network to lower).
@@ -80,13 +82,7 @@ proptest! {
         for method in Method::transformer_registry() {
             let cfg = SrConfig { channels: 8, blocks: 1, scale: 2, method, seed: seed ^ 0xA5A5 };
             for (arch, net) in [("SwinIR", swinir(cfg).unwrap()), ("HAT", hat(cfg).unwrap())] {
-                for (i, p) in net.params().iter().enumerate() {
-                    p.update_value(|t| {
-                        for (j, v) in t.data_mut().iter_mut().enumerate() {
-                            *v += ((i * 131 + j) as f32 * 0.29).sin() * 0.05;
-                        }
-                    });
-                }
+                let net = trained_like(net);
                 let deployed = net.lower().unwrap();
                 prop_assert!(
                     (deployed.packed_layers() > 0) == (method != Method::FullPrecision),
@@ -166,6 +162,32 @@ fn batched_deployed_serving_matches_per_image() {
     for (img, sr) in images.iter().zip(batched.images()) {
         let single = deployed.super_resolve(img).unwrap();
         assert_images_close(sr, &single, 1e-5, "batched vs single");
+    }
+}
+
+/// An image's deployed output must not depend on the images it is batched
+/// with: served alone it is bit-identical to served in the middle of a
+/// three-image batch (one shape bucket, so one planned forward) — the
+/// guarantee the runtime's batcher leans on when it coalesces callers.
+#[test]
+fn a_deployed_image_does_not_depend_on_its_batch_neighbours() {
+    let image = probe_image(8, 8, 31);
+    let batch = vec![probe_image(8, 8, 32), image.clone(), probe_image(8, 8, 33)];
+    for method in cnn_method_registry() {
+        for arch in [Arch::SrResNet, Arch::Rdn, Arch::Rcan] {
+            let cfg = SrConfig { channels: 8, blocks: 1, scale: 2, method, seed: 35 };
+            let net = trained_like(arch.build(cfg).unwrap());
+            let engine =
+                Engine::builder().model_ref(&net).precision(Precision::Deployed).build().unwrap();
+            let session = engine.session();
+            let alone = session.infer(SrRequest::single(image.clone())).unwrap();
+            let batched = session.infer(SrRequest::batch(batch.clone())).unwrap();
+            assert_images_identical(
+                &alone.images()[0],
+                &batched.images()[1],
+                &format!("{}/{method}: alone vs inside a batch of 3", arch.name()),
+            );
+        }
     }
 }
 

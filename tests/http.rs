@@ -12,6 +12,9 @@
 //! connection, and shutdown drains cleanly and hands back the final
 //! runtime stats.
 
+mod common;
+
+use common::trained_like;
 use scales::core::Method;
 use scales::data::codec::{decode_image, encode_image};
 use scales::data::{Image, WireFormat};
@@ -398,22 +401,14 @@ fn slo_headers_drive_tenants_deadlines_and_typed_statuses() {
             String::from_utf8_lossy(&body)
         );
 
-        // The scrape carries the tenant lane and the expired refusal. The
-        // worker books a lane's completion just *after* it resolves the
-        // ticket, so give that a moment rather than race it.
-        let completed = "scales_runtime_tenant_requests_completed_total{tenant=\"acme\"} 1";
-        let mut text = String::new();
-        for _ in 0..200 {
-            let (status, _, metrics) = send(addr, b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
-            assert_eq!(status, 200);
-            text = String::from_utf8(metrics).unwrap();
-            if text.contains(completed) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        // The first scrape carries the tenant lane and the expired refusal:
+        // a dispatch is booked before its tickets resolve, so the response
+        // above is already counted in every scope.
+        let (status, _, metrics) = send(addr, b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert_eq!(status, 200);
+        let text = String::from_utf8(metrics).unwrap();
         for needle in [
-            completed,
+            "scales_runtime_tenant_requests_completed_total{tenant=\"acme\"} 1",
             "scales_runtime_tenant_queue_depth{tenant=\"acme\"} 0",
             "scales_runtime_tenant_weight{tenant=\"acme\"} 1",
             "scales_runtime_requests_expired_total 1",
@@ -706,21 +701,12 @@ fn opt_in_profiler_reports_per_op_time_over_the_wire() {
     });
 }
 
-/// Build a deployable network whose output is bitwise distinguishable
-/// per seed: freshly built nets all answer exactly the bicubic baseline
-/// (the tail conv is zero-initialised), so every parameter gets a tiny
-/// deterministic seed-dependent nudge — a stand-in for training.
+/// A deployable network whose output is bitwise distinguishable per seed:
+/// freshly built nets all answer exactly the bicubic baseline, so it is
+/// [`trained_like`].
 fn fleet_net(seed: u64) -> impl scales::models::SrNetwork {
-    use scales::nn::Module;
-    let net =
-        srresnet(SrConfig { channels: 8, blocks: 1, scale: 2, method: Method::scales(), seed })
-            .unwrap();
-    #[allow(clippy::cast_precision_loss)]
-    let nudge = (seed as f32) * 1e-5;
-    for p in net.params() {
-        p.update_value(|t| t.map_inplace(|v| v + nudge));
-    }
-    net
+    let config = SrConfig { channels: 8, blocks: 1, scale: 2, method: Method::scales(), seed };
+    trained_like(srresnet(config).unwrap())
 }
 
 /// The fleet surface end to end: list as JSON, route by name

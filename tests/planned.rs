@@ -3,8 +3,14 @@
 //! `DeployedNetwork::forward` — across the whole CNN method registry and
 //! every method a transformer can be built with, every architecture (CNN
 //! and transformer), both backends, and mixed batch sizes — and a
-//! `Session` must build one plan per input shape and reuse it.
+//! `Session` must build one plan per input shape and reuse it. Every
+//! network is [`trained_like`]: an untrained one answers exactly its
+//! bicubic skip (the tail conv is zero-initialised), so a difference in
+//! its body would never reach the output.
 
+mod common;
+
+use common::trained_like;
 use proptest::prelude::*;
 use scales::core::Method;
 use scales::models::{edsr, hat, rcan, rdn, srresnet, swinir, SrConfig, SrNetwork, Workspace};
@@ -58,14 +64,14 @@ proptest! {
         size in 6usize..10,
     ) {
         for method in cnn_method_registry() {
-            let net = srresnet(SrConfig {
+            let net = trained_like(srresnet(SrConfig {
                 channels: 8,
                 blocks: 1,
                 scale: 2,
                 method,
                 seed: seed ^ 0x3C3C,
             })
-            .unwrap();
+            .unwrap());
             for be in [Backend::Scalar, Backend::Simd] {
                 backend::with_thread_backend(be, || {
                     for n in [1usize, 2, 3] {
@@ -84,6 +90,7 @@ proptest! {
         for method in Method::transformer_registry() {
             let cfg = SrConfig { channels: 8, blocks: 1, scale: 2, method, seed: seed ^ 0x3C3C };
             for (name, net) in [("SwinIR", swinir(cfg).unwrap()), ("HAT", hat(cfg).unwrap())] {
+                let net = trained_like(net);
                 for be in [Backend::Scalar, Backend::Simd] {
                     backend::with_thread_backend(be, || {
                         for n in [1usize, 2, 3] {
@@ -110,17 +117,19 @@ fn planned_executor_is_bit_identical_on_every_arch_and_method() {
         let check = |name: &str, net: &dyn SrNetwork| {
             assert_planned_is_bit_identical(net, &batch, &format!("{name}/{method}"));
         };
-        check("SRResNet", &srresnet(cfg).unwrap());
-        check("EDSR", &edsr(cfg).unwrap());
-        check("RDN", &rdn(cfg).unwrap());
-        check("RCAN", &rcan(cfg).unwrap());
+        check("SRResNet", &trained_like(srresnet(cfg).unwrap()));
+        check("EDSR", &trained_like(edsr(cfg).unwrap()));
+        check("RDN", &trained_like(rdn(cfg).unwrap()));
+        check("RCAN", &trained_like(rcan(cfg).unwrap()));
     }
     for method in Method::transformer_registry() {
         let cfg = SrConfig { channels: 8, blocks: 2, scale: 2, method, seed: 45 };
+        let swin = trained_like(swinir(cfg).unwrap());
+        let hybrid = trained_like(hat(cfg).unwrap());
         for (h, w) in ALIGNED {
             let batch = probe_batch(1, h, w, 46.0);
-            assert_planned_is_bit_identical(&swinir(cfg).unwrap(), &batch, &format!("SwinIR/{method} {h}x{w}"));
-            assert_planned_is_bit_identical(&hat(cfg).unwrap(), &batch, &format!("HAT/{method} {h}x{w}"));
+            assert_planned_is_bit_identical(&swin, &batch, &format!("SwinIR/{method} {h}x{w}"));
+            assert_planned_is_bit_identical(&hybrid, &batch, &format!("HAT/{method} {h}x{w}"));
         }
     }
 }
@@ -129,14 +138,14 @@ fn planned_executor_is_bit_identical_on_every_arch_and_method() {
 /// reused on every later request, with the response stats saying so.
 #[test]
 fn session_reuses_plans_across_mixed_input_sizes() {
-    let net = srresnet(SrConfig {
+    let net = trained_like(srresnet(SrConfig {
         channels: 8,
         blocks: 1,
         scale: 2,
         method: Method::scales(),
         seed: 42,
     })
-    .unwrap();
+    .unwrap());
     let engine = Engine::builder().model_ref(&net).precision(Precision::Deployed).build().unwrap();
     let session = engine.session();
     let small = scales::data::synth::scene(8, 8, scales::data::synth::SceneConfig::default(), &mut rng(43));

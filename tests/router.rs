@@ -12,6 +12,9 @@
 //! - the byte budget evicts the least-recently-used path-backed model,
 //!   and a request to an evicted model transparently reloads it.
 
+mod common;
+
+use common::trained_like;
 use scales::core::Method;
 use scales::data::Image;
 use scales::models::{srresnet, SrConfig, SrNetwork};
@@ -55,20 +58,11 @@ fn probe(h: usize, w: usize, seed: u64) -> Image {
 }
 
 /// A small deployable network whose output is bitwise distinguishable
-/// per seed. Freshly built nets all answer exactly the bicubic baseline
-/// (the tail conv is zero-initialised), so every parameter gets a tiny
-/// deterministic seed-dependent nudge — a stand-in for training that
-/// keeps distinct seeds distinguishable on any probe.
+/// per seed: freshly built nets all answer exactly the bicubic baseline,
+/// so it is [`trained_like`].
 fn net(seed: u64) -> impl SrNetwork {
-    use scales::nn::Module;
-    let net = srresnet(SrConfig { channels: 8, blocks: 1, scale: 2, method: Method::scales(), seed })
-        .unwrap();
-    #[allow(clippy::cast_precision_loss)]
-    let nudge = (seed as f32) * 1e-5;
-    for p in net.params() {
-        p.update_value(|t| t.map_inplace(|v| v + nudge));
-    }
-    net
+    let config = SrConfig { channels: 8, blocks: 1, scale: 2, method: Method::scales(), seed };
+    trained_like(srresnet(config).unwrap())
 }
 
 /// Reference output: the same artifact served through a direct serial

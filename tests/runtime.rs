@@ -8,8 +8,12 @@
 //! engine's backend, not the process default). On top of that: per-caller
 //! response ordering under many submitter threads, typed backpressure when
 //! the bounded queue fills, and deadlock-free graceful shutdown under load (every test
-//! is bounded by a watchdog).
+//! is bounded by a watchdog). The networks are [`trained_like`]: an
+//! untrained one answers exactly its bicubic skip, whatever the method.
 
+mod common;
+
+use common::trained_like;
 use scales::core::Method;
 use scales::data::Image;
 use scales::models::{srresnet, SrConfig};
@@ -48,7 +52,8 @@ fn probe(h: usize, w: usize, seed: u64) -> Image {
 }
 
 fn engine_for(method: Method, backend: Backend, seed: u64) -> Engine<'static> {
-    let net = srresnet(SrConfig { channels: 8, blocks: 1, scale: 2, method, seed }).unwrap();
+    let net =
+        trained_like(srresnet(SrConfig { channels: 8, blocks: 1, scale: 2, method, seed }).unwrap());
     Engine::builder()
         .model(net)
         .precision(Precision::Deployed)
@@ -220,6 +225,32 @@ fn concurrent_submitters_each_get_their_own_responses_in_order() {
             assert_eq!(stats.failed, 0, "{method}");
             assert!(stats.queue_high_water <= 8, "{method}: bounded queue respected");
         }
+    });
+}
+
+/// One ledger, booked before the tickets resolve: the moment `wait`
+/// returns, a snapshot already counts the request, globally and in its
+/// tenant lane. Repeated because the failure it guards against is a race.
+#[test]
+fn a_resolved_request_is_already_counted_globally_and_in_its_lane() {
+    with_watchdog(120, "counted-on-resolve", || {
+        let runtime = Runtime::spawn(
+            engine_for(Method::scales(), Backend::Scalar, 30),
+            RuntimeConfig { workers: 2, max_wait: Duration::ZERO, ..RuntimeConfig::default() },
+        )
+        .unwrap();
+        for i in 0..200u64 {
+            let request = SrRequest::single(probe(6, 6, 3_000 + i)).tenant("acme");
+            assert!(runtime.submit(request).unwrap().wait().is_ok());
+            let stats = runtime.stats();
+            let lane = stats.tenants.iter().find(|t| t.tenant == "acme").expect("the tenant lane");
+            assert_eq!(
+                (stats.completed, lane.completed),
+                (i + 1, i + 1),
+                "request {i} resolved before it was counted"
+            );
+        }
+        assert_ledger_closes(&runtime.shutdown());
     });
 }
 
@@ -413,6 +444,9 @@ fn dynamic_batching_coalesces_a_backlog_of_single_image_callers() {
 /// Spawn a one-lane runtime (single worker, no coalescing) and wedge its
 /// worker with a deliberately heavy request, so everything submitted
 /// afterwards sits in the queue under the admission controller's eyes.
+/// Heavy means ~20 ms on the optimised scalar build (~1 s unoptimised):
+/// comfortably longer than the 5 ms deadline that must pass while queued
+/// behind it.
 fn wedged_runtime(config: RuntimeConfig, seed: u64) -> (Runtime, Ticket) {
     let runtime = Runtime::spawn(
         engine_for(Method::scales(), Backend::Scalar, seed),
@@ -420,7 +454,7 @@ fn wedged_runtime(config: RuntimeConfig, seed: u64) -> (Runtime, Ticket) {
     )
     .unwrap();
     let wedge = runtime
-        .submit(SrRequest::batch((0..12).map(|i| probe(24, 24, seed * 100 + i)).collect()))
+        .submit(SrRequest::batch((0..12).map(|i| probe(48, 48, seed * 100 + i)).collect()))
         .unwrap();
     // Wait until the worker has actually popped it off the queue.
     while runtime.stats().queue_depth > 0 {
@@ -928,3 +962,4 @@ fn every_submission_under_overload_gets_exactly_one_typed_outcome() {
         assert!(cold[0] > 0, "the weighted cold tenant must not be starved");
     });
 }
+

@@ -12,6 +12,9 @@
 //!   version-2 ops all surface as typed `scales::io::Error` variants; a
 //!   partial read is never accepted.
 
+mod common;
+
+use common::trained_like;
 use scales::core::Method;
 use scales::io::{
     artifact_from_bytes, artifact_to_bytes, checkpoint_from_bytes, load_artifact, load_checkpoint,
@@ -40,21 +43,14 @@ fn probe_image(h: usize, w: usize, seed: u64) -> scales::data::Image {
     scales::data::synth::scene(h, w, scales::data::synth::SceneConfig::default(), &mut rng(seed))
 }
 
-/// Build a network and nudge every parameter off its seeded init, so a
-/// "round-trip" that silently rebuilt from the seed instead of restoring
-/// the stored tensors would be caught.
-fn trained_like(arch: Arch, method: Method, seed: u64) -> Box<dyn SrNetwork> {
-    let net = arch
-        .build(SrConfig { channels: 8, blocks: 1, scale: 2, method, seed })
-        .expect("build network");
-    for (i, p) in net.params().iter().enumerate() {
-        p.update_value(|t| {
-            for (j, v) in t.data_mut().iter_mut().enumerate() {
-                *v += ((i * 131 + j) as f32 * 0.29).sin() * 0.05;
-            }
-        });
-    }
-    net
+/// A small network, [`trained_like`], so a "round-trip" that silently
+/// rebuilt from the seed instead of restoring the stored tensors would be
+/// caught.
+fn trained_net(arch: Arch, method: Method, seed: u64) -> Box<dyn SrNetwork> {
+    trained_like(
+        arch.build(SrConfig { channels: 8, blocks: 1, scale: 2, method, seed })
+            .expect("build network"),
+    )
 }
 
 /// Serve one request of three images (seeds `seed..`) and return the outputs.
@@ -92,7 +88,7 @@ fn assert_bit_identical(
 fn checkpoint_round_trip_serves_bit_identically_for_every_cnn_method() {
     let dir = scratch("ckpt-methods");
     for (i, method) in cnn_method_registry().into_iter().enumerate() {
-        let net = trained_like(Arch::SrResNet, method, 400 + i as u64);
+        let net = trained_net(Arch::SrResNet, method, 400 + i as u64);
         let path = dir.join(format!("m{i}.sca"));
         save_checkpoint(&path, net.as_ref()).expect("save");
         assert_eq!(read_kind(&path).unwrap(), ArtifactKind::Checkpoint);
@@ -116,7 +112,7 @@ fn checkpoint_round_trip_serves_bit_identically_for_every_cnn_method() {
 fn artifact_round_trip_serves_bit_identically_for_every_cnn_method() {
     let dir = scratch("artifact-methods");
     for (i, method) in cnn_method_registry().into_iter().enumerate() {
-        let net = trained_like(Arch::SrResNet, method, 500 + i as u64);
+        let net = trained_net(Arch::SrResNet, method, 500 + i as u64);
         let lowered = net.lower().expect("lower");
         let path = dir.join(format!("m{i}.sca"));
         save_artifact(&path, &lowered).expect("save");
@@ -138,7 +134,7 @@ fn every_lowerable_arch_round_trips_both_forms() {
     let dir = scratch("archs");
     for (i, arch) in Arch::ALL.into_iter().enumerate() {
         for method in [Method::FullPrecision, Method::scales()] {
-            let net = trained_like(arch, method, 600 + i as u64);
+            let net = trained_net(arch, method, 600 + i as u64);
             let ckpt = dir.join(format!("{arch}-{i}.ckpt.sca"));
             let dep = dir.join(format!("{arch}-{i}.dep.sca"));
             save_checkpoint(&ckpt, net.as_ref()).unwrap();
@@ -170,7 +166,7 @@ fn every_lowerable_arch_round_trips_both_forms() {
 fn transformer_checkpoints_round_trip_and_serve_deployed_like_the_source() {
     let dir = scratch("transformer");
     for (i, arch) in [Arch::SwinIr, Arch::Hat].into_iter().enumerate() {
-        let net = trained_like(arch, Method::Bibert, 700 + i as u64);
+        let net = trained_net(arch, Method::Bibert, 700 + i as u64);
         let path = dir.join(format!("{arch}.sca"));
         save_checkpoint(&path, net.as_ref()).unwrap();
         let loaded = load_checkpoint(&path).unwrap();
@@ -227,7 +223,7 @@ fn version_1_artifacts_still_load_and_serve_bit_identically() {
 #[test]
 fn model_path_sniffs_and_serves_either_kind() {
     let dir = scratch("model-path");
-    let net = trained_like(Arch::SrResNet, Method::scales(), 800);
+    let net = trained_net(Arch::SrResNet, Method::scales(), 800);
     let ckpt = dir.join("model.ckpt.sca");
     let dep = dir.join("model.dep.sca");
     save_checkpoint(&ckpt, net.as_ref()).unwrap();
@@ -264,14 +260,14 @@ fn model_path_sniffs_and_serves_either_kind() {
 // ---------------------------------------------------------------------
 
 fn checkpoint_bytes() -> Vec<u8> {
-    let net = trained_like(Arch::SrResNet, Method::scales(), 900);
+    let net = trained_net(Arch::SrResNet, Method::scales(), 900);
     scales::io::checkpoint_to_bytes(net.as_ref())
 }
 
 #[test]
 fn truncated_files_are_typed_errors_for_both_kinds() {
     let dir = scratch("truncated");
-    let net = trained_like(Arch::SrResNet, Method::scales(), 901);
+    let net = trained_net(Arch::SrResNet, Method::scales(), 901);
     let bytes = scales::io::checkpoint_to_bytes(net.as_ref());
     let dep_bytes = scales::io::artifact_to_bytes(&net.lower().unwrap());
     for (label, bytes, path) in
@@ -324,7 +320,7 @@ fn future_format_version_is_a_typed_error() {
 #[test]
 fn kind_mismatch_is_a_typed_error() {
     let dir = scratch("kind");
-    let net = trained_like(Arch::SrResNet, Method::scales(), 902);
+    let net = trained_net(Arch::SrResNet, Method::scales(), 902);
     let ckpt = dir.join("c.sca");
     let dep = dir.join("a.sca");
     save_checkpoint(&ckpt, net.as_ref()).unwrap();
