@@ -1,6 +1,8 @@
-//! Differentiable activation functions.
+//! Differentiable activation functions. Every `exp` / `tanh` is
+//! [`scales_tensor::ops::math`]'s, the one the deployed ops call.
 
 use crate::var::Var;
+use scales_tensor::ops::math;
 use scales_tensor::{Result, Tensor};
 
 impl Var {
@@ -47,7 +49,7 @@ impl Var {
             vec![g
                 .zip_map(&x, |gi, v| {
                     let u = C * (v + 0.044_715 * v * v * v);
-                    let t = u.tanh();
+                    let t = math::tanh(u);
                     let du = C * (1.0 + 3.0 * 0.044_715 * v * v);
                     gi * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du)
                 })
@@ -55,10 +57,10 @@ impl Var {
         })
     }
 
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent ([`math::tanh`]).
     #[must_use]
     pub fn tanh(&self) -> Var {
-        let value = self.with_value(|t| t.map(f32::tanh));
+        let value = self.with_value(|t| t.map(math::tanh));
         let y = value.clone();
         Var::from_op(value, vec![self.clone()], move |g| {
             vec![g.zip_map(&y, |gi, yi| gi * (1.0 - yi * yi)).expect("same shape")]
@@ -88,7 +90,7 @@ impl Var {
             let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             let mut s = 0.0;
             for (d, &v) in data[o * ext..(o + 1) * ext].iter_mut().zip(row.iter()) {
-                *d = (v - m).exp();
+                *d = math::exp(v - m);
                 s += *d;
             }
             for d in &mut data[o * ext..(o + 1) * ext] {

@@ -15,6 +15,9 @@
 //!   `SimdLevel` the CPU offers, and a whole deployed SCALES body
 //!   convolution (LSF shift, spatial and channel re-scaling, skip — all
 //!   fused into that kernel) beside it;
+//! * the deployed GELU slice over one SwinIR-lite MLP activation, in
+//!   nanoseconds per value, compiled for every `SimdLevel` the CPU offers
+//!   (bit-identical outputs, asserted here);
 //! * the bit-packed binary convolution on a 64×64 image, comparing the
 //!   allocating `forward` against the scratch-reusing `forward_into`, on
 //!   scalar and simd backends.
@@ -41,7 +44,7 @@ use scales_binary::{BinaryConv2d, Fused};
 use scales_core::{BodyConv, DeployedBodyConv, Method};
 use scales_tensor::backend;
 use scales_tensor::backend::Backend;
-use scales_tensor::ops::{conv2d, conv2d_into_at, Conv2dSpec};
+use scales_tensor::ops::{conv2d, conv2d_into_at, gelu_into_at, Conv2dSpec};
 use scales_tensor::workspace::{BitScratch, ConvScratch};
 use scales_tensor::{simd, SimdLevel, Tensor};
 use std::time::Instant;
@@ -184,6 +187,29 @@ fn main() {
                     gemm_simd * 1e6
                 );
             }
+        }
+    }
+
+    // The deployed GELU slice over one SwinIR-lite MLP activation (16,384
+    // values), once per level this CPU offers: a lane-wise loop over the
+    // branch-free `math::tanh`, so every level gives the portable loop's
+    // bits.
+    {
+        let x: Vec<f32> = filled(16_384, 8.0).iter().map(|v| v * 3.0).collect();
+        let mut out = vec![0.0f32; x.len()];
+        println!("\n  {:<22} {:>12} {:>9}", "gelu 16384 values", "ns/value", "vs none");
+        let (mut portable, mut want) = (f64::NAN, Vec::new());
+        for level in simd::available() {
+            let t = best_of(reps * 20, || gelu_into_at(level, Some(&x), &mut out).unwrap());
+            let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+            if level == SimdLevel::None {
+                (portable, want) = (t, got);
+            } else {
+                assert!(got == want, "gelu at {level} must be bit-identical to the portable loop");
+            }
+            let ns = t * 1e9 / x.len() as f64;
+            println!("  {:<22} {ns:>12.3} {:>8.2}x", level.name(), portable / t);
+            json.push(format!("\"gelu_level_{}_ns_per_value\":{ns:.3}", level.name()));
         }
     }
 

@@ -11,7 +11,8 @@
 //! planned executor — asserting ratios, never nanoseconds: deployed ≤ 0.2×
 //! tape on every row, and planned bit-identical to the reuse-off forward
 //! (`DeployedNetwork::forward`) — then where a deployed SwinIR-SCALES
-//! forward goes, per op kind.
+//! forward goes, per op kind, asserting that GELU costs less than the
+//! binary body convolutions.
 //!
 //! ```sh
 //! SCALES_BENCH_ITERS=400 cargo bench --bench table4_transformer
@@ -88,7 +89,16 @@ fn measured(methods: &[Method]) -> Result<String, Box<dyn std::error::Error>> {
     out.push_str("\nWhere a deployed SwinIR-SCALES forward goes (share of op time, 20 forwards)\n");
     let mut entries = profile.entries().to_vec();
     entries.sort_by_key(|e| std::cmp::Reverse(e.total_ns));
-    for e in entries {
+    let ns = |kind| entries.iter().find(|e| e.kind == kind).map_or(0, |e| e.total_ns);
+    // The paper's cost argument: the binary layers, not the float tail,
+    // carry the forward.
+    assert!(
+        ns("gelu") < ns("body_conv"),
+        "gelu ({} ns) must cost less than the binary body convs ({} ns)",
+        ns("gelu"),
+        ns("body_conv")
+    );
+    for e in &entries {
         out.push_str(&format!(
             "  {:<18} {:>5} calls {:>6.1}%\n",
             e.kind,

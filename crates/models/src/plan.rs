@@ -46,7 +46,7 @@
 use crate::deploy::{DeployedNetwork, DeployedOp, ValueId};
 use scales_data::BicubicAxisTaps;
 use scales_telemetry::OpProfile;
-use scales_tensor::ops::{check_window, gelu, layer_norm_into, window_attention_into};
+use scales_tensor::ops::{check_window, gelu_into, layer_norm_into, window_attention_into};
 use scales_tensor::workspace::ConvScratch;
 use scales_tensor::{Result, Tensor, TensorError};
 use std::time::Instant;
@@ -243,8 +243,8 @@ impl Plan {
                 Ok(())
             }
             DeployedOp::Gelu { src } => {
-                self.map_op(*src, oslot, input, slots, out, gelu);
-                Ok(())
+                let src = (self.slot_of[*src] != Some(oslot)).then(|| self.value(input, slots, *src));
+                gelu_into(src, out)
             }
             DeployedOp::Scale { factor, src } => {
                 let f = *factor;

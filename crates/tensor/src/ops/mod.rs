@@ -6,6 +6,7 @@
 pub mod conv;
 pub mod direct;
 pub mod image;
+pub mod math;
 pub mod matmul;
 pub mod token;
 
@@ -18,15 +19,19 @@ pub use image::{
     window_partition,
 };
 pub use matmul::{batched_matmul, gemm, matmul};
-pub use token::{check_window, gelu, layer_norm_into, window_attention_into};
+pub use token::{
+    check_window, gelu, gelu_into, gelu_into_at, layer_norm_into, window_attention_into,
+    window_attention_into_at,
+};
 
 /// The logistic function `1 / (1 + e^{-x})`.
 ///
 /// The single scalar sigmoid shared by every crate in the workspace (the
 /// autograd activation, the deployment path's re-scaling branches and the
-/// benches), so all paths agree bit-for-bit.
+/// benches), so all paths agree bit-for-bit. Its `e^{-x}` is
+/// [`math::exp`]: branch-free, no libm call.
 #[inline]
 #[must_use]
 pub fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
+    1.0 / (1.0 + math::exp(-x))
 }

@@ -12,21 +12,78 @@
 //! Every kernel reproduces its tape op's per-element arithmetic order
 //! exactly (each states which), because what follows them in a binary
 //! transformer is a sign: the deployed network must binarize the values
-//! training binarized. Lanes are pixels (or the tokens of one window), every
-//! inner loop is a plain walk over equal-length slices, and nothing depends
-//! on the backend, so scalar and simd agree by construction.
+//! training binarized. Lanes are pixels (or the tokens of one window) and
+//! every inner loop is a plain walk over equal-length slices.
+//!
+//! GELU and window attention call no libm: their `tanh` and `exp` are
+//! [`math`]'s branch-free ones, so their loops vectorise, and each is one
+//! `#[inline(always)]` body recompiled for AVX2 and AVX-512F and picked by
+//! the active backend's [`SimdLevel`], the pattern of [`super::direct`].
+//! Every step is a separate IEEE operation and lanes never mix, so a lane
+//! computes exactly what the scalar call does: scalar and simd, and every
+//! level, agree by construction. LayerNorm runs as compiled portably.
 
 use crate::error::{Result, TensorError};
+use crate::ops::math;
 use crate::workspace::sized;
+use crate::SimdLevel;
 
 /// GELU, tanh approximation — the single scalar form shared by the autograd
-/// activation and the deployed op, so both agree bit for bit.
-#[inline]
+/// activation and the deployed op, so both agree bit for bit. Branch-free
+/// ([`math::tanh`]), so a loop over it vectorises.
+#[inline(always)]
 #[must_use]
 pub fn gelu(v: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
     let inner = C * (v + 0.044_715 * v * v * v);
-    0.5 * v * (1.0 + inner.tanh())
+    0.5 * v * (1.0 + math::tanh(inner))
+}
+
+/// The deployed GELU op: `out = gelu(src)`, or `out = gelu(out)` in place
+/// when `src` is `None`, at the active backend's [`SimdLevel`].
+///
+/// # Errors
+///
+/// Returns an error when `src` and `out` differ in length.
+pub fn gelu_into(src: Option<&[f32]>, out: &mut [f32]) -> Result<()> {
+    gelu_into_at(crate::backend::kernel().simd_level(), src, out)
+}
+
+/// [`gelu_into`] at `level`, clamped to what the CPU offers. Every lane is
+/// one [`gelu`] call, so the result is `to_bits`-identical at every level.
+///
+/// # Errors
+///
+/// Returns an error when `src` and `out` differ in length.
+pub fn gelu_into_at(level: SimdLevel, src: Option<&[f32]>, out: &mut [f32]) -> Result<()> {
+    if let Some(src) = src {
+        expect_len(src.len(), out.len())?;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY (both arms): the clamp against runtime detection
+        // guarantees the CPU has every feature the wrapper enables.
+        match level.min(crate::simd::detected()) {
+            SimdLevel::Avx512 => unsafe { x86::gelu_avx512(src, out) },
+            SimdLevel::Avx2 => unsafe { x86::gelu_avx2(src, out) },
+            SimdLevel::Sse42 | SimdLevel::None => gelu_lanes(src, out),
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = level;
+        gelu_lanes(src, out);
+    }
+    Ok(())
+}
+
+/// The one GELU loop every level compiles.
+#[inline(always)]
+fn gelu_lanes(src: Option<&[f32]>, out: &mut [f32]) {
+    match src {
+        Some(src) => out.iter_mut().zip(src).for_each(|(o, &v)| *o = gelu(v)),
+        None => out.iter_mut().for_each(|v| *v = gelu(*v)),
+    }
 }
 
 fn expect_len(actual: usize, expected: usize) -> Result<()> {
@@ -125,6 +182,32 @@ pub fn window_attention_into(
     staging: &mut Vec<f32>,
     out: &mut [f32],
 ) -> Result<()> {
+    let level = crate::backend::kernel().simd_level();
+    window_attention_into_at(level, q, k, v, n, c, h, w, window, staging, out)
+}
+
+/// [`window_attention_into`] at `level`, clamped to what the CPU offers.
+/// Every output element is one lane with the same operations in the same
+/// order at every width, so the result is `to_bits`-identical at every
+/// level.
+///
+/// # Errors
+///
+/// As [`window_attention_into`].
+#[allow(clippy::too_many_arguments)]
+pub fn window_attention_into_at(
+    level: SimdLevel,
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    window: usize,
+    staging: &mut Vec<f32>,
+    out: &mut [f32],
+) -> Result<()> {
     check_window(h, w, window)?;
     for len in [q.len(), k.len(), v.len(), out.len()] {
         expect_len(len, n * c * h * w)?;
@@ -132,9 +215,46 @@ pub fn window_attention_into(
     if c == 0 {
         return Ok(());
     }
+    let t = window * window;
+    let maps = Windows { q, k, v, n, c, h, w, window };
+    let staging = sized(staging, 3 * c * t + t * t + 2 * t);
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY (both arms): the clamp against runtime detection
+        // guarantees the CPU has every feature the wrapper enables.
+        match level.min(crate::simd::detected()) {
+            SimdLevel::Avx512 => unsafe { x86::attend_avx512(&maps, staging, out) },
+            SimdLevel::Avx2 => unsafe { x86::attend_avx2(&maps, staging, out) },
+            SimdLevel::Sse42 | SimdLevel::None => attend(&maps, staging, out),
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = level;
+        attend(&maps, staging, out);
+    }
+    Ok(())
+}
+
+/// The checked operands of one [`window_attention_into_at`] call.
+struct Windows<'a> {
+    q: &'a [f32],
+    k: &'a [f32],
+    v: &'a [f32],
+    n: usize,
+    c: usize,
+    h: usize,
+    w: usize,
+    window: usize,
+}
+
+/// The one attention loop every level compiles; `staging` is exactly the
+/// tiles, the scores and two rows.
+#[inline(always)]
+fn attend(maps: &Windows<'_>, staging: &mut [f32], out: &mut [f32]) {
+    let Windows { q, k, v, n, c, h, w, window } = *maps;
     let (t, hw) = (window * window, h * w);
     let scale = 1.0 / (c as f32).sqrt();
-    let staging = sized(staging, 3 * c * t + t * t + 2 * t);
     let (tiles, rest) = staging.split_at_mut(3 * c * t);
     let (scores, rows) = rest.split_at_mut(t * t);
     let (row_a, row_b) = rows.split_at_mut(t);
@@ -174,7 +294,7 @@ pub fn window_attention_into(
             sum.fill(0.0);
             for row in scores.chunks_mut(t) {
                 for ((s, &m), total) in row.iter_mut().zip(&*max).zip(&mut *sum) {
-                    *s = (*s - m).exp();
+                    *s = math::exp(*s - m);
                     *total += *s;
                 }
             }
@@ -198,7 +318,6 @@ pub fn window_attention_into(
             }
         }
     }
-    Ok(())
 }
 
 /// The geometry [`window_attention_into`] accepts: a positive `window` that
@@ -214,6 +333,48 @@ pub fn check_window(h: usize, w: usize, window: usize) -> Result<()> {
         )));
     }
     Ok(())
+}
+
+/// [`gelu_lanes`] and [`attend`] recompiled per x86-64 feature level.
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::{attend, gelu_lanes, Windows};
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (runtime-checked by
+    /// [`super::gelu_into_at`]).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gelu_avx2(src: Option<&[f32]>, out: &mut [f32]) {
+        gelu_lanes(src, out);
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and AVX-512F (runtime-checked by
+    /// [`super::gelu_into_at`]).
+    #[target_feature(enable = "avx2", enable = "avx512f")]
+    pub(super) unsafe fn gelu_avx512(src: Option<&[f32]>, out: &mut [f32]) {
+        gelu_lanes(src, out);
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (runtime-checked by
+    /// [`super::window_attention_into_at`]).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn attend_avx2(maps: &Windows<'_>, staging: &mut [f32], out: &mut [f32]) {
+        attend(maps, staging, out);
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and AVX-512F (runtime-checked by
+    /// [`super::window_attention_into_at`]).
+    #[target_feature(enable = "avx2", enable = "avx512f")]
+    pub(super) unsafe fn attend_avx512(maps: &Windows<'_>, staging: &mut [f32], out: &mut [f32]) {
+        attend(maps, staging, out);
+    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,8 @@
 //! And for the NCHW-native transformer ops of the deployed path
 //! (`layer_norm_into`, `window_attention_into`, GELU / `Scale`): each
 //! against the composition of tensor ops the training tape runs on its
-//! token layout, bit for bit.
+//! token layout, bit for bit — and the two of them compiled per level (the
+//! GELU slice, window attention) at every level and on both backends.
 //!
 //! And for the ops the graph executor writes out by hand (`Relu`, `Prelu`,
 //! `Add`, `Concat`, `PixelShuffle`, `BicubicUp`, `ChannelAttention`) and
@@ -31,11 +32,11 @@ use scales::nn::init::rng;
 use scales::nn::Module as _;
 use scales::tensor::backend::{with_thread_backend, Backend};
 use scales::tensor::ops::{
-    batched_matmul, conv1d, conv2d, global_avg_pool, layer_norm_into, matmul, pixel_shuffle, sigmoid,
-    window_attention_into, Conv2dSpec,
+    batched_matmul, conv1d, conv2d, gelu_into, gelu_into_at, global_avg_pool, layer_norm_into, matmul,
+    pixel_shuffle, sigmoid, window_attention_into, window_attention_into_at, Conv2dSpec,
 };
 use scales::tensor::workspace::{BitScratch, ConvScratch};
-use scales::tensor::{simd, Tensor};
+use scales::tensor::{simd, SimdLevel, Tensor};
 
 /// SplitMix64 stream for the test data (the strategies only pick shapes).
 struct Stream(u64);
@@ -92,6 +93,17 @@ fn bits(values: &[f32]) -> Vec<u32> {
 /// compared bit for bit.
 fn float_bits(values: &[f32]) -> Vec<u32> {
     values.iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
+}
+
+/// An elementwise slice op `run(src, out)` applied to `x` out of place
+/// (`src = Some(x)`) and in place (`src = None`, `out` holding `x`), as
+/// [`float_bits`].
+fn out_of_place_and_in_place(x: &[f32], run: impl Fn(Option<&[f32]>, &mut [f32])) -> [Vec<u32>; 2] {
+    let mut out = vec![f32::NAN; x.len()];
+    run(Some(x), &mut out);
+    let mut in_place = x.to_vec();
+    run(None, &mut in_place);
+    [float_bits(&out), float_bits(&in_place)]
 }
 
 /// A scratch whose buffers are longer than any case needs and full of
@@ -366,6 +378,67 @@ proptest! {
         // A window that does not divide the extents is a typed error.
         let refused = window_attention_into(q.data(), k.data(), v.data(), n, c, h, w, h + 1, &mut staging, &mut got);
         prop_assert!(refused.is_err());
+    }
+
+    /// The two token ops compiled per level — the GELU slice, out of place
+    /// and in place, and `window_attention_into` — give the same bits at
+    /// every level the CPU offers and on both backends, hostile values
+    /// included. GELU's length is never a multiple of 16, so the remainder
+    /// lanes run; its values reach `tanh`'s saturation.
+    #[test]
+    fn gelu_and_window_attention_agree_at_every_level_and_backend(
+        blocks in 0usize..12,
+        rest in 1usize..16,
+        c in 1usize..40,
+        window_pick in 0usize..3,
+        windows_h in 1usize..5,
+        windows_w in 1usize..5,
+        n in 1usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut data = Stream(seed);
+        let len = 16 * blocks + rest;
+        let x: Vec<f32> = data.hostile_values(len).iter().map(|v| v * 6.0).collect();
+        let want = float_bits(Var::new(Tensor::from_vec(x.clone(), &[len]).unwrap()).gelu().value().data());
+        for level in simd::available() {
+            let got = out_of_place_and_in_place(&x, |src, out| gelu_into_at(level, src, out).unwrap());
+            prop_assert!(got == [want.clone(), want.clone()], "gelu len={} seed={}: level {}", len, seed, level);
+        }
+        for backend in [Backend::Scalar, Backend::Simd] {
+            let got = out_of_place_and_in_place(&x, |src, out| {
+                with_thread_backend(backend, || gelu_into(src, out)).unwrap();
+            });
+            prop_assert!(got == [want.clone(), want.clone()], "gelu len={} seed={}: backend {}", len, seed, backend);
+        }
+        prop_assert!(gelu_into(Some(&x[1..]), &mut vec![0.0; len]).is_err());
+
+        let window = [1usize, 2, 4][window_pick];
+        let (h, w) = (windows_h * window, windows_w * window);
+        let mut map = || data.hostile_values(n * c * h * w);
+        let (q, k, v) = (map(), map(), map());
+        let mut staging = vec![f32::NAN; 20_000];
+        let mut want = vec![f32::NAN; q.len()];
+        window_attention_into_at(SimdLevel::None, &q, &k, &v, n, c, h, w, window, &mut staging, &mut want).unwrap();
+        let mut got = vec![f32::NAN; q.len()];
+        for level in simd::available() {
+            got.fill(f32::NAN);
+            window_attention_into_at(level, &q, &k, &v, n, c, h, w, window, &mut staging, &mut got).unwrap();
+            prop_assert!(
+                float_bits(&got) == float_bits(&want),
+                "attention c={} window={} {}x{} n={} seed={}: level {}", c, window, h, w, n, seed, level
+            );
+        }
+        for backend in [Backend::Scalar, Backend::Simd] {
+            got.fill(f32::NAN);
+            with_thread_backend(backend, || {
+                window_attention_into(&q, &k, &v, n, c, h, w, window, &mut staging, &mut got)
+            })
+            .unwrap();
+            prop_assert!(
+                float_bits(&got) == float_bits(&want),
+                "attention c={} window={} {}x{} n={} seed={}: backend {}", c, window, h, w, n, seed, backend
+            );
+        }
     }
 }
 
