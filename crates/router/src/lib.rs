@@ -4,9 +4,11 @@
 //! fronts any number of named engines — different architectures, binary
 //! methods, and scales — behind one routing surface, and keeps the fleet
 //! alive through version changes and memory pressure. Std-only, like the
-//! rest of the serving stack: the registry is a `Mutex<HashMap>`, each
-//! model runs its own `scales-runtime` worker pool, and versions are
-//! swapped by replacing an `Arc`.
+//! rest of the serving stack: each model runs its own `scales-runtime`
+//! worker pool, and every lifecycle decision — routing, installing a
+//! load, the budget sweep, folding a drained version's counters,
+//! shutdown — is made by one plain `Fleet` value behind the router's one
+//! mutex, while artifact reads, runtime spawns and drains run outside it.
 //!
 //! The three jobs, in the order a deployment meets them:
 //!
@@ -44,6 +46,10 @@
 //! admission-ledger table under its per-model scope (tenant-quota
 //! refusals included), then the router's own rows, written through
 //! [`scales_telemetry::Exposition`] — which escapes label values.
+//! A model's counters include every version from its first request, a
+//! draining one too, so they never fall across a swap or an eviction.
+//! [`ModelRouter::shutdown`] is final: a load that finishes after it is
+//! refused and drained.
 //!
 //! ```no_run
 //! use scales_router::{ModelRouter, RouterConfig};
@@ -66,16 +72,8 @@
 //! ```
 
 mod error;
+mod fleet;
 mod router;
 
 pub use error::RouterError;
 pub use router::{ModelRouter, ModelState, ModelStats, RouterConfig, RouterStats};
-
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Poison-tolerant lock: a panicking submitter must not wedge the
-/// registry or an entry's state for every other caller (the shared data
-/// are counters and `Arc` handles, valid at every assignment).
-pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}

@@ -2,16 +2,14 @@
 //! zero-downtime hot-swap, and byte-budgeted LRU eviction.
 
 use crate::error::RouterError;
-use crate::lock;
+use crate::fleet::{Commit, Drain, Fleet, Identity, Load, Model, Record, Route};
 use scales_models::{DeployedNetwork, SrNetwork};
 use scales_runtime::{Runtime, RuntimeConfig, RuntimeStats};
 use scales_serve::{Engine, SrRequest, SrResponse};
 use scales_telemetry::{Exposition, FamilyKind};
 use scales_tensor::TensorError;
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Fleet sizing: the per-model runtime configuration every loaded version
@@ -73,7 +71,8 @@ pub enum ModelState {
     Serving,
     /// The engine was drained and dropped by the memory budget; the next
     /// request (or an explicit [`ModelRouter::reload`]) reloads it from
-    /// its artifact path.
+    /// its artifact path. After [`ModelRouter::shutdown`] every model
+    /// reads `Evicted`, and nothing reloads it.
     Evicted,
 }
 
@@ -86,60 +85,19 @@ impl std::fmt::Display for ModelState {
     }
 }
 
-/// The mutable half of a registry entry, behind the entry's own mutex.
-#[derive(Default)]
-struct EntryState {
-    /// The serving version's runtime; `None` while evicted. Submitters
-    /// clone the `Arc` for the duration of one request; a swap drains the
-    /// old version by waiting for those clones to drop before shutting
-    /// the runtime down.
-    current: Option<Arc<Runtime>>,
-    /// Monotonic version counter; 1 is the first load.
-    version: u64,
-    arch: String,
-    scale: usize,
-    /// FNV-1a over the serialized artifact bytes of the current version.
-    fingerprint: u64,
-    weight_bytes: usize,
-    /// Times this model was drained by the memory budget.
-    evictions: u64,
-    /// Successful hot-swaps (reloads that replaced a serving version).
-    swaps: u64,
-    /// LRU clock stamp of the last routed request (or load).
-    last_used: u64,
-    /// Folded final stats of every drained version, so a model's serving
-    /// record survives hot-swaps and evictions.
-    retired: Option<RuntimeStats>,
-}
-
-impl EntryState {
-    /// Make `loaded` the serving version — the next version number and
-    /// its identity — and hand back the version it replaces, if any.
-    fn swap_in(&mut self, loaded: LoadedVersion) -> Option<Arc<Runtime>> {
-        self.version += 1;
-        self.arch = loaded.arch;
-        self.scale = loaded.scale;
-        self.fingerprint = loaded.fingerprint;
-        self.weight_bytes = loaded.weight_bytes;
-        self.current.replace(loaded.runtime)
+impl Record for RuntimeStats {
+    fn merge(&mut self, other: &Self) {
+        RuntimeStats::merge(self, other);
     }
 }
 
-/// One named model in the registry.
-struct ModelEntry {
-    name: String,
-    /// Artifact path for path-backed models; `None` pins an in-memory
-    /// registration resident (it cannot be reloaded or evicted).
-    source: Option<PathBuf>,
-    state: Mutex<EntryState>,
-}
+/// A finished load: a spawned runtime and its identity, or why not.
+type LoadResult = Result<(Arc<Runtime>, Identity), RouterError>;
 
 struct Inner {
     config: RouterConfig,
-    models: Mutex<HashMap<String, Arc<ModelEntry>>>,
-    shutdown: AtomicBool,
-    /// LRU clock: bumped on every routed request and load.
-    clock: AtomicU64,
+    /// Every lifecycle decision; the router's one lock.
+    fleet: Mutex<Fleet<Arc<Runtime>, RuntimeStats>>,
 }
 
 /// A fleet of named serving engines behind one routing surface.
@@ -160,8 +118,8 @@ struct Inner {
 ///   lazily reloaded on their next request.
 ///
 /// Cloning the router clones a handle to the same fleet (the registry is
-/// internally `Arc`-shared); [`ModelRouter::shutdown`] drains every model
-/// and is idempotent across handles.
+/// internally `Arc`-shared); [`ModelRouter::shutdown`] drains every model,
+/// is final, and is idempotent across handles.
 #[derive(Clone)]
 pub struct ModelRouter {
     inner: Arc<Inner>,
@@ -226,15 +184,6 @@ impl RouterStats {
     }
 }
 
-/// What a successful artifact load produced, before it is installed.
-struct LoadedVersion {
-    runtime: Arc<Runtime>,
-    arch: String,
-    scale: usize,
-    fingerprint: u64,
-    weight_bytes: usize,
-}
-
 impl ModelRouter {
     /// Create an empty fleet.
     ///
@@ -243,14 +192,7 @@ impl ModelRouter {
     /// Returns a typed error when the embedded runtime sizing is invalid.
     pub fn new(config: RouterConfig) -> Result<Self, RouterError> {
         config.validate()?;
-        Ok(Self {
-            inner: Arc::new(Inner {
-                config,
-                models: Mutex::new(HashMap::new()),
-                shutdown: AtomicBool::new(false),
-                clock: AtomicU64::new(0),
-            }),
-        })
+        Ok(Self { inner: Arc::new(Inner { config, fleet: Mutex::new(Fleet::new()) }) })
     }
 
     /// The fleet configuration.
@@ -276,8 +218,9 @@ impl ModelRouter {
     ) -> Result<ModelStats, RouterError> {
         validate_name(name)?;
         let path = path.into();
-        let loaded = self.load_version(name, &path)?;
-        self.install(name, Some(path), loaded)
+        let loaded = self.load_version(name, &path);
+        self.install(name, Load::Register(Some(path)), loaded)?;
+        self.model(name)
     }
 
     /// Register an in-memory deployed model. In-memory models are
@@ -298,8 +241,9 @@ impl ModelRouter {
     ) -> Result<ModelStats, RouterError> {
         validate_name(name)?;
         let bytes = scales_io::artifact_to_bytes(&model);
-        let loaded = self.spawn_version(name, model, &bytes)?;
-        self.install(name, None, loaded)
+        let loaded = self.spawn_version(name, model, &bytes);
+        self.install(name, Load::Register(None), loaded)?;
+        self.model(name)
     }
 
     /// Route one request to the model named `name`, bounding the whole
@@ -323,57 +267,41 @@ impl ModelRouter {
         request: SrRequest,
         timeout: Duration,
     ) -> Result<scales_tensor::Result<SrResponse>, RouterError> {
-        if self.inner.shutdown.load(Ordering::Acquire) {
-            return Err(RouterError::ShuttingDown);
-        }
-        let entry = self.entry(name)?;
-        let mut reloaded = false;
-        let version = {
-            let mut st = lock(&entry.state);
-            st.last_used = self.tick();
-            match &st.current {
-                Some(v) => Arc::clone(v),
-                None => {
-                    // Lazily re-admit an evicted model from its source.
-                    let source = entry
-                        .source
-                        .as_deref()
-                        .ok_or_else(|| RouterError::NotReloadable { name: name.into() })?;
-                    let loaded = self.load_version(name, source)?;
-                    let runtime = Arc::clone(&loaded.runtime);
-                    st.swap_in(loaded);
-                    reloaded = true;
-                    runtime
-                }
+        let route = self.fleet().route(name)?;
+        let (version, readmitted) = match route {
+            Route::Serve(version) => (version, false),
+            // Lazily readmit an evicted model from its source, outside the
+            // lock: routes and scrapes never wait on the read.
+            Route::Load(path) => {
+                let loaded = self.load_version(name, &path);
+                let Commit { serving, drain } = self.fleet().commit(name, Load::Readmit, loaded);
+                // A readmission replaces nothing, so `drain` is at most
+                // this load, refused, which no one else ever held:
+                // draining it waits on nobody.
+                drain.into_iter().for_each(|d| self.retire(d));
+                (serving?, true)
             }
         };
         let outcome = version.submit_wait_timeout(request, timeout);
-        // Dropping `version` releases this request's hold on the `Arc` —
-        // that is what lets a concurrent swap's drain proceed, and it
-        // must happen before any budget sweep this thread runs (draining
-        // a version while holding a clone of it would never terminate).
+        // `version` is this request's hold on the runtime: a swap or
+        // eviction drains it only once every such hold has dropped, so it
+        // must drop before this thread drains anything itself.
         drop(version);
-        if reloaded {
-            // The re-admitted bytes may have pushed the fleet back over
+        if readmitted {
+            // The readmitted bytes may have pushed the fleet back over
             // budget; evict colder models, never the one just used.
-            self.enforce_budget(Some(name));
+            self.sweep(name);
         }
         outcome.map_err(RouterError::Submit)
     }
 
     /// Hot-swap `name` to whatever its artifact file currently holds,
-    /// with zero downtime:
-    ///
-    /// 1. the new version is built completely first — file read, decode,
-    ///    engine build, runtime spawn — while the old version keeps
-    ///    serving; a failure at any point returns [`RouterError::Load`]
-    ///    and changes nothing;
-    /// 2. the serving `Arc` is swapped under the entry lock, so every
-    ///    request routed from that instant on lands on the new version;
-    /// 3. the old version is drained: the swap waits for in-flight
-    ///    submitters to release their clones, then shuts the old runtime
-    ///    down and folds its final stats into the model's record. Every
-    ///    request the old version accepted is served, never dropped.
+    /// with zero downtime: the new version is built completely (read,
+    /// decode, engine, runtime) while the old one serves — a failure
+    /// returns [`RouterError::Load`] and changes nothing — then swapped in
+    /// under the fleet lock. The old version drains: once no submitter
+    /// holds it, it shuts down, and its final stats fold into the model's
+    /// record, which counts it throughout. No accepted request is dropped.
     ///
     /// # Errors
     ///
@@ -381,38 +309,21 @@ impl ModelRouter {
     /// in-memory registrations, [`RouterError::Load`], and
     /// [`RouterError::ShuttingDown`].
     pub fn reload(&self, name: &str) -> Result<ModelStats, RouterError> {
-        if self.inner.shutdown.load(Ordering::Acquire) {
-            return Err(RouterError::ShuttingDown);
-        }
-        let entry = self.entry(name)?;
-        let source = entry
-            .source
-            .as_deref()
-            .ok_or_else(|| RouterError::NotReloadable { name: name.into() })?;
-        let loaded = self.load_version(name, source)?;
-        let old = {
-            let mut st = lock(&entry.state);
-            st.last_used = self.tick();
-            let old = st.swap_in(loaded);
-            st.swaps += u64::from(old.is_some());
-            old
-        };
-        if let Some(old) = old {
-            retire(&entry, old, false);
-        }
-        self.enforce_budget(Some(name));
-        Ok(self.snapshot(&entry))
+        let source = self.fleet().source(name)?;
+        let loaded = self.load_version(name, &source);
+        self.install(name, Load::Reload, loaded)?;
+        self.model(name)
     }
 
     /// Per-model reports for every registered model, sorted by name.
     #[must_use]
     pub fn list(&self) -> Vec<ModelStats> {
-        let entries: Vec<Arc<ModelEntry>> =
-            lock(&self.inner.models).values().cloned().collect();
-        let mut models: Vec<ModelStats> =
-            entries.iter().map(|e| self.snapshot(e)).collect();
-        models.sort_by(|a, b| a.name.cmp(&b.name));
-        models
+        // Copy the models out (handles, not readings) and read each runtime
+        // after the lock is released: a scrape never holds up a route
+        // behind a runtime's own lock.
+        let models: Vec<_> =
+            self.fleet().models().map(|(name, m)| (name.clone(), m.clone())).collect();
+        models.iter().map(|(name, m)| report(name, m)).collect()
     }
 
     /// The report for one model.
@@ -421,8 +332,8 @@ impl ModelRouter {
     ///
     /// [`RouterError::UnknownModel`].
     pub fn model(&self, name: &str) -> Result<ModelStats, RouterError> {
-        let entry = self.entry(name)?;
-        Ok(self.snapshot(&entry))
+        let model = self.fleet().model(name)?.clone();
+        Ok(report(name, &model))
     }
 
     /// A live fleet snapshot.
@@ -438,14 +349,13 @@ impl ModelRouter {
         self.list().iter().map(|m| m.resident_bytes).sum()
     }
 
-    /// Render the fleet's per-model serving record in the Prometheus
-    /// text exposition format: the admission ledger (the runtime's table
-    /// under its per-model scope), images served, eviction/swap counters,
-    /// memory gauges, an info series and the latency histogram
-    /// — every sample labeled `model="<name>"`, one `# HELP`/`# TYPE`
-    /// block per family. This is what the HTTP front end's `GET /metrics`
-    /// serves in fleet mode (plus its own connection counters). Empty
-    /// fleet → empty string.
+    /// Render the fleet's per-model serving record in the Prometheus text
+    /// exposition format: the admission ledger (the runtime's table under
+    /// its per-model scope), images served, eviction/swap counters, memory
+    /// gauges, an info series and the latency histogram, every sample
+    /// labeled `model="<name>"`. This is the HTTP front end's `GET /metrics`
+    /// in fleet mode (plus its own connection counters). Empty fleet →
+    /// empty string.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         Self::render_fleet(&self.list())
@@ -505,29 +415,27 @@ impl ModelRouter {
 
     /// Drain the whole fleet: refuse new work and new models, shut every
     /// resident runtime down gracefully (every accepted ticket resolves),
-    /// and return the final per-model reports. Idempotent across handles:
-    /// later calls return the same final record.
+    /// and return the final per-model reports. Shutdown is final: a load
+    /// still running is refused when it finishes, and its runtime drained.
+    /// Idempotent across handles: later calls return the same final
+    /// record.
     #[must_use = "the final per-model stats are the fleet's serving record"]
     pub fn shutdown(&self) -> RouterStats {
-        self.inner.shutdown.store(true, Ordering::Release);
-        let entries: Vec<Arc<ModelEntry>> =
-            lock(&self.inner.models).values().cloned().collect();
-        for entry in &entries {
-            let old = lock(&entry.state).current.take();
-            if let Some(old) = old {
-                retire(entry, old, false);
-            }
+        let resident = self.fleet().shutdown();
+        resident.into_iter().for_each(|d| self.retire(d));
+        // A swap, a sweep or another handle's shutdown may still be
+        // draining a version; the record is final once it has folded.
+        while !self.fleet().settled() {
+            std::thread::sleep(DRAIN_POLL);
         }
         self.stats()
     }
 
     // -- internals ---------------------------------------------------------
 
-    fn entry(&self, name: &str) -> Result<Arc<ModelEntry>, RouterError> {
-        lock(&self.inner.models)
-            .get(name)
-            .cloned()
-            .ok_or_else(|| RouterError::UnknownModel { name: name.into() })
+    /// The fleet, poison-tolerant: each `Fleet` method leaves it whole.
+    fn fleet(&self) -> MutexGuard<'_, Fleet<Arc<Runtime>, RuntimeStats>> {
+        self.inner.fleet.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Read the artifact bytes, retrying transient IO failures with
@@ -537,27 +445,21 @@ impl ModelRouter {
     /// stage retries; decode failures downstream fail fast.
     fn read_artifact(&self, path: &Path) -> std::io::Result<Vec<u8>> {
         let mut backoff = self.inner.config.reload_backoff;
-        let mut attempts_left = self.inner.config.reload_retries;
-        loop {
-            match read_once(path) {
-                Ok(bytes) => return Ok(bytes),
-                Err(e) => {
-                    if attempts_left == 0 {
-                        return Err(e);
-                    }
-                    attempts_left -= 1;
-                    std::thread::sleep(backoff);
-                    backoff = backoff.saturating_mul(2);
-                }
+        for _ in 0..self.inner.config.reload_retries {
+            if let Ok(bytes) = read_once(path) {
+                return Ok(bytes);
             }
+            std::thread::sleep(backoff);
+            backoff = backoff.saturating_mul(2);
         }
+        read_once(path)
     }
 
     /// Read + decode + spawn a runtime for the artifact at `path` —
-    /// everything a (re)load pays, entirely off the serving path. A
-    /// checkpoint is lowered here, so both kinds serve as the same packed
-    /// graph through the same path.
-    fn load_version(&self, name: &str, path: &Path) -> Result<LoadedVersion, RouterError> {
+    /// everything a (re)load pays, entirely off the serving path and
+    /// outside the fleet lock. A checkpoint is lowered here, so both kinds
+    /// serve as the same packed graph through the same path.
+    fn load_version(&self, name: &str, path: &Path) -> LoadResult {
         let fail = |detail: String| RouterError::Load { name: name.into(), detail };
         let bytes = self
             .read_artifact(path)
@@ -577,133 +479,100 @@ impl ModelRouter {
 
     /// Spawn a runtime worker pool around `net`, whose serialized form
     /// `bytes` is what the version is fingerprinted and charged by.
-    fn spawn_version(
-        &self,
-        name: &str,
-        net: DeployedNetwork,
-        bytes: &[u8],
-    ) -> Result<LoadedVersion, RouterError> {
+    fn spawn_version(&self, name: &str, net: DeployedNetwork, bytes: &[u8]) -> LoadResult {
         let fail = |e: TensorError| RouterError::Load { name: name.into(), detail: e.to_string() };
         let (arch, scale) = (net.name().to_string(), net.scale());
         let engine = Engine::builder().model(net).build().map_err(fail)?;
         let runtime = Runtime::spawn(engine, self.inner.config.runtime.clone()).map_err(fail)?;
-        Ok(LoadedVersion {
-            runtime: Arc::new(runtime),
-            arch,
-            scale,
-            fingerprint: scales_io::fingerprint(bytes),
-            weight_bytes: bytes.len(),
-        })
+        let fingerprint = scales_io::fingerprint(bytes);
+        let identity = Identity { arch, scale, fingerprint, weight_bytes: bytes.len() };
+        Ok((Arc::new(runtime), identity))
     }
 
-    /// The LRU clock's next stamp.
-    fn tick(&self) -> u64 {
-        self.inner.clock.fetch_add(1, Ordering::Relaxed)
+    /// Hand a finished load to the fleet and carry out its decision: drain
+    /// the version it replaced (or the refused load), then the budget
+    /// sweep's victims.
+    fn install(&self, name: &str, load: Load, loaded: LoadResult) -> Result<(), RouterError> {
+        let Commit { serving, drain } = self.fleet().commit(name, load, loaded);
+        // Hold no version while draining: two drains that each held the
+        // other's version would wait on each other forever.
+        let installed = serving.map(drop);
+        drain.into_iter().for_each(|d| self.retire(d));
+        installed?;
+        self.sweep(name);
+        Ok(())
     }
 
-    /// Insert a freshly loaded model under `name`, then let the budget
-    /// sweep evict colder models if the admission pushed the fleet over.
-    fn install(
-        &self,
-        name: &str,
-        source: Option<PathBuf>,
-        loaded: LoadedVersion,
-    ) -> Result<ModelStats, RouterError> {
-        let mut state = EntryState { last_used: self.tick(), ..EntryState::default() };
-        state.swap_in(loaded);
-        let entry =
-            Arc::new(ModelEntry { name: name.to_string(), source, state: Mutex::new(state) });
-        let refusal = if self.inner.shutdown.load(Ordering::Acquire) {
-            Some(RouterError::ShuttingDown)
-        } else {
-            let mut models = lock(&self.inner.models);
-            let taken = models.contains_key(name);
-            if !taken {
-                models.insert(name.to_string(), Arc::clone(&entry));
-            }
-            taken.then(|| RouterError::DuplicateModel { name: name.into() })
-        };
-        if let Some(refusal) = refusal {
-            // The runtime spawned for nothing is drained quietly, outside
-            // the map lock.
-            let stray = lock(&entry.state).current.take();
-            let _ = stray.map(drain);
-            return Err(refusal);
-        }
-        self.enforce_budget(Some(name));
-        Ok(self.snapshot(&entry))
+    /// Drain the models the memory budget evicts; never `protect`. The
+    /// caller holds no version.
+    fn sweep(&self, protect: &str) {
+        let budget = self.inner.config.memory_budget;
+        let victims = self.fleet().sweep(budget, protect, |v| v.stats().workspace_bytes);
+        victims.into_iter().for_each(|d| self.retire(d));
     }
 
-    fn snapshot(&self, entry: &ModelEntry) -> ModelStats {
-        let st = lock(&entry.state);
-        let (state, resident_bytes, live) = match &st.current {
-            Some(v) => {
-                let stats = v.stats();
-                (ModelState::Serving, st.weight_bytes + stats.workspace_bytes, Some(stats))
-            }
-            None => (ModelState::Evicted, 0, None),
-        };
-        let mut runtime = st.retired.clone();
-        if let Some(live) = &live {
-            runtime.get_or_insert_default().merge(live);
-        }
-        ModelStats {
-            name: entry.name.clone(),
-            arch: st.arch.clone(),
-            scale: st.scale,
-            version: st.version,
-            fingerprint: st.fingerprint,
-            state,
-            weight_bytes: st.weight_bytes,
-            resident_bytes,
-            evictions: st.evictions,
-            swaps: st.swaps,
-            reloadable: entry.source.is_some(),
-            runtime,
-        }
-    }
-
-    /// While the fleet's resident bytes exceed the budget, drain the
-    /// least-recently-used path-backed model. In-memory registrations are
-    /// pinned, and `protect` (the model the caller just loaded or used)
-    /// is never the victim — both to keep the hottest model resident and
-    /// because the caller may still hold its version `Arc`. When only
-    /// pinned/protected models remain over budget the sweep stops: the
-    /// budget is a target, not an admission refusal — the newest load
-    /// always serves.
-    fn enforce_budget(&self, protect: Option<&str>) {
-        let Some(budget) = self.inner.config.memory_budget else { return };
+    /// Drain a version the fleet handed back. This is the zero-drop
+    /// guarantee: it shuts down only once no submitter holds a clone, so a
+    /// swap or eviction never refuses work already routed to it. Until
+    /// then the fleet's own clone keeps a counted version readable; it is
+    /// closed on its last reading, and its final stats fold in. The caller
+    /// must hold no version of its own.
+    fn retire(&self, Drain { handle, ticket }: Drain<Arc<Runtime>>) {
+        // Versions are cloned only under the fleet lock (a route, or a
+        // snapshot being read), and a closed one never again, so a count
+        // that has fallen under the lock stays there.
         loop {
-            let entries: Vec<Arc<ModelEntry>> =
-                lock(&self.inner.models).values().cloned().collect();
-            let mut total = 0usize;
-            let mut coldest: Option<(u64, Arc<ModelEntry>)> = None;
-            for entry in &entries {
-                let st = lock(&entry.state);
-                let Some(v) = &st.current else { continue };
-                total += st.weight_bytes + v.stats().workspace_bytes;
-                if entry.source.is_some() && protect != Some(entry.name.as_str()) {
-                    let colder = coldest.as_ref().is_none_or(|(used, _)| st.last_used < *used);
-                    if colder {
-                        coldest = Some((st.last_used, Arc::clone(entry)));
-                    }
+            let mut fleet = self.fleet();
+            if Arc::strong_count(&handle) <= 1 + usize::from(ticket.is_some()) {
+                if let Some(ticket) = &ticket {
+                    fleet.close(ticket, handle.stats());
                 }
+                break;
             }
-            if total <= budget {
-                return;
-            }
-            let Some((_, victim)) = coldest else { return };
-            let Some(old) = lock(&victim.state).current.take() else { continue };
-            retire(&victim, old, true);
+            drop(fleet);
+            std::thread::sleep(DRAIN_POLL);
         }
+        let sole = Arc::into_inner(handle).expect("no clone outlives the wait");
+        let final_stats = sole.shutdown();
+        if let Some(ticket) = ticket {
+            self.fleet().fold(ticket, &final_stats);
+        }
+    }
+}
+
+/// How often a drain looks again for the last submitter to let go.
+const DRAIN_POLL: Duration = Duration::from_micros(500);
+
+/// One model's report. The record counts every version from its first
+/// request: the serving one, those still draining, and the folded ones.
+fn report(name: &str, m: &Model<Arc<Runtime>, RuntimeStats>) -> ModelStats {
+    let runtime = m.record(|v| v.stats());
+    // The record folds the serving version last, so its gauges are that
+    // version's live workspace.
+    let live = runtime.as_ref().filter(|_| m.serving.is_some());
+    let resident_bytes = live.map_or(0, |r| m.identity.weight_bytes + r.workspace_bytes);
+    let Identity { arch, scale, fingerprint, weight_bytes } = m.identity.clone();
+    ModelStats {
+        name: name.to_string(),
+        arch,
+        scale,
+        version: m.version,
+        fingerprint,
+        state: if m.serving.is_some() { ModelState::Serving } else { ModelState::Evicted },
+        weight_bytes,
+        resident_bytes,
+        evictions: m.evictions,
+        swaps: m.swaps,
+        reloadable: m.source.is_some(),
+        runtime,
     }
 }
 
 /// One artifact read attempt. With the `faults` feature (test builds
 /// only) the `"router.read"` injection point runs first, so chaos tests
 /// can stage transient IO failures against the retry loop.
-#[cfg(feature = "faults")]
 fn read_once(path: &Path) -> std::io::Result<Vec<u8>> {
+    #[cfg(feature = "faults")]
     match scales_faults::fire("router.read") {
         Some(scales_faults::FaultAction::Delay(d)) => std::thread::sleep(d),
         Some(scales_faults::FaultAction::Panic) => panic!("injected fault: router.read"),
@@ -715,52 +584,15 @@ fn read_once(path: &Path) -> std::io::Result<Vec<u8>> {
     std::fs::read(path)
 }
 
-#[cfg(not(feature = "faults"))]
-fn read_once(path: &Path) -> std::io::Result<Vec<u8>> {
-    std::fs::read(path)
-}
-
-/// Wait for every in-flight submitter to release its clone of `version`,
-/// then drain the runtime gracefully and return its final stats. This is
-/// the zero-drop guarantee: a submitter holding the `Arc` keeps the
-/// runtime alive until its request resolves, so a swap or eviction never
-/// refuses work that was already routed here.
-fn drain(mut version: Arc<Runtime>) -> RuntimeStats {
-    loop {
-        match Arc::try_unwrap(version) {
-            Ok(sole) => return sole.shutdown(),
-            Err(shared) => {
-                version = shared;
-                std::thread::sleep(Duration::from_micros(500));
-            }
-        }
-    }
-}
-
-/// Drain `old`, a version `entry` no longer serves, and fold its final
-/// stats into the entry's record — what a reload, an eviction and the
-/// fleet shutdown each do with the version they take out; an eviction is
-/// counted in the same critical section.
-fn retire(entry: &ModelEntry, old: Arc<Runtime>, evicted: bool) {
-    let final_stats = drain(old);
-    let mut st = lock(&entry.state);
-    st.retired.get_or_insert_default().merge(&final_stats);
-    st.evictions += u64::from(evicted);
-}
-
 /// Names are URL path segments, and render in Prometheus labels and JSON
 /// as themselves, so the alphabet is locked down at registration.
 fn validate_name(name: &str) -> Result<(), RouterError> {
-    if scales_telemetry::is_wire_safe_name(name) {
-        return Ok(());
-    }
-    // Only the explanation branches here; validity was decided above.
-    let reason = if name.is_empty() {
-        "must not be empty"
-    } else if name.len() > 64 {
-        "must be at most 64 characters"
-    } else {
-        "allowed characters are A-Z a-z 0-9 . _ -"
+    // Only the explanation branches here; validity is the wire rule's.
+    let reason = match name.len() {
+        _ if scales_telemetry::is_wire_safe_name(name) => return Ok(()),
+        0 => "must not be empty",
+        65.. => "must be at most 64 characters",
+        _ => "allowed characters are A-Z a-z 0-9 . _ -",
     };
     Err(RouterError::InvalidName { name: name.into(), reason })
 }

@@ -2,7 +2,10 @@
 //! robustness contract — **every accepted ticket resolves with a typed
 //! outcome and the stack keeps serving** — under worker death, transient
 //! artifact IO failures during a hot reload, and a stalled peer while the
-//! runtime sheds load.
+//! runtime sheds load — and the fleet's lifecycle contract: shutdown is
+//! final for a load still reading, no per-model counter falls while a
+//! version drains, no scrape waits on an artifact read, and two commits
+//! that evict each other's model both finish.
 //!
 //! The `scales-faults` registry is process-global and the harness runs
 //! `#[test]`s concurrently, so every scenario takes [`CHAOS`] and resets
@@ -13,15 +16,16 @@ use scales::data::codec::encode_image;
 use scales::data::{Image, WireFormat};
 use scales::http::{HttpConfig, HttpServer};
 use scales::models::{srresnet, SrConfig, SrNetwork};
-use scales::router::{ModelRouter, RouterConfig, RouterError};
+use scales::router::{ModelRouter, ModelState, RouterConfig, RouterError};
 use scales::runtime::{Runtime, RuntimeConfig, ServeError, ShedPolicy, SubmitError, Ticket};
 use scales::serve::{Engine, Precision, SrRequest};
 use scales_faults::{self as faults, FaultAction};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
+use std::sync::{Arc, Barrier, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// Serializes the chaos scenarios: armed faults are process-global state.
 static CHAOS: Mutex<()> = Mutex::new(());
@@ -392,5 +396,269 @@ fn a_stalled_peer_does_not_block_shedding_or_in_flight_service() {
         assert_eq!(stats.completed, 2);
         assert!(stats.shed >= 1, "the refusal was counted as shed");
         assert_eq!(stats.failed, 0);
+    });
+}
+
+/// A scratch directory for one scenario's artifact files.
+fn chaos_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("scales-chaos-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Save a small lowered SRResNet as `<dir>/<name>.dep.sca`.
+fn save_model(dir: &Path, name: &str, seed: u64) -> PathBuf {
+    let net = srresnet(SrConfig { channels: 8, blocks: 1, scale: 2, method: Method::scales(), seed })
+        .unwrap()
+        .lower()
+        .unwrap();
+    let path = dir.join(format!("{name}.dep.sca"));
+    scales::io::save_artifact(&path, &net).unwrap();
+    path
+}
+
+/// A one-worker fleet under a one-byte budget: every load but the newest
+/// path-backed one is evicted, and no read is retried.
+fn tight_fleet(dir: &Path) -> ModelRouter {
+    let router = ModelRouter::new(RouterConfig {
+        memory_budget: Some(1),
+        reload_retries: 0,
+        runtime: RuntimeConfig { workers: 1, max_batch: 1, max_wait: Duration::ZERO, ..RuntimeConfig::default() },
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    router.register_path("alpha", dir.join("alpha.dep.sca")).unwrap();
+    router.register_path("beta", dir.join("beta.dep.sca")).unwrap();
+    assert_eq!(router.model("alpha").unwrap().state, ModelState::Evicted);
+    router
+}
+
+/// Block until `point` has been evaluated more than `before` times.
+fn wait_for_hit(point: &str, before: u64) {
+    while faults::hits(point) <= before {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// Runtime worker threads alive in this process (Linux names them in
+/// `/proc`; elsewhere this reads 0 and the check it feeds is vacuous).
+fn runtime_workers() -> usize {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else { return 0 };
+    tasks
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("scales-runtime"))
+        .count()
+}
+
+/// A hot reload, a lazy readmission and a registration each still
+/// reading their artifact when `shutdown()` runs: each is refused with
+/// `ShuttingDown` once its read returns, the runtime it spawned is
+/// drained, no model serves again, and a second `shutdown()` returns the
+/// same final record.
+#[test]
+fn shutdown_is_final_for_a_load_still_reading_its_artifact() {
+    let _chaos = chaos_lock();
+    with_watchdog(240, "shutdown-is-final", || {
+        let dir = chaos_dir("final");
+        save_model(&dir, "alpha", 61);
+        save_model(&dir, "beta", 62);
+        type Load = fn(&ModelRouter, &Path) -> Result<(), RouterError>;
+        let loads: [(&str, Load); 3] = [
+            ("reload", |router, _| router.reload("beta").map(drop)),
+            ("lazy reload", |router, _| {
+                router
+                    .submit_wait_timeout("alpha", SrRequest::single(probe(6, 6, 6_100)), Duration::from_secs(60))
+                    .map(drop)
+            }),
+            ("register_path", |router, dir| router.register_path("gamma", dir.join("alpha.dep.sca")).map(drop)),
+        ];
+        for (case, load) in loads {
+            let router = tight_fleet(&dir);
+            let before = faults::hits("router.read");
+            let _held = faults::arm_times("router.read", FaultAction::Delay(Duration::from_secs(1)), 1);
+            let loading = {
+                let (router, dir) = (router.clone(), dir.clone());
+                std::thread::spawn(move || load(&router, &dir))
+            };
+            wait_for_hit("router.read", before);
+            let record = router.shutdown();
+            match loading.join().unwrap() {
+                Err(RouterError::ShuttingDown) => {}
+                other => panic!("{case}: a load finishing after shutdown must be refused, got {other:?}"),
+            }
+            let names: Vec<String> = router.list().into_iter().map(|m| m.name).collect();
+            assert_eq!(names, ["alpha", "beta"], "{case}: nothing registers after shutdown");
+            for model in router.list() {
+                assert_eq!(model.state, ModelState::Evicted, "{case}: {} serves after shutdown", model.name);
+            }
+            assert_eq!(format!("{:?}", router.shutdown()), format!("{record:?}"), "{case}: the record is final");
+            let drained = Instant::now();
+            while runtime_workers() > 0 {
+                assert!(drained.elapsed() < Duration::from_secs(5), "{case}: the refused load's runtime still runs");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    });
+}
+
+/// One exposition sample of a `model`-labeled family.
+fn sample(text: &str, family: &str, model: &str) -> u64 {
+    let key = format!("{family}{{model=\"{model}\"}} ");
+    let value = text.lines().find_map(|line| line.strip_prefix(&key));
+    value.unwrap_or_else(|| panic!("no {key:?} in:\n{text}")).parse().unwrap()
+}
+
+/// `alpha`'s counters as the API and a scrape report them.
+fn counters(router: &ModelRouter) -> [u64; 6] {
+    let record = router.model("alpha").unwrap().runtime.unwrap_or_default();
+    let text = router.render_prometheus();
+    [
+        record.submitted,
+        record.completed,
+        record.images,
+        sample(&text, "scales_model_requests_submitted_total", "alpha"),
+        sample(&text, "scales_model_requests_completed_total", "alpha"),
+        sample(&text, "scales_model_images_total", "alpha"),
+    ]
+}
+
+/// A request wedged in dispatch holds `alpha`'s serving version while a
+/// hot reload, then a budget eviction, waits to drain it: every reading
+/// of `alpha`'s counters — through `model()` and through a scrape — is at
+/// least the one before, and the wedged request is served.
+#[test]
+fn per_model_counters_never_fall_while_a_version_drains() {
+    let _chaos = chaos_lock();
+    with_watchdog(240, "counters-never-fall", || {
+        let dir = chaos_dir("monotone");
+        let beta = save_model(&dir, "beta", 72);
+        let router = ModelRouter::new(RouterConfig {
+            memory_budget: Some(1),
+            runtime: RuntimeConfig { workers: 1, max_batch: 1, max_wait: Duration::ZERO, ..RuntimeConfig::default() },
+            ..RouterConfig::default()
+        })
+        .unwrap();
+        router.register_path("alpha", save_model(&dir, "alpha", 71)).unwrap();
+        let submit = |router: &ModelRouter, seed| {
+            router.submit_wait_timeout("alpha", SrRequest::single(probe(6, 6, seed)), Duration::from_secs(60))
+        };
+        for seed in 0..3 {
+            submit(&router, 7_100 + seed).unwrap().unwrap();
+        }
+        type Drain = Box<dyn FnOnce(ModelRouter) + Send>;
+        let drains: [(&str, Drain); 2] = [
+            ("reload", Box::new(|router| assert_eq!(router.reload("alpha").unwrap().swaps, 1))),
+            ("eviction", Box::new(move |router| drop(router.register_path("beta", beta).unwrap()))),
+        ];
+        for (case, drain) in drains {
+            let before = faults::hits("runtime.dispatch");
+            let _wedge = faults::arm_times("runtime.dispatch", FaultAction::Delay(Duration::from_millis(600)), 1);
+            let held = {
+                let router = router.clone();
+                std::thread::spawn(move || submit(&router, 7_200))
+            };
+            wait_for_hit("runtime.dispatch", before);
+            let draining = {
+                let router = router.clone();
+                std::thread::spawn(move || drain(router))
+            };
+            let (mut last, mut readings) = (counters(&router), 0);
+            while !draining.is_finished() {
+                let now = counters(&router);
+                for (i, (was, is)) in last.iter().zip(&now).enumerate() {
+                    assert!(is >= was, "{case}: counter {i} fell from {was} to {is} ({last:?} -> {now:?})");
+                }
+                (last, readings) = (now, readings + 1);
+            }
+            draining.join().unwrap();
+            assert!(held.join().unwrap().unwrap().is_ok(), "{case}: the held request is served");
+            let after = counters(&router);
+            assert!(after.iter().zip(&last).all(|(is, was)| is >= was), "{case}: {last:?} -> {after:?}");
+            assert!(readings > 0, "{case}: no reading was taken during the drain");
+        }
+        let alpha = router.model("alpha").unwrap();
+        assert_eq!((alpha.state, alpha.evictions, alpha.swaps), (ModelState::Evicted, 1, 1));
+        let record = alpha.runtime.unwrap();
+        assert_eq!((record.submitted, record.completed, record.images), (5, 5, 5));
+        assert_eq!(router.shutdown().merged_runtime().failed, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    });
+}
+
+/// A request to an evicted model readmits it while its artifact read is
+/// stalled: `list()` and a scrape answer on another thread at once,
+/// showing the model still evicted, and the request is then served.
+#[test]
+fn a_scrape_never_waits_on_an_artifact_read() {
+    let _chaos = chaos_lock();
+    with_watchdog(240, "scrape-vs-read", || {
+        let dir = chaos_dir("scrape");
+        save_model(&dir, "alpha", 81);
+        save_model(&dir, "beta", 82);
+        let router = tight_fleet(&dir);
+        let stall = Duration::from_secs(3);
+        let before = faults::hits("router.read");
+        let _stall = faults::arm_times("router.read", FaultAction::Delay(stall), 1);
+        let cold = {
+            let router = router.clone();
+            std::thread::spawn(move || {
+                router.submit_wait_timeout("alpha", SrRequest::single(probe(6, 6, 8_100)), Duration::from_secs(60))
+            })
+        };
+        wait_for_hit("router.read", before);
+        let started = Instant::now();
+        let listed = router.list();
+        let text = router.render_prometheus();
+        let waited = started.elapsed();
+        assert!(waited < stall / 3, "a scrape waited {waited:?} on a {stall:?} artifact read");
+        assert_eq!(listed[0].state, ModelState::Evicted, "the readmission is not installed yet");
+        assert_eq!(sample(&text, "scales_model_serving", "alpha"), 0);
+        assert!(cold.join().unwrap().unwrap().is_ok(), "the cold request is served once its load lands");
+        assert_eq!(router.model("alpha").unwrap().state, ModelState::Serving);
+        assert_eq!(router.shutdown().merged_runtime().failed, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    });
+}
+
+/// Two path-backed models under a budget that fits one, each reloaded or
+/// readmitted on its own thread at the same instant, round after round:
+/// each commit's sweep may evict the model the other thread just
+/// installed, and neither may wait on the other's hold of it. Every call
+/// returns, at most one model serves, and shutdown settles.
+#[test]
+fn concurrent_commits_that_evict_each_other_both_finish() {
+    let _chaos = chaos_lock();
+    with_watchdog(240, "concurrent-commits", || {
+        let dir = chaos_dir("crossed");
+        save_model(&dir, "alpha", 91);
+        save_model(&dir, "beta", 92);
+        let router = tight_fleet(&dir);
+        for round in 0..40_u64 {
+            let _paced = faults::arm_times("router.read", FaultAction::Delay(Duration::from_millis(5)), 2);
+            let start = Arc::new(Barrier::new(2));
+            let threads: Vec<_> = ["alpha", "beta"]
+                .into_iter()
+                .map(|name| {
+                    let (router, start) = (router.clone(), Arc::clone(&start));
+                    std::thread::spawn(move || {
+                        start.wait();
+                        if round % 2 == 0 {
+                            router.reload(name).map(drop)
+                        } else {
+                            let request = SrRequest::single(probe(6, 6, 9_100 + round));
+                            router.submit_wait_timeout(name, request, Duration::from_secs(60)).map(|r| drop(r.unwrap()))
+                        }
+                    })
+                })
+                .collect();
+            for thread in threads {
+                thread.join().unwrap().unwrap();
+            }
+            let serving = router.list().iter().filter(|m| m.state == ModelState::Serving).count();
+            assert!(serving <= 1, "round {round}: {serving} models resident under a one-model budget");
+        }
+        assert_eq!(router.shutdown().merged_runtime().failed, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
     });
 }
