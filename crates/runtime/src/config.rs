@@ -37,10 +37,16 @@ pub struct RuntimeConfig {
     /// once the batch holds this many images. A single request larger than
     /// `max_batch` is still served (alone, in one dispatch). Default: 8.
     pub max_batch: usize,
-    /// How long a worker holding a partial batch waits for more
-    /// compatible requests before dispatching — the classic dynamic
-    /// batching latency/throughput knob. `Duration::ZERO` dispatches the
-    /// backlog as-is without ever waiting. Default: 2 ms.
+    /// The longest a worker holding a partial batch waits for more
+    /// compatible requests before dispatching — the cap of the dynamic
+    /// batching window, which opens when the batch's first request leaves
+    /// its queue. The window closes early when waiting cannot pay: at once
+    /// when a held request's deadline falls inside it, and, while another
+    /// worker is idle (it would serve a straggler at once), as soon as the
+    /// recent arrival pace could not fill the batch before the cap. So a
+    /// lone request on a pool with an idle worker does not wait out the
+    /// window, while a burst still coalesces. `Duration::ZERO`
+    /// dispatches the backlog as-is without ever waiting. Default: 2 ms.
     pub max_wait: Duration,
     /// Load-shedding policy. Default: never shed (admission is bounded by
     /// `queue_capacity` alone).

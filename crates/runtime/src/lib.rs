@@ -35,8 +35,12 @@
 //! 3. Workers run the **dynamic batcher**: after popping a request they
 //!    gather further compatible queued requests — same per-request tile
 //!    override, up to [`max_batch`](RuntimeConfig::max_batch) images —
-//!    waiting up to [`max_wait`](RuntimeConfig::max_wait) for stragglers,
-//!    then serve the coalesced set through **one** `Session::infer` call.
+//!    waiting for stragglers while the batching window is open, then
+//!    serve the coalesced set through **one** `Session::infer` call. The
+//!    window is the queue's decision: at most
+//!    [`max_wait`](RuntimeConfig::max_wait), shut by a held deadline
+//!    inside it, and closed early while another worker is idle once the
+//!    arrival pace could not fill the batch in time.
 //!    Same-shaped images across callers share one planned forward (the
 //!    session's shape-bucketed micro-batching), so many small single-image
 //!    callers amortize dispatch, plan lookup, and GEMM setup.
@@ -142,18 +146,12 @@ pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Poison-tolerant condvar wait with a timeout; returns the guard and
-/// whether the wait timed out.
+/// Poison-tolerant condvar wait with a timeout. Callers re-check their
+/// condition on every return, so whether it timed out is not reported.
 pub(crate) fn wait_timeout<'a, T>(
     cv: &Condvar,
     guard: MutexGuard<'a, T>,
     timeout: Duration,
-) -> (MutexGuard<'a, T>, bool) {
-    match cv.wait_timeout(guard, timeout) {
-        Ok((g, t)) => (g, t.timed_out()),
-        Err(poisoned) => {
-            let (g, t) = poisoned.into_inner();
-            (g, t.timed_out())
-        }
-    }
+) -> MutexGuard<'a, T> {
+    cv.wait_timeout(guard, timeout).unwrap_or_else(PoisonError::into_inner).0
 }

@@ -1,8 +1,8 @@
 //! The runtime's admission and scheduling policy as one plain value:
 //! tenant lanes and placement, the lane quota, the shed watermark and p99
 //! window, expiry sweeps, the EDF-inside-weighted-rotation pop, the gather
-//! round, the pre-dispatch expiry seal, the runtime's one serving record,
-//! and shutdown failing.
+//! round and its batching window, the pre-dispatch expiry seal, the
+//! runtime's one serving record, and shutdown failing.
 //!
 //! [`Queue`] holds no lock, waits on nothing, and never reads a clock:
 //! every method takes the current time as `now` and returns a typed
@@ -145,14 +145,16 @@ pub(crate) enum Admission {
 /// What the batcher does after one [`Queue::gather`] round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Gathered {
-    /// Dispatch: the batch is full, the runtime is shutting down, or only
-    /// incompatible heads remain (never reorder around them within a lane).
+    /// Dispatch: the batch is full, the runtime is shutting down, only
+    /// incompatible heads remain (never reorder around them within a lane),
+    /// or the queue is drained and the batching window has closed.
     Seal,
     /// The round took something and work is still queued: run another.
     Again,
-    /// The queue is drained with room left in the batch: wait out the
-    /// batching window for stragglers.
-    Wait,
+    /// The queue is drained with room left in the batch and the window
+    /// open: wait for stragglers, then gather again. `until` is the
+    /// earliest instant the window can close without a new arrival.
+    Wait { until: Instant },
 }
 
 /// Sliding-window size for the shed policy's p99 sample: large enough
@@ -173,6 +175,13 @@ pub(crate) struct Queue {
     cursor: usize,
     shutting_down: bool,
     high_water: usize,
+    /// Workers idle between [`Queue::park`] and [`Queue::unpark`]: each
+    /// would serve a straggler the moment it arrives.
+    parked: usize,
+    /// The latest accepted arrival and the gap before it — the arrival
+    /// pace a batching window is weighed against.
+    last_arrival: Option<Instant>,
+    gap: Duration,
     /// Ledgers of retired lanes and of refusals whose tenant never had a
     /// lane.
     retired: Counters,
@@ -212,6 +221,9 @@ impl Queue {
             cursor: 0,
             shutting_down: false,
             high_water: 0,
+            parked: 0,
+            last_arrival: None,
+            gap: Duration::ZERO,
             retired: Counters::default(),
             record: RuntimeStats::default(),
             recent: VecDeque::new(),
@@ -273,8 +285,9 @@ impl Queue {
     /// deadline, the shed policy, the quota of the lane the request would
     /// join — and only then capacity, which the blocking submit paths wait
     /// out ([`Admission::Full`]). A refusal never creates a lane. `now`
-    /// becomes the entry's `enqueued` stamp: the moment it enters its lane,
-    /// not when it was validated.
+    /// becomes the entry's `enqueued` stamp — the moment it enters its
+    /// lane, not when it was validated — and the arrival the next gap is
+    /// measured from.
     pub fn submit(&mut self, request: Admitted, now: Instant) -> (Admission, usize) {
         if self.shutting_down {
             return (Admission::Refused(SubmitError::ShuttingDown), 0);
@@ -338,6 +351,10 @@ impl Queue {
         });
         self.queued += 1;
         self.high_water = self.high_water.max(self.queued);
+        if let Some(last) = self.last_arrival {
+            self.gap = now.saturating_duration_since(last);
+        }
+        self.last_arrival = Some(now);
         (Admission::Accepted(ticket), freed)
     }
 
@@ -471,7 +488,8 @@ impl Queue {
     /// One fairness round over the lanes for the batch anchored at
     /// `batch[0]`: take at most one compatible head (same tile override,
     /// fits within `max_batch` images) per lane, then say what the batcher
-    /// should do next.
+    /// should do next — waiting out the batching window
+    /// ([`Queue::window_closes`]) only once the queue is drained.
     pub fn gather(&mut self, batch: &mut Vec<Entry>, now: Instant) -> (Gathered, usize) {
         let expired = self.expire_stale_heads(now);
         let max_batch = self.config.max_batch;
@@ -498,7 +516,10 @@ impl Queue {
         let next = if images >= max_batch || self.shutting_down {
             Gathered::Seal
         } else if self.queued == 0 {
-            Gathered::Wait
+            match self.window_closes(batch, max_batch - images) {
+                closes if closes <= now => Gathered::Seal,
+                until => Gathered::Wait { until },
+            }
         } else if took > 0 {
             Gathered::Again
         } else {
@@ -507,12 +528,58 @@ impl Queue {
         (next, expired + took)
     }
 
+    /// When the batching window of a drained batch with `room` images to
+    /// spare closes, absent new arrivals. It opens when the anchor left its
+    /// lane and lasts at most `max_wait`; it is shut from the start when a
+    /// held entry's deadline falls inside it, since waiting could only
+    /// expire that entry. While a worker is parked — it would serve a
+    /// straggler at once — the window also closes at the first instant the
+    /// arrival pace cannot fill the room before its end: pace × room ≥
+    /// end − t, where the pace is the slower of the last inter-arrival gap
+    /// and the time since the last arrival (a lull reads as one). With no
+    /// idle peer the straggler would wait for this worker anyway, so the
+    /// window stays open to its end.
+    fn window_closes(&self, batch: &[Entry], room: usize) -> Instant {
+        let opened = batch[0].dequeued.expect("a batch's anchor was taken from its lane");
+        let end = opened + self.config.max_wait;
+        if batch.iter().any(|e| e.deadline.is_some_and(|d| d <= end)) {
+            return opened;
+        }
+        if self.parked == 0 {
+            return end;
+        }
+        let last = self.last_arrival.expect("the anchor was accepted");
+        let room = u32::try_from(room).unwrap_or(u32::MAX);
+        // gap × room ≥ end − t: a product past the clock's range is a pace
+        // that never fills, so the window is shut already.
+        let by_gap = end.checked_sub(self.gap.saturating_mul(room)).unwrap_or(opened);
+        // (t − last) × room ≥ end − t ⟺ (t − last) × (room + 1) ≥ end − last,
+        // rounded up to the nanosecond.
+        let lull = end.saturating_duration_since(last).as_nanos().div_ceil(u128::from(room) + 1);
+        let by_lull = last + Duration::from_nanos(u64::try_from(lull).unwrap_or(u64::MAX));
+        end.min(by_gap).min(by_lull)
+    }
+
+    /// A worker found nothing to pop and is about to wait for work. Returns
+    /// whether it is the only idle worker: a peer holding a batch open had
+    /// no idle worker to count on until now, so its window may close early.
+    pub fn park(&mut self) -> bool {
+        self.parked += 1;
+        self.parked == 1
+    }
+
+    /// A parked worker woke.
+    pub fn unpark(&mut self) {
+        self.parked = self.parked.checked_sub(1).expect("a worker unparks after it parked");
+    }
+
     /// The hard guarantee behind [`SubmitError::Expired`]: nothing expired
-    /// is ever dispatched. The straggler window can outlive a gathered
-    /// entry's deadline; retract those at the last moment before the batch
-    /// leaves the lock. Returns whether work is still queued behind the
-    /// batch (an incompatible tile override, or a head that would not fit)
-    /// for another worker to be woken for.
+    /// is ever dispatched. The batching window closes before any held
+    /// deadline, but a worker can wake from its wait late; retract what
+    /// expired at the last moment before the batch leaves the lock.
+    /// Returns whether work is still queued behind the batch (an
+    /// incompatible tile override, or a head that would not fit) for
+    /// another worker to be woken for.
     pub fn seal(&mut self, batch: &mut Vec<Entry>, now: Instant) -> bool {
         batch.retain(|entry| {
             let dead = entry.expired(now);
@@ -663,7 +730,8 @@ mod tests {
     //! under a virtual clock — no thread, no sleep — next to a small
     //! reference model that mirrors the lane table by observation,
     //! predicts every admission verdict from its own records, and checks
-    //! the scheduler's picks against the invariants the runtime promises.
+    //! the scheduler's picks and batching windows against the invariants
+    //! the runtime promises.
 
     use super::*;
     use crate::ShedPolicy;
@@ -706,10 +774,10 @@ mod tests {
             .map(|(name, weight)| (name.to_string(), weight))
             .collect();
         let config = RuntimeConfig {
-            workers: 1,
+            workers: 1 + rng.below(3),
             queue_capacity,
             max_batch: 1 + rng.below(4),
-            max_wait: Duration::ZERO,
+            max_wait: if rng.chance(15) { Duration::ZERO } else { rng.millis(30) },
             shed: ShedPolicy {
                 queue_watermark: rng.chance(40).then(|| 1 + rng.below(queue_capacity)),
                 p99_trip: rng.chance(40).then(|| Duration::from_millis(1) + rng.millis(20)),
@@ -771,6 +839,8 @@ mod tests {
     struct Batch {
         entries: Vec<Entry>,
         sealed: bool,
+        /// What the last gather said to wait for, if it said wait.
+        until: Option<Instant>,
     }
 
     struct Model {
@@ -795,6 +865,11 @@ mod tests {
         shutdown: bool,
         window: VecDeque<Duration>,
         p99: Option<(Duration, Instant)>,
+        /// Virtual workers waiting for work.
+        parked: usize,
+        /// The latest accepted arrival and the gap before it.
+        last_arrival: Option<Instant>,
+        gap: Duration,
         /// Anchor pops a backlogged, credit-holding lane has sat through.
         waited: HashMap<Option<String>, u32>,
         /// Anchor pops per lane since the last fresh cycle.
@@ -834,6 +909,9 @@ mod tests {
                 shutdown: false,
                 window: VecDeque::new(),
                 p99: None,
+                parked: 0,
+                last_arrival: None,
+                gap: Duration::ZERO,
                 waited: HashMap::new(),
                 cycle_pops: HashMap::new(),
             }
@@ -995,6 +1073,26 @@ mod tests {
             lane.in_flight -= 1;
             &mut lane.counters
         }
+
+        /// Which case, if any, closes the batching window of the drained
+        /// `batch` with `room` images to spare at `t`, restated from the
+        /// rule: (a) the window, `max_wait` from the anchor's dequeue, has
+        /// passed; (b) a held deadline falls inside it; (c) a worker is
+        /// parked and the pace — the slower of the last gap and the time
+        /// since the last arrival — cannot fill the room before it ends.
+        fn window_closed(&self, batch: &[Entry], room: usize, t: Instant) -> Option<&'static str> {
+            let end = batch[0].dequeued.expect("taken") + self.config.max_wait;
+            if t >= end {
+                return Some("window: passed");
+            }
+            if batch.iter().any(|e| e.deadline.is_some_and(|d| d <= end)) {
+                return Some("window: a held deadline inside it");
+            }
+            let last = self.last_arrival.expect("an arrival anchors every batch");
+            let pace = self.gap.max(t - last);
+            let cannot_fill = pace.as_nanos() * room as u128 >= (end - t).as_nanos();
+            (self.parked > 0 && cannot_fill).then_some("window: a parked peer, a pace too slow")
+        }
     }
 
     /// Everything that must hold between any two steps.
@@ -1015,6 +1113,7 @@ mod tests {
         }
         assert_eq!(q.queued, m.queued());
         assert_eq!(q.high_water, m.high_water);
+        assert_eq!((q.parked, q.last_arrival, q.gap), (m.parked, m.last_arrival, m.gap));
         assert_eq!((&q.recent, q.p99), (&m.window, m.p99), "the p99 window and its reading");
         assert!(q.high_water <= m.config.queue_capacity, "the queue outgrew its capacity");
         // One ledger: the lanes plus the retired aggregate are the totals,
@@ -1134,6 +1233,10 @@ mod tests {
                 });
                 m.lanes[lane].counters.submitted += 1;
                 m.high_water = m.high_water.max(m.queued());
+                if let Some(last) = m.last_arrival {
+                    m.gap = now - last;
+                }
+                m.last_arrival = Some(now);
             }
             (Admission::Full(back), Verdict::Full) => {
                 assert_eq!(back.images.len(), images, "a full queue hands the request back whole");
@@ -1244,7 +1347,13 @@ mod tests {
     }
 
     /// One gather round on an open batch; returns what the batcher is told.
-    fn gather(q: &mut Queue, m: &mut Model, batch: &mut Vec<Entry>, now: Instant) -> Gathered {
+    fn gather(
+        q: &mut Queue,
+        m: &mut Model,
+        batch: &mut Vec<Entry>,
+        now: Instant,
+        seen: &mut Seen,
+    ) -> Gathered {
         let max_batch = m.config.max_batch;
         let had = batch.len();
         let (next, freed) = q.gather(batch, now);
@@ -1273,7 +1382,29 @@ mod tests {
         let want = if images >= max_batch || m.shutdown {
             Gathered::Seal
         } else if m.queued() == 0 {
-            Gathered::Wait
+            // A drained batch with room left seals only when the window
+            // is closed, and otherwise waits exactly until it closes.
+            let room = max_batch - images;
+            if let Some(case) = m.window_closed(batch, room, now) {
+                seen.saw(case);
+                Gathered::Seal
+            } else {
+                let Gathered::Wait { until } = next else {
+                    panic!("{next:?} with the window open and the queue drained")
+                };
+                let end = batch[0].dequeued.expect("taken") + m.config.max_wait;
+                assert!(now < until && until <= end, "waited past dequeued + max_wait");
+                assert!(
+                    batch.iter().all(|e| e.deadline.is_none_or(|d| until <= d)),
+                    "waited past a held deadline"
+                );
+                assert!(m.window_closed(batch, room, until).is_some(), "still open at `until`");
+                assert!(
+                    m.window_closed(batch, room, until - Duration::from_nanos(1)).is_none(),
+                    "closed before `until`"
+                );
+                next
+            }
         } else if batch.len() > had {
             Gathered::Again
         } else {
@@ -1281,6 +1412,20 @@ mod tests {
         };
         assert_eq!(next, want);
         next
+    }
+
+    /// A gather round on a batch a worker holds, remembering a wait's
+    /// `until` the way the worker would.
+    fn gather_on(q: &mut Queue, m: &mut Model, batch: &mut Batch, now: Instant, seen: &mut Seen) {
+        batch.until = None;
+        match gather(q, m, &mut batch.entries, now, seen) {
+            Gathered::Seal => seen.saw("gather: seal"),
+            Gathered::Again => seen.saw("gather: again"),
+            Gathered::Wait { until } => {
+                seen.saw("gather: wait");
+                batch.until = Some(until);
+            }
+        }
     }
 
     /// Seal a batch: whatever expired while it was gathered is retracted,
@@ -1392,22 +1537,32 @@ mod tests {
         for _ in 0..(20 + rng.below(60)) {
             let sealed: Vec<usize> = (0..open.len()).filter(|&b| open[b].sealed).collect();
             let gathering: Vec<usize> = (0..open.len()).filter(|&b| !open[b].sealed).collect();
+            let waiting: Vec<usize> =
+                gathering.iter().copied().filter(|&b| open[b].until.is_some()).collect();
             match rng.below(100) {
                 0..=44 => submit(&mut q, &mut m, &mut rng, now, seen),
                 45..=56 => {
                     if let Some(anchor) = pop(&mut q, &mut m, now, seen) {
-                        open.push(Batch { entries: vec![anchor], sealed: false });
+                        let mut batch = Batch { entries: vec![anchor], sealed: false, until: None };
+                        // Like the worker, mostly gather at once.
+                        if rng.chance(60) {
+                            gather_on(&mut q, &mut m, &mut batch, now, seen);
+                        }
+                        open.push(batch);
                     }
                 }
                 57..=66 if !gathering.is_empty() => {
                     let b = gathering[rng.below(gathering.len())];
-                    match gather(&mut q, &mut m, &mut open[b].entries, now) {
-                        Gathered::Seal => seen.saw("gather: seal"),
-                        Gathered::Again => seen.saw("gather: again"),
-                        Gathered::Wait => seen.saw("gather: wait"),
-                    }
+                    gather_on(&mut q, &mut m, &mut open[b], now, seen);
                 }
-                67..=74 if !gathering.is_empty() => {
+                // The worker that was told to wait wakes when it was told to.
+                67..=68 if !waiting.is_empty() => {
+                    let b = waiting[rng.below(waiting.len())];
+                    now = now.max(open[b].until.expect("waiting"));
+                    gather_on(&mut q, &mut m, &mut open[b], now, seen);
+                    seen.saw("gathered again at a wait's end");
+                }
+                69..=74 if !gathering.is_empty() => {
                     let b = gathering[rng.below(gathering.len())];
                     seal(&mut q, &mut m, &mut open[b].entries, now, seen);
                     open[b].sealed = true;
@@ -1432,6 +1587,18 @@ mod tests {
                     q.begin_shutdown();
                     m.shutdown = true;
                 }
+                // An idle worker waits for work, and wakes.
+                89..=91 if m.parked < m.config.workers => {
+                    assert_eq!(q.park(), m.parked == 0, "only the first to park wakes a window");
+                    m.parked += 1;
+                }
+                92..=93 if m.parked > 0 => {
+                    q.unpark();
+                    m.parked -= 1;
+                }
+                // Time passes: sometimes sub-millisecond, so arrival gaps
+                // land on both sides of what fills a window.
+                _ if rng.chance(50) => now += Duration::from_micros(rng.below(2_000) as u64),
                 _ => now += rng.millis(12),
             }
             assert_eq!(q.shutting_down(), m.shutdown);
@@ -1451,7 +1618,7 @@ mod tests {
         }
         while let Some(anchor) = drain.then(|| pop(&mut q, &mut m, now, seen)).flatten() {
             let mut batch = vec![anchor];
-            while gather(&mut q, &mut m, &mut batch, now) == Gathered::Again {}
+            while gather(&mut q, &mut m, &mut batch, now, seen) == Gathered::Again {}
             seal(&mut q, &mut m, &mut batch, now, seen);
             complete(&mut q, &mut m, &batch, true, now);
             check(&q, &m, now);
@@ -1488,6 +1655,18 @@ mod tests {
         );
     }
 
+    // Hand mutants of the batching window (`Queue::window_closes`, `park`,
+    // `unpark`), each killed by this check; the count is how many of the
+    // 2,400 seeds fail (run each seed under `catch_unwind` to re-count):
+    //
+    // | mutant                                                 | kills |
+    // |--------------------------------------------------------|-------|
+    // | idle count ignored (no `parked == 0` early return)     |   341 |
+    // | pace term dropped (a parked peer alone shuts it)       |   117 |
+    // | time since the last arrival ignored (gap term only)    |   148 |
+    // | window measured from `now`, not the anchor's dequeue   |   117 |
+    // | deadline cap dropped (no held-deadline case)           |   127 |
+    // | `unpark` skipped                                       |   784 |
     #[test]
     fn generated_op_sequences_agree_with_the_reference_model() {
         let mut seen = Seen::default();
@@ -1507,6 +1686,10 @@ mod tests {
             "gather: seal",
             "gather: again",
             "gather: wait",
+            "gathered again at a wait's end",
+            "window: passed",
+            "window: a held deadline inside it",
+            "window: a parked peer, a pace too slow",
             "sealed out an expired entry",
             "abandoned a batch",
             "failed a loaded queue",

@@ -369,7 +369,7 @@ impl Runtime {
                 }
                 Block::Until { deadline, timeout } => {
                     if now < deadline {
-                        st = wait_timeout(&inner.space, st, deadline - now).0;
+                        st = wait_timeout(&inner.space, st, deadline - now);
                         continue;
                     }
                     SubmitError::Timeout { timeout }
@@ -509,8 +509,8 @@ fn worker_loop(inner: &Inner, worker: usize) {
         session.set_profiling(true);
     }
     while let Some(batch) = next_dispatch(inner) {
-        // An entire gathered batch can expire during the straggler
-        // window; there is nothing left to serve.
+        // The window closes before any held deadline, but a worker that
+        // wakes late can find its whole batch expired: nothing to serve.
         if !batch.is_empty() {
             serve_dispatch(inner, worker, &session, batch);
         }
@@ -518,11 +518,11 @@ fn worker_loop(inner: &Inner, worker: usize) {
 }
 
 /// The cross-request dynamic batcher. Blocks for work, anchors a batch on
-/// the scheduler's pick, then gathers compatible heads across the lanes —
-/// waiting up to `max_wait` for stragglers while the queue is empty.
-/// Returns `None` when the runtime is shutting down and the lanes are
-/// fully drained; the returned batch can be empty when everything
-/// gathered expired during the straggler window.
+/// the scheduler's pick, then gathers compatible heads across the lanes,
+/// waiting for stragglers while the queue says the batching window is
+/// open. Returns `None` when the runtime is shutting down and the lanes
+/// are fully drained; the returned batch can be empty when the worker woke
+/// from its wait past every gathered deadline.
 fn next_dispatch(inner: &Inner) -> Option<Vec<Entry>> {
     let mut st = lock(&inner.state);
     let first = loop {
@@ -536,9 +536,17 @@ fn next_dispatch(inner: &Inner) -> Option<Vec<Entry>> {
         }
         // Nothing is queued (`pop` retracts what expired and hands out
         // anything live), so there is no deadline to wake for either.
+        // Parked, this worker lets a peer's batch seal without waiting
+        // for stragglers it would serve itself; the first idle worker
+        // wakes the peers waiting out a window so they can re-decide.
+        // No other worker is parked then, so idle workers never wake each
+        // other in a loop.
+        if st.park() {
+            inner.work.notify_all();
+        }
         st = wait(&inner.work, st);
+        st.unpark();
     };
-    let window = Instant::now() + inner.config.max_wait;
     let mut batch = vec![first];
     loop {
         let now = Instant::now();
@@ -547,18 +555,8 @@ fn next_dispatch(inner: &Inner) -> Option<Vec<Entry>> {
         match next {
             Gathered::Seal => break,
             Gathered::Again => {}
-            Gathered::Wait => {
-                if now >= window {
-                    break;
-                }
-                let (guard, timed_out) = wait_timeout(&inner.work, st, window - now);
-                st = guard;
-                if timed_out {
-                    // One last gather is pointless — the wait only
-                    // returns with the lock held, so the queue state is
-                    // current.
-                    break;
-                }
+            Gathered::Wait { until } => {
+                st = wait_timeout(&inner.work, st, until.saturating_duration_since(now));
             }
         }
     }

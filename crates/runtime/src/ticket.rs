@@ -131,8 +131,7 @@ impl Ticket {
                 drop(slot);
                 return Err(self);
             }
-            let (guard, _timed_out) = wait_timeout(&self.cell.done, slot, deadline - now);
-            slot = guard;
+            slot = wait_timeout(&self.cell.done, slot, deadline - now);
         }
     }
 

@@ -23,7 +23,7 @@ use scales::runtime::{
 };
 use scales::serve::{Engine, Precision, SrRequest};
 use scales::tensor::backend::{self, Backend};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Run `f` on a helper thread and fail the test if it has not finished
 /// within `secs` — a deadlock anywhere in submit/dispatch/shutdown must
@@ -401,43 +401,107 @@ fn shutdown_racing_submitters_stays_deadlock_free() {
 
 /// The batcher must actually coalesce: a backlog of single-image
 /// requests submitted ahead of the (slow) first dispatch ends up in far
-/// fewer dispatches than requests, and the shared-dispatch stats say so.
+/// fewer dispatches than requests, and the shared-dispatch stats say so —
+/// also with a second worker idle, whose presence may close a window early
+/// only when the arrivals could not fill it.
 #[test]
 fn dynamic_batching_coalesces_a_backlog_of_single_image_callers() {
     with_watchdog(120, "batching-coalesces", || {
-        let runtime = Runtime::spawn(
-            engine_for(Method::scales(), Backend::Scalar, 11),
-            RuntimeConfig {
-                workers: 1,
-                queue_capacity: 64,
-                max_batch: 8,
-                max_wait: Duration::from_millis(50),
-                ..RuntimeConfig::default()
-            },
-        )
-        .unwrap();
-        // Same-shaped singles: ideal coalescing fodder. Submit the whole
-        // burst before waiting on anything.
-        let tickets: Vec<Ticket> = (0..16)
-            .map(|i| runtime.submit(SrRequest::single(probe(8, 8, 500 + i))).unwrap())
-            .collect();
-        for ticket in tickets {
-            let response = ticket.wait().unwrap();
-            assert_eq!(response.stats().images, 1, "caller sees its own image count");
+        for workers in [1, 2] {
+            let runtime = Runtime::spawn(
+                engine_for(Method::scales(), Backend::Scalar, 11),
+                RuntimeConfig {
+                    workers,
+                    queue_capacity: 64,
+                    max_batch: 8,
+                    max_wait: Duration::from_millis(50),
+                    ..RuntimeConfig::default()
+                },
+            )
+            .unwrap();
+            // Same-shaped singles: ideal coalescing fodder. Submit the
+            // whole burst before waiting on anything.
+            let tickets: Vec<Ticket> = (0..16)
+                .map(|i| runtime.submit(SrRequest::single(probe(8, 8, 500 + i))).unwrap())
+                .collect();
+            for ticket in tickets {
+                let response = ticket.wait().unwrap();
+                assert_eq!(response.stats().images, 1, "caller sees its own image count");
+            }
+            let stats = runtime.shutdown();
+            assert_ledger_closes(&stats);
+            assert_eq!(stats.completed, 16);
+            // 16 singles with max_batch 8 and a 50 ms window: the burst
+            // arrives microseconds apart, far faster than it takes to fill
+            // a window, so dispatches stay far below 16 (ideally 2–3).
+            assert!(
+                stats.dispatches <= 8,
+                "{workers} worker(s): {} dispatches for 16 requests",
+                stats.dispatches
+            );
+            assert!(stats.coalesced > 0, "{workers} worker(s): no request shared a dispatch");
+            assert!(stats.batch_fill > 0.0);
         }
-        let stats = runtime.shutdown();
-        assert_ledger_closes(&stats);
-        assert_eq!(stats.completed, 16);
-        // 16 singles with max_batch 8 and a 50 ms window: the burst is
-        // already queued when the worker gathers, so dispatches must be
-        // far below 16 (ideally 2–3).
-        assert!(
-            stats.dispatches < 16,
-            "batcher never coalesced: {} dispatches for 16 requests",
-            stats.dispatches
-        );
-        assert!(stats.coalesced > 0, "no request shared a dispatch");
-        assert!(stats.batch_fill > 0.0);
+    });
+}
+
+/// The batching window of the lone-request tests below.
+const WINDOW: Duration = Duration::from_millis(100);
+
+/// Serve `request` alone on a fresh runtime of `workers` with a [`WINDOW`]
+/// batching window, and return how long it waited for stragglers. The
+/// ledger must book that wait where the stamps put it: `sealed − dequeued`
+/// as batch wait, `dequeued − enqueued` as queue wait.
+fn batch_wait_of_a_lone_request(workers: usize, request: SrRequest) -> Duration {
+    let runtime = Runtime::spawn(
+        engine_for(Method::scales(), Backend::Scalar, 60),
+        RuntimeConfig { workers, max_wait: WINDOW, ..RuntimeConfig::default() },
+    )
+    .unwrap();
+    let response = match runtime.submit(request).unwrap().wait() {
+        Ok(response) => response,
+        Err(e) => panic!("{workers} worker(s): a lone request must be served, got {e}"),
+    };
+    let stamps = response.stamps().expect("runtime responses carry stamps");
+    let stats = runtime.shutdown();
+    assert_ledger_closes(&stats);
+    assert_eq!((stats.completed, stats.expired, stats.dispatches), (1, 0, 1));
+    // One sample per histogram, so each one's max is this request's span.
+    assert_eq!(stats.queue_wait.max(), stamps.dequeued - stamps.enqueued);
+    assert_eq!(stats.batch_wait.max(), stamps.sealed - stamps.dequeued);
+    stamps.sealed - stamps.dequeued
+}
+
+/// A deadline that falls inside the batching window closes it: one
+/// worker, nothing else in flight, and the request is dispatched at once
+/// instead of held until the window ends and then retracted as expired.
+#[test]
+fn a_deadline_inside_the_batching_window_is_served_not_expired() {
+    with_watchdog(120, "deadline-in-window", || {
+        let deadline = Instant::now() + Duration::from_millis(30);
+        let request = SrRequest::single(probe(6, 6, 6_000)).deadline_at(deadline);
+        let waited = batch_wait_of_a_lone_request(1, request);
+        assert!(waited < Duration::from_millis(30), "held {waited:?} against a 30 ms deadline");
+    });
+}
+
+/// With an idle peer to serve any straggler, the window closes once the
+/// arrival pace cannot fill the batch: a lone request does not wait it out.
+#[test]
+fn a_lone_request_with_an_idle_peer_does_not_wait_out_the_window() {
+    with_watchdog(120, "lone-idle-peer", || {
+        let waited = batch_wait_of_a_lone_request(2, SrRequest::single(probe(6, 6, 6_100)));
+        assert!(waited < WINDOW / 2, "waited {waited:?} of a {WINDOW:?} window");
+    });
+}
+
+/// One worker has no idle peer: a straggler would wait for it anyway, so
+/// the window stays open to its end.
+#[test]
+fn a_lone_request_on_one_worker_still_waits_out_the_window() {
+    with_watchdog(120, "lone-one-worker", || {
+        let waited = batch_wait_of_a_lone_request(1, SrRequest::single(probe(6, 6, 6_200)));
+        assert!(waited >= WINDOW, "sealed after {waited:?} of a {WINDOW:?} window");
     });
 }
 
