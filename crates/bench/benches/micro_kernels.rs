@@ -18,6 +18,9 @@
 //! * the deployed GELU slice over one SwinIR-lite MLP activation, in
 //!   nanoseconds per value, compiled for every `SimdLevel` the CPU offers
 //!   (bit-identical outputs, asserted here);
+//! * deployed window attention at the transformer's shape (32 channels,
+//!   the zoo's 4×4 window, 16×16 and 24×24) and at a 2×2 window (the
+//!   any-window instance), compiled for every `SimdLevel` the CPU offers;
 //! * the bit-packed binary convolution on a 64×64 image, comparing the
 //!   allocating `forward` against the scratch-reusing `forward_into`, on
 //!   scalar and simd backends.
@@ -26,8 +29,10 @@
 //! float GEMM ≥ 1.3× scalar on the paper-scale shape; the direct float
 //! convolution on the 64 → 48 tail ≤ 0.6× the im2col → GEMM time at the
 //! detected level and ≤ 1.1× the scalar one as compiled portably; every
-//! detected level of the binary convolution at least as fast as the
-//! portable loop; and a
+//! detected level of the binary convolution and of window attention
+//! bit-identical to the portable loop and at most 1.1× its time (both
+//! sides of these ratios are timed in turn inside one best-of loop, so a
+//! burst of neighbour load hits every side); and a
 //! full SCALES body convolution ≤ 1.5× the bare binary convolution — the
 //! paper's "the scalings are cheap" claim as a floor.
 //!
@@ -44,7 +49,7 @@ use scales_binary::{BinaryConv2d, Fused};
 use scales_core::{BodyConv, DeployedBodyConv, Method};
 use scales_tensor::backend;
 use scales_tensor::backend::Backend;
-use scales_tensor::ops::{conv2d, conv2d_into_at, gelu_into_at, Conv2dSpec};
+use scales_tensor::ops::{conv2d, conv2d_into_at, gelu_into_at, window_attention_into_at, Conv2dSpec};
 use scales_tensor::workspace::{BitScratch, ConvScratch};
 use scales_tensor::{simd, SimdLevel, Tensor};
 use std::time::Instant;
@@ -53,15 +58,67 @@ fn filled(n: usize, seed: f32) -> Vec<f32> {
     (0..n).map(|i| ((i as f32 + seed) * 0.37).sin()).collect()
 }
 
+/// Wall time of one call of `f`, in seconds.
+fn timed(f: &mut impl FnMut()) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64()
+}
+
 /// Best-of-`reps` wall time of `f`, in seconds.
 fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
+    (0..reps).map(|_| timed(&mut f)).fold(f64::INFINITY, f64::min)
+}
+
+/// Best-of-`reps` wall time of `f(i)` for every `i < n`, in seconds. Each
+/// rep calls them in turn, so a burst of neighbour load lands on every
+/// side of a ratio instead of on one.
+fn best_of_each(reps: usize, n: usize, mut f: impl FnMut(usize)) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; n];
     for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
+        for (i, b) in best.iter_mut().enumerate() {
+            *b = b.min(timed(&mut || f(i)));
+        }
     }
     best
+}
+
+/// Time `run` into `out` at every level this CPU offers, print a row per
+/// level and emit a `{key}_level_{level}_us` key each: every level must
+/// give the portable loop's bits and cost at most 1.1× its time (timer
+/// jitter; a level that loses to the loop it was compiled from is a
+/// dispatch or codegen regression).
+fn against_portable(
+    label: &str,
+    key: &str,
+    reps: usize,
+    json: &mut Vec<String>,
+    out: &mut [f32],
+    mut run: impl FnMut(SimdLevel, &mut [f32]),
+) {
+    println!("\n  {label:<22} {:>12} {:>9}", "time", "vs none");
+    // Weakest first: the portable loop is the first row.
+    let levels: Vec<SimdLevel> = simd::available().collect();
+    let times = best_of_each(reps, levels.len(), |i| run(levels[i], out));
+    let portable = times[0];
+    let mut want: Vec<u32> = Vec::new();
+    for (&level, &t) in levels.iter().zip(&times) {
+        run(level, out);
+        let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+        if level == SimdLevel::None {
+            want = got;
+        } else {
+            assert!(got == want, "{label} at {level} must be bit-identical to the portable loop");
+        }
+        println!("  {:<22} {:>9.1} us {:>8.2}x", level.name(), t * 1e6, portable / t);
+        json.push(format!("\"{key}_level_{}_us\":{:.1}", level.name(), t * 1e6));
+        assert!(
+            t <= portable * 1.1,
+            "{label} at {level} must not lose to the portable loop ({:.1} vs {:.1} us)",
+            t * 1e6,
+            portable * 1e6
+        );
+    }
 }
 
 fn main() {
@@ -81,7 +138,7 @@ fn main() {
     // Float GEMM at the shapes the SRResNet serving path actually runs
     // over a 64×64 LR probe: head 3→16 (k3), body 16→16 (k3), tail
     // 16→12 (k3), and the paper-scale 64-channel body — scalar kernel vs
-    // the runtime-dispatched SIMD kernel on identical buffers.
+    // the runtime-dispatched SIMD kernel on identical inputs.
     println!(
         "\n  {:<22} {:>12} {:>12} {:>12} {:>9}",
         "gemm (m,k,n)", "scalar", "GFLOP/s", "simd", "speedup"
@@ -95,21 +152,17 @@ fn main() {
     ] {
         let a = filled(m * k, 1.0);
         let b = filled(k * n, 2.0);
-        let mut c = vec![0.0f32; m * n];
-        let scalar_kernel = Backend::Scalar.kernel();
-        let simd_kernel = Backend::Simd.kernel();
-        let t = best_of(reps, || {
-            c.iter_mut().for_each(|v| *v = 0.0);
-            scalar_kernel.gemm(&a, &b, &mut c, m, k, n);
+        // Scalar, then simd, each into its own buffer.
+        let kernels = [Backend::Scalar.kernel(), Backend::Simd.kernel()];
+        let mut c = [vec![0.0f32; m * n], vec![0.0f32; m * n]];
+        let times = best_of_each(reps, 2, |i| {
+            c[i].fill(0.0);
+            kernels[i].gemm(&a, &b, &mut c[i], m, k, n);
         });
-        let scalar_out = c.clone();
-        let ts = best_of(reps, || {
-            c.iter_mut().for_each(|v| *v = 0.0);
-            simd_kernel.gemm(&a, &b, &mut c, m, k, n);
-        });
+        let (t, ts) = (times[0], times[1]);
         // The house contract, checked where it is cheapest to check.
         assert!(
-            scalar_out.iter().zip(c.iter()).all(|(x, y)| x.to_bits() == y.to_bits()),
+            c[0].iter().zip(&c[1]).all(|(x, y)| x.to_bits() == y.to_bits()),
             "simd gemm must be bit-identical to scalar at {label}"
         );
         let gflops = (2.0 * m as f64 * k as f64 * n as f64) / t / 1e9;
@@ -213,6 +266,25 @@ fn main() {
         }
     }
 
+    // Window attention at the deployed transformer's shape (32 channels,
+    // the zoo's 4×4 window) at two LR sides, and once at a 2×2 window so
+    // the any-window instance is timed too.
+    {
+        let (reps, c) = (reps * 20, 32usize);
+        let mut staging = Vec::new();
+        for (label, key, window, side) in [
+            ("attn w4 32ch 16x16", "attn_w4_32ch_16x16", 4usize, 16usize),
+            ("attn w4 32ch 24x24", "attn_w4_32ch_24x24", 4, 24),
+            ("attn w2 32ch 16x16", "attn_w2_32ch_16x16", 2, 16),
+        ] {
+            let len = c * side * side;
+            let (q, k, v) = (filled(len, 9.0), filled(len, 10.0), filled(len, 11.0));
+            against_portable(label, key, reps, &mut json, &mut vec![0.0; len], |level, out| {
+                window_attention_into_at(level, &q, &k, &v, 1, c, side, side, window, &mut staging, out).unwrap();
+            });
+        }
+    }
+
     // The direct binary convolution at the paper's body shape and at the
     // 1×1 shapes of a lowered transformer linear, once per level this CPU
     // offers, then the whole deployed SCALES layer around the body shape on
@@ -225,30 +297,9 @@ fn main() {
         let mut per_level = |label: &str, key: &str, conv: &BinaryConv2d, side: usize| {
             let input = filled(conv.in_channels() * side * side, 4.0);
             let mut out = vec![0.0f32; conv.out_channels() * side * side];
-            println!("\n  {label:<22} {:>12} {:>9}", "time", "vs none");
-            let mut portable = f64::NAN;
-            let mut want: Vec<u32> = Vec::new();
-            for level in simd::available() {
-                let t = best_of(reps, || {
-                    conv.forward_at(level, &input, 1, side, side, &Fused::default(), &mut bits, &mut out).unwrap();
-                });
-                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-                if level == SimdLevel::None {
-                    (portable, want) = (t, got);
-                } else {
-                    assert!(got == want, "{label} at {level} must be bit-identical to the portable loop");
-                }
-                println!("  {:<22} {:>9.1} us {:>8.2}x", level.name(), t * 1e6, portable / t);
-                json.push(format!("\"{key}_level_{}_us\":{:.1}", level.name(), t * 1e6));
-                // 10% timer jitter allowed; a level that loses to the loop it
-                // was compiled from is a dispatch or codegen regression.
-                assert!(
-                    t <= portable * 1.1,
-                    "{label} at {level} must not lose to the portable loop ({:.1} vs {:.1} us)",
-                    t * 1e6,
-                    portable * 1e6
-                );
-            }
+            against_portable(label, key, reps, &mut json, &mut out, |level, out| {
+                conv.forward_at(level, &input, 1, side, side, &Fused::default(), &mut bits, out).unwrap();
+            });
         };
         let (ch, side) = (64usize, 32usize);
         let trained = BodyConv::new(Method::scales(), ch, ch, 3, &mut scales_nn::init::rng(6)).unwrap();

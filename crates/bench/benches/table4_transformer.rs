@@ -11,8 +11,9 @@
 //! planned executor — asserting ratios, never nanoseconds: deployed ≤ 0.2×
 //! tape on every row, and planned bit-identical to the reuse-off forward
 //! (`DeployedNetwork::forward`) — then where a deployed SwinIR-SCALES
-//! forward goes, per op kind, asserting that GELU costs less than the
-//! binary body convolutions.
+//! forward goes, per op kind, asserting the paper's deployment argument:
+//! the binary body convolutions cost more than GELU and window attention
+//! together, the float tail's two largest lines.
 //!
 //! ```sh
 //! SCALES_BENCH_ITERS=400 cargo bench --bench table4_transformer
@@ -96,6 +97,13 @@ fn measured(methods: &[Method]) -> Result<String, Box<dyn std::error::Error>> {
         ns("gelu") < ns("body_conv"),
         "gelu ({} ns) must cost less than the binary body convs ({} ns)",
         ns("gelu"),
+        ns("body_conv")
+    );
+    assert!(
+        ns("gelu") + ns("window_attention") < ns("body_conv"),
+        "gelu + window attention ({} + {} ns) must cost less than the binary body convs ({} ns)",
+        ns("gelu"),
+        ns("window_attention"),
         ns("body_conv")
     );
     for e in &entries {

@@ -29,6 +29,15 @@
 //! 1×1 call): it sits between the dot and the gates, where the training
 //! tape's `matmul.add(bias).mul(gate).add(input)` puts it.
 //!
+//! The count loop is compiled per kernel size: with the taps of a 3×3 (a
+//! trained body convolution) or a 1×1 (a lowered transformer linear)
+//! kernel unrolled, or for any size. A 1×1 call with no padding and no
+//! stride — every lowered linear — has no row structure at all: a position
+//! is a pixel and every pixel has the same base, so the store writes a
+//! segment's pixels as one flat run instead of row by row, and the packer
+//! writes each unpadded plane as one row. Neither changes an element's
+//! operations.
+//!
 //! Every inner loop is a plain walk over equal-length slices, the shape
 //! LLVM's loop vectorizer handles at any width. `pack_image` and
 //! `conv_image` are `#[inline(always)]` bodies; the `#[target_feature]`
@@ -229,7 +238,11 @@ pub(crate) fn base_table(g: &Geometry, pad_fix: &[i32], table: &mut [i32]) {
 /// `sign_bit(x − shift[c])`, or `x − uniform` where the table is empty.
 #[inline(always)]
 fn pack_image(g: &Geometry, image: &[f32], shift: (&[f32], f32), bitmap: &mut [u64]) {
-    let (h, w, pad, row) = (g.y.extent, g.x.extent, g.spec.padding, g.row());
+    let (h, w, pad) = (g.y.extent, g.x.extent, g.spec.padding);
+    // Unpadded, a plane's rows are contiguous in bitmap and image alike:
+    // pack it as one row.
+    let (h, w) = if pad == 0 { (1, h * w) } else { (h, w) };
+    let row = w + 2 * pad;
     for (j, plane) in bitmap.chunks_mut(g.plane()).enumerate() {
         let channels = &image[j * 64 * h * w..(g.ic.min(j * 64 + 64)) * h * w];
         plane[..pad * row].fill(0);
@@ -273,14 +286,14 @@ pub(crate) struct Job<'a> {
 }
 
 /// Convolve one image into `planes` (one per output channel, `oh·ow`
-/// floats each), through the instance of the loop for the kernel
-/// size every trained body convolution has.
+/// floats each), through the instance of the loop for the kernel size
+/// every trained body convolution (3) or lowered linear (1) has.
 #[inline(always)]
 fn conv_image(job: &Job<'_>, planes: &mut [f32]) {
-    if job.g.k == 3 {
-        conv_planes::<3>(job, planes);
-    } else {
-        conv_planes::<0>(job, planes);
+    match job.g.k {
+        3 => conv_planes::<3>(job, planes),
+        1 => conv_planes::<1>(job, planes),
+        _ => conv_planes::<0>(job, planes),
     }
 }
 
@@ -291,7 +304,7 @@ static ONES: [f32; SEGMENT] = [1.0; SEGMENT];
 static NEG_ZEROS: [f32; SEGMENT] = [-0.0; SEGMENT];
 
 /// [`conv_image`] with the taps of a `K×K` kernel unrolled, or for any
-/// kernel when `K` is 0.
+/// kernel when `K` is 0; an unpadded, unstrided `K = 1` call stores flat.
 #[inline(always)]
 fn conv_planes<const K: usize>(job: &Job<'_>, planes: &mut [f32]) {
     let g = job.g;
@@ -300,12 +313,17 @@ fn conv_planes<const K: usize>(job: &Job<'_>, planes: &mut [f32]) {
     let (taps, per) = (k * k * wpp, g.base_len());
     // One past the last output pixel's position.
     let span = (oh - 1) * stride * row + (ow - 1) * stride + 1;
+    // A 1×1 kernel with no padding and no stride: a position is a pixel
+    // and every pixel has the same base.
+    let flat = K == 1 && g.spec.padding == 0 && stride == 1;
     for (c, out) in planes.chunks_mut(oh * ow).enumerate() {
         let weights = &job.weights[c * taps..(c + 1) * taps];
         let classes = &job.base[c * per..(c + 1) * per];
         let (scale, channel) = (job.scales[c], job.channel.map_or(1.0, |gate| gate[c]));
         let bias = job.bias.map_or(-0.0, |bias| bias[c]);
         let skip = job.skip.map(|x| &x[c * oh * ow..(c + 1) * oh * ow]);
+        let epilogue =
+            |d: u64, base: i32, s: f32, x: f32| (scale * (base - 2 * d as i32) as f32 + bias) * s * channel + x;
         for q0 in (0..span).step_by(SEGMENT) {
             let len = SEGMENT.min(span - q0);
             // Per position, how many channel lanes of its receptive field
@@ -344,6 +362,17 @@ fn conv_planes<const K: usize>(job: &Job<'_>, planes: &mut [f32]) {
                     }
                 }
             }
+            if flat {
+                // The segment's pixels are one run.
+                let at = q0..q0 + len;
+                let spatial = job.spatial.map_or(&ONES[..len], |gate| &gate[at.clone()]);
+                let skip = skip.map_or(&NEG_ZEROS[..len], |x| &x[at.clone()]);
+                let base = classes[0];
+                for (((v, &d), &s), &x) in out[at].iter_mut().zip(&*differ).zip(spatial).zip(skip) {
+                    *v = epilogue(d, base, s, x);
+                }
+                continue;
+            }
             // Store every output row's pixels whose position fell in this
             // segment (rows are `stride · row` positions apart).
             let pixels = |positions: usize| if stride == 1 { positions } else { positions.div_ceil(stride) };
@@ -363,8 +392,8 @@ fn conv_planes<const K: usize>(job: &Job<'_>, planes: &mut [f32]) {
                 let spatial = job.spatial.map_or(&ONES[..n], |gate| &gate[at..at + n]);
                 let skip = skip.map_or(&NEG_ZEROS[..n], |x| &x[at..at + n]);
                 let differ = &differ[row0 + lo * stride - q0..];
-                let store = |v: &mut f32, (((d, base), s), x): (((&u64, &i32), &f32), &f32)| {
-                    *v = (scale * (base - 2 * *d as i32) as f32 + bias) * s * channel + x;
+                let store = |v: &mut f32, (((&d, &base), &s), &x): (((&u64, &i32), &f32), &f32)| {
+                    *v = epilogue(d, base, s, x);
                 };
                 let out = out[at..at + n].iter_mut();
                 if stride == 1 {

@@ -22,6 +22,15 @@
 //! Every step is a separate IEEE operation and lanes never mix, so a lane
 //! computes exactly what the scalar call does: scalar and simd, and every
 //! level, agree by construction. LayerNorm runs as compiled portably.
+//!
+//! At each level the attention body has two const-generic instances,
+//! picked per call by the window: one for the only window the model zoo
+//! uses (4×4: 16 tokens, one AVX-512 register) and one for any window. In
+//! the first every token-lane loop and every 4-float row move of the
+//! per-window gather and scatter has a compile-time length, so the loops
+//! unroll into whole-register operations and the moves into single loads
+//! and stores. Both instances run the same operations in the same order,
+//! so they agree bit for bit too.
 
 use crate::error::{Result, TensorError};
 use crate::ops::math;
@@ -248,26 +257,45 @@ struct Windows<'a> {
     window: usize,
 }
 
-/// The one attention loop every level compiles; `staging` is exactly the
-/// tiles, the scores and two rows.
+/// The window every transformer of the model zoo attends over
+/// (`scales_models::WINDOW`), which [`attend_windows`] has an instance for.
+const ZOO_WINDOW: usize = 4;
+
+/// The one attention loop every level compiles, through its instance for
+/// the zoo's window or the one for any window.
 #[inline(always)]
 fn attend(maps: &Windows<'_>, staging: &mut [f32], out: &mut [f32]) {
+    if maps.window == ZOO_WINDOW {
+        attend_windows::<ZOO_WINDOW>(maps, staging, out);
+    } else {
+        attend_windows::<0>(maps, staging, out);
+    }
+}
+
+/// [`attend`] for a `W × W` window, or for any window when `W` is 0;
+/// `staging` is exactly the tiles, the scores and two rows.
+#[inline(always)]
+fn attend_windows<const W: usize>(maps: &Windows<'_>, staging: &mut [f32], out: &mut [f32]) {
     let Windows { q, k, v, n, c, h, w, window } = *maps;
+    // A compile-time constant in every instance but `W = 0`, and with it
+    // every token-lane loop's length and every row move's.
+    let window = if W == 0 { window } else { W };
     let (t, hw) = (window * window, h * w);
     let scale = 1.0 / (c as f32).sqrt();
     let (tiles, rest) = staging.split_at_mut(3 * c * t);
     let (scores, rows) = rest.split_at_mut(t * t);
-    let (row_a, row_b) = rows.split_at_mut(t);
+    let (row_a, row_b) = rows[..2 * t].split_at_mut(t);
     for b in 0..n {
         let image = b * c * hw..(b + 1) * c * hw;
         let (q, k, v, out) = (&q[image.clone()], &k[image.clone()], &v[image.clone()], &mut out[image]);
         for corner in (0..h / window).flat_map(|wy| (0..w / window).map(move |wx| (wy * w + wx) * window)) {
-            // The window's pixel rows of channel `ci`, as offsets into a map.
-            let rows_of = |ci: usize| (0..window).map(move |ty| ci * hw + corner + ty * w);
-            for (map, tile) in [q, k, v].into_iter().zip(tiles.chunks_mut(c * t)) {
-                for (ci, channel) in tile.chunks_mut(t).enumerate() {
-                    for (row, at) in channel.chunks_mut(window).zip(rows_of(ci)) {
-                        row.copy_from_slice(&map[at..at + window]);
+            // Channel `ci`'s window rows sit at `ci·hw + corner + ty·w`
+            // of a map and at `ci·t + ty·window` of its tile.
+            for (map, tile) in [q, k, v].into_iter().zip(tiles.chunks_exact_mut(c * t)) {
+                for ci in 0..c {
+                    for ty in 0..window {
+                        let (from, to) = (ci * hw + corner + ty * w, ci * t + ty * window);
+                        tile[to..to + window].copy_from_slice(&map[from..from + window]);
                     }
                 }
             }
@@ -275,8 +303,8 @@ fn attend(maps: &Windows<'_>, staging: &mut [f32], out: &mut [f32]) {
             let (kt, vt) = rest.split_at(c * t);
             // scores[j][i] = Σ_c q[c][i] · k[c][j], ascending c.
             scores.fill(0.0);
-            for (qc, kc) in qt.chunks(t).zip(kt.chunks(t)) {
-                for (row, &kj) in scores.chunks_mut(t).zip(kc) {
+            for (qc, kc) in qt.chunks_exact(t).zip(kt.chunks_exact(t)) {
+                for (row, &kj) in scores.chunks_exact_mut(t).zip(kc) {
                     for (s, &qi) in row.iter_mut().zip(qc) {
                         *s += qi * kj;
                     }
@@ -285,35 +313,36 @@ fn attend(maps: &Windows<'_>, staging: &mut [f32], out: &mut [f32]) {
             // Softmax over the keys of each query: columns of `scores`.
             let (max, sum) = (&mut *row_a, &mut *row_b);
             max.fill(f32::NEG_INFINITY);
-            for row in scores.chunks_mut(t) {
+            for row in scores.chunks_exact_mut(t) {
                 for (s, m) in row.iter_mut().zip(&mut *max) {
                     *s *= scale;
                     *m = m.max(*s);
                 }
             }
             sum.fill(0.0);
-            for row in scores.chunks_mut(t) {
+            for row in scores.chunks_exact_mut(t) {
                 for ((s, &m), total) in row.iter_mut().zip(&*max).zip(&mut *sum) {
                     *s = math::exp(*s - m);
                     *total += *s;
                 }
             }
-            for row in scores.chunks_mut(t) {
+            for row in scores.chunks_exact_mut(t) {
                 for (s, &total) in row.iter_mut().zip(&*sum) {
                     *s /= total;
                 }
             }
             // out[c][i] = Σ_j attn[i][j] · v[c][j], ascending j.
             let context = &mut *row_a;
-            for (ci, vc) in vt.chunks(t).enumerate() {
+            for (ci, vc) in vt.chunks_exact(t).enumerate() {
                 context.fill(0.0);
-                for (row, &vj) in scores.chunks(t).zip(vc) {
+                for (row, &vj) in scores.chunks_exact(t).zip(vc) {
                     for (acc, &a) in context.iter_mut().zip(row) {
                         *acc += a * vj;
                     }
                 }
-                for (row, at) in context.chunks(window).zip(rows_of(ci)) {
-                    out[at..at + window].copy_from_slice(row);
+                for ty in 0..window {
+                    let (from, to) = (ty * window, ci * hw + corner + ty * w);
+                    out[to..to + window].copy_from_slice(&context[from..from + window]);
                 }
             }
         }
@@ -335,7 +364,8 @@ pub fn check_window(h: usize, w: usize, window: usize) -> Result<()> {
     Ok(())
 }
 
-/// [`gelu_lanes`] and [`attend`] recompiled per x86-64 feature level.
+/// [`gelu_lanes`] and both [`attend`] instances recompiled per x86-64
+/// feature level.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::{attend, gelu_lanes, Windows};
