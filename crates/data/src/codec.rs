@@ -20,6 +20,17 @@
 //! * encode: stored-block zlib, filter 0 — maximally compatible output
 //!   any external decoder reads.
 //!
+//! The encoders are on every reply's path, so they cost one allocation
+//! per image, not per sample: each walks the CHW planes of
+//! `image.tensor().data()` a row at a time as slices, quantizing and
+//! interleaving straight into the one output buffer, sized up front. PNG
+//! writes signature, IHDR, each row's filter byte, the stored-block
+//! headers and the samples there, and runs Adler-32 and each chunk's
+//! CRC-32 over the bytes already in place; PPM appends the samples to
+//! its header. The test module keeps the per-pixel encoder they
+//! replaced and checks the two byte for byte; `tests/codec_alloc.rs`
+//! counts the allocations.
+//!
 //! Quantization is the shared 8-bit protocol of [`Image::save_pnm`]:
 //! `round(clamp(v, 0, 1) × 255)` on encode, `v / 255` on decode — so
 //! `decode(encode(x))` is **bit-exact** for any image whose values are
@@ -200,8 +211,8 @@ impl std::error::Error for CodecError {}
 /// Result alias for codec operations.
 pub type Result<T> = std::result::Result<T, CodecError>;
 
-/// The shared 8-bit quantization of the wire protocol (identical to
-/// [`Image::save_pnm`]).
+/// The shared 8-bit quantization of the wire protocol ([`Image::save_pnm`]
+/// writes through it too).
 fn quantize(v: f32) -> u8 {
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     {
@@ -243,18 +254,41 @@ fn image_from_samples(samples: &[u8], channels: usize, h: usize, w: usize) -> Im
     Image::from_tensor(tensor).expect("1 or 3 channels by construction")
 }
 
-/// Planar CHW `f32` image → interleaved quantized 8-bit samples.
-fn samples_from_image(image: &Image) -> Vec<u8> {
-    let (c, h, w) = (image.channels(), image.height(), image.width());
-    let mut samples = Vec::with_capacity(c * h * w);
-    for y in 0..h {
-        for x in 0..w {
-            for ci in 0..c {
-                samples.push(quantize(image.pixel(ci, y, x)));
-            }
+/// Append row `y` of a planar CHW `f32` image as interleaved quantized
+/// 8-bit samples (`x`-major, channel-minor), read straight from the
+/// planes — the one place the wire's sample order is written down.
+fn push_row(out: &mut Vec<u8>, image: &Image, y: usize) {
+    let (h, w) = (image.height(), image.width());
+    let data = image.tensor().data();
+    let row = |c: usize| &data[(c * h + y) * w..][..w];
+    let start = out.len();
+    out.resize(start + image.channels() * w, 0);
+    let dst = &mut out[start..];
+    if image.channels() == 3 {
+        let (r, g, b) = (row(0), row(1), row(2));
+        for (px, ((&r, &g), &b)) in dst.chunks_exact_mut(3).zip(r.iter().zip(g).zip(b)) {
+            px.copy_from_slice(&[quantize(r), quantize(g), quantize(b)]);
+        }
+    } else {
+        for (s, &v) in dst.iter_mut().zip(row(0)) {
+            *s = quantize(v);
         }
     }
-    samples
+}
+
+/// Binary PNM bytes: `P6` for RGB, `P5` for greyscale, maxval 255 —
+/// the header and samples [`encode_ppm`] and [`Image::save_pnm`] share.
+pub(crate) fn encode_pnm(image: &Image) -> Vec<u8> {
+    use std::io::Write as _;
+    let (h, w) = (image.height(), image.width());
+    let magic = if image.channels() == 3 { "P6" } else { "P5" };
+    // The header is at most 29 bytes ("P6\n" + two 10-digit extents).
+    let mut out = Vec::with_capacity(32 + image.channels() * h * w);
+    write!(out, "{magic}\n{w} {h}\n255\n").expect("writing to a Vec cannot fail");
+    for y in 0..h {
+        push_row(&mut out, image, y);
+    }
+    out
 }
 
 /// Sniff the format and decode.
@@ -391,9 +425,9 @@ fn ppm_token(bytes: &[u8], pos: &mut usize) -> Result<u64> {
     Ok(value)
 }
 
-/// Encode as binary PPM (`P6`, maxval 255) — the exact header layout of
-/// [`Image::save_pnm`], so a saved file and a wire payload are
-/// byte-identical.
+/// Encode as binary PPM (`P6`, maxval 255) — the bytes
+/// [`Image::save_pnm`] writes for an RGB image, so a saved file and a
+/// wire payload are byte-identical.
 ///
 /// # Errors
 ///
@@ -405,10 +439,7 @@ pub fn encode_ppm(image: &Image) -> Result<Vec<u8>> {
             what: format!("PPM P6 is RGB; image has {} channel(s)", image.channels()),
         });
     }
-    let (h, w) = (image.height(), image.width());
-    let mut out = format!("P6\n{w} {h}\n255\n").into_bytes();
-    out.extend_from_slice(&samples_from_image(image));
-    Ok(out)
+    Ok(encode_pnm(image))
 }
 
 // ---------------------------------------------------------------------------
@@ -625,66 +656,83 @@ pub fn encode_png(image: &Image) -> Result<Vec<u8>> {
         });
     }
     let colour = if channels == 3 { 2u8 } else { 0u8 };
-    let samples = samples_from_image(image);
     let stride = w * channels;
-    let mut raw = Vec::with_capacity(h * (stride + 1));
-    for y in 0..h {
-        raw.push(0u8); // filter: None
-        raw.extend_from_slice(&samples[y * stride..(y + 1) * stride]);
-    }
-
-    let mut out = Vec::with_capacity(raw.len() + 128);
+    // The zlib payload: one filter byte (0, None) per row, then the row.
+    let raw_len = h * (stride + 1);
+    let blocks = raw_len.div_ceil(STORED_BLOCK);
+    let idat_len = 2 + 5 * blocks + raw_len + 4;
+    // Signature, IHDR (12 + 13), IDAT (12 + payload), IEND (12).
+    let mut out = Vec::with_capacity(PNG_SIG.len() + 25 + 12 + idat_len + 12);
     out.extend_from_slice(&PNG_SIG);
-    let mut ihdr = Vec::with_capacity(13);
+
+    let type_start = open_chunk(&mut out, b"IHDR", 13);
     #[allow(clippy::cast_possible_truncation)]
     {
-        ihdr.extend_from_slice(&(w as u32).to_be_bytes());
-        ihdr.extend_from_slice(&(h as u32).to_be_bytes());
+        out.extend_from_slice(&(w as u32).to_be_bytes());
+        out.extend_from_slice(&(h as u32).to_be_bytes());
     }
-    ihdr.extend_from_slice(&[8, colour, 0, 0, 0]);
-    push_chunk(&mut out, b"IHDR", &ihdr);
-    push_chunk(&mut out, b"IDAT", &zlib_deflate_stored(&raw));
-    push_chunk(&mut out, b"IEND", &[]);
+    out.extend_from_slice(&[8, colour, 0, 0, 0]);
+    close_chunk(&mut out, type_start);
+
+    let type_start = open_chunk(&mut out, b"IDAT", idat_len);
+    // CMF 0x78 (deflate, 32 KiB window), FLG 0x01 (check bits, no dict):
+    // (0x78 << 8 | 0x01) = 30721 = 31 × 991.
+    out.extend_from_slice(&[0x78, 0x01]);
+    out.extend_from_slice(&stored_block_header(0, raw_len));
+    let raw_start = out.len();
+    for y in 0..h {
+        out.push(0); // filter: None
+        push_row(&mut out, image, y);
+    }
+    let adler = adler32(&out[raw_start..]);
+    // Each later block's header goes in by moving that block along, last
+    // block first, so nothing not yet moved is overwritten (a reply
+    // under 64 KiB is one block and moves nothing).
+    out.resize(out.len() + 5 * (blocks - 1), 0);
+    for k in (1..blocks).rev() {
+        let (from, to) = (raw_start + k * STORED_BLOCK, raw_start + k * (STORED_BLOCK + 5));
+        let len = (raw_len - k * STORED_BLOCK).min(STORED_BLOCK);
+        out.copy_within(from..from + len, to);
+        out[to - 5..to].copy_from_slice(&stored_block_header(k * STORED_BLOCK, raw_len));
+    }
+    out.extend_from_slice(&adler.to_be_bytes());
+    close_chunk(&mut out, type_start);
+
+    let type_start = open_chunk(&mut out, b"IEND", 0);
+    close_chunk(&mut out, type_start);
     Ok(out)
 }
 
-fn push_chunk(out: &mut Vec<u8>, ctype: &[u8; 4], data: &[u8]) {
+/// Write a chunk's length and type; returns where the type starts (the
+/// CRC covers type and data).
+fn open_chunk(out: &mut Vec<u8>, ctype: &[u8; 4], len: usize) -> usize {
     #[allow(clippy::cast_possible_truncation)]
-    out.extend_from_slice(&(data.len() as u32).to_be_bytes());
+    out.extend_from_slice(&(len as u32).to_be_bytes());
     out.extend_from_slice(ctype);
-    out.extend_from_slice(data);
-    let mut crc_input = Vec::with_capacity(4 + data.len());
-    crc_input.extend_from_slice(ctype);
-    crc_input.extend_from_slice(data);
-    out.extend_from_slice(&crc32(&crc_input).to_be_bytes());
+    out.len() - 4
+}
+
+/// Append the CRC of the chunk whose type starts at `type_start`.
+fn close_chunk(out: &mut Vec<u8>, type_start: usize) {
+    let crc = crc32(&out[type_start..]);
+    out.extend_from_slice(&crc.to_be_bytes());
 }
 
 // ---------------------------------------------------------------------------
 // zlib (RFC 1950) over deflate (RFC 1951), stored + fixed-Huffman subset
 // ---------------------------------------------------------------------------
 
-/// Wrap raw bytes in a zlib stream of stored (uncompressed) deflate
-/// blocks — what the PNG encoder emits.
-fn zlib_deflate_stored(raw: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(raw.len() + raw.len() / 65_535 * 5 + 16);
-    // CMF 0x78 (deflate, 32 KiB window), FLG 0x01 (check bits, no dict):
-    // (0x78 << 8 | 0x01) = 30721 = 31 × 991.
-    out.extend_from_slice(&[0x78, 0x01]);
-    let mut chunks = raw.chunks(65_535).peekable();
-    if raw.is_empty() {
-        out.extend_from_slice(&[0x01, 0x00, 0x00, 0xff, 0xff]); // final empty stored block
-    }
-    while let Some(chunk) = chunks.next() {
-        let bfinal: u8 = u8::from(chunks.peek().is_none());
-        out.push(bfinal); // BTYPE=00 in bits 1-2
-        #[allow(clippy::cast_possible_truncation)]
-        let len = chunk.len() as u16;
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(&(!len).to_le_bytes());
-        out.extend_from_slice(chunk);
-    }
-    out.extend_from_slice(&adler32(raw).to_be_bytes());
-    out
+/// Largest payload of one stored (uncompressed) deflate block.
+const STORED_BLOCK: usize = 65_535;
+
+/// Header of the stored deflate block that starts at byte `at` of a
+/// `raw_len`-byte payload: BFINAL (BTYPE=00 in bits 1-2), LEN, NLEN.
+fn stored_block_header(at: usize, raw_len: usize) -> [u8; 5] {
+    #[allow(clippy::cast_possible_truncation)]
+    let len = (raw_len - at).min(STORED_BLOCK) as u16;
+    let [l0, l1] = len.to_le_bytes();
+    let [n0, n1] = (!len).to_le_bytes();
+    [u8::from(at + STORED_BLOCK >= raw_len), l0, l1, n0, n1]
 }
 
 /// Inflate a zlib stream whose deflate blocks are stored or
@@ -1256,6 +1304,147 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(adler32(b"Wikipedia"), 0x11e6_0398);
         assert_eq!(adler32(b""), 1);
+    }
+
+    /// The per-pixel encoders the plane-walking ones replaced, kept as
+    /// the byte-identity reference: every sample through
+    /// [`Image::pixel`], the filtered rows copied into a raw buffer, that
+    /// copied again into stored deflate blocks, and each chunk copied
+    /// once more for its CRC.
+    mod reference {
+        use super::super::{adler32, crc32, quantize, PNG_SIG};
+        use crate::Image;
+
+        fn samples_from_image(image: &Image) -> Vec<u8> {
+            let (c, h, w) = (image.channels(), image.height(), image.width());
+            let mut samples = Vec::with_capacity(c * h * w);
+            for y in 0..h {
+                for x in 0..w {
+                    for ci in 0..c {
+                        samples.push(quantize(image.pixel(ci, y, x)));
+                    }
+                }
+            }
+            samples
+        }
+
+        pub fn encode_ppm(image: &Image) -> Vec<u8> {
+            let (h, w) = (image.height(), image.width());
+            let mut out = format!("P6\n{w} {h}\n255\n").into_bytes();
+            out.extend_from_slice(&samples_from_image(image));
+            out
+        }
+
+        pub fn encode_png(image: &Image) -> Vec<u8> {
+            let (h, w, channels) = (image.height(), image.width(), image.channels());
+            let colour = if channels == 3 { 2u8 } else { 0u8 };
+            let samples = samples_from_image(image);
+            let stride = w * channels;
+            let mut raw = Vec::with_capacity(h * (stride + 1));
+            for y in 0..h {
+                raw.push(0u8);
+                raw.extend_from_slice(&samples[y * stride..(y + 1) * stride]);
+            }
+            let mut out = Vec::with_capacity(raw.len() + 128);
+            out.extend_from_slice(&PNG_SIG);
+            let mut ihdr = Vec::with_capacity(13);
+            ihdr.extend_from_slice(&(w as u32).to_be_bytes());
+            ihdr.extend_from_slice(&(h as u32).to_be_bytes());
+            ihdr.extend_from_slice(&[8, colour, 0, 0, 0]);
+            push_chunk(&mut out, b"IHDR", &ihdr);
+            push_chunk(&mut out, b"IDAT", &zlib_deflate_stored(&raw));
+            push_chunk(&mut out, b"IEND", &[]);
+            out
+        }
+
+        fn push_chunk(out: &mut Vec<u8>, ctype: &[u8; 4], data: &[u8]) {
+            out.extend_from_slice(&(data.len() as u32).to_be_bytes());
+            out.extend_from_slice(ctype);
+            out.extend_from_slice(data);
+            let mut crc_input = Vec::with_capacity(4 + data.len());
+            crc_input.extend_from_slice(ctype);
+            crc_input.extend_from_slice(data);
+            out.extend_from_slice(&crc32(&crc_input).to_be_bytes());
+        }
+
+        fn zlib_deflate_stored(raw: &[u8]) -> Vec<u8> {
+            let mut out = Vec::with_capacity(raw.len() + raw.len() / 65_535 * 5 + 16);
+            out.extend_from_slice(&[0x78, 0x01]);
+            let mut chunks = raw.chunks(65_535).peekable();
+            if raw.is_empty() {
+                out.extend_from_slice(&[0x01, 0x00, 0x00, 0xff, 0xff]);
+            }
+            while let Some(chunk) = chunks.next() {
+                out.push(u8::from(chunks.peek().is_none()));
+                let len = chunk.len() as u16;
+                out.extend_from_slice(&len.to_le_bytes());
+                out.extend_from_slice(&(!len).to_le_bytes());
+                out.extend_from_slice(chunk);
+            }
+            out.extend_from_slice(&adler32(raw).to_be_bytes());
+            out
+        }
+    }
+
+    /// Every `v` whose `v · 255` is an exact `k + 0.5` tie in `f32`
+    /// (where `round` goes away from zero).
+    fn exact_ties() -> Vec<f32> {
+        (0..255u8)
+            .flat_map(|k| {
+                let centre = (f32::from(k) + 0.5) / 255.0;
+                (-2i32..=2)
+                    .map(move |d| f32::from_bits(centre.to_bits().wrapping_add_signed(d)))
+                    .filter(move |&v| v * 255.0 == f32::from(k) + 0.5)
+            })
+            .collect()
+    }
+
+    /// Values chosen to stress quantization: every third sample walks
+    /// the specials (below 0, above 1, −0.0, NaN, infinities and the
+    /// exact ties) in turn, the rest are seeded values in `[-0.1, 1.15)`.
+    fn hostile_image(channels: usize, h: usize, w: usize, seed: u64) -> Image {
+        let mut specials = vec![-0.5, -1e-7, -0.0, 0.0, 1.0, 1.0 + 1e-6, 7.5];
+        specials.extend([f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
+        specials.extend(exact_ties());
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let data = (0..channels * h * w)
+            .map(|i| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                if i % 3 == 0 {
+                    specials[i / 3 % specials.len()]
+                } else {
+                    ((state >> 33) % 10_000) as f32 / 8_000.0 - 0.1
+                }
+            })
+            .collect();
+        Image::from_tensor(Tensor::from_vec(data, &[channels, h, w]).unwrap()).unwrap()
+    }
+
+    /// Hand mutants of the encoder, all killed here: BFINAL off on an
+    /// exactly full last block; Adler-32 over the first block header
+    /// too; R and B swapped; later blocks moved one byte too far;
+    /// blocks moved first to last; LEN not capped at 65,535.
+    #[test]
+    fn encoders_are_byte_identical_to_the_per_pixel_reference() {
+        assert!(exact_ties().len() > 100, "too few exact ties: {}", exact_ties().len());
+        // 151×151 RGB is 68,554 raw bytes: the stream crosses the
+        // 65,535-byte stored-block boundary mid-row. 255×256 grey fills
+        // exactly one block, and one 1×30,000 RGB row spans two.
+        let shapes = [(1, 1), (1, 37), (37, 1), (32, 32), (80, 80), (151, 151), (255, 256), (1, 30_000)];
+        for (h, w) in shapes {
+            for channels in [1, 3] {
+                let img = hostile_image(channels, h, w, (h * 1000 + w * 10 + channels) as u64);
+                assert_eq!(
+                    encode_png(&img).unwrap(),
+                    reference::encode_png(&img),
+                    "PNG {channels}x{h}x{w}"
+                );
+                if channels == 3 {
+                    let ppm = encode_ppm(&img).unwrap();
+                    assert_eq!(ppm, reference::encode_ppm(&img), "PPM {h}x{w}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! conversion and portable-anymap writers for qualitative figures.
 
 use scales_tensor::{Result, Tensor, TensorError};
-use std::io::Write as _;
 use std::path::Path;
 
 /// An RGB (or grayscale) image stored as a `[C, H, W]` tensor with values
@@ -135,20 +134,7 @@ impl Image {
     ///
     /// Returns an I/O error when the file cannot be written.
     pub fn save_pnm(&self, path: &Path) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        let (h, w) = (self.height(), self.width());
-        let magic = if self.channels() == 3 { "P6" } else { "P5" };
-        write!(f, "{magic}\n{w} {h}\n255\n")?;
-        let mut buf = Vec::with_capacity(self.channels() * h * w);
-        for y in 0..h {
-            for x in 0..w {
-                for c in 0..self.channels() {
-                    let v = (self.pixel(c, y, x).clamp(0.0, 1.0) * 255.0).round() as u8;
-                    buf.push(v);
-                }
-            }
-        }
-        f.write_all(&buf)
+        std::fs::write(path, crate::codec::encode_pnm(self))
     }
 
     /// Stack images horizontally with a 2-pixel white gutter (for the
@@ -244,5 +230,19 @@ mod tests {
         assert!(bytes.starts_with(b"P6\n3 2\n255\n"));
         assert_eq!(bytes.len(), 11 + 18);
         let _ = std::fs::remove_file(dir);
+    }
+
+    #[test]
+    fn a_saved_rgb_file_is_the_wire_ppm() {
+        let mut img = Image::zeros(3, 5);
+        for (i, v) in img.tensor_mut().data_mut().iter_mut().enumerate() {
+            // Out-of-range values on both sides exercise the clamp.
+            *v = i as f32 / 30.0 - 0.2;
+        }
+        let path = std::env::temp_dir().join("scales_test_img_wire.ppm");
+        img.save_pnm(&path).unwrap();
+        let saved = std::fs::read(&path).unwrap();
+        let _ = std::fs::remove_file(path);
+        assert_eq!(saved, crate::codec::encode_ppm(&img).unwrap());
     }
 }

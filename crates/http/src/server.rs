@@ -4,11 +4,13 @@
 //! Threading model: one accept thread pushes connections into a bounded
 //! backlog (`Mutex<VecDeque>` + `Condvar`); [`HttpConfig::workers`]
 //! connection workers pop and serve them, one connection at a time, with
-//! keep-alive. Idle connections are watched with short poll-tick reads so
-//! a shutdown is noticed within ~[`POLL_TICK`] even while blocked on a
-//! quiet peer. The accept thread never writes to a socket: backlog-full
-//! refusals are handed to a short-lived detached thread with a bounded
-//! write timeout, so a stalled peer cannot block intake.
+//! keep-alive. Between requests a worker first polls its connection
+//! without blocking for up to [`KEEP_ALIVE_SPIN`], then watches it with
+//! short poll-tick reads so a shutdown is noticed within ~[`POLL_TICK`]
+//! even while blocked on a quiet peer. The accept thread never writes to
+//! a socket: backlog-full refusals are handed to a short-lived detached
+//! thread with a bounded write timeout, so a stalled peer cannot block
+//! intake.
 //! [`HttpServer::shutdown`] stops intake, wakes everything, joins the
 //! threads, then drains the serving target and returns its final
 //! [`RuntimeStats`] (for a fleet, the per-model records folded into one).
@@ -35,6 +37,14 @@ use std::time::{Duration, Instant};
 /// How often a worker blocked on a quiet connection re-checks the
 /// shutdown flag.
 const POLL_TICK: Duration = Duration::from_millis(50);
+
+/// How long a worker polls a keep-alive connection for its next request,
+/// yielding the core between polls, before it blocks in `read`. A
+/// closed-loop client's next request usually arrives within it; a worker
+/// blocked in `read` leaves its core idle, and on a virtualised host
+/// waking an idle core costs more the busier the host is (see the
+/// runtime's ticket poll).
+const KEEP_ALIVE_SPIN: Duration = Duration::from_millis(5);
 
 /// Write timeout for the detached backlog-full refusal thread: long
 /// enough for any live peer to take a ~100-byte response, short enough
@@ -383,9 +393,21 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let mut reader = RequestReader::new(stream);
     loop {
-        // Idle phase: wait for the first byte of the next request with
-        // short poll ticks so shutdown is noticed promptly.
-        if !reader.has_buffered() {
+        // Idle phase: poll briefly for the first byte of the next
+        // request, then wait for it with short poll ticks so shutdown is
+        // noticed promptly.
+        let polled = if reader.has_buffered() {
+            true
+        } else {
+            if shared.shutting_down() {
+                return; // idle connection: close without a response
+            }
+            match poll_next_request(&mut reader) {
+                Ok(Some(0)) | Err(_) => return, // peer closed, or the socket failed
+                Ok(arrived) => arrived.is_some(),
+            }
+        };
+        if !polled {
             let _ = reader.get_ref().set_read_timeout(Some(POLL_TICK));
             let idle_deadline = Instant::now() + shared.config.read_timeout;
             loop {
@@ -467,6 +489,29 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             }
         }
     }
+}
+
+/// Read the first bytes of a keep-alive connection's next request without
+/// blocking, for up to [`KEEP_ALIVE_SPIN`]. `Some(n)`: `n` bytes arrived
+/// (0: the peer closed); `None`: nothing yet, so block as usual. The
+/// socket is back in blocking mode when this returns `Ok`.
+fn poll_next_request(reader: &mut RequestReader<TcpStream>) -> std::io::Result<Option<usize>> {
+    reader.get_ref().set_nonblocking(true)?;
+    let start = Instant::now();
+    let polled = loop {
+        match reader.fill() {
+            Ok(n) => break Ok(Some(n)),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                if start.elapsed() >= KEEP_ALIVE_SPIN {
+                    break Ok(None);
+                }
+                std::thread::yield_now();
+            }
+            Err(e) => break Err(e),
+        }
+    };
+    reader.get_ref().set_nonblocking(false)?;
+    polled
 }
 
 // ---------------------------------------------------------------------------
@@ -1099,6 +1144,31 @@ pub(crate) fn reason_phrase(status: u16) -> &'static str {
 mod tests {
     use super::*;
     use scales_router::{ModelState, ModelStats, RouterConfig};
+
+    #[test]
+    fn a_keep_alive_poll_reads_what_arrived_and_leaves_the_socket_blocking() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut reader = RequestReader::new(listener.accept().unwrap().0);
+        // Nothing sent: the poll gives up once its budget is spent.
+        let start = Instant::now();
+        assert_eq!(poll_next_request(&mut reader).unwrap(), None);
+        assert!(start.elapsed() >= KEEP_ALIVE_SPIN);
+        // Sent: the poll reads it.
+        client.write_all(b"GET").unwrap();
+        let arrived = (0..100).find_map(|_| poll_next_request(&mut reader).unwrap());
+        assert_eq!(arrived, Some(3));
+        // Blocking again: a timed read waits its timeout out instead of
+        // failing at once.
+        reader.get_ref().set_read_timeout(Some(Duration::from_millis(20))).unwrap();
+        let start = Instant::now();
+        assert!(reader.fill().is_err());
+        assert!(start.elapsed() >= Duration::from_millis(10));
+        // The peer closed: end of stream.
+        drop(client);
+        let closed = (0..100).find_map(|_| poll_next_request(&mut reader).unwrap());
+        assert_eq!(closed, Some(0));
+    }
 
     fn model(name: &str, reloadable: bool) -> ModelStats {
         ModelStats {

@@ -299,7 +299,9 @@ impl Runtime {
     /// ticket — by `timeout`. Built on [`Ticket::wait_timeout`]; this is
     /// the deadline-serving entry point network front ends use
     /// (`scales-http` maps each refusal family to its own status and
-    /// `Retry-After`).
+    /// `Retry-After`). The caller has nothing else to do, so the first
+    /// 5 ms of its wait poll the ticket (yielding the core) instead of
+    /// sleeping.
     ///
     /// The nested result separates the layers: the outer
     /// [`SubmitError`] is the runtime refusing, retracting, or timing out
@@ -322,7 +324,7 @@ impl Runtime {
         let deadline = Instant::now() + timeout;
         let ticket = self.admit_and_enqueue(request, Block::Until { deadline, timeout })?;
         let remaining = deadline.saturating_duration_since(Instant::now());
-        match ticket.wait_timeout(remaining) {
+        match ticket.wait_polling(remaining) {
             Ok(Ok(response)) => Ok(Ok(response)),
             Ok(Err(ServeError::Infer(e))) => Ok(Err(e)),
             Ok(Err(ServeError::Rejected(e))) => Err(e),

@@ -160,17 +160,14 @@ impl Tensor {
         &mut self.data[i]
     }
 
+    /// Row-major offset of `index`, folded Horner-style (`acc · d + i`)
+    /// so that an element access costs no allocation.
     fn flat_index(&self, index: &[usize]) -> usize {
         assert_eq!(index.len(), self.shape.len(), "index rank mismatch");
-        let st = strides(&self.shape);
-        index
-            .iter()
-            .zip(st.iter().zip(self.shape.iter()))
-            .map(|(&i, (&s, &d))| {
-                assert!(i < d, "index {i} out of range for extent {d}");
-                i * s
-            })
-            .sum()
+        index.iter().zip(&self.shape).fold(0, |acc, (&i, &d)| {
+            assert!(i < d, "index {i} out of range for extent {d}");
+            acc * d + i
+        })
     }
 
     /// Reinterpret the storage under a new shape of equal volume.
@@ -514,6 +511,61 @@ mod tests {
         let t = Tensor::from_vec((0..24).map(|i| i as f32).collect(), &[2, 3, 4]).unwrap();
         assert_eq!(t.at(&[1, 2, 3]), 23.0);
         assert_eq!(t.at(&[0, 1, 2]), 6.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "index rank mismatch")]
+    fn at_rejects_a_rank_mismatch() {
+        let _ = Tensor::zeros(&[2, 3]).at(&[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index rank mismatch")]
+    fn at_mut_rejects_a_rank_mismatch() {
+        let _ = Tensor::zeros(&[2, 3]).at_mut(&[1, 0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index 3 out of range for extent 3")]
+    fn at_rejects_an_out_of_range_coordinate() {
+        // Row-major, [0, 3] would alias [1, 0]: the check, not the data
+        // length, must refuse it.
+        let _ = Tensor::zeros(&[2, 3]).at(&[0, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index 2 out of range for extent 2")]
+    fn at_mut_rejects_an_out_of_range_coordinate() {
+        let _ = Tensor::zeros(&[2, 3]).at_mut(&[2, 0]);
+    }
+
+    /// With the `should_panic` tests above, kills the hand mutants: no
+    /// rank check, no coordinate check, the fold run column-major.
+    #[test]
+    fn flat_index_fold_matches_the_stride_sum_at_every_index() {
+        let mut state = 0x5ca1_e500_u64;
+        let mut next = |bound: u64| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            usize::try_from((state >> 33) % bound).unwrap()
+        };
+        for rank in 0..=5 {
+            for _ in 0..8 {
+                let shape: Vec<usize> = (0..rank).map(|_| 1 + next(4)).collect();
+                let t = Tensor::zeros(&shape);
+                let st = strides(&shape);
+                let mut index = vec![0; rank];
+                for flat in 0..volume(&shape) {
+                    let mut rest = flat;
+                    for (i, &d) in index.iter_mut().zip(&shape).rev() {
+                        *i = rest % d;
+                        rest /= d;
+                    }
+                    let by_strides: usize = index.iter().zip(&st).map(|(&i, &s)| i * s).sum();
+                    assert_eq!(t.flat_index(&index), by_strides, "shape {shape:?} index {index:?}");
+                    assert_eq!(by_strides, flat);
+                }
+            }
+        }
     }
 
     #[test]
