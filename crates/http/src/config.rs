@@ -35,7 +35,7 @@ pub struct HttpConfig {
     pub read_timeout: Duration,
     /// Bound on the full runtime round trip (queue admission + inference)
     /// per request, passed to
-    /// [`Runtime::submit_wait_timeout`](scales_runtime::Runtime::submit_wait_timeout).
+    /// [`ModelRouter::submit_wait_timeout`](scales_router::ModelRouter::submit_wait_timeout).
     /// Expiry maps to `503 Service Unavailable` with a `Retry-After`
     /// (distinct from a request's *own* `X-Scales-Deadline-Ms` deadline,
     /// whose expiry is a `504 Gateway Timeout`). Default: 30 s.

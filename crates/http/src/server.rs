@@ -1,5 +1,5 @@
 //! [`HttpServer`] — accept loop, connection-worker pool, routing, and
-//! graceful shutdown over a [`Runtime`] or a [`ModelRouter`] fleet.
+//! graceful shutdown over a [`ModelRouter`] fleet.
 //!
 //! Threading model: one accept thread pushes connections into a bounded
 //! backlog (`Mutex<VecDeque>` + `Condvar`); [`HttpConfig::workers`]
@@ -12,15 +12,15 @@
 //! thread with a bounded write timeout, so a stalled peer cannot block
 //! intake.
 //! [`HttpServer::shutdown`] stops intake, wakes everything, joins the
-//! threads, then drains the serving target and returns its final
-//! [`RuntimeStats`] (for a fleet, the per-model records folded into one).
+//! threads, then drains the fleet and returns its per-model records
+//! folded into one [`RuntimeStats`].
 
 use crate::config::HttpConfig;
 use crate::error::{HttpError, RequestError};
 use crate::parser::{RequestHead, RequestReader};
 use scales_data::{decode_image, encode_image};
 use scales_router::{ModelRouter, RouterError};
-use scales_runtime::{LatencyHistogram, RejectReason, Runtime, RuntimeStats, SubmitError};
+use scales_runtime::{LatencyHistogram, RejectReason, RuntimeStats, SubmitError};
 use scales_serve::{SrRequest, SrResponse};
 use scales_telemetry::{
     render_traces_json, Exposition, FamilyKind, FlightRecorder, JsonWriter, OpProfile, RequestId,
@@ -55,15 +55,9 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// What the front end serves: one runtime, or a named-model fleet.
-enum Target {
-    Single(Runtime),
-    Fleet(ModelRouter),
-}
-
 /// State shared by the accept thread, the workers, and the handle.
 struct Shared {
-    target: Target,
+    router: ModelRouter,
     config: HttpConfig,
     shutdown: AtomicBool,
     /// Accepted connections waiting for a worker (bounded by
@@ -99,25 +93,28 @@ impl Shared {
     }
 }
 
-/// A running HTTP front end over a [`Runtime`] (single-model mode) or a
-/// [`ModelRouter`] (fleet mode).
+/// A running HTTP front end over a [`ModelRouter`] fleet.
 ///
-/// Single-model mode serves `POST /v1/upscale`; fleet mode serves
-/// `POST /v1/models/{name}/upscale`, `GET /v1/models`, and the
-/// zero-downtime `POST /v1/models/{name}/reload`. Both serve `/metrics`
-/// and `/healthz`.
+/// Requests route by model name (`POST /v1/models/{name}/upscale`);
+/// `POST /v1/upscale` serves the fleet's only model. `GET /v1/models`
+/// lists the fleet, `POST /v1/models/{name}/reload` hot-swaps a
+/// path-backed model with zero downtime, and `/metrics` and `/healthz`
+/// round it off.
 ///
 /// ```
 /// use scales_http::{HttpConfig, HttpServer};
-/// use scales_runtime::{Runtime, RuntimeConfig};
-/// use scales_serve::{Engine, Precision};
+/// use scales_router::{ModelRouter, RouterConfig};
+/// use scales_runtime::RuntimeConfig;
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// # use scales_models::{srresnet, SrConfig};
+/// # use scales_models::{srresnet, SrConfig, SrNetwork};
 /// # use scales_core::Method;
 /// let net = srresnet(SrConfig { channels: 8, blocks: 1, scale: 2, method: Method::scales(), seed: 1 })?;
-/// let engine = Engine::builder().model(net).precision(Precision::Deployed).build()?;
-/// let runtime = Runtime::spawn(engine, RuntimeConfig { workers: 1, ..RuntimeConfig::default() })?;
-/// let server = HttpServer::bind("127.0.0.1:0", runtime, HttpConfig::default())?;
+/// let router = ModelRouter::new(RouterConfig {
+///     runtime: RuntimeConfig { workers: 1, ..RuntimeConfig::default() },
+///     ..RouterConfig::default()
+/// })?;
+/// router.register_model("m", net.lower()?)?;
+/// let server = HttpServer::bind_router("127.0.0.1:0", router, HttpConfig::default())?;
 /// println!("serving on http://{}", server.addr());
 /// // ... later:
 /// let stats = server.shutdown();
@@ -134,25 +131,8 @@ pub struct HttpServer {
 
 impl HttpServer {
     /// Bind a listener and start the accept thread and connection
-    /// workers over a single [`Runtime`]. `addr` may be ephemeral
+    /// workers over a [`ModelRouter`] fleet. `addr` may be ephemeral
     /// (`127.0.0.1:0`); the bound address is [`HttpServer::addr`].
-    ///
-    /// # Errors
-    ///
-    /// [`HttpError::InvalidConfig`] for unservable sizing,
-    /// [`HttpError::Io`] when the socket or a thread cannot be set up.
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        runtime: Runtime,
-        config: HttpConfig,
-    ) -> Result<Self, HttpError> {
-        Self::bind_target(addr, Target::Single(runtime), config)
-    }
-
-    /// Bind a listener over a [`ModelRouter`] fleet: requests route by
-    /// model name (`POST /v1/models/{name}/upscale`), `GET /v1/models`
-    /// lists the fleet, and `POST /v1/models/{name}/reload` hot-swaps a
-    /// path-backed model with zero downtime.
     ///
     /// The router handle is cloned in, so the caller can keep its own
     /// handle for registration and stats while the server runs.
@@ -166,14 +146,6 @@ impl HttpServer {
         router: ModelRouter,
         config: HttpConfig,
     ) -> Result<Self, HttpError> {
-        Self::bind_target(addr, Target::Fleet(router), config)
-    }
-
-    fn bind_target(
-        addr: impl ToSocketAddrs,
-        target: Target,
-        config: HttpConfig,
-    ) -> Result<Self, HttpError> {
         config.validate()?;
         let listener = TcpListener::bind(addr)
             .map_err(|source| HttpError::Io { context: "bind", source })?;
@@ -181,7 +153,7 @@ impl HttpServer {
             .local_addr()
             .map_err(|source| HttpError::Io { context: "local_addr", source })?;
         let shared = Arc::new(Shared {
-            target,
+            router,
             config,
             shutdown: AtomicBool::new(false),
             backlog: Mutex::new(VecDeque::new()),
@@ -224,23 +196,10 @@ impl HttpServer {
         self.addr
     }
 
-    /// The runtime behind the server (e.g. for a stats snapshot while
-    /// serving). `None` in fleet mode — use [`HttpServer::router`].
-    #[must_use]
-    pub fn runtime(&self) -> Option<&Runtime> {
-        match &self.shared.target {
-            Target::Single(runtime) => Some(runtime),
-            Target::Fleet(_) => None,
-        }
-    }
-
-    /// The model fleet behind the server. `None` in single-model mode.
+    /// The model fleet behind the server (always `Some`).
     #[must_use]
     pub fn router(&self) -> Option<&ModelRouter> {
-        match &self.shared.target {
-            Target::Single(_) => None,
-            Target::Fleet(router) => Some(router),
-        }
+        Some(&self.shared.router)
     }
 
     /// Snapshot of the flight recorder's recent completed-request
@@ -261,30 +220,12 @@ impl HttpServer {
 
     /// Stop intake, let workers finish their in-flight requests (open
     /// keep-alive connections are answered with `Connection: close`),
-    /// join every thread, then drain the serving target and return its
-    /// final stats (a fleet's per-model records are folded into one
-    /// [`RuntimeStats`]).
+    /// join every thread, then drain the fleet and return its final
+    /// per-model records folded into one [`RuntimeStats`].
     #[must_use = "the final runtime stats are the serving record"]
     pub fn shutdown(mut self) -> RuntimeStats {
         self.stop();
-        // Every thread is joined, so the handle's Arc and this clone are
-        // the only strong references left; dropping `self` makes the
-        // clone unique and `try_unwrap` hands the target back.
-        let shared = Arc::clone(&self.shared);
-        drop(self);
-        match Arc::try_unwrap(shared) {
-            Ok(shared) => match shared.target {
-                Target::Single(runtime) => runtime.shutdown(),
-                Target::Fleet(router) => router.shutdown().merged_runtime(),
-            },
-            // Never panic in a teardown path: fall back to a snapshot
-            // (the single runtime still drains when the last Arc drops;
-            // the router's shutdown works through any handle).
-            Err(shared) => match &shared.target {
-                Target::Single(runtime) => runtime.stats(),
-                Target::Fleet(router) => router.shutdown().merged_runtime(),
-            },
-        }
+        self.shared.router.shutdown().merged_runtime()
     }
 
     /// Set the shutdown flag, wake every blocked thread, join them.
@@ -633,16 +574,12 @@ fn route(
         return route_debug(shared, reader, head, which);
     }
     match (head.method.as_str(), path) {
-        ("POST", "/v1/upscale") => match &shared.target {
-            Target::Single(runtime) => upscale(reader, head, arrived, draft, None, |request| {
-                runtime.submit_wait_timeout(request, shared.config.request_timeout).map_err(|err| {
-                    let (status, retry) = submit_status(&err);
-                    Response::text(status, format!("{err}\n")).retry_after(retry)
-                })
-            }),
-            // A fleet has no anonymous default model; naming one is the
-            // only unambiguous contract. Final status, no body read.
-            Target::Fleet(_) => Ok(Response::text(
+        ("POST", "/v1/upscale") => match shared.router.names().as_slice() {
+            [only] => upscale(shared, reader, head, arrived, draft, only),
+            // With no model, or several, there is no default one; naming
+            // one is the only unambiguous contract. Final status, no body
+            // read.
+            _ => Ok(Response::text(
                 404,
                 "this server routes by model name; POST /v1/models/{name}/upscale\n",
             )
@@ -681,13 +618,7 @@ fn route_models(
     draft: &mut TraceDraft,
     rest: &str,
 ) -> Result<Response, RequestError> {
-    let Target::Fleet(router) = &shared.target else {
-        return Ok(Response::text(
-            404,
-            "no model fleet is configured on this server; use /v1/upscale\n",
-        )
-        .close_if_unread(head));
-    };
+    let router = &shared.router;
     // `GET /v1/models` — list the fleet.
     if rest.is_empty() || rest == "/" {
         return match head.method.as_str() {
@@ -708,11 +639,7 @@ fn route_models(
     };
     match action {
         "upscale" => match head.method.as_str() {
-            "POST" => upscale(reader, head, arrived, draft, Some(name), |request| {
-                router
-                    .submit_wait_timeout(name, request, shared.config.request_timeout)
-                    .map_err(|err| router_error_response(&err))
-            }),
+            "POST" => upscale(shared, reader, head, arrived, draft, name),
             _ => Ok(Response::text(405, "use POST\n").allow("POST").close_if_unread(head)),
         },
         "reload" => match head.method.as_str() {
@@ -750,7 +677,7 @@ fn route_debug(
             Some("slow=1") => json_response(render_traces_json(&shared.recorder.slow())),
             Some(_) => Response::text(400, "unsupported query; the only query is ?slow=1\n"),
         },
-        _ => debug_profile(shared, query),
+        _ => debug_profile(&shared.router, query),
     };
     Ok(response)
 }
@@ -759,44 +686,32 @@ fn route_debug(
 /// until profiling is switched on
 /// ([`RuntimeConfig::profile_ops`](scales_runtime::RuntimeConfig::profile_ops)
 /// or `SCALES_PROFILE_OPS=1`) and a forward has run.
-fn debug_profile(shared: &Shared, query: Option<&str>) -> Response {
-    let wanted = match query {
-        None => None,
-        Some(q) => match q.split_once('=') {
-            Some(("model", name)) if !name.is_empty() => Some(name),
-            _ => {
-                return Response::text(400, "unsupported query; the only query is ?model={name}\n")
-            }
-        },
-    };
-    let of_stats = |stats: Option<RuntimeStats>| stats.map(|s| s.op_profile).unwrap_or_default();
-    let profiles: Vec<(Option<String>, OpProfile)> = match (&shared.target, wanted) {
-        (Target::Single(runtime), None) => vec![(None, runtime.stats().op_profile)],
-        (Target::Single(_), Some(_)) => {
-            return Response::text(400, "this server has no model fleet; drop the ?model query\n")
-        }
-        (Target::Fleet(router), Some(name)) => match router.model(name) {
-            Ok(m) => vec![(Some(m.name), of_stats(m.runtime))],
+fn debug_profile(router: &ModelRouter, query: Option<&str>) -> Response {
+    let models = match query.map(|q| q.split_once('=')) {
+        None => router.list(),
+        Some(Some(("model", name))) if !name.is_empty() => match router.model(name) {
+            Ok(m) => vec![m],
             Err(err) => return router_error_response(&err),
         },
-        (Target::Fleet(router), None) => router
-            .list()
-            .into_iter()
-            .map(|m| (Some(m.name), of_stats(m.runtime)))
-            .collect(),
+        Some(_) => {
+            return Response::text(400, "unsupported query; the only query is ?model={name}\n")
+        }
     };
+    let profiles: Vec<(String, OpProfile)> = models
+        .into_iter()
+        .map(|m| (m.name, m.runtime.map(|s| s.op_profile).unwrap_or_default()))
+        .collect();
     json_response(render_profiles_json(&profiles))
 }
 
-/// The profile document: one object per model (the model is `null` on a
-/// single-runtime server).
-fn render_profiles_json(profiles: &[(Option<String>, OpProfile)]) -> String {
+/// The profile document: one object per model.
+fn render_profiles_json(profiles: &[(String, OpProfile)]) -> String {
     let mut w = JsonWriter::default();
     w.object(|w| {
         w.key("profiles").array(|w| {
             for (model, profile) in profiles {
                 w.object(|w| {
-                    w.key("model").string_or_null(model.as_deref());
+                    w.key("model").string(model);
                     w.key("calls").int(profile.total_calls()).key("total_ns").int(profile.total_ns());
                     w.key("ops").raw(&profile.to_json());
                 });
@@ -884,23 +799,20 @@ fn submit_status(err: &SubmitError) -> (u16, Option<u32>) {
 }
 
 /// `POST /v1/upscale` and `POST /v1/models/{name}/upscale`: decode →
-/// submit (bounded wait) → encode in the same wire format. `submit` is
-/// the one step the two server modes do differently — hand the request
-/// to the runtime, or route it by model name (`model`, which also tags
-/// the trace) — and its error side is the refusal already rendered for
-/// the wire.
-fn upscale<E: std::fmt::Display>(
+/// route to `model` (bounded wait; the name also tags the trace) → encode
+/// in the same wire format.
+fn upscale(
+    shared: &Shared,
     reader: &mut RequestReader<TcpStream>,
     head: &RequestHead,
     arrived: Instant,
     draft: &mut TraceDraft,
-    model: Option<&str>,
-    submit: impl FnOnce(SrRequest) -> Result<Result<SrResponse, E>, Response>,
+    model: &str,
 ) -> Result<Response, RequestError> {
     if !head.has_length {
         return Err(RequestError::LengthRequired);
     }
-    draft.model = model.map(str::to_string);
+    draft.model = Some(model.to_string());
     send_continue(reader, head)?;
     let body = reader.read_body(head.content_length)?;
     draft.mark(Stage::Parse);
@@ -908,11 +820,12 @@ fn upscale<E: std::fmt::Display>(
     draft.mark(Stage::Decode);
     let (image, format) = decoded?;
     let request = build_request(image, head, arrived);
-    let served = match submit(request) {
+    let timeout = shared.config.request_timeout;
+    let served = match shared.router.submit_wait_timeout(model, request, timeout) {
         Err(refusal) => {
             // The failed admission wait is the submit span.
             draft.mark(Stage::Submit);
-            return Ok(refusal);
+            return Ok(router_error_response(&refusal));
         }
         Ok(Err(infer_err)) => {
             // Error resolutions carry no stamps; the round trip is the
@@ -948,7 +861,7 @@ fn mark_runtime_stages(draft: &mut TraceDraft, served: &SrResponse) {
 /// model's artifact path.
 fn reload_model(router: &ModelRouter, name: &str) -> Response {
     match router.reload(name) {
-        Ok(stats) => Response::new(200, "application/json", render_model_json(&stats).into_bytes()),
+        Ok(stats) => json_response(render_model_json(&stats)),
         Err(err) => router_error_response(&err),
     }
 }
@@ -999,15 +912,13 @@ fn render_model_json(m: &scales_router::ModelStats) -> String {
     w.finish()
 }
 
-/// The `/metrics` document: the serving target's Prometheus rendering
-/// (per-model series in fleet mode) plus the HTTP front end's own
-/// counters.
+/// The `/metrics` document: the fleet's per-model rendering, then the
+/// build info and the HTTP front end's own families.
 fn render_metrics(shared: &Shared) -> String {
-    let target = match &shared.target {
-        Target::Single(runtime) => runtime.stats().render_prometheus(),
-        Target::Fleet(router) => router.render_prometheus(),
-    };
+    let fleet = shared.router.render_prometheus();
     let mut expo = Exposition::default();
+    expo.family("scales_build_info", "Build metadata of the serving stack (constant 1; labels carry the info).", FamilyKind::Gauge);
+    expo.sample(&[("version", env!("CARGO_PKG_VERSION")), ("features", "default")], 1);
     #[rustfmt::skip]
     let counters = [
         ("scales_http_connections_total", "Connections accepted by the HTTP front end.", &shared.connections),
@@ -1033,7 +944,7 @@ fn render_metrics(shared: &Shared) -> String {
             hist.render_into(&mut expo, &[("stage", stage)]);
         }
     }
-    target + &expo.finish()
+    fleet + &expo.finish()
 }
 
 // ---------------------------------------------------------------------------
@@ -1231,13 +1142,13 @@ mod tests {
         profile.record("relu", 40);
         profile.record("body_conv", 500);
         assert_eq!(
-            render_profiles_json(&[(None, profile.clone())]),
-            "{\"profiles\":[{\"model\":null,\"calls\":3,\"total_ns\":2040,\"ops\":[\
+            render_profiles_json(&[("alpha".into(), profile.clone())]),
+            "{\"profiles\":[{\"model\":\"alpha\",\"calls\":3,\"total_ns\":2040,\"ops\":[\
              {\"op\":\"body_conv\",\"calls\":2,\"total_ns\":2000},\
              {\"op\":\"relu\",\"calls\":1,\"total_ns\":40}]}]}"
         );
         assert_eq!(
-            render_profiles_json(&[(Some("alpha".into()), OpProfile::new()), (Some("beta".into()), profile)]),
+            render_profiles_json(&[("alpha".into(), OpProfile::new()), ("beta".into(), profile)]),
             "{\"profiles\":[{\"model\":\"alpha\",\"calls\":0,\"total_ns\":0,\"ops\":[]},\
              {\"model\":\"beta\",\"calls\":3,\"total_ns\":2040,\"ops\":[\
              {\"op\":\"body_conv\",\"calls\":2,\"total_ns\":2000},\

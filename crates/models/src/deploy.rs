@@ -265,7 +265,7 @@ impl OpInputs<'_> {
 impl DeployedOp {
     /// Stable kind label of this op — the key the planned executor's
     /// opt-in profiler accumulates under and the `op` label value of the
-    /// `scales_plan_op_*` Prometheus series. Distinguishes the serving
+    /// `scales_model_plan_op_*` Prometheus series. Distinguishes the serving
     /// cost centers: binary body GEMM vs float GEMM vs activations vs
     /// upsample.
     #[must_use]

@@ -47,7 +47,7 @@ use crate::deploy::{DeployedNetwork, DeployedOp, ValueId};
 use scales_data::BicubicAxisTaps;
 use scales_telemetry::OpProfile;
 use scales_tensor::ops::{check_window, gelu_into, layer_norm_into, window_attention_into};
-use scales_tensor::workspace::ConvScratch;
+use scales_tensor::workspace::{sized, ConvScratch};
 use scales_tensor::{Result, Tensor, TensorError};
 use std::time::Instant;
 
@@ -154,10 +154,11 @@ impl Plan {
         if slots.len() < self.slot_sizes.len() {
             slots.resize_with(self.slot_sizes.len(), Vec::new);
         }
-        for (s, &sz) in self.slot_sizes.iter().enumerate() {
-            if slots[s].len() < sz {
-                slots[s].resize(sz, 0.0);
-            }
+        // Grown to exactly the size asked, like every scratch buffer: a
+        // slot is a high-water mark over the shapes served, so its
+        // capacity must not depend on the order those shapes arrived in.
+        for (slot, &sz) in slots.iter_mut().zip(&self.slot_sizes) {
+            sized(slot, sz);
         }
         if self.output == 0 {
             // Degenerate passthrough graph.

@@ -7,8 +7,8 @@ use scales_runtime::SubmitError;
 /// The variants partition cleanly onto HTTP statuses for the network
 /// edge: an unknown name is the caller's 404, a duplicate or
 /// non-reloadable name is a 409, a failed load is the server's 500, and
-/// submission errors map exactly as the single-runtime front end already
-/// maps [`SubmitError`].
+/// submission errors map as the front end maps a runtime's
+/// [`SubmitError`].
 #[derive(Debug)]
 pub enum RouterError {
     /// No model is registered under this name.

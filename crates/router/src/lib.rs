@@ -42,9 +42,11 @@
 //! [`ModelStats`] (identity, version, FNV-1a artifact fingerprint, state,
 //! memory charges, folded serving counters across every version), and
 //! [`ModelRouter::render_prometheus`] renders the same as
-//! `model`-labeled Prometheus series for `GET /metrics`: the runtime's
-//! admission-ledger table under its per-model scope (tenant-quota
-//! refusals included), then the router's own rows, written through
+//! `model`-labeled Prometheus series for `GET /metrics`: each model's
+//! whole runtime record through the runtime's one renderer
+//! ([`RuntimeStats::render_models`](scales_runtime::RuntimeStats::render_models):
+//! the admission ledger, scalars, latency and stage histograms, per-op
+//! profile, tenant lanes), then the router's own rows, written through
 //! [`scales_telemetry::Exposition`] — which escapes label values.
 //! A model's counters include every version from its first request, a
 //! draining one too, so they never fall across a swap or an eviction.

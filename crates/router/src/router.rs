@@ -326,6 +326,13 @@ impl ModelRouter {
         models.iter().map(|(name, m)| report(name, m)).collect()
     }
 
+    /// The registered model names, sorted — read from the fleet alone,
+    /// without a runtime's stats.
+    #[must_use]
+    pub fn names(&self) -> Vec<String> {
+        self.fleet().models().map(|(name, _)| name.clone()).collect()
+    }
+
     /// The report for one model.
     ///
     /// # Errors
@@ -350,12 +357,12 @@ impl ModelRouter {
     }
 
     /// Render the fleet's per-model serving record in the Prometheus text
-    /// exposition format: the admission ledger (the runtime's table under
-    /// its per-model scope), images served, eviction/swap counters, memory
-    /// gauges, an info series and the latency histogram, every sample
-    /// labeled `model="<name>"`. This is the HTTP front end's `GET /metrics`
-    /// in fleet mode (plus its own connection counters). Empty fleet →
-    /// empty string.
+    /// exposition format: every model's runtime record through
+    /// [`RuntimeStats::render_models`], then what only the router knows —
+    /// eviction/swap counters, memory gauges, the version, the serving
+    /// state and an info series — every sample labeled `model="<name>"`
+    /// first. This is the HTTP front end's `GET /metrics` (plus its own
+    /// families). Empty fleet → empty string.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         Self::render_fleet(&self.list())
@@ -364,20 +371,20 @@ impl ModelRouter {
     /// [`ModelRouter::render_prometheus`] as a function of the per-model
     /// reports alone, so the format can be pinned on hand-built records.
     fn render_fleet(models: &[ModelStats]) -> String {
-        use FamilyKind::{Counter, Gauge, Histogram};
+        use FamilyKind::{Counter, Gauge};
         /// One of the router's own per-model families: name, help, kind,
         /// and the reading it takes from a model's report.
         type ModelRow = (&'static str, &'static str, FamilyKind, fn(&ModelStats) -> u64);
         if models.is_empty() {
             return String::new();
         }
-        let mut expo = Exposition::default();
         let idle = RuntimeStats::default();
-        let served = models.iter().map(|m| (m.name.as_str(), m.runtime.as_ref().unwrap_or(&idle)));
-        RuntimeStats::render_model_ledger(&mut expo, served);
+        let records: Vec<(&str, &RuntimeStats)> =
+            models.iter().map(|m| (m.name.as_str(), m.runtime.as_ref().unwrap_or(&idle))).collect();
+        let mut expo = Exposition::default();
+        RuntimeStats::render_models(&mut expo, &records);
         #[rustfmt::skip]
-        let rows: [ModelRow; 7] = [
-            ("scales_model_images_total", "Images served, per model.", Counter, |m| m.runtime.as_ref().map_or(0, |r| r.images)),
+        let rows: [ModelRow; 6] = [
             ("scales_model_evictions_total", "Times the memory budget drained this model.", Counter, |m| m.evictions),
             ("scales_model_swaps_total", "Hot-swaps that replaced a serving version of this model.", Counter, |m| m.swaps),
             ("scales_model_memory_bytes", "Bytes charged against the budget (weights + live workspaces).", Gauge, |m| m.resident_bytes as u64),
@@ -391,8 +398,8 @@ impl ModelRouter {
                 expo.sample(&[("model", &m.name)], value(m));
             }
         }
-        expo.family("scales_model_info", "Model identity (constant 1; labels carry the info).", Gauge);
-        for m in models {
+        expo.family("scales_model_info", "Model identity and serving backend (constant 1; labels carry the info).", Gauge);
+        for (m, (_, record)) in models.iter().zip(&records) {
             expo.sample(
                 &[
                     ("model", &m.name),
@@ -400,15 +407,11 @@ impl ModelRouter {
                     ("scale", &m.scale.to_string()),
                     ("fingerprint", &format!("{:016x}", m.fingerprint)),
                     ("state", &m.state.to_string()),
+                    ("backend", &record.backend.to_string()),
+                    ("simd", &record.simd.to_string()),
                 ],
                 1,
             );
-        }
-        expo.family("scales_model_request_latency_seconds", "End-to-end request latency per model (enqueue to ticket resolution).", Histogram);
-        for m in models {
-            if let Some(stats) = &m.runtime {
-                stats.latency.render_into(&mut expo, &[("model", &m.name)]);
-            }
         }
         expo.finish()
     }
@@ -704,7 +707,10 @@ mod tests {
             runtime: Some(runtime),
         };
         let text = ModelRouter::render_fleet(&[model]);
-        let block = &text[text.find("# HELP scales_model_request_latency_seconds").unwrap()..];
+        // The router's own families follow the block; cut it at its count.
+        let start = text.find("# HELP scales_model_request_latency_seconds").unwrap();
+        let count = "scales_model_request_latency_seconds_count{model=\"edsr-x2\"} 4\n";
+        let block = &text[start..text.find(count).unwrap() + count.len()];
         let expected = "\
             # HELP scales_model_request_latency_seconds End-to-end request latency per model (enqueue to ticket resolution).\n\
             # TYPE scales_model_request_latency_seconds histogram\n\

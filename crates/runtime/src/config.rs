@@ -76,7 +76,7 @@ pub struct RuntimeConfig {
     /// Enable the per-op plan profiler in every worker session: each
     /// planned forward attributes its wall time to the deployed op kinds
     /// it executed, surfaced as `RuntimeStats::op_profile` and the
-    /// `scales_plan_op_*` Prometheus series. Off (the default), the
+    /// `scales_model_plan_op_*` Prometheus series. Off (the default), the
     /// planned executor takes no timestamps at all — the hot path is
     /// untouched. Default: the `SCALES_PROFILE_OPS` environment variable
     /// (`"0"`, `""`, and unset mean off; anything else means on).

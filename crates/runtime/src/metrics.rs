@@ -14,10 +14,12 @@
 //! quantiles from the bucket counts without recording individual samples.
 //!
 //! Rendering knows no text format: every family is rows fed to
-//! [`scales_telemetry::Exposition`]. The admission ledger is declared once
-//! (`LEDGER`) and rendered under three label scopes — `scales_runtime_*`,
-//! `scales_runtime_tenant_*` (`tenant`) and, for `scales-router` through
-//! [`RuntimeStats::render_model_ledger`], `scales_model_*` (`model`).
+//! [`scales_telemetry::Exposition`]. [`RuntimeStats::render_models`] is
+//! the one renderer of a serving record: one `(model, record)` row per
+//! model, every family `scales_model_*` with `model` as its first label.
+//! The admission ledger is declared once (`LEDGER`) and rendered under two
+//! label scopes — `scales_model_*` (`model`) and `scales_model_tenant_*`
+//! (`model`, `tenant`).
 //!
 //! [`Runtime::stats`]: crate::Runtime::stats
 
@@ -256,8 +258,8 @@ ledger!(submitted, completed, failed, rejected, shed, quota_rejected, expired, d
 type LedgerFamily = (&'static str, &'static str, fn(&Counters) -> u64);
 
 /// The ledger as `/metrics` families, declared once, one row per line. A
-/// new `ledger!` counter plus one row here renders globally, per tenant
-/// lane and per model.
+/// new `ledger!` counter plus one row here renders per model and per
+/// tenant lane.
 #[rustfmt::skip]
 const LEDGER: [LedgerFamily; 8] = [
     ("requests_submitted_total", "Requests accepted into the queue", |c| c.submitted),
@@ -270,24 +272,44 @@ const LEDGER: [LedgerFamily; 8] = [
     ("requests_failed_total", "Requests resolved with an error", |c| c.failed),
 ];
 
-/// Render the [`LEDGER`] of `rows` — `(label value, counters)` — under one
-/// label scope: `prefix` opens every family name, `label` is the key that
-/// tells the rows apart (`None`: one unlabelled row), `help_end` finishes
+/// Render the [`LEDGER`] of `rows` — `(labels, counters)` — under one
+/// label scope: `prefix` opens every family name, `help_end` finishes
 /// every help sentence.
-fn render_ledger(
+fn render_ledger<const N: usize>(
     expo: &mut Exposition,
     prefix: &str,
-    label: Option<&str>,
     help_end: &str,
-    rows: &[(&str, Counters)],
+    rows: &[([(&str, &str); N], Counters)],
 ) {
     for (stem, help, counter) in LEDGER {
         expo.family(&format!("{prefix}{stem}"), &format!("{help}{help_end}"), FamilyKind::Counter);
-        for (row, counters) in rows {
-            expo.sample(label.map(|key| (key, *row)).as_slice(), counter(counters));
+        for (labels, counters) in rows {
+            expo.sample(labels, counter(counters));
         }
     }
 }
+
+/// One scalar family of a serving record: the name stem after
+/// `scales_model_`, the help sentence `, per model.` finishes, the kind,
+/// and the reading it takes.
+type RecordFamily = (&'static str, &'static str, FamilyKind, fn(&RuntimeStats) -> String);
+
+/// The record's scalars as `/metrics` families, one row per line.
+#[rustfmt::skip]
+const SCALARS: [RecordFamily; 12] = [
+    ("images_total", "Images served", FamilyKind::Counter, |s| s.images.to_string()),
+    ("dispatches_total", "Coalesced forward dispatches (one Session::infer each)", FamilyKind::Counter, |s| s.dispatches.to_string()),
+    ("requests_coalesced_total", "Requests that shared a dispatch with at least one other request", FamilyKind::Counter, |s| s.coalesced.to_string()),
+    ("busy_seconds_total", "Worker wall time spent inside forwards", FamilyKind::Counter, |s| s.busy.as_secs_f64().to_string()),
+    ("late_discarded_total", "Responses resolved after their submitter gave up waiting (result discarded unread)", FamilyKind::Counter, |s| s.late_discarded.to_string()),
+    ("workers", "Worker threads in the pool", FamilyKind::Gauge, |s| s.workers.to_string()),
+    ("max_batch", "Configured images per coalesced dispatch", FamilyKind::Gauge, |s| s.max_batch.to_string()),
+    ("queue_depth", "Requests queued (accepted, not yet dispatched) at scrape time", FamilyKind::Gauge, |s| s.queue_depth.to_string()),
+    ("queue_high_water", "Deepest the queue has been", FamilyKind::Gauge, |s| s.queue_high_water.to_string()),
+    ("workspace_bytes", "Bytes resident across worker planned-executor workspaces", FamilyKind::Gauge, |s| s.workspace_bytes.to_string()),
+    ("batch_fill", "Mean images per dispatch relative to max_batch", FamilyKind::Gauge, |s| s.batch_fill.to_string()),
+    ("uptime_seconds", "Wall time since the runtime started (summed over versions)", FamilyKind::Gauge, |s| s.elapsed.as_secs_f64().to_string()),
+];
 
 /// Aggregated snapshot of a runtime's serving counters, returned by
 /// [`Runtime::stats`](crate::Runtime::stats) (live) and
@@ -444,95 +466,84 @@ impl RuntimeStats {
 }
 
 impl RuntimeStats {
-    /// Render the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4): `# HELP` / `# TYPE` comments, counters with a
-    /// `_total` suffix, gauges, and the latency histogram as a cumulative
-    /// `_bucket{le="..."}` series (bounds in seconds) with `_sum` and
-    /// `_count`. This is the exact body `GET /metrics` on
-    /// `scales_http::HttpServer` serves.
-    ///
-    /// The format is pinned by a unit test: changing a metric name or the
-    /// line layout is a deliberate, test-visible act.
-    #[must_use]
-    pub fn render_prometheus(&self) -> String {
-        use FamilyKind::{Counter, Gauge, Histogram};
-        let mut expo = Exposition::default();
-        render_ledger(&mut expo, "scales_runtime_", None, ".", &[("", self.counters())]);
-        #[rustfmt::skip]
-        let scalars: [(&str, &str, FamilyKind, String); 11] = [
-            ("scales_runtime_images_total", "Images served.", Counter, self.images.to_string()),
-            ("scales_runtime_dispatches_total", "Coalesced forward dispatches (one Session::infer each).", Counter, self.dispatches.to_string()),
-            ("scales_runtime_requests_coalesced_total", "Requests that shared a dispatch with at least one other request.", Counter, self.coalesced.to_string()),
-            ("scales_runtime_busy_seconds_total", "Worker wall time spent inside forwards.", Counter, self.busy.as_secs_f64().to_string()),
-            ("scales_runtime_workers", "Worker threads in the pool.", Gauge, self.workers.to_string()),
-            ("scales_runtime_max_batch", "Configured images per coalesced dispatch.", Gauge, self.max_batch.to_string()),
-            ("scales_runtime_queue_depth", "Requests queued (accepted, not yet dispatched) at scrape time.", Gauge, self.queue_depth.to_string()),
-            ("scales_runtime_queue_high_water", "Deepest the queue has been.", Gauge, self.queue_high_water.to_string()),
-            ("scales_runtime_workspace_bytes", "Bytes resident across worker planned-executor workspaces.", Gauge, self.workspace_bytes.to_string()),
-            ("scales_runtime_batch_fill", "Mean images per dispatch relative to max_batch.", Gauge, self.batch_fill.to_string()),
-            ("scales_runtime_uptime_seconds", "Wall time since the runtime started.", Gauge, self.elapsed.as_secs_f64().to_string()),
-        ];
-        for (name, help, kind, value) in scalars {
-            expo.family(name, help, kind);
-            expo.sample(&[], value);
-        }
-        expo.family("scales_runtime_info", "Serving backend of the runtime's engine (constant 1; labels carry the info).", Gauge);
-        expo.sample(&[("backend", &self.backend.to_string()), ("simd", &self.simd.to_string())], 1);
-        expo.family("scales_runtime_request_latency_seconds", "End-to-end request latency (enqueue to ticket resolution).", Histogram);
-        self.latency.render_into(&mut expo, &[]);
-        expo.family("scales_runtime_late_discarded_total", "Responses resolved after their submitter gave up waiting (result discarded unread).", Counter);
-        expo.sample(&[], self.late_discarded);
-        expo.family("scales_build_info", "Build metadata of the serving stack (constant 1; labels carry the info).", Gauge);
-        expo.sample(&[("version", env!("CARGO_PKG_VERSION")), ("features", "default")], 1);
-        // Per-stage histograms render only once the runtime has served
-        // work, and the per-op series only while the profiler is on, so
-        // the base rendering stays exactly the pinned text.
-        let stages =
-            [("queue_wait", &self.queue_wait), ("batch_wait", &self.batch_wait), ("infer", &self.infer)];
-        if stages.iter().any(|(_, h)| h.count() > 0) {
-            expo.family("scales_runtime_stage_seconds", "Per-request stage spans inside the runtime (queue wait, batch assembly, forward).", Histogram);
-            for (stage, hist) in stages {
-                hist.render_into(&mut expo, &[("stage", stage)]);
-            }
-        }
-        if !self.op_profile.is_empty() {
-            expo.family("scales_plan_op_calls_total", "Planned-executor op executions, per deployed op kind.", Counter);
-            for e in self.op_profile.entries() {
-                expo.sample(&[("op", e.kind)], e.calls);
-            }
-            expo.family("scales_plan_op_seconds_total", "Wall time inside planned-executor ops, per deployed op kind.", Counter);
-            for e in self.op_profile.entries() {
-                expo.sample(&[("op", e.kind)], Duration::from_nanos(e.total_ns).as_secs_f64());
-            }
-        }
-        // Per-tenant lane series, after the scalar block so tenant-free
-        // runtimes render the exact historical text.
-        if !self.tenants.is_empty() {
-            let lanes: Vec<(&str, Counters)> =
-                self.tenants.iter().map(|t| (t.tenant.as_str(), t.counters())).collect();
-            render_ledger(&mut expo, "scales_runtime_tenant_", Some("tenant"), ", per tenant lane.", &lanes);
-            expo.family("scales_runtime_tenant_queue_depth", "Requests queued at scrape time, per tenant lane.", Gauge);
-            for t in &self.tenants {
-                expo.sample(&[("tenant", &t.tenant)], t.queued);
-            }
-            expo.family("scales_runtime_tenant_weight", "Weighted-round-robin dequeue weight of the tenant lane.", Gauge);
-            for t in &self.tenants {
-                expo.sample(&[("tenant", &t.tenant)], t.weight);
-            }
-        }
-        expo.finish()
+    /// The three runtime-side stage histograms, by trace-stage name.
+    fn stages(&self) -> [(&'static str, &LatencyHistogram); 3] {
+        [("queue_wait", &self.queue_wait), ("batch_wait", &self.batch_wait), ("infer", &self.infer)]
     }
 
-    /// The per-model scope of the admission ledger: `model`-labelled
-    /// `scales_model_*` counters over one `(model name, folded stats)` row
-    /// per model — how `scales-router` opens its fleet rendering.
-    pub fn render_model_ledger<'a>(
-        expo: &mut Exposition,
-        models: impl IntoIterator<Item = (&'a str, &'a RuntimeStats)>,
-    ) {
-        let rows: Vec<(&str, Counters)> =
-            models.into_iter().map(|(model, stats)| (model, stats.counters())).collect();
-        render_ledger(expo, "scales_model_", Some("model"), ", per model.", &rows);
+    /// Render serving records in the Prometheus text exposition format
+    /// (version 0.0.4), one `(model name, record)` row per model: every
+    /// family is `scales_model_*` with `model` as its first label —
+    /// the admission ledger, the scalars, and the request-latency
+    /// histogram (cumulative `_bucket{le="..."}` series, bounds in
+    /// seconds, with `_sum` and `_count`) for every row; then the gated
+    /// families — the stage histograms, the per-op profile and the tenant
+    /// lanes — each once any row has data for it, with samples only for
+    /// the rows that do. `scales-router` writes its fleet's `/metrics`
+    /// through this, then appends what only it knows.
+    ///
+    /// The format is pinned by unit tests: changing a metric name or the
+    /// line layout is a deliberate, test-visible act.
+    pub fn render_models(expo: &mut Exposition, models: &[(&str, &RuntimeStats)]) {
+        use FamilyKind::{Counter, Gauge, Histogram};
+        let ledger: Vec<_> = models.iter().map(|(m, s)| ([("model", *m)], s.counters())).collect();
+        render_ledger(expo, "scales_model_", ", per model.", &ledger);
+        for (stem, help, kind, value) in SCALARS {
+            expo.family(&format!("scales_model_{stem}"), &format!("{help}, per model."), kind);
+            for (model, stats) in models {
+                expo.sample(&[("model", model)], value(stats));
+            }
+        }
+        expo.family("scales_model_request_latency_seconds", "End-to-end request latency per model (enqueue to ticket resolution).", Histogram);
+        for (model, stats) in models {
+            stats.latency.render_into(expo, &[("model", model)]);
+        }
+        // All three stages of a model render together, zeros included, so
+        // a scrape sees a consistent label set.
+        let staged: Vec<_> =
+            models.iter().filter(|(_, s)| s.stages().iter().any(|(_, h)| h.count() > 0)).collect();
+        if !staged.is_empty() {
+            expo.family("scales_model_stage_seconds", "Per-request stage spans inside the runtime (queue wait, batch assembly, forward), per model.", Histogram);
+            for (model, stats) in staged {
+                for (stage, hist) in stats.stages() {
+                    hist.render_into(expo, &[("model", model), ("stage", stage)]);
+                }
+            }
+        }
+        let profiled: Vec<_> = models.iter().filter(|(_, s)| !s.op_profile.is_empty()).collect();
+        if !profiled.is_empty() {
+            expo.family("scales_model_plan_op_calls_total", "Planned-executor op executions, per model and deployed op kind.", Counter);
+            for (model, stats) in &profiled {
+                for e in stats.op_profile.entries() {
+                    expo.sample(&[("model", model), ("op", e.kind)], e.calls);
+                }
+            }
+            expo.family("scales_model_plan_op_seconds_total", "Wall time inside planned-executor ops, per model and deployed op kind.", Counter);
+            for (model, stats) in &profiled {
+                for e in stats.op_profile.entries() {
+                    let seconds = Duration::from_nanos(e.total_ns).as_secs_f64();
+                    expo.sample(&[("model", model), ("op", e.kind)], seconds);
+                }
+            }
+        }
+        let lanes: Vec<([(&str, &str); 2], &TenantStats)> = models
+            .iter()
+            .flat_map(|(model, s)| {
+                s.tenants.iter().map(|t| ([("model", *model), ("tenant", t.tenant.as_str())], t))
+            })
+            .collect();
+        if !lanes.is_empty() {
+            let ledger: Vec<_> = lanes.iter().map(|(labels, t)| (*labels, t.counters())).collect();
+            render_ledger(expo, "scales_model_tenant_", ", per model and tenant lane.", &ledger);
+            expo.family("scales_model_tenant_queue_depth", "Requests queued at scrape time, per model and tenant lane.", Gauge);
+            for (labels, t) in &lanes {
+                expo.sample(labels, t.queued);
+            }
+            expo.family("scales_model_tenant_weight", "Weighted-round-robin dequeue weight of the tenant lane, per model.", Gauge);
+            for (labels, t) in &lanes {
+                expo.sample(labels, t.weight);
+            }
+        }
     }
 }
 
@@ -736,6 +747,13 @@ mod tests {
         assert!(h.p50() > Duration::ZERO);
     }
 
+    /// Render `rows` through [`RuntimeStats::render_models`] alone.
+    fn render(rows: &[(&str, &RuntimeStats)]) -> String {
+        let mut expo = Exposition::default();
+        RuntimeStats::render_models(&mut expo, rows);
+        expo.finish()
+    }
+
     #[test]
     fn prometheus_rendering_is_pinned() {
         let mut latency = LatencyHistogram::default();
@@ -772,122 +790,102 @@ mod tests {
             op_profile: OpProfile::default(),
             tenants: Vec::new(),
         };
-        let text = stats.render_prometheus();
-        // The scalar series, pinned line for line.
-        let expected_head = "\
-# HELP scales_runtime_requests_submitted_total Requests accepted into the queue.
-# TYPE scales_runtime_requests_submitted_total counter
-scales_runtime_requests_submitted_total 10
-# HELP scales_runtime_requests_rejected_total Requests rejected at submission (queue full or admission timeout).
-# TYPE scales_runtime_requests_rejected_total counter
-scales_runtime_requests_rejected_total 1
-# HELP scales_runtime_requests_shed_total Requests refused early by the shed policy.
-# TYPE scales_runtime_requests_shed_total counter
-scales_runtime_requests_shed_total 2
-# HELP scales_runtime_requests_quota_rejected_total Requests refused at a tenant lane quota.
-# TYPE scales_runtime_requests_quota_rejected_total counter
-scales_runtime_requests_quota_rejected_total 1
-# HELP scales_runtime_requests_expired_total Requests whose deadline passed before dispatch (never served).
-# TYPE scales_runtime_requests_expired_total counter
-scales_runtime_requests_expired_total 3
-# HELP scales_runtime_deadline_misses_total Requests served after their deadline passed mid-flight.
-# TYPE scales_runtime_deadline_misses_total counter
-scales_runtime_deadline_misses_total 1
-# HELP scales_runtime_requests_completed_total Requests served successfully.
-# TYPE scales_runtime_requests_completed_total counter
-scales_runtime_requests_completed_total 9
-# HELP scales_runtime_requests_failed_total Requests resolved with an error.
-# TYPE scales_runtime_requests_failed_total counter
-scales_runtime_requests_failed_total 0
-# HELP scales_runtime_images_total Images served.
-# TYPE scales_runtime_images_total counter
-scales_runtime_images_total 18
-# HELP scales_runtime_dispatches_total Coalesced forward dispatches (one Session::infer each).
-# TYPE scales_runtime_dispatches_total counter
-scales_runtime_dispatches_total 3
-# HELP scales_runtime_requests_coalesced_total Requests that shared a dispatch with at least one other request.
-# TYPE scales_runtime_requests_coalesced_total counter
-scales_runtime_requests_coalesced_total 6
-# HELP scales_runtime_busy_seconds_total Worker wall time spent inside forwards.
-# TYPE scales_runtime_busy_seconds_total counter
-scales_runtime_busy_seconds_total 0.02
-# HELP scales_runtime_workers Worker threads in the pool.
-# TYPE scales_runtime_workers gauge
-scales_runtime_workers 2
-# HELP scales_runtime_max_batch Configured images per coalesced dispatch.
-# TYPE scales_runtime_max_batch gauge
-scales_runtime_max_batch 8
-# HELP scales_runtime_queue_depth Requests queued (accepted, not yet dispatched) at scrape time.
-# TYPE scales_runtime_queue_depth gauge
-scales_runtime_queue_depth 0
-# HELP scales_runtime_queue_high_water Deepest the queue has been.
-# TYPE scales_runtime_queue_high_water gauge
-scales_runtime_queue_high_water 5
-# HELP scales_runtime_workspace_bytes Bytes resident across worker planned-executor workspaces.
-# TYPE scales_runtime_workspace_bytes gauge
-scales_runtime_workspace_bytes 4096
-# HELP scales_runtime_batch_fill Mean images per dispatch relative to max_batch.
-# TYPE scales_runtime_batch_fill gauge
-scales_runtime_batch_fill 0.75
-# HELP scales_runtime_uptime_seconds Wall time since the runtime started.
-# TYPE scales_runtime_uptime_seconds gauge
-scales_runtime_uptime_seconds 0.1
-# HELP scales_runtime_info Serving backend of the runtime's engine (constant 1; labels carry the info).
-# TYPE scales_runtime_info gauge
-scales_runtime_info{backend=\"scalar\",simd=\"none\"} 1
-# HELP scales_runtime_request_latency_seconds End-to-end request latency (enqueue to ticket resolution).
-# TYPE scales_runtime_request_latency_seconds histogram
+        let text = render(&[("m", &stats)]);
+        // One row, pinned line for line: the ledger, the scalars, then the
+        // latency histogram.
+        let mut expected = String::from(
+            "\
+# HELP scales_model_requests_submitted_total Requests accepted into the queue, per model.
+# TYPE scales_model_requests_submitted_total counter
+scales_model_requests_submitted_total{model=\"m\"} 10
+# HELP scales_model_requests_rejected_total Requests rejected at submission (queue full or admission timeout), per model.
+# TYPE scales_model_requests_rejected_total counter
+scales_model_requests_rejected_total{model=\"m\"} 1
+# HELP scales_model_requests_shed_total Requests refused early by the shed policy, per model.
+# TYPE scales_model_requests_shed_total counter
+scales_model_requests_shed_total{model=\"m\"} 2
+# HELP scales_model_requests_quota_rejected_total Requests refused at a tenant lane quota, per model.
+# TYPE scales_model_requests_quota_rejected_total counter
+scales_model_requests_quota_rejected_total{model=\"m\"} 1
+# HELP scales_model_requests_expired_total Requests whose deadline passed before dispatch (never served), per model.
+# TYPE scales_model_requests_expired_total counter
+scales_model_requests_expired_total{model=\"m\"} 3
+# HELP scales_model_deadline_misses_total Requests served after their deadline passed mid-flight, per model.
+# TYPE scales_model_deadline_misses_total counter
+scales_model_deadline_misses_total{model=\"m\"} 1
+# HELP scales_model_requests_completed_total Requests served successfully, per model.
+# TYPE scales_model_requests_completed_total counter
+scales_model_requests_completed_total{model=\"m\"} 9
+# HELP scales_model_requests_failed_total Requests resolved with an error, per model.
+# TYPE scales_model_requests_failed_total counter
+scales_model_requests_failed_total{model=\"m\"} 0
+# HELP scales_model_images_total Images served, per model.
+# TYPE scales_model_images_total counter
+scales_model_images_total{model=\"m\"} 18
+# HELP scales_model_dispatches_total Coalesced forward dispatches (one Session::infer each), per model.
+# TYPE scales_model_dispatches_total counter
+scales_model_dispatches_total{model=\"m\"} 3
+# HELP scales_model_requests_coalesced_total Requests that shared a dispatch with at least one other request, per model.
+# TYPE scales_model_requests_coalesced_total counter
+scales_model_requests_coalesced_total{model=\"m\"} 6
+# HELP scales_model_busy_seconds_total Worker wall time spent inside forwards, per model.
+# TYPE scales_model_busy_seconds_total counter
+scales_model_busy_seconds_total{model=\"m\"} 0.02
+# HELP scales_model_late_discarded_total Responses resolved after their submitter gave up waiting (result discarded unread), per model.
+# TYPE scales_model_late_discarded_total counter
+scales_model_late_discarded_total{model=\"m\"} 4
+# HELP scales_model_workers Worker threads in the pool, per model.
+# TYPE scales_model_workers gauge
+scales_model_workers{model=\"m\"} 2
+# HELP scales_model_max_batch Configured images per coalesced dispatch, per model.
+# TYPE scales_model_max_batch gauge
+scales_model_max_batch{model=\"m\"} 8
+# HELP scales_model_queue_depth Requests queued (accepted, not yet dispatched) at scrape time, per model.
+# TYPE scales_model_queue_depth gauge
+scales_model_queue_depth{model=\"m\"} 0
+# HELP scales_model_queue_high_water Deepest the queue has been, per model.
+# TYPE scales_model_queue_high_water gauge
+scales_model_queue_high_water{model=\"m\"} 5
+# HELP scales_model_workspace_bytes Bytes resident across worker planned-executor workspaces, per model.
+# TYPE scales_model_workspace_bytes gauge
+scales_model_workspace_bytes{model=\"m\"} 4096
+# HELP scales_model_batch_fill Mean images per dispatch relative to max_batch, per model.
+# TYPE scales_model_batch_fill gauge
+scales_model_batch_fill{model=\"m\"} 0.75
+# HELP scales_model_uptime_seconds Wall time since the runtime started (summed over versions), per model.
+# TYPE scales_model_uptime_seconds gauge
+scales_model_uptime_seconds{model=\"m\"} 0.1
+# HELP scales_model_request_latency_seconds End-to-end request latency per model (enqueue to ticket resolution).
+# TYPE scales_model_request_latency_seconds histogram
+",
+        );
+        // Cumulative buckets: the three samples land in the 2 µs and the
+        // 1.024 ms buckets, and every later bound reports 3.
+        for i in 0..LATENCY_BUCKETS {
+            let cumulative = match i {
+                0 => 0,
+                1..=9 => 2,
+                _ => 3,
+            };
+            let le = LatencyHistogram::bucket_bound(i).as_secs_f64();
+            expected += &format!(
+                "scales_model_request_latency_seconds_bucket{{model=\"m\",le=\"{le}\"}} {cumulative}\n"
+            );
+        }
+        expected += "\
+scales_model_request_latency_seconds_bucket{model=\"m\",le=\"+Inf\"} 3
+scales_model_request_latency_seconds_sum{model=\"m\"} 0.001004
+scales_model_request_latency_seconds_count{model=\"m\"} 3
 ";
-        assert!(
-            text.starts_with(expected_head),
-            "prometheus head diverged:\n{text}"
-        );
-        // Histogram: cumulative buckets. The three samples land in the
-        // 2 µs and 1.024 ms buckets; every later bound reports 3.
-        let tail = &text[expected_head.len()..];
-        let lines: Vec<&str> = tail.lines().collect();
-        assert_eq!(
-            lines.len(),
-            LATENCY_BUCKETS + 3 + 6,
-            "32 buckets + +Inf + sum + count, then late-discarded and build-info blocks"
-        );
-        assert_eq!(lines[0], "scales_runtime_request_latency_seconds_bucket{le=\"0.000001\"} 0");
-        assert_eq!(lines[1], "scales_runtime_request_latency_seconds_bucket{le=\"0.000002\"} 2");
-        assert_eq!(lines[10], "scales_runtime_request_latency_seconds_bucket{le=\"0.001024\"} 3");
-        assert_eq!(
-            lines[LATENCY_BUCKETS - 1],
-            "scales_runtime_request_latency_seconds_bucket{le=\"2147.483648\"} 3"
-        );
-        assert_eq!(lines[LATENCY_BUCKETS], "scales_runtime_request_latency_seconds_bucket{le=\"+Inf\"} 3");
-        assert_eq!(lines[LATENCY_BUCKETS + 1], "scales_runtime_request_latency_seconds_sum 0.001004");
-        assert_eq!(lines[LATENCY_BUCKETS + 2], "scales_runtime_request_latency_seconds_count 3");
-        // The always-on observability tail: late-discarded counter, then
-        // the build-info gauge (labels vary with the build, so the last
-        // line is matched against the same sources the renderer reads).
-        assert_eq!(
-            lines[LATENCY_BUCKETS + 3],
-            "# HELP scales_runtime_late_discarded_total Responses resolved after their submitter gave up waiting (result discarded unread)."
-        );
-        assert_eq!(lines[LATENCY_BUCKETS + 4], "# TYPE scales_runtime_late_discarded_total counter");
-        assert_eq!(lines[LATENCY_BUCKETS + 5], "scales_runtime_late_discarded_total 4");
-        assert_eq!(
-            lines[LATENCY_BUCKETS + 6],
-            "# HELP scales_build_info Build metadata of the serving stack (constant 1; labels carry the info)."
-        );
-        assert_eq!(lines[LATENCY_BUCKETS + 7], "# TYPE scales_build_info gauge");
-        assert_eq!(
-            lines[LATENCY_BUCKETS + 8],
-            format!("scales_build_info{{version=\"{}\",features=\"default\"}} 1", env!("CARGO_PKG_VERSION"))
-        );
-        // Trace-derived series are gated on data: none here.
-        assert!(!text.contains("scales_runtime_stage_seconds"));
-        assert!(!text.contains("scales_plan_op_"));
-        // Cumulative monotonicity across the whole series.
-        let mut last = 0u64;
-        for line in &lines[..LATENCY_BUCKETS] {
-            let v: u64 = line.rsplit(' ').next().unwrap().parse().unwrap();
-            assert!(v >= last, "bucket series must be cumulative: {line}");
-            last = v;
+        assert_eq!(text, expected);
+        // The bounds as a scraper reads them.
+        for line in [
+            "scales_model_request_latency_seconds_bucket{model=\"m\",le=\"0.000001\"} 0\n",
+            "scales_model_request_latency_seconds_bucket{model=\"m\",le=\"0.000002\"} 2\n",
+            "scales_model_request_latency_seconds_bucket{model=\"m\",le=\"0.001024\"} 3\n",
+            "scales_model_request_latency_seconds_bucket{model=\"m\",le=\"2147.483648\"} 3\n",
+        ] {
+            assert!(text.contains(line), "missing {line:?}");
         }
     }
 
@@ -957,157 +955,101 @@ scales_runtime_info{backend=\"scalar\",simd=\"none\"} 1
         assert!(stats.requests_per_sec() > 80.0);
     }
 
+    /// One tenant lane with the given counters (the rest zero).
+    fn lane(tenant: &str, weight: u32, queued: usize, submitted: u64, completed: u64) -> TenantStats {
+        let c = Counters { submitted, completed, ..Counters::default() };
+        TenantStats::new(tenant.into(), weight, queued, c)
+    }
+
+    /// Two rows: every family declares one `# HELP` / `# TYPE` with one
+    /// sample per row under it, and the tenant lanes — gated — render
+    /// after the latency histogram, for the row that has lanes only.
     #[test]
     fn tenant_series_render_after_the_scalar_block() {
-        let base = RuntimeStats {
-            workers: 1,
-            backend: Backend::Scalar,
-            simd: SimdLevel::None,
-            max_batch: 8,
+        let mut alpha = RuntimeStats {
             submitted: 7,
-            rejected: 0,
-            shed: 0,
-            quota_rejected: 2,
-            expired: 0,
-            deadline_misses: 1,
             completed: 5,
-            failed: 0,
-            images: 5,
-            dispatches: 5,
-            coalesced: 0,
+            quota_rejected: 2,
+            deadline_misses: 1,
             queue_depth: 1,
-            queue_high_water: 3,
-            workspace_bytes: 0,
-            batch_fill: 0.5,
-            busy: Duration::ZERO,
-            elapsed: Duration::from_millis(50),
-            latency: LatencyHistogram::default(),
-            queue_wait: LatencyHistogram::default(),
-            batch_wait: LatencyHistogram::default(),
-            infer: LatencyHistogram::default(),
-            late_discarded: 0,
-            op_profile: OpProfile::default(),
-            tenants: Vec::new(),
+            ..RuntimeStats::default()
         };
-        // Tenant-free stats render no tenant series at all.
-        assert!(!base.render_prometheus().contains("scales_runtime_tenant_"));
-        let mut stats = base;
-        stats.tenants = vec![
-            TenantStats {
-                tenant: "acme".into(),
-                weight: 3,
-                queued: 1,
-                submitted: 5,
-                completed: 3,
-                failed: 0,
-                rejected: 0,
-                shed: 0,
-                quota_rejected: 2,
-                expired: 0,
-                deadline_misses: 1,
-            },
-            TenantStats {
-                tenant: "zeta".into(),
-                weight: 1,
-                queued: 0,
-                submitted: 2,
-                completed: 2,
-                failed: 0,
-                rejected: 0,
-                shed: 0,
-                quota_rejected: 0,
-                expired: 0,
-                deadline_misses: 0,
-            },
-        ];
-        let text = stats.render_prometheus();
-        // Labeled series sit after the histogram so the scalar block is
-        // byte-identical to the tenant-free rendering.
-        let histogram_count = "scales_runtime_request_latency_seconds_count 0\n";
+        let beta = RuntimeStats { submitted: 3, completed: 3, ..RuntimeStats::default() };
+        // Tenant-free rows render no tenant series at all.
+        assert!(!render(&[("alpha", &alpha), ("beta", &beta)]).contains("scales_model_tenant_"));
+        let mut acme = lane("acme", 3, 1, 5, 3);
+        (acme.quota_rejected, acme.deadline_misses) = (2, 1);
+        alpha.tenants = vec![acme, lane("zeta", 1, 0, 2, 2)];
+        let text = render(&[("alpha", &alpha), ("beta", &beta)]);
+        let types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
+        let helps = text.lines().filter(|l| l.starts_with("# HELP ")).count();
+        assert_eq!(types.len(), 8 + 12 + 1 + 8 + 2, "ledger, scalars, latency, tenant ledger, tenant gauges");
+        assert_eq!(helps, types.len());
+        assert_eq!(types.iter().collect::<std::collections::BTreeSet<_>>().len(), types.len(), "one TYPE per family");
+        for line in [
+            "scales_model_requests_submitted_total{model=\"alpha\"} 7\nscales_model_requests_submitted_total{model=\"beta\"} 3\n",
+            "scales_model_requests_quota_rejected_total{model=\"alpha\"} 2\nscales_model_requests_quota_rejected_total{model=\"beta\"} 0\n",
+            "scales_model_queue_depth{model=\"alpha\"} 1\nscales_model_queue_depth{model=\"beta\"} 0\n",
+        ] {
+            assert!(text.contains(line), "missing {line:?} in:\n{text}");
+        }
+        // Labelled lanes sit after the histogram, `model` first.
+        let histogram_count = "scales_model_request_latency_seconds_count{model=\"beta\"} 0\n";
         let tail_at = text.find(histogram_count).unwrap() + histogram_count.len();
         let tail = &text[tail_at..];
         for line in [
-            "# HELP scales_runtime_tenant_requests_submitted_total Requests accepted into the queue, per tenant lane.",
-            "# TYPE scales_runtime_tenant_requests_submitted_total counter",
-            "scales_runtime_tenant_requests_submitted_total{tenant=\"acme\"} 5",
-            "scales_runtime_tenant_requests_submitted_total{tenant=\"zeta\"} 2",
-            "scales_runtime_tenant_requests_quota_rejected_total{tenant=\"acme\"} 2",
-            "scales_runtime_tenant_deadline_misses_total{tenant=\"acme\"} 1",
-            "scales_runtime_tenant_queue_depth{tenant=\"acme\"} 1",
-            "scales_runtime_tenant_weight{tenant=\"acme\"} 3",
-            "scales_runtime_tenant_weight{tenant=\"zeta\"} 1",
+            "# HELP scales_model_tenant_requests_submitted_total Requests accepted into the queue, per model and tenant lane.",
+            "# TYPE scales_model_tenant_requests_submitted_total counter",
+            "scales_model_tenant_requests_submitted_total{model=\"alpha\",tenant=\"acme\"} 5",
+            "scales_model_tenant_requests_submitted_total{model=\"alpha\",tenant=\"zeta\"} 2",
+            "scales_model_tenant_requests_quota_rejected_total{model=\"alpha\",tenant=\"acme\"} 2",
+            "scales_model_tenant_deadline_misses_total{model=\"alpha\",tenant=\"acme\"} 1",
+            "scales_model_tenant_queue_depth{model=\"alpha\",tenant=\"acme\"} 1",
+            "scales_model_tenant_weight{model=\"alpha\",tenant=\"acme\"} 3",
+            "scales_model_tenant_weight{model=\"alpha\",tenant=\"zeta\"} 1",
         ] {
             assert!(tail.contains(line), "missing {line:?} in tail:\n{tail}");
         }
-        // Each metric name declares HELP/TYPE exactly once, with one line
-        // per tenant under it.
-        assert_eq!(tail.matches("# TYPE scales_runtime_tenant_requests_submitted_total").count(), 1);
-        assert_eq!(
-            tail.matches("scales_runtime_tenant_requests_submitted_total{tenant=").count(),
-            2
-        );
+        assert!(!tail.contains("model=\"beta\""), "beta has no lanes:\n{tail}");
+        assert_eq!(tail.matches("scales_model_tenant_requests_submitted_total{").count(), 2);
     }
 
     #[test]
     fn stage_and_op_series_are_gated_on_data() {
-        let mut stats = RuntimeStats {
-            workers: 1,
-            backend: Backend::Scalar,
-            simd: SimdLevel::None,
-            max_batch: 8,
-            submitted: 0,
-            rejected: 0,
-            shed: 0,
-            quota_rejected: 0,
-            expired: 0,
-            deadline_misses: 0,
-            completed: 0,
-            failed: 0,
-            images: 0,
-            dispatches: 0,
-            coalesced: 0,
-            queue_depth: 0,
-            queue_high_water: 0,
-            workspace_bytes: 0,
-            batch_fill: 0.0,
-            busy: Duration::ZERO,
-            elapsed: Duration::from_millis(10),
-            latency: LatencyHistogram::default(),
-            queue_wait: LatencyHistogram::default(),
-            batch_wait: LatencyHistogram::default(),
-            infer: LatencyHistogram::default(),
-            late_discarded: 0,
-            op_profile: OpProfile::default(),
-            tenants: Vec::new(),
-        };
-        // An idle runtime renders neither gated family, but always the
-        // late-discarded counter and the build-info gauge.
-        let text = stats.render_prometheus();
-        assert!(!text.contains("scales_runtime_stage_seconds"), "{text}");
-        assert!(!text.contains("scales_plan_op_"), "{text}");
-        assert!(text.contains("scales_runtime_late_discarded_total 0"));
-        assert!(text.contains("scales_build_info{version=\""));
-        // One recorded stage span renders all three stage series (zeros
-        // included — a scrape must see a consistent label set).
-        stats.queue_wait.record(Duration::from_micros(3));
-        stats.infer.record(Duration::from_micros(9));
-        stats.op_profile.record("body_conv", 1500);
-        stats.op_profile.record("relu", 40);
-        let text = stats.render_prometheus();
-        assert!(text.contains(
-            "scales_runtime_stage_seconds_bucket{stage=\"queue_wait\",le=\"0.000004\"} 1"
-        ));
-        assert!(text.contains("scales_runtime_stage_seconds_sum{stage=\"queue_wait\"} 0.000003"));
-        assert!(text.contains("scales_runtime_stage_seconds_count{stage=\"queue_wait\"} 1"));
-        assert!(text.contains("scales_runtime_stage_seconds_count{stage=\"batch_wait\"} 0"));
-        assert!(text.contains("scales_runtime_stage_seconds_count{stage=\"infer\"} 1"));
-        assert_eq!(text.matches("# TYPE scales_runtime_stage_seconds histogram").count(), 1);
-        assert!(text.contains("scales_plan_op_calls_total{op=\"body_conv\"} 1"));
-        assert!(text.contains("scales_plan_op_seconds_total{op=\"body_conv\"} 0.0000015"));
-        assert!(text.contains("scales_plan_op_seconds_total{op=\"relu\"} 0.00000004"));
-        // The gated families sit between build info and the tenant block.
-        let build_at = text.find("scales_build_info").unwrap();
-        let stage_at = text.find("scales_runtime_stage_seconds").unwrap();
-        assert!(stage_at > build_at);
+        let mut alpha = RuntimeStats { workers: 1, max_batch: 8, ..RuntimeStats::default() };
+        let beta = alpha.clone();
+        // Idle rows render neither gated family, but always the
+        // late-discarded counter.
+        let text = render(&[("alpha", &alpha), ("beta", &beta)]);
+        assert!(!text.contains("scales_model_stage_seconds"), "{text}");
+        assert!(!text.contains("scales_model_plan_op_"), "{text}");
+        assert!(text.contains("scales_model_late_discarded_total{model=\"beta\"} 0"));
+        // One recorded stage span renders all three of that row's stage
+        // series (zeros included — a scrape must see a consistent label
+        // set), and none of the idle row's.
+        alpha.queue_wait.record(Duration::from_micros(3));
+        alpha.infer.record(Duration::from_micros(9));
+        alpha.op_profile.record("body_conv", 1500);
+        alpha.op_profile.record("relu", 40);
+        let text = render(&[("alpha", &alpha), ("beta", &beta)]);
+        for line in [
+            "scales_model_stage_seconds_bucket{model=\"alpha\",stage=\"queue_wait\",le=\"0.000004\"} 1",
+            "scales_model_stage_seconds_sum{model=\"alpha\",stage=\"queue_wait\"} 0.000003",
+            "scales_model_stage_seconds_count{model=\"alpha\",stage=\"queue_wait\"} 1",
+            "scales_model_stage_seconds_count{model=\"alpha\",stage=\"batch_wait\"} 0",
+            "scales_model_stage_seconds_count{model=\"alpha\",stage=\"infer\"} 1",
+            "scales_model_plan_op_calls_total{model=\"alpha\",op=\"body_conv\"} 1",
+            "scales_model_plan_op_seconds_total{model=\"alpha\",op=\"body_conv\"} 0.0000015",
+            "scales_model_plan_op_seconds_total{model=\"alpha\",op=\"relu\"} 0.00000004",
+        ] {
+            assert!(text.contains(line), "missing {line:?} in:\n{text}");
+        }
+        assert_eq!(text.matches("# TYPE scales_model_stage_seconds histogram").count(), 1);
+        for gated in ["scales_model_stage_seconds_", "scales_model_plan_op_"] {
+            assert!(!text.lines().any(|l| l.starts_with(gated) && l.contains("model=\"beta\"")), "{gated}");
+        }
+        // The gated families follow the latency histogram.
+        let latency_at = text.find("# HELP scales_model_request_latency_seconds").unwrap();
+        assert!(text.find("# HELP scales_model_stage_seconds").unwrap() > latency_at);
     }
 }

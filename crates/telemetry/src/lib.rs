@@ -25,7 +25,7 @@
 //! - [`OpProfile`] — cumulative calls/nanoseconds per deployed-op kind,
 //!   accumulated in the planned executor's workspace when profiling is
 //!   switched on (zero cost when off) and aggregated per model for
-//!   `GET /v1/debug/profile` and the `scales_plan_op_*` series.
+//!   `GET /v1/debug/profile` and the `scales_model_plan_op_*` series.
 //! - [`Exposition`] + [`JsonWriter`] — the two text writers. Every
 //!   `/metrics` family and every JSON document of the stack is rendered
 //!   through them, so the Prometheus text format and JSON (escaping

@@ -50,8 +50,8 @@ pub struct RequestTrace {
     pub id: RequestId,
     /// Tenant lane the request was queued under, if tagged.
     pub tenant: Option<String>,
-    /// Model the request was routed to (`None` on a single-model
-    /// server).
+    /// Model the request was routed to (`None` when no model route
+    /// was taken: a scrape, a 404).
     pub model: Option<String>,
     /// Final HTTP status of the response — refusals are traces too.
     pub status: u16,

@@ -1,8 +1,9 @@
 //! Network serving, end to end: train a lite SCALES network, lower it
-//! into a deployed engine behind a `scales::runtime` worker pool, put the
-//! `scales::http` front end on an ephemeral loopback port, then act as a
-//! client — post a PPM over a plain `TcpStream`, check the upscaled
-//! reply, scrape `/metrics`, and shut the stack down gracefully.
+//! into a one-model `scales::router` fleet (its own `scales::runtime`
+//! worker pool), put the `scales::http` front end on an ephemeral
+//! loopback port, then act as a client — post a PPM over a plain
+//! `TcpStream`, check the upscaled reply, scrape `/metrics`, and shut the
+//! stack down gracefully.
 //!
 //! ```sh
 //! cargo run --release --example http_serve
@@ -12,9 +13,9 @@ use scales::core::Method;
 use scales::data::codec::{decode_image, encode_image};
 use scales::data::WireFormat;
 use scales::http::{HttpConfig, HttpServer};
-use scales::models::{srresnet, SrConfig};
-use scales::runtime::{Runtime, RuntimeConfig};
-use scales::serve::{Engine, Precision};
+use scales::models::{srresnet, SrConfig, SrNetwork};
+use scales::router::{ModelRouter, RouterConfig};
+use scales::runtime::RuntimeConfig;
 use scales::train::{train, TrainConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -52,7 +53,7 @@ fn read_response(stream: &mut TcpStream) -> Result<(u16, Vec<u8>), Box<dyn std::
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Train briefly, then build the deployed serving engine.
+    // 1. Train briefly.
     let config = SrConfig { channels: 16, blocks: 2, scale: 2, method: Method::scales(), seed: 7 };
     let net = srresnet(config)?;
     let stats = train(
@@ -60,18 +61,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         TrainConfig { iters: 30, batch: 2, lr_patch: 8, lr: 2e-3, halve_every: 1_000, seed: 7 },
     )?;
     println!("trained 30 steps: loss {:.4} -> {:.4}", stats.initial_loss, stats.final_loss);
-    let engine = Engine::builder().model(net).precision(Precision::Deployed).build()?;
 
-    // 2. Worker pool + HTTP front end on an ephemeral loopback port.
-    let runtime = Runtime::spawn(
-        engine,
-        RuntimeConfig { workers: 2, ..RuntimeConfig::default() },
-    )?;
-    let server = HttpServer::bind("127.0.0.1:0", runtime, HttpConfig::default())?;
+    // 2. A one-model fleet (a two-worker pool) + HTTP front end on an
+    //    ephemeral loopback port.
+    let router = ModelRouter::new(RouterConfig {
+        runtime: RuntimeConfig { workers: 2, ..RuntimeConfig::default() },
+        ..RouterConfig::default()
+    })?;
+    router.register_model("m", net.lower()?)?;
+    let server = HttpServer::bind_router("127.0.0.1:0", router, HttpConfig::default())?;
     let addr = server.addr();
     println!("serving on http://{addr}");
 
-    // 3. Be the client: post a PPM-encoded low-resolution image.
+    // 3. Be the client: post a PPM-encoded low-resolution image to the
+    //    fleet's only model.
     let lr = scene(24, 32, 42);
     let payload = encode_image(&lr, WireFormat::Ppm)?;
     let mut stream = TcpStream::connect(addr)?;
@@ -114,15 +117,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n/metrics highlights:");
     for line in text.lines().filter(|l| {
         !l.starts_with('#')
-            && (l.starts_with("scales_runtime_requests_completed_total")
-                || l.starts_with("scales_runtime_request_latency_seconds_count")
+            && (l.starts_with("scales_model_requests_completed_total")
+                || l.starts_with("scales_model_request_latency_seconds_count")
+                || l.starts_with("scales_model_stage_seconds_count")
                 || l.starts_with("scales_http_"))
     }) {
         println!("  {line}");
     }
     assert!(
-        text.contains("scales_runtime_requests_completed_total 1"),
+        text.contains("scales_model_requests_completed_total{model=\"m\"} 1"),
         "the upscale request must be counted"
+    );
+    assert!(
+        text.contains("scales_model_stage_seconds_count{model=\"m\",stage=\"infer\"} 1"),
+        "the runtime's stage histograms are labelled by model"
     );
 
     // 5. Graceful shutdown drains the stack and reports the record.

@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         photo.version, photo.fingerprint, photo.weight_bytes
     );
 
-    // 2. The HTTP front end in fleet mode.
+    // 2. The HTTP front end over the fleet.
     let server = HttpServer::bind_router("127.0.0.1:0", router.clone(), HttpConfig::default())?;
     let addr = server.addr();
     println!("serving the fleet on http://{addr}");

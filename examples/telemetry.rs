@@ -1,9 +1,9 @@
-//! The observability layer, end to end: serve a deployed engine behind
+//! The observability layer, end to end: serve a one-model fleet behind
 //! the HTTP front end with the per-op profiler switched on, post a
-//! *traced* upscale (client-chosen `X-Scales-Request-Id`), then read
-//! everything the stack recorded about it — the echoed id, the flight
-//! recorder's eight-stage trace, the per-op plan profile, and the
-//! per-stage Prometheus histograms.
+//! *traced*, tenant-tagged upscale (client-chosen `X-Scales-Request-Id`),
+//! then read everything the stack recorded about it — the echoed id, the
+//! flight recorder's eight-stage trace, the per-op plan profile, and the
+//! per-stage, per-op and per-tenant Prometheus series of the model.
 //!
 //! ```sh
 //! cargo run --release --example telemetry
@@ -13,9 +13,9 @@ use scales::core::Method;
 use scales::data::codec::encode_image;
 use scales::data::WireFormat;
 use scales::http::{HttpConfig, HttpServer};
-use scales::models::{srresnet, SrConfig};
-use scales::runtime::{Runtime, RuntimeConfig};
-use scales::serve::{Engine, Precision};
+use scales::models::{srresnet, SrConfig, SrNetwork};
+use scales::router::{ModelRouter, RouterConfig};
+use scales::runtime::RuntimeConfig;
 use scales::telemetry::{Stage, STAGES};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -62,8 +62,8 @@ fn get(addr: std::net::SocketAddr, target: &str) -> Result<(u16, Vec<u8>), Box<d
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. A deployed engine behind the worker pool, profiler ON (the
-    //    opt-in knob; `SCALES_PROFILE_OPS=1` sets the same default).
+    // 1. A one-model fleet, its worker pool's profiler ON (the opt-in
+    //    knob; `SCALES_PROFILE_OPS=1` sets the same default).
     let net = srresnet(SrConfig {
         channels: 16,
         blocks: 2,
@@ -71,16 +71,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         method: Method::scales(),
         seed: 11,
     })?;
-    let engine = Engine::builder().model(net).precision(Precision::Deployed).build()?;
-    let runtime = Runtime::spawn(
-        engine,
-        RuntimeConfig { workers: 2, profile_ops: true, ..RuntimeConfig::default() },
-    )?;
-    let server = HttpServer::bind("127.0.0.1:0", runtime, HttpConfig::default())?;
+    let router = ModelRouter::new(RouterConfig {
+        runtime: RuntimeConfig { workers: 2, profile_ops: true, ..RuntimeConfig::default() },
+        ..RouterConfig::default()
+    })?;
+    router.register_model("m", net.lower()?)?;
+    let server = HttpServer::bind_router("127.0.0.1:0", router, HttpConfig::default())?;
     let addr = server.addr();
     println!("serving on http://{addr} (profiler on)");
 
-    // 2. Post a traced upscale: the client picks its own request id.
+    // 2. Post a traced upscale: the client picks its own request id and
+    //    tags its tenant lane.
     let lr = scales::data::synth::scene(
         24,
         32,
@@ -92,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     stream.set_read_timeout(Some(Duration::from_secs(60)))?;
     stream.write_all(
         format!(
-            "POST /v1/upscale HTTP/1.1\r\nHost: localhost\r\nX-Scales-Request-Id: example-trace-1\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+            "POST /v1/upscale HTTP/1.1\r\nHost: localhost\r\nX-Scales-Request-Id: example-trace-1\r\nX-Scales-Tenant: acme\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
             WireFormat::Ppm.content_type(),
             payload.len()
         )
@@ -139,24 +140,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(profile.contains("\"op\":\"body_conv\""), "the profiler names the binary convs");
 
     // 5. And the scrape carries the per-stage histograms on both sides
-    //    of the queue plus the per-op series.
+    //    of the queue plus the per-op and per-tenant series, the model's
+    //    all labelled with its name.
     let (status, metrics) = get(addr, "/metrics")?;
     assert_eq!(status, 200);
     let metrics = String::from_utf8(metrics)?;
     println!("/metrics highlights:");
     for line in metrics.lines().filter(|l| {
         !l.starts_with('#')
-            && (l.starts_with("scales_runtime_stage_seconds_count")
+            && (l.starts_with("scales_model_stage_seconds_count")
                 || l.starts_with("scales_http_stage_seconds_count")
-                || l.starts_with("scales_plan_op_seconds_total")
+                || l.starts_with("scales_model_plan_op_seconds_total")
+                || l.starts_with("scales_model_tenant_requests_completed_total")
                 || l.starts_with("scales_build_info"))
     }) {
         println!("  {line}");
     }
     for needle in [
-        "scales_runtime_stage_seconds_bucket{stage=\"infer\",le=",
+        "scales_model_stage_seconds_bucket{model=\"m\",stage=\"infer\",le=",
         "scales_http_stage_seconds_bucket{stage=\"decode\",le=",
-        "scales_plan_op_calls_total{op=",
+        "scales_model_plan_op_calls_total{model=\"m\",op=\"body_conv\"}",
+        "scales_model_tenant_requests_completed_total{model=\"m\",tenant=\"acme\"} 1",
         "scales_build_info{version=",
     ] {
         assert!(metrics.contains(needle), "metrics must contain {needle}");

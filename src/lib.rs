@@ -20,7 +20,7 @@
 //! | [`serve`] | the serving API: [`serve::Engine`] / [`serve::Session`] — one `infer` entry point for single/batch/tiled requests in training or deployed precision, per-engine backend |
 //! | [`runtime`] | the concurrent serving runtime: [`runtime::Runtime`] worker pool over one shared engine, bounded queue with typed backpressure, cross-request dynamic batching, SLO-aware admission control (request deadlines with EDF scheduling, weighted per-tenant lanes + quotas, [`runtime::ShedPolicy`] load shedding), [`runtime::metrics`] with p50/p99 latency, batch-fill and per-tenant counters in [`runtime::RuntimeStats`] |
 //! | [`router`] | multi-model serving: [`router::ModelRouter`] fleet of named engines — per-request routing, zero-downtime hot-swap of artifact versions (transient artifact reads retried with bounded backoff), per-model memory accounting with LRU eviction |
-//! | [`http`] | the network edge: [`http::HttpServer`], a std-only HTTP/1.1 front end over the runtime or a model fleet — hardened parser, `POST /v1/upscale` and `/v1/models/{name}/...` wire-image round trips with `X-Scales-Tenant` / `X-Scales-Deadline-Ms` SLO headers and typed 429/503/504 overload statuses, Prometheus `GET /metrics`, `GET /v1/debug/traces` / `GET /v1/debug/profile` observability endpoints, graceful drain |
+//! | [`http`] | the network edge: [`http::HttpServer`], a std-only HTTP/1.1 front end over a model fleet — hardened parser, `POST /v1/upscale` and `/v1/models/{name}/...` wire-image round trips with `X-Scales-Tenant` / `X-Scales-Deadline-Ms` SLO headers and typed 429/503/504 overload statuses, Prometheus `GET /metrics`, `GET /v1/debug/traces` / `GET /v1/debug/profile` observability endpoints, graceful drain |
 //! | [`telemetry`] | request-scoped observability: [`telemetry::RequestId`] trace context (`X-Scales-Request-Id`), eight-stage span attribution in [`telemetry::RequestTrace`], the [`telemetry::FlightRecorder`] ring of recent/slow traces, and [`telemetry::OpProfile`] per-op plan profiles |
 //! | `scales-faults` | injectable failure plane for chaos tests: named fault points armed with delay/panic/error actions, compiled into test builds only (the `faults` features) — a release build never links it |
 //! | [`train`] | trainer, evaluator, experiment harness |

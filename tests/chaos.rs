@@ -317,19 +317,22 @@ fn read_response(stream: &mut TcpStream) -> (u16, Vec<(String, String)>, Vec<u8>
 fn a_stalled_peer_does_not_block_shedding_or_in_flight_service() {
     let _chaos = chaos_lock();
     with_watchdog(240, "stalled-peer-shedding", || {
-        let runtime = Runtime::spawn(
-            engine(51),
-            RuntimeConfig {
+        let router = ModelRouter::new(RouterConfig {
+            runtime: RuntimeConfig {
                 workers: 1,
                 max_batch: 1,
                 max_wait: Duration::ZERO,
                 shed: ShedPolicy { queue_watermark: Some(1), ..ShedPolicy::default() },
                 ..RuntimeConfig::default()
             },
-        )
+            ..RouterConfig::default()
+        })
         .unwrap();
+        let net = srresnet(SrConfig { channels: 8, blocks: 1, scale: 2, method: Method::scales(), seed: 51 })
+            .unwrap();
+        router.register_model("m", net.lower().unwrap()).unwrap();
         let server =
-            HttpServer::bind("127.0.0.1:0", runtime, HttpConfig::default()).unwrap();
+            HttpServer::bind_router("127.0.0.1:0", router, HttpConfig::default()).unwrap();
         let addr = server.addr();
         let payload = encode_image(&probe(8, 8, 9), WireFormat::Ppm).unwrap();
         let post = |extra: &str| {

@@ -3,9 +3,9 @@
 //! `tests/http.rs` and `tests/router.rs` look for substrings; this suite
 //! parses. Every `/metrics` rendering goes through a std-only checker of
 //! the Prometheus text format (version 0.0.4) and every JSON document
-//! through a minimal validating reader, the family inventory of both
-//! server modes is frozen, a deployed network with a hostile name is
-//! pushed through both, and the README's metric reference is kept in
+//! through a minimal validating reader, the one per-model family
+//! inventory is frozen, a deployed network with a hostile name is pushed
+//! through both formats, and the README's metric reference is kept in
 //! sync with what is actually rendered.
 
 use scales::core::Method;
@@ -14,8 +14,7 @@ use scales::data::{Image, WireFormat};
 use scales::http::{HttpConfig, HttpServer};
 use scales::models::{srresnet, DeployedNetwork, DeployedNetworkBuilder, SrConfig, SrNetwork};
 use scales::router::{ModelRouter, RouterConfig};
-use scales::runtime::{Runtime, RuntimeConfig};
-use scales::serve::{Engine, Precision};
+use scales::runtime::RuntimeConfig;
 use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -244,79 +243,64 @@ fn frozen(rows: &[&[(&str, &str, &[&str])]]) -> BTreeSet<(String, String, Vec<St
 }
 
 // ---------------------------------------------------------------------------
-// The frozen family inventory (recorded at the parent of ISSUE 23)
+// The frozen family inventory (recorded when `/metrics` became one
+// per-model scope)
 // ---------------------------------------------------------------------------
 
-/// What every single-mode scrape carries, idle or not.
-const SINGLE_ALWAYS: &[(&str, &str, &[&str])] = &[
-    ("scales_runtime_requests_submitted_total", "counter", &[]),
-    ("scales_runtime_requests_rejected_total", "counter", &[]),
-    ("scales_runtime_requests_shed_total", "counter", &[]),
-    ("scales_runtime_requests_quota_rejected_total", "counter", &[]),
-    ("scales_runtime_requests_expired_total", "counter", &[]),
-    ("scales_runtime_deadline_misses_total", "counter", &[]),
-    ("scales_runtime_requests_completed_total", "counter", &[]),
-    ("scales_runtime_requests_failed_total", "counter", &[]),
-    ("scales_runtime_images_total", "counter", &[]),
-    ("scales_runtime_dispatches_total", "counter", &[]),
-    ("scales_runtime_requests_coalesced_total", "counter", &[]),
-    ("scales_runtime_busy_seconds_total", "counter", &[]),
-    ("scales_runtime_workers", "gauge", &[]),
-    ("scales_runtime_max_batch", "gauge", &[]),
-    ("scales_runtime_queue_depth", "gauge", &[]),
-    ("scales_runtime_queue_high_water", "gauge", &[]),
-    ("scales_runtime_workspace_bytes", "gauge", &[]),
-    ("scales_runtime_batch_fill", "gauge", &[]),
-    ("scales_runtime_uptime_seconds", "gauge", &[]),
-    ("scales_runtime_info", "gauge", &["backend", "simd"]),
-    ("scales_runtime_request_latency_seconds", "histogram", &[]),
-    ("scales_runtime_late_discarded_total", "counter", &[]),
-    ("scales_build_info", "gauge", &["version", "features"]),
-];
-
-/// What single mode adds once it has served tagged, profiled work.
-const SINGLE_GATED: &[(&str, &str, &[&str])] = &[
-    ("scales_runtime_stage_seconds", "histogram", &["stage"]),
-    ("scales_plan_op_calls_total", "counter", &["op"]),
-    ("scales_plan_op_seconds_total", "counter", &["op"]),
-    ("scales_runtime_tenant_requests_submitted_total", "counter", &["tenant"]),
-    ("scales_runtime_tenant_requests_completed_total", "counter", &["tenant"]),
-    ("scales_runtime_tenant_requests_failed_total", "counter", &["tenant"]),
-    ("scales_runtime_tenant_requests_rejected_total", "counter", &["tenant"]),
-    ("scales_runtime_tenant_requests_shed_total", "counter", &["tenant"]),
-    ("scales_runtime_tenant_requests_quota_rejected_total", "counter", &["tenant"]),
-    ("scales_runtime_tenant_requests_expired_total", "counter", &["tenant"]),
-    ("scales_runtime_tenant_deadline_misses_total", "counter", &["tenant"]),
-    ("scales_runtime_tenant_queue_depth", "gauge", &["tenant"]),
-    ("scales_runtime_tenant_weight", "gauge", &["tenant"]),
-];
-
-/// The fleet's per-model families at the parent.
-const FLEET: &[(&str, &str, &[&str])] = &[
+/// What every model renders on every scrape, idle or not: its runtime
+/// record, then the router's own rows.
+const MODEL_ALWAYS: &[(&str, &str, &[&str])] = &[
     ("scales_model_requests_submitted_total", "counter", &["model"]),
-    ("scales_model_requests_completed_total", "counter", &["model"]),
-    ("scales_model_requests_failed_total", "counter", &["model"]),
     ("scales_model_requests_rejected_total", "counter", &["model"]),
     ("scales_model_requests_shed_total", "counter", &["model"]),
+    ("scales_model_requests_quota_rejected_total", "counter", &["model"]),
     ("scales_model_requests_expired_total", "counter", &["model"]),
     ("scales_model_deadline_misses_total", "counter", &["model"]),
+    ("scales_model_requests_completed_total", "counter", &["model"]),
+    ("scales_model_requests_failed_total", "counter", &["model"]),
     ("scales_model_images_total", "counter", &["model"]),
+    ("scales_model_dispatches_total", "counter", &["model"]),
+    ("scales_model_requests_coalesced_total", "counter", &["model"]),
+    ("scales_model_busy_seconds_total", "counter", &["model"]),
+    ("scales_model_late_discarded_total", "counter", &["model"]),
+    ("scales_model_workers", "gauge", &["model"]),
+    ("scales_model_max_batch", "gauge", &["model"]),
+    ("scales_model_queue_depth", "gauge", &["model"]),
+    ("scales_model_queue_high_water", "gauge", &["model"]),
+    ("scales_model_workspace_bytes", "gauge", &["model"]),
+    ("scales_model_batch_fill", "gauge", &["model"]),
+    ("scales_model_uptime_seconds", "gauge", &["model"]),
+    ("scales_model_request_latency_seconds", "histogram", &["model"]),
     ("scales_model_evictions_total", "counter", &["model"]),
     ("scales_model_swaps_total", "counter", &["model"]),
     ("scales_model_memory_bytes", "gauge", &["model"]),
     ("scales_model_weight_bytes", "gauge", &["model"]),
     ("scales_model_version", "gauge", &["model"]),
     ("scales_model_serving", "gauge", &["model"]),
-    ("scales_model_info", "gauge", &["model", "arch", "scale", "fingerprint", "state"]),
-    ("scales_model_request_latency_seconds", "histogram", &["model"]),
+    ("scales_model_info", "gauge", &["model", "arch", "scale", "fingerprint", "state", "backend", "simd"]),
 ];
 
-/// The one family ISSUE 23 adds: the per-model scope renders the whole
-/// ledger, tenant-quota refusals included.
-const FLEET_ADDED: &[(&str, &str, &[&str])] =
-    &[("scales_model_requests_quota_rejected_total", "counter", &["model"])];
+/// What a model adds once it has served tagged, profiled work.
+const MODEL_GATED: &[(&str, &str, &[&str])] = &[
+    ("scales_model_stage_seconds", "histogram", &["model", "stage"]),
+    ("scales_model_plan_op_calls_total", "counter", &["model", "op"]),
+    ("scales_model_plan_op_seconds_total", "counter", &["model", "op"]),
+    ("scales_model_tenant_requests_submitted_total", "counter", &["model", "tenant"]),
+    ("scales_model_tenant_requests_completed_total", "counter", &["model", "tenant"]),
+    ("scales_model_tenant_requests_failed_total", "counter", &["model", "tenant"]),
+    ("scales_model_tenant_requests_rejected_total", "counter", &["model", "tenant"]),
+    ("scales_model_tenant_requests_shed_total", "counter", &["model", "tenant"]),
+    ("scales_model_tenant_requests_quota_rejected_total", "counter", &["model", "tenant"]),
+    ("scales_model_tenant_requests_expired_total", "counter", &["model", "tenant"]),
+    ("scales_model_tenant_deadline_misses_total", "counter", &["model", "tenant"]),
+    ("scales_model_tenant_queue_depth", "gauge", &["model", "tenant"]),
+    ("scales_model_tenant_weight", "gauge", &["model", "tenant"]),
+];
 
-/// The HTTP front end's own families, both modes.
+/// Once per scrape.
+const BUILD: &[(&str, &str, &[&str])] = &[("scales_build_info", "gauge", &["version", "features"])];
+
+/// The HTTP front end's own families.
 const HTTP_ALWAYS: &[(&str, &str, &[&str])] = &[
     ("scales_http_connections_total", "counter", &[]),
     ("scales_http_requests_total", "counter", &[]),
@@ -585,15 +569,15 @@ fn lowered(seed: u64) -> DeployedNetwork {
         .unwrap()
 }
 
-fn single_server(profile_ops: bool) -> HttpServer {
-    let engine =
-        Engine::builder().model(lowered(3)).precision(Precision::Deployed).build().unwrap();
-    let runtime = Runtime::spawn(
-        engine,
-        RuntimeConfig { workers: 1, profile_ops, ..RuntimeConfig::default() },
-    )
+/// A one-model fleet (`m`) behind the front end.
+fn one_model_server() -> HttpServer {
+    let router = ModelRouter::new(RouterConfig {
+        runtime: RuntimeConfig { workers: 1, ..RuntimeConfig::default() },
+        ..RouterConfig::default()
+    })
     .unwrap();
-    HttpServer::bind("127.0.0.1:0", runtime, HttpConfig::default()).unwrap()
+    router.register_model("m", lowered(3)).unwrap();
+    HttpServer::bind_router("127.0.0.1:0", router, HttpConfig::default()).unwrap()
 }
 
 /// One request over a fresh connection, read to the close: `(status,
@@ -638,28 +622,40 @@ fn reload(addr: SocketAddr, model: &str) -> String {
     body
 }
 
-/// Single mode with every gated family switched on: two tenant-tagged,
-/// profiled upscales and one 404. Returns the scrape, then (the scrape
-/// being a fourth traced request by now) both debug documents.
-fn busy_single_mode() -> (String, String, String) {
-    let server = single_server(true);
+/// A profiled two-model fleet with every gated family switched on for
+/// `alpha` alone: two tenant-tagged upscales to `alpha`, none to `beta`,
+/// and one 404. Returns the scrape, then (the scrape being a fourth traced
+/// request by now) the traces document and `alpha`'s profile.
+fn busy_fleet() -> (String, String, String) {
+    let router = ModelRouter::new(RouterConfig {
+        runtime: RuntimeConfig { workers: 1, profile_ops: true, ..RuntimeConfig::default() },
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    router.register_model("alpha", lowered(3)).unwrap();
+    router.register_model("beta", lowered(4)).unwrap();
+    let server = HttpServer::bind_router("127.0.0.1:0", router, HttpConfig::default()).unwrap();
     let addr = server.addr();
     let payload = encode_image(&probe(8, 8, 4), WireFormat::Ppm).unwrap();
     for tenant in ["acme", "zeta"] {
-        let (status, _) =
-            post(addr, "/v1/upscale", &format!("X-Scales-Tenant: {tenant}\r\n"), &payload);
+        let headers = format!("X-Scales-Tenant: {tenant}\r\n");
+        let (status, _) = post(addr, "/v1/models/alpha/upscale", &headers, &payload);
         assert_eq!(status, 200, "upscale as {tenant}");
     }
     let (status, _) = send(addr, b"GET /nope HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
     assert_eq!(status, 404);
-    let docs = (get(addr, "/metrics"), get(addr, "/v1/debug/traces"), get(addr, "/v1/debug/profile"));
+    let docs = (
+        get(addr, "/metrics"),
+        get(addr, "/v1/debug/traces"),
+        get(addr, "/v1/debug/profile?model=alpha"),
+    );
     let _ = server.shutdown();
     docs
 }
 
-/// Fleet mode with two models, one request each, and a reload of the
-/// path-backed one. Returns the scrape, `/v1/models`, the reload reply
-/// and the fleet's profile document.
+/// A profiled two-model fleet, one tenant-tagged request each, and a
+/// reload of the path-backed one. Returns the scrape, `/v1/models`, the
+/// reload reply and the fleet's profile document.
 fn busy_fleet_mode() -> (String, String, String, String) {
     let dir = scratch_dir();
     let artifact = dir.join("alpha.dep.sca");
@@ -675,7 +671,8 @@ fn busy_fleet_mode() -> (String, String, String, String) {
     let addr = server.addr();
     let payload = encode_image(&probe(8, 8, 4), WireFormat::Ppm).unwrap();
     for model in ["alpha", "beta"] {
-        let (status, _) = post(addr, &format!("/v1/models/{model}/upscale"), "", &payload);
+        let (status, _) =
+            post(addr, &format!("/v1/models/{model}/upscale"), "X-Scales-Tenant: acme\r\n", &payload);
         assert_eq!(status, 200, "upscale on {model}");
     }
     let reloaded = reload(addr, "alpha");
@@ -691,49 +688,70 @@ fn busy_fleet_mode() -> (String, String, String, String) {
 }
 
 // ---------------------------------------------------------------------------
-// The five renderings
+// The renderings
 // ---------------------------------------------------------------------------
 
 #[test]
-fn idle_single_mode_scrape_is_well_formed_and_complete() {
-    let server = single_server(false);
+fn idle_one_model_scrape_is_well_formed_and_complete() {
+    let server = one_model_server();
     let scrape = get(server.addr(), "/metrics");
     let _ = server.shutdown();
     // The scrape's own connection is the only traffic so far, and its
     // response is not written yet: no gated family, HTTP stages included.
-    assert_eq!(inventory(&check_exposition(&scrape)), frozen(&[SINGLE_ALWAYS, HTTP_ALWAYS]));
+    assert_eq!(inventory(&check_exposition(&scrape)), frozen(&[MODEL_ALWAYS, BUILD, HTTP_ALWAYS]));
 }
 
 #[test]
-fn busy_single_mode_scrape_is_well_formed_and_complete() {
-    let (scrape, _, _) = busy_single_mode();
+fn busy_fleet_scrape_is_well_formed_and_complete() {
+    let (scrape, _, _) = busy_fleet();
     let families = check_exposition(&scrape);
     assert_eq!(
         inventory(&families),
-        frozen(&[SINGLE_ALWAYS, SINGLE_GATED, HTTP_ALWAYS, HTTP_GATED]),
-        "single mode renders exactly the families recorded at the parent"
+        frozen(&[MODEL_ALWAYS, MODEL_GATED, BUILD, HTTP_ALWAYS, HTTP_GATED]),
+        "the fleet renders exactly the recorded families"
     );
+    // One scope: every family is per model with `model` first, the HTTP
+    // front end's, or the build info, once.
+    for family in &families {
+        match family.name.as_str() {
+            "scales_build_info" => assert_eq!(family.samples.len(), 1),
+            name if name.starts_with("scales_http_") => {}
+            name => {
+                assert!(name.starts_with("scales_model_"), "{name}: none of the three kinds");
+                assert!(family.samples.iter().all(|s| s.labels[0].0 == "model"), "{name}: model first");
+            }
+        }
+    }
+    // A gated family carries only the model that has data for it.
+    for family in families.iter().filter(|f| MODEL_GATED.iter().any(|(name, _, _)| *name == f.name)) {
+        let models: BTreeSet<&str> = family.samples.iter().map(|s| s.labels[0].1.as_str()).collect();
+        assert_eq!(models, BTreeSet::from(["alpha"]), "{}", family.name);
+    }
     // Both lanes, all three runtime stages, and a law the two scopes of
     // the ledger satisfy in every snapshot (they are read under one
-    // lock): with all traffic tagged, the lanes add up to the global.
+    // lock): with all of a model's traffic tagged, its lanes add up to it.
     let family = |name: &str| families.iter().find(|f| f.name == name).unwrap();
-    let lanes = family("scales_runtime_tenant_requests_submitted_total");
-    let tenants: Vec<&str> = lanes.samples.iter().map(|s| s.labels[0].1.as_str()).collect();
-    assert_eq!(tenants, ["acme", "zeta"]);
-    let per_lane: f64 = lanes.samples.iter().map(|s| s.value).sum();
-    assert_eq!(per_lane, 2.0);
-    assert_eq!(per_lane, family("scales_runtime_requests_submitted_total").samples[0].value);
-    let stages: BTreeSet<&str> = family("scales_runtime_stage_seconds")
+    let lanes = family("scales_model_tenant_requests_submitted_total");
+    let tenants: Vec<(&str, &str)> =
+        lanes.samples.iter().map(|s| (s.labels[0].1.as_str(), s.labels[1].1.as_str())).collect();
+    assert_eq!(tenants, [("alpha", "acme"), ("alpha", "zeta")]);
+    for (model, served) in [("alpha", 2.0), ("beta", 0.0)] {
+        let of_model = |s: &&Sample| s.labels[0].1 == model;
+        let per_lane: f64 = lanes.samples.iter().filter(of_model).map(|s| s.value).sum();
+        let submitted = family("scales_model_requests_submitted_total").samples.iter().find(of_model).unwrap();
+        assert_eq!((per_lane, submitted.value), (served, served), "{model}");
+    }
+    let stages: BTreeSet<&str> = family("scales_model_stage_seconds")
         .samples
         .iter()
-        .map(|s| s.labels[0].1.as_str())
+        .map(|s| s.labels[1].1.as_str())
         .collect();
     assert_eq!(stages, BTreeSet::from(["batch_wait", "infer", "queue_wait"]));
 }
 
 #[test]
 fn http_families_count_what_the_front_end_did() {
-    let (scrape, _, _) = busy_single_mode();
+    let (scrape, _, _) = busy_fleet();
     let at = scrape.find("# HELP scales_http_").expect("the HTTP families close the scrape");
     let families = check_exposition(&scrape[at..]);
     assert_eq!(inventory(&families), frozen(&[HTTP_ALWAYS, HTTP_GATED]));
@@ -758,8 +776,8 @@ fn fleet_scrape_after_a_reload_is_well_formed_and_complete() {
     let families = check_exposition(&scrape);
     assert_eq!(
         inventory(&families),
-        frozen(&[FLEET, FLEET_ADDED, HTTP_ALWAYS, HTTP_GATED]),
-        "fleet mode renders the parent's families plus the per-model quota counter"
+        frozen(&[MODEL_ALWAYS, MODEL_GATED, BUILD, HTTP_ALWAYS, HTTP_GATED]),
+        "a reload keeps every family: the drained version's record folds in"
     );
     for family in families.iter().filter(|f| f.name.starts_with("scales_model_")) {
         let models: BTreeSet<&str> = family.samples.iter().map(|s| s.labels[0].1.as_str()).collect();
@@ -773,7 +791,12 @@ fn fleet_scrape_after_a_reload_is_well_formed_and_complete() {
 
 #[test]
 fn every_json_document_parses_and_means_what_it_says() {
-    let (_, traces, profile) = busy_single_mode();
+    let (_, traces, profile) = busy_fleet();
+    let (_, models, reloaded, fleet_profile) = busy_fleet_mode();
+    // Every body this server writes ends in a line feed.
+    for doc in [&traces, &profile, &models, &reloaded, &fleet_profile] {
+        assert!(doc.ends_with('\n'), "a JSON document must end in \\n: {doc:?}");
+    }
     let traces = Json::parse(&traces).unwrap_or_else(|e| panic!("{e}: {traces}"));
     let listed = traces.get("traces").items();
     assert_eq!(traces.get("count").number(), 4.0, "two upscales, the 404 and the scrape");
@@ -784,20 +807,20 @@ fn every_json_document_parses_and_means_what_it_says() {
             .map(|stage| trace.get("stages").get(stage).number())
             .sum();
         assert_eq!(spans, trace.get("total_ns").number(), "spans telescope: {trace:?}");
-        assert_eq!(*trace.get("model"), Json::Null, "single mode routes no model");
     }
+    let routed = listed.iter().filter(|t| *t.get("model") == Json::Str("alpha".into())).count();
+    assert_eq!(routed, 2, "the upscales name their model; the 404 and the scrape route none");
     let tagged: Vec<&Json> = listed.iter().map(|t| t.get("tenant")).collect();
     assert!(tagged.contains(&&Json::Str("acme".into())) && tagged.contains(&&Json::Null));
 
     let profile = Json::parse(&profile).unwrap_or_else(|e| panic!("{e}: {profile}"));
     let [only] = profile.get("profiles").items() else { panic!("one profile: {profile:?}") };
-    assert_eq!(*only.get("model"), Json::Null);
+    assert_eq!(only.get("model").str(), "alpha");
     let ops = only.get("ops").items();
     assert!(ops.iter().any(|op| op.get("op").str() == "body_conv"));
     let calls: f64 = ops.iter().map(|op| op.get("calls").number()).sum();
     assert_eq!(calls, only.get("calls").number(), "per-op calls add up to the total");
 
-    let (_, models, reloaded, fleet_profile) = busy_fleet_mode();
     let models = Json::parse(&models).unwrap_or_else(|e| panic!("{e}: {models}"));
     let names: Vec<&str> = models.get("models").items().iter().map(|m| m.get("name").str()).collect();
     assert_eq!(names, ["alpha", "beta"]);
@@ -851,7 +874,7 @@ fn a_hostile_artifact_name_cannot_inject_a_series() {
         "quote and line feed are escaped in place:\n{text}"
     );
     let families = check_exposition(&text);
-    assert_eq!(inventory(&families), frozen(&[FLEET, FLEET_ADDED]));
+    assert_eq!(inventory(&families), frozen(&[MODEL_ALWAYS]));
     let info = families.iter().find(|f| f.name == "scales_model_info").unwrap();
     let arch = info.samples[0].labels.iter().find(|(k, _)| k == "arch").unwrap();
     assert_eq!(arch.1, HOSTILE, "the label value unescapes to the name");
@@ -967,15 +990,14 @@ fn the_json_reader_rejects_what_it_claims_to() {
 // Doc sync
 // ---------------------------------------------------------------------------
 
-/// Every family either mode renders is listed in the README's metric
+/// Every family a scrape renders is listed in the README's metric
 /// reference, and the reference lists nothing that is not rendered.
 #[test]
 fn readme_metric_reference_lists_every_rendered_family() {
     let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/README.md")).unwrap();
-    let (single, _, _) = busy_single_mode();
-    let (fleet, _, _, _) = busy_fleet_mode();
+    let (scrape, _, _) = busy_fleet();
     let mut rendered = BTreeSet::new();
-    for family in check_exposition(&single).iter().chain(&check_exposition(&fleet)) {
+    for family in &check_exposition(&scrape) {
         rendered.insert(family.name.clone());
         assert!(
             readme.contains(&format!("| `{}` | {} |", family.name, family.kind)),

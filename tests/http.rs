@@ -20,7 +20,7 @@ use scales::data::codec::{decode_image, encode_image};
 use scales::data::{Image, WireFormat};
 use scales::http::{HttpConfig, HttpServer};
 use scales::models::{srresnet, SrConfig};
-use scales::runtime::{Runtime, RuntimeConfig};
+use scales::runtime::RuntimeConfig;
 use scales::serve::{Engine, Precision, SrRequest};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -64,13 +64,22 @@ fn engine(seed: u64) -> Engine<'static> {
     Engine::builder().model(net).precision(Precision::Deployed).build().unwrap()
 }
 
+/// A one-model fleet: the network [`engine`] serves, lowered and
+/// registered as `m`.
+fn one_model(seed: u64, runtime: RuntimeConfig) -> scales::router::ModelRouter {
+    use scales::models::SrNetwork;
+    use scales::router::{ModelRouter, RouterConfig};
+    let net =
+        srresnet(SrConfig { channels: 8, blocks: 1, scale: 2, method: Method::scales(), seed })
+            .unwrap();
+    let router = ModelRouter::new(RouterConfig { runtime, ..RouterConfig::default() }).unwrap();
+    router.register_model("m", net.lower().unwrap()).unwrap();
+    router
+}
+
 fn server(seed: u64) -> HttpServer {
-    let runtime = Runtime::spawn(
-        engine(seed),
-        RuntimeConfig { workers: 2, ..RuntimeConfig::default() },
-    )
-    .unwrap();
-    HttpServer::bind("127.0.0.1:0", runtime, HttpConfig::default()).unwrap()
+    let router = one_model(seed, RuntimeConfig { workers: 2, ..RuntimeConfig::default() });
+    HttpServer::bind_router("127.0.0.1:0", router, HttpConfig::default()).unwrap()
 }
 
 /// Read one full HTTP response (status, lowercased headers, body).
@@ -151,6 +160,21 @@ fn upscale_over_tcp_matches_direct_session_byte_for_byte() {
             "wire response must be byte-identical to the direct inference encoding"
         );
 
+        // The one model is the default: its named route answers the same
+        // bytes, and both traces name it.
+        let (status, _, named_body) =
+            send(addr, &post_image("/v1/models/m/upscale", WireFormat::Ppm, &posted));
+        assert_eq!(status, 200, "body: {}", String::from_utf8_lossy(&named_body));
+        assert_eq!(named_body, wire_body, "/v1/upscale serves the fleet's only model");
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while server.traces().len() < 2 {
+            assert!(std::time::Instant::now() < deadline, "both traces must be recorded");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        for trace in server.traces() {
+            assert_eq!(trace.model.as_deref(), Some("m"), "{trace:?}");
+        }
+
         // The scrape parses and shows the completed request.
         let (status, _, metrics) = send(addr, b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
         assert_eq!(status, 200);
@@ -165,7 +189,7 @@ fn upscale_over_tcp_matches_direct_session_byte_for_byte() {
             let value: f64 = value.parse().unwrap_or_else(|_| {
                 panic!("metric value must parse as a number: {line:?}")
             });
-            if name == "scales_runtime_requests_completed_total" {
+            if name == "scales_model_requests_completed_total{model=\"m\"}" {
                 completed = Some(value);
             }
         }
@@ -408,10 +432,10 @@ fn slo_headers_drive_tenants_deadlines_and_typed_statuses() {
         assert_eq!(status, 200);
         let text = String::from_utf8(metrics).unwrap();
         for needle in [
-            "scales_runtime_tenant_requests_completed_total{tenant=\"acme\"} 1",
-            "scales_runtime_tenant_queue_depth{tenant=\"acme\"} 0",
-            "scales_runtime_tenant_weight{tenant=\"acme\"} 1",
-            "scales_runtime_requests_expired_total 1",
+            "scales_model_tenant_requests_completed_total{model=\"m\",tenant=\"acme\"} 1",
+            "scales_model_tenant_queue_depth{model=\"m\",tenant=\"acme\"} 0",
+            "scales_model_tenant_weight{model=\"m\",tenant=\"acme\"} 1",
+            "scales_model_requests_expired_total{model=\"m\"} 1",
         ] {
             assert!(text.contains(needle), "metrics must contain {needle}:\n{text}");
         }
@@ -512,8 +536,8 @@ fn traced_requests_echo_ids_and_land_in_the_flight_recorder() {
             "scales_http_stage_seconds_bucket{stage=\"decode\",le=",
             "scales_http_stage_seconds_bucket{stage=\"encode\",le=",
             "scales_http_stage_seconds_bucket{stage=\"write\",le=",
-            "scales_runtime_stage_seconds_bucket{stage=\"queue_wait\",le=",
-            "scales_runtime_stage_seconds_bucket{stage=\"infer\",le=",
+            "scales_model_stage_seconds_bucket{model=\"m\",stage=\"queue_wait\",le=",
+            "scales_model_stage_seconds_bucket{model=\"m\",stage=\"infer\",le=",
             "scales_http_refused_total 0",
         ] {
             assert!(text.contains(needle), "metrics must contain {needle}");
@@ -530,14 +554,10 @@ fn traced_requests_echo_ids_and_land_in_the_flight_recorder() {
 #[test]
 fn flight_recorder_rings_wrap_over_the_wire() {
     with_watchdog(120, "ring-wrap", || {
-        let runtime = Runtime::spawn(
-            engine(22),
-            RuntimeConfig { workers: 1, ..RuntimeConfig::default() },
-        )
-        .unwrap();
-        let server = HttpServer::bind(
+        let router = one_model(22, RuntimeConfig { workers: 1, ..RuntimeConfig::default() });
+        let server = HttpServer::bind_router(
             "127.0.0.1:0",
-            runtime,
+            router,
             HttpConfig {
                 trace_capacity: 4,
                 slow_threshold: Duration::from_nanos(1),
@@ -581,10 +601,10 @@ fn debug_endpoints_survive_hostile_queries_and_methods() {
     use scales::router::{ModelRouter, RouterConfig};
 
     with_watchdog(240, "debug-hostile", || {
-        // Single-runtime server first.
+        // A one-model server first.
         let server = server(23);
         let addr = server.addr();
-        let cases: [(&str, &[u8], u16); 5] = [
+        let cases: [(&str, &[u8], u16); 4] = [
             (
                 "bad traces query",
                 b"GET /v1/debug/traces?bogus=1 HTTP/1.1\r\nHost: t\r\n\r\n",
@@ -593,11 +613,6 @@ fn debug_endpoints_survive_hostile_queries_and_methods() {
             (
                 "bad profile query",
                 b"GET /v1/debug/profile?x HTTP/1.1\r\nHost: t\r\n\r\n",
-                400,
-            ),
-            (
-                "model query without a fleet",
-                b"GET /v1/debug/profile?model=alpha HTTP/1.1\r\nHost: t\r\n\r\n",
                 400,
             ),
             ("unknown debug path", b"GET /v1/debug/nope HTTP/1.1\r\nHost: t\r\n\r\n", 404),
@@ -667,16 +682,13 @@ fn debug_endpoints_survive_hostile_queries_and_methods() {
 
 /// The opt-in profiler over the wire: with `profile_ops` on, the debug
 /// endpoint attributes forward wall time to named op kinds and the
-/// scrape carries the `scales_plan_op_*` series.
+/// scrape carries the `scales_model_plan_op_*` series.
 #[test]
 fn opt_in_profiler_reports_per_op_time_over_the_wire() {
     with_watchdog(120, "profiler-e2e", || {
-        let runtime = Runtime::spawn(
-            engine(25),
-            RuntimeConfig { workers: 1, profile_ops: true, ..RuntimeConfig::default() },
-        )
-        .unwrap();
-        let server = HttpServer::bind("127.0.0.1:0", runtime, HttpConfig::default()).unwrap();
+        let router =
+            one_model(25, RuntimeConfig { workers: 1, profile_ops: true, ..RuntimeConfig::default() });
+        let server = HttpServer::bind_router("127.0.0.1:0", router, HttpConfig::default()).unwrap();
         let addr = server.addr();
         let posted = encode_image(&probe(10, 10, 2), WireFormat::Ppm).unwrap();
         let (status, _, _) = send(addr, &post_image("/v1/upscale", WireFormat::Ppm, &posted));
@@ -686,7 +698,7 @@ fn opt_in_profiler_reports_per_op_time_over_the_wire() {
             send(addr, b"GET /v1/debug/profile HTTP/1.1\r\nHost: t\r\n\r\n");
         assert_eq!(status, 200);
         let doc = String::from_utf8(body).unwrap();
-        assert!(doc.contains("\"model\":null"), "single-runtime profile has no model: {doc}");
+        assert!(doc.contains("\"model\":\"m\""), "the profile names its model: {doc}");
         for needle in ["\"op\":\"body_conv\"", "\"op\":\"bicubic_up\"", "\"total_ns\":"] {
             assert!(doc.contains(needle), "profile must contain {needle}: {doc}");
         }
@@ -694,7 +706,10 @@ fn opt_in_profiler_reports_per_op_time_over_the_wire() {
 
         let (_, _, metrics) = send(addr, b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n");
         let text = String::from_utf8(metrics).unwrap();
-        for needle in ["scales_plan_op_calls_total{op=\"body_conv\"}", "scales_plan_op_seconds_total{op="] {
+        for needle in [
+            "scales_model_plan_op_calls_total{model=\"m\",op=\"body_conv\"}",
+            "scales_model_plan_op_seconds_total{model=\"m\",op=",
+        ] {
             assert!(text.contains(needle), "metrics must contain {needle}");
         }
         let _ = server.shutdown();
@@ -779,6 +794,7 @@ fn fleet_routes_lists_reloads_and_reports_per_model_metrics() {
         let (status, _, body) = send(addr, &post_image("/v1/upscale", WireFormat::Ppm, &posted));
         assert_eq!(status, 404, "single-runtime route in fleet mode: {}",
             String::from_utf8_lossy(&body));
+        assert_eq!(body, b"this server routes by model name; POST /v1/models/{name}/upscale\n");
         let (status, headers, _) =
             send(addr, b"GET /v1/models/alpha/upscale HTTP/1.1\r\nHost: t\r\n\r\n");
         assert_eq!(status, 405);
@@ -880,6 +896,21 @@ fn unroutable_requests_with_bodies_get_the_final_status_immediately() {
         let (status, _, _) = send(addr, b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
         assert_eq!(status, 200);
         let _ = server.shutdown();
+
+        // An empty fleet has no model to default to: `/v1/upscale` is
+        // unroutable there, answered at once and closed.
+        let empty = scales::router::ModelRouter::new(scales::router::RouterConfig::default()).unwrap();
+        let empty = HttpServer::bind_router("127.0.0.1:0", empty, HttpConfig::default()).unwrap();
+        let mut stream = TcpStream::connect(empty.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        stream
+            .write_all(b"POST /v1/upscale HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\nContent-Length: 64\r\n\r\n")
+            .unwrap();
+        let (status, headers, body) = read_response(&mut stream);
+        assert_eq!(status, 404, "empty fleet: final status, never an interim 100");
+        assert_eq!(body, b"this server routes by model name; POST /v1/models/{name}/upscale\n");
+        assert_eq!(header(&headers, "connection"), Some("close"));
+        let _ = empty.shutdown();
     });
 }
 
@@ -890,14 +921,10 @@ fn unroutable_requests_with_bodies_get_the_final_status_immediately() {
 #[test]
 fn full_backlog_refusals_do_not_block_the_accept_loop() {
     with_watchdog(120, "backlog-refusal", || {
-        let runtime = Runtime::spawn(
-            engine(18),
-            RuntimeConfig { workers: 1, ..RuntimeConfig::default() },
-        )
-        .unwrap();
-        let server = HttpServer::bind(
+        let router = one_model(18, RuntimeConfig { workers: 1, ..RuntimeConfig::default() });
+        let server = HttpServer::bind_router(
             "127.0.0.1:0",
-            runtime,
+            router,
             HttpConfig { workers: 1, max_pending: 1, ..HttpConfig::default() },
         )
         .unwrap();
