@@ -31,14 +31,18 @@ pub struct HttpConfig {
     /// Maximum number of request headers. Default: 64.
     pub max_headers: usize,
     /// How long a connection may sit idle between keep-alive requests,
-    /// and the per-read timeout while a request is arriving. Default: 5 s.
+    /// and the per-read timeout while a request is arriving
+    /// (`Duration::MAX`: no bound). Default: 5 s.
     pub read_timeout: Duration,
     /// Bound on the full runtime round trip (queue admission + inference)
     /// per request, passed to
     /// [`ModelRouter::submit_wait_timeout`](scales_router::ModelRouter::submit_wait_timeout).
     /// Expiry maps to `503 Service Unavailable` with a `Retry-After`
     /// (distinct from a request's *own* `X-Scales-Deadline-Ms` deadline,
-    /// whose expiry is a `504 Gateway Timeout`). Default: 30 s.
+    /// whose expiry is a `504 Gateway Timeout`). A request its connection
+    /// thread runs itself (a lone request, a worker idle) is answered when
+    /// its forward ends, with the same `503` if that is past this bound.
+    /// `Duration::MAX`: no bound. Default: 30 s.
     pub request_timeout: Duration,
     /// Completed request traces retained by the flight recorder (the
     /// `GET /v1/debug/traces` ring). Default: 256.

@@ -350,7 +350,9 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
         };
         if !polled {
             let _ = reader.get_ref().set_read_timeout(Some(POLL_TICK));
-            let idle_deadline = Instant::now() + shared.config.read_timeout;
+            // `None`: a read timeout too long to represent as an instant
+            // never closes an idle connection.
+            let idle_deadline = Instant::now().checked_add(shared.config.read_timeout);
             loop {
                 if shared.shutting_down() {
                     return; // idle connection: close without a response
@@ -364,7 +366,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                             std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                         ) =>
                     {
-                        if Instant::now() >= idle_deadline {
+                        if idle_deadline.is_some_and(|d| Instant::now() >= d) {
                             return; // keep-alive idle timeout
                         }
                     }

@@ -22,16 +22,24 @@
 //! The lifecycle is:
 //!
 //! 1. [`Runtime::spawn`] takes ownership of an `Engine<'static>` and
-//!    starts `workers` threads. Each worker owns a private
-//!    [`Session`](scales_serve::Session) — its own planned-executor
-//!    workspace and per-shape plan cache — and every forward runs under
-//!    the engine's backend handle (thread-scoped, never the process
+//!    starts `workers` threads, born idle, over a pool of `workers`
+//!    planned-executor workspaces (arenas and per-shape plan cache).
+//!    Whoever runs a forward borrows one through a
+//!    [`Session`](scales_serve::Session) over it, and every forward runs
+//!    under the engine's backend handle (thread-scoped, never the process
 //!    global).
 //! 2. [`Runtime::submit`] enqueues an [`SrRequest`](scales_serve::SrRequest)
 //!    and returns a [`Ticket`] immediately; a full queue is a typed
 //!    [`SubmitError::QueueFull`], a stopped runtime is
 //!    [`SubmitError::ShuttingDown`]. [`Runtime::submit_wait`] blocks for
-//!    space instead.
+//!    space instead. [`Runtime::submit_wait_timeout`] blocks on the
+//!    outcome, so a lone request of its runs on the caller's own thread:
+//!    when the lanes are empty and a worker is idle, the caller leases
+//!    that worker's slot — workspace and all — and serves the request
+//!    through the same dispatch a worker runs, and no worker wakes. The
+//!    leased worker stays parked until the lease ends, so no more than
+//!    `workers` forwards ever run at once
+//!    ([`RuntimeStats::caller_runs`] counts the path).
 //! 3. Workers run the **dynamic batcher**: after popping a request they
 //!    gather further compatible queued requests — same per-request tile
 //!    override, up to [`max_batch`](RuntimeConfig::max_batch) images —

@@ -296,12 +296,13 @@ type RecordFamily = (&'static str, &'static str, FamilyKind, fn(&RuntimeStats) -
 
 /// The record's scalars as `/metrics` families, one row per line.
 #[rustfmt::skip]
-const SCALARS: [RecordFamily; 12] = [
+const SCALARS: [RecordFamily; 13] = [
     ("images_total", "Images served", FamilyKind::Counter, |s| s.images.to_string()),
     ("dispatches_total", "Coalesced forward dispatches (one Session::infer each)", FamilyKind::Counter, |s| s.dispatches.to_string()),
     ("requests_coalesced_total", "Requests that shared a dispatch with at least one other request", FamilyKind::Counter, |s| s.coalesced.to_string()),
     ("busy_seconds_total", "Worker wall time spent inside forwards", FamilyKind::Counter, |s| s.busy.as_secs_f64().to_string()),
     ("late_discarded_total", "Responses resolved after their submitter gave up waiting (result discarded unread)", FamilyKind::Counter, |s| s.late_discarded.to_string()),
+    ("caller_runs_total", "Requests a blocking submitter ran on its own thread (lanes empty, a worker idle)", FamilyKind::Counter, |s| s.caller_runs.to_string()),
     ("workers", "Worker threads in the pool", FamilyKind::Gauge, |s| s.workers.to_string()),
     ("max_batch", "Configured images per coalesced dispatch", FamilyKind::Gauge, |s| s.max_batch.to_string()),
     ("queue_depth", "Requests queued (accepted, not yet dispatched) at scrape time", FamilyKind::Gauge, |s| s.queue_depth.to_string()),
@@ -353,15 +354,21 @@ pub struct RuntimeStats {
     pub images: u64,
     /// Coalesced forward dispatches (one `Session::infer` each).
     pub dispatches: u64,
+    /// Requests a [`submit_wait_timeout`](crate::Runtime::submit_wait_timeout)
+    /// caller ran on its own thread — the lanes were empty and a worker
+    /// idle — each one dispatch that no worker woke for. Asynchronous
+    /// submits never count here.
+    pub caller_runs: u64,
     /// Requests that shared a dispatch with at least one other request.
     pub coalesced: u64,
     /// Requests queued (accepted, not yet dispatched) at snapshot time.
     pub queue_depth: usize,
     /// Deepest the queue has been.
     pub queue_high_water: usize,
-    /// Bytes resident across the workers' planned-executor workspaces
-    /// (arena slots + cached plans) — the runtime's live plan-cache
-    /// memory, summed over worker sessions at their last dispatch.
+    /// Bytes resident across the pool's planned-executor workspaces
+    /// (arena slots + cached plans), one per worker — the runtime's live
+    /// plan-cache memory, summed over the workspaces at their last
+    /// dispatch.
     pub workspace_bytes: usize,
     /// Mean images per dispatch relative to `max_batch`:
     /// `images / (dispatches × max_batch)`. Can exceed 1.0 when single
@@ -388,7 +395,7 @@ pub struct RuntimeStats {
     /// deadline gave up waiting — the work was served (and counted in
     /// `completed`/`failed`), but the result was discarded unread.
     pub late_discarded: u64,
-    /// Cumulative per-op plan profile across worker sessions, populated
+    /// Cumulative per-op plan profile across the pool's workspaces, populated
     /// while [`RuntimeConfig::profile_ops`](crate::RuntimeConfig::profile_ops)
     /// is on (empty otherwise).
     pub op_profile: OpProfile,
@@ -414,6 +421,7 @@ impl RuntimeStats {
         self.set_counters(ledger);
         self.images += other.images;
         self.dispatches += other.dispatches;
+        self.caller_runs += other.caller_runs;
         self.coalesced += other.coalesced;
         self.queue_depth += other.queue_depth;
         self.queue_high_water = self.queue_high_water.max(other.queue_high_water);
@@ -575,8 +583,8 @@ impl std::fmt::Display for RuntimeStats {
         )?;
         writeln!(
             f,
-            "  batching: {} dispatches, fill {:.2} of max_batch {}, {} requests coalesced",
-            self.dispatches, self.batch_fill, self.max_batch, self.coalesced
+            "  batching: {} dispatches ({} run by their callers), fill {:.2} of max_batch {}, {} requests coalesced",
+            self.dispatches, self.caller_runs, self.batch_fill, self.max_batch, self.coalesced
         )?;
         writeln!(
             f,
@@ -672,6 +680,7 @@ mod tests {
             completed: 9,
             images: 18,
             dispatches: 3,
+            caller_runs: 2,
             queue_high_water: 5,
             workspace_bytes: 100,
             ..RuntimeStats::default()
@@ -685,6 +694,7 @@ mod tests {
             completed: 5,
             images: 6,
             dispatches: 3,
+            caller_runs: 1,
             queue_high_water: 2,
             workspace_bytes: 700,
             ..RuntimeStats::default()
@@ -693,6 +703,7 @@ mod tests {
         assert_eq!(folded.submitted, 15);
         assert_eq!(folded.completed, 14);
         assert_eq!(folded.images, 24);
+        assert_eq!(folded.caller_runs, 3);
         assert_eq!(folded.queue_high_water, 5);
         assert_eq!(folded.workspace_bytes, 700, "latest fold wins the gauge");
         assert_eq!((folded.backend, folded.simd), (Backend::Simd, SimdLevel::Avx2));
@@ -775,6 +786,7 @@ mod tests {
             failed: 0,
             images: 18,
             dispatches: 3,
+            caller_runs: 1,
             coalesced: 6,
             queue_depth: 0,
             queue_high_water: 5,
@@ -834,6 +846,9 @@ scales_model_busy_seconds_total{model=\"m\"} 0.02
 # HELP scales_model_late_discarded_total Responses resolved after their submitter gave up waiting (result discarded unread), per model.
 # TYPE scales_model_late_discarded_total counter
 scales_model_late_discarded_total{model=\"m\"} 4
+# HELP scales_model_caller_runs_total Requests a blocking submitter ran on its own thread (lanes empty, a worker idle), per model.
+# TYPE scales_model_caller_runs_total counter
+scales_model_caller_runs_total{model=\"m\"} 1
 # HELP scales_model_workers Worker threads in the pool, per model.
 # TYPE scales_model_workers gauge
 scales_model_workers{model=\"m\"} 2
@@ -906,6 +921,7 @@ scales_model_request_latency_seconds_count{model=\"m\"} 3
             failed: 0,
             images: 18,
             dispatches: 3,
+            caller_runs: 1,
             coalesced: 6,
             queue_depth: 0,
             queue_high_water: 5,
@@ -949,6 +965,7 @@ scales_model_request_latency_seconds_count{model=\"m\"} 3
             "0 deadline misses",
             "3 late-discarded",
             "1 tenant lanes",
+            "(1 run by their callers)",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in {text}");
         }
@@ -983,7 +1000,7 @@ scales_model_request_latency_seconds_count{model=\"m\"} 3
         let text = render(&[("alpha", &alpha), ("beta", &beta)]);
         let types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
         let helps = text.lines().filter(|l| l.starts_with("# HELP ")).count();
-        assert_eq!(types.len(), 8 + 12 + 1 + 8 + 2, "ledger, scalars, latency, tenant ledger, tenant gauges");
+        assert_eq!(types.len(), 8 + 13 + 1 + 8 + 2, "ledger, scalars, latency, tenant ledger, tenant gauges");
         assert_eq!(helps, types.len());
         assert_eq!(types.iter().collect::<std::collections::BTreeSet<_>>().len(), types.len(), "one TYPE per family");
         for line in [

@@ -1,8 +1,10 @@
 //! The runtime's admission and scheduling policy as one plain value:
 //! tenant lanes and placement, the lane quota, the shed watermark and p99
 //! window, expiry sweeps, the EDF-inside-weighted-rotation pop, the gather
-//! round and its batching window, the pre-dispatch expiry seal, the
-//! runtime's one serving record, and shutdown failing.
+//! round and its batching window, the pre-dispatch expiry seal, who runs a
+//! lone blocking request (its caller, on a lease) and which workspace
+//! every forward borrows, the runtime's one serving record, and shutdown
+//! failing.
 //!
 //! [`Queue`] holds no lock, waits on nothing, and never reads a clock:
 //! every method takes the current time as `now` and returns a typed
@@ -16,7 +18,7 @@ use crate::runtime::{ServeError, SubmitError};
 use crate::ticket::{Ticket, TicketCell};
 use crate::RuntimeConfig;
 use scales_data::Image;
-use scales_serve::TilePolicy;
+use scales_serve::{TilePolicy, Workspace};
 use scales_telemetry::{OpProfile, RuntimeStamps};
 use scales_tensor::TensorError;
 use std::collections::VecDeque;
@@ -67,10 +69,39 @@ impl Entry {
     }
 }
 
-/// What one dispatch did, handed by its worker to [`Queue::complete`].
+/// Who runs a dispatch: the pool slot whose workspace it borrows, and
+/// whether that is a blocking caller on a lease ([`Admission::RunHere`])
+/// rather than a worker.
+#[derive(Clone, Copy)]
+pub(crate) struct Runner {
+    pub slot: usize,
+    pub here: bool,
+}
+
+/// A request its blocking submitter runs itself: the entry, already out
+/// of the queue, and the workspace of the slot the caller leased.
+pub(crate) struct Lease {
+    pub entry: Entry,
+    pub runner: Runner,
+    pub workspace: Workspace,
+}
+
+/// How a submitter waits for its outcome.
+#[derive(Clone, Copy)]
+pub(crate) enum Caller {
+    /// It takes the ticket and goes (`submit`, `submit_wait`).
+    Ticket,
+    /// It blocks on the outcome until `until` (`None`: no bound), so it
+    /// may run a lone request itself.
+    Blocking { until: Option<Instant> },
+}
+
+/// What one dispatch did, handed by its runner to [`Queue::complete`].
 pub(crate) struct Dispatch {
-    /// The worker that ran it.
-    pub worker: usize,
+    /// Who ran it.
+    pub runner: Runner,
+    /// The workspace the forward borrowed, going back to its slot.
+    pub workspace: Workspace,
     /// Whether the forward succeeded: every entry completed, or every
     /// entry failed.
     pub served: bool,
@@ -80,9 +111,9 @@ pub(crate) struct Dispatch {
     pub sealed: Instant,
     /// When the forward returned.
     pub infer_done: Instant,
-    /// The worker session's workspace bytes after the forward.
+    /// The workspace's bytes after the forward.
     pub workspace_bytes: usize,
-    /// The worker session's cumulative op profile after the forward.
+    /// The workspace's cumulative op profile after the forward.
     pub op_profile: OpProfile,
 }
 
@@ -134,6 +165,11 @@ enum Placement {
 /// What [`Queue::submit`] decided.
 pub(crate) enum Admission {
     Accepted(Ticket),
+    /// A blocking caller found the lanes empty and an idle worker whose
+    /// slot is free: it runs the request itself on that slot's workspace,
+    /// and no worker wakes. The entry never enters a lane. (Boxed: a
+    /// workspace is large, and this outcome is moved twice per request.)
+    RunHere(Ticket, Box<Lease>),
     /// Every fail-fast check passed but the queue is at capacity. The
     /// request comes back so a blocking caller can wait for a slot and
     /// submit again; one that gives up says so with
@@ -175,9 +211,20 @@ pub(crate) struct Queue {
     cursor: usize,
     shutting_down: bool,
     high_water: usize,
-    /// Workers idle between [`Queue::park`] and [`Queue::unpark`]: each
-    /// would serve a straggler the moment it arrives.
+    /// Workers idle between [`Queue::park`] (or [`Queue::complete`], or
+    /// spawn) and [`Queue::unpark`]: each would serve a straggler the
+    /// moment it arrives, unless a caller has leased its slot.
     parked: usize,
+    /// Parked workers whose slot a blocking caller holds, running its own
+    /// request ([`Admission::RunHere`]): never more than `parked`, so the
+    /// forwards in flight never outnumber the workers.
+    leased: usize,
+    /// Batches anchored by [`Queue::pop`] and not yet sealed: the ones
+    /// that may be waiting out a batching window.
+    gathering: usize,
+    /// The free half of the pool of `workers` workspaces, by slot: whoever
+    /// runs a forward takes one, [`Queue::complete`] puts it back.
+    pool: Vec<(usize, Workspace)>,
     /// The latest accepted arrival and the gap before it — the arrival
     /// pace a batching window is weighed against.
     last_arrival: Option<Instant>,
@@ -189,8 +236,8 @@ pub(crate) struct Queue {
     /// busy, the four histograms, late-discarded — as booked by
     /// [`Queue::complete`]; [`Queue::report`] fills in the rest.
     record: RuntimeStats,
-    /// Per worker, the latest workspace bytes and cumulative op profile
-    /// of its session: re-sampled, not accumulated, after every dispatch.
+    /// Per slot, the latest workspace bytes and cumulative op profile of
+    /// its workspace: re-sampled, not accumulated, after every dispatch.
     readings: Vec<(usize, OpProfile)>,
     /// Queue-to-response latencies of the most recent [`P99_WINDOW`]
     /// resolutions. Kept only while the p99 trip wire is armed.
@@ -213,15 +260,20 @@ impl Queue {
         for (name, weight) in &config.tenant_weights {
             lanes.push(Lane::new(Some(name), *weight));
         }
+        let pool = (0..config.workers).rev().map(|slot| (slot, fresh_workspace(&config))).collect();
         Self {
             readings: vec![(0, OpProfile::default()); config.workers],
+            // Workers are born parked: idle before their threads first run.
+            parked: config.workers,
+            leased: 0,
+            gathering: 0,
+            pool,
             config,
             lanes,
             queued: 0,
             cursor: 0,
             shutting_down: false,
             high_water: 0,
-            parked: 0,
             last_arrival: None,
             gap: Duration::ZERO,
             retired: Counters::default(),
@@ -288,7 +340,18 @@ impl Queue {
     /// becomes the entry's `enqueued` stamp — the moment it enters its
     /// lane, not when it was validated — and the arrival the next gap is
     /// measured from.
-    pub fn submit(&mut self, request: Admitted, now: Instant) -> (Admission, usize) {
+    ///
+    /// An accepted request from a [`Caller::Blocking`] runs on its
+    /// caller's thread ([`Admission::RunHere`]) when the lanes hold
+    /// nothing, a parked worker's slot is free (`parked > leased`), and
+    /// the caller's own bound has not passed; the runtime is not shutting
+    /// down, or it would have been refused. Nothing queued is passed by.
+    pub fn submit(
+        &mut self,
+        request: Admitted,
+        now: Instant,
+        caller: Caller,
+    ) -> (Admission, usize) {
         if self.shutting_down {
             return (Admission::Refused(SubmitError::ShuttingDown), 0);
         }
@@ -326,6 +389,9 @@ impl Queue {
         if self.queued >= self.config.queue_capacity {
             return (Admission::Full(request), freed);
         }
+        let here = self.queued == 0
+            && self.parked > self.leased
+            && matches!(caller, Caller::Blocking { until } if until.is_none_or(|u| now < u));
         let lane = match placement {
             Placement::Join(i) => &mut self.lanes[i],
             Placement::Open { retire } => {
@@ -340,22 +406,30 @@ impl Queue {
         let cell = TicketCell::new();
         let ticket = Ticket { cell: Arc::clone(&cell) };
         lane.counters.submitted += 1;
-        lane.entries.push_back(Entry {
+        let entry = Entry {
             images: request.images,
             tile: request.tile,
             tenant: lane.tenant.clone(),
             deadline: request.deadline,
             cell,
             enqueued: now,
-            dequeued: None,
-        });
-        self.queued += 1;
-        self.high_water = self.high_water.max(self.queued);
+            dequeued: here.then_some(now),
+        };
         if let Some(last) = self.last_arrival {
             self.gap = now.saturating_duration_since(last);
         }
         self.last_arrival = Some(now);
-        (Admission::Accepted(ticket), freed)
+        if !here {
+            lane.entries.push_back(entry);
+            self.queued += 1;
+            self.high_water = self.high_water.max(self.queued);
+            return (Admission::Accepted(ticket), freed);
+        }
+        lane.in_flight += 1;
+        self.leased += 1;
+        self.record.caller_runs += 1;
+        let (runner, workspace) = self.lend(None, true);
+        (Admission::RunHere(ticket, Box::new(Lease { entry, runner, workspace })), freed)
     }
 
     /// Count a request that came back [`Admission::Full`] and whose caller
@@ -482,6 +556,7 @@ impl Queue {
         };
         self.lanes[i].credits -= 1;
         self.cursor = i;
+        self.gathering += 1;
         (Some(self.take_head(i, now)), freed + 1)
     }
 
@@ -532,20 +607,20 @@ impl Queue {
     /// spare closes, absent new arrivals. It opens when the anchor left its
     /// lane and lasts at most `max_wait`; it is shut from the start when a
     /// held entry's deadline falls inside it, since waiting could only
-    /// expire that entry. While a worker is parked — it would serve a
-    /// straggler at once — the window also closes at the first instant the
-    /// arrival pace cannot fill the room before its end: pace × room ≥
-    /// end − t, where the pace is the slower of the last inter-arrival gap
-    /// and the time since the last arrival (a lull reads as one). With no
-    /// idle peer the straggler would wait for this worker anyway, so the
-    /// window stays open to its end.
+    /// expire that entry. While a worker is idle — parked, its slot not
+    /// leased, so it would serve a straggler at once — the window also
+    /// closes at the first instant the arrival pace cannot fill the room
+    /// before its end: pace × room ≥ end − t, where the pace is the slower
+    /// of the last inter-arrival gap and the time since the last arrival
+    /// (a lull reads as one). With no idle peer the straggler would wait
+    /// for this worker anyway, so the window stays open to its end.
     fn window_closes(&self, batch: &[Entry], room: usize) -> Instant {
         let opened = batch[0].dequeued.expect("a batch's anchor was taken from its lane");
         let end = opened + self.config.max_wait;
         if batch.iter().any(|e| e.deadline.is_some_and(|d| d <= end)) {
             return opened;
         }
-        if self.parked == 0 {
+        if self.parked == self.leased {
             return end;
         }
         let last = self.last_arrival.expect("the anchor was accepted");
@@ -561,16 +636,65 @@ impl Queue {
     }
 
     /// A worker found nothing to pop and is about to wait for work. Returns
-    /// whether it is the only idle worker: a peer holding a batch open had
-    /// no idle worker to count on until now, so its window may close early.
+    /// whether to wake the peers waiting out a batching window
+    /// ([`Queue::first_idle`]).
     pub fn park(&mut self) -> bool {
         self.parked += 1;
-        self.parked == 1
+        self.first_idle()
     }
 
-    /// A parked worker woke.
-    pub fn unpark(&mut self) {
-        self.parked = self.parked.checked_sub(1).expect("a worker unparks after it parked");
+    /// Whether the one worker idle now (parked, its slot not leased) just
+    /// became so while a batch is open: that batch had no idle peer to
+    /// count on until now, so its window may close early.
+    fn first_idle(&self) -> bool {
+        self.gathering > 0 && self.parked - self.leased == 1
+    }
+
+    /// A parked worker woke. It leaves the idle count only for work —
+    /// something queued, or the shutdown drain — and only while a parked
+    /// worker's slot is free (`parked > leased`): a slot a caller leased
+    /// stays with that caller, so at most `workers` forwards run at once.
+    /// Returns whether it may go; otherwise it waits again.
+    pub fn unpark(&mut self) -> bool {
+        let go = (self.queued > 0 || self.shutting_down) && self.parked > self.leased;
+        if go {
+            self.parked -= 1;
+        }
+        go
+    }
+
+    /// The workspace a worker's sealed batch runs on: the one of its
+    /// `home` slot when that is free — so a busy worker keeps its arenas
+    /// warm in its own core's caches — and the last one returned
+    /// otherwise.
+    pub fn take_workspace(&mut self, home: usize) -> (Runner, Workspace) {
+        let at = self.pool.iter().position(|&(slot, _)| slot == home);
+        self.lend(at, false)
+    }
+
+    /// Take the pool entry `at`, or the last one returned — the warmest —
+    /// without a preference.
+    fn lend(&mut self, at: Option<usize>, here: bool) -> (Runner, Workspace) {
+        // Busy workers plus leases never exceed `workers` (see `unpark`),
+        // and each holds one workspace.
+        let last = self.pool.len().checked_sub(1).expect("a forward finds a workspace free");
+        let (slot, workspace) = self.pool.swap_remove(at.unwrap_or(last));
+        (Runner { slot, here }, workspace)
+    }
+
+    /// A dispatch is over: its workspace goes back to its slot, and its
+    /// runner goes idle — a worker parks, a caller's lease ends. Returns
+    /// whether to wake the workers: a peer's open window now has an idle
+    /// worker to count on ([`Queue::first_idle`]), or, at the end of a
+    /// lease, work arrived that no parked worker could take while the
+    /// slot was out.
+    fn release(&mut self, runner: Runner, workspace: Workspace) -> bool {
+        self.pool.push((runner.slot, workspace));
+        if runner.here {
+            self.leased -= 1;
+            return self.queued > 0 || self.first_idle();
+        }
+        self.park()
     }
 
     /// The hard guarantee behind [`SubmitError::Expired`]: nothing expired
@@ -581,6 +705,7 @@ impl Queue {
     /// incompatible tile override, or a head that would not fit) for
     /// another worker to be woken for.
     pub fn seal(&mut self, batch: &mut Vec<Entry>, now: Instant) -> bool {
+        self.gathering -= 1;
         batch.retain(|entry| {
             let dead = entry.expired(now);
             if dead {
@@ -606,17 +731,28 @@ impl Queue {
         }
     }
 
-    /// Book a dispatch whose tickets the worker is about to resolve, all
-    /// of it at once: the serving record (images, busy time, each entry's
+    /// Book a dispatch whose tickets its runner is about to resolve, all
+    /// of it at once: the workspace back in its slot and the runner idle
+    /// ([`Queue::release`], whose wake-up verdict this returns); the
+    /// serving record (images, busy time, each entry's
     /// latency and stage spans, a response its submitter gave up on); the
     /// ledger's completions, failures, and deadline misses (served, but
     /// after the deadline passed mid-flight — the late-but-served
     /// counterpart of the never-dispatched `Expired`); then the p99 window
     /// when that wire is armed. Windowed — not lifetime-cumulative — so the
     /// estimate can come back down when the overload passes.
-    pub fn complete(&mut self, batch: &[Entry], dispatch: Dispatch, now: Instant) {
-        let Dispatch { worker, served, images, sealed, infer_done, workspace_bytes, op_profile } =
-            dispatch;
+    pub fn complete(&mut self, batch: &[Entry], dispatch: Dispatch, now: Instant) -> bool {
+        let Dispatch {
+            runner,
+            workspace,
+            served,
+            images,
+            sealed,
+            infer_done,
+            workspace_bytes,
+            op_profile,
+        } = dispatch;
+        let wake = self.release(runner, workspace);
         let record = &mut self.record;
         record.dispatches += 1;
         record.busy += infer_done.saturating_duration_since(sealed);
@@ -634,7 +770,7 @@ impl Queue {
             record.infer.record(infer_done.saturating_duration_since(sealed));
             record.late_discarded += u64::from(entry.cell.is_abandoned());
         }
-        self.readings[worker] = (workspace_bytes, op_profile);
+        self.readings[runner.slot] = (workspace_bytes, op_profile);
         for entry in batch {
             let counters = self.land(entry);
             if !served {
@@ -647,7 +783,7 @@ impl Queue {
             }
         }
         if self.config.shed.p99_trip.is_none() || batch.is_empty() {
-            return;
+            return wake;
         }
         for entry in batch {
             if self.recent.len() == P99_WINDOW {
@@ -658,17 +794,29 @@ impl Queue {
         let mut window: Vec<Duration> = self.recent.iter().copied().collect();
         let rank = (window.len() * 99).div_ceil(100).max(1);
         self.p99 = Some((*window.select_nth_unstable(rank - 1).1, now));
+        wake
     }
 
-    /// A worker died serving `batch`: fail every ticket it had not
+    /// A forward serving `batch` panicked: fail every ticket it had not
     /// resolved yet, so no caller is left blocked forever and `failed`
-    /// stays exact.
-    pub fn abandon(&mut self, batch: &[Entry], message: &str) {
+    /// stays exact. The unwound workspace is lost, so a fresh, empty one
+    /// takes its slot (and its byte reading); a caller's lease ends
+    /// (whether to wake the workers is returned, as from
+    /// [`Queue::complete`]), while a worker dies with its thread and parks
+    /// no more.
+    pub fn abandon(&mut self, batch: &[Entry], message: &str, runner: Runner) -> bool {
         for entry in batch {
             if entry.cell.resolve_if_pending(Err(unserved(message))) {
                 self.land(entry).failed += 1;
             }
         }
+        self.readings[runner.slot].0 = 0;
+        let workspace = fresh_workspace(&self.config);
+        if runner.here {
+            return self.release(runner, workspace);
+        }
+        self.pool.push((runner.slot, workspace));
+        false
     }
 
     /// Fail every queued entry with `message`.
@@ -700,7 +848,7 @@ impl Queue {
     /// ledger summed over every lane plus the retired aggregate (so
     /// retiring a lane, or refusing a lane-less tenant, never loses a
     /// count), the tagged lanes in table order, depth and high-water, and
-    /// the workers' latest readings.
+    /// the slots' latest readings.
     pub fn report(&self) -> RuntimeStats {
         let mut stats = self.record.clone();
         let mut totals = self.retired;
@@ -724,14 +872,22 @@ impl Queue {
     }
 }
 
+/// An empty workspace for a pool slot, profiling per the config.
+fn fresh_workspace(config: &RuntimeConfig) -> Workspace {
+    let mut workspace = Workspace::new();
+    workspace.enable_profiling(config.profile_ops);
+    workspace
+}
+
 #[cfg(test)]
 mod tests {
     //! Model-checked admission: generated op sequences drive the [`Queue`]
     //! under a virtual clock — no thread, no sleep — next to a small
     //! reference model that mirrors the lane table by observation,
-    //! predicts every admission verdict from its own records, and checks
-    //! the scheduler's picks and batching windows against the invariants
-    //! the runtime promises.
+    //! predicts every admission verdict from its own records (which
+    //! blocking caller runs its own request included), and checks the
+    //! scheduler's picks, batching windows, leases, wake-ups and the
+    //! workspace pool against the invariants the runtime promises.
 
     use super::*;
     use crate::ShedPolicy;
@@ -835,12 +991,21 @@ mod tests {
         Refuse(SubmitError),
     }
 
-    /// A batch a (virtual) worker is holding outside the queue.
+    /// A batch a (virtual) worker, or a blocking caller on a lease, is
+    /// holding outside the queue.
     struct Batch {
         entries: Vec<Entry>,
         sealed: bool,
         /// What the last gather said to wait for, if it said wait.
         until: Option<Instant>,
+        /// The workspace a sealed, non-empty batch runs on, and who runs it.
+        held: Option<(Runner, Workspace)>,
+    }
+
+    impl Batch {
+        fn here(&self) -> bool {
+            self.held.as_ref().is_some_and(|(runner, _)| runner.here)
+        }
     }
 
     struct Model {
@@ -865,8 +1030,14 @@ mod tests {
         shutdown: bool,
         window: VecDeque<Duration>,
         p99: Option<(Duration, Instant)>,
-        /// Virtual workers waiting for work.
+        /// Virtual workers waiting for work; born parked.
         parked: usize,
+        /// Parked workers whose slot a blocking caller holds.
+        leased: usize,
+        /// Batches popped and not yet sealed.
+        gathering: usize,
+        /// Requests their blocking callers ran.
+        caller_runs: u64,
         /// The latest accepted arrival and the gap before it.
         last_arrival: Option<Instant>,
         gap: Duration,
@@ -895,6 +1066,7 @@ mod tests {
             };
             let mut lanes = vec![lane(None, 1)];
             lanes.extend(config.tenant_weights.iter().map(|(name, w)| lane(Some(name), *w)));
+            let parked = config.workers;
             Self {
                 config,
                 reqs: Vec::new(),
@@ -909,7 +1081,10 @@ mod tests {
                 shutdown: false,
                 window: VecDeque::new(),
                 p99: None,
-                parked: 0,
+                parked,
+                leased: 0,
+                gathering: 0,
+                caller_runs: 0,
                 last_arrival: None,
                 gap: Duration::ZERO,
                 waited: HashMap::new(),
@@ -1078,8 +1253,9 @@ mod tests {
         /// `batch` with `room` images to spare at `t`, restated from the
         /// rule: (a) the window, `max_wait` from the anchor's dequeue, has
         /// passed; (b) a held deadline falls inside it; (c) a worker is
-        /// parked and the pace — the slower of the last gap and the time
-        /// since the last arrival — cannot fill the room before it ends.
+        /// idle — parked, its slot not leased — and the pace — the slower
+        /// of the last gap and the time since the last arrival — cannot
+        /// fill the room before it ends.
         fn window_closed(&self, batch: &[Entry], room: usize, t: Instant) -> Option<&'static str> {
             let end = batch[0].dequeued.expect("taken") + self.config.max_wait;
             if t >= end {
@@ -1091,12 +1267,19 @@ mod tests {
             let last = self.last_arrival.expect("an arrival anchors every batch");
             let pace = self.gap.max(t - last);
             let cannot_fill = pace.as_nanos() * room as u128 >= (end - t).as_nanos();
-            (self.parked > 0 && cannot_fill).then_some("window: a parked peer, a pace too slow")
+            (self.parked > self.leased && cannot_fill)
+                .then_some("window: a parked peer, a pace too slow")
+        }
+
+        /// Whether a runner going idle wakes the workers, restated: a
+        /// batch is open and this is now the one idle worker.
+        fn first_idle(&self) -> bool {
+            self.gathering > 0 && self.parked - self.leased == 1
         }
     }
 
     /// Everything that must hold between any two steps.
-    fn check(q: &Queue, m: &Model, now: Instant) {
+    fn check(q: &Queue, m: &Model, open: &[Batch], now: Instant) {
         // The lane table: same lanes in the same order, same FIFO contents.
         assert_eq!(q.lanes.len(), m.lanes.len());
         assert!(q.lanes[0].tenant.is_none(), "lane 0 is the anonymous lane");
@@ -1114,6 +1297,20 @@ mod tests {
         assert_eq!(q.queued, m.queued());
         assert_eq!(q.high_water, m.high_water);
         assert_eq!((q.parked, q.last_arrival, q.gap), (m.parked, m.last_arrival, m.gap));
+        assert_eq!((q.leased, q.gathering), (m.leased, m.gathering));
+        // Never more forwards than workers: a lease is a parked worker's
+        // slot, and the busy workers are the ones not parked.
+        let here = open.iter().filter(|b| b.here()).count();
+        let busy = open.len() - here;
+        assert_eq!(here, q.leased, "one lease per caller-run request");
+        assert!(q.leased <= q.parked, "leased {} of {} parked", q.leased, q.parked);
+        assert!(busy + q.parked <= m.config.workers, "a busy worker is not parked");
+        assert!(busy + q.leased <= m.config.workers, "more forwards than workers");
+        // The workspace pool: every slot once, free or with its runner.
+        let mut slots: Vec<usize> = q.pool.iter().map(|(slot, _)| *slot).collect();
+        slots.extend(open.iter().filter_map(|b| b.held.as_ref().map(|(runner, _)| runner.slot)));
+        slots.sort_unstable();
+        assert_eq!(slots, (0..m.config.workers).collect::<Vec<_>>(), "each slot once");
         assert_eq!((&q.recent, q.p99), (&m.window, m.p99), "the p99 window and its reading");
         assert!(q.high_water <= m.config.queue_capacity, "the queue outgrew its capacity");
         // One ledger: the lanes plus the retired aggregate are the totals,
@@ -1160,6 +1357,7 @@ mod tests {
         // The serving half is booked by the same call, per dispatch and
         // per dispatched entry.
         assert_eq!((stats.dispatches, stats.images), (m.dispatches, m.images));
+        assert_eq!(stats.caller_runs, m.caller_runs);
         for hist in [&stats.latency, &stats.queue_wait, &stats.batch_wait, &stats.infer] {
             assert_eq!(hist.count(), m.booked, "one sample per dispatched entry");
         }
@@ -1175,7 +1373,15 @@ mod tests {
         }
     }
 
-    fn submit(q: &mut Queue, m: &mut Model, rng: &mut Rng, now: Instant, seen: &mut Seen) {
+    /// Submit a generated request; a blocking caller that is handed it
+    /// comes back holding it, leased, to run.
+    fn submit(
+        q: &mut Queue,
+        m: &mut Model,
+        rng: &mut Rng,
+        now: Instant,
+        seen: &mut Seen,
+    ) -> Option<Batch> {
         let tenant = TENANTS[rng.below(TENANTS.len())];
         let deadline = match rng.below(10) {
             0 => Some(now),
@@ -1191,59 +1397,52 @@ mod tests {
             tenant: tenant.map(String::from),
             deadline,
         };
+        // A blocking caller's own bound: none, already passed, or ahead.
+        let caller = if rng.chance(30) {
+            let until = match rng.below(5) {
+                0 => None,
+                1 => Some(now),
+                _ => Some(now + Duration::from_micros(1) + rng.millis(20)),
+            };
+            Caller::Blocking { until }
+        } else {
+            Caller::Ticket
+        };
         let rotation = q.lanes[q.cursor].tenant.clone();
-        let (got, freed) = q.submit(request, now);
+        let (got, freed) = q.submit(request, now, caller);
         assert_eq!(freed, m.observe_retractions(now), "freed slots are retracted entries");
         if let Some(i) = q.lane_index(rotation.as_deref()) {
             assert_eq!(q.cursor, i, "retiring a lane must not move the rotation");
         }
-        match (got, want) {
-            (Admission::Accepted(ticket), Verdict::Accept) => {
-                let lane = match placement {
-                    Placement::Join(i) => {
-                        if m.lanes[i].name.as_deref() != tenant {
-                            seen.saw("folded into the anonymous lane");
-                        }
-                        i
-                    }
-                    Placement::Open { retire } => {
-                        if let Some(idle) = retire {
-                            seen.saw("retired an idle lane");
-                            m.retired += m.lanes.remove(idle).counters;
-                        }
-                        m.lanes.push(ModelLane {
-                            name: tenant.map(String::from),
-                            weight: m.weight_of(tenant),
-                            ..ModelLane::default()
-                        });
-                        m.lanes.len() - 1
-                    }
-                };
-                let id = m.reqs.len();
-                m.ids.insert(key(&ticket.cell), id);
-                m.lanes[lane].fifo.push_back(id);
-                m.reqs.push(Req {
-                    lane: m.lanes[lane].name.clone(),
-                    deadline,
-                    images,
-                    tile,
-                    enqueued: now,
-                    ticket: Some(ticket),
-                    state: State::Queued,
-                });
-                m.lanes[lane].counters.submitted += 1;
-                m.high_water = m.high_water.max(m.queued());
-                if let Some(last) = m.last_arrival {
-                    m.gap = now - last;
+        // Whether an accepted request runs on its caller's thread,
+        // restated: a blocking caller within its bound, lanes that hold
+        // nothing, and a parked worker whose slot is free.
+        let here = match caller {
+            Caller::Ticket => false,
+            Caller::Blocking { until } => {
+                let (empty, free) = (m.queued() == 0, m.parked > m.leased);
+                let within = until.is_none_or(|u| now < u);
+                if want == Verdict::Accept {
+                    seen.saw(match (empty, free, within) {
+                        (true, true, true) => "ran here",
+                        (false, _, _) => "not here: lanes held work",
+                        (true, false, _) => "not here: every idle slot leased",
+                        (true, true, false) => "not here: past its bound",
+                    });
                 }
-                m.last_arrival = Some(now);
+                empty && free && within
             }
+        };
+        let (ticket, lease) = match (got, want) {
+            (Admission::Accepted(ticket), Verdict::Accept) if !here => (ticket, None),
+            (Admission::RunHere(ticket, lease), Verdict::Accept) if here => (ticket, Some(lease)),
             (Admission::Full(back), Verdict::Full) => {
                 assert_eq!(back.images.len(), images, "a full queue hands the request back whole");
                 // The non-blocking path: give up at once.
                 q.refuse_for_space(back.tenant.as_deref());
                 m.charge(tenant).rejected += 1;
                 seen.saw("queue full");
+                return None;
             }
             (Admission::Refused(got), Verdict::Refuse(want)) => {
                 assert_eq!(got, want);
@@ -1265,16 +1464,72 @@ mod tests {
                     }
                     other => panic!("not an admission verdict: {other}"),
                 }
+                return None;
             }
             (got, want) => {
                 let got = match got {
                     Admission::Accepted(_) => "accepted".to_string(),
+                    Admission::RunHere(..) => "run here".to_string(),
                     Admission::Full(_) => "full".to_string(),
                     Admission::Refused(refusal) => refusal.to_string(),
                 };
-                panic!("admission said {got:?}, the model {want:?}");
+                panic!("admission said {got:?}, the model {want:?} (here: {here})");
             }
+        };
+        let lane = match placement {
+            Placement::Join(i) => {
+                if m.lanes[i].name.as_deref() != tenant {
+                    seen.saw("folded into the anonymous lane");
+                }
+                i
+            }
+            Placement::Open { retire } => {
+                if let Some(idle) = retire {
+                    seen.saw("retired an idle lane");
+                    m.retired += m.lanes.remove(idle).counters;
+                }
+                m.lanes.push(ModelLane {
+                    name: tenant.map(String::from),
+                    weight: m.weight_of(tenant),
+                    ..ModelLane::default()
+                });
+                m.lanes.len() - 1
+            }
+        };
+        let id = m.reqs.len();
+        m.ids.insert(key(&ticket.cell), id);
+        m.reqs.push(Req {
+            lane: m.lanes[lane].name.clone(),
+            deadline,
+            images,
+            tile,
+            enqueued: now,
+            ticket: Some(ticket),
+            state: if here { State::InFlight } else { State::Queued },
+        });
+        m.lanes[lane].counters.submitted += 1;
+        if let Some(last) = m.last_arrival {
+            m.gap = now - last;
         }
+        m.last_arrival = Some(now);
+        let Some(Lease { entry, runner, workspace }) = lease.map(|lease| *lease) else {
+            m.lanes[lane].fifo.push_back(id);
+            m.high_water = m.high_water.max(m.queued());
+            return None;
+        };
+        // Taken at once: never queued, so no queue wait.
+        assert!(runner.here);
+        assert_eq!(m.ids[&key(&entry.cell)], id);
+        assert_eq!(
+            (entry.tenant.as_deref(), entry.images.len(), entry.tile, entry.deadline),
+            (m.lanes[lane].name.as_deref(), images, tile, deadline)
+        );
+        assert_eq!((entry.enqueued, entry.dequeued), (now, Some(now)));
+        m.lanes[lane].in_flight += 1;
+        m.leased += 1;
+        m.caller_runs += 1;
+        let held = Some((runner, workspace));
+        Some(Batch { entries: vec![entry], sealed: true, until: None, held })
     }
 
     /// Pop an anchor and check the pick: FIFO, never expired, EDF among
@@ -1330,6 +1585,7 @@ mod tests {
             }
         }
         m.take(&entry, now);
+        m.gathering += 1;
         assert_eq!(q.cursor, i, "the cursor rests on the lane just popped");
         // Fairness: a lane is popped at most `weight` times per cycle, and
         // a backlogged lane holding credits is reached within Σ weights.
@@ -1429,12 +1685,14 @@ mod tests {
     }
 
     /// Seal a batch: whatever expired while it was gathered is retracted,
-    /// never dispatched.
-    fn seal(q: &mut Queue, m: &mut Model, batch: &mut Vec<Entry>, now: Instant, seen: &mut Seen) {
-        let before: Vec<usize> = batch.iter().map(|e| key(&e.cell)).collect();
-        let more = q.seal(batch, now);
+    /// never dispatched; what is left runs on a workspace from the pool.
+    fn seal(q: &mut Queue, m: &mut Model, batch: &mut Batch, now: Instant, seen: &mut Seen) {
+        let before: Vec<usize> = batch.entries.iter().map(|e| key(&e.cell)).collect();
+        let more = q.seal(&mut batch.entries, now);
+        m.gathering -= 1;
+        batch.sealed = true;
         assert_eq!(more, m.queued() > 0);
-        let kept: Vec<usize> = batch.iter().map(|e| key(&e.cell)).collect();
+        let kept: Vec<usize> = batch.entries.iter().map(|e| key(&e.cell)).collect();
         let mut kept_in_order = kept.iter();
         for cell in before {
             let id = m.ids[&cell];
@@ -1450,17 +1708,53 @@ mod tests {
             seen.saw("sealed out an expired entry");
         }
         assert_eq!(kept_in_order.next(), None);
+        if !batch.entries.is_empty() {
+            // Any worker may seal: vary which one by the dispatch count.
+            let home = (m.dispatches as usize + batch.entries.len()) % m.config.workers;
+            let free = q.pool.iter().any(|&(slot, _)| slot == home);
+            let (runner, workspace) = q.take_workspace(home);
+            assert!(!runner.here, "a worker's batch holds no lease");
+            assert!(runner.slot == home || !free, "a worker takes its own slot when it is free");
+            batch.held = Some((runner, workspace));
+        }
+    }
+
+    /// A runner goes idle at the end of its dispatch: a worker parks, a
+    /// caller's lease ends. Returns whether the workers are woken, by the
+    /// rule: a window now has its first idle peer, or a lease ended with
+    /// work queued that no parked worker could take meanwhile.
+    fn idle_after(m: &mut Model, runner: Runner, seen: &mut Seen) -> bool {
+        if !runner.here {
+            m.parked += 1;
+            return m.first_idle();
+        }
+        m.leased -= 1;
+        let wake = m.queued() > 0 || m.first_idle();
+        if wake {
+            seen.saw("a lease ended and woke the workers");
+        }
+        wake
     }
 
     /// Book a sealed batch, then resolve it, the way `serve_dispatch` does.
     /// Like the worker loop, skip a batch that sealed out to nothing.
-    fn complete(q: &mut Queue, m: &mut Model, batch: &[Entry], served: bool, now: Instant) {
-        if batch.is_empty() {
+    fn complete(
+        q: &mut Queue,
+        m: &mut Model,
+        batch: Batch,
+        served: bool,
+        now: Instant,
+        seen: &mut Seen,
+    ) {
+        let Some((runner, workspace)) = batch.held else {
+            assert!(batch.entries.is_empty(), "a sealed batch with work holds a workspace");
             return;
-        }
+        };
+        let batch = &batch.entries;
         let images = batch.iter().map(|e| e.images.len()).sum();
         let dispatch = Dispatch {
-            worker: 0,
+            runner,
+            workspace,
             served,
             images,
             sealed: now,
@@ -1468,7 +1762,8 @@ mod tests {
             workspace_bytes: 0,
             op_profile: OpProfile::default(),
         };
-        q.complete(batch, dispatch, now);
+        let wake = q.complete(batch, dispatch, now);
+        assert_eq!(wake, idle_after(m, runner, seen), "the wake-up after a dispatch");
         m.dispatches += 1;
         m.images += if served { images as u64 } else { 0 };
         m.booked += batch.len() as u64;
@@ -1527,23 +1822,43 @@ mod tests {
         }
     }
 
+    /// A parked worker wakes: it goes only for work (or the shutdown
+    /// drain), and only while a parked worker's slot is free.
+    fn unpark(q: &mut Queue, m: &mut Model, seen: &mut Seen) -> bool {
+        let work = m.queued() > 0 || m.shutdown;
+        let go = work && m.parked > m.leased;
+        assert_eq!(q.unpark(), go, "unpark with {} parked, {} leased", m.parked, m.leased);
+        if go {
+            m.parked -= 1;
+        } else if work {
+            seen.saw("unpark refused: every parked slot leased");
+        }
+        go
+    }
+
     fn run(seed: u64, seen: &mut Seen) {
         let mut rng = Rng(seed);
         let config = config(&mut rng);
         let (mut q, mut m) = (Queue::new(config.clone()), Model::new(config));
         let mut now = Instant::now();
         let mut open: Vec<Batch> = Vec::new();
-        check(&q, &m, now);
+        check(&q, &m, &open, now);
         for _ in 0..(20 + rng.below(60)) {
             let sealed: Vec<usize> = (0..open.len()).filter(|&b| open[b].sealed).collect();
             let gathering: Vec<usize> = (0..open.len()).filter(|&b| !open[b].sealed).collect();
             let waiting: Vec<usize> =
                 gathering.iter().copied().filter(|&b| open[b].until.is_some()).collect();
+            // Workers neither parked nor holding a batch: free to pop.
+            let busy = open.iter().filter(|b| !b.here()).count();
+            let idle = m.config.workers - m.parked - busy;
             match rng.below(100) {
-                0..=44 => submit(&mut q, &mut m, &mut rng, now, seen),
-                45..=56 => {
+                0..=41 => open.extend(submit(&mut q, &mut m, &mut rng, now, seen)),
+                // A worker takes work: an idle one, or a parked one woken
+                // for it.
+                42..=53 if idle > 0 || (m.parked > 0 && unpark(&mut q, &mut m, seen)) => {
                     if let Some(anchor) = pop(&mut q, &mut m, now, seen) {
-                        let mut batch = Batch { entries: vec![anchor], sealed: false, until: None };
+                        let mut batch =
+                            Batch { entries: vec![anchor], sealed: false, until: None, held: None };
                         // Like the worker, mostly gather at once.
                         if rng.chance(60) {
                             gather_on(&mut q, &mut m, &mut batch, now, seen);
@@ -1551,50 +1866,58 @@ mod tests {
                         open.push(batch);
                     }
                 }
-                57..=66 if !gathering.is_empty() => {
+                54..=63 if !gathering.is_empty() => {
                     let b = gathering[rng.below(gathering.len())];
                     gather_on(&mut q, &mut m, &mut open[b], now, seen);
                 }
                 // The worker that was told to wait wakes when it was told to.
-                67..=68 if !waiting.is_empty() => {
+                64..=67 if !waiting.is_empty() => {
                     let b = waiting[rng.below(waiting.len())];
                     now = now.max(open[b].until.expect("waiting"));
                     gather_on(&mut q, &mut m, &mut open[b], now, seen);
                     seen.saw("gathered again at a wait's end");
                 }
-                69..=74 if !gathering.is_empty() => {
+                68..=71 if !gathering.is_empty() => {
                     let b = gathering[rng.below(gathering.len())];
-                    seal(&mut q, &mut m, &mut open[b].entries, now, seen);
-                    open[b].sealed = true;
+                    seal(&mut q, &mut m, &mut open[b], now, seen);
                     if open[b].entries.is_empty() {
                         open.swap_remove(b);
                     }
                 }
-                75..=86 if !sealed.is_empty() => {
+                72..=83 if !sealed.is_empty() => {
                     let batch = open.swap_remove(sealed[rng.below(sealed.len())]);
-                    complete(&mut q, &mut m, &batch.entries, rng.chance(80), now);
+                    if batch.here() {
+                        seen.saw("a caller ran its request");
+                    }
+                    complete(&mut q, &mut m, batch, rng.chance(80), now, seen);
                 }
-                87 if !sealed.is_empty() => {
-                    // The worker died serving this batch.
+                84 if !sealed.is_empty() => {
+                    // The forward serving this batch panicked: a worker
+                    // dies with it, a caller carries on.
                     let batch = open.swap_remove(sealed[rng.below(sealed.len())]);
-                    q.abandon(&batch.entries, "worker died");
+                    let (runner, _) = batch.held.expect("a sealed batch in `open` holds work");
+                    let wake = q.abandon(&batch.entries, "the forward panicked", runner);
+                    let want = runner.here && idle_after(&mut m, runner, seen);
+                    assert_eq!(wake, want, "the wake-up after a panicked forward");
                     for entry in &batch.entries {
                         m.land(m.ids[&key(&entry.cell)], State::Failed).failed += 1;
                     }
-                    seen.saw("abandoned a batch");
+                    seen.saw(match runner.here {
+                        true => "a caller's forward panicked",
+                        false => "abandoned a batch",
+                    });
                 }
-                88 => {
+                85 if rng.chance(50) => {
                     q.begin_shutdown();
                     m.shutdown = true;
                 }
                 // An idle worker waits for work, and wakes.
-                89..=91 if m.parked < m.config.workers => {
-                    assert_eq!(q.park(), m.parked == 0, "only the first to park wakes a window");
+                86..=87 if idle > 0 => {
                     m.parked += 1;
+                    assert_eq!(q.park(), m.first_idle(), "only the first idle worker wakes");
                 }
-                92..=93 if m.parked > 0 => {
-                    q.unpark();
-                    m.parked -= 1;
+                88..=93 if m.parked > 0 => {
+                    unpark(&mut q, &mut m, seen);
                 }
                 // Time passes: sometimes sub-millisecond, so arrival gaps
                 // land on both sides of what fills a window.
@@ -1602,26 +1925,34 @@ mod tests {
                 _ => now += rng.millis(12),
             }
             assert_eq!(q.shutting_down(), m.shutdown);
-            check(&q, &m, now);
+            check(&q, &m, &open, now);
         }
         // Wind down. Most runs drain like a graceful shutdown; some lose
         // every worker with the lanes still loaded.
         q.begin_shutdown();
         m.shutdown = true;
         let drain = rng.chance(75);
-        for mut batch in open.drain(..) {
+        while let Some(mut batch) = open.pop() {
             if !batch.sealed {
-                seal(&mut q, &mut m, &mut batch.entries, now, seen);
+                seal(&mut q, &mut m, &mut batch, now, seen);
             }
-            complete(&mut q, &mut m, &batch.entries, true, now);
-            check(&q, &m, now);
+            complete(&mut q, &mut m, batch, true, now, seen);
+            check(&q, &m, &open, now);
         }
-        while let Some(anchor) = drain.then(|| pop(&mut q, &mut m, now, seen)).flatten() {
-            let mut batch = vec![anchor];
-            while gather(&mut q, &mut m, &mut batch, now, seen) == Gathered::Again {}
+        let mut draining = drain;
+        while draining {
+            if m.parked == m.config.workers {
+                assert!(unpark(&mut q, &mut m, seen), "the shutdown drain wakes a parked worker");
+            }
+            let Some(anchor) = pop(&mut q, &mut m, now, seen) else {
+                draining = false;
+                continue;
+            };
+            let mut batch = Batch { entries: vec![anchor], sealed: false, until: None, held: None };
+            while gather(&mut q, &mut m, &mut batch.entries, now, seen) == Gathered::Again {}
             seal(&mut q, &mut m, &mut batch, now, seen);
-            complete(&mut q, &mut m, &batch, true, now);
-            check(&q, &m, now);
+            complete(&mut q, &mut m, batch, true, now, seen);
+            check(&q, &m, &open, now);
             now += rng.millis(6);
         }
         let stranded = m.queued();
@@ -1635,7 +1966,7 @@ mod tests {
                 lane.counters.failed += 1;
             }
         }
-        check(&q, &m, now);
+        check(&q, &m, &open, now);
         // By the end every accepted request has exactly one outcome, and
         // it is the one the model watched happen.
         for (id, req) in m.reqs.iter_mut().enumerate() {
@@ -1656,17 +1987,24 @@ mod tests {
     }
 
     // Hand mutants of the batching window (`Queue::window_closes`, `park`,
-    // `unpark`), each killed by this check; the count is how many of the
-    // 2,400 seeds fail (run each seed under `catch_unwind` to re-count):
+    // `unpark`) and of the caller-run path (`submit`'s `RunHere`, the
+    // lease in `unpark` / `window_closes`, `release`), each killed by this
+    // check; the count is how many of the 2,400 seeds fail (run each seed
+    // under `catch_unwind` to re-count):
     //
-    // | mutant                                                 | kills |
-    // |--------------------------------------------------------|-------|
-    // | idle count ignored (no `parked == 0` early return)     |   341 |
-    // | pace term dropped (a parked peer alone shuts it)       |   117 |
-    // | time since the last arrival ignored (gap term only)    |   148 |
-    // | window measured from `now`, not the anchor's dequeue   |   117 |
-    // | deadline cap dropped (no held-deadline case)           |   127 |
-    // | `unpark` skipped                                       |   784 |
+    // | mutant                                                  | kills |
+    // |---------------------------------------------------------|-------|
+    // | idle count ignored (no `parked == leased` early return) |   233 |
+    // | pace term dropped (a parked peer alone shuts it)        |   122 |
+    // | time since the last arrival ignored (gap term only)     |   158 |
+    // | window measured from `now`, not the anchor's dequeue    |   122 |
+    // | deadline cap dropped (no held-deadline case)            |    91 |
+    // | `unpark` leaves the idle count alone                    |  2398 |
+    // | `RunHere` with a queued entry                           |   789 |
+    // | a lease ignored by `unpark` (`parked > 0`)              |   260 |
+    // | a lease ignored by `window_closes` (`parked == 0`)      |    20 |
+    // | a release that wakes nobody                             |   638 |
+    // | `RunHere` past the caller's timeout                     |   205 |
     #[test]
     fn generated_op_sequences_agree_with_the_reference_model() {
         let mut seen = Seen::default();
@@ -1693,6 +2031,14 @@ mod tests {
             "sealed out an expired entry",
             "abandoned a batch",
             "failed a loaded queue",
+            "ran here",
+            "not here: lanes held work",
+            "not here: every idle slot leased",
+            "not here: past its bound",
+            "a caller ran its request",
+            "a caller's forward panicked",
+            "a lease ended and woke the workers",
+            "unpark refused: every parked slot leased",
         ] {
             assert!(seen.0.get(corner).is_some_and(|&n| n >= 20), "{corner}: {:?}", seen.0);
         }

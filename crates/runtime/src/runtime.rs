@@ -1,21 +1,25 @@
 //! [`Runtime`] — the worker pool around the [`Queue`]: the one lock and
 //! its two condition variables, the blocking submit paths, the worker
-//! loop and its batching waits, the dispatch itself, and the panic guards.
-//! Every admission and scheduling decision, and the serving record, is the
-//! queue's (`queue.rs`); this file takes the timestamps, holds the lock,
-//! waits, and wakes.
+//! loop and its batching waits, the dispatch itself (on a worker, or on a
+//! blocking caller's own thread), and the panic guards. Every admission
+//! and scheduling decision, and the serving record, is the queue's
+//! (`queue.rs`); this file takes the timestamps, holds the lock, waits,
+//! and wakes.
 
 use crate::metrics::RuntimeStats;
-use crate::queue::{Admission, Admitted, Dispatch, Entry, Gathered, Queue};
+use crate::queue::{
+    Admission, Admitted, Caller, Dispatch, Entry, Gathered, Lease, Queue, Runner,
+};
 use crate::ticket::Ticket;
 use crate::{lock, wait, wait_timeout, RuntimeConfig};
 use scales_data::Image;
-use scales_serve::{Engine, InferStats, Session, SrRequest, SrResponse};
+use scales_serve::{Engine, InferStats, SrRequest, SrResponse, Workspace};
 use scales_tensor::{Result, TensorError};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Why a submission was not accepted. Backpressure is part of the API
 /// contract: callers see a typed error the moment the runtime cannot take
@@ -170,7 +174,9 @@ struct Inner {
     /// The whole admission and scheduling state, p99 window and serving
     /// record included, behind the runtime's one lock.
     state: Mutex<Queue>,
-    /// Signaled on enqueue and on shutdown: workers wait here.
+    /// Signaled on enqueue, on shutdown, and when a worker may now go
+    /// (an idle peer for an open window, a lease ended with work queued):
+    /// workers wait here.
     work: Condvar,
     /// Signaled on dequeue and on shutdown: [`Runtime::submit_wait`]
     /// blockers wait here.
@@ -210,9 +216,11 @@ pub struct Runtime {
 impl Runtime {
     /// Start `config.workers` worker threads over `engine`.
     ///
-    /// Each worker opens its own [`Session`] — private planned-executor
-    /// workspace, private per-shape plan cache — and serves every forward
-    /// under the engine's backend handle
+    /// The pool holds `workers` planned-executor workspaces (arenas and
+    /// per-shape plan cache); every forward — a worker's, or a blocking
+    /// caller's ([`Runtime::submit_wait_timeout`]) — borrows one through a
+    /// [`Session`](scales_serve::Session) over it and runs under the
+    /// engine's backend handle
     /// ([`with_thread_backend`](scales_tensor::backend::with_thread_backend)),
     /// so a running pool neither reads nor writes the process-global
     /// backend selection.
@@ -278,7 +286,7 @@ impl Runtime {
     /// and [`SubmitError::InvalidRequest`] for a request that could never
     /// be served.
     pub fn submit(&self, request: SrRequest) -> std::result::Result<Ticket, SubmitError> {
-        self.admit_and_enqueue(request, Block::Never)
+        self.ticket(request, Block::Never)
     }
 
     /// Enqueue a request, blocking while the queue is full.
@@ -291,17 +299,33 @@ impl Runtime {
     /// quota, a passed deadline, or shutdown refuse immediately rather
     /// than waiting out the overload.
     pub fn submit_wait(&self, request: SrRequest) -> std::result::Result<Ticket, SubmitError> {
-        self.admit_and_enqueue(request, Block::UntilSpace)
+        self.ticket(request, Block::UntilSpace)
+    }
+
+    /// The two ticket-returning paths: a caller that takes its ticket and
+    /// goes never runs a request itself.
+    fn ticket(&self, request: SrRequest, block: Block) -> std::result::Result<Ticket, SubmitError> {
+        match self.admit_and_enqueue(request, block)? {
+            Accepted::Queued(ticket) => Ok(ticket),
+            Accepted::Here(..) => unreachable!("only a blocking caller runs its own request"),
+        }
     }
 
     /// Submit and wait for the response, bounding the **whole** round
     /// trip — time blocked on a full queue plus time waiting for the
-    /// ticket — by `timeout`. Built on [`Ticket::wait_timeout`]; this is
-    /// the deadline-serving entry point network front ends use
-    /// (`scales-http` maps each refusal family to its own status and
-    /// `Retry-After`). The caller has nothing else to do, so the first
-    /// 5 ms of its wait poll the ticket (yielding the core) instead of
-    /// sleeping.
+    /// ticket — by `timeout` (a `timeout` too long to represent as an
+    /// `Instant`, such as `Duration::MAX`, is no bound). This is the
+    /// deadline-serving entry point network front ends use (`scales-http`
+    /// maps each refusal family to its own status and `Retry-After`).
+    ///
+    /// The caller has nothing else to do, so a lone request runs on its
+    /// own thread: when the lanes are empty and a worker is idle, the
+    /// caller leases that worker's slot and serves the request itself —
+    /// the same dispatch, fault hook and booking a worker would run, with
+    /// no worker woken and no ticket crossing threads
+    /// ([`RuntimeStats::caller_runs`] counts them). Otherwise the request
+    /// is queued like any other, and the first 5 ms of the wait poll the
+    /// ticket (yielding the core) instead of sleeping.
     ///
     /// The nested result separates the layers: the outer
     /// [`SubmitError`] is the runtime refusing, retracting, or timing out
@@ -315,23 +339,39 @@ impl Runtime {
     /// [`SubmitError::Timeout`] when the deadline passes (whether still
     /// queued for space or already in flight — an in-flight request is
     /// still served eventually and its response discarded), plus
-    /// everything [`Runtime::submit_wait`] can return.
+    /// everything [`Runtime::submit_wait`] can return. A request the
+    /// caller runs itself is answered when its forward ends: past the
+    /// deadline, that is the same `Timeout`, booked as discarded work.
     pub fn submit_wait_timeout(
         &self,
         request: SrRequest,
-        timeout: std::time::Duration,
+        timeout: Duration,
     ) -> std::result::Result<Result<SrResponse>, SubmitError> {
-        let deadline = Instant::now() + timeout;
-        let ticket = self.admit_and_enqueue(request, Block::Until { deadline, timeout })?;
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        match ticket.wait_polling(remaining) {
+        let deadline = Instant::now().checked_add(timeout);
+        let served = match self.admit_and_enqueue(request, Block::Until { deadline, timeout })? {
+            Accepted::Queued(ticket) => {
+                let remaining = deadline
+                    .map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
+                ticket.wait_polling(remaining)
+            }
+            Accepted::Here(ticket, lease) => {
+                run_here(&self.inner, lease, deadline);
+                if ticket.cell.is_abandoned() {
+                    Err(ticket)
+                } else {
+                    Ok(ticket.wait())
+                }
+            }
+        };
+        match served {
             Ok(Ok(response)) => Ok(Ok(response)),
             Ok(Err(ServeError::Infer(e))) => Ok(Err(e)),
             Ok(Err(ServeError::Rejected(e))) => Err(e),
             Err(still_pending) => {
-                // The accepted request is still served eventually; mark
-                // the cell so its resolution is counted as discarded
-                // work (`RuntimeStats::late_discarded`).
+                // A queued request is still served eventually; mark the
+                // cell so its resolution is counted as discarded work
+                // (`RuntimeStats::late_discarded`). A caller-run one was
+                // marked before it was booked.
                 still_pending.cell.abandon();
                 Err(SubmitError::Timeout { timeout })
             }
@@ -343,33 +383,40 @@ impl Runtime {
     /// full is where the paths differ — `block` says how long to wait for
     /// a worker to free a slot, with every fail-fast check run again on
     /// each wake-up; a caller that stops waiting is counted as `rejected`.
+    /// Only the caller that blocks on its outcome (`Block::Until`) may be
+    /// handed its request to run itself.
     fn admit_and_enqueue(
         &self,
         request: SrRequest,
         block: Block,
-    ) -> std::result::Result<Ticket, SubmitError> {
+    ) -> std::result::Result<Accepted, SubmitError> {
         let mut parts = validate(request)?;
+        let caller = match block {
+            Block::Until { deadline, .. } => Caller::Blocking { until: deadline },
+            Block::Never | Block::UntilSpace => Caller::Ticket,
+        };
         let inner = &*self.inner;
         let mut st = lock(&inner.state);
         loop {
             let now = Instant::now();
-            let (admission, freed) = st.submit(parts, now);
+            let (admission, freed) = st.submit(parts, now, caller);
             wake_space(inner, freed);
             parts = match admission {
                 Admission::Accepted(ticket) => {
                     inner.work.notify_one();
-                    return Ok(ticket);
+                    return Ok(Accepted::Queued(ticket));
                 }
+                Admission::RunHere(ticket, lease) => return Ok(Accepted::Here(ticket, lease)),
                 Admission::Refused(refusal) => return Err(refusal),
                 Admission::Full(parts) => parts,
             };
             let refusal = match block {
                 Block::Never => SubmitError::QueueFull { capacity: inner.config.queue_capacity },
-                Block::UntilSpace => {
+                Block::UntilSpace | Block::Until { deadline: None, .. } => {
                     st = wait(&inner.space, st);
                     continue;
                 }
-                Block::Until { deadline, timeout } => {
+                Block::Until { deadline: Some(deadline), timeout } => {
                     if now < deadline {
                         st = wait_timeout(&inner.space, st, deadline - now);
                         continue;
@@ -435,9 +482,17 @@ enum Block {
     Never,
     /// Until a worker frees a slot.
     UntilSpace,
-    /// Until `deadline`, then [`SubmitError::Timeout`] carrying the
-    /// caller's `timeout`.
-    Until { deadline: Instant, timeout: std::time::Duration },
+    /// Until `deadline` (`None`: no bound), then [`SubmitError::Timeout`]
+    /// carrying the caller's `timeout`.
+    Until { deadline: Option<Instant>, timeout: Duration },
+}
+
+/// What an accepted submission leaves its caller with.
+enum Accepted {
+    /// A ticket for a queued request.
+    Queued(Ticket),
+    /// A request the blocking caller runs itself, on the slot it leased.
+    Here(Ticket, Box<Lease>),
 }
 
 /// Reject requests that could never be served, so they cannot poison a
@@ -506,80 +561,99 @@ fn worker_loop(inner: &Inner, worker: usize) {
         }
     }
     let _exit = WorkerExit { inner };
-    let session = inner.engine.session();
-    if inner.config.profile_ops {
-        session.set_profiling(true);
+    while let Some((batch, runner, workspace)) = next_dispatch(inner, worker) {
+        serve_dispatch(inner, batch, runner, workspace, None);
     }
-    while let Some(batch) = next_dispatch(inner) {
+}
+
+/// Wait, parked, until [`Queue::unpark`] lets this worker go: there is
+/// work (or the shutdown drain) and its slot is not leased to a caller.
+fn unparked<'a>(inner: &'a Inner, mut st: MutexGuard<'a, Queue>) -> MutexGuard<'a, Queue> {
+    while !st.unpark() {
+        st = wait(&inner.work, st);
+    }
+    st
+}
+
+/// The cross-request dynamic batcher. The worker comes in parked — born
+/// so, and parked again by [`Queue::complete`] after each dispatch — and
+/// waits for work; then it anchors a batch on the scheduler's pick and
+/// gathers compatible heads across the lanes, waiting for stragglers while
+/// the queue says the batching window is open, and takes a workspace for
+/// the forward (its own slot's when free). Returns `None` when the runtime
+/// is shutting down and the lanes are fully drained.
+fn next_dispatch(inner: &Inner, worker: usize) -> Option<(Vec<Entry>, Runner, Workspace)> {
+    let mut st = unparked(inner, lock(&inner.state));
+    loop {
+        let first = loop {
+            let (popped, freed) = st.pop(Instant::now());
+            wake_space(inner, freed);
+            if let Some(entry) = popped {
+                break entry;
+            }
+            if st.shutting_down() {
+                return None;
+            }
+            // Nothing is queued (`pop` retracts what expired and hands
+            // out anything live), so there is no deadline to wake for
+            // either. Parked, this worker lets a peer's batch seal without
+            // waiting for stragglers it would serve itself; the first idle
+            // worker wakes the peers waiting out a window so they can
+            // re-decide.
+            if st.park() {
+                inner.work.notify_all();
+            }
+            st = unparked(inner, st);
+        };
+        let mut batch = vec![first];
+        loop {
+            let now = Instant::now();
+            let (next, freed) = st.gather(&mut batch, now);
+            wake_space(inner, freed);
+            match next {
+                Gathered::Seal => break,
+                Gathered::Again => {}
+                Gathered::Wait { until } => {
+                    st = wait_timeout(&inner.work, st, until.saturating_duration_since(now));
+                }
+            }
+        }
+        // This worker may have consumed a submit's `notify_one` for an
+        // entry it is deliberately leaving queued. Re-signal so an idle
+        // worker picks it up instead of waiting out this whole dispatch.
+        if st.seal(&mut batch, Instant::now()) {
+            inner.work.notify_one();
+        }
         // The window closes before any held deadline, but a worker that
         // wakes late can find its whole batch expired: nothing to serve.
         if !batch.is_empty() {
-            serve_dispatch(inner, worker, &session, batch);
+            let (runner, workspace) = st.take_workspace(worker);
+            return Some((batch, runner, workspace));
         }
     }
 }
 
-/// The cross-request dynamic batcher. Blocks for work, anchors a batch on
-/// the scheduler's pick, then gathers compatible heads across the lanes,
-/// waiting for stragglers while the queue says the batching window is
-/// open. Returns `None` when the runtime is shutting down and the lanes
-/// are fully drained; the returned batch can be empty when the worker woke
-/// from its wait past every gathered deadline.
-fn next_dispatch(inner: &Inner) -> Option<Vec<Entry>> {
-    let mut st = lock(&inner.state);
-    let first = loop {
-        let (popped, freed) = st.pop(Instant::now());
-        wake_space(inner, freed);
-        if let Some(entry) = popped {
-            break entry;
-        }
-        if st.shutting_down() {
-            return None;
-        }
-        // Nothing is queued (`pop` retracts what expired and hands out
-        // anything live), so there is no deadline to wake for either.
-        // Parked, this worker lets a peer's batch seal without waiting
-        // for stragglers it would serve itself; the first idle worker
-        // wakes the peers waiting out a window so they can re-decide.
-        // No other worker is parked then, so idle workers never wake each
-        // other in a loop.
-        if st.park() {
-            inner.work.notify_all();
-        }
-        st = wait(&inner.work, st);
-        st.unpark();
-    };
-    let mut batch = vec![first];
-    loop {
-        let now = Instant::now();
-        let (next, freed) = st.gather(&mut batch, now);
-        wake_space(inner, freed);
-        match next {
-            Gathered::Seal => break,
-            Gathered::Again => {}
-            Gathered::Wait { until } => {
-                st = wait_timeout(&inner.work, st, until.saturating_duration_since(now));
-            }
-        }
-    }
-    // This worker may have consumed a submit's `notify_one` for an entry
-    // it is deliberately leaving queued. Re-signal so an idle worker picks
-    // it up instead of waiting out this whole dispatch.
-    if st.seal(&mut batch, Instant::now()) {
-        inner.work.notify_one();
-    }
-    drop(st);
-    Some(batch)
+/// Serve a request its blocking caller was handed
+/// ([`Admission::RunHere`]) on the caller's own thread. A panic in the
+/// forward stops here: [`ResolveOnPanic`] has already failed the ticket,
+/// ended the lease and replaced the lost workspace by the time it is
+/// caught, and the caller — an HTTP connection worker, say — goes on.
+fn run_here(inner: &Inner, lease: Box<Lease>, give_up: Option<Instant>) {
+    let Lease { entry, runner, workspace } = *lease;
+    let serve = AssertUnwindSafe(|| serve_dispatch(inner, vec![entry], runner, workspace, give_up));
+    // The panic already reached the panic hook, and its ticket names it.
+    let _ = std::panic::catch_unwind(serve);
 }
 
 /// On unwind — a panic inside the forward path — resolve every
 /// still-pending ticket of the dispatch with an error and account each
-/// one as failed: the worker thread dies, but no caller is left blocked
-/// forever and `stats.failed` stays exact (the rest of the pool keeps
-/// serving).
+/// one as failed, and hand the slot a fresh workspace: no caller is left
+/// blocked forever and `stats.failed` stays exact. A worker thread dies
+/// (the rest of the pool keeps serving); a caller's lease ends.
 struct ResolveOnPanic<'a> {
     inner: &'a Inner,
     entries: &'a [Entry],
+    runner: Runner,
 }
 
 impl Drop for ResolveOnPanic<'_> {
@@ -587,16 +661,22 @@ impl Drop for ResolveOnPanic<'_> {
         if !std::thread::panicking() {
             return;
         }
+        let message = if self.runner.here {
+            "the caller's forward panicked while serving this request"
+        } else {
+            "runtime worker panicked while serving this dispatch"
+        };
         // The panic came out of the forward path, so this thread does not
         // hold the state lock here.
-        lock(&self.inner.state)
-            .abandon(self.entries, "runtime worker panicked while serving this dispatch");
+        if lock(&self.inner.state).abandon(self.entries, message, self.runner) {
+            self.inner.work.notify_all();
+        }
     }
 }
 
 /// The injectable failure hook on the dispatch path. Unarmed (and in
 /// builds without the `faults` feature) this is free; armed, it can
-/// stall the worker, kill it mid-dispatch, or substitute an inference
+/// stall the dispatch, kill it mid-dispatch, or substitute an inference
 /// error — the raw material of the chaos suite.
 #[cfg(feature = "faults")]
 fn dispatch_fault() -> Option<TensorError> {
@@ -617,9 +697,17 @@ fn dispatch_fault() -> Option<TensorError> {
     None
 }
 
-/// Serve one coalesced batch through the worker's session, book it, and
-/// hand every caller its own slice of the response.
-fn serve_dispatch(inner: &Inner, worker: usize, session: &Session<'_, 'static>, batch: Vec<Entry>) {
+/// Serve one coalesced batch through a session over `workspace`, book it,
+/// and hand every caller its own slice of the response. Workers and
+/// blocking callers alike serve through here. `give_up` is a caller's own
+/// bound: a forward that ends past it is booked as discarded work.
+fn serve_dispatch(
+    inner: &Inner,
+    batch: Vec<Entry>,
+    runner: Runner,
+    workspace: Workspace,
+    give_up: Option<Instant>,
+) {
     let counts: Vec<usize> = batch.iter().map(|e| e.images.len()).collect();
     let total: usize = counts.iter().sum();
     let mut combined = Vec::with_capacity(total);
@@ -627,29 +715,38 @@ fn serve_dispatch(inner: &Inner, worker: usize, session: &Session<'_, 'static>, 
     for entry in &mut entries {
         combined.append(&mut entry.images);
     }
-    let _panic_guard = ResolveOnPanic { inner, entries: &entries };
+    let _panic_guard = ResolveOnPanic { inner, entries: &entries, runner };
     let mut request = SrRequest::batch(combined);
     if let Some(policy) = entries[0].tile {
         request = request.tile_policy(policy);
     }
+    let session = inner.engine.session_over(workspace);
     let sealed = Instant::now();
     let result = match dispatch_fault() {
         Some(injected) => Err(injected),
         None => session.infer(request),
     };
     let infer_done = Instant::now();
+    if give_up.is_some_and(|d| infer_done >= d) {
+        for entry in &entries {
+            entry.cell.abandon();
+        }
+    }
     let dispatch = Dispatch {
-        worker,
+        runner,
         served: result.is_ok(),
         images: total,
         sealed,
         infer_done,
         workspace_bytes: session.workspace_bytes(),
         op_profile: session.op_profile(),
+        workspace: session.into_workspace(),
     };
     // Booked before any ticket resolves: a caller that reads the stats
     // after its response finds it counted.
-    lock(&inner.state).complete(&entries, dispatch, Instant::now());
+    if lock(&inner.state).complete(&entries, dispatch, Instant::now()) {
+        inner.work.notify_all();
+    }
     match result {
         Ok(response) => {
             // Per-caller stats: own image count; the shared dispatch's
@@ -831,6 +928,33 @@ mod tests {
             stats.late_discarded, 1,
             "the abandoned response is counted as discarded work"
         );
+    }
+
+    #[test]
+    fn an_unrepresentable_timeout_is_no_bound() {
+        let runtime = Runtime::spawn(
+            small_engine(),
+            RuntimeConfig { workers: 1, ..RuntimeConfig::default() },
+        )
+        .unwrap();
+        // On the idle pool the caller runs the request itself.
+        let alone = runtime
+            .submit_wait_timeout(SrRequest::single(probe(8, 8, 80)), Duration::MAX)
+            .expect("accepted")
+            .expect("served");
+        assert_eq!(alone.images()[0].height(), 16);
+        assert_eq!(runtime.stats().caller_runs, 1);
+        // Behind a busy worker it queues, and its ticket wait is unbounded.
+        let heavy: Vec<Image> = (0..8).map(|i| probe(16, 16, 81 + i)).collect();
+        let busy = runtime.submit(SrRequest::batch(heavy)).unwrap();
+        let queued = runtime
+            .submit_wait_timeout(SrRequest::single(probe(8, 8, 90)), Duration::MAX)
+            .expect("accepted")
+            .expect("served");
+        assert_eq!(queued.images()[0].height(), 16);
+        assert!(busy.wait().is_ok());
+        let stats = runtime.shutdown();
+        assert_eq!((stats.completed, stats.failed, stats.late_discarded), (3, 0, 0));
     }
 
     #[test]

@@ -12,13 +12,16 @@ use std::time::{Duration, Instant};
 
 /// How long a blocking round trip ([`Ticket::wait_polling`]) polls its
 /// ticket, yielding the core between polls, before it sleeps on the
-/// condvar. A lone request's dispatch (batching window, forward, booking)
-/// usually resolves within it. A caller that slept on every request left
-/// its core idle between requests, and on a virtualised host waking an
-/// idle core costs more the busier the host is: serving throughput then
-/// followed the host's load rather than the work. A caller holding many
-/// tickets sleeps at once instead: while the workers are busy a poller
-/// would take a share of their cores.
+/// condvar. A lone request on a pool with an idle worker never gets here:
+/// its caller runs it on its own thread. What does is a request that was
+/// queued — behind other work, or with every worker busy — whose dispatch
+/// (batching window, forward, booking) usually resolves within this. A
+/// caller that slept on every such request left its core idle between
+/// requests, and on a virtualised host waking an idle core costs more the
+/// busier the host is: serving throughput then followed the host's load
+/// rather than the work. A caller holding many tickets sleeps at once
+/// instead: while the workers are busy a poller would take a share of
+/// their cores.
 const SPIN: Duration = Duration::from_millis(5);
 
 /// How a ticket resolves: the response, or a typed [`ServeError`].
@@ -148,14 +151,17 @@ impl Ticket {
     /// Block up to `timeout` for the response. On timeout the ticket is
     /// handed back so the caller can keep waiting (or drop it — the
     /// runtime still serves the request; the response is discarded at
-    /// resolution).
+    /// resolution). A `timeout` too long to represent as an `Instant`
+    /// (`Duration::MAX`) waits like [`Ticket::wait`].
     ///
     /// # Errors
     ///
     /// `Err(self)` on timeout; the inner `Result` is as in
     /// [`Ticket::wait`].
     pub fn wait_timeout(self, timeout: Duration) -> Result<ServeResult, Ticket> {
-        let deadline = Instant::now() + timeout;
+        let Some(deadline) = Instant::now().checked_add(timeout) else {
+            return Ok(self.wait());
+        };
         let mut slot = lock(&self.cell.slot);
         loop {
             if let Some(result) = slot.take() {
@@ -249,6 +255,18 @@ mod tests {
         };
         cell.resolve(Ok(empty_response()));
         assert!(ticket.wait_timeout(Duration::from_secs(5)).is_ok());
+    }
+
+    #[test]
+    fn an_unrepresentable_timeout_waits_without_bound() {
+        let cell = TicketCell::new();
+        let ticket = Ticket { cell: Arc::clone(&cell) };
+        let resolver = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(10));
+            cell.resolve(Ok(empty_response()));
+        });
+        assert!(matches!(ticket.wait_timeout(Duration::MAX), Ok(Ok(_))));
+        resolver.join().unwrap();
     }
 
     #[test]

@@ -232,7 +232,17 @@ impl<'m> Engine<'m> {
     /// client or per logical stream of requests.
     #[must_use]
     pub fn session(&self) -> crate::Session<'_, 'm> {
-        crate::Session::over(self)
+        crate::Session::over(self, crate::Workspace::new())
+    }
+
+    /// Open a session that serves through `workspace` — typically one a
+    /// finished session gave back ([`Session::into_workspace`](crate::Session::into_workspace)),
+    /// so its arenas, plan cache and profiler setting carry over to the
+    /// next stream. The workspace must have served only this engine's
+    /// network (or nothing yet).
+    #[must_use]
+    pub fn session_over(&self, workspace: crate::Workspace) -> crate::Session<'_, 'm> {
+        crate::Session::over(self, workspace)
     }
 
     /// Upscaling factor of the served model.

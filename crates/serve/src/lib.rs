@@ -54,6 +54,6 @@ pub use request::{InferStats, SrRequest, SrResponse};
 pub use session::Session;
 pub use tile::{TilePolicy, TileSpec};
 
-// The model handle the engine is generic over, re-exported so `use
-// scales_serve::*` is self-contained.
-pub use scales_models::InferModel;
+// The model handle the engine is generic over and the workspace a session
+// serves through, re-exported so `use scales_serve::*` is self-contained.
+pub use scales_models::{InferModel, Workspace};

@@ -61,10 +61,12 @@ impl SrRequest {
     }
 
     /// Give this request a deadline relative to now. See
-    /// [`deadline_at`](Self::deadline_at).
+    /// [`deadline_at`](Self::deadline_at). A budget too far out to
+    /// represent as an `Instant` (`Duration::MAX`) is no deadline at all.
     #[must_use]
-    pub fn deadline_in(self, budget: Duration) -> Self {
-        self.deadline_at(Instant::now() + budget)
+    pub fn deadline_in(mut self, budget: Duration) -> Self {
+        self.deadline = Instant::now().checked_add(budget);
+        self
     }
 
     /// The requested images.
@@ -172,5 +174,22 @@ impl SrResponse {
     #[must_use]
     pub fn stats(&self) -> InferStats {
         self.stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_budget_past_the_clock_is_no_deadline() {
+        let request = SrRequest::single(Image::zeros(2, 2));
+        assert_eq!(request.clone().deadline_in(Duration::MAX).deadline(), None);
+        // It also lifts a deadline set before it.
+        let lifted = request.clone().deadline_at(Instant::now()).deadline_in(Duration::MAX);
+        assert_eq!(lifted.deadline(), None);
+        let before = Instant::now();
+        let bounded = request.deadline_in(Duration::from_secs(1)).deadline().expect("bounded");
+        assert!(bounded >= before + Duration::from_secs(1));
     }
 }

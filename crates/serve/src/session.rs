@@ -23,13 +23,20 @@ pub struct Session<'e, 'm> {
 }
 
 impl<'e, 'm> Session<'e, 'm> {
-    pub(crate) fn over(engine: &'e Engine<'m>) -> Self {
+    pub(crate) fn over(engine: &'e Engine<'m>, workspace: Workspace) -> Self {
         Self {
             engine,
             requests: Cell::new(0),
             images_served: Cell::new(0),
-            workspace: RefCell::new(Workspace::new()),
+            workspace: RefCell::new(workspace),
         }
+    }
+
+    /// End the session and hand its workspace back, for
+    /// [`Engine::session_over`] to open the next one on.
+    #[must_use]
+    pub fn into_workspace(self) -> Workspace {
+        self.workspace.into_inner()
     }
 
     /// The engine this session serves through.
@@ -447,6 +454,24 @@ mod tests {
         let stats = training.session().infer(SrRequest::single(probe_image(8, 8, 75))).unwrap();
         assert_eq!(stats.stats().plans_built, 0);
         assert_eq!(stats.stats().plan_reuses, 0);
+    }
+
+    #[test]
+    fn a_handed_over_workspace_keeps_its_plans_and_profiler() {
+        let net = local_net();
+        let engine =
+            Engine::builder().model_ref(&net).precision(Precision::Deployed).build().unwrap();
+        let session = engine.session();
+        session.set_profiling(true);
+        let first = session.infer(SrRequest::single(probe_image(8, 8, 76))).unwrap();
+        assert_eq!(first.stats().plans_built, 1);
+        let bytes = session.workspace_bytes();
+        let next = engine.session_over(session.into_workspace());
+        assert_eq!(next.workspace_bytes(), bytes, "arenas and plans moved over");
+        let second = next.infer(SrRequest::single(probe_image(8, 8, 77))).unwrap();
+        assert_eq!((second.stats().plans_built, second.stats().plan_reuses), (0, 1));
+        assert!(next.op_profile().total_ns() > 0, "the profiler setting carried over");
+        assert_eq!(next.requests(), 1, "serving counters are the session's own");
     }
 
     #[test]

@@ -129,6 +129,52 @@ fn a_worker_panic_mid_dispatch_resolves_its_ticket_and_service_continues() {
     });
 }
 
+/// A forward its blocking caller runs on its own thread panics: the caller
+/// is answered with a typed failure naming the panic instead of
+/// unwinding, the failure is booked once, and both paths keep serving —
+/// the next lone blocking request runs on its caller again, and async
+/// submits wake the workers.
+#[test]
+fn a_caller_run_forward_that_panics_fails_its_request_and_the_caller_goes_on() {
+    let _chaos = chaos_lock();
+    with_watchdog(120, "caller-run-panic", || {
+        let runtime = Runtime::spawn(
+            engine(33),
+            RuntimeConfig { workers: 2, max_wait: Duration::ZERO, ..RuntimeConfig::default() },
+        )
+        .unwrap();
+        let _fault = faults::arm_times("runtime.dispatch", FaultAction::Panic, 1);
+        let timeout = Duration::from_secs(60);
+        match runtime.submit_wait_timeout(SrRequest::single(probe(6, 6, 3_300)), timeout) {
+            Ok(Err(e)) => assert!(e.to_string().contains("panicked"), "names the panic: {e}"),
+            other => panic!("expected the typed failure, got {:?}", other.map(|r| r.map(|_| ()))),
+        }
+        assert_eq!(faults::hits("runtime.dispatch"), 1);
+        // This thread ran the forward, and it is still here.
+        let stats = runtime.stats();
+        assert_eq!(stats.caller_runs, 1, "an idle pool hands a lone request to its caller");
+        assert_eq!((stats.submitted, stats.completed, stats.failed), (1, 0, 1));
+        assert_eq!(stats.queue_depth, 0);
+
+        let served = runtime
+            .submit_wait_timeout(SrRequest::single(probe(6, 6, 3_301)), timeout)
+            .expect("accepted")
+            .expect("the caller path serves again");
+        assert_eq!(served.images()[0].height(), 12);
+        assert_eq!(runtime.stats().caller_runs, 2);
+        let tickets: Vec<Ticket> = (0..2)
+            .map(|i| runtime.submit(SrRequest::single(probe(6, 6, 3_302 + i))).unwrap())
+            .collect();
+        for ticket in tickets {
+            assert!(ticket.wait().is_ok(), "the workers serve after the caller's panic");
+        }
+        let stats = runtime.shutdown();
+        assert_eq!((stats.submitted, stats.completed, stats.failed), (4, 3, 1));
+        assert_eq!(stats.caller_runs, 2, "async submits never run on their caller");
+        assert_eq!(stats.queue_depth, 0);
+    });
+}
+
 /// A bounded admission wait against a wedged queue: with the one worker
 /// stalled inside a dispatch and the one queue slot taken, a
 /// `submit_wait_timeout` blocked for space gives up with a typed

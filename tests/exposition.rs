@@ -263,6 +263,7 @@ const MODEL_ALWAYS: &[(&str, &str, &[&str])] = &[
     ("scales_model_requests_coalesced_total", "counter", &["model"]),
     ("scales_model_busy_seconds_total", "counter", &["model"]),
     ("scales_model_late_discarded_total", "counter", &["model"]),
+    ("scales_model_caller_runs_total", "counter", &["model"]),
     ("scales_model_workers", "gauge", &["model"]),
     ("scales_model_max_batch", "gauge", &["model"]),
     ("scales_model_queue_depth", "gauge", &["model"]),

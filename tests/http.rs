@@ -249,6 +249,36 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     });
 }
 
+/// Timeouts too long to represent as an instant are no bound at all: a
+/// server configured with `Duration::MAX` for both serves requests,
+/// keeps an idle connection open past the idle poll, and still drains
+/// on shutdown.
+#[test]
+fn unrepresentable_timeouts_serve_a_keep_alive_round_trip() {
+    with_watchdog(120, "max-timeouts", || {
+        let router = one_model(14, RuntimeConfig { workers: 2, ..RuntimeConfig::default() });
+        let config = HttpConfig {
+            read_timeout: Duration::MAX,
+            request_timeout: Duration::MAX,
+            ..HttpConfig::default()
+        };
+        let server = HttpServer::bind_router("127.0.0.1:0", router, config).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let posted = encode_image(&probe(9, 9, 2), WireFormat::Ppm).unwrap();
+        for _ in 0..2 {
+            stream.write_all(&post_image("/v1/upscale", WireFormat::Ppm, &posted)).unwrap();
+            let (status, headers, body) = read_response(&mut stream);
+            assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+            assert_eq!(header(&headers, "connection"), Some("keep-alive"));
+            // Idle past the keep-alive poll, into the idle-deadline loop.
+            std::thread::sleep(Duration::from_millis(120));
+        }
+        let stats = server.shutdown();
+        assert_eq!((stats.completed, stats.failed), (2, 0));
+    });
+}
+
 #[test]
 fn expect_continue_gets_the_interim_response() {
     with_watchdog(120, "expect-continue", || {

@@ -156,6 +156,32 @@ fn runtime_matches_serial_session_bitwise_across_the_method_registry() {
                 assert_eq!(stats.completed, 4, "{label}");
                 assert_eq!(stats.images, 6, "{label}");
                 assert_eq!(stats.failed, 0, "{label}");
+                // The same requests once more, one at a time through the
+                // blocking path on an idle pool: each one runs on this
+                // thread, through the same dispatch a worker runs.
+                let runtime = Runtime::spawn(
+                    engine_for(method, be, 1234),
+                    RuntimeConfig {
+                        workers: 2,
+                        max_wait: Duration::from_millis(5),
+                        ..RuntimeConfig::default()
+                    },
+                )
+                .unwrap();
+                for (request, want) in requests.iter().zip(&want) {
+                    let response = runtime
+                        .submit_wait_timeout(request.clone(), Duration::from_secs(60))
+                        .expect("accepted")
+                        .expect("served");
+                    let here = format!("{label}, run here");
+                    assert_images_bit_identical(response.images(), want, &here);
+                    assert_eq!(response.stats().backend, be, "{label}");
+                }
+                let stats = runtime.shutdown();
+                assert_ledger_closes(&stats);
+                assert_eq!((stats.completed, stats.failed), (4, 0), "{label}");
+                assert_eq!(stats.caller_runs, 4, "{label}: every request ran on its caller");
+                assert_eq!(stats.dispatches, 4, "{label}");
             }
         }
     });
