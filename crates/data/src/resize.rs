@@ -1,6 +1,17 @@
 //! Bicubic resampling with the Keys kernel (a = −0.5) and edge clamping —
 //! both the LR-generation pipeline (HR → ÷scale) and the paper's "Bicubic"
-//! baseline row (LR → ×scale).
+//! baseline row (LR → ×scale), and the full-precision global skip every
+//! deployed model adds to its binary body.
+//!
+//! The separable kernel runs a horizontal pass, then a vertical one, and
+//! both are the same row resample: an output row is the span-ordered sum
+//! of whole source rows times their weights, so the inner loop walks
+//! contiguous memory and vectorises. The horizontal pass gets rows to walk
+//! by transposing the input first (and its result back). Each output
+//! element still starts from `0.0` and adds `x · w` over its taps in span
+//! order, one IEEE multiply and one add each (no `mul_add`) — exactly the
+//! per-element loop the kernel used to be, so the two agree under
+//! `to_bits` (`tests/kernels.rs` holds that loop as its reference).
 
 use crate::image::Image;
 use scales_tensor::{Result, Tensor, TensorError};
@@ -38,11 +49,20 @@ impl BicubicAxisTaps {
     /// under the align-corners-false pixel model
     /// (`src = (dst + 0.5)·scale − 0.5`), with clamped edges and PIL-style
     /// widened support (anti-aliasing) when downscaling.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `in_extent` is zero and `out_extent` is not: an output
+    /// needs at least one source sample to clamp onto. The resize entry
+    /// points reject a zero-extent input with a typed error first.
     #[must_use]
     pub fn new(in_extent: usize, out_extent: usize) -> Self {
+        assert!(in_extent > 0 || out_extent == 0, "bicubic taps need a source sample: {in_extent} -> {out_extent}");
         let scale = in_extent as f32 / out_extent as f32;
         let support = scale.max(1.0);
-        let mut taps = Vec::new();
+        // Each output reads the sources inside the kernel's open support,
+        // 4·support wide: at most ⌈4·support⌉ of them.
+        let mut taps = Vec::with_capacity(out_extent * (4.0 * support).ceil() as usize);
         let mut spans = Vec::with_capacity(out_extent);
         for o in 0..out_extent {
             let src = (o as f32 + 0.5) * scale - 0.5;
@@ -97,7 +117,8 @@ impl BicubicAxisTaps {
 ///
 /// # Errors
 ///
-/// Returns an error for non-rank-3 input or zero target extents.
+/// Returns an error for non-rank-3 input, an input with a zero extent, or
+/// zero target extents.
 pub fn resize_bicubic_tensor(input: &Tensor, out_h: usize, out_w: usize) -> Result<Tensor> {
     if input.rank() != 3 {
         return Err(TensorError::RankMismatch { expected: 3, actual: input.rank(), op: "resize" });
@@ -106,19 +127,23 @@ pub fn resize_bicubic_tensor(input: &Tensor, out_h: usize, out_w: usize) -> Resu
         return Err(TensorError::InvalidArgument("target extent must be positive".into()));
     }
     let (c, h, w) = (input.shape()[0], input.shape()[1], input.shape()[2]);
+    if h == 0 || w == 0 {
+        return Err(TensorError::InvalidArgument(format!("cannot resample a {h}x{w} input")));
+    }
     let xtaps = BicubicAxisTaps::new(w, out_w);
-    let ytaps = BicubicAxisTaps::new(h, out_h);
-    let mut tmp = vec![0.0f32; c * h * out_w];
+    // A square resize reads the same taps along both axes.
+    let ytaps = ((h, out_h) != (w, out_w)).then(|| BicubicAxisTaps::new(h, out_h));
+    let ytaps = ytaps.as_ref().unwrap_or(&xtaps);
     let mut out = Tensor::zeros(&[c, out_h, out_w]);
-    resize_bicubic_passes(input.data(), c, h, w, &xtaps, &ytaps, &mut tmp, out.data_mut());
+    resize_bicubic_into(input.data(), c, h, w, &xtaps, ytaps, &mut Vec::new(), out.data_mut())?;
     Ok(out)
 }
 
 /// The zero-allocation core of [`resize_bicubic_tensor`]: resample a flat
 /// `[c, h, w]` volume into a caller-provided `[c, out_h, out_w]` buffer
-/// (fully overwritten) through precomputed axis taps, staging the
-/// horizontal pass in a reusable grow-only buffer. Bit-identical to the
-/// allocating path.
+/// (fully overwritten) through precomputed axis taps, staging the passes
+/// in a reusable grow-only buffer of `c·h·(out_w + max(w, out_w))` floats.
+/// Bit-identical to the allocating path.
 ///
 /// # Errors
 ///
@@ -131,7 +156,7 @@ pub fn resize_bicubic_into(
     w: usize,
     xtaps: &BicubicAxisTaps,
     ytaps: &BicubicAxisTaps,
-    tmp: &mut Vec<f32>,
+    stage: &mut Vec<f32>,
     out: &mut [f32],
 ) -> Result<()> {
     let (out_h, out_w) = (ytaps.out_extent(), xtaps.out_extent());
@@ -141,14 +166,25 @@ pub fn resize_bicubic_into(
     if out.len() != c * out_h * out_w {
         return Err(TensorError::LengthMismatch { expected: c * out_h * out_w, actual: out.len() });
     }
-    let tmpbuf = scales_tensor::workspace::sized(tmp, c * h * out_w);
-    resize_bicubic_passes(input, c, h, w, xtaps, ytaps, tmpbuf, out);
+    let stage = scales_tensor::workspace::sized(stage, c * h * (out_w + w.max(out_w)));
+    resize_bicubic_passes(input, c, h, w, xtaps, ytaps, stage, out);
     Ok(())
 }
 
-/// Shared separable-resample kernel: horizontal pass into `tmp`
-/// (`[c, h, out_w]`), vertical pass into `out` (`[c, out_h, out_w]`).
-/// Each output element accumulates its taps in span order.
+/// The separable resample kernel. The horizontal pass resamples the
+/// rows of the input's transpose — `[c, h, w]` read as a `(c·h) × w`
+/// matrix, so its `w` rows are input columns across every plane at once
+/// — and transposes its `[out_w, c·h]` result back to `[c, h, out_w]`;
+/// the vertical pass resamples each plane's rows straight into `out`.
+/// `stage` holds the horizontal result and, one after the other, the two
+/// transposes.
+///
+/// Loop order is the only change from the per-element loop: every output
+/// element is still `acc = 0.0`, then `acc += x_k · w_k` over its span in
+/// order, each product rounded before its add (Rust never contracts
+/// `a * b + c` into an FMA, and no `mul_add` is written), in each pass.
+/// One element's sequence of roundings is unchanged, so its bits are too —
+/// NaN, infinities, `−0.0` and subnormals included.
 #[allow(clippy::too_many_arguments)]
 fn resize_bicubic_passes(
     input: &[f32],
@@ -157,34 +193,66 @@ fn resize_bicubic_passes(
     w: usize,
     xtaps: &BicubicAxisTaps,
     ytaps: &BicubicAxisTaps,
-    tmp: &mut [f32],
+    stage: &mut [f32],
     out: &mut [f32],
 ) {
     let (out_h, out_w) = (ytaps.out_extent(), xtaps.out_extent());
-    for ox in 0..out_w {
-        let taps = xtaps.taps_for(ox);
-        for ci in 0..c {
-            for y in 0..h {
-                let row = &input[(ci * h + y) * w..(ci * h + y + 1) * w];
-                let mut acc = 0.0;
-                for &(xi, wgt) in taps {
-                    acc += row[xi] * wgt;
-                }
-                tmp[(ci * h + y) * out_w + ox] = acc;
+    // The input's transpose is dead once the horizontal pass has read it,
+    // so the result's transpose back takes its place.
+    let (wide_columns, reused) = stage.split_at_mut(c * h * out_w);
+    let columns = &mut reused[..c * h * w];
+    transpose(input, c * h, w, columns);
+    resample_rows(columns, c * h, xtaps, wide_columns);
+    let wide = &mut reused[..c * h * out_w];
+    transpose(wide_columns, out_w, c * h, wide);
+    for ci in 0..c {
+        let plane = &wide[ci * h * out_w..(ci + 1) * h * out_w];
+        resample_rows(plane, out_w, ytaps, &mut out[ci * out_h * out_w..(ci + 1) * out_h * out_w]);
+    }
+}
+
+/// `dst` (`[rows, cols]` → `[cols, rows]`) = the transpose of `src`.
+fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    for r in 0..rows {
+        for (col, &v) in src[r * cols..(r + 1) * cols].iter().enumerate() {
+            dst[col * rows + r] = v;
+        }
+    }
+}
+
+/// Output row `o` of `dst` (rows of `len`) = Σ over `o`'s taps of source
+/// row `index` of `src` times `weight`, folded into the row from `0.0`
+/// in span order, up to four taps per sweep over the row. Every output
+/// has a tap (its nearest source weighs `cubic_kernel(x ≤ 0.5) > 0`), so
+/// every row is written.
+fn resample_rows(src: &[f32], len: usize, taps: &BicubicAxisTaps, dst: &mut [f32]) {
+    for o in 0..taps.out_extent() {
+        let row = &mut dst[o * len..(o + 1) * len];
+        for (i, chunk) in taps.taps_for(o).chunks(4).enumerate() {
+            let first = i == 0;
+            match *chunk {
+                [a, b, c, d] => fold(row, src, [a, b, c, d], first),
+                [a, b, c] => fold(row, src, [a, b, c], first),
+                [a, b] => fold(row, src, [a, b], first),
+                [a] => fold(row, src, [a], first),
+                _ => unreachable!("chunks(4) yields 1 to 4 taps"),
             }
         }
     }
-    for oy in 0..out_h {
-        let taps = ytaps.taps_for(oy);
-        for ci in 0..c {
-            for ox in 0..out_w {
-                let mut acc = 0.0;
-                for &(yi, wgt) in taps {
-                    acc += tmp[(ci * h + yi) * out_w + ox] * wgt;
-                }
-                out[(ci * out_h + oy) * out_w + ox] = acc;
-            }
+}
+
+/// `row[j] += src_row_k[j] · w_k` for the `N` taps in order, every element
+/// carried through all `N` adds in a register.
+#[inline(always)]
+fn fold<const N: usize>(row: &mut [f32], src: &[f32], taps: [(usize, f32); N], first: bool) {
+    let len = row.len();
+    let lines = taps.map(|(index, _)| &src[index * len..][..len]);
+    for (j, out) in row.iter_mut().enumerate() {
+        let mut acc = if first { 0.0 } else { *out };
+        for (line, &(_, weight)) in lines.iter().zip(&taps) {
+            acc += line[j] * weight;
         }
+        *out = acc;
     }
 }
 
@@ -218,12 +286,17 @@ pub fn downscale(image: &Image, scale: usize) -> Result<Image> {
 ///
 /// # Errors
 ///
-/// Returns an error for a zero factor.
+/// Returns an error for a zero factor, or one whose output extents
+/// overflow `usize`.
 pub fn upscale(image: &Image, scale: usize) -> Result<Image> {
     if scale == 0 {
         return Err(TensorError::InvalidArgument("scale must be positive".into()));
     }
-    resize_bicubic(image, image.height() * scale, image.width() * scale)
+    let (h, w) = (image.height(), image.width());
+    match (h.checked_mul(scale), w.checked_mul(scale)) {
+        (Some(out_h), Some(out_w)) => resize_bicubic(image, out_h, out_w),
+        _ => Err(TensorError::InvalidArgument(format!("{h}x{w} upscaled by {scale} overflows"))),
+    }
 }
 
 #[cfg(test)]
@@ -307,5 +380,42 @@ mod tests {
         let img = Image::zeros(9, 9);
         assert!(downscale(&img, 2).is_err());
         assert!(upscale(&img, 0).is_err());
+    }
+
+    #[test]
+    fn an_upscale_whose_extents_overflow_is_a_typed_error() {
+        // 3 · (usize::MAX / 3 + 2) wraps to 5 without the checked product.
+        let img = Image::zeros(3, 3);
+        for scale in [usize::MAX / 3 + 2, usize::MAX] {
+            assert!(matches!(upscale(&img, scale), Err(TensorError::InvalidArgument(_))), "scale {scale}");
+        }
+        let wide = Image::from_tensor(Tensor::zeros(&[3, 1, 3])).unwrap();
+        assert!(matches!(upscale(&wide, usize::MAX / 2), Err(TensorError::InvalidArgument(_))));
+    }
+
+    #[test]
+    fn a_zero_extent_input_is_a_typed_error() {
+        for shape in [[3, 0, 4], [3, 4, 0], [1, 0, 0]] {
+            let input = Tensor::zeros(&shape);
+            assert!(
+                matches!(resize_bicubic_tensor(&input, 2, 2), Err(TensorError::InvalidArgument(_))),
+                "{shape:?}"
+            );
+        }
+        let empty = Image::from_tensor(Tensor::zeros(&[3, 0, 4])).unwrap();
+        assert!(matches!(resize_bicubic(&empty, 2, 2), Err(TensorError::InvalidArgument(_))));
+        assert!(matches!(upscale(&empty, 2), Err(TensorError::InvalidArgument(_))));
+    }
+
+    #[test]
+    fn axis_taps_for_an_empty_output_need_no_source() {
+        assert_eq!(BicubicAxisTaps::new(0, 0).out_extent(), 0);
+        assert_eq!(BicubicAxisTaps::new(5, 0).out_extent(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "bicubic taps need a source sample")]
+    fn axis_taps_without_a_source_sample_panic_with_their_precondition() {
+        let _ = BicubicAxisTaps::new(0, 2);
     }
 }

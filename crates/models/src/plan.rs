@@ -304,20 +304,19 @@ impl Plan {
             DeployedOp::PixelShuffle { factor, src } => {
                 let [n, cin, h, w] = self.shapes[*src];
                 let r = *factor;
-                let cout = cin / (r * r);
+                let plane = h * w;
                 let data = self.value(input, slots, *src);
-                for b in 0..n {
-                    for co in 0..cout {
+                // Output row `y·r + ry` of plane `b·cout + co` interleaves
+                // row `y` of the `r` input planes `(b·cout + co)·r² + ry·r + rx`;
+                // each output row is written front to back.
+                for bc in 0..n * cin / (r * r) {
+                    for y in 0..h {
                         for ry in 0..r {
-                            for rx in 0..r {
-                                let ci = co * r * r + ry * r + rx;
-                                for y in 0..h {
-                                    let srow = ((b * cin + ci) * h + y) * w;
-                                    let obase =
-                                        ((b * cout + co) * (h * r) + y * r + ry) * (w * r) + rx;
-                                    for x in 0..w {
-                                        out[obase + x * r] = data[srow + x];
-                                    }
+                            let first = (bc * r * r + ry * r) * plane + y * w;
+                            let row = ((bc * h + y) * r + ry) * w * r;
+                            for (x, pixel) in out[row..row + w * r].chunks_exact_mut(r).enumerate() {
+                                for (rx, v) in pixel.iter_mut().enumerate() {
+                                    *v = data[first + rx * plane + x];
                                 }
                             }
                         }

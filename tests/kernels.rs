@@ -25,7 +25,7 @@ use proptest::prelude::*;
 use scales::autograd::Var;
 use scales::binary::{BinaryConv2d, Fused, SignShift};
 use scales::core::{DeployedScalesConv2d, FloatConv2d, ScalesComponents, ScalesConv2d};
-use scales::data::resize_bicubic_tensor;
+use scales::data::{resize_bicubic_into, resize_bicubic_tensor, BicubicAxisTaps};
 use scales::models::deploy::DeployedChannelAttention;
 use scales::models::{DeployedNetworkBuilder, DeployedOp, Workspace};
 use scales::nn::init::rng;
@@ -572,6 +572,7 @@ fn graph_ops_match_their_tensor_level_formulation_in_both_executors() {
         ("pixel_shuffle", vec![DeployedOp::PixelShuffle { factor: 2, src: 0 }], pixel_shuffle(&x, 2).unwrap()),
         ("bicubic x2", vec![DeployedOp::BicubicUp { scale: 2, src: 0 }], bicubic(2)),
         ("bicubic x3", vec![DeployedOp::BicubicUp { scale: 3, src: 0 }], bicubic(3)),
+        ("bicubic x4", vec![DeployedOp::BicubicUp { scale: 4, src: 0 }], bicubic(4)),
         (
             "channel_attention",
             vec![DeployedOp::ChannelAttention { ca: DeployedChannelAttention::new(down(), up()), src: 0 }],
@@ -584,6 +585,120 @@ fn graph_ops_match_their_tensor_level_formulation_in_both_executors() {
             assert_eq!(float_bits(got.data()), float_bits(want.data()), "{label}, {executor}");
         }
     }
+
+    // Factor 3 needs a channel count divisible by 9.
+    let x9 = Tensor::from_vec(data.hostile_values(n * 18 * h * w), &[n, 18, h, w]).unwrap();
+    let want = pixel_shuffle(&x9, 3).unwrap();
+    for (executor, got) in in_both_executors(vec![DeployedOp::PixelShuffle { factor: 3, src: 0 }], &x9) {
+        assert_eq!(got.shape(), want.shape(), "pixel_shuffle x3, {executor}");
+        assert_eq!(float_bits(got.data()), float_bits(want.data()), "pixel_shuffle x3, {executor}");
+    }
+}
+
+/// The bicubic resample as the per-element loop it was written as: a
+/// horizontal pass, then a vertical one, each output element starting
+/// from `0.0` and adding `x · w` over its taps in span order. The
+/// shipped kernel reorders the loops around that sequence, never the
+/// sequence, so it has to agree bit for bit.
+fn bicubic_reference(input: &[f32], c: usize, h: usize, w: usize, out_h: usize, out_w: usize) -> Vec<f32> {
+    let (xtaps, ytaps) = (BicubicAxisTaps::new(w, out_w), BicubicAxisTaps::new(h, out_h));
+    let mut tmp = vec![0.0f32; c * h * out_w];
+    for ci in 0..c {
+        for y in 0..h {
+            for ox in 0..out_w {
+                let mut acc = 0.0;
+                for &(xi, wgt) in xtaps.taps_for(ox) {
+                    acc += input[(ci * h + y) * w + xi] * wgt;
+                }
+                tmp[(ci * h + y) * out_w + ox] = acc;
+            }
+        }
+    }
+    let mut out = vec![0.0f32; c * out_h * out_w];
+    for ci in 0..c {
+        for oy in 0..out_h {
+            for ox in 0..out_w {
+                let mut acc = 0.0;
+                for &(yi, wgt) in ytaps.taps_for(oy) {
+                    acc += tmp[(ci * h + yi) * out_w + ox] * wgt;
+                }
+                out[(ci * out_h + oy) * out_w + ox] = acc;
+            }
+        }
+    }
+    out
+}
+
+/// Resampler inputs: [`Stream::values`] salted with `−0.0` and
+/// subnormals of either sign, plus up to two non-finite samples (more
+/// would turn most of the output into NaN and hide the finite lanes).
+/// `tiny` scales everything down to the subnormal range first, so sums
+/// of subnormals are exercised too.
+fn resample_values(data: &mut Stream, n: usize, tiny: bool) -> Vec<f32> {
+    let mut values = data.values(n);
+    for v in &mut values {
+        if tiny {
+            *v *= f32::MIN_POSITIVE;
+        }
+        match data.next() % 32 {
+            0 => *v = -0.0,
+            1 => *v = f32::from_bits(1 + (data.next() % 0x7F_FFFF) as u32) * if data.next() & 1 == 0 { 1.0 } else { -1.0 },
+            _ => {}
+        }
+    }
+    for _ in 0..data.next() % 3 {
+        let i = (data.next() % n as u64) as usize;
+        values[i] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][(data.next() % 3) as usize];
+    }
+    values
+}
+
+/// The shipped resampler — `resize_bicubic_tensor`, and
+/// `resize_bicubic_into` on a stale staging buffer — against
+/// [`bicubic_reference`], bit for bit (NaN by NaN-ness): 1 to 8 channels,
+/// extents 1 to 48 (both extremes, square and non-square, every ragged
+/// vector tail in between), ×2 / ×3 / ×4 upscales, arbitrary ratios, and
+/// downscales, which widen the kernel's support; on values with `−0.0`,
+/// subnormals, ±inf and NaN.
+///
+/// Hand mutants of the kernel's fold, each killed: `mul_add` instead of
+/// `+= x · w` (at ×2), the taps folded in reverse (at ×2), accumulation
+/// from `−0.0` instead of `0.0` (at ×3, where one-tap outputs keep a
+/// `−0.0` sample's sign).
+#[test]
+fn bicubic_resample_matches_the_per_element_loop_bit_for_bit() {
+    let mut data = Stream(23);
+    let mut cases = 0;
+    for mode in 0..5usize {
+        let mut shapes: Vec<(usize, usize, usize)> = vec![(1, 1, 1), (3, 1, 48), (2, 48, 1), (8, 48, 48), (3, 17, 17)];
+        for _ in 0..12 {
+            let c = 1 + (data.next() % 8) as usize;
+            shapes.push((c, 1 + (data.next() % 48) as usize, 1 + (data.next() % 48) as usize));
+        }
+        for (i, (c, h, w)) in shapes.into_iter().enumerate() {
+            let (out_h, out_w) = match mode {
+                0..=2 => (h * (mode + 2), w * (mode + 2)),
+                3 => (1 + (data.next() % 96) as usize, 1 + (data.next() % 96) as usize),
+                _ => (1 + (data.next() % h as u64) as usize, 1 + (data.next() % w as u64) as usize),
+            };
+            let input = resample_values(&mut data, c * h * w, i % 4 == 3);
+            let want = float_bits(&bicubic_reference(&input, c, h, w, out_h, out_w));
+            let label = format!("c={c} {h}x{w} -> {out_h}x{out_w}");
+
+            let tensor = Tensor::from_vec(input.clone(), &[c, h, w]).unwrap();
+            let got = resize_bicubic_tensor(&tensor, out_h, out_w).unwrap();
+            assert_eq!(got.shape(), &[c, out_h, out_w], "{label}");
+            assert_eq!(float_bits(got.data()), want, "resize_bicubic_tensor {label}");
+
+            let (xtaps, ytaps) = (BicubicAxisTaps::new(w, out_w), BicubicAxisTaps::new(h, out_h));
+            let mut stage = vec![f32::NAN; 7 + (data.next() % 5000) as usize];
+            let mut out = vec![f32::NAN; c * out_h * out_w];
+            resize_bicubic_into(&input, c, h, w, &xtaps, &ytaps, &mut stage, &mut out).unwrap();
+            assert_eq!(float_bits(&out), want, "resize_bicubic_into {label}");
+            cases += 1;
+        }
+    }
+    assert_eq!(cases, 85);
 }
 
 /// The deployed SCALES layer's fused `forward_into` — and `forward`, the
