@@ -28,19 +28,56 @@
 //! headers and the samples there, and runs Adler-32 and each chunk's
 //! CRC-32 over the bytes already in place; PPM appends the samples to
 //! its header. The test module keeps the per-pixel encoder they
-//! replaced and checks the two byte for byte; `tests/codec_alloc.rs`
-//! counts the allocations.
+//! replaced, with its own quantize, CRC-32 and Adler-32, and checks the
+//! two byte for byte; `tests/codec_alloc.rs` counts the allocations.
+//!
+//! The PNG decoder is row-wise too. Each chunk's CRC runs over its type
+//! and then its data where they lie; a stream in one IDAT chunk (every
+//! stream this encoder writes) inflates straight from that chunk, and
+//! only a stream split over several is joined first. The scanline
+//! filters are undone in place in the inflated buffer, the filter type
+//! resolved once per row (None is no work at all; on row 0 Up is None
+//! and Paeth is Sub; a row's first pixel, which has no left neighbour,
+//! is done before the loop over the rest), and each row is then
+//! de-interleaved into the contiguous rows of the planes through a
+//! 256-entry dequantization table. A single-IDAT decode allocates three
+//! times at any extent: the inflated rows, the image data and its shape.
 //!
 //! Quantization is the shared 8-bit protocol of [`Image::save_pnm`]:
-//! `round(clamp(v, 0, 1) × 255)` on encode, `v / 255` on decode — so
-//! `decode(encode(x))` is **bit-exact** for any image whose values are
-//! already 8-bit quantized, and `encode(decode(bytes))` reproduces a
-//! valid wire image byte for byte (the loopback contract `tests/http.rs`
-//! pins across a real TCP socket).
+//! `round(clamp(v, 0, 1) × 255)`, halves away from zero, on encode,
+//! `v / 255` on decode — so `decode(encode(x))` is **bit-exact** for any
+//! image whose values are already 8-bit quantized, and
+//! `encode(decode(bytes))` reproduces a valid wire image byte for byte
+//! (the loopback contract `tests/http.rs` pins across a real TCP
+//! socket). The encoder computes it without a rounding call (on the
+//! baseline x86-64 target, with no SSE4.1, that is a libm `roundf` call
+//! per sample):
+//!
+//! * `x = min(max(v, 0), 1) × 255` lies in `[0, 255]` (`max` maps NaN
+//!   to 0);
+//! * `x + 2²³` lands where consecutive `f32`s are exactly 1 apart, so
+//!   the addition rounds `x` to an integer, half to even, and the sum's
+//!   low mantissa byte is that integer;
+//! * half to even and half away from zero differ only on an exact tie
+//!   rounded down, which `x − (sum − 2²³) == 0.5` detects. Both
+//!   subtractions are exact: each pair of operands lies within a factor
+//!   of two of each other (Sterbenz), or one of them is 0.
+//!
+//! All of it is float adds, a compare and a bit cast, so the encoders'
+//! row loops vectorise. `tests/codecs.rs` checks it against the rounding
+//! call for every one of the 2³² `f32` bit patterns (optimised builds).
+//! Decode reads `f32::from(v) / 255.0` from a table built at compile
+//! time.
+//!
+//! The chunk CRC-32 is table-driven slicing-by-16 (Kounavis & Berry,
+//! 2005): sixteen 256-entry tables, each the classic byte table shifted
+//! past one more zero byte, fold sixteen bytes per step with no
+//! dependence between their lookups; the tail goes a byte at a time.
+//! Adler-32 is the plain two-sum loop, reduced every 5,552 bytes.
 
 use crate::Image;
 use scales_tensor::Tensor;
-use std::sync::OnceLock;
+use std::borrow::Cow;
 
 /// Largest accepted image extent per axis, decode-side.
 pub const MAX_DIM: u32 = 1 << 15;
@@ -212,17 +249,37 @@ impl std::error::Error for CodecError {}
 pub type Result<T> = std::result::Result<T, CodecError>;
 
 /// The shared 8-bit quantization of the wire protocol ([`Image::save_pnm`]
-/// writes through it too).
+/// writes through it too): `round(clamp(v, 0, 1) × 255)`, halves away
+/// from zero, NaN to 0 — in float adds, a compare and a bit cast, so a
+/// loop over it vectorises (see the module docs for why it is exact).
+#[inline]
 fn quantize(v: f32) -> u8 {
-    #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-    {
-        (v.clamp(0.0, 1.0) * 255.0).round() as u8
-    }
+    /// 2²³: from here up, consecutive `f32`s are exactly 1 apart.
+    const SHIFT: f32 = 8_388_608.0;
+    // Not `clamp`: `max` returns its non-NaN operand, so NaN lands on 0.
+    #[allow(clippy::manual_clamp)]
+    let x = v.max(0.0).min(1.0) * 255.0;
+    let shifted = x + SHIFT;
+    let even = shifted - SHIFT;
+    #[allow(clippy::cast_possible_truncation)]
+    let low = shifted.to_bits() as u8;
+    low + u8::from(x - even == 0.5)
 }
 
-#[allow(clippy::cast_precision_loss)]
+/// `f32::from(v) / 255.0` for every byte, evaluated once at compile time
+/// (IEEE division, so the same bits as at run time).
+static DEQUANTIZE: [f32; 256] = {
+    let mut table = [0.0; 256];
+    let mut v = 0;
+    while v < 256 {
+        table[v] = v as f32 / 255.0;
+        v += 1;
+    }
+    table
+};
+
 fn dequantize(v: u8) -> f32 {
-    f32::from(v) / 255.0
+    DEQUANTIZE[usize::from(v)]
 }
 
 /// Validate decode-side dimensions before anything is allocated from
@@ -240,14 +297,27 @@ fn check_dims(width: u64, height: u64) -> Result<(usize, usize)> {
     Ok((width as usize, height as usize))
 }
 
-/// Interleaved 8-bit samples → planar CHW `f32` image.
-fn image_from_samples(samples: &[u8], channels: usize, h: usize, w: usize) -> Image {
+/// Interleaved 8-bit samples → planar CHW `f32` image, a row at a time:
+/// row `y`'s `w × channels` samples start at `samples[y × pitch]` (PNG
+/// rows sit `1 + w × channels` apart, after their filter bytes) and are
+/// dequantized into each plane's row in turn.
+fn image_from_samples(samples: &[u8], pitch: usize, channels: usize, h: usize, w: usize) -> Image {
     let mut tensor = Tensor::zeros(&[channels, h, w]);
     let data = tensor.data_mut();
-    for y in 0..h {
-        for x in 0..w {
-            for c in 0..channels {
-                data[c * h * w + y * w + x] = dequantize(samples[(y * w + x) * channels + c]);
+    if channels == 3 {
+        let (r, gb) = data.split_at_mut(h * w);
+        let (g, b) = gb.split_at_mut(h * w);
+        let planes = r.chunks_exact_mut(w).zip(g.chunks_exact_mut(w)).zip(b.chunks_exact_mut(w));
+        for (y, ((r, g), b)) in planes.enumerate() {
+            let row = &samples[y * pitch..][..3 * w];
+            for (px, ((r, g), b)) in row.chunks_exact(3).zip(r.iter_mut().zip(g.iter_mut()).zip(b)) {
+                (*r, *g, *b) = (dequantize(px[0]), dequantize(px[1]), dequantize(px[2]));
+            }
+        }
+    } else {
+        for (y, plane_row) in data.chunks_exact_mut(w).enumerate() {
+            for (v, &s) in plane_row.iter_mut().zip(&samples[y * pitch..][..w]) {
+                *v = dequantize(s);
             }
         }
     }
@@ -370,7 +440,7 @@ pub fn decode_ppm(bytes: &[u8]) -> Result<Image> {
     if remaining > needed {
         return Err(CodecError::TrailingBytes { consumed: pos + needed, len: bytes.len() });
     }
-    Ok(image_from_samples(&bytes[pos..pos + needed], 3, h, w))
+    Ok(image_from_samples(&bytes[pos..pos + needed], 3 * w, 3, h, w))
 }
 
 /// One whitespace/comment-separated decimal token of a PPM header.
@@ -465,22 +535,19 @@ pub fn decode_png(bytes: &[u8]) -> Result<Image> {
     }
     let mut cur = Cursor { bytes, pos: PNG_SIG.len() };
     let mut header: Option<(usize, usize, usize)> = None; // (w, h, channels)
-    let mut idat: Vec<u8> = Vec::new();
-    let mut saw_idat = false;
+    // The zlib stream: borrowed while it sits in one IDAT chunk, copied
+    // out and joined only once a second one arrives.
+    let mut idat: Option<Cow<'_, [u8]>> = None;
     loop {
         let at = cur.pos;
         let len = cur.take_u32_be()? as usize;
         let ctype: [u8; 4] = cur.take(4)?.try_into().expect("4 bytes");
-        let name = String::from_utf8_lossy(&ctype).into_owned();
         let data = cur.take(len)?;
         let stored_crc = cur.take_u32_be()?;
-        let mut crc_input = Vec::with_capacity(4 + len);
-        crc_input.extend_from_slice(&ctype);
-        crc_input.extend_from_slice(data);
-        let computed = crc32(&crc_input);
+        let computed = !crc32_update(crc32_update(!0, &ctype), data);
         if computed != stored_crc {
             return Err(CodecError::CrcMismatch {
-                what: format!("PNG chunk {name}"),
+                what: format!("PNG chunk {}", chunk_name(ctype)),
                 stored: stored_crc,
                 computed,
             });
@@ -502,8 +569,10 @@ pub fn decode_png(bytes: &[u8]) -> Result<Image> {
                         what: "IDAT before IHDR".into(),
                     });
                 }
-                saw_idat = true;
-                idat.extend_from_slice(data);
+                match &mut idat {
+                    None => idat = Some(Cow::Borrowed(data)),
+                    Some(stream) => stream.to_mut().extend_from_slice(data),
+                }
             }
             b"IEND" => {
                 if len != 0 {
@@ -522,7 +591,7 @@ pub fn decode_png(bytes: &[u8]) -> Result<Image> {
                 // by definition; unknown critical chunks are not.
                 if ctype[0] & 0x20 == 0 {
                     return Err(CodecError::Unsupported {
-                        what: format!("critical PNG chunk {name}"),
+                        what: format!("critical PNG chunk {}", chunk_name(ctype)),
                     });
                 }
             }
@@ -534,15 +603,20 @@ pub fn decode_png(bytes: &[u8]) -> Result<Image> {
     let Some((w, h, channels)) = header else {
         return Err(CodecError::Malformed { offset: PNG_SIG.len(), what: "missing IHDR".into() });
     };
-    if !saw_idat {
+    let Some(idat) = idat else {
         return Err(CodecError::Malformed { offset: cur.pos, what: "missing IDAT".into() });
-    }
+    };
     // One filter byte plus `w × channels` samples per scanline; the
     // dimensions were bounded in `parse_ihdr`, so this cannot overflow.
-    let expected = h * (1 + w * channels);
-    let raw = zlib_inflate(&idat, expected)?;
-    let samples = unfilter(&raw, h, w, channels)?;
-    Ok(image_from_samples(&samples, channels, h, w))
+    let pitch = 1 + w * channels;
+    let mut raw = zlib_inflate(&idat, h * pitch)?;
+    unfilter(&mut raw, h, w, channels)?;
+    Ok(image_from_samples(&raw[1..], pitch, channels, h, w))
+}
+
+/// A chunk type as text, for error messages.
+fn chunk_name(ctype: [u8; 4]) -> String {
+    String::from_utf8_lossy(&ctype).into_owned()
 }
 
 fn parse_ihdr(data: &[u8], at: usize) -> Result<(usize, usize, usize)> {
@@ -594,36 +668,63 @@ fn parse_ihdr(data: &[u8], at: usize) -> Result<(usize, usize, usize)> {
     Ok((w, h, channels))
 }
 
-/// Reverse the per-scanline filters into interleaved samples.
-fn unfilter(raw: &[u8], h: usize, w: usize, channels: usize) -> Result<Vec<u8>> {
-    let stride = w * channels;
-    let mut out = vec![0u8; h * stride];
+/// Reverse the per-scanline filters in place: `raw` holds `h` rows of a
+/// filter byte then `w × channels` samples, and each row is decoded
+/// against the one before it, already decoded. The filter type is
+/// resolved once per row; on row 0 the prior row is all zero, so Up
+/// leaves the row as it is and Paeth is Sub, and the first pixel of a
+/// row (no left neighbour) is handled before the loop over the rest.
+fn unfilter(raw: &mut [u8], h: usize, w: usize, channels: usize) -> Result<()> {
+    let (bpp, pitch) = (channels, 1 + w * channels);
     for y in 0..h {
-        let filter = raw[y * (stride + 1)];
-        let line = &raw[y * (stride + 1) + 1..(y + 1) * (stride + 1)];
-        for i in 0..stride {
-            let x = line[i];
-            let a = if i >= channels { out[y * stride + i - channels] } else { 0 };
-            let b = if y > 0 { out[(y - 1) * stride + i] } else { 0 };
-            let c = if y > 0 && i >= channels { out[(y - 1) * stride + i - channels] } else { 0 };
-            #[allow(clippy::cast_possible_truncation)]
-            let value = match filter {
-                0 => x,
-                1 => x.wrapping_add(a),
-                2 => x.wrapping_add(b),
-                3 => x.wrapping_add(((u16::from(a) + u16::from(b)) / 2) as u8),
-                4 => x.wrapping_add(paeth(a, b, c)),
-                _ => {
-                    return Err(CodecError::Malformed {
-                        offset: y * (stride + 1),
-                        what: format!("invalid PNG scanline filter {filter}"),
-                    })
+        let (done, rest) = raw.split_at_mut(y * pitch);
+        let (filter, line) = rest[..pitch].split_first_mut().expect("pitch >= 1");
+        let prior = (y > 0).then(|| &done[done.len() - pitch + 1..]);
+        match (*filter, prior) {
+            (0, _) | (2, None) => {}
+            (1, _) | (4, None) => {
+                for i in bpp..line.len() {
+                    line[i] = line[i].wrapping_add(line[i - bpp]);
                 }
-            };
-            out[y * stride + i] = value;
+            }
+            (2, Some(up)) => {
+                for (x, &b) in line.iter_mut().zip(up) {
+                    *x = x.wrapping_add(b);
+                }
+            }
+            (3, None) => {
+                for i in bpp..line.len() {
+                    line[i] = line[i].wrapping_add(line[i - bpp] / 2);
+                }
+            }
+            (3, Some(up)) => {
+                for (x, &b) in line[..bpp].iter_mut().zip(up) {
+                    *x = x.wrapping_add(b / 2);
+                }
+                for i in bpp..line.len() {
+                    #[allow(clippy::cast_possible_truncation)]
+                    let mean = ((u16::from(line[i - bpp]) + u16::from(up[i])) / 2) as u8;
+                    line[i] = line[i].wrapping_add(mean);
+                }
+            }
+            (4, Some(up)) => {
+                // Paeth with no left neighbour predicts the byte above.
+                for (x, &b) in line[..bpp].iter_mut().zip(up) {
+                    *x = x.wrapping_add(b);
+                }
+                for i in bpp..line.len() {
+                    line[i] = line[i].wrapping_add(paeth(line[i - bpp], up[i], up[i - bpp]));
+                }
+            }
+            (filter, _) => {
+                return Err(CodecError::Malformed {
+                    offset: y * pitch,
+                    what: format!("invalid PNG scanline filter {filter}"),
+                })
+            }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 /// The Paeth predictor (PNG spec §9.4).
@@ -1013,23 +1114,59 @@ fn fixed_litlen(bits: &mut Bits<'_>) -> Result<u32> {
 
 /// CRC-32 (IEEE, reflected — the PNG chunk checksum).
 fn crc32(data: &[u8]) -> u32 {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (n, entry) in table.iter_mut().enumerate() {
-            let mut c = n as u32;
-            for _ in 0..8 {
-                c = if c & 1 == 1 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *entry = c;
+    !crc32_update(!0, data)
+}
+
+/// Slicing-by-16 lookup tables (Kounavis & Berry, 2005): `CRC_TABLES[0]`
+/// is the classic byte table, and `CRC_TABLES[k][n]` is the register
+/// after byte `n` is followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
+    let mut n = 0;
+    while n < 256 {
+        let mut c = n as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 == 1 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
         }
-        table
-    });
-    let mut crc = 0xffff_ffffu32;
-    for &byte in data {
-        crc = table[usize::from((crc as u8) ^ byte)] ^ (crc >> 8);
+        tables[0][n] = c;
+        n += 1;
     }
-    !crc
+    let mut k = 1;
+    while k < 16 {
+        let mut n = 0;
+        while n < 256 {
+            let prev = tables[k - 1][n];
+            tables[k][n] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            n += 1;
+        }
+        k += 1;
+    }
+    tables
+};
+
+/// Run the (pre-inverted) CRC-32 register `crc` over `data`, sixteen
+/// bytes per step: the register folds into the first four, and byte `i`
+/// is looked up in the table that shifts it past the `15 − i` bytes
+/// after it. A tail shorter than sixteen bytes goes a byte at a time.
+/// Chunks are checksummed piecewise (type, then data) by chaining calls.
+fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
+    let mut blocks = data.chunks_exact(16);
+    for block in &mut blocks {
+        let word = |at: usize| u32::from_le_bytes(block[at..at + 4].try_into().expect("4 bytes"));
+        let words = [word(0) ^ crc, word(4), word(8), word(12)];
+        crc = 0;
+        for (j, word) in words.into_iter().enumerate() {
+            for (k, byte) in word.to_le_bytes().into_iter().enumerate() {
+                crc ^= CRC_TABLES[15 - 4 * j - k][usize::from(byte)];
+            }
+        }
+    }
+    for &byte in blocks.remainder() {
+        crc = CRC_TABLES[0][usize::from((crc as u8) ^ byte)] ^ (crc >> 8);
+    }
+    crc
 }
 
 /// Adler-32 (the zlib stream checksum).
@@ -1306,14 +1443,59 @@ mod tests {
         assert_eq!(adler32(b""), 1);
     }
 
+    /// The sliced CRC-32 against the bitwise one at every length 0–300
+    /// and every start offset 0–15 (each tail length, each alignment,
+    /// one to eighteen whole 16-byte steps), whole and split in two the
+    /// way `decode_png` chains a chunk's type and data.
+    #[test]
+    fn sliced_crc32_matches_the_bitwise_reference() {
+        let bytes: Vec<u8> = (0..316u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for start in 0..16 {
+            for len in 0..=300 {
+                let data = &bytes[start..start + len];
+                let want = reference::crc32(data);
+                assert_eq!(crc32(data), want, "start {start}, len {len}");
+                let (head, tail) = data.split_at(len.min(4));
+                assert_eq!(!crc32_update(crc32_update(!0, head), tail), want, "split, start {start}, len {len}");
+            }
+        }
+    }
+
     /// The per-pixel encoders the plane-walking ones replaced, kept as
     /// the byte-identity reference: every sample through
     /// [`Image::pixel`], the filtered rows copied into a raw buffer, that
     /// copied again into stored deflate blocks, and each chunk copied
-    /// once more for its CRC.
+    /// once more for its CRC. It holds its own quantize (a rounding
+    /// call), bitwise CRC-32 and Adler-32, so a change to the module's
+    /// own three cannot pass by being compared with itself.
     mod reference {
-        use super::super::{adler32, crc32, quantize, PNG_SIG};
+        use super::super::PNG_SIG;
         use crate::Image;
+
+        pub fn quantize(v: f32) -> u8 {
+            (v.clamp(0.0, 1.0) * 255.0).round() as u8
+        }
+
+        /// CRC-32 a bit at a time, straight from the polynomial.
+        pub fn crc32(data: &[u8]) -> u32 {
+            let mut crc = 0xffff_ffffu32;
+            for &byte in data {
+                crc ^= u32::from(byte);
+                for _ in 0..8 {
+                    crc = if crc & 1 == 1 { 0xedb8_8320 ^ (crc >> 1) } else { crc >> 1 };
+                }
+            }
+            !crc
+        }
+
+        pub fn adler32(data: &[u8]) -> u32 {
+            let (mut a, mut b) = (1u32, 0u32);
+            for &byte in data {
+                a = (a + u32::from(byte)) % 65_521;
+                b = (b + a) % 65_521;
+            }
+            b << 16 | a
+        }
 
         fn samples_from_image(image: &Image) -> Vec<u8> {
             let (c, h, w) = (image.channels(), image.height(), image.width());
@@ -1399,13 +1581,29 @@ mod tests {
             .collect()
     }
 
+    /// For each `k`, the largest `v` whose `v · 255` falls short of
+    /// `k + 0.5` (where adding 0.5 and truncating can round up: at
+    /// `k = 0` that product is 0.49999997).
+    fn below_ties() -> Vec<f32> {
+        (0..255u8)
+            .filter_map(|k| {
+                let centre = (f32::from(k) + 0.5) / 255.0;
+                (-4i32..=4)
+                    .map(|d| f32::from_bits(centre.to_bits().wrapping_add_signed(d)))
+                    .rfind(|&v| v * 255.0 < f32::from(k) + 0.5)
+            })
+            .collect()
+    }
+
     /// Values chosen to stress quantization: every third sample walks
-    /// the specials (below 0, above 1, −0.0, NaN, infinities and the
-    /// exact ties) in turn, the rest are seeded values in `[-0.1, 1.15)`.
+    /// the specials (below 0, above 1, −0.0, NaN, infinities, the exact
+    /// ties and the values just below them) in turn, the rest are
+    /// seeded values in `[-0.1, 1.15)`.
     fn hostile_image(channels: usize, h: usize, w: usize, seed: u64) -> Image {
         let mut specials = vec![-0.5, -1e-7, -0.0, 0.0, 1.0, 1.0 + 1e-6, 7.5];
         specials.extend([f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
         specials.extend(exact_ties());
+        specials.extend(below_ties());
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
         let data = (0..channels * h * w)
             .map(|i| {
@@ -1423,7 +1621,11 @@ mod tests {
     /// Hand mutants of the encoder, all killed here: BFINAL off on an
     /// exactly full last block; Adler-32 over the first block header
     /// too; R and B swapped; later blocks moved one byte too far;
-    /// blocks moved first to last; LEN not capped at 65,535.
+    /// blocks moved first to last; LEN not capped at 65,535; quantize
+    /// rounding ties to even (`x - even > 0.5`); quantize as `+ 0.5`
+    /// then truncate (wrong where `v · 255` is 0.49999997); one
+    /// slicing table built wrong (`CRC_TABLES[9]` shifted one step
+    /// short).
     #[test]
     fn encoders_are_byte_identical_to_the_per_pixel_reference() {
         assert!(exact_ties().len() > 100, "too few exact ties: {}", exact_ties().len());

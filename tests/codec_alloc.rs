@@ -1,17 +1,18 @@
-//! Allocation guard for the wire encoders.
+//! Allocation guard for the wire codecs.
 //!
 //! A counting global allocator wraps the system allocator; encoding an
 //! image must allocate exactly once — the returned buffer, sized up
 //! front — whatever its extent, for PNG RGB, PNG greyscale and PPM. A
 //! per-sample allocation (an element access that builds a stride vector,
 //! say) or a per-stage copy (samples, filtered rows, zlib stream, CRC
-//! input) shows up as a count that grows with the image.
+//! input) shows up as a count that grows with the image. Decoding a
+//! single-IDAT PNG allocates a fixed three times, whatever its extent.
 //!
 //! The counter is per thread: the harness's own thread books the test it
 //! just started (a map insert, a queue push) while the test runs, and a
 //! process-global count would read those allocations as the encoder's.
 
-use scales::data::{encode_image, Image, WireFormat};
+use scales::data::{decode_image, encode_image, Image, WireFormat};
 use scales::tensor::Tensor;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -84,5 +85,35 @@ fn encoding_allocates_only_the_reply_at_every_extent() {
         let counts: Vec<usize> =
             [8, 80].iter().map(|&side| allocations_per_encode(&image(channels, side), format)).collect();
         assert_eq!(counts, [1, 1], "{label}: allocations at 8x8 and 80x80");
+    }
+}
+
+/// Allocations made by one `decode_image` call (the payload is encoded
+/// before counting starts; the image is dropped after it stops).
+fn allocations_per_decode(bytes: &[u8]) -> usize {
+    let before = allocations();
+    let image = decode_image(bytes).unwrap();
+    let count = allocations() - before;
+    drop(image);
+    count
+}
+
+/// Decoding a single-IDAT PNG allocates three times at any extent: the
+/// inflated scanlines (filters undone in place), the image's `f32`
+/// data and its shape. The zlib stream is read straight from the chunk,
+/// each chunk's CRC runs over the payload in place, and a chunk's name
+/// is only spelled out for an error: none of them allocates per chunk,
+/// row or sample.
+#[test]
+fn decoding_allocates_a_fixed_count_at_every_extent() {
+    for (label, channels) in [("PNG RGB", 3), ("PNG grey", 1)] {
+        let counts: Vec<usize> = [8, 80]
+            .iter()
+            .map(|&side| {
+                let png = encode_image(&image(channels, side), WireFormat::Png).unwrap();
+                allocations_per_decode(&png)
+            })
+            .collect();
+        assert_eq!(counts, [3, 3], "{label}: allocations at 8x8 and 80x80");
     }
 }

@@ -160,3 +160,247 @@ fn encoding_clamps_out_of_range_values() {
     assert_eq!(data[2], 1.0, "overrange clamps to 1");
     assert!((data[1] - 0.5).abs() < 1.0 / 255.0);
 }
+
+// ---------------------------------------------------------------------------
+// Generated PNG streams: every scanline filter, as the spec defines them
+// ---------------------------------------------------------------------------
+
+/// CRC-32 a bit at a time, straight from the polynomial.
+fn crc32(data: &[u8]) -> u32 {
+    let mut crc = 0xffff_ffffu32;
+    for &byte in data {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            crc = if crc & 1 == 1 { 0xedb8_8320 ^ (crc >> 1) } else { crc >> 1 };
+        }
+    }
+    !crc
+}
+
+fn adler32(data: &[u8]) -> u32 {
+    let (mut a, mut b) = (1u32, 0u32);
+    for &byte in data {
+        a = (a + u32::from(byte)) % 65_521;
+        b = (b + a) % 65_521;
+    }
+    b << 16 | a
+}
+
+/// The Paeth predictor, PNG spec §9.4.
+fn paeth(a: u8, b: u8, c: u8) -> u8 {
+    let p = i16::from(a) + i16::from(b) - i16::from(c);
+    let (pa, pb, pc) = ((p - i16::from(a)).abs(), (p - i16::from(b)).abs(), (p - i16::from(c)).abs());
+    if pa <= pb && pa <= pc {
+        a
+    } else if pb <= pc {
+        b
+    } else {
+        c
+    }
+}
+
+/// A PNG of interleaved 8-bit `samples` whose row `y` is filtered with
+/// `filters[y]` (PNG spec §9.2: each byte minus its predictor from the
+/// unfiltered left `a`, up `b` and up-left `c`, zero off the image), in
+/// one IDAT of stored deflate blocks. A filter byte outside 0–4 is
+/// written as is over unfiltered samples.
+fn filtered_png(samples: &[u8], channels: usize, h: usize, w: usize, filters: &[u8]) -> Vec<u8> {
+    let stride = w * channels;
+    let mut raw = Vec::with_capacity(h * (stride + 1));
+    for (y, &filter) in filters.iter().enumerate().take(h) {
+        raw.push(filter);
+        let at = |yy: usize, i: usize| samples[yy * stride + i];
+        for i in 0..stride {
+            let a = if i >= channels { at(y, i - channels) } else { 0 };
+            let b = if y > 0 { at(y - 1, i) } else { 0 };
+            let c = if y > 0 && i >= channels { at(y - 1, i - channels) } else { 0 };
+            let predictor = match filter {
+                1 => a,
+                2 => b,
+                3 => ((u16::from(a) + u16::from(b)) / 2) as u8,
+                4 => paeth(a, b, c),
+                _ => 0,
+            };
+            raw.push(at(y, i).wrapping_sub(predictor));
+        }
+    }
+    let mut zlib = vec![0x78, 0x01];
+    let blocks: Vec<&[u8]> = raw.chunks(65_535).collect();
+    for (k, block) in blocks.iter().enumerate() {
+        let len = block.len() as u16;
+        zlib.push(u8::from(k + 1 == blocks.len()));
+        zlib.extend_from_slice(&len.to_le_bytes());
+        zlib.extend_from_slice(&(!len).to_le_bytes());
+        zlib.extend_from_slice(block);
+    }
+    zlib.extend_from_slice(&adler32(&raw).to_be_bytes());
+
+    let mut png = vec![0x89, b'P', b'N', b'G', 0x0d, 0x0a, 0x1a, 0x0a];
+    let mut ihdr = Vec::new();
+    ihdr.extend_from_slice(&(w as u32).to_be_bytes());
+    ihdr.extend_from_slice(&(h as u32).to_be_bytes());
+    ihdr.extend_from_slice(&[8, if channels == 3 { 2 } else { 0 }, 0, 0, 0]);
+    for (ctype, data) in [(b"IHDR", &ihdr[..]), (b"IDAT", &zlib[..]), (b"IEND", &[][..])] {
+        png.extend_from_slice(&(data.len() as u32).to_be_bytes());
+        let crc_at = png.len();
+        png.extend_from_slice(ctype);
+        png.extend_from_slice(data);
+        let crc = crc32(&png[crc_at..]);
+        png.extend_from_slice(&crc.to_be_bytes());
+    }
+    png
+}
+
+/// Seeded xorshift bytes.
+fn bytes(n: usize, seed: u64) -> Vec<u8> {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).max(1);
+    (0..n)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as u8
+        })
+        .collect()
+}
+
+/// Decoding undoes every scanline filter: a seeded filter per row (so
+/// row 0, and each row's first pixel, meet every filter), grey and RGB,
+/// widths 1–17 by heights 1–9 plus 40×40 and 80×80, each decoded image
+/// checked by `to_bits` against its source samples. Hand mutants of
+/// the decoder's `unfilter`, all killed here: Average on row 0 left
+/// undone; Paeth's first pixel not given the byte above; Up on row 0
+/// adding 1; Sub reaching back one byte instead of one pixel.
+#[test]
+fn decoding_undoes_all_five_scanline_filters() {
+    let shapes = (1..=9).flat_map(|h| (1..=17).map(move |w| (h, w))).chain([(40, 40), (80, 80)]);
+    let mut seen = [0usize; 5];
+    for (case, (h, w)) in shapes.enumerate() {
+        for channels in [1, 3] {
+            let seed = (case * 2 + channels) as u64;
+            let samples = bytes(channels * h * w, seed);
+            let filters: Vec<u8> = bytes(h, seed + 1_000).iter().map(|b| b % 5).collect();
+            for &f in &filters {
+                seen[usize::from(f)] += 1;
+            }
+            let png = filtered_png(&samples, channels, h, w, &filters);
+            let (image, _) = decode_image(&png).unwrap_or_else(|e| panic!("{channels}x{h}x{w}: {e}"));
+            assert_eq!(image.tensor().shape(), &[channels, h, w]);
+            let data = image.tensor().data();
+            for (i, &s) in samples.iter().enumerate() {
+                let (px, c) = (i / channels, i % channels);
+                let got = data[c * h * w + px];
+                let want = f32::from(s) / 255.0;
+                assert_eq!(got.to_bits(), want.to_bits(), "{channels}x{h}x{w} filters {filters:?}: sample {i}");
+            }
+        }
+    }
+    assert!(seen.iter().all(|&n| n > 100), "every filter is exercised: {seen:?}");
+}
+
+/// A scanline filter byte beyond 4 is a typed `Malformed` error, on the
+/// first row and on a later one.
+#[test]
+fn an_unknown_scanline_filter_is_malformed() {
+    for filters in [[5, 0, 0], [0, 2, 5]] {
+        let png = filtered_png(&bytes(3 * 3 * 4, 5), 3, 3, 4, &filters);
+        let err = decode_image(&png).unwrap_err();
+        assert!(matches!(err, CodecError::Malformed { .. }), "{filters:?}: {err}");
+        assert!(err.to_string().contains("filter 5"), "{err}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Quantization, both ways
+// ---------------------------------------------------------------------------
+
+/// The wire quantization as the protocol states it.
+fn reference_quantize(v: f32) -> u8 {
+    (v.clamp(0.0, 1.0) * 255.0).round() as u8
+}
+
+/// Encode `values` (zero-padded to whole pixels) as a one-row RGB PPM
+/// and compare each sample with the reference rule; returns how many
+/// were checked.
+fn check_quantize(values: &[f32]) -> usize {
+    let n = values.len().div_ceil(3);
+    let mut planes = values.to_vec();
+    planes.resize(3 * n, 0.0);
+    let image = Image::from_tensor(Tensor::from_vec(planes, &[3, 1, n]).unwrap()).unwrap();
+    let ppm = encode_image(&image, WireFormat::Ppm).unwrap();
+    let samples = &ppm[ppm.len() - 3 * n..];
+    for (i, &v) in values.iter().enumerate() {
+        let got = samples[i % n * 3 + i / n];
+        assert_eq!(got, reference_quantize(v), "quantize({v:e}) (bits {:#010x})", v.to_bits());
+    }
+    values.len()
+}
+
+/// Encoding quantizes every `f32` as `round(clamp(v, 0, 1) × 255)`
+/// does. Optimised, all 2³² bit patterns, split across up to four
+/// threads. Unoptimised (the tier-1 leg), every pattern within ±64
+/// ulps of each `k + 0.5` tie, ±0, the subnormal ends, ±inf, NaN
+/// payloads and every 65,521st pattern of the rest. Hand mutants of
+/// `quantize`, killed by both legs: ties rounded to even; `+ 0.5` then
+/// truncate (wrong where `v · 255` is 0.49999997); NaN not mapped to 0
+/// (`clamp` in place of `max` / `min`, then the bit cast).
+#[test]
+fn quantize_matches_the_rounding_rule_for_every_f32() {
+    const CHUNK: u64 = 3 * 16_384;
+    let checked = if cfg!(debug_assertions) {
+        let mut values: Vec<f32> = (0..255u8)
+            .flat_map(|k| {
+                let centre = ((f32::from(k) + 0.5) / 255.0).to_bits();
+                (-64i32..=64).map(move |d| f32::from_bits(centre.wrapping_add_signed(d)))
+            })
+            .collect();
+        values.extend([0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::MIN_POSITIVE, 1.0, 255.0]);
+        for sign in [0, 0x8000_0000u32] {
+            values.extend((1..64).chain(0x007f_ffc0..0x0080_0000).map(|b| f32::from_bits(sign | b)));
+            values.extend([1, 0x0040_0000, 0x007f_ffff, 0x1234].map(|p| f32::from_bits(sign | 0x7f80_0000 | p)));
+        }
+        values.extend((0..=u32::MAX).step_by(65_521).map(f32::from_bits));
+        values.chunks(CHUNK as usize).map(check_quantize).sum::<usize>()
+    } else {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(4) as u64;
+        let chunks = (1u64 << 32).div_ceil(CHUNK);
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    scope.spawn(move || {
+                        (t..chunks)
+                            .step_by(threads as usize)
+                            .map(|chunk| {
+                                let end = ((chunk + 1) * CHUNK).min(1 << 32);
+                                let values: Vec<f32> = (chunk * CHUNK..end).map(|b| f32::from_bits(b as u32)).collect();
+                                check_quantize(&values)
+                            })
+                            .sum::<usize>()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).sum()
+        })
+    };
+    let want = if cfg!(debug_assertions) { 98_000 } else { 1 << 32 };
+    assert!(checked as u64 >= want, "checked {checked} patterns");
+}
+
+/// Decoding maps every byte to exactly `f32::from(v) / 255.0`, through
+/// the grey PNG and the RGB PPM paths alike.
+#[test]
+fn dequantize_matches_the_division_for_every_byte() {
+    let all: Vec<u8> = (0..=255).collect();
+    let png = filtered_png(&all, 1, 1, 256, &[0]);
+    let (grey, _) = decode_image(&png).unwrap();
+    let mut ppm = b"P6\n256 1\n255\n".to_vec();
+    ppm.extend((0..3 * 256).map(|i| (i / 3) as u8));
+    let (rgb, _) = decode_image(&ppm).unwrap();
+    for v in 0..=255u8 {
+        let want = (f32::from(v) / 255.0).to_bits();
+        assert_eq!(grey.tensor().data()[usize::from(v)].to_bits(), want, "grey {v}");
+        for c in 0..3 {
+            assert_eq!(rgb.tensor().data()[c * 256 + usize::from(v)].to_bits(), want, "rgb {v} channel {c}");
+        }
+    }
+}
