@@ -9,18 +9,31 @@
 //! the same offsets at every position. So lanes are positions: each tap is
 //! one broadcast weight word XOR-ed against a run of *contiguous* bitmap
 //! words and popcounted. There is no im2col, no per-tap bounds test, no
-//! gather, and no row structure in the loop at all: it runs flat across row
-//! ends, counting the few positions that are not output pixels (the `k − 1`
-//! between one output row and the next; at a stride, the skipped ones)
-//! rather than stopping for them. The store picks the output pixels out.
+//! gather, and no row structure in the count at all: it runs flat across
+//! row ends, counting the few positions that are not output pixels (the
+//! `k − 1` between one output row and the next; at a stride, the skipped
+//! ones) rather than stopping for them.
+//!
+//! The count runs in *segments* of at most 256 positions, and a
+//! segment holds whole output rows — as many as fit — so the store writes
+//! each row's pixels with one zip and finds the row's class once; a row
+//! wider than a segment is cut into column pieces. A segment's count is
+//! rounded up to whole 8-position vectors where the bitmap allows (the
+//! extra positions are never stored).
 //!
 //! The padding is all-zero words, i.e. "every channel is −1", which a tap
 //! counts like any other pixel. What a padded tap contributes depends only
 //! on the weights (`IC − 2·popcount(w)`), so it is cancelled exactly in
 //! integers: `pad_fix` holds the per-tap correction and `base_table` sums
-//! it, per call, into the value each output pixel's count is taken from —
-//! one row of bases per *row class* (every border row, plus one for all
-//! interior rows), so there is no border branch either.
+//! it, per call, into the value each output pixel's count is taken from.
+//! Pixels share that base by *class*: one row class per border row plus one
+//! for all interior rows, and within a class one base for every interior
+//! column plus one per border column — `O(classes)` values per output
+//! channel, not one per pixel. Before storing a channel, the kernel spells
+//! each class out as one row (its left border bases, the interior base
+//! repeated for as many columns as a run can hold, its right border bases),
+//! so every run's bases are one slice of it and there is no border branch
+//! either.
 //!
 //! The store applies the fused epilogue per element in the unfused pass
 //! order (`v = s_c·dot; v += bias[c]; v *= spatial[p]; v *= channel[c];
@@ -33,10 +46,9 @@
 //! trained body convolution) or a 1×1 (a lowered transformer linear)
 //! kernel unrolled, or for any size. A 1×1 call with no padding and no
 //! stride — every lowered linear — has no row structure at all: a position
-//! is a pixel and every pixel has the same base, so the store writes a
-//! segment's pixels as one flat run instead of row by row, and the packer
-//! writes each unpadded plane as one row. Neither changes an element's
-//! operations.
+//! is a pixel and every pixel has the same base, so the store takes the
+//! image as one row of all its pixels, and the packer writes each unpadded
+//! plane as one row. Neither changes an element's operations.
 //!
 //! Every inner loop is a plain walk over equal-length slices, the shape
 //! LLVM's loop vectorizer handles at any width. `pack_image` and
@@ -188,10 +200,37 @@ impl Geometry {
         self.wpp * self.plane()
     }
 
-    /// [`base_table`] entries per output channel: one output row per row
-    /// class.
+    /// [`base_table`] entries per output channel: per row class, the
+    /// interior base and one base per border column.
     pub(crate) fn base_len(&self) -> usize {
-        (self.y.border_count() + 1) * self.x.out
+        (self.y.border_count() + 1) * (self.x.border_count() + 1)
+    }
+
+    /// The output grid the store walks, `(rows, columns)`, and the span
+    /// `lo..hi` of interior columns. A 1×1 kernel with no padding and no
+    /// stride has no row structure — a position is a pixel and every pixel
+    /// has the same base — so its grid is one row of every pixel.
+    fn grid(&self) -> (usize, usize, usize, usize) {
+        let (oh, ow) = self.out();
+        if self.k == 1 && self.spec.padding == 0 && self.spec.stride == 1 {
+            (1, oh * ow, 0, oh * ow)
+        } else {
+            (oh, ow, self.x.lo, self.x.hi)
+        }
+    }
+
+    /// Interior columns one class row of [`Geometry::rows_len`] holds:
+    /// as many as one stored run can cover.
+    fn interior_width(&self) -> usize {
+        let (_, _, lo, hi) = self.grid();
+        (hi - lo).min(SEGMENT)
+    }
+
+    /// Entries of one output channel's bases spelled out per column: per
+    /// row class, its left border bases, [`Geometry::interior_width`]
+    /// copies of its interior base, and its right border bases.
+    pub(crate) fn rows_len(&self) -> usize {
+        (self.y.border_count() + 1) * (self.x.border_count() + self.interior_width())
     }
 }
 
@@ -206,25 +245,29 @@ pub(crate) fn pad_fix(weights: &[u64], wpp: usize, ic: usize) -> Vec<i32> {
         .collect()
 }
 
-/// Fill `table` (`base_len` entries per output channel) with, per row
-/// class and output column, the dot product that pixel has when no channel
-/// lane disagrees: `k²·IC` plus the [`pad_fix`] of every tap that reads
-/// padding there. The kernel's `dot` is this minus twice its count.
+/// Fill `table` (`base_len` entries per output channel) with the dot
+/// product an output pixel has when no channel lane disagrees: `k²·IC`
+/// plus the [`pad_fix`] of every tap that reads padding there. Per row
+/// class, the interior columns' base comes first, then one per border
+/// column in [`Axis::borders`] order. The kernel's `dot` is this minus
+/// twice its count.
 pub(crate) fn base_table(g: &Geometry, pad_fix: &[i32], table: &mut [i32]) {
     let k = g.k;
     let full = (k * k * g.ic) as i32;
     for (fix, classes) in pad_fix.chunks(k * k).zip(table.chunks_mut(g.base_len())) {
         // Every border row, then `None` for the interior class.
         let rows = g.y.borders().map(Some).chain([None]);
-        for (bases, oy) in classes.chunks_mut(g.x.out).zip(rows) {
+        for (bases, oy) in classes.chunks_mut(g.x.border_count() + 1).zip(rows) {
             let padded_row = |ky: usize| oy.is_some_and(|oy| g.y.padded(oy, ky, g.spec));
             let whole_rows: i32 =
                 (0..k).filter(|&ky| padded_row(ky)).map(|ky| fix[ky * k..(ky + 1) * k].iter().sum::<i32>()).sum();
-            bases.fill(full + whole_rows);
-            for ox in g.x.borders() {
+            let interior = full + whole_rows;
+            bases[0] = interior;
+            for (base, ox) in bases[1..].iter_mut().zip(g.x.borders()) {
+                *base = interior;
                 for ky in (0..k).filter(|&ky| !padded_row(ky)) {
                     for kx in (0..k).filter(|&kx| g.x.padded(ox, kx, g.spec)) {
-                        bases[ox] += fix[ky * k + kx];
+                        *base += fix[ky * k + kx];
                     }
                 }
             }
@@ -287,13 +330,15 @@ pub(crate) struct Job<'a> {
 
 /// Convolve one image into `planes` (one per output channel, `oh·ow`
 /// floats each), through the instance of the loop for the kernel size
-/// every trained body convolution (3) or lowered linear (1) has.
+/// every trained body convolution (3) or lowered linear (1) has. `rows`
+/// (`rows_len` entries, contents ignored) holds one channel's bases
+/// spelled out per column while that channel is stored.
 #[inline(always)]
-fn conv_image(job: &Job<'_>, planes: &mut [f32]) {
+fn conv_image(job: &Job<'_>, rows: &mut [i32], planes: &mut [f32]) {
     match job.g.k {
-        3 => conv_planes::<3>(job, planes),
-        1 => conv_planes::<1>(job, planes),
-        _ => conv_planes::<0>(job, planes),
+        3 => conv_planes::<3>(job, rows, planes),
+        1 => conv_planes::<1>(job, rows, planes),
+        _ => conv_planes::<0>(job, rows, planes),
     }
 }
 
@@ -304,28 +349,44 @@ static ONES: [f32; SEGMENT] = [1.0; SEGMENT];
 static NEG_ZEROS: [f32; SEGMENT] = [-0.0; SEGMENT];
 
 /// [`conv_image`] with the taps of a `K×K` kernel unrolled, or for any
-/// kernel when `K` is 0; an unpadded, unstrided `K = 1` call stores flat.
+/// kernel when `K` is 0.
 #[inline(always)]
-fn conv_planes<const K: usize>(job: &Job<'_>, planes: &mut [f32]) {
+fn conv_planes<const K: usize>(job: &Job<'_>, rows: &mut [i32], planes: &mut [f32]) {
     let g = job.g;
     let (k, wpp, stride, row) = (g.k, g.wpp, g.spec.stride, g.row());
     let (oh, ow) = g.out();
-    let (taps, per) = (k * k * wpp, g.base_len());
-    // One past the last output pixel's position.
-    let span = (oh - 1) * stride * row + (ow - 1) * stride + 1;
-    // A 1×1 kernel with no padding and no stride: a position is a pixel
-    // and every pixel has the same base.
-    let flat = K == 1 && g.spec.padding == 0 && stride == 1;
+    let (grid_rows, cols, lo, hi) = g.grid();
+    let (taps, per, xb, width) = (k * k * wpp, g.base_len(), g.x.border_count(), g.interior_width());
+    // Positions between one output row and the next, those one row's
+    // pixels span, and one past the last output pixel's.
+    let (pitch, span) = (stride * row, (cols - 1) * stride + 1);
+    let total = (grid_rows - 1) * pitch + span;
+    // A segment holds as many whole output rows as fit; a row wider than a
+    // segment is cut into pieces of as many columns as fit.
+    let (seg_rows, seg_cols) =
+        if span <= SEGMENT { (1 + (SEGMENT - span) / pitch, cols) } else { (1, (SEGMENT - 1) / stride + 1) };
+    let segments = (0..grid_rows)
+        .step_by(seg_rows)
+        .flat_map(|oy0| (0..cols).step_by(seg_cols).map(move |ox0| (oy0, ox0)));
     for (c, out) in planes.chunks_mut(oh * ow).enumerate() {
         let weights = &job.weights[c * taps..(c + 1) * taps];
-        let classes = &job.base[c * per..(c + 1) * per];
+        // This channel's bases per row class, spelled out per column.
+        for (bases, class) in rows.chunks_mut(xb + width).zip(job.base[c * per..(c + 1) * per].chunks(xb + 1)) {
+            let (left, rest) = bases.split_at_mut(lo);
+            let (interior, right) = rest.split_at_mut(width);
+            left.copy_from_slice(&class[1..1 + lo]);
+            interior.fill(class[0]);
+            right.copy_from_slice(&class[1 + lo..]);
+        }
         let (scale, channel) = (job.scales[c], job.channel.map_or(1.0, |gate| gate[c]));
         let bias = job.bias.map_or(-0.0, |bias| bias[c]);
         let skip = job.skip.map(|x| &x[c * oh * ow..(c + 1) * oh * ow]);
-        let epilogue =
-            |d: u64, base: i32, s: f32, x: f32| (scale * (base - 2 * d as i32) as f32 + bias) * s * channel + x;
-        for q0 in (0..span).step_by(SEGMENT) {
-            let len = SEGMENT.min(span - q0);
+        for (oy0, ox0) in segments.clone() {
+            let (n_rows, n) = (seg_rows.min(grid_rows - oy0), seg_cols.min(cols - ox0));
+            let q0 = oy0 * pitch + ox0 * stride;
+            // Counted out to whole vectors where the bitmap allows: the
+            // extra positions are never stored.
+            let len = ((n_rows - 1) * pitch + (n - 1) * stride + 1).next_multiple_of(8).min(total - q0);
             // Per position, how many channel lanes of its receptive field
             // disagree with the weights. Weights and bitmap are both zero
             // above IC, so no channel mask is needed.
@@ -362,44 +423,29 @@ fn conv_planes<const K: usize>(job: &Job<'_>, planes: &mut [f32]) {
                     }
                 }
             }
-            if flat {
-                // The segment's pixels are one run.
-                let at = q0..q0 + len;
-                let spatial = job.spatial.map_or(&ONES[..len], |gate| &gate[at.clone()]);
-                let skip = skip.map_or(&NEG_ZEROS[..len], |x| &x[at.clone()]);
-                let base = classes[0];
-                for (((v, &d), &s), &x) in out[at].iter_mut().zip(&*differ).zip(spatial).zip(skip) {
-                    *v = epilogue(d, base, s, x);
-                }
-                continue;
-            }
-            // Store every output row's pixels whose position fell in this
-            // segment (rows are `stride · row` positions apart).
-            let pixels = |positions: usize| if stride == 1 { positions } else { positions.div_ceil(stride) };
-            for oy in q0 / row / stride..oh {
-                let row0 = oy * stride * row;
-                if row0 >= q0 + len {
-                    break;
-                }
-                let lo = pixels(q0.saturating_sub(row0));
-                let hi = ow.min(pixels(q0 + len - row0));
-                if lo >= hi {
-                    continue;
-                }
-                let (at, n) = (oy * ow + lo, hi - lo);
+            // Each row's run of `n` pixels is one zip. Its bases are a
+            // slice of its class's spelled-out row: from column `ox0` when
+            // the run starts left of the interior, else ending the interior
+            // copies where the run's right border columns begin.
+            let end = ox0 + n;
+            let inner = end.min(hi).saturating_sub(ox0.max(lo));
+            let from = if ox0 < lo { ox0 } else { lo + width - inner + ox0.saturating_sub(hi) };
+            for (r, oy) in (oy0..oy0 + n_rows).enumerate() {
                 let class = g.y.class_of(oy);
-                let bases = &classes[class * ow + lo..class * ow + hi];
+                let bases = &rows[class * (xb + width) + from..][..n];
+                let at = oy * cols + ox0;
                 let spatial = job.spatial.map_or(&ONES[..n], |gate| &gate[at..at + n]);
                 let skip = skip.map_or(&NEG_ZEROS[..n], |x| &x[at..at + n]);
-                let differ = &differ[row0 + lo * stride - q0..];
-                let store = |v: &mut f32, (((&d, &base), &s), &x): (((&u64, &i32), &f32), &f32)| {
-                    *v = epilogue(d, base, s, x);
-                };
+                let counts = &differ[r * pitch..];
                 let out = out[at..at + n].iter_mut();
+                let store = |v: &mut f32, (((&d, &base), &s), &x): (((&u64, &i32), &f32), &f32)| {
+                    *v = (scale * (base - 2 * d as i32) as f32 + bias) * s * channel + x;
+                };
                 if stride == 1 {
-                    out.zip(differ.iter().zip(bases).zip(spatial).zip(skip)).for_each(|(v, operands)| store(v, operands));
+                    out.zip(counts.iter().zip(bases).zip(spatial).zip(skip))
+                        .for_each(|(v, operands)| store(v, operands));
                 } else {
-                    out.zip(differ.iter().step_by(stride).zip(bases).zip(spatial).zip(skip))
+                    out.zip(counts.iter().step_by(stride).zip(bases).zip(spatial).zip(skip))
                         .for_each(|(v, operands)| store(v, operands));
                 }
             }
@@ -426,20 +472,20 @@ pub(crate) fn pack(level: SimdLevel, g: &Geometry, image: &[f32], shift: (&[f32]
 }
 
 /// [`conv_image`] at `level`, clamped to what the CPU offers.
-pub(crate) fn conv(level: SimdLevel, job: &Job<'_>, planes: &mut [f32]) {
+pub(crate) fn conv(level: SimdLevel, job: &Job<'_>, rows: &mut [i32], planes: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     {
         // SAFETY (all arms): as in `pack`.
         match level.min(scales_tensor::simd::detected()) {
-            SimdLevel::Avx512 => return unsafe { x86::conv_avx512(job, planes) },
-            SimdLevel::Avx2 => return unsafe { x86::conv_avx2(job, planes) },
-            SimdLevel::Sse42 => return unsafe { x86::conv_popcnt(job, planes) },
+            SimdLevel::Avx512 => return unsafe { x86::conv_avx512(job, rows, planes) },
+            SimdLevel::Avx2 => return unsafe { x86::conv_avx2(job, rows, planes) },
+            SimdLevel::Sse42 => return unsafe { x86::conv_popcnt(job, rows, planes) },
             SimdLevel::None => {}
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = level;
-    conv_image(job, planes);
+    conv_image(job, rows, planes);
 }
 
 /// The two generic bodies recompiled per x86-64 feature level.
@@ -463,8 +509,8 @@ mod x86 {
             /// The CPU must support the enabled features (runtime-checked
             /// by [`super::conv`]).
             #[target_feature($(enable = $feature),+)]
-            pub(super) unsafe fn $conv(job: &Job<'_>, planes: &mut [f32]) {
-                conv_image(job, planes);
+            pub(super) unsafe fn $conv(job: &Job<'_>, rows: &mut [i32], planes: &mut [f32]) {
+                conv_image(job, rows, planes);
             }
         };
     }
@@ -483,3 +529,4 @@ mod x86 {
         "avx512vpopcntdq"
     );
 }
+

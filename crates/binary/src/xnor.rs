@@ -348,7 +348,7 @@ impl BinaryConv2d {
         }
         let BitScratch { act, bases } = scratch;
         let bitmap = sized(act, g.bitmap_words());
-        let base = sized(bases, oc * g.base_len());
+        let (base, rows) = sized(bases, oc * g.base_len() + g.rows_len()).split_at_mut(oc * g.base_len());
         direct::base_table(&g, &self.pad_fix, base);
         for b in 0..n {
             let image = &input[b * ic * h * w..(b + 1) * ic * h * w];
@@ -357,14 +357,14 @@ impl BinaryConv2d {
                 g: &g,
                 bitmap,
                 weights: &self.packed_weights,
-                base,
+                base: &*base,
                 scales: &self.scales,
                 bias: fused.bias,
                 spatial: fused.spatial.map(|gate| &gate[b * oh * ow..(b + 1) * oh * ow]),
                 channel: fused.channel.map(|gate| &gate[b * oc..(b + 1) * oc]),
                 skip: fused.skip.then_some(image),
             };
-            direct::conv(level, &job, &mut out[b * oc * oh * ow..(b + 1) * oc * oh * ow]);
+            direct::conv(level, &job, rows, &mut out[b * oc * oh * ow..(b + 1) * oc * oh * ow]);
         }
         Ok(())
     }

@@ -21,6 +21,15 @@
 //! branch, and the linear's bias — added between the binary product and
 //! the gate — rides in the kernel's store (`Fused::bias`).
 //!
+//! The float gates — SCALES' spatial map (the `C → 1` pixel dot and its
+//! sigmoid), its channel map (global average pool, Conv1d over the channel
+//! tokens, sigmoid) and BAM's `mean_c |x|` map — run in `crate::gate`, one
+//! loop each compiled per [`SimdLevel`] like the kernel whose store applies
+//! them, at the level `forward_into_at` is given (the active backend's for
+//! `forward_into`, so the scalar backend runs the portable loops). Every
+//! level computes every gate value with the same operations in the same
+//! order, so a gate is `to_bits`-identical at every level.
+//!
 //! Every layer has one arithmetic body, its `forward_into` (gates staged
 //! in a [`ConvScratch`], one fused kernel call); `forward` is that body
 //! behind a rank / channel check, a fresh output and a fresh scratch. The
@@ -31,12 +40,13 @@
 
 use crate::conv::ScalesConv2d;
 use crate::factory::{BodyConv, BodyLinear};
+use crate::gate::{gate_into, Gate};
 use crate::linear::ScalesLinear;
 use crate::lsf::LsfBinarizer;
 use scales_autograd::Var;
 use scales_nn::Module as _;
 use scales_binary::{BinaryConv2d, Fused, SignShift};
-use scales_tensor::ops::{conv2d, conv2d_into_at, sigmoid, Conv2dSpec};
+use scales_tensor::ops::{conv2d, conv2d_into_at, Conv2dSpec};
 use scales_tensor::workspace::{sized, ConvScratch};
 use scales_tensor::{Result, SimdLevel, Tensor, TensorError};
 
@@ -313,6 +323,7 @@ impl DeployedScalesConv2d {
     /// `+bias ·spatial ·channel +skip` in its store — per element the order
     /// of the same steps run as separate passes over the unfused output
     /// (`tests/kernels.rs` keeps that pass-by-pass form as the oracle).
+    /// Gates and kernel run at the active backend's [`SimdLevel`].
     ///
     /// # Errors
     ///
@@ -326,74 +337,54 @@ impl DeployedScalesConv2d {
         scratch: &mut ConvScratch,
         out: &mut [f32],
     ) -> Result<()> {
+        let level = scales_tensor::backend::kernel().simd_level();
+        self.forward_into_at(level, input, n, h, w, scratch, out)
+    }
+
+    /// [`DeployedScalesConv2d::forward_into`] with the gates and the kernel
+    /// compiled for `level` (clamped to what the CPU offers) — how tests
+    /// compare the levels in one process. Every level is bit-identical.
+    ///
+    /// # Errors
+    ///
+    /// As [`DeployedScalesConv2d::forward_into`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn forward_into_at(
+        &self,
+        level: SimdLevel,
+        input: &[f32],
+        n: usize,
+        h: usize,
+        w: usize,
+        scratch: &mut ConvScratch,
+        out: &mut [f32],
+    ) -> Result<()> {
         let c = self.in_channels;
         let oc = self.conv.out_channels();
         if input.len() != n * c * h * w {
             return Err(TensorError::LengthMismatch { expected: n * c * h * w, actual: input.len() });
         }
-        let hw = h * w;
+        let dims = (n, c, h * w);
         let ConvScratch { plane, chan, chan2, bits, .. } = scratch;
-        // Spatial gate from the FP input: the per-pixel channel dot
-        // replicates `conv2d(input, wmap, 1×1)` — every pixel accumulates
-        // from 0 in ascending-channel order, the GEMM's per-element order.
+        // Spatial gate from the FP input: the per-pixel channel dot of
+        // `conv2d(input, wmap, 1×1)`, then the sigmoid.
         let spatial = self.spatial.as_ref().map(|(wmap, bias)| {
-            let wd = wmap.data();
-            let gate = pixel_sums(input, n, c, hw, plane, |ci, x| wd[ci] * x);
-            gate.iter_mut().for_each(|acc| *acc = sigmoid(*acc + bias));
+            let gate = sized(plane, n * h * w);
+            gate_into(level, Gate::Spatial { weights: wmap.data(), bias: *bias }, input, dims, gate);
             &*gate
         });
         // Channel gate from the FP input (global average pool → 1-D conv
-        // over channel tokens → sigmoid), one value per output channel.
-        let channel = self.channel.as_ref().map(|kker| {
-            let pooled = sized(chan, n * c);
-            scales_tensor::ops::global_avg_pool_into(input, n, c, hw, pooled);
-            let kd = kker.data();
-            let pad = kd.len() / 2;
+        // over channel tokens → sigmoid), one value per output channel;
+        // `from_parts` guarantees oc ≤ c.
+        let channel = self.channel.as_ref().map(|kernel| {
             let gate = sized(chan2, n * oc);
-            for b in 0..n {
-                // `from_parts` guarantees oc ≤ c, so token `co` exists.
-                for co in 0..oc {
-                    let mut acc = 0.0f32;
-                    for (ki, &kv) in kd.iter().enumerate() {
-                        let pos = co as isize + ki as isize - pad as isize;
-                        if pos < 0 || pos >= c as isize {
-                            continue;
-                        }
-                        acc += pooled[b * c + pos as usize] * kv;
-                    }
-                    gate[b * oc + co] = sigmoid(acc);
-                }
-            }
+            gate_into(level, Gate::Channel { kernel: kernel.data(), pooled: sized(chan, n * c) }, input, dims, gate);
             &*gate
         });
         let shift = if self.beta.is_empty() { SignShift::None } else { SignShift::PerChannel(&self.beta) };
         let fused = Fused { shift, bias: self.bias.as_deref(), spatial, channel, skip: self.skip };
-        self.conv.forward_fused(input, n, h, w, &fused, bits, out)
+        self.conv.forward_at(level, input, n, h, w, &fused, bits, out)
     }
-}
-
-/// Per image and pixel, the sum over channels of `term(channel, x)` into
-/// `plane[..n·hw]`: every pixel accumulates from 0 in ascending-channel
-/// order, walked channel-outer so each pass streams one contiguous plane.
-fn pixel_sums<'a>(
-    input: &[f32],
-    n: usize,
-    c: usize,
-    hw: usize,
-    plane: &'a mut Vec<f32>,
-    term: impl Fn(usize, f32) -> f32,
-) -> &'a mut [f32] {
-    let sums = sized(plane, n * hw);
-    sums.fill(0.0);
-    for (b, sums) in sums.chunks_mut(hw.max(1)).enumerate() {
-        for ci in 0..c {
-            let x = &input[(b * c + ci) * hw..(b * c + ci + 1) * hw];
-            for (acc, &xv) in sums.iter_mut().zip(x) {
-                *acc += term(ci, xv);
-            }
-        }
-    }
-    sums
 }
 
 /// In-place FP identity skip `out += input`, requiring identical shapes —
@@ -822,16 +813,38 @@ impl DeployedBodyConv {
         scratch: &mut ConvScratch,
         out: &mut [f32],
     ) -> Result<()> {
+        let level = scales_tensor::backend::kernel().simd_level();
+        self.forward_into_at(level, input, n, h, w, scratch, out)
+    }
+
+    /// [`DeployedBodyConv::forward_into`] with its kernels and gates
+    /// compiled for `level` (clamped to what the CPU offers). Every level
+    /// is bit-identical.
+    ///
+    /// # Errors
+    ///
+    /// As [`DeployedBodyConv::forward_into`].
+    #[allow(clippy::too_many_arguments)]
+    pub fn forward_into_at(
+        &self,
+        level: SimdLevel,
+        input: &[f32],
+        n: usize,
+        h: usize,
+        w: usize,
+        scratch: &mut ConvScratch,
+        out: &mut [f32],
+    ) -> Result<()> {
         let (oc, oh, ow) = self.out_shape(h, w)?;
         let c = self.in_channels();
         if input.len() != n * c * h * w {
             return Err(TensorError::LengthMismatch { expected: n * c * h * w, actual: input.len() });
         }
         match self {
-            DeployedBodyConv::Float(conv) => conv.forward_into(input, n, h, w, &mut scratch.padded, out),
-            DeployedBodyConv::Scales(conv) => conv.forward_into(input, n, h, w, scratch, out),
+            DeployedBodyConv::Float(conv) => conv.forward_at(level, input, n, h, w, &mut scratch.padded, out),
+            DeployedBodyConv::Scales(conv) => conv.forward_into_at(level, input, n, h, w, scratch, out),
             DeployedBodyConv::E2fif { conv, gamma, beta, skip } => {
-                conv.forward_into(input, n, h, w, &mut scratch.bits, out)?;
+                conv.forward_at(level, input, n, h, w, &Fused::default(), &mut scratch.bits, out)?;
                 // Each image is normalised by its own statistics, so an
                 // image served inside a batch reads exactly as served
                 // alone (the training tape normalises over its batch).
@@ -853,21 +866,21 @@ impl DeployedBodyConv {
                     *mean = image.iter().sum::<f32>() / chw as f32;
                 }
                 let fused = Fused { shift: SignShift::PerImage(means), skip: *skip, ..Fused::default() };
-                conv.forward_fused(input, n, h, w, &fused, bits, out)
+                conv.forward_at(level, input, n, h, w, &fused, bits, out)
             }
             DeployedBodyConv::Bam { conv, skip } => {
                 // FP accumulation map K = mean_c |x| per pixel, applied as
                 // the kernel's per-pixel gate (its length check is the
                 // "same-size output" requirement).
                 let ConvScratch { plane, bits, .. } = scratch;
-                let k = pixel_sums(input, n, c, h * w, plane, |_, x| x.abs());
-                k.iter_mut().for_each(|acc| *acc /= c as f32);
+                let k = sized(plane, n * h * w);
+                gate_into(level, Gate::Magnitude, input, (n, c, h * w), k);
                 let fused = Fused { spatial: Some(k), skip: *skip, ..Fused::default() };
-                conv.forward_fused(input, n, h, w, &fused, bits, out)
+                conv.forward_at(level, input, n, h, w, &fused, bits, out)
             }
             DeployedBodyConv::Basic { conv, bias, skip } => {
                 let fused = Fused { bias: bias.as_deref(), skip: *skip, ..Fused::default() };
-                conv.forward_fused(input, n, h, w, &fused, &mut scratch.bits, out)
+                conv.forward_at(level, input, n, h, w, &fused, &mut scratch.bits, out)
             }
         }
     }

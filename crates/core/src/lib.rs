@@ -38,6 +38,7 @@ mod channel;
 mod conv;
 mod deploy;
 mod factory;
+mod gate;
 mod linear;
 mod lsf;
 mod method;

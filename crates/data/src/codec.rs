@@ -1169,20 +1169,45 @@ fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
     crc
 }
 
-/// Adler-32 (the zlib stream checksum).
+/// Adler-32 (the zlib stream checksum), in blocks of 16-byte stripes
+/// whose sums vectorise. Over `n` bytes after sums `(a, b)`, `a` gains
+/// `Σ x_j` and `b` gains `n·a + Σ (n − j)·x_j`; lane `i` of the stripes
+/// keeps its bytes' running sum and the running sum of that, which give
+/// both without a carried add per byte. Exact by construction: integers,
+/// reduced once per block.
 fn adler32(data: &[u8]) -> u32 {
-    const MOD: u32 = 65_521;
-    let (mut a, mut b) = (1u32, 0u32);
-    // 5552 is the largest run before u32 accumulation can overflow.
-    for chunk in data.chunks(5552) {
-        for &byte in chunk {
-            a += u32::from(byte);
+    const MOD: u64 = 65_521;
+    /// Bytes per stripe: lane `i` takes byte `i` of every stripe.
+    const STRIPE: usize = 16;
+    /// Stripes per block: a lane's sum of running sums stays at most
+    /// `255·S(S+1)/2 < 2³²`, so its `u32` cannot overflow.
+    const BLOCK: usize = 4_096;
+    let (mut a, mut b) = (1u64, 0u64);
+    for block in data.chunks(STRIPE * BLOCK) {
+        let stripes = block.chunks_exact(STRIPE);
+        let tail = stripes.remainder();
+        let (mut sums, mut sums_of_sums) = ([0u32; STRIPE], [0u32; STRIPE]);
+        for stripe in stripes {
+            for ((sum, total), &x) in sums.iter_mut().zip(&mut sums_of_sums).zip(stripe) {
+                *sum += u32::from(x);
+                *total += *sum;
+            }
+        }
+        // Byte `i` of stripe `s` of `m` is `j = 16·s + i` and weighs
+        // `n − j = 16·(m − s) − i`; lane `i`'s total counts it `m − s` times.
+        let n = (block.len() - tail.len()) as u64;
+        let weighted: u64 = sums_of_sums.iter().map(|&t| u64::from(t)).sum::<u64>() * STRIPE as u64
+            - sums.iter().enumerate().map(|(i, &sum)| i as u64 * u64::from(sum)).sum::<u64>();
+        b += n * a + weighted;
+        a += sums.iter().map(|&sum| u64::from(sum)).sum::<u64>();
+        for &x in tail {
+            a += u64::from(x);
             b += a;
         }
         a %= MOD;
         b %= MOD;
     }
-    b << 16 | a
+    (b << 16 | a) as u32
 }
 
 /// A byte-slice reader with typed truncation errors.
@@ -1458,6 +1483,23 @@ mod tests {
                 let (head, tail) = data.split_at(len.min(4));
                 assert_eq!(!crc32_update(crc32_update(!0, head), tail), want, "split, start {start}, len {len}");
             }
+        }
+    }
+
+    /// The blocked Adler-32 against the byte-at-a-time one at every
+    /// length 0–300 (each stripe tail, one to eighteen whole stripes), at
+    /// the old 5,552-byte reduction run and twice it, across a block, and
+    /// on all-0xFF buffers — the largest sums a block can hold.
+    #[test]
+    fn blocked_adler32_matches_the_bytewise_reference() {
+        let bytes: Vec<u8> = (0..140_000u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        let lengths = (0..=300).chain(5_551..=5_553).chain([11_105, 65_535, 65_536, 65_537, 140_000]);
+        for len in lengths {
+            assert_eq!(adler32(&bytes[..len]), reference::adler32(&bytes[..len]), "len {len}");
+        }
+        for len in [16, 5_552, 65_536, 65_552, 140_001] {
+            let ones = vec![0xFF; len];
+            assert_eq!(adler32(&ones), reference::adler32(&ones), "all 0xFF, len {len}");
         }
     }
 

@@ -15,8 +15,8 @@ pub use conv::{
     conv2d_backward_weight, conv2d_into, conv2d_into_at, Conv2dSpec,
 };
 pub use image::{
-    global_avg_pool, global_avg_pool_into, pixel_shuffle, pixel_unshuffle, window_merge,
-    window_partition,
+    global_avg_pool, global_avg_pool_into, global_avg_pool_into_at, pixel_shuffle, pixel_unshuffle,
+    window_merge, window_partition,
 };
 pub use matmul::{batched_matmul, gemm, matmul};
 pub use token::{

@@ -34,8 +34,10 @@ pub struct BitScratch {
     /// `ceil(IC/64)` planes of `(h + 2·pad)` rows, one word per pixel.
     pub act: Vec<u64>,
     /// Per output channel and row class (each border row, then all
-    /// interior rows), the dot product every output column starts from
-    /// once its padded taps are cancelled.
+    /// interior rows), the dot product an output pixel starts from once
+    /// its padded taps are cancelled — one for the interior columns and one
+    /// per border column — then one channel's classes spelled out per
+    /// column for the store.
     pub bases: Vec<i32>,
 }
 

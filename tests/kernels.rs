@@ -24,7 +24,7 @@
 use proptest::prelude::*;
 use scales::autograd::Var;
 use scales::binary::{BinaryConv2d, Fused, SignShift};
-use scales::core::{DeployedScalesConv2d, FloatConv2d, ScalesComponents, ScalesConv2d};
+use scales::core::{DeployedBodyConv, DeployedScalesConv2d, FloatConv2d, ScalesComponents, ScalesConv2d};
 use scales::data::{resize_bicubic_into, resize_bicubic_tensor, BicubicAxisTaps};
 use scales::models::deploy::DeployedChannelAttention;
 use scales::models::{DeployedNetworkBuilder, DeployedOp, Workspace};
@@ -701,15 +701,151 @@ fn bicubic_resample_matches_the_per_element_loop_bit_for_bit() {
     assert_eq!(cases, 85);
 }
 
+/// Rows at and around one count segment (256 bitmap words: `w + 2·pad`
+/// of 255, 256 and 257), rows cut so their last piece holds only right
+/// border columns, from the first one (`w = 256 + pad`) or a later one
+/// (`w = 256 + pad − 1`, for `pad` 2), and rows over two segments wide,
+/// through every
+/// `Fused` operand the geometry allows (the skip needs a shape-preserving
+/// call), against `s_c · conv2d` of the signs followed by the operand
+/// passes — at every level and on both backends, from stale scratch.
+#[test]
+fn direct_kernel_handles_rows_as_wide_as_a_segment_and_wider() {
+    let mut data = Stream(17);
+    let mut cases = 0;
+    for (k, pad) in [(1usize, 1usize), (3, 1), (5, 2)] {
+        for w in [256 - 2 * pad - 1, 256 - 2 * pad, 256 - 2 * pad + 1, 256 + pad - 1, 256 + pad, 2 * 256 + 3] {
+            for h in [1usize, 2, 5] {
+                for stride in [1usize, 2] {
+                    let (c, n) = (5usize, 2usize);
+                    let spec = Conv2dSpec { stride, padding: pad };
+                    let weight = Tensor::from_vec(data.signs(c * c * k * k), &[c, c, k, k]).unwrap();
+                    let scales: Vec<f32> = data.values(c).iter().map(|v| v * 2.0 + 0.25).collect();
+                    let mut conv = BinaryConv2d::from_float_weight(&weight).unwrap().with_spec(spec);
+                    conv.set_scales(scales.clone()).unwrap();
+                    let input = data.values(n * c * h * w);
+                    let beta = data.values(c);
+                    let signs: Vec<f32> = input
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &v)| if v - beta[i / (h * w) % c] >= 0.0 { 1.0 } else { -1.0 })
+                        .collect();
+                    let dots = conv2d(&Tensor::from_vec(signs, &[n, c, h, w]).unwrap(), &weight, spec).unwrap();
+                    let (oh, ow) = (dots.shape()[2], dots.shape()[3]);
+                    let skip = (oh, ow) == (h, w);
+                    let (bias, spatial, channel) = (data.values(c), data.values(n * oh * ow), data.values(n * c));
+                    let fused = Fused {
+                        shift: SignShift::PerChannel(&beta),
+                        bias: Some(&bias),
+                        spatial: Some(&spatial),
+                        channel: Some(&channel),
+                        skip,
+                    };
+                    let want: Vec<u32> = dots
+                        .data()
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &dot)| {
+                            let (b, co, p) = (i / (c * oh * ow), i / (oh * ow) % c, i % (oh * ow));
+                            let mut v = scales[co] * dot;
+                            v += bias[co];
+                            v *= spatial[b * oh * ow + p];
+                            v *= channel[b * c + co];
+                            if skip {
+                                v += input[i];
+                            }
+                            v.to_bits()
+                        })
+                        .collect();
+                    let label = format!("k={k} pad={pad} stride={stride} {h}x{w}");
+                    let mut scratch = stale_scratch();
+                    let mut got = vec![f32::NAN; want.len()];
+                    for level in simd::available() {
+                        got.fill(f32::NAN);
+                        conv.forward_at(level, &input, n, h, w, &fused, &mut scratch, &mut got).unwrap();
+                        assert_eq!(bits(&got), want, "{label} at {level}");
+                    }
+                    for backend in [Backend::Scalar, Backend::Simd] {
+                        got.fill(f32::NAN);
+                        let run = || conv.forward_fused(&input, n, h, w, &fused, &mut scratch, &mut got);
+                        with_thread_backend(backend, run).unwrap();
+                        assert_eq!(bits(&got), want, "{label} on {backend}");
+                    }
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 108);
+}
+
+/// The unfused pass order of a deployed SCALES layer written as tensor
+/// ops: β shift → packed conv → spatial gate → channel gate → skip, each a
+/// separate pass, the gates via `conv2d` / `global_avg_pool` / `conv1d`.
+fn unfused_scales_forward(deployed: &DeployedScalesConv2d, input: &Tensor) -> Tensor {
+    let [n, c, h, w] = [0, 1, 2, 3].map(|axis| input.shape()[axis]);
+    let hw = h * w;
+    // β folds into an input shift before the sign packing.
+    let mut shifted = input.clone();
+    if !deployed.beta().is_empty() {
+        for (i, v) in shifted.data_mut().iter_mut().enumerate() {
+            *v -= deployed.beta()[i / hw % c];
+        }
+    }
+    let mut want = deployed.conv().forward(&shifted).unwrap();
+    // Spatial re-scaling from the FP input: a 1×1 conv to one map.
+    if let Some((wmap, bias)) = deployed.spatial() {
+        let m = conv2d(input, wmap, Conv2dSpec { stride: 1, padding: 0 }).unwrap();
+        for (i, v) in want.data_mut().iter_mut().enumerate() {
+            *v *= sigmoid(m.data()[i / (c * hw) * hw + i % hw] + bias);
+        }
+    }
+    // Channel re-scaling from the FP input: GAP → Conv1d over the channel
+    // tokens.
+    if let Some(k) = deployed.channel() {
+        let tokens = global_avg_pool(input).unwrap().reshape(&[n, 1, c]).unwrap();
+        let mixed = conv1d(&tokens, k, k.shape()[2] / 2).unwrap();
+        for (i, v) in want.data_mut().iter_mut().enumerate() {
+            *v *= sigmoid(mixed.data()[i / hw]);
+        }
+    }
+    if deployed.skip() {
+        want = want.zip_map(input, |a, b| a + b).unwrap();
+    }
+    want
+}
+
+/// `run(scratch, out)` — a deployed layer's `forward_into` — at every
+/// `SimdLevel` the CPU offers and on both backends, each output as
+/// [`float_bits`], labelled.
+fn at_every_level_and_backend(
+    len: usize,
+    mut run_at: impl FnMut(SimdLevel, &mut ConvScratch, &mut [f32]),
+    mut run: impl FnMut(&mut ConvScratch, &mut [f32]),
+) -> Vec<(String, Vec<u32>)> {
+    let mut scratch = ConvScratch::new();
+    let mut got = Vec::new();
+    for level in simd::available() {
+        let mut out = vec![f32::NAN; len];
+        run_at(level, &mut scratch, &mut out);
+        got.push((format!("level {level}"), float_bits(&out)));
+    }
+    for backend in [Backend::Scalar, Backend::Simd] {
+        let mut out = vec![f32::NAN; len];
+        with_thread_backend(backend, || run(&mut scratch, &mut out));
+        got.push((format!("backend {backend}"), float_bits(&out)));
+    }
+    got
+}
+
 /// The deployed SCALES layer's fused `forward_into` — and `forward`, the
-/// same body on a fresh scratch — against the unfused pass order written as
-/// tensor ops (β shift → packed conv → spatial gate → channel gate → skip,
-/// each a separate pass, the gates via `conv2d` / `global_avg_pool` /
-/// `conv1d`), for every component subset, with and without the skip, on the
-/// portable and the detected kernels.
+/// same body on a fresh scratch — against [`unfused_scales_forward`], for
+/// every component subset, with and without the skip, at every SIMD level
+/// (gates and kernel compiled per level) and on both backends: channel
+/// counts on both sides of the 64-lane word and of a vector, planes whose
+/// pixel count is no multiple of 16, batches of one to three.
 #[test]
 fn fused_scales_layer_matches_the_unfused_forward_for_every_component_set() {
-    let mut scratch = ConvScratch::new();
     let mut data = Stream(7);
     for mask in 0..16usize {
         let components = ScalesComponents {
@@ -719,9 +855,8 @@ fn fused_scales_layer_matches_the_unfused_forward_for_every_component_set() {
             channel_kernel: 5,
         };
         let skip = mask & 8 != 0;
-        // Channel counts on both sides of the 64-lane word, ragged and
-        // whole-vector widths, and a batch.
-        for &(c, h, w, n) in &[(6usize, 8usize, 8usize, 1usize), (70, 5, 19, 2), (64, 17, 16, 1)] {
+        let cases = [(1usize, 5usize, 7usize, 2usize), (3, 3, 11, 3), (17, 9, 5, 1), (64, 7, 9, 2), (80, 5, 19, 3)];
+        for (c, h, w, n) in cases {
             let layer = ScalesConv2d::with_components(c, c, 3, components, skip, &mut rng(400 + mask as u64));
             if let Some(lsf) = layer.lsf() {
                 lsf.alpha().set_value(Tensor::from_vec(vec![0.8], &[1]).unwrap());
@@ -729,45 +864,85 @@ fn fused_scales_layer_matches_the_unfused_forward_for_every_component_set() {
             }
             let deployed = DeployedScalesConv2d::from_trained(&layer).unwrap();
             let input = Tensor::from_vec(data.values(n * c * h * w), &[n, c, h, w]).unwrap();
-            let hw = h * w;
-
-            // β folds into an input shift before the sign packing.
-            let mut shifted = input.clone();
-            if !deployed.beta().is_empty() {
-                for (i, v) in shifted.data_mut().iter_mut().enumerate() {
-                    *v -= deployed.beta()[i / hw % c];
-                }
-            }
-            let mut want = deployed.conv().forward(&shifted).unwrap();
-            // Spatial re-scaling from the FP input: a 1×1 conv to one map.
-            if let Some((wmap, bias)) = deployed.spatial() {
-                let m = conv2d(&input, wmap, Conv2dSpec { stride: 1, padding: 0 }).unwrap();
-                for (i, v) in want.data_mut().iter_mut().enumerate() {
-                    *v *= sigmoid(m.data()[i / (c * hw) * hw + i % hw] + bias);
-                }
-            }
-            // Channel re-scaling from the FP input: GAP → Conv1d over the
-            // channel tokens.
-            if let Some(k) = deployed.channel() {
-                let tokens = global_avg_pool(&input).unwrap().reshape(&[n, 1, c]).unwrap();
-                let mixed = conv1d(&tokens, k, k.shape()[2] / 2).unwrap();
-                for (i, v) in want.data_mut().iter_mut().enumerate() {
-                    *v *= sigmoid(mixed.data()[i / hw]);
-                }
-            }
-            if deployed.skip() {
-                want = want.zip_map(&input, |a, b| a + b).unwrap();
-            }
-
+            let want = float_bits(unfused_scales_forward(&deployed, &input).data());
             let label = format!("{components:?} skip={skip} c={c} {h}x{w} n={n}");
-            for backend in [Backend::Scalar, Backend::Simd] {
-                let mut got = vec![f32::NAN; want.len()];
-                with_thread_backend(backend, || deployed.forward_into(input.data(), n, h, w, &mut scratch, &mut got))
-                    .unwrap();
-                assert_eq!(bits(&got), bits(want.data()), "{label} {backend}");
-                let fresh = with_thread_backend(backend, || deployed.forward(&input)).unwrap();
-                assert_eq!(bits(fresh.data()), bits(want.data()), "{label} {backend}, forward");
+            let x = input.data();
+            let runs = at_every_level_and_backend(
+                want.len(),
+                |level, scratch, out| deployed.forward_into_at(level, x, n, h, w, scratch, out).unwrap(),
+                |scratch, out| deployed.forward_into(x, n, h, w, scratch, out).unwrap(),
+            );
+            for (run, got) in runs {
+                assert_eq!(got, want, "{label} {run}");
             }
+            let fresh = deployed.forward(&input).unwrap();
+            assert_eq!(float_bits(fresh.data()), want, "{label}, forward");
+        }
+    }
+}
+
+/// The full SCALES layer on hostile input — NaN, ±∞, subnormals, −0.0 —
+/// against the unfused passes: which elements are NaN, and every other
+/// element's bits, at every level and on both backends.
+#[test]
+fn fused_scales_layer_matches_the_unfused_forward_on_hostile_values() {
+    let mut data = Stream(11);
+    let (c, h, w, n) = (17usize, 6usize, 7usize, 2usize);
+    let layer = ScalesConv2d::with_components(c, c, 3, ScalesComponents::full(), true, &mut rng(77));
+    let mut values = data.hostile_values(n * c * h * w);
+    for (i, v) in values.iter_mut().enumerate() {
+        match i % 97 {
+            0 => *v = f32::NAN,
+            1 => *v = f32::INFINITY,
+            2 => *v = f32::NEG_INFINITY,
+            3 => *v = f32::MIN_POSITIVE / 8.0,
+            4 => *v = -f32::MIN_POSITIVE / 3.0,
+            _ => {}
+        }
+    }
+    let input = Tensor::from_vec(values, &[n, c, h, w]).unwrap();
+    let deployed = DeployedScalesConv2d::from_trained(&layer).unwrap();
+    let want = float_bits(unfused_scales_forward(&deployed, &input).data());
+    assert!(want.contains(&f32::NAN.to_bits()), "the case must carry NaNs through");
+    let x = input.data();
+    let runs = at_every_level_and_backend(
+        want.len(),
+        |level, scratch, out| deployed.forward_into_at(level, x, n, h, w, scratch, out).unwrap(),
+        |scratch, out| deployed.forward_into(x, n, h, w, scratch, out).unwrap(),
+    );
+    for (run, got) in runs {
+        assert_eq!(got, want, "hostile values, {run}");
+    }
+}
+
+/// BAM's deployed layer — the `mean_c |x|` map as the kernel's per-pixel
+/// gate, then the skip — against the same steps as tensor ops (the map as a
+/// 1×1 convolution of `|x|` with ones, so every pixel sums from 0 in
+/// ascending-channel order), at every level and on both backends.
+#[test]
+fn deployed_bam_layer_matches_its_magnitude_map_at_every_level() {
+    let mut data = Stream(13);
+    for &(c, h, w, n) in &[(1usize, 4usize, 5usize, 1usize), (17, 9, 5, 2), (80, 5, 7, 3)] {
+        let weight = Tensor::from_vec(data.values(c * c * 9), &[c, c, 3, 3]).unwrap();
+        let deployed = DeployedBodyConv::Bam { conv: BinaryConv2d::from_float_weight(&weight).unwrap(), skip: true };
+        let input = Tensor::from_vec(data.hostile_values(n * c * h * w), &[n, c, h, w]).unwrap();
+        let DeployedBodyConv::Bam { conv, .. } = &deployed else { unreachable!() };
+        let mut want = conv.forward(&input).unwrap();
+        let magnitude = input.map(f32::abs);
+        let sums = conv2d(&magnitude, &Tensor::ones(&[1, c, 1, 1]), Conv2dSpec { stride: 1, padding: 0 }).unwrap();
+        let hw = h * w;
+        for (i, v) in want.data_mut().iter_mut().enumerate() {
+            *v *= sums.data()[i / (c * hw) * hw + i % hw] / c as f32;
+        }
+        let want = float_bits(want.zip_map(&input, |a, b| a + b).unwrap().data());
+        let x = input.data();
+        let runs = at_every_level_and_backend(
+            want.len(),
+            |level, scratch, out| deployed.forward_into_at(level, x, n, h, w, scratch, out).unwrap(),
+            |scratch, out| deployed.forward_into(x, n, h, w, scratch, out).unwrap(),
+        );
+        for (run, got) in runs {
+            assert_eq!(got, want, "BAM c={c} {h}x{w} n={n} {run}");
         }
     }
 }
