@@ -309,11 +309,14 @@ fn main() {
         };
         let conv = layer.conv();
         per_level("binary conv 64ch 32x32", "binconv", conv, side);
-        for (label, key, ic, oc) in [
-            ("bin 1x1 32->32 16x16", "binconv_k1_32x32", 32usize, 32usize),
-            ("bin 1x1 64->32 16x16", "binconv_k1_64x32", 64, 32),
+        // The lite models' body conv (`edge_fleet`, `runtime_bursts`), then
+        // the lowered transformer linears.
+        for (label, key, ic, oc, k) in [
+            ("bin 3x3 16->16 16x16", "binconv_k3_16x16", 16usize, 16usize, 3usize),
+            ("bin 1x1 32->32 16x16", "binconv_k1_32x32", 32, 32, 1),
+            ("bin 1x1 64->32 16x16", "binconv_k1_64x32", 64, 32, 1),
         ] {
-            let weight = Tensor::from_vec(filled(oc * ic, 7.0), &[oc, ic, 1, 1]).unwrap();
+            let weight = Tensor::from_vec(filled(oc * ic * k * k, 7.0), &[oc, ic, k, k]).unwrap();
             per_level(label, key, &BinaryConv2d::from_float_weight(&weight).unwrap(), 16);
         }
         let input = filled(ch * side * side, 4.0);

@@ -31,7 +31,7 @@ use scales_tensor::{Result, SimdLevel, Tensor, TensorError};
 pub struct BinaryConv2d {
     /// Per output channel: `k·k·wpp` words in (ky, kx, channel-word) order.
     packed_weights: Vec<u64>,
-    /// Per (output channel, tap): [`direct::pad_fix`] of the weights.
+    /// Per (tap, output channel): [`direct::pad_fix`] of the weights.
     pad_fix: Vec<i32>,
     scales: Vec<f32>,
     out_channels: usize,
@@ -79,7 +79,7 @@ impl BinaryConv2d {
             }
         }
         Ok(Self {
-            pad_fix: direct::pad_fix(&packed, wpp, ic),
+            pad_fix: direct::pad_fix(&packed, k * k, wpp, ic),
             packed_weights: packed,
             scales,
             out_channels: oc,
@@ -154,7 +154,7 @@ impl BinaryConv2d {
             packed_weights.iter_mut().skip(wpp - 1).step_by(wpp).for_each(|w| *w &= valid);
         }
         Ok(Self {
-            pad_fix: direct::pad_fix(&packed_weights, wpp, in_channels),
+            pad_fix: direct::pad_fix(&packed_weights, kernel * kernel, wpp, in_channels),
             packed_weights,
             scales,
             out_channels,

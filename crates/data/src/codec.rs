@@ -324,6 +324,21 @@ fn image_from_samples(samples: &[u8], pitch: usize, channels: usize, h: usize, w
     Image::from_tensor(tensor).expect("1 or 3 channels by construction")
 }
 
+/// Pixels an RGB row is quantized in at a time: each plane's run of them
+/// into an array of its own (a loop that vectorises), then interleaved
+/// from the three arrays.
+const RGB_RUN: usize = 16;
+
+/// [`quantize`] of the first [`RGB_RUN`] samples of `plane`.
+#[inline]
+fn quantize_run(plane: &[f32]) -> [u8; RGB_RUN] {
+    let mut run = [0; RGB_RUN];
+    for (q, &v) in run.iter_mut().zip(plane) {
+        *q = quantize(v);
+    }
+    run
+}
+
 /// Append row `y` of a planar CHW `f32` image as interleaved quantized
 /// 8-bit samples (`x`-major, channel-minor), read straight from the
 /// planes — the one place the wire's sample order is written down.
@@ -336,7 +351,19 @@ fn push_row(out: &mut Vec<u8>, image: &Image, y: usize) {
     let dst = &mut out[start..];
     if image.channels() == 3 {
         let (r, g, b) = (row(0), row(1), row(2));
-        for (px, ((&r, &g), &b)) in dst.chunks_exact_mut(3).zip(r.iter().zip(g).zip(b)) {
+        let planes = r.chunks_exact(RGB_RUN).zip(g.chunks_exact(RGB_RUN)).zip(b.chunks_exact(RGB_RUN));
+        let mut runs = dst.chunks_exact_mut(3 * RGB_RUN);
+        for (px, ((r, g), b)) in runs.by_ref().zip(planes) {
+            let (r, g, b) = (quantize_run(r), quantize_run(g), quantize_run(b));
+            let mut interleaved = [0; 3 * RGB_RUN];
+            for (i, px) in interleaved.chunks_exact_mut(3).enumerate() {
+                px.copy_from_slice(&[r[i], g[i], b[i]]);
+            }
+            px.copy_from_slice(&interleaved);
+        }
+        let done = w - w % RGB_RUN;
+        let rest = r[done..].iter().zip(&g[done..]).zip(&b[done..]);
+        for (px, ((&r, &g), &b)) in runs.into_remainder().chunks_exact_mut(3).zip(rest) {
             px.copy_from_slice(&[quantize(r), quantize(g), quantize(b)]);
         }
     } else {

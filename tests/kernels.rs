@@ -701,14 +701,85 @@ fn bicubic_resample_matches_the_per_element_loop_bit_for_bit() {
     assert_eq!(cases, 85);
 }
 
+/// One `BinaryConv2d` call with every `Fused` operand the geometry allows
+/// (the skip needs a shape-preserving call) against an oracle that owes
+/// the kernel nothing: the float convolution of `sign(x − shift)` (the
+/// packer's rule: `x − shift ≥ 0` is `+1`, NaN is `−1`) with the sign
+/// weights, then the epilogue written out in `Fused` field order — at
+/// every level and on both backends, from stale scratch into NaN-filled
+/// output. `hostile` salts the input, shift, bias and gates with NaN / ±∞
+/// / `−0.0` / subnormals ([`salted`]); the shift is per channel, or per
+/// image when `per_image`.
+#[allow(clippy::too_many_arguments)]
+fn check_fused_call_against_sign_conv(
+    data: &mut Stream,
+    c: usize,
+    k: usize,
+    spec: Conv2dSpec,
+    h: usize,
+    w: usize,
+    hostile: bool,
+    per_image: bool,
+) {
+    let n = 2;
+    let operand = |data: &mut Stream, len: usize| if hostile { salted(data.values(len)) } else { data.values(len) };
+    let weight = Tensor::from_vec(data.signs(c * c * k * k), &[c, c, k, k]).unwrap();
+    let scales: Vec<f32> = data.values(c).iter().map(|v| v * 2.0 + 0.25).collect();
+    let mut conv = BinaryConv2d::from_float_weight(&weight).unwrap().with_spec(spec);
+    conv.set_scales(scales.clone()).unwrap();
+    let input = if hostile { salted(data.hostile_values(n * c * h * w)) } else { data.values(n * c * h * w) };
+    let (beta, means) = (operand(data, c), operand(data, n));
+    let shift = |i: usize| if per_image { means[i / (c * h * w)] } else { beta[i / (h * w) % c] };
+    let signs: Vec<f32> = input.iter().enumerate().map(|(i, &v)| if v - shift(i) >= 0.0 { 1.0 } else { -1.0 }).collect();
+    let dots = conv2d(&Tensor::from_vec(signs, &[n, c, h, w]).unwrap(), &weight, spec).unwrap();
+    let (oh, ow) = (dots.shape()[2], dots.shape()[3]);
+    let skip = (oh, ow) == (h, w);
+    let (bias, spatial, channel) = (operand(data, c), operand(data, n * oh * ow), operand(data, n * c));
+    let fused = Fused {
+        shift: if per_image { SignShift::PerImage(&means) } else { SignShift::PerChannel(&beta) },
+        bias: Some(&bias),
+        spatial: Some(&spatial),
+        channel: Some(&channel),
+        skip,
+    };
+    let want: Vec<f32> = dots
+        .data()
+        .iter()
+        .enumerate()
+        .map(|(i, &dot)| {
+            let (b, co, p) = (i / (c * oh * ow), i / (oh * ow) % c, i % (oh * ow));
+            let mut v = scales[co] * dot;
+            v += bias[co];
+            v *= spatial[b * oh * ow + p];
+            v *= channel[b * c + co];
+            if skip {
+                v += input[i];
+            }
+            v
+        })
+        .collect();
+    let want = float_bits(&want);
+    let label = format!("c={c} k={k} {spec:?} {h}x{w} hostile={hostile} per_image={per_image}");
+    let mut scratch = stale_scratch();
+    let mut got = vec![f32::NAN; want.len()];
+    for level in simd::available() {
+        got.fill(f32::NAN);
+        conv.forward_at(level, &input, n, h, w, &fused, &mut scratch, &mut got).unwrap();
+        assert_eq!(float_bits(&got), want, "{label} at {level}");
+    }
+    for backend in [Backend::Scalar, Backend::Simd] {
+        got.fill(f32::NAN);
+        let run = || conv.forward_fused(&input, n, h, w, &fused, &mut scratch, &mut got);
+        with_thread_backend(backend, run).unwrap();
+        assert_eq!(float_bits(&got), want, "{label} on {backend}");
+    }
+}
+
 /// Rows at and around one count segment (256 bitmap words: `w + 2·pad`
 /// of 255, 256 and 257), rows cut so their last piece holds only right
 /// border columns, from the first one (`w = 256 + pad`) or a later one
 /// (`w = 256 + pad − 1`, for `pad` 2), and rows over two segments wide,
-/// through every
-/// `Fused` operand the geometry allows (the skip needs a shape-preserving
-/// call), against `s_c · conv2d` of the signs followed by the operand
-/// passes — at every level and on both backends, from stale scratch.
+/// through [`check_fused_call_against_sign_conv`].
 #[test]
 fn direct_kernel_handles_rows_as_wide_as_a_segment_and_wider() {
     let mut data = Stream(17);
@@ -717,66 +788,57 @@ fn direct_kernel_handles_rows_as_wide_as_a_segment_and_wider() {
         for w in [256 - 2 * pad - 1, 256 - 2 * pad, 256 - 2 * pad + 1, 256 + pad - 1, 256 + pad, 2 * 256 + 3] {
             for h in [1usize, 2, 5] {
                 for stride in [1usize, 2] {
-                    let (c, n) = (5usize, 2usize);
                     let spec = Conv2dSpec { stride, padding: pad };
-                    let weight = Tensor::from_vec(data.signs(c * c * k * k), &[c, c, k, k]).unwrap();
-                    let scales: Vec<f32> = data.values(c).iter().map(|v| v * 2.0 + 0.25).collect();
-                    let mut conv = BinaryConv2d::from_float_weight(&weight).unwrap().with_spec(spec);
-                    conv.set_scales(scales.clone()).unwrap();
-                    let input = data.values(n * c * h * w);
-                    let beta = data.values(c);
-                    let signs: Vec<f32> = input
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &v)| if v - beta[i / (h * w) % c] >= 0.0 { 1.0 } else { -1.0 })
-                        .collect();
-                    let dots = conv2d(&Tensor::from_vec(signs, &[n, c, h, w]).unwrap(), &weight, spec).unwrap();
-                    let (oh, ow) = (dots.shape()[2], dots.shape()[3]);
-                    let skip = (oh, ow) == (h, w);
-                    let (bias, spatial, channel) = (data.values(c), data.values(n * oh * ow), data.values(n * c));
-                    let fused = Fused {
-                        shift: SignShift::PerChannel(&beta),
-                        bias: Some(&bias),
-                        spatial: Some(&spatial),
-                        channel: Some(&channel),
-                        skip,
-                    };
-                    let want: Vec<u32> = dots
-                        .data()
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &dot)| {
-                            let (b, co, p) = (i / (c * oh * ow), i / (oh * ow) % c, i % (oh * ow));
-                            let mut v = scales[co] * dot;
-                            v += bias[co];
-                            v *= spatial[b * oh * ow + p];
-                            v *= channel[b * c + co];
-                            if skip {
-                                v += input[i];
-                            }
-                            v.to_bits()
-                        })
-                        .collect();
-                    let label = format!("k={k} pad={pad} stride={stride} {h}x{w}");
-                    let mut scratch = stale_scratch();
-                    let mut got = vec![f32::NAN; want.len()];
-                    for level in simd::available() {
-                        got.fill(f32::NAN);
-                        conv.forward_at(level, &input, n, h, w, &fused, &mut scratch, &mut got).unwrap();
-                        assert_eq!(bits(&got), want, "{label} at {level}");
-                    }
-                    for backend in [Backend::Scalar, Backend::Simd] {
-                        got.fill(f32::NAN);
-                        let run = || conv.forward_fused(&input, n, h, w, &fused, &mut scratch, &mut got);
-                        with_thread_backend(backend, run).unwrap();
-                        assert_eq!(bits(&got), want, "{label} on {backend}");
-                    }
+                    check_fused_call_against_sign_conv(&mut data, 5, k, spec, h, w, false, false);
                     cases += 1;
                 }
             }
         }
     }
     assert_eq!(cases, 108);
+}
+
+/// `values` with every seventh element replaced, in turn, by NaN, ±∞,
+/// `−0.0` or a subnormal of either sign: what the fused store's operands
+/// must carry through unchanged.
+fn salted(mut values: Vec<f32>) -> Vec<f32> {
+    let specials =
+        [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, f32::MIN_POSITIVE / 8.0, -f32::MIN_POSITIVE / 3.0];
+    for (i, v) in values.iter_mut().enumerate().filter(|(i, _)| i % 7 == 3) {
+        *v = specials[i / 7 % specials.len()];
+    }
+    values
+}
+
+/// The fused store through [`check_fused_call_against_sign_conv`] with
+/// hostile operands: every output width around the store's 16-pixel chunk
+/// (1 … 65), one and three rows, `k` 1 unpadded / 1 padded / 3 / 5 at
+/// strides 1 and 2, the shift per channel and per image in turn. `k = 5`
+/// runs 24 channels, so a position counts ~300 disagreeing lanes, past
+/// any 8-bit counter.
+///
+/// Hand mutants this test kills: the row's overlapping last chunk
+/// dropped; a row's output offset one pixel late
+/// (`r * cols + 1`); its counts one position early (`r * pitch − 1` for
+/// `r > 0`); the count read back in 8 bits (`count as u8` in the
+/// epilogue); the bias added after the spatial gate.
+#[test]
+fn fused_store_matches_a_sign_conv_oracle_at_every_width() {
+    let mut data = Stream(23);
+    let mut cases = 0;
+    for (k, pad) in [(1usize, 0usize), (1, 1), (3, 1), (5, 2)] {
+        let c = if k == 5 { 24 } else { 6 };
+        for stride in [1usize, 2] {
+            for h in [1usize, 3] {
+                for w in [1usize, 7, 8, 15, 16, 17, 31, 32, 33, 40, 47, 48, 49, 63, 64, 65] {
+                    let spec = Conv2dSpec { stride, padding: pad };
+                    check_fused_call_against_sign_conv(&mut data, c, k, spec, h, w, true, cases % 2 == 1);
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 256);
 }
 
 /// The unfused pass order of a deployed SCALES layer written as tensor
