@@ -1,31 +1,31 @@
-//! Runtime sizing, batching-window, and admission-control configuration.
+//! Runtime sizing and admission-control configuration.
 
 use scales_tensor::{Result, TensorError};
 use std::time::Duration;
 
 /// Sizing of a [`Runtime`](crate::Runtime): worker count, submission-queue
-/// bound, the dynamic batcher's coalescing window, and the admission
-/// controller's fairness and shedding knobs.
+/// bound, the dynamic batcher's image cap, and the admission controller's
+/// fairness and shedding knobs.
 ///
 /// All fields are public; start from [`RuntimeConfig::default`] and
 /// override with struct-update syntax:
 ///
 /// ```
 /// use scales_runtime::RuntimeConfig;
-/// use std::time::Duration;
 ///
 /// let config = RuntimeConfig {
 ///     workers: 4,
-///     max_wait: Duration::from_millis(1),
+///     max_batch: 4,
 ///     ..RuntimeConfig::default()
 /// };
 /// assert!(config.validate().is_ok());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Worker threads, each owning a private serving session (its own
-    /// planned-executor workspace and per-shape plan cache). Default: the
-    /// machine's available parallelism.
+    /// Worker threads, and the size of the pool of planned-executor
+    /// workspaces (arenas and per-shape plan cache) that every forward — a
+    /// worker's, or a blocking caller's running its own request — borrows
+    /// one of. Default: the machine's available parallelism.
     pub workers: usize,
     /// Maximum queued (accepted but not yet dispatched) **requests**
     /// across all tenant lanes. When the queue is full,
@@ -33,21 +33,12 @@ pub struct RuntimeConfig {
     /// [`SubmitError::QueueFull`](crate::SubmitError::QueueFull) — explicit
     /// backpressure instead of unbounded memory growth. Default: 64.
     pub queue_capacity: usize,
-    /// Target **images** per coalesced dispatch. A worker stops gathering
-    /// once the batch holds this many images. A single request larger than
-    /// `max_batch` is still served (alone, in one dispatch). Default: 8.
+    /// Most **images** per coalesced dispatch. A dispatch takes what is
+    /// queued now: the worker gathers compatible queued requests until the
+    /// batch holds this many images or none that fits is left, and seals at
+    /// once — it never waits for more to arrive. A single request larger
+    /// than `max_batch` is still served (alone, in one dispatch). Default: 8.
     pub max_batch: usize,
-    /// The longest a worker holding a partial batch waits for more
-    /// compatible requests before dispatching — the cap of the dynamic
-    /// batching window, which opens when the batch's first request leaves
-    /// its queue. The window closes early when waiting cannot pay: at once
-    /// when a held request's deadline falls inside it, and, while another
-    /// worker is idle (it would serve a straggler at once), as soon as the
-    /// recent arrival pace could not fill the batch before the cap. So a
-    /// lone request on a pool with an idle worker does not wait out the
-    /// window, while a burst still coalesces. `Duration::ZERO`
-    /// dispatches the backlog as-is without ever waiting. Default: 2 ms.
-    pub max_wait: Duration,
     /// Load-shedding policy. Default: never shed (admission is bounded by
     /// `queue_capacity` alone).
     pub shed: ShedPolicy,
@@ -131,7 +122,6 @@ impl Default for RuntimeConfig {
             workers: std::thread::available_parallelism().map_or(1, usize::from),
             queue_capacity: 64,
             max_batch: 8,
-            max_wait: Duration::from_millis(2),
             shed: ShedPolicy::default(),
             tenant_quota: None,
             tenant_weights: Vec::new(),
@@ -263,9 +253,6 @@ mod tests {
         ] {
             assert!(bad.validate().is_err(), "{bad:?}");
         }
-        // A zero window is legal: it means "never wait for stragglers".
-        let eager = RuntimeConfig { max_wait: Duration::ZERO, ..RuntimeConfig::default() };
-        assert!(eager.validate().is_ok());
     }
 
     #[test]

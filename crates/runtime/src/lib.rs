@@ -40,15 +40,12 @@
 //!    leased worker stays parked until the lease ends, so no more than
 //!    `workers` forwards ever run at once
 //!    ([`RuntimeStats::caller_runs`] counts the path).
-//! 3. Workers run the **dynamic batcher**: after popping a request they
-//!    gather further compatible queued requests — same per-request tile
-//!    override, up to [`max_batch`](RuntimeConfig::max_batch) images —
-//!    waiting for stragglers while the batching window is open, then
-//!    serve the coalesced set through **one** `Session::infer` call. The
-//!    window is the queue's decision: at most
-//!    [`max_wait`](RuntimeConfig::max_wait), shut by a held deadline
-//!    inside it, and closed early while another worker is idle once the
-//!    arrival pace could not fill the batch in time.
+//! 3. Workers run the **dynamic batcher**: a dispatch takes what is
+//!    queued now. After popping a request a worker gathers the compatible
+//!    requests queued at that moment — same per-request tile override, up
+//!    to [`max_batch`](RuntimeConfig::max_batch) images — and serves the
+//!    coalesced set through **one** `Session::infer` call at once, never
+//!    waiting for more to arrive. A deep queue still coalesces.
 //!    Same-shaped images across callers share one planned forward (the
 //!    session's shape-bucketed micro-batching), so many small single-image
 //!    callers amortize dispatch, plan lookup, and GEMM setup.

@@ -9,7 +9,7 @@
 //! in every scope. A snapshot is one lock acquisition, not a fold.
 //!
 //! Latency is tracked end-to-end (enqueue → ticket resolution, so queueing
-//! and batching-window time are included) in a [`LatencyHistogram`] with
+//! and batch assembly are included) in a [`LatencyHistogram`] with
 //! geometric fixed buckets; [`LatencyHistogram::p50`] / `p99` read
 //! quantiles from the bucket counts without recording individual samples.
 //!

@@ -1,9 +1,9 @@
 //! The runtime's admission and scheduling policy as one plain value:
 //! tenant lanes and placement, the lane quota, the shed watermark and p99
 //! window, expiry sweeps, the EDF-inside-weighted-rotation pop, the gather
-//! round and its batching window, the pre-dispatch expiry seal, who runs a
-//! lone blocking request (its caller, on a lease) and which workspace
-//! every forward borrows, the runtime's one serving record, and shutdown
+//! rounds that fill a dispatch from what is queued, who runs a lone
+//! blocking request (its caller, on a lease) and which workspace every
+//! forward borrows, the runtime's one serving record, and shutdown
 //! failing.
 //!
 //! [`Queue`] holds no lock, waits on nothing, and never reads a clock:
@@ -135,8 +135,8 @@ struct Lane {
     /// Remaining dequeues in the current weighted-round-robin cycle.
     credits: u32,
     entries: VecDeque<Entry>,
-    /// Entries taken by a worker and not yet completed, sealed out as
-    /// expired, or abandoned. With the ledger this closes
+    /// Entries taken by a worker and not yet completed or abandoned. With
+    /// the ledger this closes
     /// `submitted + refused-at-the-door expiries = completed + failed +
     /// expired + queued + in flight` for every lane at every step.
     in_flight: usize,
@@ -178,21 +178,6 @@ pub(crate) enum Admission {
     Refused(SubmitError),
 }
 
-/// What the batcher does after one [`Queue::gather`] round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Gathered {
-    /// Dispatch: the batch is full, the runtime is shutting down, only
-    /// incompatible heads remain (never reorder around them within a lane),
-    /// or the queue is drained and the batching window has closed.
-    Seal,
-    /// The round took something and work is still queued: run another.
-    Again,
-    /// The queue is drained with room left in the batch and the window
-    /// open: wait for stragglers, then gather again. `until` is the
-    /// earliest instant the window can close without a new arrival.
-    Wait { until: Instant },
-}
-
 /// Sliding-window size for the shed policy's p99 sample: large enough
 /// that one unlucky dispatch cannot trip the wire, small enough that the
 /// estimate tracks the current regime rather than the process lifetime.
@@ -212,23 +197,16 @@ pub(crate) struct Queue {
     shutting_down: bool,
     high_water: usize,
     /// Workers idle between [`Queue::park`] (or [`Queue::complete`], or
-    /// spawn) and [`Queue::unpark`]: each would serve a straggler the
-    /// moment it arrives, unless a caller has leased its slot.
+    /// spawn) and [`Queue::unpark`]: each would serve an arrival the moment
+    /// it is queued, unless a caller has leased its slot.
     parked: usize,
     /// Parked workers whose slot a blocking caller holds, running its own
     /// request ([`Admission::RunHere`]): never more than `parked`, so the
     /// forwards in flight never outnumber the workers.
     leased: usize,
-    /// Batches anchored by [`Queue::pop`] and not yet sealed: the ones
-    /// that may be waiting out a batching window.
-    gathering: usize,
     /// The free half of the pool of `workers` workspaces, by slot: whoever
     /// runs a forward takes one, [`Queue::complete`] puts it back.
     pool: Vec<(usize, Workspace)>,
-    /// The latest accepted arrival and the gap before it — the arrival
-    /// pace a batching window is weighed against.
-    last_arrival: Option<Instant>,
-    gap: Duration,
     /// Ledgers of retired lanes and of refusals whose tenant never had a
     /// lane.
     retired: Counters,
@@ -266,7 +244,6 @@ impl Queue {
             // Workers are born parked: idle before their threads first run.
             parked: config.workers,
             leased: 0,
-            gathering: 0,
             pool,
             config,
             lanes,
@@ -274,8 +251,6 @@ impl Queue {
             cursor: 0,
             shutting_down: false,
             high_water: 0,
-            last_arrival: None,
-            gap: Duration::ZERO,
             retired: Counters::default(),
             record: RuntimeStats::default(),
             recent: VecDeque::new(),
@@ -338,8 +313,7 @@ impl Queue {
     /// join — and only then capacity, which the blocking submit paths wait
     /// out ([`Admission::Full`]). A refusal never creates a lane. `now`
     /// becomes the entry's `enqueued` stamp — the moment it enters its
-    /// lane, not when it was validated — and the arrival the next gap is
-    /// measured from.
+    /// lane, not when it was validated.
     ///
     /// An accepted request from a [`Caller::Blocking`] runs on its
     /// caller's thread ([`Admission::RunHere`]) when the lanes hold
@@ -415,10 +389,6 @@ impl Queue {
             enqueued: now,
             dequeued: here.then_some(now),
         };
-        if let Some(last) = self.last_arrival {
-            self.gap = now.saturating_duration_since(last);
-        }
-        self.last_arrival = Some(now);
         if !here {
             lane.entries.push_back(entry);
             self.queued += 1;
@@ -464,8 +434,8 @@ impl Queue {
 
     /// Retract every expired entry at the head of a lane. Expiry is lazy —
     /// an expired entry buried behind live ones is retracted when it
-    /// surfaces at its lane head (or by [`Queue::seal`]) — but an expired
-    /// entry is *never* handed to a session.
+    /// surfaces at its lane head — but an expired entry is *never* handed
+    /// to a session.
     fn expire_stale_heads(&mut self, now: Instant) -> usize {
         let mut freed = 0;
         for lane in &mut self.lanes {
@@ -556,16 +526,17 @@ impl Queue {
         };
         self.lanes[i].credits -= 1;
         self.cursor = i;
-        self.gathering += 1;
         (Some(self.take_head(i, now)), freed + 1)
     }
 
     /// One fairness round over the lanes for the batch anchored at
     /// `batch[0]`: take at most one compatible head (same tile override,
-    /// fits within `max_batch` images) per lane, then say what the batcher
-    /// should do next — waiting out the batching window
-    /// ([`Queue::window_closes`]) only once the queue is drained.
-    pub fn gather(&mut self, batch: &mut Vec<Entry>, now: Instant) -> (Gathered, usize) {
+    /// fits within `max_batch` images) per lane, from the rotation's
+    /// cursor. Returns whether to run another round — this one took
+    /// something, the batch has room, and work is still queued — and the
+    /// slots freed. A batch never waits for arrivals: it holds what is
+    /// queued at `now`, the instant it was popped at.
+    pub fn gather(&mut self, batch: &mut Vec<Entry>, now: Instant) -> (bool, usize) {
         let expired = self.expire_stale_heads(now);
         let max_batch = self.config.max_batch;
         let tile = batch[0].tile;
@@ -588,66 +559,12 @@ impl Queue {
             }
         }
         let took = batch.len() - before;
-        let next = if images >= max_batch || self.shutting_down {
-            Gathered::Seal
-        } else if self.queued == 0 {
-            match self.window_closes(batch, max_batch - images) {
-                closes if closes <= now => Gathered::Seal,
-                until => Gathered::Wait { until },
-            }
-        } else if took > 0 {
-            Gathered::Again
-        } else {
-            Gathered::Seal
-        };
-        (next, expired + took)
+        (took > 0 && images < max_batch && self.queued > 0, expired + took)
     }
 
-    /// When the batching window of a drained batch with `room` images to
-    /// spare closes, absent new arrivals. It opens when the anchor left its
-    /// lane and lasts at most `max_wait`; it is shut from the start when a
-    /// held entry's deadline falls inside it, since waiting could only
-    /// expire that entry. While a worker is idle — parked, its slot not
-    /// leased, so it would serve a straggler at once — the window also
-    /// closes at the first instant the arrival pace cannot fill the room
-    /// before its end: pace × room ≥ end − t, where the pace is the slower
-    /// of the last inter-arrival gap and the time since the last arrival
-    /// (a lull reads as one). With no idle peer the straggler would wait
-    /// for this worker anyway, so the window stays open to its end.
-    fn window_closes(&self, batch: &[Entry], room: usize) -> Instant {
-        let opened = batch[0].dequeued.expect("a batch's anchor was taken from its lane");
-        let end = opened + self.config.max_wait;
-        if batch.iter().any(|e| e.deadline.is_some_and(|d| d <= end)) {
-            return opened;
-        }
-        if self.parked == self.leased {
-            return end;
-        }
-        let last = self.last_arrival.expect("the anchor was accepted");
-        let room = u32::try_from(room).unwrap_or(u32::MAX);
-        // gap × room ≥ end − t: a product past the clock's range is a pace
-        // that never fills, so the window is shut already.
-        let by_gap = end.checked_sub(self.gap.saturating_mul(room)).unwrap_or(opened);
-        // (t − last) × room ≥ end − t ⟺ (t − last) × (room + 1) ≥ end − last,
-        // rounded up to the nanosecond.
-        let lull = end.saturating_duration_since(last).as_nanos().div_ceil(u128::from(room) + 1);
-        let by_lull = last + Duration::from_nanos(u64::try_from(lull).unwrap_or(u64::MAX));
-        end.min(by_gap).min(by_lull)
-    }
-
-    /// A worker found nothing to pop and is about to wait for work. Returns
-    /// whether to wake the peers waiting out a batching window
-    /// ([`Queue::first_idle`]).
-    pub fn park(&mut self) -> bool {
+    /// A worker found nothing to pop and is about to wait for work.
+    pub fn park(&mut self) {
         self.parked += 1;
-        self.first_idle()
-    }
-
-    /// Whether the one worker idle now (parked, its slot not leased) just
-    /// became so while a batch is open: that batch had no idle peer to
-    /// count on until now, so its window may close early.
-    fn first_idle(&self) -> bool {
-        self.gathering > 0 && self.parked - self.leased == 1
     }
 
     /// A parked worker woke. It leaves the idle count only for work —
@@ -663,13 +580,18 @@ impl Queue {
         go
     }
 
-    /// The workspace a worker's sealed batch runs on: the one of its
+    /// Seal a gathered batch. It runs on the workspace of its worker's
     /// `home` slot when that is free — so a busy worker keeps its arenas
-    /// warm in its own core's caches — and the last one returned
-    /// otherwise.
-    pub fn take_workspace(&mut self, home: usize) -> (Runner, Workspace) {
+    /// warm in its own core's caches — and on the last one returned
+    /// otherwise. Nothing in it has expired: the worker pops, gathers and
+    /// seals under one lock hold, and every entry was live at that `now`.
+    /// Also returns whether work is still queued behind the batch (an
+    /// incompatible tile override, or a head that would not fit) for
+    /// another worker to be woken for.
+    pub fn seal(&mut self, home: usize) -> (Runner, Workspace, bool) {
         let at = self.pool.iter().position(|&(slot, _)| slot == home);
-        self.lend(at, false)
+        let (runner, workspace) = self.lend(at, false);
+        (runner, workspace, self.queued > 0)
     }
 
     /// Take the pool entry `at`, or the last one returned — the warmest —
@@ -684,36 +606,16 @@ impl Queue {
 
     /// A dispatch is over: its workspace goes back to its slot, and its
     /// runner goes idle — a worker parks, a caller's lease ends. Returns
-    /// whether to wake the workers: a peer's open window now has an idle
-    /// worker to count on ([`Queue::first_idle`]), or, at the end of a
-    /// lease, work arrived that no parked worker could take while the
-    /// slot was out.
+    /// whether to wake the workers: a lease ended with work queued that no
+    /// parked worker could take while the slot was out.
     fn release(&mut self, runner: Runner, workspace: Workspace) -> bool {
         self.pool.push((runner.slot, workspace));
         if runner.here {
             self.leased -= 1;
-            return self.queued > 0 || self.first_idle();
+            return self.queued > 0;
         }
-        self.park()
-    }
-
-    /// The hard guarantee behind [`SubmitError::Expired`]: nothing expired
-    /// is ever dispatched. The batching window closes before any held
-    /// deadline, but a worker can wake from its wait late; retract what
-    /// expired at the last moment before the batch leaves the lock.
-    /// Returns whether work is still queued behind the batch (an
-    /// incompatible tile override, or a head that would not fit) for
-    /// another worker to be woken for.
-    pub fn seal(&mut self, batch: &mut Vec<Entry>, now: Instant) -> bool {
-        self.gathering -= 1;
-        batch.retain(|entry| {
-            let dead = entry.expired(now);
-            if dead {
-                entry.retract(self.land(entry));
-            }
-            !dead
-        });
-        self.queued > 0
+        self.park();
+        false
     }
 
     /// An entry a worker took is in flight no longer; the ledger of the
@@ -886,7 +788,7 @@ mod tests {
     //! reference model that mirrors the lane table by observation,
     //! predicts every admission verdict from its own records (which
     //! blocking caller runs its own request included), and checks the
-    //! scheduler's picks, batching windows, leases, wake-ups and the
+    //! scheduler's picks, the gather rounds, leases, wake-ups and the
     //! workspace pool against the invariants the runtime promises.
 
     use super::*;
@@ -933,7 +835,6 @@ mod tests {
             workers: 1 + rng.below(3),
             queue_capacity,
             max_batch: 1 + rng.below(4),
-            max_wait: if rng.chance(15) { Duration::ZERO } else { rng.millis(30) },
             shed: ShedPolicy {
                 queue_watermark: rng.chance(40).then(|| 1 + rng.below(queue_capacity)),
                 p99_trip: rng.chance(40).then(|| Duration::from_millis(1) + rng.millis(20)),
@@ -991,21 +892,12 @@ mod tests {
         Refuse(SubmitError),
     }
 
-    /// A batch a (virtual) worker, or a blocking caller on a lease, is
-    /// holding outside the queue.
+    /// A sealed batch a (virtual) worker, or a blocking caller on a
+    /// lease, is running outside the queue, with the workspace it runs on.
     struct Batch {
         entries: Vec<Entry>,
-        sealed: bool,
-        /// What the last gather said to wait for, if it said wait.
-        until: Option<Instant>,
-        /// The workspace a sealed, non-empty batch runs on, and who runs it.
-        held: Option<(Runner, Workspace)>,
-    }
-
-    impl Batch {
-        fn here(&self) -> bool {
-            self.held.as_ref().is_some_and(|(runner, _)| runner.here)
-        }
+        runner: Runner,
+        workspace: Workspace,
     }
 
     struct Model {
@@ -1034,13 +926,8 @@ mod tests {
         parked: usize,
         /// Parked workers whose slot a blocking caller holds.
         leased: usize,
-        /// Batches popped and not yet sealed.
-        gathering: usize,
         /// Requests their blocking callers ran.
         caller_runs: u64,
-        /// The latest accepted arrival and the gap before it.
-        last_arrival: Option<Instant>,
-        gap: Duration,
         /// Anchor pops a backlogged, credit-holding lane has sat through.
         waited: HashMap<Option<String>, u32>,
         /// Anchor pops per lane since the last fresh cycle.
@@ -1083,10 +970,7 @@ mod tests {
                 p99: None,
                 parked,
                 leased: 0,
-                gathering: 0,
                 caller_runs: 0,
-                last_arrival: None,
-                gap: Duration::ZERO,
                 waited: HashMap::new(),
                 cycle_pops: HashMap::new(),
             }
@@ -1248,34 +1132,6 @@ mod tests {
             lane.in_flight -= 1;
             &mut lane.counters
         }
-
-        /// Which case, if any, closes the batching window of the drained
-        /// `batch` with `room` images to spare at `t`, restated from the
-        /// rule: (a) the window, `max_wait` from the anchor's dequeue, has
-        /// passed; (b) a held deadline falls inside it; (c) a worker is
-        /// idle — parked, its slot not leased — and the pace — the slower
-        /// of the last gap and the time since the last arrival — cannot
-        /// fill the room before it ends.
-        fn window_closed(&self, batch: &[Entry], room: usize, t: Instant) -> Option<&'static str> {
-            let end = batch[0].dequeued.expect("taken") + self.config.max_wait;
-            if t >= end {
-                return Some("window: passed");
-            }
-            if batch.iter().any(|e| e.deadline.is_some_and(|d| d <= end)) {
-                return Some("window: a held deadline inside it");
-            }
-            let last = self.last_arrival.expect("an arrival anchors every batch");
-            let pace = self.gap.max(t - last);
-            let cannot_fill = pace.as_nanos() * room as u128 >= (end - t).as_nanos();
-            (self.parked > self.leased && cannot_fill)
-                .then_some("window: a parked peer, a pace too slow")
-        }
-
-        /// Whether a runner going idle wakes the workers, restated: a
-        /// batch is open and this is now the one idle worker.
-        fn first_idle(&self) -> bool {
-            self.gathering > 0 && self.parked - self.leased == 1
-        }
     }
 
     /// Everything that must hold between any two steps.
@@ -1296,11 +1152,10 @@ mod tests {
         }
         assert_eq!(q.queued, m.queued());
         assert_eq!(q.high_water, m.high_water);
-        assert_eq!((q.parked, q.last_arrival, q.gap), (m.parked, m.last_arrival, m.gap));
-        assert_eq!((q.leased, q.gathering), (m.leased, m.gathering));
+        assert_eq!((q.parked, q.leased), (m.parked, m.leased));
         // Never more forwards than workers: a lease is a parked worker's
         // slot, and the busy workers are the ones not parked.
-        let here = open.iter().filter(|b| b.here()).count();
+        let here = open.iter().filter(|b| b.runner.here).count();
         let busy = open.len() - here;
         assert_eq!(here, q.leased, "one lease per caller-run request");
         assert!(q.leased <= q.parked, "leased {} of {} parked", q.leased, q.parked);
@@ -1308,7 +1163,7 @@ mod tests {
         assert!(busy + q.leased <= m.config.workers, "more forwards than workers");
         // The workspace pool: every slot once, free or with its runner.
         let mut slots: Vec<usize> = q.pool.iter().map(|(slot, _)| *slot).collect();
-        slots.extend(open.iter().filter_map(|b| b.held.as_ref().map(|(runner, _)| runner.slot)));
+        slots.extend(open.iter().map(|b| b.runner.slot));
         slots.sort_unstable();
         assert_eq!(slots, (0..m.config.workers).collect::<Vec<_>>(), "each slot once");
         assert_eq!((&q.recent, q.p99), (&m.window, m.p99), "the p99 window and its reading");
@@ -1508,10 +1363,6 @@ mod tests {
             state: if here { State::InFlight } else { State::Queued },
         });
         m.lanes[lane].counters.submitted += 1;
-        if let Some(last) = m.last_arrival {
-            m.gap = now - last;
-        }
-        m.last_arrival = Some(now);
         let Some(Lease { entry, runner, workspace }) = lease.map(|lease| *lease) else {
             m.lanes[lane].fifo.push_back(id);
             m.high_water = m.high_water.max(m.queued());
@@ -1528,8 +1379,7 @@ mod tests {
         m.lanes[lane].in_flight += 1;
         m.leased += 1;
         m.caller_runs += 1;
-        let held = Some((runner, workspace));
-        Some(Batch { entries: vec![entry], sealed: true, until: None, held })
+        Some(Batch { entries: vec![entry], runner, workspace })
     }
 
     /// Pop an anchor and check the pick: FIFO, never expired, EDF among
@@ -1585,7 +1435,6 @@ mod tests {
             }
         }
         m.take(&entry, now);
-        m.gathering += 1;
         assert_eq!(q.cursor, i, "the cursor rests on the lane just popped");
         // Fairness: a lane is popped at most `weight` times per cycle, and
         // a backlogged lane holding credits is reached within Σ weights.
@@ -1602,17 +1451,18 @@ mod tests {
         Some(entry)
     }
 
-    /// One gather round on an open batch; returns what the batcher is told.
+    /// One gather round on a batch being filled; returns whether the
+    /// batcher is told to run another.
     fn gather(
         q: &mut Queue,
         m: &mut Model,
         batch: &mut Vec<Entry>,
         now: Instant,
         seen: &mut Seen,
-    ) -> Gathered {
+    ) -> bool {
         let max_batch = m.config.max_batch;
         let had = batch.len();
-        let (next, freed) = q.gather(batch, now);
+        let (again, freed) = q.gather(batch, now);
         let retracted = m.observe_retractions(now);
         let mut images: usize = batch[..had].iter().map(|e| e.images.len()).sum();
         let mut lanes = HashSet::new();
@@ -1635,101 +1485,54 @@ mod tests {
                 );
             }
         }
-        let want = if images >= max_batch || m.shutdown {
-            Gathered::Seal
-        } else if m.queued() == 0 {
-            // A drained batch with room left seals only when the window
-            // is closed, and otherwise waits exactly until it closes.
-            let room = max_batch - images;
-            if let Some(case) = m.window_closed(batch, room, now) {
-                seen.saw(case);
-                Gathered::Seal
-            } else {
-                let Gathered::Wait { until } = next else {
-                    panic!("{next:?} with the window open and the queue drained")
-                };
-                let end = batch[0].dequeued.expect("taken") + m.config.max_wait;
-                assert!(now < until && until <= end, "waited past dequeued + max_wait");
-                assert!(
-                    batch.iter().all(|e| e.deadline.is_none_or(|d| until <= d)),
-                    "waited past a held deadline"
-                );
-                assert!(m.window_closed(batch, room, until).is_some(), "still open at `until`");
-                assert!(
-                    m.window_closed(batch, room, until - Duration::from_nanos(1)).is_none(),
-                    "closed before `until`"
-                );
-                next
+        // Another round only while this one took something, the batch has
+        // room, and work is queued. A drained batch with room left seals:
+        // nothing waits for arrivals.
+        if images < max_batch && m.queued() == 0 {
+            seen.saw("gather: sealed drained with room left");
+        }
+        let want = batch.len() > had && images < max_batch && m.queued() > 0;
+        assert_eq!(again, want, "gather's verdict with {images} of {max_batch} images");
+        seen.saw(if again { "gather: again" } else { "gather: seal" });
+        again
+    }
+
+    /// A worker's dispatch, the way `next_dispatch` runs it under one lock
+    /// hold at one `now`: pop an anchor, gather rounds until told to stop,
+    /// and seal the batch on a workspace from the pool. With nothing to
+    /// pop the worker parks, or, shutting down, exits.
+    fn dispatch(q: &mut Queue, m: &mut Model, now: Instant, seen: &mut Seen) -> Option<Batch> {
+        let Some(anchor) = pop(q, m, now, seen) else {
+            if !m.shutdown {
+                q.park();
+                m.parked += 1;
+                seen.saw("parked on an empty queue");
             }
-        } else if batch.len() > had {
-            Gathered::Again
-        } else {
-            Gathered::Seal
+            return None;
         };
-        assert_eq!(next, want);
-        next
-    }
-
-    /// A gather round on a batch a worker holds, remembering a wait's
-    /// `until` the way the worker would.
-    fn gather_on(q: &mut Queue, m: &mut Model, batch: &mut Batch, now: Instant, seen: &mut Seen) {
-        batch.until = None;
-        match gather(q, m, &mut batch.entries, now, seen) {
-            Gathered::Seal => seen.saw("gather: seal"),
-            Gathered::Again => seen.saw("gather: again"),
-            Gathered::Wait { until } => {
-                seen.saw("gather: wait");
-                batch.until = Some(until);
-            }
-        }
-    }
-
-    /// Seal a batch: whatever expired while it was gathered is retracted,
-    /// never dispatched; what is left runs on a workspace from the pool.
-    fn seal(q: &mut Queue, m: &mut Model, batch: &mut Batch, now: Instant, seen: &mut Seen) {
-        let before: Vec<usize> = batch.entries.iter().map(|e| key(&e.cell)).collect();
-        let more = q.seal(&mut batch.entries, now);
-        m.gathering -= 1;
-        batch.sealed = true;
-        assert_eq!(more, m.queued() > 0);
-        let kept: Vec<usize> = batch.entries.iter().map(|e| key(&e.cell)).collect();
-        let mut kept_in_order = kept.iter();
-        for cell in before {
-            let id = m.ids[&cell];
-            if !m.reqs[id].dead(now) {
-                assert_eq!(kept_in_order.next(), Some(&cell), "seal keeps live entries, in order");
-                continue;
-            }
-            match outcome(m.reqs[id].ticket.take().expect("unread")) {
-                Err(ServeError::Rejected(SubmitError::Expired)) => {}
-                other => panic!("request {id} was sealed out with {:?}", other.map(|_| ())),
-            }
-            m.land(id, State::Expired).expired += 1;
-            seen.saw("sealed out an expired entry");
-        }
-        assert_eq!(kept_in_order.next(), None);
-        if !batch.entries.is_empty() {
-            // Any worker may seal: vary which one by the dispatch count.
-            let home = (m.dispatches as usize + batch.entries.len()) % m.config.workers;
-            let free = q.pool.iter().any(|&(slot, _)| slot == home);
-            let (runner, workspace) = q.take_workspace(home);
-            assert!(!runner.here, "a worker's batch holds no lease");
-            assert!(runner.slot == home || !free, "a worker takes its own slot when it is free");
-            batch.held = Some((runner, workspace));
-        }
+        let mut entries = vec![anchor];
+        while gather(q, m, &mut entries, now, seen) {}
+        // Any worker may seal: vary which one by the dispatch count.
+        let home = (m.dispatches as usize + entries.len()) % m.config.workers;
+        let free = q.pool.iter().any(|&(slot, _)| slot == home);
+        let (runner, workspace, more) = q.seal(home);
+        assert_eq!(more, m.queued() > 0, "work left queued behind the batch");
+        assert!(!runner.here, "a worker's batch holds no lease");
+        assert!(runner.slot == home || !free, "a worker takes its own slot when it is free");
+        Some(Batch { entries, runner, workspace })
     }
 
     /// A runner goes idle at the end of its dispatch: a worker parks, a
     /// caller's lease ends. Returns whether the workers are woken, by the
-    /// rule: a window now has its first idle peer, or a lease ended with
-    /// work queued that no parked worker could take meanwhile.
+    /// rule: a lease ended with work queued that no parked worker could
+    /// take meanwhile.
     fn idle_after(m: &mut Model, runner: Runner, seen: &mut Seen) -> bool {
         if !runner.here {
             m.parked += 1;
-            return m.first_idle();
+            return false;
         }
         m.leased -= 1;
-        let wake = m.queued() > 0 || m.first_idle();
+        let wake = m.queued() > 0;
         if wake {
             seen.saw("a lease ended and woke the workers");
         }
@@ -1737,7 +1540,6 @@ mod tests {
     }
 
     /// Book a sealed batch, then resolve it, the way `serve_dispatch` does.
-    /// Like the worker loop, skip a batch that sealed out to nothing.
     fn complete(
         q: &mut Queue,
         m: &mut Model,
@@ -1746,11 +1548,8 @@ mod tests {
         now: Instant,
         seen: &mut Seen,
     ) {
-        let Some((runner, workspace)) = batch.held else {
-            assert!(batch.entries.is_empty(), "a sealed batch with work holds a workspace");
-            return;
-        };
-        let batch = &batch.entries;
+        let Batch { entries, runner, workspace } = batch;
+        let batch = &entries;
         let images = batch.iter().map(|e| e.images.len()).sum();
         let dispatch = Dispatch {
             runner,
@@ -1844,62 +1643,29 @@ mod tests {
         let mut open: Vec<Batch> = Vec::new();
         check(&q, &m, &open, now);
         for _ in 0..(20 + rng.below(60)) {
-            let sealed: Vec<usize> = (0..open.len()).filter(|&b| open[b].sealed).collect();
-            let gathering: Vec<usize> = (0..open.len()).filter(|&b| !open[b].sealed).collect();
-            let waiting: Vec<usize> =
-                gathering.iter().copied().filter(|&b| open[b].until.is_some()).collect();
-            // Workers neither parked nor holding a batch: free to pop.
-            let busy = open.iter().filter(|b| !b.here()).count();
-            let idle = m.config.workers - m.parked - busy;
             match rng.below(100) {
                 0..=41 => open.extend(submit(&mut q, &mut m, &mut rng, now, seen)),
-                // A worker takes work: an idle one, or a parked one woken
-                // for it.
-                42..=53 if idle > 0 || (m.parked > 0 && unpark(&mut q, &mut m, seen)) => {
-                    if let Some(anchor) = pop(&mut q, &mut m, now, seen) {
-                        let mut batch =
-                            Batch { entries: vec![anchor], sealed: false, until: None, held: None };
-                        // Like the worker, mostly gather at once.
-                        if rng.chance(60) {
-                            gather_on(&mut q, &mut m, &mut batch, now, seen);
-                        }
-                        open.push(batch);
+                // A parked worker wakes, and takes work when it may go.
+                42..=59 if m.parked > 0 => {
+                    if unpark(&mut q, &mut m, seen) {
+                        open.extend(dispatch(&mut q, &mut m, now, seen));
                     }
                 }
-                54..=63 if !gathering.is_empty() => {
-                    let b = gathering[rng.below(gathering.len())];
-                    gather_on(&mut q, &mut m, &mut open[b], now, seen);
-                }
-                // The worker that was told to wait wakes when it was told to.
-                64..=67 if !waiting.is_empty() => {
-                    let b = waiting[rng.below(waiting.len())];
-                    now = now.max(open[b].until.expect("waiting"));
-                    gather_on(&mut q, &mut m, &mut open[b], now, seen);
-                    seen.saw("gathered again at a wait's end");
-                }
-                68..=71 if !gathering.is_empty() => {
-                    let b = gathering[rng.below(gathering.len())];
-                    seal(&mut q, &mut m, &mut open[b], now, seen);
-                    if open[b].entries.is_empty() {
-                        open.swap_remove(b);
-                    }
-                }
-                72..=83 if !sealed.is_empty() => {
-                    let batch = open.swap_remove(sealed[rng.below(sealed.len())]);
-                    if batch.here() {
+                60..=71 if !open.is_empty() => {
+                    let batch = open.swap_remove(rng.below(open.len()));
+                    if batch.runner.here {
                         seen.saw("a caller ran its request");
                     }
                     complete(&mut q, &mut m, batch, rng.chance(80), now, seen);
                 }
-                84 if !sealed.is_empty() => {
+                72 if !open.is_empty() => {
                     // The forward serving this batch panicked: a worker
                     // dies with it, a caller carries on.
-                    let batch = open.swap_remove(sealed[rng.below(sealed.len())]);
-                    let (runner, _) = batch.held.expect("a sealed batch in `open` holds work");
-                    let wake = q.abandon(&batch.entries, "the forward panicked", runner);
+                    let Batch { entries, runner, .. } = open.swap_remove(rng.below(open.len()));
+                    let wake = q.abandon(&entries, "the forward panicked", runner);
                     let want = runner.here && idle_after(&mut m, runner, seen);
                     assert_eq!(wake, want, "the wake-up after a panicked forward");
-                    for entry in &batch.entries {
+                    for entry in &entries {
                         m.land(m.ids[&key(&entry.cell)], State::Failed).failed += 1;
                     }
                     seen.saw(match runner.here {
@@ -1907,20 +1673,12 @@ mod tests {
                         false => "abandoned a batch",
                     });
                 }
-                85 if rng.chance(50) => {
+                73 if rng.chance(50) => {
                     q.begin_shutdown();
                     m.shutdown = true;
                 }
-                // An idle worker waits for work, and wakes.
-                86..=87 if idle > 0 => {
-                    m.parked += 1;
-                    assert_eq!(q.park(), m.first_idle(), "only the first idle worker wakes");
-                }
-                88..=93 if m.parked > 0 => {
-                    unpark(&mut q, &mut m, seen);
-                }
-                // Time passes: sometimes sub-millisecond, so arrival gaps
-                // land on both sides of what fills a window.
+                // Time passes: sometimes sub-millisecond, sometimes past
+                // a deadline or the p99 recovery window.
                 _ if rng.chance(50) => now += Duration::from_micros(rng.below(2_000) as u64),
                 _ => now += rng.millis(12),
             }
@@ -1932,26 +1690,16 @@ mod tests {
         q.begin_shutdown();
         m.shutdown = true;
         let drain = rng.chance(75);
-        while let Some(mut batch) = open.pop() {
-            if !batch.sealed {
-                seal(&mut q, &mut m, &mut batch, now, seen);
-            }
+        while let Some(batch) = open.pop() {
             complete(&mut q, &mut m, batch, true, now, seen);
             check(&q, &m, &open, now);
         }
-        let mut draining = drain;
-        while draining {
-            if m.parked == m.config.workers {
-                assert!(unpark(&mut q, &mut m, seen), "the shutdown drain wakes a parked worker");
+        // Each parked worker serves until the lanes are empty, then exits.
+        while drain && m.parked > 0 {
+            assert!(unpark(&mut q, &mut m, seen), "the shutdown drain wakes a parked worker");
+            if let Some(batch) = dispatch(&mut q, &mut m, now, seen) {
+                complete(&mut q, &mut m, batch, true, now, seen);
             }
-            let Some(anchor) = pop(&mut q, &mut m, now, seen) else {
-                draining = false;
-                continue;
-            };
-            let mut batch = Batch { entries: vec![anchor], sealed: false, until: None, held: None };
-            while gather(&mut q, &mut m, &mut batch.entries, now, seen) == Gathered::Again {}
-            seal(&mut q, &mut m, &mut batch, now, seen);
-            complete(&mut q, &mut m, batch, true, now, seen);
             check(&q, &m, &open, now);
             now += rng.millis(6);
         }
@@ -1986,25 +1734,20 @@ mod tests {
         );
     }
 
-    // Hand mutants of the batching window (`Queue::window_closes`, `park`,
-    // `unpark`) and of the caller-run path (`submit`'s `RunHere`, the
-    // lease in `unpark` / `window_closes`, `release`), each killed by this
-    // check; the count is how many of the 2,400 seeds fail (run each seed
-    // under `catch_unwind` to re-count):
+    // Hand mutants of the gather rounds (`gather`), the idle count
+    // (`unpark`) and the caller-run path (`submit`'s `RunHere`, the lease
+    // in `unpark`, `release`), each killed by this check; the count is how
+    // many of the 2,400 seeds fail (run each seed under `catch_unwind` to
+    // re-count):
     //
-    // | mutant                                                  | kills |
-    // |---------------------------------------------------------|-------|
-    // | idle count ignored (no `parked == leased` early return) |   233 |
-    // | pace term dropped (a parked peer alone shuts it)        |   122 |
-    // | time since the last arrival ignored (gap term only)     |   158 |
-    // | window measured from `now`, not the anchor's dequeue    |   122 |
-    // | deadline cap dropped (no held-deadline case)            |    91 |
-    // | `unpark` leaves the idle count alone                    |  2398 |
-    // | `RunHere` with a queued entry                           |   789 |
-    // | a lease ignored by `unpark` (`parked > 0`)              |   260 |
-    // | a lease ignored by `window_closes` (`parked == 0`)      |    20 |
-    // | a release that wakes nobody                             |   638 |
-    // | `RunHere` past the caller's timeout                     |   205 |
+    // | mutant                                                          | kills |
+    // |-----------------------------------------------------------------|-------|
+    // | gather stops after one round while a compatible head is queued  |   179 |
+    // | `unpark` leaves the idle count alone                            |  2394 |
+    // | `RunHere` with a queued entry                                   |   911 |
+    // | a lease ignored by `unpark` (`parked > 0`)                      |   400 |
+    // | a release that wakes nobody                                     |   729 |
+    // | `RunHere` past the caller's timeout                             |   313 |
     #[test]
     fn generated_op_sequences_agree_with_the_reference_model() {
         let mut seen = Seen::default();
@@ -2023,12 +1766,8 @@ mod tests {
             "EDF pick",
             "gather: seal",
             "gather: again",
-            "gather: wait",
-            "gathered again at a wait's end",
-            "window: passed",
-            "window: a held deadline inside it",
-            "window: a parked peer, a pace too slow",
-            "sealed out an expired entry",
+            "gather: sealed drained with room left",
+            "parked on an empty queue",
             "abandoned a batch",
             "failed a loaded queue",
             "ran here",

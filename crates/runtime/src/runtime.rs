@@ -1,15 +1,12 @@
 //! [`Runtime`] — the worker pool around the [`Queue`]: the one lock and
 //! its two condition variables, the blocking submit paths, the worker
-//! loop and its batching waits, the dispatch itself (on a worker, or on a
-//! blocking caller's own thread), and the panic guards. Every admission
-//! and scheduling decision, and the serving record, is the queue's
-//! (`queue.rs`); this file takes the timestamps, holds the lock, waits,
-//! and wakes.
+//! loop, the dispatch itself (on a worker, or on a blocking caller's own
+//! thread), and the panic guards. Every admission and scheduling
+//! decision, and the serving record, is the queue's (`queue.rs`); this
+//! file takes the timestamps, holds the lock, waits, and wakes.
 
 use crate::metrics::RuntimeStats;
-use crate::queue::{
-    Admission, Admitted, Caller, Dispatch, Entry, Gathered, Lease, Queue, Runner,
-};
+use crate::queue::{Admission, Admitted, Caller, Dispatch, Entry, Lease, Queue, Runner};
 use crate::ticket::Ticket;
 use crate::{lock, wait, wait_timeout, RuntimeConfig};
 use scales_data::Image;
@@ -174,9 +171,9 @@ struct Inner {
     /// The whole admission and scheduling state, p99 window and serving
     /// record included, behind the runtime's one lock.
     state: Mutex<Queue>,
-    /// Signaled on enqueue, on shutdown, and when a worker may now go
-    /// (an idle peer for an open window, a lease ended with work queued):
-    /// workers wait here.
+    /// Signaled on enqueue, on shutdown, when a batch leaves work queued
+    /// behind it, and when a lease ends with work queued: parked workers
+    /// wait here.
     work: Condvar,
     /// Signaled on dequeue and on shutdown: [`Runtime::submit_wait`]
     /// blockers wait here.
@@ -324,8 +321,7 @@ impl Runtime {
     /// the same dispatch, fault hook and booking a worker would run, with
     /// no worker woken and no ticket crossing threads
     /// ([`RuntimeStats::caller_runs`] counts them). Otherwise the request
-    /// is queued like any other, and the first 5 ms of the wait poll the
-    /// ticket (yielding the core) instead of sleeping.
+    /// is queued like any other, and the caller sleeps on its ticket.
     ///
     /// The nested result separates the layers: the outer
     /// [`SubmitError`] is the runtime refusing, retracting, or timing out
@@ -352,7 +348,7 @@ impl Runtime {
             Accepted::Queued(ticket) => {
                 let remaining = deadline
                     .map_or(Duration::MAX, |d| d.saturating_duration_since(Instant::now()));
-                ticket.wait_polling(remaining)
+                ticket.wait_timeout(remaining)
             }
             Accepted::Here(ticket, lease) => {
                 run_here(&self.inner, lease, deadline);
@@ -577,60 +573,44 @@ fn unparked<'a>(inner: &'a Inner, mut st: MutexGuard<'a, Queue>) -> MutexGuard<'
 
 /// The cross-request dynamic batcher. The worker comes in parked — born
 /// so, and parked again by [`Queue::complete`] after each dispatch — and
-/// waits for work; then it anchors a batch on the scheduler's pick and
-/// gathers compatible heads across the lanes, waiting for stragglers while
-/// the queue says the batching window is open, and takes a workspace for
-/// the forward (its own slot's when free). Returns `None` when the runtime
-/// is shutting down and the lanes are fully drained.
+/// waits for work; then, under one lock hold and at one `now`, it anchors
+/// a batch on the scheduler's pick, gathers every compatible head queued
+/// at that moment, and seals the batch on a workspace (its own slot's when
+/// free). Returns `None` when the runtime is shutting down and the lanes
+/// are fully drained.
 fn next_dispatch(inner: &Inner, worker: usize) -> Option<(Vec<Entry>, Runner, Workspace)> {
     let mut st = unparked(inner, lock(&inner.state));
+    let (first, now) = loop {
+        let now = Instant::now();
+        let (popped, freed) = st.pop(now);
+        wake_space(inner, freed);
+        if let Some(entry) = popped {
+            break (entry, now);
+        }
+        if st.shutting_down() {
+            return None;
+        }
+        // Nothing is queued (`pop` retracts what expired and hands out
+        // anything live), so there is no deadline to wake for either.
+        st.park();
+        st = unparked(inner, st);
+    };
+    let mut batch = vec![first];
     loop {
-        let first = loop {
-            let (popped, freed) = st.pop(Instant::now());
-            wake_space(inner, freed);
-            if let Some(entry) = popped {
-                break entry;
-            }
-            if st.shutting_down() {
-                return None;
-            }
-            // Nothing is queued (`pop` retracts what expired and hands
-            // out anything live), so there is no deadline to wake for
-            // either. Parked, this worker lets a peer's batch seal without
-            // waiting for stragglers it would serve itself; the first idle
-            // worker wakes the peers waiting out a window so they can
-            // re-decide.
-            if st.park() {
-                inner.work.notify_all();
-            }
-            st = unparked(inner, st);
-        };
-        let mut batch = vec![first];
-        loop {
-            let now = Instant::now();
-            let (next, freed) = st.gather(&mut batch, now);
-            wake_space(inner, freed);
-            match next {
-                Gathered::Seal => break,
-                Gathered::Again => {}
-                Gathered::Wait { until } => {
-                    st = wait_timeout(&inner.work, st, until.saturating_duration_since(now));
-                }
-            }
-        }
-        // This worker may have consumed a submit's `notify_one` for an
-        // entry it is deliberately leaving queued. Re-signal so an idle
-        // worker picks it up instead of waiting out this whole dispatch.
-        if st.seal(&mut batch, Instant::now()) {
-            inner.work.notify_one();
-        }
-        // The window closes before any held deadline, but a worker that
-        // wakes late can find its whole batch expired: nothing to serve.
-        if !batch.is_empty() {
-            let (runner, workspace) = st.take_workspace(worker);
-            return Some((batch, runner, workspace));
+        let (again, freed) = st.gather(&mut batch, now);
+        wake_space(inner, freed);
+        if !again {
+            break;
         }
     }
+    let (runner, workspace, more) = st.seal(worker);
+    // This worker may have consumed a submit's `notify_one` for an entry
+    // it is deliberately leaving queued. Re-signal so an idle worker picks
+    // it up instead of waiting out this whole dispatch.
+    if more {
+        inner.work.notify_one();
+    }
+    Some((batch, runner, workspace))
 }
 
 /// Serve a request its blocking caller was handed
@@ -913,7 +893,14 @@ mod tests {
         assert!(matches!(err, SubmitError::InvalidRequest(_)), "{err}");
         // A zero deadline on a queue that still has space accepts the
         // request but cannot wait for it: typed timeout, and the request
-        // is still served (discarded) rather than leaked.
+        // is still served (discarded) rather than leaked. The worker is
+        // busy first, so the request cannot be served before its caller
+        // looks at the ticket.
+        let heavy: Vec<Image> = (0..8).map(|i| probe(24, 24, 50 + i)).collect();
+        let busy = runtime.submit(SrRequest::batch(heavy)).unwrap();
+        while runtime.stats().queue_depth > 0 {
+            std::thread::yield_now();
+        }
         let err = runtime
             .submit_wait_timeout(
                 SrRequest::single(probe(8, 8, 41)),
@@ -922,8 +909,9 @@ mod tests {
             .err()
             .expect("a zero deadline must time out");
         assert_eq!(err, SubmitError::Timeout { timeout: std::time::Duration::ZERO });
+        assert!(busy.wait().is_ok());
         let stats = runtime.shutdown();
-        assert_eq!(stats.completed, 2, "the timed-out request was still served");
+        assert_eq!(stats.completed, 3, "the timed-out request was still served");
         assert_eq!(
             stats.late_discarded, 1,
             "the abandoned response is counted as discarded work"

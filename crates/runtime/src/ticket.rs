@@ -1,7 +1,6 @@
 //! [`Ticket`] — the caller's handle to an in-flight request: a hand-rolled
 //! `Mutex` + `Condvar` one-shot cell resolved exactly once by the worker
-//! that serves the request. A blocking round trip polls the cell for up
-//! to [`SPIN`] before it sleeps on the condvar.
+//! that serves the request.
 
 use crate::runtime::ServeError;
 use crate::{lock, wait_timeout};
@@ -9,20 +8,6 @@ use scales_serve::SrResponse;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// How long a blocking round trip ([`Ticket::wait_polling`]) polls its
-/// ticket, yielding the core between polls, before it sleeps on the
-/// condvar. A lone request on a pool with an idle worker never gets here:
-/// its caller runs it on its own thread. What does is a request that was
-/// queued — behind other work, or with every worker busy — whose dispatch
-/// (batching window, forward, booking) usually resolves within this. A
-/// caller that slept on every such request left its core idle between
-/// requests, and on a virtualised host waking an idle core costs more the
-/// busier the host is: serving throughput then followed the host's load
-/// rather than the work. A caller holding many tickets sleeps at once
-/// instead: while the workers are busy a poller would take a share of
-/// their cores.
-const SPIN: Duration = Duration::from_millis(5);
 
 /// How a ticket resolves: the response, or a typed [`ServeError`].
 pub(crate) type ServeResult = Result<SrResponse, ServeError>;
@@ -37,9 +22,6 @@ pub(crate) struct TicketCell {
     /// that every accepted ticket resolves is unconditional — but the
     /// worker counts the resolution as late-discarded work.
     abandoned: AtomicBool,
-    /// Set once `slot` holds the result, after its lock is released: what
-    /// a polling caller reads instead of the mutex.
-    ready: AtomicBool,
 }
 
 impl TicketCell {
@@ -48,7 +30,6 @@ impl TicketCell {
             slot: Mutex::new(None),
             done: Condvar::new(),
             abandoned: AtomicBool::new(false),
-            ready: AtomicBool::new(false),
         })
     }
 
@@ -63,30 +44,15 @@ impl TicketCell {
     }
 
     /// Deliver the result, waking the waiting caller. Called exactly once
-    /// per cell, by the worker that served (or failed) the request.
+    /// per cell, by the worker that served (or failed) the request. The
+    /// wake-up follows the unlock, so the woken caller does not then block
+    /// on the mutex this thread still holds.
     pub(crate) fn resolve(&self, result: ServeResult) {
         let mut slot = lock(&self.slot);
         debug_assert!(slot.is_none(), "a ticket resolves exactly once");
         *slot = Some(result);
         drop(slot);
-        self.publish();
-    }
-
-    /// Tell the caller the slot is filled. Both signals follow the
-    /// unlock, so neither a polling nor a woken caller then blocks on the
-    /// mutex this thread still holds.
-    fn publish(&self) {
-        self.ready.store(true, Ordering::Release);
         self.done.notify_all();
-    }
-
-    /// Poll for the result for up to `limit`, yielding the core between
-    /// polls; returns as soon as the slot is filled.
-    fn spin(&self, limit: Duration) {
-        let start = Instant::now();
-        while !self.ready.load(Ordering::Acquire) && start.elapsed() < limit {
-            std::thread::yield_now();
-        }
     }
 
     /// Deliver `result` only if nothing was delivered yet — the
@@ -100,7 +66,7 @@ impl TicketCell {
         if resolved {
             *slot = Some(result);
             drop(slot);
-            self.publish();
+            self.done.notify_all();
         }
         resolved
     }
@@ -176,14 +142,6 @@ impl Ticket {
         }
     }
 
-    /// [`Ticket::wait_timeout`] for a caller with nothing else to do: the
-    /// first [`SPIN`] of the wait polls instead of sleeping.
-    pub(crate) fn wait_polling(self, timeout: Duration) -> Result<ServeResult, Ticket> {
-        let start = Instant::now();
-        self.cell.spin(SPIN.min(timeout));
-        self.wait_timeout(timeout.saturating_sub(start.elapsed()))
-    }
-
     /// Whether the response has already been delivered (a subsequent
     /// [`Ticket::wait`] will not block).
     #[must_use]
@@ -234,15 +192,6 @@ mod tests {
             cell.resolve(Ok(empty_response()));
         });
         assert!(ticket.wait().is_ok());
-        resolver.join().unwrap();
-    }
-
-    #[test]
-    fn a_ticket_resolved_while_its_caller_polls_is_taken() {
-        let cell = TicketCell::new();
-        let ticket = Ticket { cell: Arc::clone(&cell) };
-        let resolver = std::thread::spawn(move || cell.resolve(Ok(empty_response())));
-        assert!(matches!(ticket.wait_polling(Duration::from_secs(5)), Ok(Ok(_))));
         resolver.join().unwrap();
     }
 

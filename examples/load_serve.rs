@@ -13,7 +13,6 @@ use scales::models::{srresnet, SrConfig};
 use scales::runtime::{Runtime, RuntimeConfig, SubmitError};
 use scales::serve::{Engine, Precision, SrRequest};
 use scales::train::{train, TrainConfig};
-use std::time::Duration;
 
 fn scene(h: usize, w: usize, seed: u64) -> scales::data::Image {
     scales::data::synth::scene(
@@ -36,17 +35,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("trained 30 steps: loss {:.4} -> {:.4}", stats.initial_loss, stats.final_loss);
     let engine = Engine::builder().model(net).precision(Precision::Deployed).build()?;
 
-    // 2. Spawn the worker pool. Each worker owns a private session (plan
-    //    cache + workspace); the bounded queue gives explicit
-    //    backpressure; the batcher coalesces compatible requests for up
-    //    to `max_wait`.
+    // 2. Spawn the worker pool. The workers share a pool of `workers`
+    //    workspaces (arenas + plan cache), one per forward in flight; the
+    //    bounded queue gives explicit backpressure; each dispatch
+    //    coalesces the compatible requests queued when it starts.
     let runtime = Runtime::spawn(
         engine,
         RuntimeConfig {
             workers: 4,
             queue_capacity: 32,
             max_batch: 8,
-            max_wait: Duration::from_millis(2),
             ..RuntimeConfig::default()
         },
     )?;

@@ -87,7 +87,6 @@ fn a_worker_panic_mid_dispatch_resolves_its_ticket_and_service_continues() {
             RuntimeConfig {
                 workers: 2,
                 max_batch: 1,
-                max_wait: Duration::ZERO,
                 ..RuntimeConfig::default()
             },
         )
@@ -140,7 +139,7 @@ fn a_caller_run_forward_that_panics_fails_its_request_and_the_caller_goes_on() {
     with_watchdog(120, "caller-run-panic", || {
         let runtime = Runtime::spawn(
             engine(33),
-            RuntimeConfig { workers: 2, max_wait: Duration::ZERO, ..RuntimeConfig::default() },
+            RuntimeConfig { workers: 2, ..RuntimeConfig::default() },
         )
         .unwrap();
         let _fault = faults::arm_times("runtime.dispatch", FaultAction::Panic, 1);
@@ -192,7 +191,6 @@ fn a_blocked_admission_wait_times_out_once_against_a_wedged_queue() {
                 workers: 1,
                 queue_capacity: 1,
                 max_batch: 1,
-                max_wait: Duration::ZERO,
                 ..RuntimeConfig::default()
             },
         )
@@ -367,7 +365,6 @@ fn a_stalled_peer_does_not_block_shedding_or_in_flight_service() {
             runtime: RuntimeConfig {
                 workers: 1,
                 max_batch: 1,
-                max_wait: Duration::ZERO,
                 shed: ShedPolicy { queue_watermark: Some(1), ..ShedPolicy::default() },
                 ..RuntimeConfig::default()
             },
@@ -472,7 +469,7 @@ fn tight_fleet(dir: &Path) -> ModelRouter {
     let router = ModelRouter::new(RouterConfig {
         memory_budget: Some(1),
         reload_retries: 0,
-        runtime: RuntimeConfig { workers: 1, max_batch: 1, max_wait: Duration::ZERO, ..RuntimeConfig::default() },
+        runtime: RuntimeConfig { workers: 1, max_batch: 1, ..RuntimeConfig::default() },
         ..RouterConfig::default()
     })
     .unwrap();
@@ -584,7 +581,7 @@ fn per_model_counters_never_fall_while_a_version_drains() {
         let beta = save_model(&dir, "beta", 72);
         let router = ModelRouter::new(RouterConfig {
             memory_budget: Some(1),
-            runtime: RuntimeConfig { workers: 1, max_batch: 1, max_wait: Duration::ZERO, ..RuntimeConfig::default() },
+            runtime: RuntimeConfig { workers: 1, max_batch: 1, ..RuntimeConfig::default() },
             ..RouterConfig::default()
         })
         .unwrap();

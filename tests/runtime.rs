@@ -23,7 +23,7 @@ use scales::runtime::{
 };
 use scales::serve::{Engine, Precision, SrRequest};
 use scales::tensor::backend::{self, Backend};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Run `f` on a helper thread and fail the test if it has not finished
 /// within `secs` — a deadlock anywhere in submit/dispatch/shutdown must
@@ -137,7 +137,6 @@ fn runtime_matches_serial_session_bitwise_across_the_method_registry() {
                         workers: 2,
                         queue_capacity: 64,
                         max_batch: 4,
-                        max_wait: Duration::from_millis(5),
                         ..RuntimeConfig::default()
                     },
                 )
@@ -163,7 +162,6 @@ fn runtime_matches_serial_session_bitwise_across_the_method_registry() {
                     engine_for(method, be, 1234),
                     RuntimeConfig {
                         workers: 2,
-                        max_wait: Duration::from_millis(5),
                         ..RuntimeConfig::default()
                     },
                 )
@@ -204,7 +202,6 @@ fn concurrent_submitters_each_get_their_own_responses_in_order() {
                     workers: 3,
                     queue_capacity: 8, // small: submitters hit submit_wait backpressure
                     max_batch: 6,
-                    max_wait: Duration::from_millis(1),
                     ..RuntimeConfig::default()
                 },
             )
@@ -262,7 +259,7 @@ fn a_resolved_request_is_already_counted_globally_and_in_its_lane() {
     with_watchdog(120, "counted-on-resolve", || {
         let runtime = Runtime::spawn(
             engine_for(Method::scales(), Backend::Scalar, 30),
-            RuntimeConfig { workers: 2, max_wait: Duration::ZERO, ..RuntimeConfig::default() },
+            RuntimeConfig { workers: 2, ..RuntimeConfig::default() },
         )
         .unwrap();
         for i in 0..200u64 {
@@ -292,7 +289,6 @@ fn a_full_queue_rejects_submissions_with_a_typed_error() {
                 workers: 1,
                 queue_capacity: 2,
                 max_batch: 1, // never coalesce: the worker serves strictly one request at a time
-                max_wait: Duration::ZERO,
                 ..RuntimeConfig::default()
             },
         )
@@ -338,7 +334,6 @@ fn graceful_shutdown_under_load_resolves_every_accepted_ticket() {
                 workers: 2,
                 queue_capacity: 64,
                 max_batch: 4,
-                max_wait: Duration::from_millis(1),
                 ..RuntimeConfig::default()
             },
         )
@@ -389,7 +384,6 @@ fn shutdown_racing_submitters_stays_deadlock_free() {
                 workers: 2,
                 queue_capacity: 64,
                 max_batch: 4,
-                max_wait: Duration::from_millis(2),
                 ..RuntimeConfig::default()
             },
         )
@@ -425,11 +419,11 @@ fn shutdown_racing_submitters_stays_deadlock_free() {
     });
 }
 
-/// The batcher must actually coalesce: a backlog of single-image
-/// requests submitted ahead of the (slow) first dispatch ends up in far
-/// fewer dispatches than requests, and the shared-dispatch stats say so —
-/// also with a second worker idle, whose presence may close a window early
-/// only when the arrivals could not fill it.
+/// The batcher must actually coalesce: with every worker wedged behind a
+/// request of more than `max_batch` heavy images (served alone), a burst
+/// of single-image requests queues whole, and each dispatch after a wedge
+/// takes `max_batch` of it — one dispatch per wedge and two for the burst,
+/// exactly — and the shared-dispatch stats say so.
 #[test]
 fn dynamic_batching_coalesces_a_backlog_of_single_image_callers() {
     with_watchdog(120, "batching-coalesces", || {
@@ -440,30 +434,40 @@ fn dynamic_batching_coalesces_a_backlog_of_single_image_callers() {
                     workers,
                     queue_capacity: 64,
                     max_batch: 8,
-                    max_wait: Duration::from_millis(50),
                     ..RuntimeConfig::default()
                 },
             )
             .unwrap();
-            // Same-shaped singles: ideal coalescing fodder. Submit the
-            // whole burst before waiting on anything.
-            let tickets: Vec<Ticket> = (0..16)
-                .map(|i| runtime.submit(SrRequest::single(probe(8, 8, 500 + i))).unwrap())
+            // Same-shaped singles: ideal coalescing fodder, built up front
+            // so the whole burst queues within microseconds.
+            let singles: Vec<SrRequest> =
+                (0..16).map(|i| SrRequest::single(probe(8, 8, 500 + i))).collect();
+            let wedges: Vec<Ticket> = (0..workers as u64)
+                .map(|w| {
+                    let heavy = (0..12).map(|i| probe(48, 48, 1_100 + w * 100 + i)).collect();
+                    runtime.submit(SrRequest::batch(heavy)).unwrap()
+                })
                 .collect();
+            // Wait until every worker has popped its wedge.
+            while runtime.stats().queue_depth > 0 {
+                std::thread::yield_now();
+            }
+            let tickets: Vec<Ticket> =
+                singles.into_iter().map(|request| runtime.submit(request).unwrap()).collect();
             for ticket in tickets {
                 let response = ticket.wait().unwrap();
                 assert_eq!(response.stats().images, 1, "caller sees its own image count");
             }
+            for wedge in wedges {
+                assert_eq!(wedge.wait().unwrap().images().len(), 12);
+            }
             let stats = runtime.shutdown();
             assert_ledger_closes(&stats);
-            assert_eq!(stats.completed, 16);
-            // 16 singles with max_batch 8 and a 50 ms window: the burst
-            // arrives microseconds apart, far faster than it takes to fill
-            // a window, so dispatches stay far below 16 (ideally 2–3).
-            assert!(
-                stats.dispatches <= 8,
-                "{workers} worker(s): {} dispatches for 16 requests",
-                stats.dispatches
+            assert_eq!(stats.completed, 16 + workers as u64);
+            assert_eq!(
+                stats.dispatches,
+                workers as u64 + 2,
+                "{workers} worker(s): 16 queued singles at max_batch 8"
             );
             assert!(stats.coalesced > 0, "{workers} worker(s): no request shared a dispatch");
             assert!(stats.batch_fill > 0.0);
@@ -471,63 +475,31 @@ fn dynamic_batching_coalesces_a_backlog_of_single_image_callers() {
     });
 }
 
-/// The batching window of the lone-request tests below.
-const WINDOW: Duration = Duration::from_millis(100);
-
-/// Serve `request` alone on a fresh runtime of `workers` with a [`WINDOW`]
-/// batching window, and return how long it waited for stragglers. The
-/// ledger must book that wait where the stamps put it: `sealed − dequeued`
-/// as batch wait, `dequeued − enqueued` as queue wait.
-fn batch_wait_of_a_lone_request(workers: usize, request: SrRequest) -> Duration {
-    let runtime = Runtime::spawn(
-        engine_for(Method::scales(), Backend::Scalar, 60),
-        RuntimeConfig { workers, max_wait: WINDOW, ..RuntimeConfig::default() },
-    )
-    .unwrap();
-    let response = match runtime.submit(request).unwrap().wait() {
-        Ok(response) => response,
-        Err(e) => panic!("{workers} worker(s): a lone request must be served, got {e}"),
-    };
-    let stamps = response.stamps().expect("runtime responses carry stamps");
-    let stats = runtime.shutdown();
-    assert_ledger_closes(&stats);
-    assert_eq!((stats.completed, stats.expired, stats.dispatches), (1, 0, 1));
-    // One sample per histogram, so each one's max is this request's span.
-    assert_eq!(stats.queue_wait.max(), stamps.dequeued - stamps.enqueued);
-    assert_eq!(stats.batch_wait.max(), stamps.sealed - stamps.dequeued);
-    stamps.sealed - stamps.dequeued
-}
-
-/// A deadline that falls inside the batching window closes it: one
-/// worker, nothing else in flight, and the request is dispatched at once
-/// instead of held until the window ends and then retracted as expired.
+/// A lone request is booked where its stamps put it: `dequeued − enqueued`
+/// as queue wait, `sealed − dequeued` as batch wait — on one worker and
+/// with an idle peer.
 #[test]
-fn a_deadline_inside_the_batching_window_is_served_not_expired() {
-    with_watchdog(120, "deadline-in-window", || {
-        let deadline = Instant::now() + Duration::from_millis(30);
-        let request = SrRequest::single(probe(6, 6, 6_000)).deadline_at(deadline);
-        let waited = batch_wait_of_a_lone_request(1, request);
-        assert!(waited < Duration::from_millis(30), "held {waited:?} against a 30 ms deadline");
-    });
-}
-
-/// With an idle peer to serve any straggler, the window closes once the
-/// arrival pace cannot fill the batch: a lone request does not wait it out.
-#[test]
-fn a_lone_request_with_an_idle_peer_does_not_wait_out_the_window() {
-    with_watchdog(120, "lone-idle-peer", || {
-        let waited = batch_wait_of_a_lone_request(2, SrRequest::single(probe(6, 6, 6_100)));
-        assert!(waited < WINDOW / 2, "waited {waited:?} of a {WINDOW:?} window");
-    });
-}
-
-/// One worker has no idle peer: a straggler would wait for it anyway, so
-/// the window stays open to its end.
-#[test]
-fn a_lone_request_on_one_worker_still_waits_out_the_window() {
-    with_watchdog(120, "lone-one-worker", || {
-        let waited = batch_wait_of_a_lone_request(1, SrRequest::single(probe(6, 6, 6_200)));
-        assert!(waited >= WINDOW, "sealed after {waited:?} of a {WINDOW:?} window");
+fn a_lone_request_books_its_waits_where_its_stamps_put_them() {
+    with_watchdog(120, "lone-request-stamps", || {
+        for workers in [1, 2] {
+            let runtime = Runtime::spawn(
+                engine_for(Method::scales(), Backend::Scalar, 60),
+                RuntimeConfig { workers, ..RuntimeConfig::default() },
+            )
+            .unwrap();
+            let request = SrRequest::single(probe(6, 6, 6_000 + workers as u64));
+            let response = match runtime.submit(request).unwrap().wait() {
+                Ok(response) => response,
+                Err(e) => panic!("{workers} worker(s): a lone request must be served, got {e}"),
+            };
+            let stamps = response.stamps().expect("runtime responses carry stamps");
+            let stats = runtime.shutdown();
+            assert_ledger_closes(&stats);
+            assert_eq!((stats.completed, stats.expired, stats.dispatches), (1, 0, 1));
+            // One sample per histogram, so each one's max is this request's span.
+            assert_eq!(stats.queue_wait.max(), stamps.dequeued - stamps.enqueued);
+            assert_eq!(stats.batch_wait.max(), stamps.sealed - stamps.dequeued);
+        }
     });
 }
 
@@ -540,7 +512,7 @@ fn a_lone_request_on_one_worker_still_waits_out_the_window() {
 fn wedged_runtime(config: RuntimeConfig, seed: u64) -> (Runtime, Ticket) {
     let runtime = Runtime::spawn(
         engine_for(Method::scales(), Backend::Scalar, seed),
-        RuntimeConfig { workers: 1, max_batch: 1, max_wait: Duration::ZERO, ..config },
+        RuntimeConfig { workers: 1, max_batch: 1, ..config },
     )
     .unwrap();
     let wedge = runtime
@@ -834,7 +806,6 @@ fn a_tripped_p99_wire_recovers_once_its_reading_goes_stale() {
         let config = RuntimeConfig {
             workers: 1,
             max_batch: 1,
-            max_wait: Duration::ZERO,
             // Any completed dispatch trips a 1 ns wire.
             shed: ShedPolicy {
                 queue_watermark: None,
@@ -886,7 +857,6 @@ fn untrusted_tenant_names_cannot_grow_the_lane_table() {
         let config = RuntimeConfig {
             workers: 1,
             max_batch: 1,
-            max_wait: Duration::ZERO,
             max_tenant_lanes: 2,
             ..RuntimeConfig::default()
         };
@@ -1016,7 +986,6 @@ fn every_submission_under_overload_gets_exactly_one_typed_outcome() {
                 workers: 2,
                 queue_capacity: 16,
                 max_batch: 4,
-                max_wait: Duration::from_millis(1),
                 shed: ShedPolicy { queue_watermark: Some(12), ..ShedPolicy::default() },
                 tenant_quota: Some(10),
                 tenant_weights: vec![("cold".into(), 3)],
