@@ -19,8 +19,10 @@
 //!   nanoseconds per value, compiled for every `SimdLevel` the CPU offers
 //!   (bit-identical outputs, asserted here);
 //! * deployed window attention at the transformer's shape (32 channels,
-//!   the zoo's 4×4 window, 16×16 and 24×24) and at a 2×2 window (the
-//!   any-window instance), compiled for every `SimdLevel` the CPU offers;
+//!   the zoo's 4×4 window, 16×16 and 24×24) and at 2×2 and 8×8 windows
+//!   (the any-window instance: one short lane group, several full ones),
+//!   and the deployed LayerNorm at the transformer's shape, each compiled
+//!   for every `SimdLevel` the CPU offers;
 //! * the bit-packed binary convolution on a 64×64 image, comparing the
 //!   allocating `forward` against the scratch-reusing `forward_into`, on
 //!   scalar and simd backends.
@@ -29,8 +31,8 @@
 //! float GEMM ≥ 1.3× scalar on the paper-scale shape; the direct float
 //! convolution on the 64 → 48 tail ≤ 0.6× the im2col → GEMM time at the
 //! detected level and ≤ 1.1× the scalar one as compiled portably; every
-//! detected level of the binary convolution and of window attention
-//! bit-identical to the portable loop and at most 1.1× its time (both
+//! detected level of the binary convolution, window attention and
+//! LayerNorm bit-identical to the portable loop and at most 1.1× its time (both
 //! sides of these ratios are timed in turn inside one best-of loop, so a
 //! burst of neighbour load hits every side); and a
 //! full SCALES body convolution ≤ 1.5× the bare binary convolution — the
@@ -49,7 +51,9 @@ use scales_binary::{BinaryConv2d, Fused};
 use scales_core::{BodyConv, DeployedBodyConv, Method};
 use scales_tensor::backend;
 use scales_tensor::backend::Backend;
-use scales_tensor::ops::{conv2d, conv2d_into_at, gelu_into_at, window_attention_into_at, Conv2dSpec};
+use scales_tensor::ops::{
+    conv2d, conv2d_into_at, gelu_into_at, layer_norm_into_at, window_attention_into_at, Conv2dSpec,
+};
 use scales_tensor::workspace::{BitScratch, ConvScratch};
 use scales_tensor::{simd, SimdLevel, Tensor};
 use std::time::Instant;
@@ -267,8 +271,9 @@ fn main() {
     }
 
     // Window attention at the deployed transformer's shape (32 channels,
-    // the zoo's 4×4 window) at two LR sides, and once at a 2×2 window so
-    // the any-window instance is timed too.
+    // the zoo's 4×4 window) at two LR sides, and at 2×2 and 8×8 windows so
+    // the any-window instance is timed too; then the transformer's
+    // LayerNorm over the same 32 channels.
     {
         let (reps, c) = (reps * 20, 32usize);
         let mut staging = Vec::new();
@@ -276,6 +281,7 @@ fn main() {
             ("attn w4 32ch 16x16", "attn_w4_32ch_16x16", 4usize, 16usize),
             ("attn w4 32ch 24x24", "attn_w4_32ch_24x24", 4, 24),
             ("attn w2 32ch 16x16", "attn_w2_32ch_16x16", 2, 16),
+            ("attn w8 32ch 16x16", "attn_w8_32ch_16x16", 8, 16),
         ] {
             let len = c * side * side;
             let (q, k, v) = (filled(len, 9.0), filled(len, 10.0), filled(len, 11.0));
@@ -283,6 +289,12 @@ fn main() {
                 window_attention_into_at(level, &q, &k, &v, 1, c, side, side, window, &mut staging, out).unwrap();
             });
         }
+        let hw = 16 * 16;
+        let (x, gamma, beta) = (filled(c * hw, 12.0), filled(c, 13.0), filled(c, 14.0));
+        let (label, key) = ("layer_norm 32ch 16x16", "layer_norm_32ch_16x16");
+        against_portable(label, key, reps, &mut json, &mut vec![0.0; c * hw], |level, out| {
+            layer_norm_into_at(level, &x, 1, c, hw, &gamma, &beta, 1e-5, &mut staging, out).unwrap();
+        });
     }
 
     // The direct binary convolution at the paper's body shape and at the

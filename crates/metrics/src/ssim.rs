@@ -53,6 +53,7 @@ pub fn ssim_tensor(a: &Tensor, b: &Tensor) -> Result<f64> {
     let win = gaussian_window();
     let c1 = (K1 * 1.0) * (K1 * 1.0);
     let c2 = (K2 * 1.0) * (K2 * 1.0);
+    let (da, db) = (a.data(), b.data());
     let mut total = 0.0;
     let mut count = 0usize;
     for y0 in 0..=(h - WINDOW) {
@@ -62,11 +63,12 @@ pub fn ssim_tensor(a: &Tensor, b: &Tensor) -> Result<f64> {
             let mut aa = 0.0f64;
             let mut bb = 0.0f64;
             let mut ab = 0.0f64;
-            for wy in 0..WINDOW {
-                for wx in 0..WINDOW {
-                    let g = win[wy * WINDOW + wx];
-                    let va = f64::from(a.at(&[0, y0 + wy, x0 + wx]));
-                    let vb = f64::from(b.at(&[0, y0 + wy, x0 + wx]));
+            // Window row `wy` is `WINDOW` contiguous samples of image row
+            // `y0 + wy`, walked left to right: the taps in row-major order.
+            for (wy, taps) in win.chunks_exact(WINDOW).enumerate() {
+                let row = (y0 + wy) * w + x0..(y0 + wy) * w + x0 + WINDOW;
+                for ((&g, &va), &vb) in taps.iter().zip(&da[row.clone()]).zip(&db[row]) {
+                    let (va, vb) = (f64::from(va), f64::from(vb));
                     mu_a += g * va;
                     mu_b += g * vb;
                     aa += g * va * va;
@@ -124,6 +126,73 @@ mod tests {
             }
         }
         t
+    }
+
+    /// The mean SSIM as a per-element loop: every tap read through
+    /// `Tensor::at`, each sum in window row-major order. The reference the
+    /// row walk of [`ssim_tensor`] must match exactly.
+    fn ssim_per_element(a: &Tensor, b: &Tensor) -> f64 {
+        let (h, w) = (a.shape()[1], a.shape()[2]);
+        let win = gaussian_window();
+        let (c1, c2) = ((K1 * 1.0) * (K1 * 1.0), (K2 * 1.0) * (K2 * 1.0));
+        let (mut total, mut count) = (0.0, 0usize);
+        for y0 in 0..=(h - WINDOW) {
+            for x0 in 0..=(w - WINDOW) {
+                let (mut mu_a, mut mu_b, mut aa, mut bb, mut ab) = (0.0f64, 0.0f64, 0.0f64, 0.0f64, 0.0f64);
+                for wy in 0..WINDOW {
+                    for wx in 0..WINDOW {
+                        let g = win[wy * WINDOW + wx];
+                        let va = f64::from(a.at(&[0, y0 + wy, x0 + wx]));
+                        let vb = f64::from(b.at(&[0, y0 + wy, x0 + wx]));
+                        mu_a += g * va;
+                        mu_b += g * vb;
+                        aa += g * va * va;
+                        bb += g * vb * vb;
+                        ab += g * va * vb;
+                    }
+                }
+                let (var_a, var_b, cov) = (aa - mu_a * mu_a, bb - mu_b * mu_b, ab - mu_a * mu_b);
+                total += ((2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2))
+                    / ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2));
+                count += 1;
+            }
+        }
+        total / count as f64
+    }
+
+    /// A textured `[1, h, w]` image in `[0, 1]`: a seeded sinusoid plus
+    /// seeded noise (SplitMix64), so neighbouring windows differ.
+    fn seeded_texture(h: usize, w: usize, seed: u64) -> Tensor {
+        let mut state = seed;
+        let mut noise = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) >> 40) as f32 / (1u64 << 24) as f32
+        };
+        let f = 0.3 + (seed % 7) as f32 * 0.11;
+        let data = (0..h * w)
+            .map(|i| {
+                let (y, x) = ((i / w) as f32, (i % w) as f32);
+                (0.5 + 0.3 * (x * f).sin() * (y * f * 0.7).cos() + 0.2 * (noise() - 0.5)).clamp(0.0, 1.0)
+            })
+            .collect();
+        Tensor::from_vec(data, &[1, h, w]).unwrap()
+    }
+
+    /// Kills a row walked right to left (tried by hand): the f64 sums'
+    /// order is part of the result.
+    #[test]
+    fn the_row_walk_equals_the_per_element_loop_exactly() {
+        let sizes = [(11usize, 11usize), (11, 30), (17, 12), (23, 31), (40, 40), (64, 48)];
+        for (seed, (h, w)) in (0u64..).zip(sizes) {
+            let a = seeded_texture(h, w, 2 * seed + 1);
+            let b = seeded_texture(h, w, 2 * seed + 2);
+            for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
+                let (got, want) = (ssim_tensor(x, y).unwrap(), ssim_per_element(x, y));
+                assert_eq!(got.to_bits(), want.to_bits(), "{h}x{w} seed {seed}: {got} vs {want}");
+            }
+        }
     }
 
     #[test]

@@ -20,8 +20,8 @@ pub use image::{
 };
 pub use matmul::{batched_matmul, gemm, matmul};
 pub use token::{
-    check_window, gelu, gelu_into, gelu_into_at, layer_norm_into, window_attention_into,
-    window_attention_into_at,
+    check_window, gelu, gelu_into, gelu_into_at, layer_norm_into, layer_norm_into_at,
+    window_attention_into, window_attention_into_at,
 };
 
 /// The logistic function `1 / (1 + e^{-x})`.

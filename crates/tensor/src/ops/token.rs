@@ -16,21 +16,34 @@
 //! every inner loop is a plain walk over equal-length slices.
 //!
 //! GELU and window attention call no libm: their `tanh` and `exp` are
-//! [`math`]'s branch-free ones, so their loops vectorise, and each is one
-//! `#[inline(always)]` body recompiled for AVX2 and AVX-512F and picked by
-//! the active backend's [`SimdLevel`], the pattern of [`super::direct`].
+//! [`math`]'s branch-free ones, so their loops vectorise. All three are
+//! one `#[inline(always)]` body recompiled for AVX2 and AVX-512F and picked
+//! by the active backend's [`SimdLevel`], the pattern of [`super::direct`].
 //! Every step is a separate IEEE operation and lanes never mix, so a lane
 //! computes exactly what the scalar call does: scalar and simd, and every
-//! level, agree by construction. LayerNorm runs as compiled portably.
+//! level, agree by construction.
 //!
-//! At each level the attention body has two const-generic instances,
-//! picked per call by the window: one for the only window the model zoo
-//! uses (4×4: 16 tokens, one AVX-512 register) and one for any window. In
-//! the first every token-lane loop and every 4-float row move of the
-//! per-window gather and scatter has a compile-time length, so the loops
-//! unroll into whole-register operations and the moves into single loads
-//! and stores. Both instances run the same operations in the same order,
-//! so they agree bit for bit too.
+//! LayerNorm normalises 64 pixels at a time, the block's mean and
+//! denominator held in local arrays (registers) across its channel passes.
+//!
+//! Attention runs a window's queries in lane groups of a fixed width per
+//! level (16 at AVX2 and AVX-512, 8 at the portable level), the last group
+//! padded with zero queries that are never stored. Per group, a block of
+//! keys' score rows accumulates in registers across the channel loop (the
+//! block is one window row of the zoo's window), the row maximum and sum
+//! live in local arrays beside the scores, and the context accumulates
+//! a block of channels at a time in registers across the key loop, the
+//! softmax's divide riding in its first block. Only `q` is gathered into a
+//! tile; keys and values are read in place, a window row at a time, and
+//! the context is stored from its registers straight into the output map.
+//! The body has two const-generic instances, picked per call by the window:
+//! one for the only window the model zoo uses (4×4: 16 tokens), in which
+//! every row move and score block has a compile-time length, and one for
+//! any window, which walks its gather and scatter a value at a time (a row
+//! move of a run-time length is a `memcpy` call). The context's key count
+//! is hidden from the optimiser in both: unrolled whole, its accumulation
+//! chains compile to scalar code. Both instances run the same operations
+//! in the same order, so they agree bit for bit too.
 
 use crate::error::{Result, TensorError};
 use crate::ops::math;
@@ -105,10 +118,11 @@ fn expect_len(actual: usize, expected: usize) -> Result<()> {
 
 /// LayerNorm over the channel axis of a flat `[n, c, hw]` volume — what
 /// `scales_nn::layers::LayerNorm` computes per token — into `out` (fully
-/// overwritten). Per pixel, in the tape's order: ascending-channel sum
-/// `· 1/c`, centre, ascending sum of squares `· 1/c`,
-/// `sqrt(max(var + eps, 1e-12))`, then `x / d · γ + β`. `stats` is reusable
-/// grow-only scratch (two planes of `hw`).
+/// overwritten), at the active backend's [`SimdLevel`]. Per pixel, in the
+/// tape's order: ascending-channel sum `· 1/c`, centre, ascending sum of
+/// squares `· 1/c`, `sqrt(max(var + eps, 1e-12))`, then `x / d · γ + β`.
+/// `stats` is reusable grow-only scratch (the two statistics of the last
+/// `hw % 64` pixels; whole blocks of 64 keep theirs in registers).
 ///
 /// # Errors
 ///
@@ -126,6 +140,30 @@ pub fn layer_norm_into(
     stats: &mut Vec<f32>,
     out: &mut [f32],
 ) -> Result<()> {
+    let level = crate::backend::kernel().simd_level();
+    layer_norm_into_at(level, x, n, c, hw, gamma, beta, eps, stats, out)
+}
+
+/// [`layer_norm_into`] at `level`, clamped to what the CPU offers. Every
+/// pixel is one lane with the same operations in the same order at every
+/// width, so the result is `to_bits`-identical at every level.
+///
+/// # Errors
+///
+/// As [`layer_norm_into`].
+#[allow(clippy::too_many_arguments)]
+pub fn layer_norm_into_at(
+    level: SimdLevel,
+    x: &[f32],
+    n: usize,
+    c: usize,
+    hw: usize,
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    stats: &mut Vec<f32>,
+    out: &mut [f32],
+) -> Result<()> {
     expect_len(gamma.len(), c)?;
     expect_len(beta.len(), c)?;
     expect_len(x.len(), n * c * hw)?;
@@ -133,31 +171,87 @@ pub fn layer_norm_into(
     if c * hw == 0 {
         return Ok(());
     }
-    let inv = 1.0 / c as f32;
-    let (mean, denom) = sized(stats, 2 * hw).split_at_mut(hw);
-    for (image, out) in x.chunks(c * hw).zip(out.chunks_mut(c * hw)) {
-        mean.fill(0.0);
-        for plane in image.chunks(hw) {
-            for (m, &v) in mean.iter_mut().zip(plane) {
-                *m += v;
-            }
-        }
-        mean.iter_mut().for_each(|m| *m *= inv);
-        denom.fill(0.0);
-        for (plane, centred) in image.chunks(hw).zip(out.chunks_mut(hw)) {
-            for (((o, &v), &m), d) in centred.iter_mut().zip(plane).zip(&*mean).zip(&mut *denom) {
-                *o = v - m;
-                *d += *o * *o;
-            }
-        }
-        denom.iter_mut().for_each(|d| *d = (*d * inv + eps).max(1e-12).sqrt());
-        for ((centred, &g), &b) in out.chunks_mut(hw).zip(gamma).zip(beta) {
-            for (o, &d) in centred.iter_mut().zip(&*denom) {
-                *o = *o / d * g + b;
-            }
+    let norm = Norm { x, c, hw, gamma, beta, eps };
+    #[cfg(target_arch = "x86_64")]
+    {
+        // SAFETY (both arms): the clamp against runtime detection
+        // guarantees the CPU has every feature the wrapper enables.
+        match level.min(crate::simd::detected()) {
+            SimdLevel::Avx512 => unsafe { x86::layer_norm_avx512(&norm, stats, out) },
+            SimdLevel::Avx2 => unsafe { x86::layer_norm_avx2(&norm, stats, out) },
+            SimdLevel::Sse42 | SimdLevel::None => layer_norm_pixels(&norm, stats, out),
         }
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = level;
+        layer_norm_pixels(&norm, stats, out);
+    }
     Ok(())
+}
+
+/// The checked operands of one [`layer_norm_into_at`] call.
+struct Norm<'a> {
+    x: &'a [f32],
+    c: usize,
+    hw: usize,
+    gamma: &'a [f32],
+    beta: &'a [f32],
+    eps: f32,
+}
+
+/// Pixels per LayerNorm block: four AVX-512 registers. The same width at
+/// every level measured best (32 read slower than the parent's plane walk
+/// at AVX2 and as compiled portably, 16 and 64 faster).
+const NORM_BLOCK: usize = 64;
+
+/// The one LayerNorm loop every level compiles: lanes are pixels,
+/// [`NORM_BLOCK`] at a time, with a block's mean and denominator in local
+/// arrays across the channel loops, so they stay in registers; the last
+/// `hw % NORM_BLOCK` pixels keep theirs in `stats`.
+#[inline(always)]
+fn layer_norm_pixels(norm: &Norm<'_>, stats: &mut Vec<f32>, out: &mut [f32]) {
+    const P: usize = NORM_BLOCK;
+    let Norm { x, c, hw, .. } = *norm;
+    let (whole, tail) = (hw - hw % P, hw % P);
+    let (mean, denom) = sized(stats, 2 * tail).split_at_mut(tail);
+    for (image, out) in x.chunks_exact(c * hw).zip(out.chunks_exact_mut(c * hw)) {
+        for first in (0..whole).step_by(P) {
+            normalise(norm, image, first, &mut [0.0; P], &mut [0.0; P], out);
+        }
+        normalise(norm, image, whole, mean, denom, out);
+    }
+}
+
+/// LayerNorm of one image's pixels `first..first + mean.len()`, each pass
+/// a walk over that span of every channel plane; `mean` and `denom` hold
+/// the span's statistics.
+#[inline(always)]
+fn normalise(norm: &Norm<'_>, image: &[f32], first: usize, mean: &mut [f32], denom: &mut [f32], out: &mut [f32]) {
+    let Norm { c, hw, gamma, beta, eps, .. } = *norm;
+    let inv = 1.0 / c as f32;
+    let span = first..first + mean.len();
+    mean.fill(0.0);
+    for plane in image.chunks_exact(hw) {
+        for (m, &v) in mean.iter_mut().zip(&plane[span.clone()]) {
+            *m += v;
+        }
+    }
+    mean.iter_mut().for_each(|m| *m *= inv);
+    denom.fill(0.0);
+    for (plane, centred) in image.chunks_exact(hw).zip(out.chunks_exact_mut(hw)) {
+        let (plane, centred) = (&plane[span.clone()], &mut centred[span.clone()]);
+        for (((o, &v), &m), d) in centred.iter_mut().zip(plane).zip(&*mean).zip(&mut *denom) {
+            *o = v - m;
+            *d += *o * *o;
+        }
+    }
+    denom.iter_mut().for_each(|d| *d = (*d * inv + eps).max(1e-12).sqrt());
+    for ((centred, &g), &b) in out.chunks_exact_mut(hw).zip(gamma).zip(beta) {
+        for (o, &d) in centred[span.clone()].iter_mut().zip(&*denom) {
+            *o = *o / d * g + b;
+        }
+    }
 }
 
 /// Single-head self-attention inside non-overlapping `window × window`
@@ -170,9 +264,9 @@ pub fn layer_norm_into(
 /// `exp`, sums ascending and divides; every context value is an
 /// ascending-token sum from `0.0`. Lanes are the window's query tokens, so
 /// the scores are held transposed (`[key][query]`) and every inner loop is
-/// contiguous. `staging` is reusable grow-only scratch: the window's
-/// `q` / `k` / `v` tiles (`3 · c · t` floats, `t = window²`), its `t × t`
-/// scores and two rows of `t`.
+/// contiguous. `staging` is reusable grow-only scratch: the window's `q`
+/// tile (`c` rows of `t = window²` queries, rounded up to whole lane groups
+/// of at most 16) and one lane group's `t` score rows.
 ///
 /// # Errors
 ///
@@ -224,9 +318,7 @@ pub fn window_attention_into_at(
     if c == 0 {
         return Ok(());
     }
-    let t = window * window;
     let maps = Windows { q, k, v, n, c, h, w, window };
-    let staging = sized(staging, 3 * c * t + t * t + 2 * t);
     #[cfg(target_arch = "x86_64")]
     {
         // SAFETY (both arms): the clamp against runtime detection
@@ -234,13 +326,13 @@ pub fn window_attention_into_at(
         match level.min(crate::simd::detected()) {
             SimdLevel::Avx512 => unsafe { x86::attend_avx512(&maps, staging, out) },
             SimdLevel::Avx2 => unsafe { x86::attend_avx2(&maps, staging, out) },
-            SimdLevel::Sse42 | SimdLevel::None => attend(&maps, staging, out),
+            SimdLevel::Sse42 | SimdLevel::None => attend::<8, 2>(&maps, staging, out),
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
         let _ = level;
-        attend(&maps, staging, out);
+        attend::<8, 2>(&maps, staging, out);
     }
     Ok(())
 }
@@ -261,92 +353,251 @@ struct Windows<'a> {
 /// (`scales_models::WINDOW`), which [`attend_windows`] has an instance for.
 const ZOO_WINDOW: usize = 4;
 
-/// The one attention loop every level compiles, through its instance for
-/// the zoo's window or the one for any window.
+/// The one attention loop every level compiles, `L` query lanes at a time
+/// and `B` keys per score block and channels per context block, through
+/// its instance for the zoo's window or the one for any window. Each level
+/// picks `L` and `B` so that `B` rows of `L` accumulators and their
+/// operands fit its register file: 16 and 4 (four zmm, or eight ymm
+/// registers at AVX2), and 8 and 2 at the portable level (four of its
+/// sixteen xmm registers).
 #[inline(always)]
-fn attend(maps: &Windows<'_>, staging: &mut [f32], out: &mut [f32]) {
+fn attend<const L: usize, const B: usize>(maps: &Windows<'_>, staging: &mut Vec<f32>, out: &mut [f32]) {
     if maps.window == ZOO_WINDOW {
-        attend_windows::<ZOO_WINDOW>(maps, staging, out);
+        attend_windows::<ZOO_WINDOW, L, B>(maps, staging, out);
     } else {
-        attend_windows::<0>(maps, staging, out);
+        attend_windows::<0, L, B>(maps, staging, out);
     }
 }
 
-/// [`attend`] for a `W × W` window, or for any window when `W` is 0;
-/// `staging` is exactly the tiles, the scores and two rows.
+/// [`attend`] for a `W × W` window, or for any window when `W` is 0.
+///
+/// Lanes are query tokens, `L` at a time: a window's `t` queries are
+/// `⌈t / L⌉` lane groups, the last padded with zero queries whose lanes
+/// are computed and never stored. Every loop over a group's lanes has the
+/// fixed length `L`; the row maximum and sum are local arrays and the
+/// score and context accumulators are up to `B` local rows, so none can
+/// alias the staged rows and the compiler keeps them in registers. Keys
+/// are read from `k` and `v` in place, a window row at a time: score
+/// blocks of `B` keys, then single keys, along each row. `staging` holds
+/// the gathered `q` tile (`c` rows of the padded query count) and one lane
+/// group's `t` score rows.
 #[inline(always)]
-fn attend_windows<const W: usize>(maps: &Windows<'_>, staging: &mut [f32], out: &mut [f32]) {
+fn attend_windows<const W: usize, const L: usize, const B: usize>(
+    maps: &Windows<'_>,
+    staging: &mut Vec<f32>,
+    out: &mut [f32],
+) {
     let Windows { q, k, v, n, c, h, w, window } = *maps;
     // A compile-time constant in every instance but `W = 0`, and with it
-    // every token-lane loop's length and every row move's.
+    // the key count, the lane-group count and every row's length.
     let window = if W == 0 { window } else { W };
     let (t, hw) = (window * window, h * w);
+    let tq = t.div_ceil(L) * L;
     let scale = 1.0 / (c as f32).sqrt();
-    let (tiles, rest) = staging.split_at_mut(3 * c * t);
-    let (scores, rows) = rest.split_at_mut(t * t);
-    let (row_a, row_b) = rows[..2 * t].split_at_mut(t);
+    let staging = sized(staging, c * tq + t * L);
+    let (qt, scores) = staging.split_at_mut(c * tq);
+    let scores = scores.as_chunks_mut::<L>().0;
+    // The padding queries: zeroed once, never overwritten.
+    for row in qt.chunks_exact_mut(tq) {
+        row[t..].fill(0.0);
+    }
+    // A window row holds `whole` keys in blocks of B, then single keys.
+    let whole = window - window % B;
     for b in 0..n {
         let image = b * c * hw..(b + 1) * c * hw;
         let (q, k, v, out) = (&q[image.clone()], &k[image.clone()], &v[image.clone()], &mut out[image]);
         for corner in (0..h / window).flat_map(|wy| (0..w / window).map(move |wx| (wy * w + wx) * window)) {
-            // Channel `ci`'s window rows sit at `ci·hw + corner + ty·w`
-            // of a map and at `ci·t + ty·window` of its tile.
-            for (map, tile) in [q, k, v].into_iter().zip(tiles.chunks_exact_mut(c * t)) {
-                for ci in 0..c {
-                    for ty in 0..window {
-                        let (from, to) = (ci * hw + corner + ty * w, ci * t + ty * window);
-                        tile[to..to + window].copy_from_slice(&map[from..from + window]);
+            for (plane, tile) in q.chunks_exact(hw).zip(qt.chunks_exact_mut(tq)) {
+                gather_window::<W>(&plane[corner..], w, window, &mut tile[..t]);
+            }
+            for first in (0..t).step_by(L) {
+                // scores[j][i] = Σ_c q[c][i] · k[c][j], ascending c, then
+                // `· 1/√c`; the row maximum runs ascending j.
+                let mut max = [f32::NEG_INFINITY; L];
+                let queries = Queries { tile: qt, row: tq, first };
+                for (ty, rows) in scores.chunks_exact_mut(window).enumerate() {
+                    let at = corner + ty * w;
+                    let (blocks, singles) = rows.split_at_mut(whole);
+                    for (x, rows) in (0..).step_by(B).zip(blocks.chunks_exact_mut(B)) {
+                        score_keys::<L, B>(&queries, k, hw, at + x, scale, rows, &mut max);
+                    }
+                    for (x, rows) in (whole..).zip(singles.chunks_exact_mut(1)) {
+                        score_keys::<L, 1>(&queries, k, hw, at + x, scale, rows, &mut max);
                     }
                 }
-            }
-            let (qt, rest) = tiles.split_at(c * t);
-            let (kt, vt) = rest.split_at(c * t);
-            // scores[j][i] = Σ_c q[c][i] · k[c][j], ascending c.
-            scores.fill(0.0);
-            for (qc, kc) in qt.chunks_exact(t).zip(kt.chunks_exact(t)) {
-                for (row, &kj) in scores.chunks_exact_mut(t).zip(kc) {
-                    for (s, &qi) in row.iter_mut().zip(qc) {
-                        *s += qi * kj;
+                // Softmax over the keys of each query: ascending sum of
+                // `exp(s - max)`, then one divide, which the first context
+                // block applies to each row as it first reads it.
+                let mut sum = [0.0f32; L];
+                for row in scores.iter_mut() {
+                    for ((s, &m), total) in row.iter_mut().zip(&max).zip(&mut sum) {
+                        *s = math::exp(*s - m);
+                        *total += *s;
                     }
                 }
-            }
-            // Softmax over the keys of each query: columns of `scores`.
-            let (max, sum) = (&mut *row_a, &mut *row_b);
-            max.fill(f32::NEG_INFINITY);
-            for row in scores.chunks_exact_mut(t) {
-                for (s, m) in row.iter_mut().zip(&mut *max) {
-                    *s *= scale;
-                    *m = m.max(*s);
-                }
-            }
-            sum.fill(0.0);
-            for row in scores.chunks_exact_mut(t) {
-                for ((s, &m), total) in row.iter_mut().zip(&*max).zip(&mut *sum) {
-                    *s = math::exp(*s - m);
-                    *total += *s;
-                }
-            }
-            for row in scores.chunks_exact_mut(t) {
-                for (s, &total) in row.iter_mut().zip(&*sum) {
-                    *s /= total;
-                }
-            }
-            // out[c][i] = Σ_j attn[i][j] · v[c][j], ascending j.
-            let context = &mut *row_a;
-            for (ci, vc) in vt.chunks_exact(t).enumerate() {
-                context.fill(0.0);
-                for (row, &vj) in scores.chunks_exact(t).zip(vc) {
-                    for (acc, &a) in context.iter_mut().zip(row) {
-                        *acc += a * vj;
+                // out[c][i] = Σ_j attn[i][j] · v[c][j], ascending j, B
+                // channels at a time, then single channels.
+                let blocks = c - c % B;
+                let mut c0 = 0;
+                while c0 < c {
+                    let channels = if c0 < blocks { B } else { 1 };
+                    let divide = (c0 == 0).then_some(&sum);
+                    let (planes, out) = (&v[c0 * hw + corner..], &mut out[c0 * hw + corner..]);
+                    if channels == B {
+                        let context = context_channels::<L, B>(scores, planes, hw, w, window, divide);
+                        scatter_channels::<W, L>(&context, first, t, window, out, hw, w);
+                    } else {
+                        let context = context_channels::<L, 1>(scores, planes, hw, w, window, divide);
+                        scatter_channels::<W, L>(&context, first, t, window, out, hw, w);
                     }
-                }
-                for ty in 0..window {
-                    let (from, to) = (ty * window, ci * hw + corner + ty * w);
-                    out[to..to + window].copy_from_slice(&context[from..from + window]);
+                    c0 += channels;
                 }
             }
         }
     }
+}
+
+/// One lane group of the staged `q` tile: `L` queries from `first` of
+/// every `row`-long channel row.
+struct Queries<'a> {
+    tile: &'a [f32],
+    row: usize,
+    first: usize,
+}
+
+/// Scores of the `K` keys that sit at `at..at + K` of every `hw`-long
+/// channel plane of `k`, for one lane group of queries: accumulated in
+/// registers across the channel loop, scaled into `rows` and folded into
+/// the running row maximum.
+#[inline(always)]
+fn score_keys<const L: usize, const K: usize>(
+    queries: &Queries<'_>,
+    k: &[f32],
+    hw: usize,
+    at: usize,
+    scale: f32,
+    rows: &mut [[f32; L]],
+    max: &mut [f32; L],
+) {
+    let Queries { tile, row, first } = *queries;
+    let mut acc = [[0.0f32; L]; K];
+    for (qc, kc) in tile.chunks_exact(row).zip(k.chunks_exact(hw)) {
+        let qc: &[f32; L] = qc[first..first + L].try_into().expect("a lane group is L queries");
+        let kc: &[f32; K] = kc[at..at + K].try_into().expect("a key block is K keys");
+        for (acc, &kj) in acc.iter_mut().zip(kc) {
+            for (s, &qi) in acc.iter_mut().zip(qc) {
+                *s += qi * kj;
+            }
+        }
+    }
+    for (row, acc) in rows.iter_mut().zip(&acc) {
+        for ((s, &a), m) in row.iter_mut().zip(acc).zip(max.iter_mut()) {
+            *s = a * scale;
+            *m = m.max(*s);
+        }
+    }
+}
+
+/// The context of `K` channels over one lane group's softmax rows `attn`
+/// (a `window × window` window's keys, row-major): channel `r`'s window
+/// starts at `planes[r · hw]`, its rows `w` apart. Accumulated in
+/// registers across the key loop. With `divide`, each row is first divided
+/// by its lane's sum in place: the softmax's last step, inside a loop whose
+/// accumulators keep the compiler from vectorising it across rows.
+#[inline(always)]
+fn context_channels<const L: usize, const K: usize>(
+    attn: &mut [[f32; L]],
+    planes: &[f32],
+    hw: usize,
+    w: usize,
+    window: usize,
+    divide: Option<&[f32; L]>,
+) -> [[f32; L]; K] {
+    // Hidden from the optimiser: with the key count known, the key loop
+    // unrolls whole, and its accumulation chains, 32 operations deep at
+    // the zoo's window, outgrow what the vectoriser follows and compile to
+    // scalar code.
+    let window = std::hint::black_box(window);
+    let mut acc = [[0.0f32; L]; K];
+    for (ty, attn) in attn.chunks_exact_mut(window).enumerate() {
+        let mut values: [&[f32]; K] = [&[]; K];
+        for (r, values) in values.iter_mut().enumerate() {
+            *values = &planes[r * hw + ty * w..][..window];
+        }
+        for (x, a) in attn.iter_mut().enumerate() {
+            if let Some(sum) = divide {
+                for (s, &total) in a.iter_mut().zip(sum) {
+                    *s /= total;
+                }
+            }
+            for (acc, values) in acc.iter_mut().zip(&values) {
+                let vj = values[x];
+                for (o, &ai) in acc.iter_mut().zip(&*a) {
+                    *o += ai * vj;
+                }
+            }
+        }
+    }
+    acc
+}
+
+/// Copies the `window × window` values whose rows start `w` apart from
+/// `plane[0]` into `tile`, row-major. The zoo's window moves whole rows of
+/// a compile-time length; any other window walks the values one at a time,
+/// since a row move of a run-time length is a `memcpy` call per row.
+#[inline(always)]
+fn gather_window<const W: usize>(plane: &[f32], w: usize, window: usize, tile: &mut [f32]) {
+    if W == 0 {
+        for (to, at) in tile.iter_mut().zip(token_offsets(0, window, w)) {
+            *to = plane[at];
+        }
+    } else {
+        for (ty, to) in tile.chunks_exact_mut(W).enumerate() {
+            to.copy_from_slice(&plane[ty * w..][..W]);
+        }
+    }
+}
+
+/// Writes the real tokens of the lane group from `first` — `first..min(first
+/// + L, t)` of a `window`-wide window — of each channel in `context` into
+/// the maps, whose window corner in channel `r` is `planes[r · hw]`, as
+/// [`gather_window`] reads them.
+#[inline(always)]
+fn scatter_channels<const W: usize, const L: usize>(
+    context: &[[f32; L]],
+    first: usize,
+    t: usize,
+    window: usize,
+    planes: &mut [f32],
+    hw: usize,
+    w: usize,
+) {
+    let real = L.min(t - first);
+    for (lanes, plane) in context.iter().zip(planes.chunks_mut(hw)) {
+        if W == 0 {
+            for (&value, at) in lanes[..real].iter().zip(token_offsets(first, window, w)) {
+                plane[at] = value;
+            }
+        } else {
+            // Every level's `L` is a multiple of the zoo's window: a lane
+            // group is whole window rows.
+            for (ty, from) in (first / window..).zip(lanes[..real].chunks_exact(W)) {
+                plane[ty * w..][..W].copy_from_slice(from);
+            }
+        }
+    }
+}
+
+/// The offsets from a window's corner, in a map whose rows are `w` apart,
+/// of the window's tokens from `first` on, row-major.
+#[inline(always)]
+fn token_offsets(first: usize, window: usize, w: usize) -> impl Iterator<Item = usize> {
+    let (mut at, mut x) = (first / window * w + first % window, first % window);
+    std::iter::from_fn(move || {
+        let token = at;
+        (at, x) = if x + 1 == window { (at + w + 1 - window, 0) } else { (at + 1, x + 1) };
+        Some(token)
+    })
 }
 
 /// The geometry [`window_attention_into`] accepts: a positive `window` that
@@ -368,7 +619,7 @@ pub fn check_window(h: usize, w: usize, window: usize) -> Result<()> {
 /// feature level.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{attend, gelu_lanes, Windows};
+    use super::{attend, gelu_lanes, layer_norm_pixels, Norm, Windows};
 
     /// # Safety
     ///
@@ -391,10 +642,28 @@ mod x86 {
     /// # Safety
     ///
     /// The CPU must support AVX2 (runtime-checked by
+    /// [`super::layer_norm_into_at`]).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn layer_norm_avx2(norm: &Norm<'_>, stats: &mut Vec<f32>, out: &mut [f32]) {
+        layer_norm_pixels(norm, stats, out);
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and AVX-512F (runtime-checked by
+    /// [`super::layer_norm_into_at`]).
+    #[target_feature(enable = "avx2", enable = "avx512f")]
+    pub(super) unsafe fn layer_norm_avx512(norm: &Norm<'_>, stats: &mut Vec<f32>, out: &mut [f32]) {
+        layer_norm_pixels(norm, stats, out);
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 (runtime-checked by
     /// [`super::window_attention_into_at`]).
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn attend_avx2(maps: &Windows<'_>, staging: &mut [f32], out: &mut [f32]) {
-        attend(maps, staging, out);
+    pub(super) unsafe fn attend_avx2(maps: &Windows<'_>, staging: &mut Vec<f32>, out: &mut [f32]) {
+        attend::<16, 4>(maps, staging, out);
     }
 
     /// # Safety
@@ -402,8 +671,8 @@ mod x86 {
     /// The CPU must support AVX2 and AVX-512F (runtime-checked by
     /// [`super::window_attention_into_at`]).
     #[target_feature(enable = "avx2", enable = "avx512f")]
-    pub(super) unsafe fn attend_avx512(maps: &Windows<'_>, staging: &mut [f32], out: &mut [f32]) {
-        attend(maps, staging, out);
+    pub(super) unsafe fn attend_avx512(maps: &Windows<'_>, staging: &mut Vec<f32>, out: &mut [f32]) {
+        attend::<16, 4>(maps, staging, out);
     }
 }
 

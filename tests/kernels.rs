@@ -12,8 +12,8 @@
 //! And for the NCHW-native transformer ops of the deployed path
 //! (`layer_norm_into`, `window_attention_into`, GELU / `Scale`): each
 //! against the composition of tensor ops the training tape runs on its
-//! token layout, bit for bit — and the two of them compiled per level (the
-//! GELU slice, window attention) at every level and on both backends.
+//! token layout, bit for bit — and all three compiled per level (the GELU
+//! slice, window attention, LayerNorm) at every level and on both backends.
 //!
 //! And for the ops the graph executor writes out by hand (`Relu`, `Prelu`,
 //! `Add`, `Concat`, `PixelShuffle`, `BicubicUp`, `ChannelAttention`) and
@@ -32,8 +32,8 @@ use scales::nn::init::rng;
 use scales::nn::Module as _;
 use scales::tensor::backend::{with_thread_backend, Backend};
 use scales::tensor::ops::{
-    batched_matmul, conv1d, conv2d, gelu_into, gelu_into_at, global_avg_pool, layer_norm_into, matmul,
-    pixel_shuffle, sigmoid, window_attention_into, window_attention_into_at, Conv2dSpec,
+    batched_matmul, conv1d, conv2d, gelu_into, gelu_into_at, global_avg_pool, layer_norm_into, layer_norm_into_at,
+    matmul, pixel_shuffle, sigmoid, window_attention_into, window_attention_into_at, Conv2dSpec,
 };
 use scales::tensor::workspace::{BitScratch, ConvScratch};
 use scales::tensor::{simd, SimdLevel, Tensor};
@@ -310,7 +310,10 @@ proptest! {
 
     /// `layer_norm_into` on an NCHW map equals `nn::LayerNorm` — the tape's
     /// mean / centre / variance / normalise / affine chain — on the same
-    /// values laid out as tokens, bit for bit, hostile values included.
+    /// values laid out as tokens, bit for bit, hostile values included: at
+    /// every level the CPU offers and on both backends. Kills, each tried
+    /// by hand: the final pass as `x · (1/d)`, and the variance summed in
+    /// descending channel order.
     #[test]
     fn layer_norm_matches_the_tape_on_tokens(
         c in 1usize..71,
@@ -330,27 +333,48 @@ proptest! {
 
         let mut stats = vec![f32::NAN; 2_000];
         let mut got = vec![f32::NAN; x.len()];
-        layer_norm_into(x.data(), n, c, h * w, &gamma, &beta, ln.eps(), &mut stats, &mut got).unwrap();
-        prop_assert!(
-            float_bits(&got) == float_bits(want.data()),
-            "c={} {}x{} n={} seed={}", c, h, w, n, seed
-        );
+        for level in simd::available() {
+            got.fill(f32::NAN);
+            layer_norm_into_at(level, x.data(), n, c, h * w, &gamma, &beta, ln.eps(), &mut stats, &mut got).unwrap();
+            prop_assert!(
+                float_bits(&got) == float_bits(want.data()),
+                "c={} {}x{} n={} seed={}: level {}", c, h, w, n, seed, level
+            );
+        }
+        for backend in [Backend::Scalar, Backend::Simd] {
+            got.fill(f32::NAN);
+            with_thread_backend(backend, || {
+                layer_norm_into(x.data(), n, c, h * w, &gamma, &beta, ln.eps(), &mut stats, &mut got)
+            })
+            .unwrap();
+            prop_assert!(
+                float_bits(&got) == float_bits(want.data()),
+                "c={} {}x{} n={} seed={}: backend {}", c, h, w, n, seed, backend
+            );
+        }
     }
 
     /// `window_attention_into` on NCHW maps equals the tape's
     /// `window_partition → q·kᵀ → ·1/√c → softmax → ·v → window_merge` on
-    /// the same values, bit for bit, hostile values included.
+    /// the same values, bit for bit, hostile values included. Windows 1, 2,
+    /// 3 and 8 run the any-window instance (an odd token count, 9, and
+    /// several lane groups, 64), window 4 the zoo's; channel counts leave
+    /// ragged channel blocks. Kills, each tried by hand: a context summed
+    /// in descending token order, `1/√c` applied to `q` before the dot, the
+    /// softmax's divide applied in every context block instead of the
+    /// first, and the last score taken for the row maximum.
     #[test]
     fn window_attention_matches_the_tape_on_tokens(
         c in 1usize..71,
-        window_pick in 0usize..3,
+        window_pick in 0usize..5,
         windows_h in 1usize..7,
         windows_w in 1usize..7,
         n in 1usize..3,
         seed in 0u64..1_000_000,
     ) {
-        let window = [1usize, 2, 4][window_pick];
-        let (h, w) = (windows_h * window, windows_w * window);
+        let window = [1usize, 2, 3, 4, 8][window_pick];
+        // At most 24 pixels a side, as with windows up to 4.
+        let (h, w) = (windows_h.min(24 / window) * window, windows_w.min(24 / window) * window);
         let mut data = Stream(seed);
         let mut map = || Tensor::from_vec(data.hostile_values(n * c * h * w), &[n, c, h, w]).unwrap();
         let (q, k, v) = (map(), map(), map());
@@ -384,13 +408,14 @@ proptest! {
     /// and in place, and `window_attention_into` — give the same bits at
     /// every level the CPU offers and on both backends, hostile values
     /// included. GELU's length is never a multiple of 16, so the remainder
-    /// lanes run; its values reach `tanh`'s saturation.
+    /// lanes run; its values reach `tanh`'s saturation. Attention draws
+    /// windows 1, 2, 3, 4 and 8, so both instances run at every level.
     #[test]
     fn gelu_and_window_attention_agree_at_every_level_and_backend(
         blocks in 0usize..12,
         rest in 1usize..16,
         c in 1usize..40,
-        window_pick in 0usize..3,
+        window_pick in 0usize..5,
         windows_h in 1usize..5,
         windows_w in 1usize..5,
         n in 1usize..3,
@@ -412,8 +437,9 @@ proptest! {
         }
         prop_assert!(gelu_into(Some(&x[1..]), &mut vec![0.0; len]).is_err());
 
-        let window = [1usize, 2, 4][window_pick];
-        let (h, w) = (windows_h * window, windows_w * window);
+        let window = [1usize, 2, 3, 4, 8][window_pick];
+        // At most 16 pixels a side, as with windows up to 4.
+        let (h, w) = (windows_h.min(16 / window) * window, windows_w.min(16 / window) * window);
         let mut map = || data.hostile_values(n * c * h * w);
         let (q, k, v) = (map(), map(), map());
         let mut staging = vec![f32::NAN; 20_000];
