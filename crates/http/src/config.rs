@@ -30,9 +30,11 @@ pub struct HttpConfig {
     pub max_line: usize,
     /// Maximum number of request headers. Default: 64.
     pub max_headers: usize,
-    /// How long a connection may sit idle between keep-alive requests,
-    /// and the per-read timeout while a request is arriving
-    /// (`Duration::MAX`: no bound). Default: 5 s.
+    /// The socket's read timeout, set once per connection. It bounds the
+    /// one blocking read an idle connection waits for its next request
+    /// in (past it the connection closes without a response), and each
+    /// read while a request is arriving (past it: `408`).
+    /// `Duration::MAX`: no bound. Default: 5 s.
     pub read_timeout: Duration,
     /// Bound on the full runtime round trip (queue admission + inference)
     /// per request, passed to

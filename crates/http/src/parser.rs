@@ -79,7 +79,7 @@ impl<R: Read> RequestReader<R> {
         self.start < self.end
     }
 
-    /// The wrapped stream (to adjust socket timeouts mid-connection).
+    /// The wrapped stream (the server writes its replies to it).
     pub fn get_ref(&self) -> &R {
         &self.inner
     }
@@ -506,6 +506,81 @@ mod tests {
             reader(big).read_head(&HttpConfig::default()).unwrap_err(),
             RequestError::BodyTooLarge { length: 1_000_000_000, .. }
         ));
+    }
+
+    /// Hands `bytes` over in reads that each end at the next of `cuts`
+    /// (ascending offsets), however large the caller's buffer: a socket
+    /// whose next request arrives in pieces.
+    struct Split {
+        bytes: Vec<u8>,
+        pos: usize,
+        cuts: Vec<usize>,
+    }
+
+    impl Read for Split {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let stop = self.cuts.iter().copied().find(|&c| c > self.pos).unwrap_or(self.bytes.len());
+            let n = (stop - self.pos).min(buf.len());
+            buf[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// Two reads split at every offset, then one byte per read.
+    fn splits(bytes: &[u8]) -> Vec<RequestReader<Split>> {
+        let reader = |cuts: Vec<usize>| RequestReader::new(Split { bytes: bytes.to_vec(), pos: 0, cuts });
+        let mut readers: Vec<_> = (0..=bytes.len()).map(|at| reader(vec![at])).collect();
+        readers.push(reader((1..bytes.len()).collect()));
+        readers
+    }
+
+    /// What a reader yields for a POST with a body and then one more
+    /// head: the first head, its body, and the second head or the typed
+    /// error (status and text) it parses as.
+    type Parsed = (RequestHead, Vec<u8>, Result<Option<RequestHead>, (u16, String)>);
+
+    fn parse_pipeline(mut r: RequestReader<impl Read>, cfg: &HttpConfig) -> Parsed {
+        let first = r.read_head(cfg).unwrap().unwrap();
+        let body = r.read_body(first.content_length).unwrap();
+        let second = r.read_head(cfg).map_err(|e| (e.status(), e.to_string()));
+        (first, body, second)
+    }
+
+    /// A request that arrives in pieces parses exactly as one that
+    /// arrives whole, and garbage pipelined after it is a typed error.
+    /// Kills, each tried on a scratch copy: `read_body` reading once
+    /// (`if` for its `while`), and `read_body` taking a short read for
+    /// end of stream. Every `Cursor` test passes under both: a cursor
+    /// hands over the whole stream in the first read.
+    #[test]
+    fn split_reads_parse_like_one_read() {
+        let cfg = HttpConfig { max_line: 64, ..HttpConfig::default() };
+        let post = b"POST /v1/upscale HTTP/1.1\r\nHost: a\r\nContent-Length: 11\r\nX-Scales-Tenant: t1\r\n\r\nhello world";
+        let nexts: [&[u8]; 8] = [
+            b"GET /b?x=1 HTTP/1.1\r\nConnection: close\r\n\r\n",
+            b"GARBAGE\r\n\r\n",
+            b"GET /b HTTP/9.9\r\n\r\n",
+            b"GET /b HTTP/1.1\r\nno colon\r\n\r\n",
+            b"GET /b HTTP/1.1\r\nHost: a",
+            b"\xff\xfe /b HTTP/1.1\r\n\r\n",
+            b"POST /b HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n",
+            b"GET /bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb HTTP/1.1\r\n\r\n",
+        ];
+        for (i, next) in nexts.iter().enumerate() {
+            let stream = [&post[..], next].concat();
+            let whole = parse_pipeline(reader(&stream), &cfg);
+            assert_eq!(whole.1, b"hello world");
+            assert_eq!(whole.0.tenant.as_deref(), Some("t1"));
+            match (&whole.2, i) {
+                (Ok(Some(get)), 0) => assert_eq!((get.target.as_str(), get.keep_alive), ("/b?x=1", false)),
+                (Err((status, _)), 1..) => assert!(*status >= 400, "{status}"),
+                (second, _) => panic!("pipelined request {i} parsed as {second:?}"),
+            }
+            for (cut, split) in splits(&stream).into_iter().enumerate() {
+                assert_eq!(parse_pipeline(split, &cfg), whole, "request {i}, split {cut}");
+            }
+        }
     }
 
     #[test]

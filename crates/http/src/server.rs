@@ -4,13 +4,15 @@
 //! Threading model: one accept thread pushes connections into a bounded
 //! backlog (`Mutex<VecDeque>` + `Condvar`); [`HttpConfig::workers`]
 //! connection workers pop and serve them, one connection at a time, with
-//! keep-alive. Between requests a worker first polls its connection
-//! without blocking for up to [`KEEP_ALIVE_SPIN`], then watches it with
-//! short poll-tick reads so a shutdown is noticed within ~[`POLL_TICK`]
-//! even while blocked on a quiet peer. The accept thread never writes to
-//! a socket: backlog-full refusals are handed to a short-lived detached
-//! thread with a bounded write timeout, so a stalled peer cannot block
-//! intake.
+//! keep-alive. Between requests a worker waits for the next one with one
+//! blocking read, bounded by the socket's read timeout
+//! ([`HttpConfig::read_timeout`], set once per connection). While it
+//! waits, the worker publishes a clone of its connection in its idle
+//! slot; [`HttpServer::shutdown`] wakes it by shutting that clone's read
+//! half, so the read returns end of stream. The accept thread never
+//! writes to a socket: backlog-full refusals are handed to a short-lived
+//! detached thread with a bounded write timeout, so a stalled peer cannot
+//! block intake.
 //! [`HttpServer::shutdown`] stops intake, wakes everything, joins the
 //! threads, then drains the fleet and returns its per-model records
 //! folded into one [`RuntimeStats`].
@@ -28,23 +30,11 @@ use scales_telemetry::{
 };
 use std::collections::VecDeque;
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How often a worker blocked on a quiet connection re-checks the
-/// shutdown flag.
-const POLL_TICK: Duration = Duration::from_millis(50);
-
-/// How long a worker polls a keep-alive connection for its next request,
-/// yielding the core between polls, before it blocks in `read`. A
-/// closed-loop client's next request usually arrives within it; a worker
-/// blocked in `read` leaves its core idle, and on a virtualised host
-/// waking an idle core costs more the busier the host is (see the
-/// runtime's ticket poll).
-const KEEP_ALIVE_SPIN: Duration = Duration::from_millis(5);
 
 /// Write timeout for the detached backlog-full refusal thread: long
 /// enough for any live peer to take a ~100-byte response, short enough
@@ -65,6 +55,12 @@ struct Shared {
     backlog: Mutex<VecDeque<TcpStream>>,
     /// Signaled on enqueue and on shutdown.
     work: Condvar,
+    /// One slot per connection worker: a clone of its connection while
+    /// it waits for the next request, `None` otherwise. The shutdown flag
+    /// is set under this lock, so a worker about to block either sees the
+    /// flag or is woken by [`HttpServer::stop`] shutting the clone's read
+    /// half.
+    idle: Mutex<Vec<Option<TcpStream>>>,
     connections: AtomicU64,
     requests: AtomicU64,
     errors: AtomicU64,
@@ -158,6 +154,7 @@ impl HttpServer {
             shutdown: AtomicBool::new(false),
             backlog: Mutex::new(VecDeque::new()),
             work: Condvar::new(),
+            idle: Mutex::new((0..config.workers).map(|_| None).collect()),
             connections: AtomicU64::new(0),
             requests: AtomicU64::new(0),
             errors: AtomicU64::new(0),
@@ -183,7 +180,7 @@ impl HttpServer {
             let shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("scales-http-{w}"))
-                .spawn(move || worker_loop(&shared))
+                .spawn(move || worker_loop(&shared, w))
                 .map_err(|source| HttpError::Io { context: "spawn worker thread", source })?;
             workers.push(handle);
         }
@@ -218,10 +215,11 @@ impl HttpServer {
         self.shared.recorder.slow()
     }
 
-    /// Stop intake, let workers finish their in-flight requests (open
-    /// keep-alive connections are answered with `Connection: close`),
-    /// join every thread, then drain the fleet and return its final
-    /// per-model records folded into one [`RuntimeStats`].
+    /// Stop intake, let workers finish their in-flight requests (answered
+    /// with `Connection: close`; idle keep-alive connections close
+    /// without a response), join every thread, then drain the fleet and
+    /// return its final per-model records folded into one
+    /// [`RuntimeStats`].
     #[must_use = "the final runtime stats are the serving record"]
     pub fn shutdown(mut self) -> RuntimeStats {
         self.stop();
@@ -230,8 +228,18 @@ impl HttpServer {
 
     /// Set the shutdown flag, wake every blocked thread, join them.
     fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        {
+            let idle = lock(&self.shared.idle);
+            self.shared.shutdown.store(true, Ordering::Release);
+            for stream in idle.iter().flatten() {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
+        // Notify under the backlog lock: a worker holds it from its flag
+        // check until it waits, so the notification cannot fall between.
+        let backlog = lock(&self.shared.backlog);
         self.shared.work.notify_all();
+        drop(backlog);
         // The accept thread blocks in `accept()`; poke it awake.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
         if let Some(accept) = self.accept.take() {
@@ -302,7 +310,7 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
     }
 }
 
-fn worker_loop(shared: &Shared) {
+fn worker_loop(shared: &Shared, slot: usize) {
     loop {
         let stream = {
             let mut backlog = lock(&shared.backlog);
@@ -320,7 +328,7 @@ fn worker_loop(shared: &Shared) {
             }
         };
         match stream {
-            Some(stream) => handle_connection(shared, stream),
+            Some(stream) => handle_connection(shared, slot, stream),
             None => return,
         }
     }
@@ -330,53 +338,21 @@ fn worker_loop(shared: &Shared) {
 // Connection handling
 // ---------------------------------------------------------------------------
 
-fn handle_connection(shared: &Shared, stream: TcpStream) {
+fn handle_connection(shared: &Shared, slot: usize, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
+    // The clone `stop` shuts the read half of while this connection idles.
+    let Ok(clone) = stream.try_clone() else { return };
+    let mut waker = Some(clone);
+    if stream.set_read_timeout(Some(shared.config.read_timeout)).is_err() {
+        return;
+    }
     let mut reader = RequestReader::new(stream);
     loop {
-        // Idle phase: poll briefly for the first byte of the next
-        // request, then wait for it with short poll ticks so shutdown is
-        // noticed promptly.
-        let polled = if reader.has_buffered() {
-            true
-        } else {
-            if shared.shutting_down() {
-                return; // idle connection: close without a response
-            }
-            match poll_next_request(&mut reader) {
-                Ok(Some(0)) | Err(_) => return, // peer closed, or the socket failed
-                Ok(arrived) => arrived.is_some(),
-            }
-        };
-        if !polled {
-            let _ = reader.get_ref().set_read_timeout(Some(POLL_TICK));
-            // `None`: a read timeout too long to represent as an instant
-            // never closes an idle connection.
-            let idle_deadline = Instant::now().checked_add(shared.config.read_timeout);
-            loop {
-                if shared.shutting_down() {
-                    return; // idle connection: close without a response
-                }
-                match reader.fill() {
-                    Ok(0) => return, // peer closed between requests
-                    Ok(_) => break,
-                    Err(e)
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) =>
-                    {
-                        if idle_deadline.is_some_and(|d| Instant::now() >= d) {
-                            return; // keep-alive idle timeout
-                        }
-                    }
-                    Err(_) => return,
-                }
-            }
+        // Idle phase, unless a pipelined request is already buffered.
+        if !reader.has_buffered() && !await_request(shared, slot, &mut reader, &mut waker) {
+            return; // idle connection: close without a response
         }
 
-        // Request phase: a started request gets the full read timeout.
-        let _ = reader.get_ref().set_read_timeout(Some(shared.config.read_timeout));
         let head = match reader.read_head(&shared.config) {
             Ok(Some(head)) => head,
             Ok(None) => return,
@@ -434,27 +410,26 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     }
 }
 
-/// Read the first bytes of a keep-alive connection's next request without
-/// blocking, for up to [`KEEP_ALIVE_SPIN`]. `Some(n)`: `n` bytes arrived
-/// (0: the peer closed); `None`: nothing yet, so block as usual. The
-/// socket is back in blocking mode when this returns `Ok`.
-fn poll_next_request(reader: &mut RequestReader<TcpStream>) -> std::io::Result<Option<usize>> {
-    reader.get_ref().set_nonblocking(true)?;
-    let start = Instant::now();
-    let polled = loop {
-        match reader.fill() {
-            Ok(n) => break Ok(Some(n)),
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if start.elapsed() >= KEEP_ALIVE_SPIN {
-                    break Ok(None);
-                }
-                std::thread::yield_now();
-            }
-            Err(e) => break Err(e),
+/// Wait for the first bytes of a connection's next request with one
+/// blocking read, its clone published in the worker's idle slot meanwhile.
+/// `false`: close without a response — the peer closed or stayed quiet
+/// past the read timeout, the socket failed, or the server is stopping.
+fn await_request(
+    shared: &Shared,
+    slot: usize,
+    reader: &mut RequestReader<TcpStream>,
+    waker: &mut Option<TcpStream>,
+) -> bool {
+    {
+        let mut idle = lock(&shared.idle);
+        if shared.shutting_down() {
+            return false;
         }
-    };
-    reader.get_ref().set_nonblocking(false)?;
-    polled
+        idle[slot] = waker.take();
+    }
+    let filled = reader.fill();
+    *waker = lock(&shared.idle)[slot].take();
+    matches!(filled, Ok(n) if n > 0) && !shared.shutting_down()
 }
 
 // ---------------------------------------------------------------------------
@@ -1059,31 +1034,6 @@ pub(crate) fn reason_phrase(status: u16) -> &'static str {
 mod tests {
     use super::*;
     use scales_router::{ModelState, ModelStats, RouterConfig};
-
-    #[test]
-    fn a_keep_alive_poll_reads_what_arrived_and_leaves_the_socket_blocking() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let mut reader = RequestReader::new(listener.accept().unwrap().0);
-        // Nothing sent: the poll gives up once its budget is spent.
-        let start = Instant::now();
-        assert_eq!(poll_next_request(&mut reader).unwrap(), None);
-        assert!(start.elapsed() >= KEEP_ALIVE_SPIN);
-        // Sent: the poll reads it.
-        client.write_all(b"GET").unwrap();
-        let arrived = (0..100).find_map(|_| poll_next_request(&mut reader).unwrap());
-        assert_eq!(arrived, Some(3));
-        // Blocking again: a timed read waits its timeout out instead of
-        // failing at once.
-        reader.get_ref().set_read_timeout(Some(Duration::from_millis(20))).unwrap();
-        let start = Instant::now();
-        assert!(reader.fill().is_err());
-        assert!(start.elapsed() >= Duration::from_millis(10));
-        // The peer closed: end of stream.
-        drop(client);
-        let closed = (0..100).find_map(|_| poll_next_request(&mut reader).unwrap());
-        assert_eq!(closed, Some(0));
-    }
 
     fn model(name: &str, reloadable: bool) -> ModelStats {
         ModelStats {

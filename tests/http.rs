@@ -271,7 +271,8 @@ fn unrepresentable_timeouts_serve_a_keep_alive_round_trip() {
             let (status, headers, body) = read_response(&mut stream);
             assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
             assert_eq!(header(&headers, "connection"), Some("keep-alive"));
-            // Idle past the keep-alive poll, into the idle-deadline loop.
+            // Idle in the one blocking read, whose unbounded socket
+            // timeout must not close the connection.
             std::thread::sleep(Duration::from_millis(120));
         }
         let stats = server.shutdown();
@@ -401,6 +402,95 @@ fn shutdown_drains_and_stops_accepting() {
                 "a shut-down server must not answer"
             );
         }
+    });
+}
+
+/// A keep-alive connection that stays quiet past `read_timeout` is closed
+/// without a response: the server's one idle read times out, and the
+/// client reads end of stream, no sooner than the timeout.
+///
+/// Kills the mutant that takes a connection's clone back out of its idle
+/// slot only after a read that got bytes: after the timeout the clone
+/// stays in the slot and keeps the socket open, so the client's read
+/// never returns and fails on its own 30 s timeout instead.
+#[test]
+fn an_idle_keep_alive_connection_closes_at_the_read_timeout() {
+    with_watchdog(120, "idle-timeout", || {
+        let router = one_model(20, RuntimeConfig { workers: 1, ..RuntimeConfig::default() });
+        let config = HttpConfig { read_timeout: Duration::from_millis(100), ..HttpConfig::default() };
+        let server = HttpServer::bind_router("127.0.0.1:0", router, config).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        stream.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        let (status, headers, _) = read_response(&mut stream);
+        assert_eq!(status, 200);
+        assert_eq!(header(&headers, "connection"), Some("keep-alive"));
+
+        let idle = std::time::Instant::now();
+        let mut buf = [0u8; 16];
+        let read = stream.read(&mut buf).expect("the server closes before the client's own timeout");
+        let waited = idle.elapsed();
+        assert_eq!(read, 0, "an idle close sends no bytes: {:?}", &buf[..read]);
+        // The kernel's timer may round the 100 ms down by a tick, and the
+        // client's clock starts a little after the server's read began.
+        assert!(waited >= Duration::from_millis(80), "closed after {waited:?}, before the read timeout");
+        assert!(waited < Duration::from_secs(10), "closed after {waited:?}");
+        let _ = server.shutdown();
+    });
+}
+
+/// Shutdown with a request in flight: the connection that is mid-upload
+/// still gets its `200` (with `Connection: close`), while the idle
+/// keep-alive connection is woken and closed without a response.
+///
+/// Kills, each tried on a scratch copy: `stop` shutting the read half of
+/// every live connection, not only the idle ones (A's body read hits end
+/// of stream and A gets a `400`); a worker that never takes its clone
+/// back, so it stays published mid-request (the same `400`); and `stop`
+/// waking no idle connection (B's read outlasts its own 30 s timeout).
+#[test]
+fn shutdown_completes_a_request_in_flight_and_closes_idle_connections() {
+    with_watchdog(120, "shutdown-in-flight", || {
+        let router = one_model(21, RuntimeConfig { workers: 2, ..RuntimeConfig::default() });
+        let config = HttpConfig { read_timeout: Duration::from_secs(60), ..HttpConfig::default() };
+        let server = HttpServer::bind_router("127.0.0.1:0", router, config).unwrap();
+        let posted = encode_image(&probe(9, 9, 8), WireFormat::Ppm).unwrap();
+
+        // A: the head and half the body. The interim `100 Continue` shows
+        // its worker has parsed the head and is reading the body.
+        let mut a = TcpStream::connect(server.addr()).unwrap();
+        a.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        let head = format!(
+            "POST /v1/upscale HTTP/1.1\r\nHost: t\r\nExpect: 100-continue\r\nContent-Length: {}\r\n\r\n",
+            posted.len()
+        );
+        a.write_all(head.as_bytes()).unwrap();
+        assert_eq!(read_response(&mut a).0, 100);
+        let (first, rest) = posted.split_at(posted.len() / 2);
+        a.write_all(first).unwrap();
+
+        // B: one finished request, then idle on keep-alive.
+        let mut b = TcpStream::connect(server.addr()).unwrap();
+        b.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        b.write_all(&post_image("/v1/upscale", WireFormat::Ppm, &posted)).unwrap();
+        let (status, headers, _) = read_response(&mut b);
+        assert_eq!(status, 200);
+        assert_eq!(header(&headers, "connection"), Some("keep-alive"));
+
+        let stopping = std::thread::spawn(move || server.shutdown());
+        std::thread::sleep(Duration::from_millis(100));
+
+        a.write_all(rest).unwrap();
+        let (status, headers, body) = read_response(&mut a);
+        assert_eq!(status, 200, "in-flight request: {}", String::from_utf8_lossy(&body));
+        assert_eq!(header(&headers, "connection"), Some("close"));
+
+        let mut buf = [0u8; 16];
+        let read = b.read(&mut buf).expect("the idle connection is closed, not left to time out");
+        assert_eq!(read, 0, "an idle connection closes without a response: {:?}", &buf[..read]);
+
+        let stats = stopping.join().expect("shutdown thread");
+        assert_eq!((stats.completed, stats.failed), (2, 0));
     });
 }
 
