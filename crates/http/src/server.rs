@@ -7,9 +7,11 @@
 //! keep-alive. Between requests a worker waits for the next one with one
 //! blocking read, bounded by the socket's read timeout
 //! ([`HttpConfig::read_timeout`], set once per connection). While it
-//! waits, the worker publishes a clone of its connection in its idle
-//! slot; [`HttpServer::shutdown`] wakes it by shutting that clone's read
-//! half, so the read returns end of stream. The accept thread never
+//! waits and reads the request head, the worker publishes a clone of its
+//! connection in its idle slot; [`HttpServer::shutdown`] wakes it by
+//! shutting that clone's read half, so the read returns end of stream.
+//! The worker takes the clone back once the head parses, so a request
+//! being served is never woken. The accept thread never
 //! writes to a socket: backlog-full refusals are handed to a short-lived
 //! detached thread with a bounded write timeout, so a stalled peer cannot
 //! block intake.
@@ -56,10 +58,10 @@ struct Shared {
     /// Signaled on enqueue and on shutdown.
     work: Condvar,
     /// One slot per connection worker: a clone of its connection while
-    /// it waits for the next request, `None` otherwise. The shutdown flag
-    /// is set under this lock, so a worker about to block either sees the
-    /// flag or is woken by [`HttpServer::stop`] shutting the clone's read
-    /// half.
+    /// it waits for and reads the next request head, `None` otherwise.
+    /// The shutdown flag is set under this lock, so a worker about to
+    /// block either sees the flag or is woken by [`HttpServer::stop`]
+    /// shutting the clone's read half.
     idle: Mutex<Vec<Option<TcpStream>>>,
     connections: AtomicU64,
     requests: AtomicU64,
@@ -216,10 +218,10 @@ impl HttpServer {
     }
 
     /// Stop intake, let workers finish their in-flight requests (answered
-    /// with `Connection: close`; idle keep-alive connections close
-    /// without a response), join every thread, then drain the fleet and
-    /// return its final per-model records folded into one
-    /// [`RuntimeStats`].
+    /// with `Connection: close`; idle keep-alive connections and peers
+    /// stalled mid-head close without a response), join every thread,
+    /// then drain the fleet and return its final per-model records folded
+    /// into one [`RuntimeStats`].
     #[must_use = "the final runtime stats are the serving record"]
     pub fn shutdown(mut self) -> RuntimeStats {
         self.stop();
@@ -340,7 +342,8 @@ fn worker_loop(shared: &Shared, slot: usize) {
 
 fn handle_connection(shared: &Shared, slot: usize, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    // The clone `stop` shuts the read half of while this connection idles.
+    // The clone `stop` shuts the read half of while this connection waits
+    // for or reads a request head.
     let Ok(clone) = stream.try_clone() else { return };
     let mut waker = Some(clone);
     if stream.set_read_timeout(Some(shared.config.read_timeout)).is_err() {
@@ -348,15 +351,10 @@ fn handle_connection(shared: &Shared, slot: usize, stream: TcpStream) {
     }
     let mut reader = RequestReader::new(stream);
     loop {
-        // Idle phase, unless a pipelined request is already buffered.
-        if !reader.has_buffered() && !await_request(shared, slot, &mut reader, &mut waker) {
-            return; // idle connection: close without a response
-        }
-
-        let head = match reader.read_head(&shared.config) {
-            Ok(Some(head)) => head,
-            Ok(None) => return,
-            Err(err) => {
+        let head = match await_head(shared, slot, &mut reader, &mut waker) {
+            None => return, // idle or stopping: close without a response
+            Some(Ok(head)) => head,
+            Some(Err(err)) => {
                 // Malformed head: typed status, then close (framing is
                 // unrecoverable). No head means no client trace id and
                 // no timeline to attribute, but the response still
@@ -410,26 +408,33 @@ fn handle_connection(shared: &Shared, slot: usize, stream: TcpStream) {
     }
 }
 
-/// Wait for the first bytes of a connection's next request with one
-/// blocking read, its clone published in the worker's idle slot meanwhile.
-/// `false`: close without a response — the peer closed or stayed quiet
-/// past the read timeout, the socket failed, or the server is stopping.
-fn await_request(
+/// Wait for a connection's next request with one blocking read (unless a
+/// pipelined one is already buffered) and read its head, the clone
+/// published in the worker's idle slot for the whole head read, so `stop`
+/// wakes a peer that idles or stalls mid-head. The clone is taken back
+/// once the head parses. `None`: close without a response — the peer
+/// closed or stayed quiet past the read timeout before its first byte,
+/// the socket failed, or the server is stopping.
+fn await_head(
     shared: &Shared,
     slot: usize,
     reader: &mut RequestReader<TcpStream>,
     waker: &mut Option<TcpStream>,
-) -> bool {
+) -> Option<Result<RequestHead, RequestError>> {
     {
         let mut idle = lock(&shared.idle);
         if shared.shutting_down() {
-            return false;
+            return None;
         }
         idle[slot] = waker.take();
     }
-    let filled = reader.fill();
-    *waker = lock(&shared.idle)[slot].take();
-    matches!(filled, Ok(n) if n > 0) && !shared.shutting_down()
+    let arrived = reader.has_buffered() || matches!(reader.fill(), Ok(n) if n > 0);
+    let head = if arrived { reader.read_head(&shared.config).transpose() } else { None };
+    // The flag is set under this lock as `stop` shuts every published
+    // clone: unset here, this connection was not woken.
+    let mut idle = lock(&shared.idle);
+    *waker = idle[slot].take();
+    head.filter(|_| !shared.shutting_down())
 }
 
 // ---------------------------------------------------------------------------

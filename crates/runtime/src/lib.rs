@@ -45,20 +45,18 @@
 //!    requests queued at that moment — same per-request tile override, up
 //!    to [`max_batch`](RuntimeConfig::max_batch) images — and serves the
 //!    coalesced set through **one** `Session::infer` call at once, never
-//!    waiting for more to arrive. A deep queue still coalesces.
-//!    Same-shaped images across callers share one planned forward (the
-//!    session's shape-bucketed micro-batching), so many small single-image
-//!    callers amortize dispatch, plan lookup, and GEMM setup.
+//!    waiting for more to arrive. A deep queue still coalesces. The
+//!    session forwards each image of the set on its own, so a dispatch
+//!    shares its queue round trip and its booking among the callers, not
+//!    a forward.
 //! 4. Each caller's [`Ticket`] resolves to its own
 //!    [`SrResponse`](scales_serve::SrResponse) — the images of *its*
-//!    request, in *its* order, and at
-//!    [`Precision::Deployed`](scales_serve::Precision::Deployed)
-//!    bit-identical (`f32::to_bits`) to what a serial `Session::infer` of
-//!    that request alone would produce (enforced by `tests/runtime.rs` on
-//!    perturbed networks across the CNN method registry and both
-//!    backends). At `Precision::Training` the tape's E2FIF batch norm
-//!    normalises over the whole coalesced batch, so that one method's
-//!    output depends on its batch neighbours.
+//!    request, in *its* order, and bit-identical (`f32::to_bits`) to what
+//!    a serial `Session::infer` of that request alone would produce, at
+//!    either precision, since no forward holds two images (enforced at
+//!    [`Precision::Deployed`](scales_serve::Precision::Deployed) by
+//!    `tests/runtime.rs` on perturbed networks across the CNN method
+//!    registry and both backends).
 //! 5. [`Runtime::shutdown`] stops intake, drains every queued request,
 //!    joins the workers, and returns the final [`RuntimeStats`] —
 //!    throughput, queue high-water, batch fill ratio, and p50/p99 latency

@@ -387,7 +387,7 @@ pub struct RuntimeStats {
     /// the `batch_wait` trace stage.
     pub batch_wait: LatencyHistogram,
     /// Forward span per request (batch sealed → infer done) — the
-    /// `infer` trace stage. Coalesced requests share one forward, so
+    /// `infer` trace stage. Coalesced requests share one dispatch, so
     /// each records the same span.
     pub infer: LatencyHistogram,
     /// Responses that resolved after their submitter's

@@ -1572,7 +1572,6 @@ mod tests {
                     Vec::new(),
                     InferStats {
                         images: entry.images.len(),
-                        batches: 1,
                         tiled: 0,
                         backend: scales_tensor::backend::Backend::Scalar,
                         simd: scales_tensor::SimdLevel::None,

@@ -730,7 +730,7 @@ fn serve_dispatch(
     match result {
         Ok(response) => {
             // Per-caller stats: own image count; the shared dispatch's
-            // execution breakdown (batches/tiled/plan counters) otherwise.
+            // execution breakdown (tiled and plan counters) otherwise.
             let stats = response.stats();
             let mut images = response.into_images().into_iter();
             for (entry, n) in entries.iter().zip(counts) {
@@ -895,8 +895,9 @@ mod tests {
         // request but cannot wait for it: typed timeout, and the request
         // is still served (discarded) rather than leaked. The worker is
         // busy first, so the request cannot be served before its caller
-        // looks at the ticket.
-        let heavy: Vec<Image> = (0..8).map(|i| probe(24, 24, 50 + i)).collect();
+        // looks at the ticket: ~3 ms of work optimised, long enough to
+        // outlast the caller being descheduled on a loaded box.
+        let heavy: Vec<Image> = (0..8).map(|i| probe(48, 48, 50 + i)).collect();
         let busy = runtime.submit(SrRequest::batch(heavy)).unwrap();
         while runtime.stats().queue_depth > 0 {
             std::thread::yield_now();

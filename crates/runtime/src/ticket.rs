@@ -162,7 +162,6 @@ mod tests {
             Vec::new(),
             InferStats {
                 images: 0,
-                batches: 0,
                 tiled: 0,
                 backend: Backend::Scalar,
                 simd: scales_tensor::SimdLevel::None,

@@ -2,7 +2,7 @@
 //!
 //! The serving layer of the SCALES reproduction: one request-oriented API
 //! over every inference axis the workspace grew — training vs deployed
-//! precision, single images vs batches, full-image vs tiled forwards, and
+//! precision, single- vs multi-image requests, full-image vs tiled forwards, and
 //! scalar vs simd compute backends.
 //!
 //! The shape is the classic serving-engine triple:
@@ -16,11 +16,11 @@
 //!    graph — every architecture of the zoo lowers, CNN and transformer
 //!    alike — and a model that cannot lower fails the build with its
 //!    lowering error instead of silently serving the training path.
-//! 3. [`Session::infer`] serves [`SrRequest`]s: images are split into
-//!    tiled and batchable work by the tile policy (per-request
-//!    overridable), batchable images are micro-batched by shape bucket so
-//!    same-sized images share one forward, and everything runs under the
-//!    engine's backend handle via
+//! 3. [`Session::infer`] serves [`SrRequest`]s: the tile policy
+//!    (per-request overridable) decides per image whether it is tiled or
+//!    forwarded whole, every forward is one image or one tile — so an
+//!    image's output never depends on the other images of its request —
+//!    and everything runs under the engine's backend handle via
 //!    [`scales_tensor::backend::with_thread_backend`] — no process-global
 //!    backend state is read or written on this path.
 //!

@@ -26,7 +26,7 @@ impl SrRequest {
     }
 
     /// Request super-resolution of a set of images. Sizes may be mixed;
-    /// the session micro-batches same-sized images together.
+    /// the session forwards each image on its own, in request order.
     #[must_use]
     pub fn batch(images: Vec<Image>) -> Self {
         Self { images, tile: None, tenant: None, deadline: None }
@@ -101,8 +101,6 @@ impl SrRequest {
 pub struct InferStats {
     /// Images served.
     pub images: usize,
-    /// Batched forwards run (one per shape bucket of untiled images).
-    pub batches: usize,
     /// Images that went through the split → forward → stitch path.
     pub tiled: usize,
     /// Backend the work ran under.

@@ -1,5 +1,6 @@
-//! [`Session`]: the single `infer` entry point serving single, batched and
-//! tiled requests through one engine.
+//! [`Session`]: the single `infer` entry point serving single-image,
+//! multi-image and tiled requests through one engine, one image per
+//! forward.
 
 use crate::engine::Engine;
 use crate::request::{InferStats, SrRequest, SrResponse};
@@ -78,11 +79,12 @@ impl<'e, 'm> Session<'e, 'm> {
         self.workspace.borrow().op_profile().clone()
     }
 
-    /// Serve one request: every image is either tiled (split → forward →
-    /// stitch) or grouped into a same-shape micro-batch, per the tile
-    /// policy in force (request override, else engine default). All
-    /// forwards run under the engine's backend handle, installed
-    /// thread-scoped for the duration of the call.
+    /// Serve one request: every image, in request order, is either tiled
+    /// (split → forward → stitch) or forwarded whole, per the tile policy
+    /// in force (request override, else engine default). A forward is one
+    /// image or one tile, so an image's output depends on that image
+    /// alone. All forwards run under the engine's backend handle,
+    /// installed thread-scoped for the duration of the call.
     ///
     /// # Errors
     ///
@@ -127,42 +129,20 @@ impl<'e, 'm> Session<'e, 'm> {
             };
             let forward =
                 |t: &Tensor| engine.forward_with(t, &mut self.workspace.borrow_mut());
-            let mut out: Vec<Option<Image>> = Vec::new();
-            out.resize_with(images.len(), || None);
             let mut tiled = 0usize;
-            // Shape buckets of untiled images, in first-seen order so the
-            // execution (and therefore any accumulation order) is
-            // deterministic.
-            let mut buckets: Vec<((usize, usize, usize), Vec<usize>)> = Vec::new();
-            for (i, img) in images.iter().enumerate() {
-                if let Some(spec) = policy.spec_for(img.height(), img.width()) {
-                    out[i] = Some(tiled_with(forward, engine.scale(), img, spec)?);
-                    tiled += 1;
-                } else {
-                    let key = (img.channels(), img.height(), img.width());
-                    match buckets.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, members)) => members.push(i),
-                        None => buckets.push((key, vec![i])),
+            let images = images
+                .iter()
+                .map(|img| match policy.spec_for(img.height(), img.width()) {
+                    Some(spec) => {
+                        tiled += 1;
+                        tiled_with(forward, engine.scale(), img, spec)
                     }
-                }
-            }
-            let batches = buckets.len();
-            for (_, members) in &buckets {
-                let group: Vec<&Image> = members.iter().map(|&i| images[i]).collect();
-                for (&i, sr) in members.iter().zip(batch_with(forward, &group)?) {
-                    out[i] = Some(sr);
-                }
-            }
-            self.requests.set(self.requests.get() + 1);
-            self.images_served.set(self.images_served.get() + images.len());
-            let images = out
-                .into_iter()
-                .map(|sr| {
-                    sr.ok_or_else(|| {
-                        TensorError::InvalidArgument("request image produced no output".into())
-                    })
+                    None => forward_one(forward, engine.scale(), img.tensor())
+                        .and_then(Image::from_tensor),
                 })
                 .collect::<Result<Vec<Image>>>()?;
+            self.requests.set(self.requests.get() + 1);
+            self.images_served.set(self.images_served.get() + images.len());
             let (plans_built, plan_reuses) = {
                 let ws = self.workspace.borrow();
                 (ws.plans_built() - plans_before, ws.plan_hits() - hits_before)
@@ -171,7 +151,6 @@ impl<'e, 'm> Session<'e, 'm> {
                 stamps: None,
                 stats: InferStats {
                     images: images.len(),
-                    batches,
                     tiled,
                     backend: engine.backend(),
                     simd: engine.backend().kernel().simd_level(),
@@ -185,40 +164,29 @@ impl<'e, 'm> Session<'e, 'm> {
     }
 }
 
-/// Stack same-sized images into `[N, C, H, W]`, run one forward, unstack.
-pub(crate) fn batch_with(
+/// Forward one `[C, H, W]` image or tile as a `[1, C, H, W]` batch and
+/// check that the output is its `scale`× upscale, returned as `[C, sH, sW]`.
+fn forward_one(
     forward: impl Fn(&Tensor) -> Result<Tensor>,
-    images: &[&Image],
-) -> Result<Vec<Image>> {
-    let first = images.first().ok_or_else(|| {
-        TensorError::InvalidArgument("batched inference needs at least one image".into())
-    })?;
-    let (c, h, w) = (first.channels(), first.height(), first.width());
-    let mut data = Vec::with_capacity(images.len() * c * h * w);
-    for img in images {
-        if img.channels() != c || img.height() != h || img.width() != w {
-            return Err(TensorError::ShapeMismatch {
-                lhs: vec![c, h, w],
-                rhs: vec![img.channels(), img.height(), img.width()],
-                op: "batched inference sizes",
-            });
-        }
-        data.extend_from_slice(img.tensor().data());
+    scale: usize,
+    lr: &Tensor,
+) -> Result<Tensor> {
+    let (c, h, w) = (lr.shape()[0], lr.shape()[1], lr.shape()[2]);
+    let sr = forward(&lr.reshape(&[1, c, h, w])?)?;
+    let expect = [1, c, h * scale, w * scale];
+    if sr.shape() != expect {
+        return Err(TensorError::ShapeMismatch {
+            lhs: sr.shape().to_vec(),
+            rhs: expect.to_vec(),
+            op: "inference output",
+        });
     }
-    let batch = Tensor::from_vec(data, &[images.len(), c, h, w])?;
-    let y = forward(&batch)?;
-    let (oc, oh, ow) = (y.shape()[1], y.shape()[2], y.shape()[3]);
-    (0..images.len())
-        .map(|b| {
-            let t = y.slice_axis(0, b, 1)?.reshape(&[oc, oh, ow])?;
-            Image::from_tensor(t)
-        })
-        .collect()
+    Tensor::from_vec(sr.into_vec(), &expect[1..])
 }
 
 /// Split → forward → stitch (see the `crate::tile` docs for the exactness
 /// conditions).
-pub(crate) fn tiled_with(
+fn tiled_with(
     forward: impl Fn(&Tensor) -> Result<Tensor>,
     scale: usize,
     lr: &Image,
@@ -237,18 +205,9 @@ pub(crate) fn tiled_with(
             let x1 = (x0 + spec.tile).min(w);
             let px0 = x0.saturating_sub(spec.overlap);
             let px1 = (x1 + spec.overlap).min(w);
-            // Crop the padded tile [py0..py1) × [px0..px1).
+            // Forward the padded tile [py0..py1) × [px0..px1).
             let tile = t.slice_axis(1, py0, py1 - py0)?.slice_axis(2, px0, px1 - px0)?;
-            let tile = tile.reshape(&[1, c, py1 - py0, px1 - px0])?;
-            let sr = forward(&tile)?;
-            let expect = [1, c, (py1 - py0) * scale, (px1 - px0) * scale];
-            if sr.shape() != expect {
-                return Err(TensorError::ShapeMismatch {
-                    lhs: sr.shape().to_vec(),
-                    rhs: expect.to_vec(),
-                    op: "tiled inference output",
-                });
-            }
+            let sr = forward_one(&forward, scale, &tile)?;
             // Keep the center crop corresponding to [y0..y1) × [x0..x1).
             let (ky, kx) = ((y0 - py0) * scale, (x0 - px0) * scale);
             let (kh, kw) = ((y1 - y0) * scale, (x1 - x0) * scale);
@@ -302,44 +261,44 @@ mod tests {
         let engine =
             Engine::builder().model_ref(&net).precision(Precision::Training).build().unwrap();
         let session = engine.session();
-        let images = vec![probe_image(8, 8, 41), probe_image(8, 8, 42)];
-        let response = session.infer(SrRequest::batch(images.clone())).unwrap();
-        assert_eq!(response.stats().batches, 1, "same-sized images share one forward");
-        for (img, sr) in images.iter().zip(response.images()) {
-            let single = net.super_resolve(img).unwrap();
-            assert_eq!((sr.height(), sr.width()), (16, 16));
-            assert_eq!(sr.tensor().data(), single.tensor().data(), "bit-identical to single");
-        }
-    }
-
-    #[test]
-    fn session_buckets_mixed_sizes_into_micro_batches() {
-        let net = local_net();
-        let engine =
-            Engine::builder().model_ref(&net).precision(Precision::Training).build().unwrap();
-        let session = engine.session();
         // Interleave two shapes; order must be preserved in the response.
         let images = vec![
-            probe_image(8, 8, 1),
-            probe_image(6, 10, 2),
-            probe_image(8, 8, 3),
-            probe_image(6, 10, 4),
+            probe_image(8, 8, 41),
+            probe_image(6, 10, 43),
+            probe_image(8, 8, 42),
         ];
         let response = session.infer(SrRequest::batch(images.clone())).unwrap();
-        assert_eq!(response.stats().batches, 2, "two shape buckets");
         assert_eq!(response.stats().tiled, 0);
         for (img, sr) in images.iter().zip(response.images()) {
-            assert_eq!((sr.height(), sr.width()), (img.height() * 2, img.width() * 2));
             let single = net.super_resolve(img).unwrap();
-            assert_eq!(sr.tensor().data(), single.tensor().data());
+            assert_eq!((sr.height(), sr.width()), (img.height() * 2, img.width() * 2));
+            assert_eq!(sr.tensor().data(), single.tensor().data(), "bit-identical to single");
         }
         assert_eq!(session.requests(), 1);
-        assert_eq!(session.images_served(), 4);
+        assert_eq!(session.images_served(), 3);
     }
 
     #[test]
-    fn stats_report_buckets_tiling_backend_and_precision_on_mixed_sizes() {
-        // Three shape buckets + one auto-tiled image in a single request,
+    fn a_request_of_eight_leaves_the_workspace_one_image_leaves() {
+        // A forward is one image, so the arenas are sized by the largest
+        // image served, not by the request's image count.
+        let net = local_net();
+        let engine =
+            Engine::builder().model_ref(&net).precision(Precision::Deployed).build().unwrap();
+        let images: Vec<Image> = (0..8).map(|i| probe_image(8, 8, 80 + i)).collect();
+        let eight = engine.session();
+        let stats = eight.infer(SrRequest::batch(images.clone())).unwrap().stats();
+        let one = engine.session();
+        let _ = one.infer(SrRequest::single(images[3].clone())).unwrap();
+        assert!(one.workspace_bytes() > 0);
+        assert_eq!(eight.workspace_bytes(), one.workspace_bytes());
+        let counts = (stats.plans_built, stats.plan_reuses);
+        assert_eq!(counts, (1, 7), "one plan, one forward per image");
+    }
+
+    #[test]
+    fn stats_report_tiling_backend_and_precision_on_mixed_sizes() {
+        // Three shapes + one auto-tiled image in a single request,
         // checked at both precisions and on an explicit backend handle:
         // every InferStats field must reflect the engine that served it.
         let net = local_net();
@@ -353,15 +312,14 @@ mod tests {
                 .unwrap();
             let session = engine.session();
             let images = vec![
-                probe_image(8, 8, 61),   // bucket (8, 8)
+                probe_image(8, 8, 61),
                 probe_image(16, 16, 62), // oversized → tiled
-                probe_image(6, 10, 63),  // bucket (6, 10)
-                probe_image(8, 8, 64),   // joins bucket (8, 8)
-                probe_image(10, 6, 65),  // bucket (10, 6)
+                probe_image(6, 10, 63),
+                probe_image(8, 8, 64),
+                probe_image(10, 6, 65),
             ];
             let stats = session.infer(SrRequest::batch(images)).unwrap().stats();
             assert_eq!(stats.images, 5, "{precision}");
-            assert_eq!(stats.batches, 3, "{precision}: three shape buckets");
             assert_eq!(stats.tiled, 1, "{precision}: only the oversized image tiles");
             assert_eq!(stats.backend, Backend::Scalar, "{precision}");
             assert_eq!(stats.backend, engine.backend(), "{precision}");
@@ -405,17 +363,16 @@ mod tests {
             engine.session().infer(SrRequest::single(probe_image(8, 8, 67))).unwrap().stats();
         assert_eq!(stats.precision, Precision::Deployed);
         assert_eq!(stats.plans_built, 1, "served by the planned executor");
-        assert_eq!(stats.batches, 1);
         assert_eq!(stats.tiled, 0);
     }
 
     #[test]
-    fn stats_count_all_tiled_requests_with_zero_batches() {
+    fn stats_count_all_tiled_requests() {
         let net = local_net();
         let engine =
             Engine::builder().model_ref(&net).precision(Precision::Training).build().unwrap();
         let session = engine.session();
-        // Per-request override tiles everything: no micro-batches remain.
+        // Per-request override tiles everything.
         let response = session
             .infer(
                 SrRequest::batch(vec![probe_image(16, 16, 68), probe_image(14, 14, 69)])
@@ -423,7 +380,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(response.stats().tiled, 2);
-        assert_eq!(response.stats().batches, 0);
         // Session counters accumulate across requests.
         let _ = session.infer(SrRequest::single(probe_image(8, 8, 70))).unwrap();
         assert_eq!(session.requests(), 2);
@@ -518,7 +474,6 @@ mod tests {
         let response =
             session.infer(SrRequest::batch(vec![small.clone(), big.clone()])).unwrap();
         assert_eq!(response.stats().tiled, 1);
-        assert_eq!(response.stats().batches, 1);
         // The tiled result still matches the full-image forward (overlap 7
         // covers the receptive radius of the local-only net).
         let full = net.super_resolve(&big).unwrap();

@@ -12,13 +12,12 @@
 //! standard trade-off of tiled SR serving; the local-only configurations
 //! (FP, BAM, `ScalesComponents::lsf_spatial()`) stitch bit-exactly.
 //!
-//! None of them couples one image to another at
-//! [`Precision::Deployed`](crate::Precision::Deployed): E2FIF's deployed BN
-//! normalises each image by its own statistics, so an image reads the same
-//! served alone, in a shape bucket, or coalesced by the runtime with other
-//! callers' work. The training tape keeps E2FIF's batch statistics (its
-//! training semantics), so a [`Precision::Training`](crate::Precision::Training)
-//! engine serving E2FIF is still batch-coupled.
+//! No engine couples one image to another, at either precision: a
+//! session forwards each image (or tile) as its own batch of one, so even
+//! the training tape's E2FIF batch statistics are that image's own, and
+//! E2FIF's deployed BN normalises each image by its own statistics
+//! anyway. An image reads the same served alone, inside a multi-image
+//! request, or coalesced by the runtime with other callers' work.
 
 use scales_tensor::{Result, TensorError};
 
@@ -67,8 +66,7 @@ impl TileSpec {
 /// whole. Set per engine at build time; overridable per request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TilePolicy {
-    /// Never tile: every image runs in one forward (and joins a shape
-    /// bucket for micro-batching).
+    /// Never tile: every image runs whole, in a forward of its own.
     #[default]
     Off,
     /// Tile every image with this geometry.

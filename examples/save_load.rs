@@ -79,9 +79,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         assert!(identical, "{label} must serve bit-identical outputs");
         println!(
-            "{label:<17} served {} image(s) in {} micro-batch(es): bit-identical ✓",
+            "{label:<17} served {} image(s), one forward each: bit-identical ✓",
             served.stats().images,
-            served.stats().batches,
         );
     }
 

@@ -1,6 +1,7 @@
 //! The unified serving API end to end: build an `Engine` (model +
 //! precision + backend + tile policy), open a `Session`, and serve
-//! single, batched and tiled requests through one `infer` entry point.
+//! single-image, multi-image and tiled requests through one `infer`
+//! entry point.
 //!
 //! ```sh
 //! cargo run --release --example serve
@@ -47,22 +48,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         engine.lowered().map_or(0, scales::models::DeployedNetwork::packed_layers),
     );
 
-    // 3. One entry point serves everything. A mixed-size batch: same-sized
-    //    images are micro-batched per shape bucket, the oversized one is
-    //    split -> forward -> stitched.
+    // 3. One entry point serves everything. A mixed-size request: every
+    //    image runs a forward of its own, in request order, and the
+    //    oversized one is split -> forward -> stitched.
     let session = engine.session();
     let request = SrRequest::batch(vec![
         scene(24, 24, 1),
-        scene(24, 24, 2), // same bucket as the first
-        scene(32, 20, 3), // its own bucket
+        scene(24, 24, 2), // same shape as the first: reuses its plan
+        scene(32, 20, 3),
         scene(96, 72, 4), // above the auto threshold: tiled
     ]);
     let response = session.infer(request)?;
     let s = response.stats();
     println!(
-        "served {} images: {} micro-batches, {} tiled, precision={}, backend={}",
+        "served {} images: {} whole, {} tiled, precision={}, backend={}",
         s.images,
-        s.batches,
+        s.images - s.tiled,
         s.tiled,
         s.precision,
         s.backend.name()

@@ -4,7 +4,7 @@
 //! can be built with — across random inputs and seeds, and tiled serving
 //! must reproduce full-image serving.
 //!
-//! Also the serving-parity suite: batched and tiled `Session::infer`
+//! Also the serving-parity suite: multi-image and tiled `Session::infer`
 //! against per-image forwards, and the backends against each other.
 
 mod common;
@@ -12,9 +12,10 @@ mod common;
 use common::trained_like;
 use proptest::prelude::*;
 use scales::core::{Method, ScalesComponents};
-use scales::models::{hat, srresnet, swinir, Arch, SrConfig, SrNetwork};
+use scales::models::{hat, srresnet, swinir, Arch, SrConfig, SrNetwork, Workspace};
 use scales::nn::init::rng;
 use scales::serve::{Engine, Precision, SrRequest, TilePolicy, TileSpec};
+use scales::tensor::Tensor;
 
 /// Every registry row with a CNN body (bicubic has no network to lower).
 fn cnn_method_registry() -> Vec<Method> {
@@ -166,34 +167,70 @@ fn batched_deployed_serving_matches_per_image() {
 }
 
 /// An image's deployed output must not depend on the images it is batched
-/// with: served alone it is bit-identical to served in the middle of a
-/// three-image batch (one shape bucket, so one planned forward) — the
-/// guarantee the runtime's batcher leans on when it coalesces callers.
+/// with: forwarded alone it is bit-identical to the middle of a
+/// three-image `[3, C, H, W]` batch, through both the planned executor and
+/// the allocating forward. A session forwards one image at a time, so this
+/// checks the deployed ops themselves — E2FIF's per-image BN, BTM's
+/// per-image mean, the SCALES GAP — on the batch dimension they keep.
 #[test]
 fn a_deployed_image_does_not_depend_on_its_batch_neighbours() {
+    // Stack 8x8 RGB images into one `[N, 3, 8, 8]` batch.
+    let batch_of = |images: &[&scales::data::Image]| {
+        let data = images.iter().flat_map(|img| img.tensor().data().iter().copied()).collect();
+        Tensor::from_vec(data, &[images.len(), 3, 8, 8]).unwrap()
+    };
     let image = probe_image(8, 8, 31);
-    let batch = vec![probe_image(8, 8, 32), image.clone(), probe_image(8, 8, 33)];
+    let alone = batch_of(&[&image]);
+    let batch = batch_of(&[&probe_image(8, 8, 32), &image, &probe_image(8, 8, 33)]);
     for method in cnn_method_registry() {
         for arch in [Arch::SrResNet, Arch::Rdn, Arch::Rcan] {
             let cfg = SrConfig { channels: 8, blocks: 1, scale: 2, method, seed: 35 };
-            let net = trained_like(arch.build(cfg).unwrap());
-            let engine =
-                Engine::builder().model_ref(&net).precision(Precision::Deployed).build().unwrap();
-            let session = engine.session();
-            let alone = session.infer(SrRequest::single(image.clone())).unwrap();
-            let batched = session.infer(SrRequest::batch(batch.clone())).unwrap();
-            assert_images_identical(
-                &alone.images()[0],
-                &batched.images()[1],
-                &format!("{}/{method}: alone vs inside a batch of 3", arch.name()),
-            );
+            let deployed = trained_like(arch.build(cfg).unwrap()).lower().unwrap();
+            let mut ws = Workspace::new();
+            let want = deployed.forward(&alone).unwrap();
+            let outputs = [
+                ("planned alone", deployed.forward_planned(&alone, &mut ws).unwrap()),
+                ("inside a batch of 3", deployed.forward(&batch).unwrap().slice_axis(0, 1, 1).unwrap()),
+                (
+                    "planned inside a batch of 3",
+                    deployed.forward_planned(&batch, &mut ws).unwrap().slice_axis(0, 1, 1).unwrap(),
+                ),
+            ];
+            for (path, got) in &outputs {
+                assert_eq!(got.shape(), want.shape());
+                assert_bits_identical(
+                    want.data(),
+                    got.data(),
+                    &format!("{}/{method}: alone vs {path}", arch.name()),
+                );
+            }
         }
     }
 }
 
+/// At `Precision::Training` the tape's E2FIF batch norm takes batch
+/// statistics, so an image forwarded with neighbours would be normalised
+/// over them. A session forwards one image at a time: served alone or in
+/// the middle of a three-image request, the image reads bit-identically.
+#[test]
+fn a_training_e2fif_image_does_not_depend_on_its_request_neighbours() {
+    let cfg = SrConfig { channels: 8, blocks: 1, scale: 2, method: Method::E2fif, seed: 29 };
+    let net = trained_like(srresnet(cfg).unwrap());
+    let engine = Engine::builder().model_ref(&net).precision(Precision::Training).build().unwrap();
+    let session = engine.session();
+    let image = probe_image(8, 8, 90);
+    let alone = session.super_resolve(&image).unwrap();
+    let request = vec![probe_image(8, 8, 91), image, probe_image(8, 8, 92)];
+    let served = session.infer(SrRequest::batch(request)).unwrap();
+    assert_images_identical(&alone, &served.images()[1], "E2FIF training: alone vs middle of 3");
+}
+
 fn assert_images_identical(a: &scales::data::Image, b: &scales::data::Image, label: &str) {
     assert_eq!((a.height(), a.width()), (b.height(), b.width()), "{label}");
-    let (da, db) = (a.tensor().data(), b.tensor().data());
+    assert_bits_identical(a.tensor().data(), b.tensor().data(), label);
+}
+
+fn assert_bits_identical(da: &[f32], db: &[f32], label: &str) {
     for (i, (x, y)) in da.iter().zip(db.iter()).enumerate() {
         assert!(
             x.to_bits() == y.to_bits(),
@@ -238,7 +275,7 @@ fn simd_backend_serving_is_bit_identical_to_scalar_for_every_method() {
 }
 
 /// `TilePolicy::Auto` must reproduce the full-image output on local-only
-/// networks: the oversized image tiles, the small one batches, and both
+/// networks: the oversized image tiles, the small one runs whole, and both
 /// match an untiled engine.
 #[test]
 fn auto_tile_policy_matches_full_image_serving() {
@@ -267,7 +304,6 @@ fn auto_tile_policy_matches_full_image_serving() {
     let auto = auto_engine.session();
     let response = auto.infer(SrRequest::batch(vec![small.clone(), big.clone()])).unwrap();
     assert_eq!(response.stats().tiled, 1, "only the oversized image tiles");
-    assert_eq!(response.stats().batches, 1);
 
     assert_images_identical(
         &response.images()[0],

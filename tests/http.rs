@@ -494,6 +494,37 @@ fn shutdown_completes_a_request_in_flight_and_closes_idle_connections() {
     });
 }
 
+/// Shutdown with a peer stalled mid-head: the worker reading the head is
+/// woken like an idle one, so `shutdown()` returns at once instead of
+/// waiting out the 30 s read timeout, and the peer gets no response.
+///
+/// Kills the worker that takes its clone back out of its idle slot after
+/// the first read of a head instead of once the head parses: `shutdown()`
+/// then waits for the read timeout.
+#[test]
+fn shutdown_wakes_a_peer_stalled_mid_head() {
+    with_watchdog(120, "shutdown-mid-head", || {
+        let router = one_model(22, RuntimeConfig { workers: 1, ..RuntimeConfig::default() });
+        let config = HttpConfig { read_timeout: Duration::from_secs(30), ..HttpConfig::default() };
+        let server = HttpServer::bind_router("127.0.0.1:0", router, config).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+        stream.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
+        // Time for the worker to take the request line and block on the
+        // rest of the head.
+        std::thread::sleep(Duration::from_millis(200));
+
+        let started = std::time::Instant::now();
+        let stats = server.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+        let mut buf = [0u8; 16];
+        let read = stream.read(&mut buf);
+        assert!(!matches!(read, Ok(n) if n > 0), "a stalled head gets no response: {read:?}");
+        assert_eq!((stats.completed, stats.failed), (0, 0));
+    });
+}
+
 /// The SLO surface over the wire: a tenant tag rides in on
 /// `X-Scales-Tenant` and comes back out as per-tenant Prometheus series,
 /// an invalid tenant is a `400` before any decode work, and an

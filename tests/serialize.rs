@@ -59,13 +59,13 @@ fn serve_sizes(session: &Session<'_, '_>, sizes: [(usize, usize); 3], seed: u64)
     session.infer(SrRequest::batch(images)).expect("serve").into_images()
 }
 
-/// Serve a mixed-size request (two shape buckets) and return the images.
+/// Serve a mixed-size request (two shapes) and return the images.
 fn serve_mixed(session: &Session<'_, '_>) -> Vec<scales::data::Image> {
     serve_sizes(session, [(8, 8), (6, 10), (8, 8)], 301)
 }
 
 /// [`serve_mixed`] at window-aligned sizes (transformer inputs must divide
-/// the attention window), still two shape buckets.
+/// the attention window), still two shapes.
 fn serve_aligned(session: &Session<'_, '_>) -> Vec<scales::data::Image> {
     serve_sizes(session, [(8, 8), (4, 8), (8, 8)], 304)
 }
