@@ -4,8 +4,7 @@ use scales_tensor::{Result, TensorError};
 use std::time::Duration;
 
 /// Sizing of a [`Runtime`](crate::Runtime): worker count, submission-queue
-/// bound, the dynamic batcher's image cap, and the admission controller's
-/// fairness and shedding knobs.
+/// bound, and the admission controller's fairness and shedding knobs.
 ///
 /// All fields are public; start from [`RuntimeConfig::default`] and
 /// override with struct-update syntax:
@@ -15,7 +14,7 @@ use std::time::Duration;
 ///
 /// let config = RuntimeConfig {
 ///     workers: 4,
-///     max_batch: 4,
+///     queue_capacity: 16,
 ///     ..RuntimeConfig::default()
 /// };
 /// assert!(config.validate().is_ok());
@@ -33,11 +32,9 @@ pub struct RuntimeConfig {
     /// [`SubmitError::QueueFull`](crate::SubmitError::QueueFull) — explicit
     /// backpressure instead of unbounded memory growth. Default: 64.
     pub queue_capacity: usize,
-    /// Most **images** per coalesced dispatch. A dispatch takes what is
-    /// queued now: the worker gathers compatible queued requests until the
-    /// batch holds this many images or none that fits is left, and seals at
-    /// once — it never waits for more to arrive. A single request larger
-    /// than `max_batch` is still served (alone, in one dispatch). Default: 8.
+    /// Inert: the runtime reads no value here. A dispatch serves exactly
+    /// one request, whatever its image count. The field stays only while
+    /// the benchmark still reads it. Default: 8.
     pub max_batch: usize,
     /// Load-shedding policy. Default: never shed (admission is bounded by
     /// `queue_capacity` alone).
@@ -142,8 +139,7 @@ impl RuntimeConfig {
     ///
     /// # Errors
     ///
-    /// Returns an error when `workers`, `queue_capacity`, or `max_batch`
-    /// is zero; when `tenant_quota`, the shed watermark, the p99 trip
+    /// Returns an error when `workers` or `queue_capacity` is zero; when `tenant_quota`, the shed watermark, the p99 trip
     /// wire, or its recovery window is a vacuous zero; when
     /// `max_tenant_lanes` is zero or smaller than `tenant_weights`; or
     /// when `tenant_weights` contains a zero weight, a duplicate, or an
@@ -157,11 +153,6 @@ impl RuntimeConfig {
         if self.queue_capacity == 0 {
             return Err(TensorError::InvalidArgument(
                 "runtime queue capacity must be positive".into(),
-            ));
-        }
-        if self.max_batch == 0 {
-            return Err(TensorError::InvalidArgument(
-                "runtime max_batch must be positive".into(),
             ));
         }
         if self.tenant_quota == Some(0) {
@@ -249,7 +240,6 @@ mod tests {
         for bad in [
             RuntimeConfig { workers: 0, ..RuntimeConfig::default() },
             RuntimeConfig { queue_capacity: 0, ..RuntimeConfig::default() },
-            RuntimeConfig { max_batch: 0, ..RuntimeConfig::default() },
         ] {
             assert!(bad.validate().is_err(), "{bad:?}");
         }

@@ -3,8 +3,8 @@
 //! The concurrent serving runtime of the SCALES reproduction: a
 //! hand-rolled, std-only worker pool that turns one single-caller
 //! [`Engine`](scales_serve::Engine) into a multi-tenant server — bounded
-//! submission queue with explicit backpressure, cross-request dynamic
-//! batching, and one serving record ([`metrics`]). No external
+//! submission queue with explicit backpressure, deadline- and
+//! tenant-aware scheduling, and one serving record ([`metrics`]). No external
 //! dependencies, no async executor: plain threads, a `Mutex` + two
 //! `Condvar`s for the queue — the whole synchronisation story of admission,
 //! scheduling and accounting — and a `Mutex` + `Condvar` one-shot per
@@ -40,27 +40,23 @@
 //!    leased worker stays parked until the lease ends, so no more than
 //!    `workers` forwards ever run at once
 //!    ([`RuntimeStats::caller_runs`] counts the path).
-//! 3. Workers run the **dynamic batcher**: a dispatch takes what is
-//!    queued now. After popping a request a worker gathers the compatible
-//!    requests queued at that moment — same per-request tile override, up
-//!    to [`max_batch`](RuntimeConfig::max_batch) images — and serves the
-//!    coalesced set through **one** `Session::infer` call at once, never
-//!    waiting for more to arrive. A deep queue still coalesces. The
-//!    session forwards each image of the set on its own, so a dispatch
-//!    shares its queue round trip and its booking among the callers, not
-//!    a forward.
+//! 3. **A dispatch is one request.** A worker pops the scheduler's pick,
+//!    seals it on a workspace, and serves it through one
+//!    `Session::infer` at once, never waiting for more to arrive. A
+//!    caller who wants several images served together sends them in one
+//!    request; requests from different callers never share a dispatch,
+//!    so none waits for another's forward.
 //! 4. Each caller's [`Ticket`] resolves to its own
 //!    [`SrResponse`](scales_serve::SrResponse) — the images of *its*
-//!    request, in *its* order, and bit-identical (`f32::to_bits`) to what
-//!    a serial `Session::infer` of that request alone would produce, at
-//!    either precision, since no forward holds two images (enforced at
+//!    request, in *its* order, bit-identical (`f32::to_bits`) to a serial
+//!    `Session::infer` of that request (enforced at
 //!    [`Precision::Deployed`](scales_serve::Precision::Deployed) by
 //!    `tests/runtime.rs` on perturbed networks across the CNN method
 //!    registry and both backends).
 //! 5. [`Runtime::shutdown`] stops intake, drains every queued request,
 //!    joins the workers, and returns the final [`RuntimeStats`] —
-//!    throughput, queue high-water, batch fill ratio, and p50/p99 latency
-//!    from fixed-bucket histograms. Dropping a `Runtime` does the same
+//!    throughput, dispatches, queue high-water, and p50/p99 latency from
+//!    fixed-bucket histograms. Dropping a `Runtime` does the same
 //!    drain-and-join without the stats.
 //!
 //! ## Admission control

@@ -9,7 +9,7 @@
 //! in every scope. A snapshot is one lock acquisition, not a fold.
 //!
 //! Latency is tracked end-to-end (enqueue → ticket resolution, so queueing
-//! and batch assembly are included) in a [`LatencyHistogram`] with
+//! and dispatch set-up are included) in a [`LatencyHistogram`] with
 //! geometric fixed buckets; [`LatencyHistogram::p50`] / `p99` read
 //! quantiles from the bucket counts without recording individual samples.
 //!
@@ -296,19 +296,16 @@ type RecordFamily = (&'static str, &'static str, FamilyKind, fn(&RuntimeStats) -
 
 /// The record's scalars as `/metrics` families, one row per line.
 #[rustfmt::skip]
-const SCALARS: [RecordFamily; 13] = [
+const SCALARS: [RecordFamily; 10] = [
     ("images_total", "Images served", FamilyKind::Counter, |s| s.images.to_string()),
-    ("dispatches_total", "Coalesced forward dispatches (one Session::infer each)", FamilyKind::Counter, |s| s.dispatches.to_string()),
-    ("requests_coalesced_total", "Requests that shared a dispatch with at least one other request", FamilyKind::Counter, |s| s.coalesced.to_string()),
+    ("dispatches_total", "Forward dispatches (one request each)", FamilyKind::Counter, |s| s.dispatches.to_string()),
     ("busy_seconds_total", "Worker wall time spent inside forwards", FamilyKind::Counter, |s| s.busy.as_secs_f64().to_string()),
     ("late_discarded_total", "Responses resolved after their submitter gave up waiting (result discarded unread)", FamilyKind::Counter, |s| s.late_discarded.to_string()),
     ("caller_runs_total", "Requests a blocking submitter ran on its own thread (lanes empty, a worker idle)", FamilyKind::Counter, |s| s.caller_runs.to_string()),
     ("workers", "Worker threads in the pool", FamilyKind::Gauge, |s| s.workers.to_string()),
-    ("max_batch", "Configured images per coalesced dispatch", FamilyKind::Gauge, |s| s.max_batch.to_string()),
     ("queue_depth", "Requests queued (accepted, not yet dispatched) at scrape time", FamilyKind::Gauge, |s| s.queue_depth.to_string()),
     ("queue_high_water", "Deepest the queue has been", FamilyKind::Gauge, |s| s.queue_high_water.to_string()),
     ("workspace_bytes", "Bytes resident across worker planned-executor workspaces", FamilyKind::Gauge, |s| s.workspace_bytes.to_string()),
-    ("batch_fill", "Mean images per dispatch relative to max_batch", FamilyKind::Gauge, |s| s.batch_fill.to_string()),
     ("uptime_seconds", "Wall time since the runtime started (summed over versions)", FamilyKind::Gauge, |s| s.elapsed.as_secs_f64().to_string()),
 ];
 
@@ -325,8 +322,6 @@ pub struct RuntimeStats {
     /// ([`SimdLevel::None`] for the scalar kernel, the detected feature
     /// level for simd).
     pub simd: SimdLevel,
-    /// The configured dispatch target ([`RuntimeConfig::max_batch`](crate::RuntimeConfig::max_batch)).
-    pub max_batch: usize,
     /// Requests accepted into the queue so far.
     pub submitted: u64,
     /// Requests rejected at submission: [`SubmitError::QueueFull`](crate::SubmitError::QueueFull),
@@ -352,15 +347,13 @@ pub struct RuntimeStats {
     pub failed: u64,
     /// Images served.
     pub images: u64,
-    /// Coalesced forward dispatches (one `Session::infer` each).
+    /// Forward dispatches: one request and one `Session::infer` each.
     pub dispatches: u64,
     /// Requests a [`submit_wait_timeout`](crate::Runtime::submit_wait_timeout)
     /// caller ran on its own thread — the lanes were empty and a worker
     /// idle — each one dispatch that no worker woke for. Asynchronous
     /// submits never count here.
     pub caller_runs: u64,
-    /// Requests that shared a dispatch with at least one other request.
-    pub coalesced: u64,
     /// Requests queued (accepted, not yet dispatched) at snapshot time.
     pub queue_depth: usize,
     /// Deepest the queue has been.
@@ -370,9 +363,9 @@ pub struct RuntimeStats {
     /// plan-cache memory, summed over the workspaces at their last
     /// dispatch.
     pub workspace_bytes: usize,
-    /// Mean images per dispatch relative to `max_batch`:
-    /// `images / (dispatches × max_batch)`. Can exceed 1.0 when single
-    /// requests are larger than `max_batch`.
+    /// 1.0 once a dispatch has run, 0.0 before: every dispatch serves
+    /// exactly one request. Inert; kept only while the benchmark still
+    /// reads it.
     pub batch_fill: f64,
     /// Total worker wall time inside forwards.
     pub busy: Duration,
@@ -383,12 +376,11 @@ pub struct RuntimeStats {
     /// Queue residence per request (enqueue → worker pop) — the
     /// `queue_wait` stage of the request trace, as a histogram.
     pub queue_wait: LatencyHistogram,
-    /// Batch-assembly wait per request (worker pop → batch sealed) —
-    /// the `batch_wait` trace stage.
+    /// Dispatch set-up per request (worker pop → forward start) — the
+    /// `batch_wait` trace stage.
     pub batch_wait: LatencyHistogram,
-    /// Forward span per request (batch sealed → infer done) — the
-    /// `infer` trace stage. Coalesced requests share one dispatch, so
-    /// each records the same span.
+    /// Forward span per request (forward start → infer done) — the
+    /// `infer` trace stage.
     pub infer: LatencyHistogram,
     /// Responses that resolved after their submitter's
     /// [`submit_wait_timeout`](crate::Runtime::submit_wait_timeout)
@@ -406,7 +398,7 @@ pub struct RuntimeStats {
 
 impl RuntimeStats {
     /// Fold `other` into `self`: counters, durations and histograms add,
-    /// sizing and high-water marks take the max, tenant lanes merge by
+    /// sizing, high-water marks and `batch_fill` take the max, tenant lanes merge by
     /// name, and the readings that describe *now* (`backend`, `simd`,
     /// `workspace_bytes`, a lane's `weight`) take `other`'s — so fold
     /// older records first and the live one last. Folding into
@@ -415,14 +407,12 @@ impl RuntimeStats {
         self.workers = self.workers.max(other.workers);
         self.backend = other.backend;
         self.simd = other.simd;
-        self.max_batch = self.max_batch.max(other.max_batch);
         let mut ledger = self.counters();
         ledger += other.counters();
         self.set_counters(ledger);
         self.images += other.images;
         self.dispatches += other.dispatches;
         self.caller_runs += other.caller_runs;
-        self.coalesced += other.coalesced;
         self.queue_depth += other.queue_depth;
         self.queue_high_water = self.queue_high_water.max(other.queue_high_water);
         self.workspace_bytes = other.workspace_bytes;
@@ -438,7 +428,7 @@ impl RuntimeStats {
             }
         }
         self.tenants.sort_by(|x, y| x.tenant.cmp(&y.tenant));
-        self.fill_batch();
+        self.batch_fill = self.batch_fill.max(other.batch_fill);
         self.busy += other.busy;
         self.elapsed += other.elapsed;
         self.latency.merge(&other.latency);
@@ -447,17 +437,6 @@ impl RuntimeStats {
         self.infer.merge(&other.infer);
         self.late_discarded += other.late_discarded;
         self.op_profile.merge(&other.op_profile);
-    }
-
-    /// Set [`RuntimeStats::batch_fill`] from the counters it is defined
-    /// over — the one place its formula is written.
-    #[allow(clippy::cast_precision_loss)]
-    pub(crate) fn fill_batch(&mut self) {
-        self.batch_fill = if self.dispatches == 0 || self.max_batch == 0 {
-            0.0
-        } else {
-            self.images as f64 / (self.dispatches as f64 * self.max_batch as f64)
-        };
     }
 
     /// Completed requests per second of runtime lifetime.
@@ -511,7 +490,7 @@ impl RuntimeStats {
         let staged: Vec<_> =
             models.iter().filter(|(_, s)| s.stages().iter().any(|(_, h)| h.count() > 0)).collect();
         if !staged.is_empty() {
-            expo.family("scales_model_stage_seconds", "Per-request stage spans inside the runtime (queue wait, batch assembly, forward), per model.", Histogram);
+            expo.family("scales_model_stage_seconds", "Per-request stage spans inside the runtime (queue wait, dispatch set-up, forward), per model.", Histogram);
             for (model, stats) in staged {
                 for (stage, hist) in stats.stages() {
                     hist.render_into(expo, &[("model", model), ("stage", stage)]);
@@ -583,8 +562,8 @@ impl std::fmt::Display for RuntimeStats {
         )?;
         writeln!(
             f,
-            "  batching: {} dispatches ({} run by their callers), fill {:.2} of max_batch {}, {} requests coalesced",
-            self.dispatches, self.caller_runs, self.batch_fill, self.max_batch, self.coalesced
+            "  dispatches: {} ({} run by their callers)",
+            self.dispatches, self.caller_runs
         )?;
         writeln!(
             f,
@@ -675,12 +654,12 @@ mod tests {
     fn folding_runtime_stats_accumulates_counters() {
         let mut folded = RuntimeStats {
             workers: 2,
-            max_batch: 8,
             submitted: 10,
             completed: 9,
             images: 18,
             dispatches: 3,
             caller_runs: 2,
+            batch_fill: 1.0,
             queue_high_water: 5,
             workspace_bytes: 100,
             ..RuntimeStats::default()
@@ -689,7 +668,6 @@ mod tests {
             workers: 1,
             backend: Backend::Simd,
             simd: SimdLevel::Avx2,
-            max_batch: 8,
             submitted: 5,
             completed: 5,
             images: 6,
@@ -707,8 +685,8 @@ mod tests {
         assert_eq!(folded.queue_high_water, 5);
         assert_eq!(folded.workspace_bytes, 700, "latest fold wins the gauge");
         assert_eq!((folded.backend, folded.simd), (Backend::Simd, SimdLevel::Avx2));
-        let expected_fill = 24.0 / (6.0 * 8.0);
-        assert!((folded.batch_fill - expected_fill).abs() < 1e-12);
+        assert_eq!(folded.dispatches, 6);
+        assert!((folded.batch_fill - 1.0).abs() < f64::EPSILON, "a dispatch has run");
     }
 
     #[test]
@@ -775,7 +753,6 @@ mod tests {
             workers: 2,
             backend: Backend::Scalar,
             simd: SimdLevel::None,
-            max_batch: 8,
             submitted: 10,
             rejected: 1,
             shed: 2,
@@ -787,11 +764,10 @@ mod tests {
             images: 18,
             dispatches: 3,
             caller_runs: 1,
-            coalesced: 6,
             queue_depth: 0,
             queue_high_water: 5,
             workspace_bytes: 4096,
-            batch_fill: 0.75,
+            batch_fill: 1.0,
             busy: Duration::from_millis(20),
             elapsed: Duration::from_millis(100),
             latency,
@@ -834,12 +810,9 @@ scales_model_requests_failed_total{model=\"m\"} 0
 # HELP scales_model_images_total Images served, per model.
 # TYPE scales_model_images_total counter
 scales_model_images_total{model=\"m\"} 18
-# HELP scales_model_dispatches_total Coalesced forward dispatches (one Session::infer each), per model.
+# HELP scales_model_dispatches_total Forward dispatches (one request each), per model.
 # TYPE scales_model_dispatches_total counter
 scales_model_dispatches_total{model=\"m\"} 3
-# HELP scales_model_requests_coalesced_total Requests that shared a dispatch with at least one other request, per model.
-# TYPE scales_model_requests_coalesced_total counter
-scales_model_requests_coalesced_total{model=\"m\"} 6
 # HELP scales_model_busy_seconds_total Worker wall time spent inside forwards, per model.
 # TYPE scales_model_busy_seconds_total counter
 scales_model_busy_seconds_total{model=\"m\"} 0.02
@@ -852,9 +825,6 @@ scales_model_caller_runs_total{model=\"m\"} 1
 # HELP scales_model_workers Worker threads in the pool, per model.
 # TYPE scales_model_workers gauge
 scales_model_workers{model=\"m\"} 2
-# HELP scales_model_max_batch Configured images per coalesced dispatch, per model.
-# TYPE scales_model_max_batch gauge
-scales_model_max_batch{model=\"m\"} 8
 # HELP scales_model_queue_depth Requests queued (accepted, not yet dispatched) at scrape time, per model.
 # TYPE scales_model_queue_depth gauge
 scales_model_queue_depth{model=\"m\"} 0
@@ -864,9 +834,6 @@ scales_model_queue_high_water{model=\"m\"} 5
 # HELP scales_model_workspace_bytes Bytes resident across worker planned-executor workspaces, per model.
 # TYPE scales_model_workspace_bytes gauge
 scales_model_workspace_bytes{model=\"m\"} 4096
-# HELP scales_model_batch_fill Mean images per dispatch relative to max_batch, per model.
-# TYPE scales_model_batch_fill gauge
-scales_model_batch_fill{model=\"m\"} 0.75
 # HELP scales_model_uptime_seconds Wall time since the runtime started (summed over versions), per model.
 # TYPE scales_model_uptime_seconds gauge
 scales_model_uptime_seconds{model=\"m\"} 0.1
@@ -910,7 +877,6 @@ scales_model_request_latency_seconds_count{model=\"m\"} 3
             workers: 2,
             backend: Backend::Scalar,
             simd: SimdLevel::None,
-            max_batch: 8,
             submitted: 10,
             rejected: 1,
             shed: 4,
@@ -922,11 +888,10 @@ scales_model_request_latency_seconds_count{model=\"m\"} 3
             images: 18,
             dispatches: 3,
             caller_runs: 1,
-            coalesced: 6,
             queue_depth: 0,
             queue_high_water: 5,
             workspace_bytes: 0,
-            batch_fill: 0.75,
+            batch_fill: 1.0,
             busy: Duration::from_millis(20),
             elapsed: Duration::from_millis(100),
             latency: LatencyHistogram::default(),
@@ -955,7 +920,7 @@ scales_model_request_latency_seconds_count{model=\"m\"} 3
             "scalar",
             "simd none",
             "req/s",
-            "fill",
+            "dispatches: 3",
             "high water",
             "p50",
             "p99",
@@ -1000,7 +965,7 @@ scales_model_request_latency_seconds_count{model=\"m\"} 3
         let text = render(&[("alpha", &alpha), ("beta", &beta)]);
         let types: Vec<&str> = text.lines().filter(|l| l.starts_with("# TYPE ")).collect();
         let helps = text.lines().filter(|l| l.starts_with("# HELP ")).count();
-        assert_eq!(types.len(), 8 + 13 + 1 + 8 + 2, "ledger, scalars, latency, tenant ledger, tenant gauges");
+        assert_eq!(types.len(), 8 + 10 + 1 + 8 + 2, "ledger, scalars, latency, tenant ledger, tenant gauges");
         assert_eq!(helps, types.len());
         assert_eq!(types.iter().collect::<std::collections::BTreeSet<_>>().len(), types.len(), "one TYPE per family");
         for line in [
@@ -1033,7 +998,7 @@ scales_model_request_latency_seconds_count{model=\"m\"} 3
 
     #[test]
     fn stage_and_op_series_are_gated_on_data() {
-        let mut alpha = RuntimeStats { workers: 1, max_batch: 8, ..RuntimeStats::default() };
+        let mut alpha = RuntimeStats { workers: 1, ..RuntimeStats::default() };
         let beta = alpha.clone();
         // Idle rows render neither gated family, but always the
         // late-discarded counter.

@@ -1,10 +1,9 @@
 //! The runtime's admission and scheduling policy as one plain value:
 //! tenant lanes and placement, the lane quota, the shed watermark and p99
-//! window, expiry sweeps, the EDF-inside-weighted-rotation pop, the gather
-//! rounds that fill a dispatch from what is queued, who runs a lone
-//! blocking request (its caller, on a lease) and which workspace every
-//! forward borrows, the runtime's one serving record, and shutdown
-//! failing.
+//! window, expiry sweeps, the EDF-inside-weighted-rotation pop that picks
+//! the one request a dispatch serves, who runs a lone blocking request
+//! (its caller, on a lease) and which workspace every forward borrows, the
+//! runtime's one serving record, and shutdown failing.
 //!
 //! [`Queue`] holds no lock, waits on nothing, and never reads a clock:
 //! every method takes the current time as `now` and returns a typed
@@ -45,7 +44,8 @@ pub(crate) struct Entry {
     pub cell: Arc<TicketCell>,
     pub enqueued: Instant,
     /// When a worker took this entry from its lane (`None` while queued) —
-    /// the boundary between the queue-wait and batch-wait trace stages.
+    /// the boundary between the queue-wait and dispatch set-up
+    /// (`batch_wait`) trace stages.
     pub dequeued: Option<Instant>,
 }
 
@@ -61,8 +61,8 @@ impl Entry {
         counters.expired += 1;
     }
 
-    /// The stage stamps of this entry in a dispatch that sealed at
-    /// `sealed` and whose forward returned at `infer_done`.
+    /// The stage stamps of this entry in a dispatch whose forward began
+    /// at `sealed` and returned at `infer_done`.
     pub fn stamps(&self, sealed: Instant, infer_done: Instant) -> RuntimeStamps {
         let dequeued = self.dequeued.unwrap_or(self.enqueued);
         RuntimeStamps { enqueued: self.enqueued, dequeued, sealed, infer_done }
@@ -102,12 +102,11 @@ pub(crate) struct Dispatch {
     pub runner: Runner,
     /// The workspace the forward borrowed, going back to its slot.
     pub workspace: Workspace,
-    /// Whether the forward succeeded: every entry completed, or every
-    /// entry failed.
+    /// Whether the forward succeeded: the entry completed, or it failed.
     pub served: bool,
-    /// Images in the forward.
+    /// Images in the request.
     pub images: usize,
-    /// When the batch sealed and the forward began.
+    /// When the forward began.
     pub sealed: Instant,
     /// When the forward returned.
     pub infer_done: Instant,
@@ -210,8 +209,8 @@ pub(crate) struct Queue {
     /// Ledgers of retired lanes and of refusals whose tenant never had a
     /// lane.
     retired: Counters,
-    /// The serving half of the record — images, dispatches, coalesced,
-    /// busy, the four histograms, late-discarded — as booked by
+    /// The serving half of the record — images, dispatches, busy, the
+    /// four histograms, late-discarded — as booked by
     /// [`Queue::complete`]; [`Queue::report`] fills in the rest.
     record: RuntimeStats,
     /// Per slot, the latest workspace bytes and cumulative op profile of
@@ -478,7 +477,7 @@ impl Queue {
         entry
     }
 
-    /// Pick the next entry to anchor a dispatch — `None` only when nothing
+    /// Pick the entry the next dispatch serves — `None` only when nothing
     /// live is queued. Earliest-deadline-first *within* the weighted
     /// rotation: among lanes still holding credits this cycle, a
     /// deadline-tagged head is drained before the cursor scan, earliest
@@ -516,7 +515,7 @@ impl Queue {
             Some((_, i)) => i,
             None => {
                 // Scan from the cursor so a lane spends its credits
-                // consecutively (coalescing-friendly).
+                // consecutively within a cycle.
                 let n = self.lanes.len();
                 (0..n)
                     .map(|k| (self.cursor + k) % n)
@@ -527,39 +526,6 @@ impl Queue {
         self.lanes[i].credits -= 1;
         self.cursor = i;
         (Some(self.take_head(i, now)), freed + 1)
-    }
-
-    /// One fairness round over the lanes for the batch anchored at
-    /// `batch[0]`: take at most one compatible head (same tile override,
-    /// fits within `max_batch` images) per lane, from the rotation's
-    /// cursor. Returns whether to run another round — this one took
-    /// something, the batch has room, and work is still queued — and the
-    /// slots freed. A batch never waits for arrivals: it holds what is
-    /// queued at `now`, the instant it was popped at.
-    pub fn gather(&mut self, batch: &mut Vec<Entry>, now: Instant) -> (bool, usize) {
-        let expired = self.expire_stale_heads(now);
-        let max_batch = self.config.max_batch;
-        let tile = batch[0].tile;
-        let mut images: usize = batch.iter().map(|e| e.images.len()).sum();
-        let before = batch.len();
-        let n = self.lanes.len();
-        for k in 0..n {
-            if images >= max_batch {
-                break;
-            }
-            let i = (self.cursor + k) % n;
-            let fits = self.lanes[i]
-                .entries
-                .front()
-                .is_some_and(|e| e.tile == tile && images + e.images.len() <= max_batch);
-            if fits {
-                let entry = self.take_head(i, now);
-                images += entry.images.len();
-                batch.push(entry);
-            }
-        }
-        let took = batch.len() - before;
-        (took > 0 && images < max_batch && self.queued > 0, expired + took)
     }
 
     /// A worker found nothing to pop and is about to wait for work.
@@ -580,14 +546,13 @@ impl Queue {
         go
     }
 
-    /// Seal a gathered batch. It runs on the workspace of its worker's
-    /// `home` slot when that is free — so a busy worker keeps its arenas
-    /// warm in its own core's caches — and on the last one returned
-    /// otherwise. Nothing in it has expired: the worker pops, gathers and
-    /// seals under one lock hold, and every entry was live at that `now`.
-    /// Also returns whether work is still queued behind the batch (an
-    /// incompatible tile override, or a head that would not fit) for
-    /// another worker to be woken for.
+    /// Seal a popped entry's dispatch. It runs on the workspace of its
+    /// worker's `home` slot when that is free — so a busy worker keeps its
+    /// arenas warm in its own core's caches — and on the last one returned
+    /// otherwise. The entry has not expired: the worker pops and seals
+    /// under one lock hold, and it was live at that `now`. Also returns
+    /// whether work is still queued behind it, for another worker to be
+    /// woken for.
     pub fn seal(&mut self, home: usize) -> (Runner, Workspace, bool) {
         let at = self.pool.iter().position(|&(slot, _)| slot == home);
         let (runner, workspace) = self.lend(at, false);
@@ -633,17 +598,17 @@ impl Queue {
         }
     }
 
-    /// Book a dispatch whose tickets its runner is about to resolve, all
-    /// of it at once: the workspace back in its slot and the runner idle
+    /// Book a dispatch whose ticket its runner is about to resolve, all of
+    /// it at once: the workspace back in its slot and the runner idle
     /// ([`Queue::release`], whose wake-up verdict this returns); the
-    /// serving record (images, busy time, each entry's
-    /// latency and stage spans, a response its submitter gave up on); the
-    /// ledger's completions, failures, and deadline misses (served, but
-    /// after the deadline passed mid-flight — the late-but-served
-    /// counterpart of the never-dispatched `Expired`); then the p99 window
-    /// when that wire is armed. Windowed — not lifetime-cumulative — so the
-    /// estimate can come back down when the overload passes.
-    pub fn complete(&mut self, batch: &[Entry], dispatch: Dispatch, now: Instant) -> bool {
+    /// serving record (images, busy time, the entry's latency and stage
+    /// spans, a response its submitter gave up on); the ledger's
+    /// completion, failure, or deadline miss (served, but after the
+    /// deadline passed mid-flight — the late-but-served counterpart of the
+    /// never-dispatched `Expired`); then the p99 window when that wire is
+    /// armed. Windowed — not lifetime-cumulative — so the estimate can come
+    /// back down when the overload passes.
+    pub fn complete(&mut self, entry: &Entry, dispatch: Dispatch, now: Instant) -> bool {
         let Dispatch {
             runner,
             workspace,
@@ -657,60 +622,49 @@ impl Queue {
         let wake = self.release(runner, workspace);
         let record = &mut self.record;
         record.dispatches += 1;
+        record.batch_fill = 1.0;
         record.busy += infer_done.saturating_duration_since(sealed);
-        if batch.len() > 1 {
-            record.coalesced += batch.len() as u64;
-        }
         if served {
             record.images += images as u64;
         }
-        for entry in batch {
-            let RuntimeStamps { enqueued, dequeued, .. } = entry.stamps(sealed, infer_done);
-            record.latency.record(now.saturating_duration_since(enqueued));
-            record.queue_wait.record(dequeued.saturating_duration_since(enqueued));
-            record.batch_wait.record(sealed.saturating_duration_since(dequeued));
-            record.infer.record(infer_done.saturating_duration_since(sealed));
-            record.late_discarded += u64::from(entry.cell.is_abandoned());
-        }
+        let RuntimeStamps { enqueued, dequeued, .. } = entry.stamps(sealed, infer_done);
+        let latency = now.saturating_duration_since(enqueued);
+        record.latency.record(latency);
+        record.queue_wait.record(dequeued.saturating_duration_since(enqueued));
+        record.batch_wait.record(sealed.saturating_duration_since(dequeued));
+        record.infer.record(infer_done.saturating_duration_since(sealed));
+        record.late_discarded += u64::from(entry.cell.is_abandoned());
         self.readings[runner.slot] = (workspace_bytes, op_profile);
-        for entry in batch {
-            let counters = self.land(entry);
-            if !served {
-                counters.failed += 1;
-                continue;
-            }
+        let counters = self.land(entry);
+        if served {
             counters.completed += 1;
-            if entry.deadline.is_some_and(|d| now > d) {
-                counters.deadline_misses += 1;
-            }
+            counters.deadline_misses += u64::from(entry.deadline.is_some_and(|d| now > d));
+        } else {
+            counters.failed += 1;
         }
-        if self.config.shed.p99_trip.is_none() || batch.is_empty() {
+        if self.config.shed.p99_trip.is_none() {
             return wake;
         }
-        for entry in batch {
-            if self.recent.len() == P99_WINDOW {
-                self.recent.pop_front();
-            }
-            self.recent.push_back(now.saturating_duration_since(entry.enqueued));
+        if self.recent.len() == P99_WINDOW {
+            self.recent.pop_front();
         }
+        self.recent.push_back(latency);
         let mut window: Vec<Duration> = self.recent.iter().copied().collect();
         let rank = (window.len() * 99).div_ceil(100).max(1);
         self.p99 = Some((*window.select_nth_unstable(rank - 1).1, now));
         wake
     }
 
-    /// A forward serving `batch` panicked: fail every ticket it had not
+    /// A forward serving `entry` panicked: fail its ticket if it had not
     /// resolved yet, so no caller is left blocked forever and `failed`
     /// stays exact. The unwound workspace is lost, so a fresh, empty one
     /// takes its slot (and its byte reading); a caller's lease ends
     /// (whether to wake the workers is returned, as from
     /// [`Queue::complete`]), while a worker dies with its thread and parks
     /// no more.
-    pub fn abandon(&mut self, batch: &[Entry], message: &str, runner: Runner) -> bool {
-        for entry in batch {
-            if entry.cell.resolve_if_pending(Err(unserved(message))) {
-                self.land(entry).failed += 1;
-            }
+    pub fn abandon(&mut self, entry: &Entry, message: &str, runner: Runner) -> bool {
+        if entry.cell.resolve_if_pending(Err(unserved(message))) {
+            self.land(entry).failed += 1;
         }
         self.readings[runner.slot].0 = 0;
         let workspace = fresh_workspace(&self.config);
@@ -768,8 +722,6 @@ impl Queue {
             stats.workspace_bytes += bytes;
             stats.op_profile.merge(profile);
         }
-        stats.max_batch = self.config.max_batch;
-        stats.fill_batch();
         stats
     }
 }
@@ -788,13 +740,13 @@ mod tests {
     //! reference model that mirrors the lane table by observation,
     //! predicts every admission verdict from its own records (which
     //! blocking caller runs its own request included), and checks the
-    //! scheduler's picks, the gather rounds, leases, wake-ups and the
-    //! workspace pool against the invariants the runtime promises.
+    //! scheduler's picks, leases, wake-ups and the workspace pool against
+    //! the invariants the runtime promises.
 
     use super::*;
     use crate::ShedPolicy;
     use scales_serve::{InferStats, Precision, SrResponse, TileSpec};
-    use std::collections::{BTreeMap, HashMap, HashSet};
+    use std::collections::{BTreeMap, HashMap};
 
     /// splitmix64: a fixed seed is a fixed sequence on every platform.
     struct Rng(u64);
@@ -834,7 +786,6 @@ mod tests {
         let config = RuntimeConfig {
             workers: 1 + rng.below(3),
             queue_capacity,
-            max_batch: 1 + rng.below(4),
             shed: ShedPolicy {
                 queue_watermark: rng.chance(40).then(|| 1 + rng.below(queue_capacity)),
                 p99_trip: rng.chance(40).then(|| Duration::from_millis(1) + rng.millis(20)),
@@ -844,6 +795,7 @@ mod tests {
             max_tenant_lanes: tenant_weights.len().max(1) + rng.below(2),
             tenant_weights,
             profile_ops: false,
+            ..RuntimeConfig::default()
         };
         config.validate().expect("generated configs are servable");
         config
@@ -892,10 +844,10 @@ mod tests {
         Refuse(SubmitError),
     }
 
-    /// A sealed batch a (virtual) worker, or a blocking caller on a
+    /// A sealed dispatch a (virtual) worker, or a blocking caller on a
     /// lease, is running outside the queue, with the workspace it runs on.
-    struct Batch {
-        entries: Vec<Entry>,
+    struct Forward {
+        entry: Entry,
         runner: Runner,
         workspace: Workspace,
     }
@@ -913,11 +865,10 @@ mod tests {
         /// Deadlines refused at the door: counted in `expired`, never in
         /// `submitted`.
         door_expired: u64,
-        /// The serving half: dispatches completed, images they served,
-        /// and entries they resolved.
+        /// The serving half: dispatches completed (one entry each) and
+        /// the images they served.
         dispatches: u64,
         images: u64,
-        booked: u64,
         high_water: usize,
         shutdown: bool,
         window: VecDeque<Duration>,
@@ -928,9 +879,9 @@ mod tests {
         leased: usize,
         /// Requests their blocking callers ran.
         caller_runs: u64,
-        /// Anchor pops a backlogged, credit-holding lane has sat through.
+        /// Pops a backlogged, credit-holding lane has sat through.
         waited: HashMap<Option<String>, u32>,
-        /// Anchor pops per lane since the last fresh cycle.
+        /// Pops per lane since the last fresh cycle.
         cycle_pops: HashMap<Option<String>, u32>,
     }
 
@@ -963,7 +914,6 @@ mod tests {
                 door_expired: 0,
                 dispatches: 0,
                 images: 0,
-                booked: 0,
                 high_water: 0,
                 shutdown: false,
                 window: VecDeque::new(),
@@ -1135,7 +1085,7 @@ mod tests {
     }
 
     /// Everything that must hold between any two steps.
-    fn check(q: &Queue, m: &Model, open: &[Batch], now: Instant) {
+    fn check(q: &Queue, m: &Model, open: &[Forward], now: Instant) {
         // The lane table: same lanes in the same order, same FIFO contents.
         assert_eq!(q.lanes.len(), m.lanes.len());
         assert!(q.lanes[0].tenant.is_none(), "lane 0 is the anonymous lane");
@@ -1209,12 +1159,12 @@ mod tests {
             stats.completed + stats.failed + stats.expired + (stats.queue_depth + in_flight) as u64,
             "globally: submitted = completed + failed + expired + queued + in flight"
         );
-        // The serving half is booked by the same call, per dispatch and
-        // per dispatched entry.
+        // The serving half is booked by the same call, once per dispatch.
         assert_eq!((stats.dispatches, stats.images), (m.dispatches, m.images));
         assert_eq!(stats.caller_runs, m.caller_runs);
+        assert_eq!(stats.batch_fill, if m.dispatches == 0 { 0.0 } else { 1.0 });
         for hist in [&stats.latency, &stats.queue_wait, &stats.batch_wait, &stats.infer] {
-            assert_eq!(hist.count(), m.booked, "one sample per dispatched entry");
+            assert_eq!(hist.count(), m.dispatches, "one sample per dispatch");
         }
         let names: Vec<&str> = m.lanes.iter().filter_map(|l| l.name.as_deref()).collect();
         assert_eq!(stats.tenants.iter().map(|t| t.tenant.as_str()).collect::<Vec<_>>(), names);
@@ -1236,7 +1186,7 @@ mod tests {
         rng: &mut Rng,
         now: Instant,
         seen: &mut Seen,
-    ) -> Option<Batch> {
+    ) -> Option<Forward> {
         let tenant = TENANTS[rng.below(TENANTS.len())];
         let deadline = match rng.below(10) {
             0 => Some(now),
@@ -1379,10 +1329,10 @@ mod tests {
         m.lanes[lane].in_flight += 1;
         m.leased += 1;
         m.caller_runs += 1;
-        Some(Batch { entries: vec![entry], runner, workspace })
+        Some(Forward { entry, runner, workspace })
     }
 
-    /// Pop an anchor and check the pick: FIFO, never expired, EDF among
+    /// Pop an entry and check the pick: FIFO, never expired, EDF among
     /// the credit-holding lanes, credits spent and granted by the rules.
     fn pop(q: &mut Queue, m: &mut Model, now: Instant, seen: &mut Seen) -> Option<Entry> {
         let before: Vec<u32> = q.lanes.iter().map(|l| l.credits).collect();
@@ -1451,58 +1401,12 @@ mod tests {
         Some(entry)
     }
 
-    /// One gather round on a batch being filled; returns whether the
-    /// batcher is told to run another.
-    fn gather(
-        q: &mut Queue,
-        m: &mut Model,
-        batch: &mut Vec<Entry>,
-        now: Instant,
-        seen: &mut Seen,
-    ) -> bool {
-        let max_batch = m.config.max_batch;
-        let had = batch.len();
-        let (again, freed) = q.gather(batch, now);
-        let retracted = m.observe_retractions(now);
-        let mut images: usize = batch[..had].iter().map(|e| e.images.len()).sum();
-        let mut lanes = HashSet::new();
-        for entry in &batch[had..] {
-            assert_eq!(entry.tile, batch[0].tile, "a batch shares one tile override");
-            images += entry.images.len();
-            assert!(images <= max_batch, "gathered past max_batch");
-            assert!(lanes.insert(entry.tenant.clone()), "one head per lane per round");
-            m.take(entry, now);
-        }
-        assert_eq!(freed, retracted + batch.len() - had);
-        // Nothing that fits was passed over (a lane taken from this round
-        // may have a new head that fits: that is what another round is for).
-        for lane in m.lanes.iter().filter(|l| !lanes.contains(&l.name.as_deref().map(Arc::from))) {
-            if let Some(head) = lane.fifo.front().map(|&id| &m.reqs[id]) {
-                assert!(!head.dead(now), "a dead lane head survived");
-                assert!(
-                    head.tile != batch[0].tile || images + head.images > max_batch,
-                    "a compatible head was left behind"
-                );
-            }
-        }
-        // Another round only while this one took something, the batch has
-        // room, and work is queued. A drained batch with room left seals:
-        // nothing waits for arrivals.
-        if images < max_batch && m.queued() == 0 {
-            seen.saw("gather: sealed drained with room left");
-        }
-        let want = batch.len() > had && images < max_batch && m.queued() > 0;
-        assert_eq!(again, want, "gather's verdict with {images} of {max_batch} images");
-        seen.saw(if again { "gather: again" } else { "gather: seal" });
-        again
-    }
-
     /// A worker's dispatch, the way `next_dispatch` runs it under one lock
-    /// hold at one `now`: pop an anchor, gather rounds until told to stop,
-    /// and seal the batch on a workspace from the pool. With nothing to
-    /// pop the worker parks, or, shutting down, exits.
-    fn dispatch(q: &mut Queue, m: &mut Model, now: Instant, seen: &mut Seen) -> Option<Batch> {
-        let Some(anchor) = pop(q, m, now, seen) else {
+    /// hold at one `now`: pop an entry and seal it on a workspace from the
+    /// pool. With nothing to pop the worker parks, or, shutting down,
+    /// exits.
+    fn dispatch(q: &mut Queue, m: &mut Model, now: Instant, seen: &mut Seen) -> Option<Forward> {
+        let Some(entry) = pop(q, m, now, seen) else {
             if !m.shutdown {
                 q.park();
                 m.parked += 1;
@@ -1510,16 +1414,15 @@ mod tests {
             }
             return None;
         };
-        let mut entries = vec![anchor];
-        while gather(q, m, &mut entries, now, seen) {}
         // Any worker may seal: vary which one by the dispatch count.
-        let home = (m.dispatches as usize + entries.len()) % m.config.workers;
+        let home = (m.dispatches as usize + entry.images.len()) % m.config.workers;
         let free = q.pool.iter().any(|&(slot, _)| slot == home);
         let (runner, workspace, more) = q.seal(home);
-        assert_eq!(more, m.queued() > 0, "work left queued behind the batch");
-        assert!(!runner.here, "a worker's batch holds no lease");
+        assert_eq!(more, m.queued() > 0, "work left queued behind the dispatch");
+        seen.saw(if more { "sealed with work left queued" } else { "sealed the last entry" });
+        assert!(!runner.here, "a worker's dispatch holds no lease");
         assert!(runner.slot == home || !free, "a worker takes its own slot when it is free");
-        Some(Batch { entries, runner, workspace })
+        Some(Forward { entry, runner, workspace })
     }
 
     /// A runner goes idle at the end of its dispatch: a worker parks, a
@@ -1539,18 +1442,18 @@ mod tests {
         wake
     }
 
-    /// Book a sealed batch, then resolve it, the way `serve_dispatch` does.
+    /// Book a sealed dispatch, then resolve it, the way `serve_dispatch`
+    /// does.
     fn complete(
         q: &mut Queue,
         m: &mut Model,
-        batch: Batch,
+        forward: Forward,
         served: bool,
         now: Instant,
         seen: &mut Seen,
     ) {
-        let Batch { entries, runner, workspace } = batch;
-        let batch = &entries;
-        let images = batch.iter().map(|e| e.images.len()).sum();
+        let Forward { entry, runner, workspace } = forward;
+        let images = entry.images.len();
         let dispatch = Dispatch {
             runner,
             workspace,
@@ -1561,52 +1464,47 @@ mod tests {
             workspace_bytes: 0,
             op_profile: OpProfile::default(),
         };
-        let wake = q.complete(batch, dispatch, now);
+        let wake = q.complete(&entry, dispatch, now);
         assert_eq!(wake, idle_after(m, runner, seen), "the wake-up after a dispatch");
         m.dispatches += 1;
         m.images += if served { images as u64 } else { 0 };
-        m.booked += batch.len() as u64;
-        for entry in batch {
-            entry.cell.resolve(if served {
-                Ok(SrResponse::from_parts(
-                    Vec::new(),
-                    InferStats {
-                        images: entry.images.len(),
-                        tiled: 0,
-                        backend: scales_tensor::backend::Backend::Scalar,
-                        simd: scales_tensor::SimdLevel::None,
-                        precision: Precision::Deployed,
-                        plans_built: 0,
-                        plan_reuses: 0,
-                    },
-                ))
-            } else {
-                Err(unserved("injected"))
-            });
-            let id = m.ids[&key(&entry.cell)];
-            let req = &m.reqs[id];
-            let (late, latency) = (req.deadline.is_some_and(|d| now > d), now - req.enqueued);
-            if served {
-                let counters = m.land(id, State::Served);
-                counters.completed += 1;
-                counters.deadline_misses += u64::from(late);
-            } else {
-                m.land(id, State::Failed).failed += 1;
-            }
-            if m.config.shed.p99_trip.is_some() {
-                if m.window.len() == P99_WINDOW {
-                    m.window.pop_front();
-                }
-                m.window.push_back(latency);
-            }
+        entry.cell.resolve(if served {
+            Ok(SrResponse::from_parts(
+                Vec::new(),
+                InferStats {
+                    images,
+                    tiled: 0,
+                    backend: scales_tensor::backend::Backend::Scalar,
+                    simd: scales_tensor::SimdLevel::None,
+                    precision: Precision::Deployed,
+                    plans_built: 0,
+                    plan_reuses: 0,
+                },
+            ))
+        } else {
+            Err(unserved("injected"))
+        });
+        let id = m.ids[&key(&entry.cell)];
+        let req = &m.reqs[id];
+        let (late, latency) = (req.deadline.is_some_and(|d| now > d), now - req.enqueued);
+        if served {
+            let counters = m.land(id, State::Served);
+            counters.completed += 1;
+            counters.deadline_misses += u64::from(late);
+        } else {
+            m.land(id, State::Failed).failed += 1;
         }
         if m.config.shed.p99_trip.is_some() {
+            if m.window.len() == P99_WINDOW {
+                m.window.pop_front();
+            }
+            m.window.push_back(latency);
             // Nearest-rank p99, restated: the smallest sample that at
             // least 99 % of the window does not exceed.
             let p99 = m.window.iter().copied().filter(|&v| {
                 m.window.iter().filter(|&&sample| sample <= v).count() * 100 >= m.window.len() * 99
             });
-            m.p99 = Some((p99.min().expect("the batch is not empty"), now));
+            m.p99 = Some((p99.min().expect("the window is not empty"), now));
         }
     }
 
@@ -1639,7 +1537,7 @@ mod tests {
         let config = config(&mut rng);
         let (mut q, mut m) = (Queue::new(config.clone()), Model::new(config));
         let mut now = Instant::now();
-        let mut open: Vec<Batch> = Vec::new();
+        let mut open: Vec<Forward> = Vec::new();
         check(&q, &m, &open, now);
         for _ in 0..(20 + rng.below(60)) {
             match rng.below(100) {
@@ -1651,25 +1549,23 @@ mod tests {
                     }
                 }
                 60..=71 if !open.is_empty() => {
-                    let batch = open.swap_remove(rng.below(open.len()));
-                    if batch.runner.here {
+                    let forward = open.swap_remove(rng.below(open.len()));
+                    if forward.runner.here {
                         seen.saw("a caller ran its request");
                     }
-                    complete(&mut q, &mut m, batch, rng.chance(80), now, seen);
+                    complete(&mut q, &mut m, forward, rng.chance(80), now, seen);
                 }
                 72 if !open.is_empty() => {
-                    // The forward serving this batch panicked: a worker
-                    // dies with it, a caller carries on.
-                    let Batch { entries, runner, .. } = open.swap_remove(rng.below(open.len()));
-                    let wake = q.abandon(&entries, "the forward panicked", runner);
+                    // The forward panicked: a worker dies with it, a
+                    // caller carries on.
+                    let Forward { entry, runner, .. } = open.swap_remove(rng.below(open.len()));
+                    let wake = q.abandon(&entry, "the forward panicked", runner);
                     let want = runner.here && idle_after(&mut m, runner, seen);
                     assert_eq!(wake, want, "the wake-up after a panicked forward");
-                    for entry in &entries {
-                        m.land(m.ids[&key(&entry.cell)], State::Failed).failed += 1;
-                    }
+                    m.land(m.ids[&key(&entry.cell)], State::Failed).failed += 1;
                     seen.saw(match runner.here {
                         true => "a caller's forward panicked",
-                        false => "abandoned a batch",
+                        false => "abandoned a dispatch",
                     });
                 }
                 73 if rng.chance(50) => {
@@ -1689,15 +1585,15 @@ mod tests {
         q.begin_shutdown();
         m.shutdown = true;
         let drain = rng.chance(75);
-        while let Some(batch) = open.pop() {
-            complete(&mut q, &mut m, batch, true, now, seen);
+        while let Some(forward) = open.pop() {
+            complete(&mut q, &mut m, forward, true, now, seen);
             check(&q, &m, &open, now);
         }
         // Each parked worker serves until the lanes are empty, then exits.
         while drain && m.parked > 0 {
             assert!(unpark(&mut q, &mut m, seen), "the shutdown drain wakes a parked worker");
-            if let Some(batch) = dispatch(&mut q, &mut m, now, seen) {
-                complete(&mut q, &mut m, batch, true, now, seen);
+            if let Some(forward) = dispatch(&mut q, &mut m, now, seen) {
+                complete(&mut q, &mut m, forward, true, now, seen);
             }
             check(&q, &m, &open, now);
             now += rng.millis(6);
@@ -1733,20 +1629,18 @@ mod tests {
         );
     }
 
-    // Hand mutants of the gather rounds (`gather`), the idle count
-    // (`unpark`) and the caller-run path (`submit`'s `RunHere`, the lease
-    // in `unpark`, `release`), each killed by this check; the count is how
-    // many of the 2,400 seeds fail (run each seed under `catch_unwind` to
-    // re-count):
+    // Hand mutants of the idle count (`unpark`) and the caller-run path
+    // (`submit`'s `RunHere`, the lease in `unpark`, `release`), each
+    // killed by this check; the count is how many of the 2,400 seeds fail
+    // (run each seed under `catch_unwind` to re-count):
     //
     // | mutant                                                          | kills |
     // |-----------------------------------------------------------------|-------|
-    // | gather stops after one round while a compatible head is queued  |   179 |
-    // | `unpark` leaves the idle count alone                            |  2394 |
-    // | `RunHere` with a queued entry                                   |   911 |
-    // | a lease ignored by `unpark` (`parked > 0`)                      |   400 |
-    // | a release that wakes nobody                                     |   729 |
-    // | `RunHere` past the caller's timeout                             |   313 |
+    // | `unpark` leaves the idle count alone                            |  2392 |
+    // | `RunHere` with a queued entry                                   |   913 |
+    // | a lease ignored by `unpark` (`parked > 0`)                      |   347 |
+    // | a release that wakes nobody                                     |   649 |
+    // | `RunHere` past the caller's timeout                             |   252 |
     #[test]
     fn generated_op_sequences_agree_with_the_reference_model() {
         let mut seen = Seen::default();
@@ -1763,11 +1657,10 @@ mod tests {
             "p99 latency trip wire",
             "lane quota",
             "EDF pick",
-            "gather: seal",
-            "gather: again",
-            "gather: sealed drained with room left",
+            "sealed with work left queued",
+            "sealed the last entry",
             "parked on an empty queue",
-            "abandoned a batch",
+            "abandoned a dispatch",
             "failed a loaded queue",
             "ran here",
             "not here: lanes held work",

@@ -9,8 +9,7 @@ use crate::metrics::RuntimeStats;
 use crate::queue::{Admission, Admitted, Caller, Dispatch, Entry, Lease, Queue, Runner};
 use crate::ticket::Ticket;
 use crate::{lock, wait, wait_timeout, RuntimeConfig};
-use scales_data::Image;
-use scales_serve::{Engine, InferStats, SrRequest, SrResponse, Workspace};
+use scales_serve::{Engine, SrRequest, SrResponse, Workspace};
 use scales_tensor::{Result, TensorError};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -34,8 +33,8 @@ pub enum SubmitError {
     /// queued work drains, new work is refused.
     ShuttingDown,
     /// The request can never be served (empty, or an invalid per-request
-    /// tile override) — rejected at submission rather than poisoning a
-    /// coalesced dispatch later.
+    /// tile override) — rejected at submission rather than failing its
+    /// forward later.
     InvalidRequest(String),
     /// [`Runtime::submit_wait_timeout`] ran out its deadline — either
     /// blocked on a full queue or waiting for the response. A timed-out
@@ -171,7 +170,7 @@ struct Inner {
     /// The whole admission and scheduling state, p99 window and serving
     /// record included, behind the runtime's one lock.
     state: Mutex<Queue>,
-    /// Signaled on enqueue, on shutdown, when a batch leaves work queued
+    /// Signaled on enqueue, on shutdown, when a dispatch leaves work queued
     /// behind it, and when a lease ends with work queued: parked workers
     /// wait here.
     work: Condvar,
@@ -491,10 +490,8 @@ enum Accepted {
     Here(Ticket, Box<Lease>),
 }
 
-/// Reject requests that could never be served, so they cannot poison a
-/// coalesced dispatch later: a degenerate payload must fail only its own
-/// caller — with a typed error at submission — never the innocent
-/// requests batched alongside it.
+/// Reject requests that could never be served: a degenerate payload fails
+/// its caller with a typed error at submission, not in a forward later.
 fn validate(request: SrRequest) -> std::result::Result<Admitted, SubmitError> {
     let tenant = request.tenant_tag().map(str::to_owned);
     if let Some(name) = &tenant {
@@ -557,8 +554,8 @@ fn worker_loop(inner: &Inner, worker: usize) {
         }
     }
     let _exit = WorkerExit { inner };
-    while let Some((batch, runner, workspace)) = next_dispatch(inner, worker) {
-        serve_dispatch(inner, batch, runner, workspace, None);
+    while let Some((entry, runner, workspace)) = next_dispatch(inner, worker) {
+        serve_dispatch(inner, entry, runner, workspace, None);
     }
 }
 
@@ -571,21 +568,19 @@ fn unparked<'a>(inner: &'a Inner, mut st: MutexGuard<'a, Queue>) -> MutexGuard<'
     st
 }
 
-/// The cross-request dynamic batcher. The worker comes in parked — born
-/// so, and parked again by [`Queue::complete`] after each dispatch — and
-/// waits for work; then, under one lock hold and at one `now`, it anchors
-/// a batch on the scheduler's pick, gathers every compatible head queued
-/// at that moment, and seals the batch on a workspace (its own slot's when
-/// free). Returns `None` when the runtime is shutting down and the lanes
-/// are fully drained.
-fn next_dispatch(inner: &Inner, worker: usize) -> Option<(Vec<Entry>, Runner, Workspace)> {
+/// A worker's next dispatch: one request. The worker comes in parked —
+/// born so, and parked again by [`Queue::complete`] after each dispatch —
+/// and waits for work; then, under one lock hold, it pops the scheduler's
+/// pick and seals it on a workspace (its own slot's when free). Returns
+/// `None` when the runtime is shutting down and the lanes are fully
+/// drained.
+fn next_dispatch(inner: &Inner, worker: usize) -> Option<(Entry, Runner, Workspace)> {
     let mut st = unparked(inner, lock(&inner.state));
-    let (first, now) = loop {
-        let now = Instant::now();
-        let (popped, freed) = st.pop(now);
+    let entry = loop {
+        let (popped, freed) = st.pop(Instant::now());
         wake_space(inner, freed);
         if let Some(entry) = popped {
-            break (entry, now);
+            break entry;
         }
         if st.shutting_down() {
             return None;
@@ -595,22 +590,14 @@ fn next_dispatch(inner: &Inner, worker: usize) -> Option<(Vec<Entry>, Runner, Wo
         st.park();
         st = unparked(inner, st);
     };
-    let mut batch = vec![first];
-    loop {
-        let (again, freed) = st.gather(&mut batch, now);
-        wake_space(inner, freed);
-        if !again {
-            break;
-        }
-    }
     let (runner, workspace, more) = st.seal(worker);
     // This worker may have consumed a submit's `notify_one` for an entry
-    // it is deliberately leaving queued. Re-signal so an idle worker picks
-    // it up instead of waiting out this whole dispatch.
+    // it is leaving queued. Re-signal so an idle worker picks it up
+    // instead of waiting out this whole dispatch.
     if more {
         inner.work.notify_one();
     }
-    Some((batch, runner, workspace))
+    Some((entry, runner, workspace))
 }
 
 /// Serve a request its blocking caller was handed
@@ -620,19 +607,19 @@ fn next_dispatch(inner: &Inner, worker: usize) -> Option<(Vec<Entry>, Runner, Wo
 /// caught, and the caller — an HTTP connection worker, say — goes on.
 fn run_here(inner: &Inner, lease: Box<Lease>, give_up: Option<Instant>) {
     let Lease { entry, runner, workspace } = *lease;
-    let serve = AssertUnwindSafe(|| serve_dispatch(inner, vec![entry], runner, workspace, give_up));
+    let serve = AssertUnwindSafe(|| serve_dispatch(inner, entry, runner, workspace, give_up));
     // The panic already reached the panic hook, and its ticket names it.
     let _ = std::panic::catch_unwind(serve);
 }
 
-/// On unwind — a panic inside the forward path — resolve every
-/// still-pending ticket of the dispatch with an error and account each
-/// one as failed, and hand the slot a fresh workspace: no caller is left
-/// blocked forever and `stats.failed` stays exact. A worker thread dies
-/// (the rest of the pool keeps serving); a caller's lease ends.
+/// On unwind — a panic inside the forward path — resolve the dispatch's
+/// ticket with an error if it is still pending and account it as failed,
+/// and hand the slot a fresh workspace: no caller is left blocked forever
+/// and `stats.failed` stays exact. A worker thread dies (the rest of the
+/// pool keeps serving); a caller's lease ends.
 struct ResolveOnPanic<'a> {
     inner: &'a Inner,
-    entries: &'a [Entry],
+    entry: &'a Entry,
     runner: Runner,
 }
 
@@ -648,7 +635,7 @@ impl Drop for ResolveOnPanic<'_> {
         };
         // The panic came out of the forward path, so this thread does not
         // hold the state lock here.
-        if lock(&self.inner.state).abandon(self.entries, message, self.runner) {
+        if lock(&self.inner.state).abandon(self.entry, message, self.runner) {
             self.inner.work.notify_all();
         }
     }
@@ -677,29 +664,23 @@ fn dispatch_fault() -> Option<TensorError> {
     None
 }
 
-/// Serve one coalesced batch through a session over `workspace`, book it,
-/// and hand every caller its own slice of the response. Workers and
-/// blocking callers alike serve through here. `give_up` is a caller's own
-/// bound: a forward that ends past it is booked as discarded work.
+/// Serve one request through a session over `workspace`, book it, and
+/// resolve its ticket. Workers and blocking callers alike serve through
+/// here. `give_up` is a caller's own bound: a forward that ends past it is
+/// booked as discarded work.
 fn serve_dispatch(
     inner: &Inner,
-    batch: Vec<Entry>,
+    mut entry: Entry,
     runner: Runner,
     workspace: Workspace,
     give_up: Option<Instant>,
 ) {
-    let counts: Vec<usize> = batch.iter().map(|e| e.images.len()).collect();
-    let total: usize = counts.iter().sum();
-    let mut combined = Vec::with_capacity(total);
-    let mut entries = batch;
-    for entry in &mut entries {
-        combined.append(&mut entry.images);
-    }
-    let _panic_guard = ResolveOnPanic { inner, entries: &entries, runner };
-    let mut request = SrRequest::batch(combined);
-    if let Some(policy) = entries[0].tile {
+    let mut request = SrRequest::batch(std::mem::take(&mut entry.images));
+    let images = request.images().len();
+    if let Some(policy) = entry.tile {
         request = request.tile_policy(policy);
     }
+    let _panic_guard = ResolveOnPanic { inner, entry: &entry, runner };
     let session = inner.engine.session_over(workspace);
     let sealed = Instant::now();
     let result = match dispatch_fault() {
@@ -708,52 +689,28 @@ fn serve_dispatch(
     };
     let infer_done = Instant::now();
     if give_up.is_some_and(|d| infer_done >= d) {
-        for entry in &entries {
-            entry.cell.abandon();
-        }
+        entry.cell.abandon();
     }
     let dispatch = Dispatch {
         runner,
         served: result.is_ok(),
-        images: total,
+        images,
         sealed,
         infer_done,
         workspace_bytes: session.workspace_bytes(),
         op_profile: session.op_profile(),
         workspace: session.into_workspace(),
     };
-    // Booked before any ticket resolves: a caller that reads the stats
+    // Booked before the ticket resolves: a caller that reads the stats
     // after its response finds it counted.
-    if lock(&inner.state).complete(&entries, dispatch, Instant::now()) {
+    if lock(&inner.state).complete(&entry, dispatch, Instant::now()) {
         inner.work.notify_all();
     }
-    match result {
-        Ok(response) => {
-            // Per-caller stats: own image count; the shared dispatch's
-            // execution breakdown (tiled and plan counters) otherwise.
-            let stats = response.stats();
-            let mut images = response.into_images().into_iter();
-            for (entry, n) in entries.iter().zip(counts) {
-                let own: Vec<Image> = images.by_ref().take(n).collect();
-                debug_assert_eq!(own.len(), n, "response images must cover the dispatch");
-                entry.cell.resolve(Ok(SrResponse::from_parts(
-                    own,
-                    InferStats { images: n, ..stats },
-                )
-                .with_stamps(entry.stamps(sealed, infer_done))));
-            }
-        }
-        Err(e) => {
-            // The whole dispatch failed. Degenerate payloads were already
-            // rejected at submission, so this is a systemic failure (the
-            // engine/model itself) that a serial `Session::infer` of each
-            // coalesced request would also have hit; every caller sees
-            // that error.
-            for entry in &entries {
-                entry.cell.resolve(Err(ServeError::Infer(e.clone())));
-            }
-        }
-    }
+    let stamps = entry.stamps(sealed, infer_done);
+    entry.cell.resolve(match result {
+        Ok(response) => Ok(response.with_stamps(stamps)),
+        Err(e) => Err(ServeError::Infer(e)),
+    });
 }
 
 fn snapshot(inner: &Inner) -> RuntimeStats {
@@ -772,6 +729,7 @@ fn snapshot(inner: &Inner) -> RuntimeStats {
 mod tests {
     use super::*;
     use scales_core::Method;
+    use scales_data::Image;
     use scales_models::{srresnet, SrConfig};
     use scales_serve::{Precision, TilePolicy};
 
@@ -853,8 +811,8 @@ mod tests {
             )))
             .unwrap_err();
         assert!(matches!(bad_tile, SubmitError::InvalidRequest(_)), "{bad_tile}");
-        // Degenerate payloads must fail their own caller at submission —
-        // they can never reach (and poison) a coalesced dispatch.
+        // Degenerate payloads fail their own caller at submission — they
+        // never reach a forward.
         let zero_sized = runtime.submit(SrRequest::single(Image::zeros(0, 0))).unwrap_err();
         assert!(matches!(zero_sized, SubmitError::InvalidRequest(_)), "{zero_sized}");
         let gray = Image::from_tensor(scales_tensor::Tensor::zeros(&[1, 8, 8])).unwrap();

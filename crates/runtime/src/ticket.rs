@@ -78,12 +78,11 @@ impl TicketCell {
 /// [`Runtime::submit_wait`](crate::Runtime::submit_wait). The ticket is
 /// the *only* handle to the result: [`Ticket::wait`] consumes it and
 /// returns the caller's own [`SrResponse`] — the images of the submitted
-/// request, in the submitted order, even when the runtime served them
-/// coalesced with other callers' work.
+/// request, in the submitted order.
 ///
 /// Every accepted request is eventually resolved: workers drain the queue
-/// on shutdown, a failed dispatch resolves its tickets with the error
-/// instead of dropping them, and a queued request whose deadline passes
+/// on shutdown, a failed dispatch resolves its ticket with the error
+/// instead of dropping it, and a queued request whose deadline passes
 /// resolves with [`ServeError::Rejected`] instead of being served late.
 pub struct Ticket {
     pub(crate) cell: Arc<TicketCell>,

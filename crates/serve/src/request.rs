@@ -87,9 +87,9 @@ impl SrRequest {
         self.deadline
     }
 
-    /// Decompose into the owned images and the per-request tile override.
-    /// This is how layered callers (notably the `scales-runtime` batcher)
-    /// take requests apart to coalesce them without copying the payloads.
+    /// Decompose into the owned images and the per-request tile override,
+    /// without copying the payloads (the `scales-runtime` queue holds a
+    /// request this way between submission and its dispatch).
     #[must_use]
     pub fn into_parts(self) -> (Vec<Image>, Option<TilePolicy>) {
         (self.images, self.tile)
@@ -128,20 +128,18 @@ pub struct SrResponse {
 
 impl SrResponse {
     /// Assemble a response from already-served images and their execution
-    /// stats. Sessions build responses internally; this constructor exists
-    /// for layers that re-slice a served response — the `scales-runtime`
-    /// dynamic batcher serves several callers' requests through one
-    /// [`Session::infer`](crate::Session::infer) call and hands each
-    /// caller its own slice of the images under the shared dispatch stats.
+    /// stats. Sessions build responses internally; this constructor is for
+    /// layers that assemble one without a forward (the `scales-runtime`
+    /// unit tests resolve tickets with it).
     #[must_use]
     pub fn from_parts(images: Vec<Image>, stats: InferStats) -> Self {
         Self { images, stats, stamps: None }
     }
 
-    /// Attach the runtime's queue/batch/infer stage stamps. The
-    /// `scales-runtime` dispatcher sets these on every response it
-    /// resolves so the submitter can attribute queue wait, batch
-    /// assembly, and the forward without a side channel.
+    /// Attach the runtime's stage stamps. The `scales-runtime` dispatcher
+    /// sets these on every response it resolves so the submitter can
+    /// attribute queue wait, dispatch set-up, and the forward without a
+    /// side channel.
     #[must_use]
     pub fn with_stamps(mut self, stamps: RuntimeStamps) -> Self {
         self.stamps = Some(stamps);

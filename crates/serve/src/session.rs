@@ -234,6 +234,7 @@ mod tests {
     use scales_core::{Method, ScalesComponents};
     use scales_models::{srresnet, SrConfig, SrNetwork};
     use scales_nn::init::rng;
+    use scales_nn::Module;
     use scales_tensor::backend::Backend;
 
     fn probe_image(h: usize, w: usize, seed: u64) -> Image {
@@ -243,8 +244,18 @@ mod tests {
     /// SRResNet-lite with 1 block: total conv radius along the deepest
     /// path is 5 (head 1 + two body convs 2 + body-end 1 + tail 1), plus 2
     /// for the bicubic kernel — receptive radius 7.
+    ///
+    /// Every parameter is nudged off its init, as
+    /// `tests/common::trained_like` does: an untrained net outputs exactly
+    /// its bicubic skip (zero-initialised tail), so an oracle over one
+    /// compares bicubic with bicubic, whose radius is 2. Nudged, the body
+    /// shows: a stitch that pads each tile's left side by half the overlap
+    /// (`px0 = x0 - overlap / 2`) passes every test here on the untrained
+    /// net, and fails `fixed_tiling_matches_full_image_on_local_network`
+    /// and `auto_policy_tiles_only_the_oversized_image_of_a_request` on
+    /// this one.
     fn local_net() -> impl SrNetwork {
-        srresnet(SrConfig {
+        let net = srresnet(SrConfig {
             channels: 8,
             blocks: 1,
             scale: 2,
@@ -252,7 +263,15 @@ mod tests {
             method: Method::Scales(ScalesComponents::lsf_spatial()),
             seed: 23,
         })
-        .unwrap()
+        .unwrap();
+        for (i, p) in net.params().iter().enumerate() {
+            p.update_value(|t| {
+                for (j, v) in t.data_mut().iter_mut().enumerate() {
+                    *v += ((i * 131 + j) as f32 * 0.29).sin() * 0.05;
+                }
+            });
+        }
+        net
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! session forwards each image (or tile) as its own batch of one, so even
 //! the training tape's E2FIF batch statistics are that image's own, and
 //! E2FIF's deployed BN normalises each image by its own statistics
-//! anyway. An image reads the same served alone, inside a multi-image
-//! request, or coalesced by the runtime with other callers' work.
+//! anyway. An image reads the same served alone or inside a multi-image
+//! request.
 
 use scales_tensor::{Result, TensorError};
 

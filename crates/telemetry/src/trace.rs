@@ -25,7 +25,9 @@ pub enum Stage {
     Submit = 2,
     /// Queue residence: from enqueue to a worker popping the request.
     QueueWait = 3,
-    /// Dynamic batching: from pop to the coalesced batch sealing.
+    /// Dispatch set-up: from pop to the forward starting (workspace and
+    /// session). The wire name `batch_wait` is kept for readers of older
+    /// traces.
     BatchWait = 4,
     /// The planned forward itself.
     Infer = 5,
@@ -127,7 +129,7 @@ pub fn render_traces_json(traces: &[RequestTrace]) -> String {
 
 /// The runtime-side stage stamps, taken on the monotonic clock while a
 /// request crosses the queue, and returned to the submitter on its
-/// response so the front end can attribute queue wait, batch assembly,
+/// response so the front end can attribute queue wait, dispatch set-up,
 /// and the forward without a side channel. `Instant`s are valid across
 /// threads, so the submitting thread subtracts them directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,9 +138,9 @@ pub struct RuntimeStamps {
     pub enqueued: Instant,
     /// When a worker popped it (end of queue wait).
     pub dequeued: Instant,
-    /// When the coalesced batch sealed and dispatch began.
+    /// When the forward began.
     pub sealed: Instant,
-    /// When the forward for its batch finished.
+    /// When the forward finished.
     pub infer_done: Instant,
 }
 

@@ -1,7 +1,7 @@
 //! Serving under load, end to end: train a lite SCALES network, lower it
 //! into a deployed engine, put a `scales::runtime` worker pool in front
 //! of it, drive concurrent mixed-size traffic from several submitter
-//! threads, and read the final `RuntimeStats` — throughput, batch fill,
+//! threads, and read the final `RuntimeStats` — throughput, dispatches,
 //! queue high-water, and p50/p99 latency.
 //!
 //! ```sh
@@ -37,22 +37,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Spawn the worker pool. The workers share a pool of `workers`
     //    workspaces (arenas + plan cache), one per forward in flight; the
-    //    bounded queue gives explicit backpressure; each dispatch
-    //    coalesces the compatible requests queued when it starts.
+    //    bounded queue gives explicit backpressure; each dispatch serves
+    //    one request, the scheduler's pick of what is queued.
     let runtime = Runtime::spawn(
         engine,
         RuntimeConfig {
             workers: 4,
             queue_capacity: 32,
-            max_batch: 8,
             ..RuntimeConfig::default()
         },
     )?;
     println!("runtime: {} workers over one shared engine", runtime.workers());
 
     // 3. Concurrent mixed-size traffic: three submitter threads, each a
-    //    stream of single-image requests of rotating sizes — exactly the
-    //    many-small-callers pattern cross-request batching exists for.
+    //    stream of single-image requests of rotating sizes: many small
+    //    callers, none of which waits for another's forward.
     let sizes = [(16usize, 16usize), (24, 24), (16, 24)];
     std::thread::scope(|scope| {
         let runtime = &runtime;
@@ -81,11 +80,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(final_stats.completed, 60, "every request served");
     assert_eq!(final_stats.failed, 0);
     assert_eq!(final_stats.queue_depth, 0, "queue drained");
-    println!(
-        "batching saved {} dispatches ({} requests over {} dispatches)",
-        final_stats.completed - final_stats.dispatches,
-        final_stats.completed,
-        final_stats.dispatches
-    );
+    assert_eq!(final_stats.dispatches, 60, "one dispatch per request");
     Ok(())
 }

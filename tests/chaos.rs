@@ -86,13 +86,12 @@ fn a_worker_panic_mid_dispatch_resolves_its_ticket_and_service_continues() {
             engine(31),
             RuntimeConfig {
                 workers: 2,
-                max_batch: 1,
                 ..RuntimeConfig::default()
             },
         )
         .unwrap();
-        // Exactly one dispatch dies; max_batch 1 pins the blast radius to
-        // one request.
+        // Exactly one dispatch dies, and a dispatch is one request, so
+        // the blast radius is that request.
         let _fault = faults::arm_times("runtime.dispatch", FaultAction::Panic, 1);
 
         let tickets: Vec<Ticket> = (0..16)
@@ -190,7 +189,6 @@ fn a_blocked_admission_wait_times_out_once_against_a_wedged_queue() {
             RuntimeConfig {
                 workers: 1,
                 queue_capacity: 1,
-                max_batch: 1,
                 ..RuntimeConfig::default()
             },
         )
@@ -364,7 +362,6 @@ fn a_stalled_peer_does_not_block_shedding_or_in_flight_service() {
         let router = ModelRouter::new(RouterConfig {
             runtime: RuntimeConfig {
                 workers: 1,
-                max_batch: 1,
                 shed: ShedPolicy { queue_watermark: Some(1), ..ShedPolicy::default() },
                 ..RuntimeConfig::default()
             },
@@ -469,7 +466,7 @@ fn tight_fleet(dir: &Path) -> ModelRouter {
     let router = ModelRouter::new(RouterConfig {
         memory_budget: Some(1),
         reload_retries: 0,
-        runtime: RuntimeConfig { workers: 1, max_batch: 1, ..RuntimeConfig::default() },
+        runtime: RuntimeConfig { workers: 1, ..RuntimeConfig::default() },
         ..RouterConfig::default()
     })
     .unwrap();
@@ -581,7 +578,7 @@ fn per_model_counters_never_fall_while_a_version_drains() {
         let beta = save_model(&dir, "beta", 72);
         let router = ModelRouter::new(RouterConfig {
             memory_budget: Some(1),
-            runtime: RuntimeConfig { workers: 1, max_batch: 1, ..RuntimeConfig::default() },
+            runtime: RuntimeConfig { workers: 1, ..RuntimeConfig::default() },
             ..RouterConfig::default()
         })
         .unwrap();

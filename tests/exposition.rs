@@ -260,16 +260,13 @@ const MODEL_ALWAYS: &[(&str, &str, &[&str])] = &[
     ("scales_model_requests_failed_total", "counter", &["model"]),
     ("scales_model_images_total", "counter", &["model"]),
     ("scales_model_dispatches_total", "counter", &["model"]),
-    ("scales_model_requests_coalesced_total", "counter", &["model"]),
     ("scales_model_busy_seconds_total", "counter", &["model"]),
     ("scales_model_late_discarded_total", "counter", &["model"]),
     ("scales_model_caller_runs_total", "counter", &["model"]),
     ("scales_model_workers", "gauge", &["model"]),
-    ("scales_model_max_batch", "gauge", &["model"]),
     ("scales_model_queue_depth", "gauge", &["model"]),
     ("scales_model_queue_high_water", "gauge", &["model"]),
     ("scales_model_workspace_bytes", "gauge", &["model"]),
-    ("scales_model_batch_fill", "gauge", &["model"]),
     ("scales_model_uptime_seconds", "gauge", &["model"]),
     ("scales_model_request_latency_seconds", "histogram", &["model"]),
     ("scales_model_evictions_total", "counter", &["model"]),

@@ -115,7 +115,7 @@ impl Drop for Scratch {
 }
 
 fn small_runtime() -> RuntimeConfig {
-    RuntimeConfig { workers: 1, queue_capacity: 16, max_batch: 4, ..RuntimeConfig::default() }
+    RuntimeConfig { workers: 1, queue_capacity: 16, ..RuntimeConfig::default() }
 }
 
 const TIMEOUT: Duration = Duration::from_secs(60);
@@ -212,7 +212,6 @@ fn hot_swap_under_concurrent_load_drops_and_corrupts_nothing() {
             runtime: RuntimeConfig {
                 workers: 2,
                 queue_capacity: 16,
-                max_batch: 4,
                 ..RuntimeConfig::default()
             },
             ..RouterConfig::default()

@@ -1,8 +1,8 @@
 //! Concurrency-correctness suite for the `scales-runtime` worker pool.
 //!
 //! The headline contract: responses served by the concurrent runtime —
-//! coalesced across callers by the dynamic batcher, executed by whichever
-//! worker got there first — are **bit-identical** (`f32::to_bits`) to a
+//! one request per dispatch, executed by whichever worker (or blocking
+//! caller) got there first — are **bit-identical** (`f32::to_bits`) to a
 //! serial `Session::infer` of the same request, across the CNN method
 //! registry and both compute backends (each response served under its
 //! engine's backend, not the process default). On top of that: per-caller
@@ -108,8 +108,8 @@ fn assert_ledger_closes(stats: &RuntimeStats) {
 }
 
 /// Bit-identity of runtime serving vs serial `Session::infer`, for every
-/// CNN registry method on both backends, with mixed-size requests that the
-/// batcher is free to coalesce.
+/// CNN registry method on both backends, with mixed-size requests queued
+/// for two workers.
 #[test]
 fn runtime_matches_serial_session_bitwise_across_the_method_registry() {
     with_watchdog(240, "registry-bit-identity", || {
@@ -136,7 +136,6 @@ fn runtime_matches_serial_session_bitwise_across_the_method_registry() {
                     RuntimeConfig {
                         workers: 2,
                         queue_capacity: 64,
-                        max_batch: 4,
                         ..RuntimeConfig::default()
                     },
                 )
@@ -201,7 +200,6 @@ fn concurrent_submitters_each_get_their_own_responses_in_order() {
                 RuntimeConfig {
                     workers: 3,
                     queue_capacity: 8, // small: submitters hit submit_wait backpressure
-                    max_batch: 6,
                     ..RuntimeConfig::default()
                 },
             )
@@ -288,7 +286,6 @@ fn a_full_queue_rejects_submissions_with_a_typed_error() {
             RuntimeConfig {
                 workers: 1,
                 queue_capacity: 2,
-                max_batch: 1, // never coalesce: the worker serves strictly one request at a time
                 ..RuntimeConfig::default()
             },
         )
@@ -333,7 +330,6 @@ fn graceful_shutdown_under_load_resolves_every_accepted_ticket() {
             RuntimeConfig {
                 workers: 2,
                 queue_capacity: 64,
-                max_batch: 4,
                 ..RuntimeConfig::default()
             },
         )
@@ -383,7 +379,6 @@ fn shutdown_racing_submitters_stays_deadlock_free() {
             RuntimeConfig {
                 workers: 2,
                 queue_capacity: 64,
-                max_batch: 4,
                 ..RuntimeConfig::default()
             },
         )
@@ -419,59 +414,32 @@ fn shutdown_racing_submitters_stays_deadlock_free() {
     });
 }
 
-/// The batcher must actually coalesce: with every worker wedged behind a
-/// request of more than `max_batch` heavy images (served alone), a burst
-/// of single-image requests queues whole, and each dispatch after a wedge
-/// takes `max_batch` of it — one dispatch per wedge and two for the burst,
-/// exactly — and the shared-dispatch stats say so.
+/// A dispatch is one request: with the one worker wedged, eight queued
+/// single-image callers are served by eight dispatches, each with its own
+/// forward, so no two of them share an `infer_done` stamp.
 #[test]
-fn dynamic_batching_coalesces_a_backlog_of_single_image_callers() {
-    with_watchdog(120, "batching-coalesces", || {
-        for workers in [1, 2] {
-            let runtime = Runtime::spawn(
-                engine_for(Method::scales(), Backend::Scalar, 11),
-                RuntimeConfig {
-                    workers,
-                    queue_capacity: 64,
-                    max_batch: 8,
-                    ..RuntimeConfig::default()
-                },
-            )
-            .unwrap();
-            // Same-shaped singles: ideal coalescing fodder, built up front
-            // so the whole burst queues within microseconds.
-            let singles: Vec<SrRequest> =
-                (0..16).map(|i| SrRequest::single(probe(8, 8, 500 + i))).collect();
-            let wedges: Vec<Ticket> = (0..workers as u64)
-                .map(|w| {
-                    let heavy = (0..12).map(|i| probe(48, 48, 1_100 + w * 100 + i)).collect();
-                    runtime.submit(SrRequest::batch(heavy)).unwrap()
-                })
-                .collect();
-            // Wait until every worker has popped its wedge.
-            while runtime.stats().queue_depth > 0 {
-                std::thread::yield_now();
-            }
-            let tickets: Vec<Ticket> =
-                singles.into_iter().map(|request| runtime.submit(request).unwrap()).collect();
-            for ticket in tickets {
+fn a_backlog_of_single_image_callers_is_served_one_request_per_dispatch() {
+    with_watchdog(120, "one-request-per-dispatch", || {
+        let (runtime, wedge) = wedged_runtime(RuntimeConfig::default(), 12);
+        let tickets: Vec<Ticket> = (0..8)
+            .map(|i| runtime.submit(SrRequest::single(probe(8, 8, 500 + i))).unwrap())
+            .collect();
+        assert_eq!(wedge.wait().unwrap().images().len(), 12);
+        let mut done: Vec<std::time::Instant> = tickets
+            .into_iter()
+            .map(|ticket| {
                 let response = ticket.wait().unwrap();
                 assert_eq!(response.stats().images, 1, "caller sees its own image count");
-            }
-            for wedge in wedges {
-                assert_eq!(wedge.wait().unwrap().images().len(), 12);
-            }
-            let stats = runtime.shutdown();
-            assert_ledger_closes(&stats);
-            assert_eq!(stats.completed, 16 + workers as u64);
-            assert_eq!(
-                stats.dispatches,
-                workers as u64 + 2,
-                "{workers} worker(s): 16 queued singles at max_batch 8"
-            );
-            assert!(stats.coalesced > 0, "{workers} worker(s): no request shared a dispatch");
-            assert!(stats.batch_fill > 0.0);
-        }
+                response.stamps().expect("runtime responses carry stamps").infer_done
+            })
+            .collect();
+        done.sort();
+        done.dedup();
+        assert_eq!(done.len(), 8, "every queued single had a forward of its own");
+        let stats = runtime.shutdown();
+        assert_ledger_closes(&stats);
+        assert_eq!(stats.completed, 9);
+        assert_eq!(stats.dispatches, stats.completed, "one dispatch per request served");
     });
 }
 
@@ -503,16 +471,16 @@ fn a_lone_request_books_its_waits_where_its_stamps_put_them() {
     });
 }
 
-/// Spawn a one-lane runtime (single worker, no coalescing) and wedge its
-/// worker with a deliberately heavy request, so everything submitted
-/// afterwards sits in the queue under the admission controller's eyes.
+/// Spawn a one-lane runtime (single worker) and wedge its worker with a
+/// deliberately heavy request, so everything submitted afterwards sits in
+/// the queue under the admission controller's eyes.
 /// Heavy means ~20 ms on the optimised scalar build (~1 s unoptimised):
 /// comfortably longer than the 5 ms deadline that must pass while queued
 /// behind it.
 fn wedged_runtime(config: RuntimeConfig, seed: u64) -> (Runtime, Ticket) {
     let runtime = Runtime::spawn(
         engine_for(Method::scales(), Backend::Scalar, seed),
-        RuntimeConfig { workers: 1, max_batch: 1, ..config },
+        RuntimeConfig { workers: 1, ..config },
     )
     .unwrap();
     let wedge = runtime
@@ -600,8 +568,8 @@ fn deadline_tagged_requests_are_scheduled_earliest_deadline_first() {
             )
             .unwrap();
         assert_eq!(wedge.wait().unwrap().images().len(), 12);
-        // With one worker and max_batch 1 the serving is strictly serial,
-        // so the runtime's own `infer_done` stamps are the dispatch order.
+        // With one worker the serving is strictly serial, so the
+        // runtime's own `infer_done` stamps are the dispatch order.
         let mut done = [(tight, "tight"), (loose, "loose"), (untagged, "untagged")]
             .map(|(ticket, label)| (last_infer_done(vec![ticket]), label));
         done.sort();
@@ -805,7 +773,6 @@ fn a_tripped_p99_wire_recovers_once_its_reading_goes_stale() {
     with_watchdog(120, "p99-recovery", || {
         let config = RuntimeConfig {
             workers: 1,
-            max_batch: 1,
             // Any completed dispatch trips a 1 ns wire.
             shed: ShedPolicy {
                 queue_watermark: None,
@@ -856,7 +823,6 @@ fn untrusted_tenant_names_cannot_grow_the_lane_table() {
     with_watchdog(120, "lane-cap", || {
         let config = RuntimeConfig {
             workers: 1,
-            max_batch: 1,
             max_tenant_lanes: 2,
             ..RuntimeConfig::default()
         };
@@ -985,7 +951,6 @@ fn every_submission_under_overload_gets_exactly_one_typed_outcome() {
             RuntimeConfig {
                 workers: 2,
                 queue_capacity: 16,
-                max_batch: 4,
                 shed: ShedPolicy { queue_watermark: Some(12), ..ShedPolicy::default() },
                 tenant_quota: Some(10),
                 tenant_weights: vec![("cold".into(), 3)],
