@@ -84,6 +84,17 @@
 //!   its quota* — rotating names buys nothing — and a refused request
 //!   never creates a lane, so untrusted tenant names cannot grow server
 //!   state. Per-lane counters surface as [`TenantStats`].
+//! - **Shortest expected finish first, inside a lane** — each lane is
+//!   kept sorted by a key fixed at admission: an untagged request's
+//!   arrival plus its estimated forward time (its input pixels times the
+//!   forward time per input pixel measured over the dispatches served so
+//!   far), a deadline-tagged request's arrival alone; ties keep arrival
+//!   order. A light request passes a heavy one only if it arrived within
+//!   the difference of their estimates, so the median wait falls, the
+//!   heavy one's wait stays bounded, and throughput is unchanged (the
+//!   order is work-conserving). Nothing that arrives later passes a
+//!   tagged request, and a runtime that has served nothing yet is first
+//!   come, first served.
 //! - **Load shedding** — a [`ShedPolicy`] refuses work early
 //!   ([`SubmitError::Shedding`]) on a queue-depth watermark or while the
 //!   p99 latency over a sliding window of recent dispatches exceeds a

@@ -1,7 +1,8 @@
 //! The runtime's admission and scheduling policy as one plain value:
-//! tenant lanes and placement, the lane quota, the shed watermark and p99
-//! window, expiry sweeps, the EDF-inside-weighted-rotation pop that picks
-//! the one request a dispatch serves, who runs a lone blocking request
+//! tenant lanes and placement, each lane's order by expected finish, the
+//! lane quota, the shed watermark and p99 window, expiry sweeps, the
+//! EDF-inside-weighted-rotation pop that picks the one request a dispatch
+//! serves, who runs a lone blocking request
 //! (its caller, on a lease) and which workspace every forward borrows, the
 //! runtime's one serving record, and shutdown failing.
 //!
@@ -43,6 +44,14 @@ pub(crate) struct Entry {
     pub deadline: Option<Instant>,
     pub cell: Arc<TicketCell>,
     pub enqueued: Instant,
+    /// Input pixels, Σ h·w over the images: the size the forward-time
+    /// estimate scales with, and what a served dispatch adds to the
+    /// rate's denominator.
+    pixels: u64,
+    /// The lane's sort key, fixed at admission (see [`Lane::insert`]):
+    /// `enqueued` plus the estimated forward time for an untagged entry,
+    /// `enqueued` alone for a deadline-tagged one.
+    key: Instant,
     /// When a worker took this entry from its lane (`None` while queued) —
     /// the boundary between the queue-wait and dispatch set-up
     /// (`batch_wait`) trace stages.
@@ -120,7 +129,8 @@ fn unserved(message: &str) -> ServeError {
     ServeError::Infer(TensorError::InvalidArgument(message.into()))
 }
 
-/// One tenant's FIFO queue plus its ledger. Lanes are created on the first
+/// One tenant's queue, ordered by expected finish, plus its ledger. Lanes
+/// are created on the first
 /// **accepted** request of a tenant (or up front for weighted tenants) and
 /// the table is bounded by [`RuntimeConfig::max_tenant_lanes`] — tenant
 /// names are client-controlled, so unbounded growth would let a hostile
@@ -145,6 +155,22 @@ struct Lane {
 impl Lane {
     fn new(tenant: Option<&str>, weight: u32) -> Self {
         Self { tenant: tenant.map(Arc::from), weight, ..Self::default() }
+    }
+
+    /// Queue `entry` behind every entry whose key is not later than its
+    /// own, so the lane stays sorted by key and ties keep arrival order.
+    /// This is the only way an entry joins a lane, and every removal keeps
+    /// the order, so the head is always the least `(key, arrival)`.
+    ///
+    /// An untagged entry's key is its arrival plus its estimated forward
+    /// time: shortest expected finish first, which lowers the mean wait
+    /// and costs no throughput. A light entry passes a heavy one only if
+    /// it arrived less than `est_heavy − est_light` after it, so a heavy
+    /// entry's wait stays bounded. A deadline-tagged entry's key is its
+    /// arrival alone, so no later arrival ever passes it.
+    fn insert(&mut self, entry: Entry) {
+        let at = self.entries.partition_point(|queued| queued.key <= entry.key);
+        self.entries.insert(at, entry);
     }
 }
 
@@ -213,6 +239,9 @@ pub(crate) struct Queue {
     /// four histograms, late-discarded — as booked by
     /// [`Queue::complete`]; [`Queue::report`] fills in the rest.
     record: RuntimeStats,
+    /// Input pixels of every served dispatch: with the record's `busy`,
+    /// the measured forward time per input pixel ([`Queue::estimate`]).
+    served_pixels: u64,
     /// Per slot, the latest workspace bytes and cumulative op profile of
     /// its workspace: re-sampled, not accumulated, after every dispatch.
     readings: Vec<(usize, OpProfile)>,
@@ -252,6 +281,7 @@ impl Queue {
             high_water: 0,
             retired: Counters::default(),
             record: RuntimeStats::default(),
+            served_pixels: 0,
             recent: VecDeque::new(),
             p99: None,
         }
@@ -365,6 +395,11 @@ impl Queue {
         let here = self.queued == 0
             && self.parked > self.leased
             && matches!(caller, Caller::Blocking { until } if until.is_none_or(|u| now < u));
+        let pixels = request.images.iter().map(|i| (i.height() * i.width()) as u64).sum();
+        let key = match request.deadline {
+            Some(_) => now,
+            None => now.checked_add(self.estimate(pixels)).unwrap_or(now),
+        };
         let lane = match placement {
             Placement::Join(i) => &mut self.lanes[i],
             Placement::Open { retire } => {
@@ -386,10 +421,12 @@ impl Queue {
             deadline: request.deadline,
             cell,
             enqueued: now,
+            pixels,
+            key,
             dequeued: here.then_some(now),
         };
         if !here {
-            lane.entries.push_back(entry);
+            lane.insert(entry);
             self.queued += 1;
             self.high_water = self.high_water.max(self.queued);
             return (Admission::Accepted(ticket), freed);
@@ -399,6 +436,19 @@ impl Queue {
         self.record.caller_runs += 1;
         let (runner, workspace) = self.lend(None, true);
         (Admission::RunHere(ticket, Box::new(Lease { entry, runner, workspace })), freed)
+    }
+
+    /// The forward time `pixels` input pixels are expected to take: the
+    /// forward time per input pixel measured so far (the record's `busy`
+    /// over the pixels of every served dispatch) times `pixels`. Zero until
+    /// a dispatch has been served, so a cold runtime queues in arrival
+    /// order.
+    fn estimate(&self, pixels: u64) -> Duration {
+        if self.served_pixels == 0 {
+            return Duration::ZERO;
+        }
+        let ns = self.record.busy.as_nanos() * u128::from(pixels) / u128::from(self.served_pixels);
+        Duration::from_nanos(u64::try_from(ns).unwrap_or(u64::MAX))
     }
 
     /// Count a request that came back [`Admission::Full`] and whose caller
@@ -481,7 +531,8 @@ impl Queue {
     /// live is queued. Earliest-deadline-first *within* the weighted
     /// rotation: among lanes still holding credits this cycle, a
     /// deadline-tagged head is drained before the cursor scan, earliest
-    /// first. FIFO order within a lane is never violated.
+    /// first. A lane is only ever served from its head, its least
+    /// `(key, arrival)` ([`Lane::insert`]).
     ///
     /// Bounding EDF by credits is what keeps deadlines from defeating
     /// fairness: deadline tags order work inside a cycle but cannot buy
@@ -626,6 +677,7 @@ impl Queue {
         record.busy += infer_done.saturating_duration_since(sealed);
         if served {
             record.images += images as u64;
+            self.served_pixels += entry.pixels;
         }
         let RuntimeStamps { enqueued, dequeued, .. } = entry.stamps(sealed, infer_done);
         let latency = now.saturating_duration_since(enqueued);
@@ -742,6 +794,14 @@ mod tests {
     //! blocking caller runs its own request included), and checks the
     //! scheduler's picks, leases, wake-ups and the workspace pool against
     //! the invariants the runtime promises.
+    //!
+    //! The lane order is restated, not mirrored: the model keeps each
+    //! lane's requests in arrival order, keys each one itself (its arrival,
+    //! plus for an untagged request its pixels times the model's own
+    //! `busy / served pixels`), and expects every pop to take the chosen
+    //! lane's least `(key, arrival)`. Forwards take virtual time — a
+    //! dispatch is sealed when it is taken and returns when it completes —
+    //! so the estimate turns positive and light requests pass heavy ones.
 
     use super::*;
     use crate::ShedPolicy;
@@ -815,8 +875,13 @@ mod tests {
         lane: Option<String>,
         deadline: Option<Instant>,
         images: usize,
+        /// Input pixels, Σ h·w.
+        pixels: u64,
         tile: Option<TilePolicy>,
         enqueued: Instant,
+        /// The lane sort key the model expects: `enqueued`, plus the
+        /// estimate for an untagged request.
+        key: Instant,
         /// Taken the moment the outcome is read, so an outcome is read once.
         ticket: Option<Ticket>,
         state: State,
@@ -832,7 +897,8 @@ mod tests {
     struct ModelLane {
         name: Option<String>,
         weight: u32,
-        fifo: VecDeque<usize>,
+        /// The lane's queued requests, in arrival order (ids ascend).
+        waiting: Vec<usize>,
         in_flight: usize,
         counters: Counters,
     }
@@ -846,10 +912,13 @@ mod tests {
 
     /// A sealed dispatch a (virtual) worker, or a blocking caller on a
     /// lease, is running outside the queue, with the workspace it runs on.
+    /// Its forward began when it was taken (`sealed`) and returns when it
+    /// completes, so it takes whatever virtual time passes in between.
     struct Forward {
         entry: Entry,
         runner: Runner,
         workspace: Workspace,
+        sealed: Instant,
     }
 
     struct Model {
@@ -865,10 +934,13 @@ mod tests {
         /// Deadlines refused at the door: counted in `expired`, never in
         /// `submitted`.
         door_expired: u64,
-        /// The serving half: dispatches completed (one entry each) and
-        /// the images they served.
+        /// The serving half: dispatches completed (one entry each), the
+        /// images they served, their forwards' time and the pixels of the
+        /// served ones — the forward-rate estimate, restated.
         dispatches: u64,
         images: u64,
+        busy: Duration,
+        served_pixels: u64,
         high_water: usize,
         shutdown: bool,
         window: VecDeque<Duration>,
@@ -885,7 +957,7 @@ mod tests {
         cycle_pops: HashMap<Option<String>, u32>,
     }
 
-    fn key(cell: &Arc<TicketCell>) -> usize {
+    fn addr(cell: &Arc<TicketCell>) -> usize {
         Arc::as_ptr(cell) as usize
     }
 
@@ -914,6 +986,8 @@ mod tests {
                 door_expired: 0,
                 dispatches: 0,
                 images: 0,
+                busy: Duration::ZERO,
+                served_pixels: 0,
                 high_water: 0,
                 shutdown: false,
                 window: VecDeque::new(),
@@ -927,11 +1001,35 @@ mod tests {
         }
 
         fn queued(&self) -> usize {
-            self.lanes.iter().map(|l| l.fifo.len()).sum()
+            self.lanes.iter().map(|l| l.waiting.len()).sum()
         }
 
         fn live(&self, lane: &ModelLane, now: Instant) -> usize {
-            lane.fifo.iter().filter(|&&id| !self.reqs[id].dead(now)).count()
+            lane.waiting.iter().filter(|&&id| !self.reqs[id].dead(now)).count()
+        }
+
+        /// The order a lane must hold its requests in: least
+        /// `(key, arrival)` first.
+        fn order(&self, lane: &ModelLane) -> Vec<usize> {
+            let mut order = lane.waiting.clone();
+            order.sort_by_key(|&id| (self.reqs[id].key, id));
+            order
+        }
+
+        /// The request a pop of `lane` must take.
+        fn head(&self, lane: &ModelLane) -> Option<usize> {
+            self.order(lane).first().copied()
+        }
+
+        /// The forward time of `pixels` input pixels, restated: the busy
+        /// time of every forward booked so far, per pixel served, in whole
+        /// nanoseconds; zero before anything was served.
+        fn estimate(&self, pixels: u64) -> Duration {
+            if self.served_pixels == 0 {
+                return Duration::ZERO;
+            }
+            let ns = self.busy.as_nanos() * u128::from(pixels) / u128::from(self.served_pixels);
+            Duration::from_nanos(ns.try_into().unwrap())
         }
 
         fn weight_of(&self, tenant: Option<&str>) -> u32 {
@@ -975,7 +1073,7 @@ mod tests {
             }
             let idle = self.lanes.iter().position(|l| {
                 l.name.is_some()
-                    && l.fifo.is_empty()
+                    && l.waiting.is_empty()
                     && l.in_flight == 0
                     && self.weight_of(l.name.as_deref()) == 1
             });
@@ -1048,16 +1146,17 @@ mod tests {
                 }
                 req.state = State::Expired;
                 let lane = self.lane_of(id);
-                lane.fifo.retain(|&queued| queued != id);
+                lane.waiting.retain(|&queued| queued != id);
                 lane.counters.expired += 1;
                 retracted += 1;
             }
             retracted
         }
 
-        /// A worker took `entry`: it must be the live head of its lane.
+        /// A worker took `entry`: it must be the live head of its lane,
+        /// the lane's least `(key, arrival)`.
         fn take(&mut self, entry: &Entry, now: Instant) -> usize {
-            let id = self.ids[&key(&entry.cell)];
+            let id = self.ids[&addr(&entry.cell)];
             let req = &mut self.reqs[id];
             assert_eq!(req.state, State::Queued, "request {id} left the queue twice");
             assert!(!req.dead(now), "expired request {id} was handed to a worker");
@@ -1068,8 +1167,11 @@ mod tests {
             );
             assert_eq!((entry.enqueued, entry.dequeued), (req.enqueued, Some(now)));
             req.state = State::InFlight;
+            let lane = self.lanes.iter().find(|l| l.name == self.reqs[id].lane);
+            let head = self.head(lane.expect("the lane is pinned"));
+            assert_eq!(head, Some(id), "each pop takes its lane's least (key, arrival)");
             let lane = self.lane_of(id);
-            assert_eq!(lane.fifo.pop_front(), Some(id), "FIFO within a lane");
+            lane.waiting.retain(|&queued| queued != id);
             lane.in_flight += 1;
             id
         }
@@ -1086,7 +1188,8 @@ mod tests {
 
     /// Everything that must hold between any two steps.
     fn check(q: &Queue, m: &Model, open: &[Forward], now: Instant) {
-        // The lane table: same lanes in the same order, same FIFO contents.
+        // The lane table: same lanes in the same order, each holding its
+        // requests in the model's (key, arrival) order.
         assert_eq!(q.lanes.len(), m.lanes.len());
         assert!(q.lanes[0].tenant.is_none(), "lane 0 is the anonymous lane");
         assert!(q.lanes.len() - 1 <= m.config.max_tenant_lanes, "the lane table outgrew its cap");
@@ -1096,8 +1199,8 @@ mod tests {
             assert_eq!(lane.weight, want.weight);
             assert!(lane.credits <= lane.weight, "a lane holds more credits than its weight");
             assert_eq!(lane.in_flight, want.in_flight);
-            let queued: Vec<usize> = lane.entries.iter().map(|e| m.ids[&key(&e.cell)]).collect();
-            assert_eq!(queued, Vec::from(want.fifo.clone()));
+            let queued: Vec<usize> = lane.entries.iter().map(|e| m.ids[&addr(&e.cell)]).collect();
+            assert_eq!(queued, m.order(want), "lane {:?} in (key, arrival) order", want.name);
             assert_eq!(lane.counters, want.counters, "lane {:?}", want.name);
         }
         assert_eq!(q.queued, m.queued());
@@ -1159,8 +1262,10 @@ mod tests {
             stats.completed + stats.failed + stats.expired + (stats.queue_depth + in_flight) as u64,
             "globally: submitted = completed + failed + expired + queued + in flight"
         );
-        // The serving half is booked by the same call, once per dispatch.
+        // The serving half is booked by the same call, once per dispatch,
+        // and so is the forward rate the lane keys are estimated from.
         assert_eq!((stats.dispatches, stats.images), (m.dispatches, m.images));
+        assert_eq!((stats.busy, q.served_pixels), (m.busy, m.served_pixels));
         assert_eq!(stats.caller_runs, m.caller_runs);
         assert_eq!(stats.batch_fill, if m.dispatches == 0 { 0.0 } else { 1.0 });
         for hist in [&stats.latency, &stats.queue_wait, &stats.batch_wait, &stats.infer] {
@@ -1193,11 +1298,15 @@ mod tests {
             1..=4 => Some(now + Duration::from_millis(1) + rng.millis(40)),
             _ => None,
         };
-        let images = 1 + rng.below(3);
+        // Light and heavy requests: 1 to 3 images of 1 to 8 pixels a side.
+        let shapes: Vec<(usize, usize)> =
+            (0..1 + rng.below(3)).map(|_| (1 + rng.below(8), 1 + rng.below(8))).collect();
+        let images = shapes.len();
+        let pixels = shapes.iter().map(|&(h, w)| (h * w) as u64).sum();
         let tile = rng.chance(25).then_some(TilePolicy::Fixed(TileSpec { tile: 16, overlap: 2 }));
         let (want, placement) = m.expect(tenant, deadline, now);
         let request = Admitted {
-            images: vec![Image::zeros(1, 1); images],
+            images: shapes.iter().map(|&(h, w)| Image::zeros(h, w)).collect(),
             tile,
             tenant: tenant.map(String::from),
             deadline,
@@ -1302,25 +1411,31 @@ mod tests {
             }
         };
         let id = m.reqs.len();
-        m.ids.insert(key(&ticket.cell), id);
+        m.ids.insert(addr(&ticket.cell), id);
+        let key = if deadline.is_some() { now } else { now + m.estimate(pixels) };
         m.reqs.push(Req {
             lane: m.lanes[lane].name.clone(),
             deadline,
             images,
+            pixels,
             tile,
             enqueued: now,
+            key,
             ticket: Some(ticket),
             state: if here { State::InFlight } else { State::Queued },
         });
         m.lanes[lane].counters.submitted += 1;
         let Some(Lease { entry, runner, workspace }) = lease.map(|lease| *lease) else {
-            m.lanes[lane].fifo.push_back(id);
+            if m.lanes[lane].waiting.iter().any(|&queued| m.reqs[queued].key > key) {
+                seen.saw("queued ahead of an earlier arrival");
+            }
+            m.lanes[lane].waiting.push(id);
             m.high_water = m.high_water.max(m.queued());
             return None;
         };
         // Taken at once: never queued, so no queue wait.
         assert!(runner.here);
-        assert_eq!(m.ids[&key(&entry.cell)], id);
+        assert_eq!(m.ids[&addr(&entry.cell)], id);
         assert_eq!(
             (entry.tenant.as_deref(), entry.images.len(), entry.tile, entry.deadline),
             (m.lanes[lane].name.as_deref(), images, tile, deadline)
@@ -1329,21 +1444,20 @@ mod tests {
         m.lanes[lane].in_flight += 1;
         m.leased += 1;
         m.caller_runs += 1;
-        Some(Forward { entry, runner, workspace })
+        Some(Forward { entry, runner, workspace, sealed: now })
     }
 
-    /// Pop an entry and check the pick: FIFO, never expired, EDF among
-    /// the credit-holding lanes, credits spent and granted by the rules.
+    /// Pop an entry and check the pick: its lane's least `(key, arrival)`,
+    /// never expired, EDF among the credit-holding lanes' heads, credits
+    /// spent and granted by the rules.
     fn pop(q: &mut Queue, m: &mut Model, now: Instant, seen: &mut Seen) -> Option<Entry> {
         let before: Vec<u32> = q.lanes.iter().map(|l| l.credits).collect();
         let cursor = q.cursor;
         let (popped, freed) = q.pop(now);
         let retracted = m.observe_retractions(now);
         for lane in &m.lanes {
-            assert!(
-                lane.fifo.front().is_none_or(|&id| !m.reqs[id].dead(now)),
-                "a dead lane head survived"
-            );
+            let live = m.head(lane).is_none_or(|id| !m.reqs[id].dead(now));
+            assert!(live, "a dead lane head survived");
         }
         let Some(entry) = popped else {
             assert_eq!(m.queued(), 0, "pop may only come back empty from an empty queue");
@@ -1353,7 +1467,7 @@ mod tests {
         assert_eq!(freed, retracted + 1);
         let n = q.lanes.len();
         let i = q.lane_index(entry.tenant.as_deref()).expect("taken entries pin their lane");
-        let backlogged: Vec<bool> = m.lanes.iter().map(|l| !l.fifo.is_empty()).collect();
+        let backlogged: Vec<bool> = m.lanes.iter().map(|l| !l.waiting.is_empty()).collect();
         // Credits as they stood when the pick was made.
         let credits: Vec<u32> =
             q.lanes.iter().enumerate().map(|(j, l)| l.credits + u32::from(j == i)).collect();
@@ -1372,7 +1486,7 @@ mod tests {
         }
         assert!(backlogged[i] && credits[i] > 0, "the popped lane held no credit");
         let credited = |j: &usize| backlogged[*j] && credits[*j] > 0;
-        let head_deadline = |j: usize| m.reqs[m.lanes[j].fifo[0]].deadline;
+        let head_deadline = |j: usize| m.head(&m.lanes[j]).and_then(|id| m.reqs[id].deadline);
         let earliest = (0..n).filter(credited).filter_map(head_deadline).min();
         match earliest {
             Some(deadline) => {
@@ -1384,7 +1498,10 @@ mod tests {
                 assert_eq!(Some(i), scan, "the rotation resumes at the cursor");
             }
         }
-        m.take(&entry, now);
+        let id = m.take(&entry, now);
+        if m.lanes[i].waiting.iter().any(|&queued| queued < id) {
+            seen.saw("served ahead of an earlier arrival");
+        }
         assert_eq!(q.cursor, i, "the cursor rests on the lane just popped");
         // Fairness: a lane is popped at most `weight` times per cycle, and
         // a backlogged lane holding credits is reached within Σ weights.
@@ -1422,7 +1539,7 @@ mod tests {
         seen.saw(if more { "sealed with work left queued" } else { "sealed the last entry" });
         assert!(!runner.here, "a worker's dispatch holds no lease");
         assert!(runner.slot == home || !free, "a worker takes its own slot when it is free");
-        Some(Forward { entry, runner, workspace })
+        Some(Forward { entry, runner, workspace, sealed: now })
     }
 
     /// A runner goes idle at the end of its dispatch: a worker parks, a
@@ -1452,14 +1569,14 @@ mod tests {
         now: Instant,
         seen: &mut Seen,
     ) {
-        let Forward { entry, runner, workspace } = forward;
+        let Forward { entry, runner, workspace, sealed } = forward;
         let images = entry.images.len();
         let dispatch = Dispatch {
             runner,
             workspace,
             served,
             images,
-            sealed: now,
+            sealed,
             infer_done: now,
             workspace_bytes: 0,
             op_profile: OpProfile::default(),
@@ -1467,7 +1584,12 @@ mod tests {
         let wake = q.complete(&entry, dispatch, now);
         assert_eq!(wake, idle_after(m, runner, seen), "the wake-up after a dispatch");
         m.dispatches += 1;
-        m.images += if served { images as u64 } else { 0 };
+        m.busy += now - sealed;
+        let id = m.ids[&addr(&entry.cell)];
+        if served {
+            m.images += images as u64;
+            m.served_pixels += m.reqs[id].pixels;
+        }
         entry.cell.resolve(if served {
             Ok(SrResponse::from_parts(
                 Vec::new(),
@@ -1484,7 +1606,6 @@ mod tests {
         } else {
             Err(unserved("injected"))
         });
-        let id = m.ids[&key(&entry.cell)];
         let req = &m.reqs[id];
         let (late, latency) = (req.deadline.is_some_and(|d| now > d), now - req.enqueued);
         if served {
@@ -1562,7 +1683,7 @@ mod tests {
                     let wake = q.abandon(&entry, "the forward panicked", runner);
                     let want = runner.here && idle_after(&mut m, runner, seen);
                     assert_eq!(wake, want, "the wake-up after a panicked forward");
-                    m.land(m.ids[&key(&entry.cell)], State::Failed).failed += 1;
+                    m.land(m.ids[&addr(&entry.cell)], State::Failed).failed += 1;
                     seen.saw(match runner.here {
                         true => "a caller's forward panicked",
                         false => "abandoned a dispatch",
@@ -1604,7 +1725,7 @@ mod tests {
             seen.saw("failed a loaded queue");
         }
         for lane in &mut m.lanes {
-            for id in lane.fifo.drain(..) {
+            for id in lane.waiting.drain(..) {
                 m.reqs[id].state = State::Failed;
                 lane.counters.failed += 1;
             }
@@ -1629,18 +1750,24 @@ mod tests {
         );
     }
 
-    // Hand mutants of the idle count (`unpark`) and the caller-run path
-    // (`submit`'s `RunHere`, the lease in `unpark`, `release`), each
-    // killed by this check; the count is how many of the 2,400 seeds fail
-    // (run each seed under `catch_unwind` to re-count):
+    // Hand mutants of the lane order (`Lane::insert`, the key in
+    // `submit`, the rate booked by `complete`), the idle count (`unpark`)
+    // and the caller-run path (`submit`'s `RunHere`, the lease in
+    // `unpark`, `release`), each killed by this check; the count is how
+    // many of the 2,400 seeds fail (run each seed under `catch_unwind` to
+    // re-count):
     //
     // | mutant                                                          | kills |
     // |-----------------------------------------------------------------|-------|
-    // | `unpark` leaves the idle count alone                            |  2392 |
-    // | `RunHere` with a queued entry                                   |   913 |
-    // | a lease ignored by `unpark` (`parked > 0`)                      |   347 |
-    // | a release that wakes nobody                                     |   649 |
-    // | `RunHere` past the caller's timeout                             |   252 |
+    // | the key ignores pixels (FIFO)                                   |   366 |
+    // | tagged entries are keyed by size                                |   314 |
+    // | ties are broken newest-first                                    |   872 |
+    // | the per-pixel estimate is never updated                         |  2278 |
+    // | `unpark` leaves the idle count alone                            |  2394 |
+    // | `RunHere` with a queued entry                                   |   921 |
+    // | a lease ignored by `unpark` (`parked > 0`)                      |   338 |
+    // | a release that wakes nobody                                     |   671 |
+    // | `RunHere` past the caller's timeout                             |   288 |
     #[test]
     fn generated_op_sequences_agree_with_the_reference_model() {
         let mut seen = Seen::default();
@@ -1657,6 +1784,8 @@ mod tests {
             "p99 latency trip wire",
             "lane quota",
             "EDF pick",
+            "queued ahead of an earlier arrival",
+            "served ahead of an earlier arrival",
             "sealed with work left queued",
             "sealed the last entry",
             "parked on an empty queue",

@@ -128,9 +128,13 @@ pub struct SrResponse {
 
 impl SrResponse {
     /// Assemble a response from already-served images and their execution
-    /// stats. Sessions build responses internally; this constructor is for
-    /// layers that assemble one without a forward (the `scales-runtime`
-    /// unit tests resolve tickets with it).
+    /// stats, without a forward. No serving path calls it: sessions build
+    /// their responses internally. It stays public for the `scales-runtime`
+    /// unit tests (the queue's model check and the ticket tests), which
+    /// resolve tickets by the thousand without running a network; a
+    /// `#[cfg(test)]` constructor here would not be compiled for another
+    /// crate's tests, and a cargo feature to expose one is a knob this
+    /// workspace does without.
     #[must_use]
     pub fn from_parts(images: Vec<Image>, stats: InferStats) -> Self {
         Self { images, stats, stamps: None }

@@ -1,8 +1,9 @@
 //! Chaos suite: injected failures against the serving stack, proving the
 //! robustness contract — **every accepted ticket resolves with a typed
 //! outcome and the stack keeps serving** — under worker death, transient
-//! artifact IO failures during a hot reload, and a stalled peer while the
-//! runtime sheds load — and the fleet's lifecycle contract: shutdown is
+//! artifact IO failures during a hot reload, a stalled peer while the
+//! runtime sheds load, and a deadline that passes behind a stalled
+//! worker — and the fleet's lifecycle contract: shutdown is
 //! final for a load still reading, no per-model counter falls while a
 //! version drains, no scrape waits on an artifact read, and two commits
 //! that evict each other's model both finish.
@@ -11,6 +12,9 @@
 //! `#[test]`s concurrently, so every scenario takes [`CHAOS`] and resets
 //! the registry before arming anything.
 
+mod common;
+
+use common::{assert_ledger_closes, with_watchdog};
 use scales::core::Method;
 use scales::data::codec::encode_image;
 use scales::data::{Image, WireFormat};
@@ -36,27 +40,6 @@ fn chaos_lock() -> MutexGuard<'static, ()> {
     guard
 }
 
-/// Run `f` on a helper thread and fail the test if it has not finished
-/// within `secs` — an unresolved ticket anywhere must be a clean test
-/// failure, not a stuck CI job.
-fn with_watchdog<T: Send + 'static>(
-    secs: u64,
-    label: &str,
-    f: impl FnOnce() -> T + Send + 'static,
-) -> T {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let runner = std::thread::Builder::new()
-        .name(format!("watchdog-{label}"))
-        .spawn(move || {
-            let _ = tx.send(f());
-        })
-        .expect("spawn watchdog runner");
-    let result = rx
-        .recv_timeout(Duration::from_secs(secs))
-        .unwrap_or_else(|_| panic!("watchdog: {label} did not finish within {secs}s"));
-    runner.join().expect("watchdog runner panicked");
-    result
-}
 
 fn probe(h: usize, w: usize, seed: u64) -> Image {
     scales::data::synth::scene(
@@ -222,6 +205,55 @@ fn a_blocked_admission_wait_times_out_once_against_a_wedged_queue() {
         let stats = runtime.shutdown();
         assert_eq!((stats.submitted, stats.completed, stats.failed), (2, 2, 0));
         assert_eq!(stats.rejected, 1);
+    });
+}
+
+/// Deadline contract end to end: a deadline that passes while queued is
+/// retracted (the ticket resolves with the typed rejection, the request is
+/// never dispatched) and counted in `expired`, while a request without a
+/// deadline in the same queue is served. The one worker is held by an
+/// injected one-second stall, so the worker is still busy when the 5 ms
+/// deadline passes whatever the forward's speed. (It used to be held by a
+/// real 12 × 48² forward, which a loaded box outran 7 times in 100.)
+#[test]
+fn queued_requests_whose_deadline_passes_are_retracted_not_served_late() {
+    let _chaos = chaos_lock();
+    with_watchdog(120, "deadline-retraction", || {
+        let runtime =
+            Runtime::spawn(engine(21), RuntimeConfig { workers: 1, ..RuntimeConfig::default() })
+                .unwrap();
+        let stall =
+            faults::arm_times("runtime.dispatch", FaultAction::Delay(Duration::from_secs(1)), 1);
+        let wedge = runtime
+            .submit(SrRequest::batch((0..12).map(|i| probe(6, 6, 2_110 + i)).collect()))
+            .unwrap();
+        // The fault point is evaluated after the pop: one hit means the
+        // worker holds the wedge, stalled.
+        while faults::hits("runtime.dispatch") == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Queued behind the wedge: this deadline expires long before the
+        // worker frees up.
+        let doomed = runtime
+            .submit(SrRequest::single(probe(6, 6, 2_100)).deadline_in(Duration::from_millis(5)))
+            .unwrap();
+        // Same queue, no deadline: must be served normally.
+        let patient = runtime.submit(SrRequest::single(probe(6, 6, 2_101))).unwrap();
+        match doomed.wait() {
+            Err(ServeError::Rejected(SubmitError::Expired)) => {}
+            Err(other) => panic!("expected the expired retraction, got {other:?}"),
+            Ok(_) => panic!("an expired request must never be served"),
+        }
+        assert_eq!(wedge.wait().unwrap().images().len(), 12);
+        assert!(patient.wait().is_ok());
+        drop(stall);
+        let stats = runtime.shutdown();
+        assert_ledger_closes(&stats);
+        assert_eq!(stats.expired, 1);
+        assert_eq!(stats.completed, 2);
+        assert_eq!(stats.failed, 0);
+        assert_eq!(stats.deadline_misses, 0, "retracted, so never served late");
+        assert_eq!(stats.submitted, 3, "the retracted request was accepted");
     });
 }
 

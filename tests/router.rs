@@ -14,7 +14,7 @@
 
 mod common;
 
-use common::trained_like;
+use common::{trained_like, with_watchdog};
 use scales::core::Method;
 use scales::data::Image;
 use scales::models::{srresnet, SrConfig, SrNetwork};
@@ -26,27 +26,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Run `f` on a helper thread and fail the test if it has not finished
-/// within `secs` — a stuck drain or deadlocked sweep must be a clean
-/// test failure, not a hung CI job.
-fn with_watchdog<T: Send + 'static>(
-    secs: u64,
-    label: &str,
-    f: impl FnOnce() -> T + Send + 'static,
-) -> T {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let runner = std::thread::Builder::new()
-        .name(format!("watchdog-{label}"))
-        .spawn(move || {
-            let _ = tx.send(f());
-        })
-        .expect("spawn watchdog runner");
-    let result = rx
-        .recv_timeout(Duration::from_secs(secs))
-        .unwrap_or_else(|_| panic!("watchdog: {label} did not finish within {secs}s"));
-    runner.join().expect("watchdog runner panicked");
-    result
-}
 
 fn probe(h: usize, w: usize, seed: u64) -> Image {
     scales::data::synth::scene(

@@ -7,45 +7,26 @@
 //! registry and both compute backends (each response served under its
 //! engine's backend, not the process default). On top of that: per-caller
 //! response ordering under many submitter threads, typed backpressure when
-//! the bounded queue fills, and deadlock-free graceful shutdown under load (every test
-//! is bounded by a watchdog). The networks are [`trained_like`]: an
+//! the bounded queue fills, deadlock-free graceful shutdown under load (every test
+//! is bounded by a watchdog), and the scheduling order: EDF among lane
+//! heads, weighted lanes, and shortest expected finish first inside a
+//! lane. The networks are [`trained_like`]: an
 //! untrained one answers exactly its bicubic skip, whatever the method.
 
 mod common;
 
-use common::trained_like;
+use common::{assert_ledger_closes, trained_like, with_watchdog};
 use scales::core::Method;
 use scales::data::Image;
 use scales::models::{srresnet, SrConfig};
 use scales::nn::init::rng;
 use scales::runtime::{
-    Runtime, RuntimeConfig, RuntimeStats, ServeError, ShedPolicy, SubmitError, Ticket,
+    Runtime, RuntimeConfig, ServeError, ShedPolicy, SubmitError, Ticket,
 };
 use scales::serve::{Engine, Precision, SrRequest};
 use scales::tensor::backend::{self, Backend};
 use std::time::Duration;
 
-/// Run `f` on a helper thread and fail the test if it has not finished
-/// within `secs` — a deadlock anywhere in submit/dispatch/shutdown must
-/// show up as a clean test failure, not a hung CI job.
-fn with_watchdog<T: Send + 'static>(
-    secs: u64,
-    label: &str,
-    f: impl FnOnce() -> T + Send + 'static,
-) -> T {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let runner = std::thread::Builder::new()
-        .name(format!("watchdog-{label}"))
-        .spawn(move || {
-            let _ = tx.send(f());
-        })
-        .expect("spawn watchdog runner");
-    let result = rx
-        .recv_timeout(Duration::from_secs(secs))
-        .unwrap_or_else(|_| panic!("watchdog: {label} did not finish within {secs}s"));
-    runner.join().expect("watchdog runner panicked");
-    result
-}
 
 fn probe(h: usize, w: usize, seed: u64) -> Image {
     scales::data::synth::scene(h, w, scales::data::synth::SceneConfig::default(), &mut rng(seed))
@@ -62,6 +43,14 @@ fn engine_for(method: Method, backend: Backend, seed: u64) -> Engine<'static> {
         .unwrap()
 }
 
+/// The watchdog fails a test whose body panics with that panic, not as a
+/// timeout it never ran into.
+#[test]
+#[should_panic(expected = "the body's own panic")]
+fn the_watchdog_re_raises_a_panicking_body() {
+    with_watchdog(60, "panicking-body", || panic!("the body's own panic"));
+}
+
 fn assert_images_bit_identical(got: &[Image], want: &[Image], label: &str) {
     assert_eq!(got.len(), want.len(), "{label}: image count");
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
@@ -72,38 +61,6 @@ fn assert_images_bit_identical(got: &[Image], want: &[Image], label: &str) {
                 "{label}: image {i}, value {j} differs bitwise: {a} vs {b}"
             );
         }
-    }
-}
-
-/// What every final `shutdown()` report must satisfy: the queue is drained,
-/// every accepted request resolved exactly once, and no tenant lane counts
-/// more than the runtime as a whole. `expired` counts deadlines refused at
-/// the door (never `submitted`) as well as retractions from the queue, so
-/// from the report alone the accepted requests that neither completed nor
-/// failed are bounded by it — with no deadline in play that is the
-/// equality `submitted == completed + failed`.
-fn assert_ledger_closes(stats: &RuntimeStats) {
-    assert_eq!(stats.queue_depth, 0, "shutdown drains the queue");
-    let resolved = stats.completed + stats.failed;
-    assert!(
-        resolved <= stats.submitted && stats.submitted <= resolved + stats.expired,
-        "accepted requests must resolve exactly once: submitted {}, completed {}, failed {}, expired {}",
-        stats.submitted, stats.completed, stats.failed, stats.expired
-    );
-    let lanes = |counter: fn(&scales::runtime::TenantStats) -> u64| -> u64 {
-        stats.tenants.iter().map(counter).sum()
-    };
-    for (name, tenants, global) in [
-        ("submitted", lanes(|t| t.submitted), stats.submitted),
-        ("completed", lanes(|t| t.completed), stats.completed),
-        ("failed", lanes(|t| t.failed), stats.failed),
-        ("rejected", lanes(|t| t.rejected), stats.rejected),
-        ("shed", lanes(|t| t.shed), stats.shed),
-        ("quota_rejected", lanes(|t| t.quota_rejected), stats.quota_rejected),
-        ("expired", lanes(|t| t.expired), stats.expired),
-        ("deadline_misses", lanes(|t| t.deadline_misses), stats.deadline_misses),
-    ] {
-        assert!(tenants <= global, "tenant lanes count {tenants} {name}, the runtime only {global}");
     }
 }
 
@@ -474,15 +431,20 @@ fn a_lone_request_books_its_waits_where_its_stamps_put_them() {
 /// Spawn a one-lane runtime (single worker) and wedge its worker with a
 /// deliberately heavy request, so everything submitted afterwards sits in
 /// the queue under the admission controller's eyes.
-/// Heavy means ~20 ms on the optimised scalar build (~1 s unoptimised):
-/// comfortably longer than the 5 ms deadline that must pass while queued
-/// behind it.
 fn wedged_runtime(config: RuntimeConfig, seed: u64) -> (Runtime, Ticket) {
     let runtime = Runtime::spawn(
         engine_for(Method::scales(), Backend::Scalar, seed),
         RuntimeConfig { workers: 1, ..config },
     )
     .unwrap();
+    let wedge = wedge(&runtime, seed);
+    (runtime, wedge)
+}
+
+/// Occupy the one worker with a batch of twelve 48×48 images (~20 ms on
+/// the optimised scalar build, ~1 s unoptimised), returning once it has
+/// been popped off the queue.
+fn wedge(runtime: &Runtime, seed: u64) -> Ticket {
     let wedge = runtime
         .submit(SrRequest::batch((0..12).map(|i| probe(48, 48, seed * 100 + i)).collect()))
         .unwrap();
@@ -490,39 +452,113 @@ fn wedged_runtime(config: RuntimeConfig, seed: u64) -> (Runtime, Ticket) {
     while runtime.stats().queue_depth > 0 {
         std::thread::yield_now();
     }
-    (runtime, wedge)
+    wedge
 }
 
-/// Deadline contract end to end: an already-expired deadline is refused
-/// at the door, a deadline that passes while queued is retracted (the
-/// ticket resolves with the typed rejection, the request is never
-/// dispatched), and both show up in the `expired` counter — while
-/// requests without deadlines are untouched.
+/// Input pixels of the request that warms the estimate in
+/// [`warm_wedged_runtime`].
+const WARM_PIXELS: u32 = 6 * 6;
+
+/// A one-worker runtime whose forward-time estimate is warm — one 6×6
+/// request served, so the rate is that forward's time per pixel, plan
+/// build included — then wedged like [`wedged_runtime`]: what is queued
+/// after it is keyed by arrival plus a positive estimate. Also returns
+/// the rate.
+fn warm_wedged_runtime(seed: u64) -> (Runtime, Ticket, Duration) {
+    let runtime = Runtime::spawn(
+        engine_for(Method::scales(), Backend::Scalar, seed),
+        RuntimeConfig { workers: 1, ..RuntimeConfig::default() },
+    )
+    .unwrap();
+    let warm = runtime.submit(SrRequest::single(probe(6, 6, seed * 100 + 99))).unwrap();
+    assert!(warm.wait().is_ok());
+    let per_pixel = runtime.stats().busy / WARM_PIXELS;
+    assert!(per_pixel > Duration::ZERO, "the served request warmed the estimate");
+    let wedge = wedge(&runtime, seed);
+    (runtime, wedge, per_pixel)
+}
+
+/// When the runtime finished each of `tickets`, by its own `infer_done`
+/// stamp — with one worker, the dispatch order.
+fn infer_done(tickets: Vec<Ticket>) -> Vec<std::time::Instant> {
+    tickets
+        .into_iter()
+        .map(|t| {
+            let response = t.wait().expect("queued request must serve");
+            response.stamps().expect("runtime responses carry stamps").infer_done
+        })
+        .collect()
+}
+
+/// Shortest expected finish first: in one lane of a warm, wedged
+/// one-worker runtime, a 96×96 request followed by two 6×6 ones completes
+/// light, light, heavy. Each untagged entry is keyed by its arrival plus
+/// its estimated forward time, and a light one passes the heavy one
+/// because it arrived well within the difference of their estimates.
 #[test]
-fn queued_requests_whose_deadline_passes_are_retracted_not_served_late() {
-    with_watchdog(120, "deadline-retraction", || {
-        let (runtime, wedge) = wedged_runtime(RuntimeConfig::default(), 21);
-        // Queued behind the wedge: this deadline expires long before the
-        // worker frees up.
-        let doomed = runtime
-            .submit(SrRequest::single(probe(6, 6, 2_100)).deadline_in(Duration::from_millis(5)))
-            .unwrap();
-        // Same queue, no deadline: must be served normally.
-        let patient = runtime.submit(SrRequest::single(probe(6, 6, 2_101))).unwrap();
-        match doomed.wait() {
-            Err(ServeError::Rejected(SubmitError::Expired)) => {}
-            Err(other) => panic!("expected the expired retraction, got {other:?}"),
-            Ok(_) => panic!("an expired request must never be served"),
-        }
+fn a_lane_serves_light_requests_before_a_heavy_one_that_arrived_first() {
+    with_watchdog(120, "shortest-finish-first", || {
+        let (runtime, wedge, per_pixel) = warm_wedged_runtime(26);
+        let start = std::time::Instant::now();
+        let heavy = runtime.submit(SrRequest::single(probe(96, 96, 2_600))).unwrap();
+        let lights: Vec<Ticket> = (0..2)
+            .map(|i| runtime.submit(SrRequest::single(probe(6, 6, 2_601 + i))).unwrap())
+            .collect();
+        // The precondition, stated: the lights arrived sooner after the
+        // heavy request than the difference of their estimates (~255
+        // forwards of the warm-up request).
+        let margin = per_pixel * (96 * 96 - 6 * 6);
+        assert!(start.elapsed() < margin, "submitting took {:?} of {margin:?}", start.elapsed());
         assert_eq!(wedge.wait().unwrap().images().len(), 12);
-        assert!(patient.wait().is_ok());
+        let lights = infer_done(lights);
+        let heavy = infer_done(vec![heavy])[0];
+        assert!(lights[0] < lights[1], "the lights keep their arrival order");
+        assert!(lights[1] < heavy, "both lights finish before the heavy request");
         let stats = runtime.shutdown();
         assert_ledger_closes(&stats);
-        assert_eq!(stats.expired, 1);
-        assert_eq!(stats.completed, 2);
-        assert_eq!(stats.failed, 0);
-        assert_eq!(stats.deadline_misses, 0, "retracted, so never served late");
-        assert_eq!(stats.submitted, 3, "the retracted request was accepted");
+        assert_eq!((stats.completed, stats.failed), (5, 0));
+    });
+}
+
+/// A deadline-tagged entry is keyed by its arrival alone, so lights that
+/// arrive after a tagged heavy request never pass it.
+#[test]
+fn a_deadline_tagged_heavy_request_is_never_passed_by_later_lights() {
+    with_watchdog(120, "tagged-heavy-holds", || {
+        let (runtime, wedge, _) = warm_wedged_runtime(27);
+        let heavy = runtime
+            .submit(
+                SrRequest::single(probe(96, 96, 2_700)).deadline_in(Duration::from_secs(3600)),
+            )
+            .unwrap();
+        let lights: Vec<Ticket> = (0..2)
+            .map(|i| runtime.submit(SrRequest::single(probe(6, 6, 2_701 + i))).unwrap())
+            .collect();
+        assert_eq!(wedge.wait().unwrap().images().len(), 12);
+        let heavy = infer_done(vec![heavy])[0];
+        let lights = infer_done(lights);
+        assert!(heavy < lights[0] && lights[0] < lights[1], "served in arrival order");
+        let stats = runtime.shutdown();
+        assert_ledger_closes(&stats);
+        assert_eq!((stats.completed, stats.deadline_misses), (5, 0));
+    });
+}
+
+/// Requests of one shape have one estimate, so their keys order them by
+/// arrival: a lane of equal shapes stays first come, first served.
+#[test]
+fn equal_shapes_in_a_lane_keep_their_arrival_order() {
+    with_watchdog(120, "equal-shapes-fifo", || {
+        let (runtime, wedge, _) = warm_wedged_runtime(30);
+        let tickets: Vec<Ticket> = (0..6)
+            .map(|i| runtime.submit(SrRequest::single(probe(8, 8, 3_000 + i))).unwrap())
+            .collect();
+        assert_eq!(wedge.wait().unwrap().images().len(), 12);
+        let done = infer_done(tickets);
+        assert!(done.windows(2).all(|pair| pair[0] < pair[1]), "served in arrival order");
+        let stats = runtime.shutdown();
+        assert_ledger_closes(&stats);
+        assert_eq!(stats.completed, 8);
     });
 }
 
@@ -530,22 +566,15 @@ fn queued_requests_whose_deadline_passes_are_retracted_not_served_late() {
 /// `infer_done` stamp — the dispatch order, which a waiter thread's wake-up
 /// time is not once forwards are microseconds apart.
 fn last_infer_done(tickets: Vec<Ticket>) -> std::time::Instant {
-    tickets
-        .into_iter()
-        .map(|t| {
-            let response = t.wait().expect("queued request must serve");
-            response.stamps().expect("runtime responses carry stamps").infer_done
-        })
-        .max()
-        .expect("at least one ticket")
+    infer_done(tickets).into_iter().max().expect("at least one ticket")
 }
 
 /// Deadline-tagged lane heads outrank the weighted rotation, earliest
 /// deadline first: with one queued request per tenant lane and the queue
 /// drained strictly one request at a time, the completion order is
 /// tightest-deadline → looser-deadline → no-deadline, regardless of
-/// submission order. (Within a single lane, order stays FIFO — EDF picks
-/// among lane *heads*.)
+/// submission order. (EDF picks among lane *heads*; within a lane, the
+/// head is the least key, arrival plus estimated forward time.)
 #[test]
 fn deadline_tagged_requests_are_scheduled_earliest_deadline_first() {
     with_watchdog(120, "edf-ordering", || {
