@@ -39,7 +39,8 @@ impl Var {
         })
     }
 
-    /// GELU with the tanh approximation (the transformer MLP nonlinearity).
+    /// GELU with the tanh approximation (the transformer MLP nonlinearity),
+    /// computed as `v · σ(2u)` ([`scales_tensor::ops::gelu`]).
     #[must_use]
     pub fn gelu(&self) -> Var {
         const C: f32 = 0.797_884_6; // sqrt(2/pi)
@@ -48,10 +49,10 @@ impl Var {
         Var::from_op(value, vec![self.clone()], move |g| {
             vec![g
                 .zip_map(&x, |gi, v| {
-                    let u = C * (v + 0.044_715 * v * v * v);
-                    let t = math::tanh(u);
+                    // d(v·s)/dv with s = σ(2u): s + v · 2s(1 − s) · du/dv.
+                    let s = 1.0 / (1.0 + math::exp(-2.0 * C * (v + 0.044_715 * v * v * v)));
                     let du = C * (1.0 + 3.0 * 0.044_715 * v * v);
-                    gi * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du)
+                    gi * (s + 2.0 * v * s * (1.0 - s) * du)
                 })
                 .expect("same shape")]
         })
@@ -182,9 +183,10 @@ mod tests {
         let y = a.gelu().sum_all().unwrap();
         y.backward().unwrap();
         let g = a.grad().unwrap();
+        // The forward's own form, `v · σ(2u)`.
         let f = |v: f32| {
             let c = 0.797_884_6_f32;
-            0.5 * v * (1.0 + (c * (v + 0.044_715 * v * v * v)).tanh())
+            v / (1.0 + (-2.0 * c * (v + 0.044_715 * v * v * v)).exp())
         };
         let eps = 1e-3;
         for (i, &x) in [0.5f32, -1.2].iter().enumerate() {

@@ -248,9 +248,9 @@ fn main() {
     }
 
     // The deployed GELU slice over one SwinIR-lite MLP activation (16,384
-    // values), once per level this CPU offers: a lane-wise loop over the
-    // branch-free `math::tanh`, so every level gives the portable loop's
-    // bits.
+    // values), once per level this CPU offers: a lane-wise loop of
+    // `v / (1 + e^{−2u})` over the branch-free `math::exp`, so every level
+    // gives the portable loop's bits.
     {
         let x: Vec<f32> = filled(16_384, 8.0).iter().map(|v| v * 3.0).collect();
         let mut out = vec![0.0f32; x.len()];

@@ -17,6 +17,7 @@
 //!
 //! ```sh
 //! SCALES_BENCH_ITERS=400 cargo bench --bench table4_transformer
+//! SCALES_BENCH_SMOKE=1 cargo bench --bench table4_transformer  # measured columns and op split only
 //! ```
 
 use scales_autograd::Var;
@@ -123,6 +124,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Printed before the (much longer) training rows run.
     let measured = measured(&methods)?;
     println!("{measured}");
+    // Smoke runs (CI) stop at the measured columns and the op split with
+    // their asserts; the training rows take minutes.
+    if std::env::var("SCALES_BENCH_SMOKE").is_ok() {
+        return Ok(());
+    }
     let mut out = String::new();
     for arch in [Arch::SwinIr, Arch::Hat] {
         for scale in [2usize, 4] {

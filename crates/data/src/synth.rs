@@ -98,8 +98,10 @@ fn render_field(p: Primitive, h: usize, w: usize, rng: &mut StdRng) -> Vec<f32> 
         Primitive::Rectangle => {
             let x0 = rng.gen_range(0..w.max(2) / 2);
             let y0 = rng.gen_range(0..h.max(2) / 2);
-            let x1 = rng.gen_range(x0 + 1..w);
-            let y1 = rng.gen_range(y0 + 1..h);
+            // A side of 1 leaves no far edge to draw: the rectangle is
+            // that one column (row). Wider sides draw as they always did.
+            let x1 = if x0 + 1 < w { rng.gen_range(x0 + 1..w) } else { x0 };
+            let y1 = if y0 + 1 < h { rng.gen_range(y0 + 1..h) } else { y0 };
             for y in y0..=y1 {
                 for x in x0..=x1 {
                     field[y * w + x] = 1.0;
@@ -109,7 +111,10 @@ fn render_field(p: Primitive, h: usize, w: usize, rng: &mut StdRng) -> Vec<f32> 
         Primitive::Disc => {
             let cx = rng.gen_range(0.0..w as f32);
             let cy = rng.gen_range(0.0..h as f32);
-            let r = rng.gen_range(2.0..(h.min(w) as f32) / 2.0);
+            // Below a smaller side of 5 the radius range `2..side/2` is
+            // empty: take its upper end. Larger sides draw as they did.
+            let r_max = (h.min(w) as f32) / 2.0;
+            let r = if r_max > 2.0 { rng.gen_range(2.0..r_max) } else { r_max };
             for y in 0..h {
                 for x in 0..w {
                     let d = ((x as f32 - cx).powi(2) + (y as f32 - cy).powi(2)).sqrt();
@@ -261,5 +266,50 @@ mod tests {
             assert_eq!(f.len(), 64);
             assert!(f.iter().all(|&v| (0.0..=1.0).contains(&v)), "{p:?} out of range");
         }
+    }
+
+    #[test]
+    fn small_scenes_render_without_panicking() {
+        for h in 1..=8 {
+            for w in 1..=8 {
+                for seed in 0..24 {
+                    let img = scene(h, w, SceneConfig::default(), &mut rng(seed));
+                    let t = img.tensor();
+                    assert_eq!(t.shape(), &[3, h, w]);
+                    assert!(t.data().iter().all(|v| (0.0..=1.0).contains(v)), "{h}x{w} seed {seed}");
+                }
+            }
+        }
+        // Every primitive at every small size, not just the ones a scene
+        // happens to draw.
+        let mut r = rng(11);
+        for p in ALL_PRIMITIVES {
+            for (h, w) in [(1, 1), (1, 8), (8, 1), (2, 3), (4, 4)] {
+                for _ in 0..16 {
+                    let f = render_field(p, h, w, &mut r);
+                    assert!(f.iter().all(|&v| (0.0..=1.0).contains(&v)), "{p:?} {h}x{w}");
+                }
+            }
+        }
+    }
+
+    /// Once both sides are 5 or more the small-side mends take no branch:
+    /// the rectangle and the disc make the same draws over the same ranges
+    /// as before, so the benchmark's scenes (16–48 px) are unchanged.
+    /// Pinned by an FNV-1a hash of both primitives' fields (integer
+    /// corners, `sqrt` and squares only: no libm) over sizes and seeds.
+    #[test]
+    fn rectangles_and_discs_of_five_pixels_and_up_draw_as_before() {
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for p in [Primitive::Rectangle, Primitive::Disc] {
+            for (h, w) in [(5, 5), (5, 9), (8, 8), (16, 16), (24, 24), (32, 32), (48, 48), (16, 48)] {
+                for seed in 0..16 {
+                    for v in render_field(p, h, w, &mut rng(seed)) {
+                        hash = (hash ^ u64::from(v.to_bits())).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+            }
+        }
+        assert_eq!(hash, 0x462b_9e16_31a7_3225);
     }
 }

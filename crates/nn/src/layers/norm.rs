@@ -46,8 +46,10 @@ impl Module for LayerNorm {
         let mean = input.mean_axis(input.shape().len() - 1)?;
         let centered = input.sub(&mean)?;
         let var = centered.mul(&centered)?.mean_axis(input.shape().len() - 1)?;
-        let denom = var.add_scalar(self.eps).sqrt();
-        let normed = centered.div(&denom)?;
+        // One reciprocal per token, then multiplies: `x · (1/d) · γ + β`,
+        // the deployed kernel's order (`scales_tensor::ops::layer_norm_into`).
+        let recip = var.add_scalar(self.eps).sqrt().recip();
+        let normed = centered.mul(&recip)?;
         normed.mul(&self.gamma)?.add(&self.beta)
     }
 

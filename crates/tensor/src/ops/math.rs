@@ -1,7 +1,8 @@
 //! The workspace's one `exp` and one `tanh`: branch-free, libm-free scalar
-//! functions every model path calls — the SCALES gates' sigmoid, the
-//! attention softmax, GELU and the tape's `tanh` — so the training tape,
-//! the deployed graph and every ISA level agree bit for bit.
+//! functions every model path calls — `exp` in the SCALES gates' sigmoid,
+//! the attention softmax and GELU (`v · σ(2u)`), `tanh` in the tape's
+//! `tanh` op — so the training tape, the deployed graph and every ISA
+//! level agree bit for bit.
 //!
 //! Both are straight-line code: each step is a separate IEEE multiply or
 //! add (never FMA), range ends are selects rather than branches or
@@ -85,7 +86,7 @@ pub fn tanh(x: f32) -> f32 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Distance in representable floats (the sign-magnitude bit patterns
@@ -104,7 +105,7 @@ mod tests {
 
     /// Max ulp error of `f` against `reference` rounded to f32, over
     /// `steps + 1` evenly spaced points of `[lo, hi]`.
-    fn max_ulp(f: fn(f32) -> f32, reference: fn(f64) -> f64, lo: f32, hi: f32, steps: u32) -> (u32, f32) {
+    pub(crate) fn max_ulp(f: fn(f32) -> f32, reference: fn(f64) -> f64, lo: f32, hi: f32, steps: u32) -> (u32, f32) {
         (0..=steps)
             .map(|i| lo + (hi - lo) * (i as f32 / steps as f32))
             .map(|x| (ulps(f(x), reference(f64::from(x)) as f32), x))

@@ -15,8 +15,9 @@
 //! training binarized. Lanes are pixels (or the tokens of one window) and
 //! every inner loop is a plain walk over equal-length slices.
 //!
-//! GELU and window attention call no libm: their `tanh` and `exp` are
-//! [`math`]'s branch-free ones, so their loops vectorise. All three are
+//! GELU and window attention call no libm: their `exp` is [`math`]'s
+//! branch-free one, so their loops vectorise. GELU is `v · σ(2u)`, one
+//! `exp` and one divide per value (see [`gelu`]). All three are
 //! one `#[inline(always)]` body recompiled for AVX2 and AVX-512F and picked
 //! by the active backend's [`SimdLevel`], the pattern of [`super::direct`].
 //! Every step is a separate IEEE operation and lanes never mix, so a lane
@@ -24,7 +25,8 @@
 //! level, agree by construction.
 //!
 //! LayerNorm normalises 64 pixels at a time, the block's mean and
-//! denominator held in local arrays (registers) across its channel passes.
+//! reciprocal denominator held in local arrays (registers) across its
+//! channel passes: one divide per pixel, not one per value.
 //!
 //! Attention runs a window's queries in lane groups of a fixed width per
 //! level (16 at AVX2 and AVX-512, 8 at the portable level), the last group
@@ -51,14 +53,21 @@ use crate::workspace::sized;
 use crate::SimdLevel;
 
 /// GELU, tanh approximation — the single scalar form shared by the autograd
-/// activation and the deployed op, so both agree bit for bit. Branch-free
-/// ([`math::tanh`]), so a loop over it vectorises.
+/// activation and the deployed op, so both agree bit for bit.
+///
+/// `0.5·v·(1 + tanh u)` computed as `v · σ(2u) = v / (1 + e^{−2u})`, with
+/// `u = √(2/π)·(v + 0.044715·v³)`: the same function, but one [`math::exp`]
+/// and one divide instead of both of [`math::tanh`]'s branches, and no
+/// cancellation in the negative tail, where `1 + tanh u` would round to 0.
+/// Branch-free, so a loop over it vectorises. `±0` keep their sign, `+Inf`
+/// gives `+Inf`, `−Inf` and NaN give NaN.
 #[inline(always)]
 #[must_use]
 pub fn gelu(v: f32) -> f32 {
     const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    let inner = C * (v + 0.044_715 * v * v * v);
-    0.5 * v * (1.0 + math::tanh(inner))
+    // `−2u` with `−2·C` folded into one constant: exact, as doubling is.
+    let minus_2u = -2.0 * C * (v + 0.044_715 * v * v * v);
+    v / (1.0 + math::exp(minus_2u))
 }
 
 /// The deployed GELU op: `out = gelu(src)`, or `out = gelu(out)` in place
@@ -120,7 +129,8 @@ fn expect_len(actual: usize, expected: usize) -> Result<()> {
 /// `scales_nn::layers::LayerNorm` computes per token — into `out` (fully
 /// overwritten), at the active backend's [`SimdLevel`]. Per pixel, in the
 /// tape's order: ascending-channel sum `· 1/c`, centre, ascending sum of
-/// squares `· 1/c`, `sqrt(max(var + eps, 1e-12))`, then `x / d · γ + β`.
+/// squares `· 1/c`, `d = sqrt(max(var + eps, 1e-12))`, `r = 1 / d`, then
+/// `x · r · γ + β`.
 /// `stats` is reusable grow-only scratch (the two statistics of the last
 /// `hw % 64` pixels; whole blocks of 64 keep theirs in registers).
 ///
@@ -206,28 +216,29 @@ struct Norm<'a> {
 const NORM_BLOCK: usize = 64;
 
 /// The one LayerNorm loop every level compiles: lanes are pixels,
-/// [`NORM_BLOCK`] at a time, with a block's mean and denominator in local
-/// arrays across the channel loops, so they stay in registers; the last
-/// `hw % NORM_BLOCK` pixels keep theirs in `stats`.
+/// [`NORM_BLOCK`] at a time, with a block's mean and reciprocal
+/// denominator in local arrays across the channel loops, so they stay in
+/// registers; the last `hw % NORM_BLOCK` pixels keep theirs in `stats`.
 #[inline(always)]
 fn layer_norm_pixels(norm: &Norm<'_>, stats: &mut Vec<f32>, out: &mut [f32]) {
     const P: usize = NORM_BLOCK;
     let Norm { x, c, hw, .. } = *norm;
     let (whole, tail) = (hw - hw % P, hw % P);
-    let (mean, denom) = sized(stats, 2 * tail).split_at_mut(tail);
+    let (mean, recip) = sized(stats, 2 * tail).split_at_mut(tail);
     for (image, out) in x.chunks_exact(c * hw).zip(out.chunks_exact_mut(c * hw)) {
         for first in (0..whole).step_by(P) {
             normalise(norm, image, first, &mut [0.0; P], &mut [0.0; P], out);
         }
-        normalise(norm, image, whole, mean, denom, out);
+        normalise(norm, image, whole, mean, recip, out);
     }
 }
 
 /// LayerNorm of one image's pixels `first..first + mean.len()`, each pass
-/// a walk over that span of every channel plane; `mean` and `denom` hold
-/// the span's statistics.
+/// a walk over that span of every channel plane; `mean` and `recip` hold
+/// the span's statistics, `recip` first the sum of squares and then one
+/// reciprocal per pixel, `1 / d`, so the last pass multiplies.
 #[inline(always)]
-fn normalise(norm: &Norm<'_>, image: &[f32], first: usize, mean: &mut [f32], denom: &mut [f32], out: &mut [f32]) {
+fn normalise(norm: &Norm<'_>, image: &[f32], first: usize, mean: &mut [f32], recip: &mut [f32], out: &mut [f32]) {
     let Norm { c, hw, gamma, beta, eps, .. } = *norm;
     let inv = 1.0 / c as f32;
     let span = first..first + mean.len();
@@ -238,18 +249,18 @@ fn normalise(norm: &Norm<'_>, image: &[f32], first: usize, mean: &mut [f32], den
         }
     }
     mean.iter_mut().for_each(|m| *m *= inv);
-    denom.fill(0.0);
+    recip.fill(0.0);
     for (plane, centred) in image.chunks_exact(hw).zip(out.chunks_exact_mut(hw)) {
         let (plane, centred) = (&plane[span.clone()], &mut centred[span.clone()]);
-        for (((o, &v), &m), d) in centred.iter_mut().zip(plane).zip(&*mean).zip(&mut *denom) {
+        for (((o, &v), &m), d) in centred.iter_mut().zip(plane).zip(&*mean).zip(&mut *recip) {
             *o = v - m;
             *d += *o * *o;
         }
     }
-    denom.iter_mut().for_each(|d| *d = (*d * inv + eps).max(1e-12).sqrt());
+    recip.iter_mut().for_each(|r| *r = 1.0 / (*r * inv + eps).max(1e-12).sqrt());
     for ((centred, &g), &b) in out.chunks_exact_mut(hw).zip(gamma).zip(beta) {
-        for (o, &d) in centred[span.clone()].iter_mut().zip(&*denom) {
-            *o = *o / d * g + b;
+        for (o, &r) in centred[span.clone()].iter_mut().zip(&*recip) {
+            *o = *o * r * g + b;
         }
     }
 }
@@ -679,6 +690,36 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `gelu` against its own form, `v / (1 + e^{−2u})`, in f64. The f64
+    /// tanh form is no reference: `1 + tanh u` cancels below `v ≈ −5`.
+    #[test]
+    fn gelu_is_within_its_ulp_bounds_of_a_stable_f64_reference() {
+        fn reference(v: f64) -> f64 {
+            let u = (2.0 / std::f64::consts::PI).sqrt() * (v + 0.044_715 * v * v * v);
+            v / (1.0 + (-2.0 * u).exp())
+        }
+        // The wide range's error is `exp`'s argument: `2u` carries a few
+        // f32 roundings, and `e^{2u}` scales them by `2u` (~140 at −10).
+        for (lo, hi, bound) in [(-3.0, 3.0, 16), (-10.0, 10.0, 240)] {
+            let (ulp, at) = math::tests::max_ulp(gelu, reference, lo, hi, 2_000_000);
+            eprintln!("gelu on [{lo}, {hi}]: max {ulp} ulp at {at}");
+            assert!(ulp <= bound, "gelu: {ulp} ulp at {at} on [{lo}, {hi}]");
+        }
+    }
+
+    #[test]
+    fn gelu_special_values() {
+        assert_eq!(gelu(0.0).to_bits(), 0.0f32.to_bits());
+        assert_eq!(gelu(-0.0).to_bits(), (-0.0f32).to_bits());
+        assert_eq!(gelu(f32::INFINITY), f32::INFINITY);
+        assert!(gelu(f32::NEG_INFINITY).is_nan());
+        assert!(gelu(f32::NAN).is_nan() && gelu(-f32::NAN).is_nan());
+        // `e^{−2u}` overflows from `v ≈ −10.1` on: the quotient is `−0`.
+        assert_eq!(gelu(-12.0).to_bits(), (-0.0f32).to_bits());
+        // Large positive inputs pass through: `e^{−2u}` is 0.
+        assert_eq!(gelu(1e30), 1e30);
+    }
 
     #[test]
     fn layer_norm_normalises_every_pixel_across_channels() {
