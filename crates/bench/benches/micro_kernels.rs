@@ -321,15 +321,17 @@ fn main() {
         };
         let conv = layer.conv();
         per_level("binary conv 64ch 32x32", "binconv", conv, side);
-        // The lite models' body conv (`edge_fleet`, `runtime_bursts`), then
-        // the lowered transformer linears.
-        for (label, key, ic, oc, k) in [
-            ("bin 3x3 16->16 16x16", "binconv_k3_16x16", 16usize, 16usize, 3usize),
-            ("bin 1x1 32->32 16x16", "binconv_k1_32x32", 32, 32, 1),
-            ("bin 1x1 64->32 16x16", "binconv_k1_64x32", 64, 32, 1),
+        // The lite models' body conv (`edge_fleet`, `runtime_bursts`) at the
+        // light and the heavy request's size, then the lowered transformer
+        // linears.
+        for (label, key, ic, oc, k, side) in [
+            ("bin 3x3 16->16 16x16", "binconv_k3_16x16", 16usize, 16usize, 3usize, 16usize),
+            ("bin 3x3 16->16 40x40", "binconv_k3_16ch_40x40", 16, 16, 3, 40),
+            ("bin 1x1 32->32 16x16", "binconv_k1_32x32", 32, 32, 1, 16),
+            ("bin 1x1 64->32 16x16", "binconv_k1_64x32", 64, 32, 1, 16),
         ] {
             let weight = Tensor::from_vec(filled(oc * ic * k * k, 7.0), &[oc, ic, k, k]).unwrap();
-            per_level(label, key, &BinaryConv2d::from_float_weight(&weight).unwrap(), 16);
+            per_level(label, key, &BinaryConv2d::from_float_weight(&weight).unwrap(), side);
         }
         let input = filled(ch * side * side, 4.0);
         let mut out = vec![0.0f32; ch * side * side];

@@ -11,9 +11,11 @@
 //! planned executor — asserting ratios, never nanoseconds: deployed ≤ 0.2×
 //! tape on every row, and planned bit-identical to the reuse-off forward
 //! (`DeployedNetwork::forward`) — then where a deployed SwinIR-SCALES
-//! forward goes, per op kind, asserting the paper's deployment argument:
-//! the binary body convolutions cost more than GELU and window attention
-//! together, the float tail's two largest lines.
+//! forward goes, per op kind (the median per kind over [`ROUNDS`] rounds of
+//! [`FORWARDS`] forwards, so one round a neighbour slowed does not decide
+//! it), asserting the paper's deployment argument: the binary body
+//! convolutions cost more than GELU and window attention together, the
+//! float tail's two largest lines.
 //!
 //! ```sh
 //! SCALES_BENCH_ITERS=400 cargo bench --bench table4_transformer
@@ -27,6 +29,11 @@ use scales_nn::Module as _;
 use scales_tensor::Tensor;
 use scales_train::{render_table, run_row, write_report, Arch, Budget};
 use std::time::Instant;
+
+/// Rounds of the op split, each [`FORWARDS`] profiled forwards.
+const ROUNDS: usize = 7;
+/// Forwards per round of the op split.
+const FORWARDS: usize = 20;
 
 /// Best-of-`reps` wall time of `f`, in milliseconds.
 fn best_ms(reps: usize, mut f: impl FnMut()) -> f64 {
@@ -80,17 +87,36 @@ fn measured(methods: &[Method]) -> Result<String, Box<dyn std::error::Error>> {
             );
             if arch == Arch::SwinIr && method == Method::scales() {
                 ws.enable_profiling(true);
-                for _ in 0..20 {
-                    deployed.forward_planned(&x, &mut ws)?;
+                let mut rounds = Vec::with_capacity(ROUNDS);
+                for _ in 0..ROUNDS {
+                    ws.reset_op_profile();
+                    for _ in 0..FORWARDS {
+                        deployed.forward_planned(&x, &mut ws)?;
+                    }
+                    rounds.push(ws.op_profile().clone());
                 }
-                profiled = Some(ws.op_profile().clone());
+                profiled = Some(rounds);
             }
         }
     }
-    let profile = profiled.expect("the SwinIR / SCALES row is always measured");
-    out.push_str("\nWhere a deployed SwinIR-SCALES forward goes (share of op time, 20 forwards)\n");
-    let mut entries = profile.entries().to_vec();
+    let rounds = profiled.expect("the SwinIR / SCALES row is always measured");
+    out.push_str(&format!(
+        "\nWhere a deployed SwinIR-SCALES forward goes \
+         (share of op time, median of {ROUNDS} rounds of {FORWARDS} forwards)\n"
+    ));
+    // Every round runs the same ops: each kind's calls are the same in
+    // each, and its time is the median of its rounds'.
+    let mut entries = rounds[0].entries().to_vec();
+    for e in &mut entries {
+        let mut times: Vec<u64> = rounds
+            .iter()
+            .map(|round| round.entries().iter().find(|r| r.kind == e.kind).map_or(0, |r| r.total_ns))
+            .collect();
+        times.sort_unstable();
+        e.total_ns = times[ROUNDS / 2];
+    }
     entries.sort_by_key(|e| std::cmp::Reverse(e.total_ns));
+    let total: u64 = entries.iter().map(|e| e.total_ns).sum();
     let ns = |kind| entries.iter().find(|e| e.kind == kind).map_or(0, |e| e.total_ns);
     // The paper's cost argument: the binary layers, not the float tail,
     // carry the forward.
@@ -111,8 +137,8 @@ fn measured(methods: &[Method]) -> Result<String, Box<dyn std::error::Error>> {
         out.push_str(&format!(
             "  {:<18} {:>5} calls {:>6.1}%\n",
             e.kind,
-            e.calls / 20,
-            e.total_ns as f64 * 100.0 / profile.total_ns().max(1) as f64
+            e.calls / FORWARDS as u64,
+            e.total_ns as f64 * 100.0 / total.max(1) as f64
         ));
     }
     Ok(out)

@@ -2,8 +2,16 @@
 //! [`SimdLevel`].
 //!
 //! A call packs each image's signs into a **zero-padded, word-plane-major
-//! bitmap** — `ceil(IC/64)` planes of `(h + 2·pad) × (w + 2·pad)` words, one
-//! `u64` per pixel holding 64 channels. Then, for one output channel at a
+//! bitmap** of `(h + 2·pad) × (w + 2·pad)` words per plane, one word per
+//! pixel. The word is the call's `Lane`, the narrowest that holds its
+//! input channels: one `u16` plane for at most 16, one `u32` plane for at
+//! most 32, else `ceil(IC/64)` planes of `u64`s. A vector of a given width
+//! then counts 4× the positions at 16 channels that `u64` words give it, and
+//! no zero bits above the channels are counted. The packer, the count and
+//! the bitmap are one loop generic over the lane; the scratch stays `u64`
+//! words, viewed as the lane (`lanes`). Weights stay `u64` words and each
+//! tap's is narrowed to the lane, which is exact: no bit above `IC` is set.
+//! Then, for one output channel at a
 //! time, it counts over *bitmap positions*: position `q` is the word where
 //! a receptive field starts, and every kernel tap reads `q + ky·row + kx` —
 //! the same offsets at every position. So lanes are positions: each tap is
@@ -18,14 +26,16 @@
 //! segment holds whole output rows — as many as fit — so the store finds
 //! a segment's operands once and each row's with a few offsets; a row
 //! wider than a segment is cut into column pieces. A segment's count is
-//! rounded up to whole 8-position vectors where the bitmap allows (the
-//! extra positions are never stored).
+//! rounded up to whole 512-bit vectors of words (8 `u64`s, 16 `u32`s, 32
+//! `u16`s) where the bitmap allows (the extra positions are never stored).
 //!
-//! Counts are `u32`: a position disagrees in at most `k²·64·wpp` lanes
-//! (`wpp` = words per pixel), and `Geometry::new` refuses a call where
+//! Counts are `u32`: a position disagrees in at most `k²·64·wpp` channel
+//! bits (`wpp` = words per pixel), and `Geometry::new` refuses a call where
 //! twice that passes `i32::MAX`, so a count, its double, every base and
 //! every dot are exact `i32`s. Half the width of `u64` counters, a 16-lane
-//! vector holds one store chunk's counts.
+//! vector holds one store chunk's counts. The unrolled 3×3 and 1×1 counts
+//! sum their taps in the lane's own type first (at most 9·16 = 144 in a
+//! `u16`; a `const` assert pins it), then widen to the `u32` counter.
 //!
 //! The padding is all-zero words, i.e. "every channel is −1", which a tap
 //! counts like any other pixel. What a padded tap contributes depends only
@@ -67,20 +77,22 @@
 //! plane as one row. Neither changes an element's operations.
 //!
 //! The packer builds a row's words up to 64 pixels at a time in registers
-//! — each channel of a 64-channel plane ORs its sign bit into all of them
-//! as one masked OR — and stores each word once; a row ends with an
-//! overlapping chunk too.
+//! — each channel of a plane ORs its sign bit into all of them as one
+//! masked OR — and stores each word once; a row ends with an overlapping
+//! chunk too.
 //!
 //! Every inner loop is a plain walk over equal-length slices or fixed-size
 //! arrays, the shape LLVM's loop vectorizer handles at any width.
 //! `pack_image` and `conv_image` are `#[inline(always)]` bodies; the
 //! `#[target_feature]` wrappers in `x86` recompile exactly these loops for
-//! hardware `popcnt`, AVX2 and AVX-512 `VPOPCNTDQ`. Counts are integer and
-//! lanes never mix, so every level is bit-identical by construction.
+//! hardware `popcnt`, AVX2 and AVX-512 `VPOPCNTDQ` + `BITALG` (the `u16`
+//! popcount). Counts are integer and positions never mix, so every level
+//! and every lane is bit-identical by construction.
 
 use crate::pack::sign_bit;
 use scales_tensor::ops::Conv2dSpec;
 use scales_tensor::{Result, SimdLevel, TensorError};
+use std::ops::{Add, BitAnd, BitOr, BitXor};
 
 /// Bitmap positions one segment counts side by side: its `u32` counters
 /// are a 1 KB stack array.
@@ -89,6 +101,62 @@ const SEGMENT: usize = 256;
 /// Pixels the store writes, and the packer assembles, side by side: one
 /// 16-lane `f32` vector at AVX-512.
 const CHUNK: usize = 16;
+
+/// The integer word one bitmap position is packed into: `u16` for at most
+/// 16 input channels, `u32` for at most 32, `u64` words above that
+/// ([`Geometry::new`] picks it from the channel count). One vector then
+/// counts as many positions as it holds words, and no bits above the
+/// channels are counted. Only the three unsigned integers implement it, so
+/// a `u64` scratch can be viewed as any of them ([`lanes`]).
+pub(crate) trait Lane:
+    Copy
+    + Default
+    + Eq
+    + std::fmt::Debug
+    + BitAnd<Output = Self>
+    + BitOr<Output = Self>
+    + BitXor<Output = Self>
+    + Add<Output = Self>
+{
+    /// Channels one word holds.
+    const BITS: usize;
+    /// The largest count a word of this type holds.
+    const MAX: u64;
+    /// The low [`Lane::BITS`] bits of `word`: exact for a weight word,
+    /// whose bits above the layer's channels are clear.
+    fn from_u64(word: u64) -> Self;
+    /// Set bits, as a word of the same type.
+    fn popcount(self) -> Self;
+    /// A count as the kernel's `u32` counter.
+    fn widen(self) -> u32;
+}
+
+macro_rules! lane {
+    ($($t:ty),+) => {$(
+        impl Lane for $t {
+            const BITS: usize = <$t>::BITS as usize;
+            const MAX: u64 = <$t>::MAX as u64;
+
+            #[inline(always)]
+            fn from_u64(word: u64) -> Self {
+                word as $t
+            }
+
+            #[inline(always)]
+            fn popcount(self) -> Self {
+                self.count_ones() as $t
+            }
+
+            /// In range for `u64` too: see `Geometry::new`.
+            #[inline(always)]
+            fn widen(self) -> u32 {
+                self as u32
+            }
+        }
+    )+};
+}
+
+lane!(u16, u32, u64);
 
 /// A value subtracted from the input before its sign is taken, applied in
 /// the packer's registers instead of through a shifted copy of the input.
@@ -202,6 +270,9 @@ pub(crate) struct Geometry {
     x: Axis,
     /// Words per pixel, i.e. bitmap planes.
     wpp: usize,
+    /// Bits of the bitmap's [`Lane`]: the narrowest of 16, 32 and 64 that
+    /// holds `ic` (more channels than 64 take several `u64` planes).
+    lane: usize,
 }
 
 impl Geometry {
@@ -218,7 +289,12 @@ impl Geometry {
                 "a {k}x{k} binary conv over {ic} channels counts past i32"
             )));
         }
-        Ok(Self { ic, k, spec, y: Axis::new(h, k, spec)?, x: Axis::new(w, k, spec)?, wpp })
+        let lane = match ic {
+            ..=16 => 16,
+            17..=32 => 32,
+            _ => 64,
+        };
+        Ok(Self { ic, k, spec, y: Axis::new(h, k, spec)?, x: Axis::new(w, k, spec)?, wpp, lane })
     }
 
     /// Output extents `(oh, ow)`.
@@ -235,9 +311,15 @@ impl Geometry {
         (self.y.extent + 2 * self.spec.padding) * self.row()
     }
 
-    /// Words the bitmap of one image takes.
-    pub(crate) fn bitmap_words(&self) -> usize {
+    /// Words the bitmap of one image takes, in its lane.
+    fn bitmap_len(&self) -> usize {
         self.wpp * self.plane()
+    }
+
+    /// `u64` words of scratch the bitmap of one image takes in the call's
+    /// lane ([`lanes`] views them).
+    pub(crate) fn bitmap_words(&self) -> usize {
+        (self.bitmap_len() * self.lane).div_ceil(64)
     }
 
     /// [`base_table`] entries per output channel: per row class, the
@@ -322,36 +404,48 @@ pub(crate) fn base_table(g: &Geometry, pad_fix: &[i32], table: &mut [i32]) {
     }
 }
 
+/// The first [`Geometry::bitmap_len`] words of `scratch` viewed as `T`s.
+fn lanes<'a, T: Lane>(g: &Geometry, scratch: &'a mut [u64]) -> &'a mut [T] {
+    // SAFETY: `T` is `u16`, `u32` or `u64` (the only `Lane`s): every bit
+    // pattern is a value of each, and a `u64`'s alignment is a multiple of
+    // theirs, so the whole of `scratch` is the aligned middle.
+    let (head, words, tail) = unsafe { scratch.align_to_mut::<T>() };
+    debug_assert!(head.is_empty() && tail.is_empty());
+    &mut words[..g.bitmap_len()]
+}
+
 /// Sign-pack one `[ic, h, w]` image into the zero-padded bitmap, fully
 /// overwriting it (stale scratch never leaks). Channel `c`'s bit is
 /// `sign_bit(x − shift[c])`, or `x − uniform` where the table is empty.
 /// A row's words are built `N` pixels at a time in registers and stored
 /// once: `N` is the widest of 64 (where `WIDE`: AVX-512's 32 vector
-/// registers hold 64 words in 8), 32, 16 or 1 that the row holds.
+/// registers hold 64 `u64` words in 8), 32, 16 or 1 that the row holds.
+/// Plane `j` holds channels `j·BITS..` of the lane `T`.
 #[inline(always)]
-fn pack_image<const WIDE: bool>(g: &Geometry, image: &[f32], shift: (&[f32], f32), bitmap: &mut [u64]) {
+fn pack_image<T: Lane, const WIDE: bool>(g: &Geometry, image: &[f32], shift: (&[f32], f32), bitmap: &mut [T]) {
     let (h, w, pad) = (g.y.extent, g.x.extent, g.spec.padding);
     // Unpadded, a plane's rows are contiguous in bitmap and image alike:
     // pack it as one row.
     let (h, w) = if pad == 0 { (1, h * w) } else { (h, w) };
     let row = w + 2 * pad;
+    let zero = T::default();
     for (j, plane) in bitmap.chunks_mut(g.plane()).enumerate() {
-        let channels = &image[j * 64 * h * w..(g.ic.min(j * 64 + 64)) * h * w];
+        let channels = &image[j * T::BITS * h * w..(g.ic.min((j + 1) * T::BITS)) * h * w];
         let mut shifts = [shift.1; 64];
-        for (s, &beta) in shifts.iter_mut().zip(shift.0.get(j * 64..).unwrap_or_default()) {
+        for (s, &beta) in shifts.iter_mut().zip(shift.0.get(j * T::BITS..).unwrap_or_default()) {
             *s = beta;
         }
-        plane[..pad * row].fill(0);
-        plane[(pad + h) * row..].fill(0);
+        plane[..pad * row].fill(zero);
+        plane[(pad + h) * row..].fill(zero);
         for (y, words) in plane[pad * row..(pad + h) * row].chunks_mut(row).enumerate() {
-            words[..pad].fill(0);
-            words[pad + w..].fill(0);
+            words[..pad].fill(zero);
+            words[pad + w..].fill(zero);
             let (words, at) = (&mut words[pad..pad + w], y * w);
             match w {
-                64.. if WIDE => pack_row::<64>(words, channels, h * w, at, &shifts),
-                32.. => pack_row::<32>(words, channels, h * w, at, &shifts),
-                16.. => pack_row::<16>(words, channels, h * w, at, &shifts),
-                _ => pack_row::<1>(words, channels, h * w, at, &shifts),
+                64.. if WIDE => pack_row::<T, 64>(words, channels, h * w, at, &shifts),
+                32.. => pack_row::<T, 32>(words, channels, h * w, at, &shifts),
+                16.. => pack_row::<T, 16>(words, channels, h * w, at, &shifts),
+                _ => pack_row::<T, 1>(words, channels, h * w, at, &shifts),
             }
         }
     }
@@ -361,26 +455,26 @@ fn pack_image<const WIDE: bool>(g: &Geometry, image: &[f32], shift: (&[f32], f32
 /// `at` in each channel plane, `N` pixels at a time, the last `N`
 /// overlapping their predecessors where the width is no multiple of `N`.
 #[inline(always)]
-fn pack_row<const N: usize>(words: &mut [u64], channels: &[f32], plane: usize, at: usize, shifts: &[f32; 64]) {
+fn pack_row<T: Lane, const N: usize>(words: &mut [T], channels: &[f32], plane: usize, at: usize, shifts: &[f32; 64]) {
     let w = words.len();
     let mut x = 0;
     while x + N < w {
-        *chunk_mut(words, x) = pack_words::<N>(channels, plane, at + x, shifts);
+        *chunk_mut(words, x) = pack_words::<T, N>(channels, plane, at + x, shifts);
         x += N;
     }
-    *chunk_mut(words, w - N) = pack_words::<N>(channels, plane, at + w - N, shifts);
+    *chunk_mut(words, w - N) = pack_words::<T, N>(channels, plane, at + w - N, shifts);
 }
 
 /// The bitmap words of `N` pixels starting at `at` in each channel plane
-/// of `channels` (`plane` floats apart, at most 64 planes), built in
+/// of `channels` (`plane` floats apart, at most `T::BITS` planes), built in
 /// registers: each channel ORs its sign bits into all `N` in turn.
 #[inline(always)]
-fn pack_words<const N: usize>(channels: &[f32], plane: usize, at: usize, shifts: &[f32; 64]) -> [u64; N] {
-    let mut words = [0u64; N];
+fn pack_words<T: Lane, const N: usize>(channels: &[f32], plane: usize, at: usize, shifts: &[f32; 64]) -> [T; N] {
+    let mut words = [T::default(); N];
     for (lane, (channel, &s)) in channels.chunks_exact(plane).zip(shifts).enumerate() {
-        let bit = 1u64 << lane;
+        let bit = T::from_u64(1 << lane);
         for (word, &v) in words.iter_mut().zip(chunk::<_, N>(channel, at)) {
-            *word |= sign_bit(v - s).wrapping_neg() & bit;
+            *word = *word | (T::from_u64(sign_bit(v - s).wrapping_neg()) & bit);
         }
     }
     words
@@ -398,10 +492,9 @@ fn chunk_mut<T, const N: usize>(values: &mut [T], at: usize) -> &mut [T; N] {
     (&mut values[at..at + N]).try_into().expect("a slice of N")
 }
 
-/// Everything the kernel reads for one image.
+/// Everything the kernel reads for one image besides its bitmap.
 pub(crate) struct Job<'a> {
     pub(crate) g: &'a Geometry,
-    pub(crate) bitmap: &'a [u64],
     /// Per output channel: `k² × wpp` weight words, [`base_table`]
     /// entries (class-major), the float scale and the bias.
     pub(crate) weights: &'a [u64],
@@ -415,17 +508,17 @@ pub(crate) struct Job<'a> {
     pub(crate) skip: Option<&'a [f32]>,
 }
 
-/// Convolve one image into `planes` (one per output channel, `oh·ow`
-/// floats each), through the instance of the loop for the kernel size
-/// every trained body convolution (3) or lowered linear (1) has. `rows`
-/// (`rows_len` entries, contents ignored) holds one channel's bases
+/// Convolve one image's `bitmap` into `planes` (one per output channel,
+/// `oh·ow` floats each), through the instance of the loop for the kernel
+/// size every trained body convolution (3) or lowered linear (1) has.
+/// `rows` (`rows_len` entries, contents ignored) holds one channel's bases
 /// spelled out per column while that channel is stored.
 #[inline(always)]
-fn conv_image(job: &Job<'_>, rows: &mut [i32], planes: &mut [f32]) {
+fn conv_image<T: Lane>(job: &Job<'_>, bitmap: &[T], rows: &mut [i32], planes: &mut [f32]) {
     match job.g.k {
-        3 => conv_planes::<3>(job, rows, planes),
-        1 => conv_planes::<1>(job, rows, planes),
-        _ => conv_planes::<0>(job, rows, planes),
+        3 => conv_planes::<T, 3>(job, bitmap, rows, planes),
+        1 => conv_planes::<T, 1>(job, bitmap, rows, planes),
+        _ => conv_planes::<T, 0>(job, bitmap, rows, planes),
     }
 }
 
@@ -438,7 +531,10 @@ static NEG_ZEROS: [f32; SEGMENT] = [-0.0; SEGMENT];
 /// [`conv_image`] with the taps of a `K×K` kernel unrolled, or for any
 /// kernel when `K` is 0.
 #[inline(always)]
-fn conv_planes<const K: usize>(job: &Job<'_>, rows: &mut [i32], planes: &mut [f32]) {
+fn conv_planes<T: Lane, const K: usize>(job: &Job<'_>, bitmap: &[T], rows: &mut [i32], planes: &mut [f32]) {
+    // The unrolled taps sum their counts in the lane type: at most
+    // `K²·BITS`, e.g. 9·16 = 144 for a 3×3 over `u16` words.
+    const { assert!((K * K * T::BITS) as u64 <= T::MAX) };
     let g = job.g;
     let (k, wpp, stride, row) = (g.k, g.wpp, g.spec.stride, g.row());
     let (oh, ow) = g.out();
@@ -476,41 +572,42 @@ fn conv_planes<const K: usize>(job: &Job<'_>, rows: &mut [i32], planes: &mut [f3
         for (oy0, ox0) in segments.clone() {
             let (n_rows, n) = (seg_rows.min(grid_rows - oy0), seg_cols.min(cols - ox0));
             let q0 = oy0 * pitch + ox0 * stride;
-            // Counted out to whole vectors where the bitmap allows: the
-            // extra positions are never stored.
-            let len = ((n_rows - 1) * pitch + (n - 1) * stride + 1).next_multiple_of(8).min(total - q0);
+            // Counted out to whole 512-bit vectors of words where the
+            // bitmap allows: the extra positions are never stored.
+            let len = ((n_rows - 1) * pitch + (n - 1) * stride + 1).next_multiple_of(512 / T::BITS).min(total - q0);
             // Per position, how many channel lanes of its receptive field
             // disagree with the weights. Weights and bitmap are both zero
             // above IC, so no channel mask is needed.
             let mut differ = [0u32; SEGMENT];
             let differ = &mut differ[..len];
-            for (j, plane) in job.bitmap.chunks(g.plane()).enumerate().take(wpp) {
+            // Each tap's weight word is narrowed to the lane: exact, since
+            // its bits above IC are clear.
+            for (j, plane) in bitmap.chunks(g.plane()).enumerate().take(wpp) {
                 if K != 0 {
                     // Positions innermost with the taps unrolled inside, so
                     // a count never leaves its register.
-                    let taps: [[(&[u64], u64); K]; K] = std::array::from_fn(|ky| {
+                    let taps: [[(&[T], T); K]; K] = std::array::from_fn(|ky| {
                         std::array::from_fn(|kx| {
                             let at = q0 + ky * row + kx;
-                            (&plane[at..at + len], weights[(ky * K + kx) * wpp + j])
+                            (&plane[at..at + len], T::from_u64(weights[(ky * K + kx) * wpp + j]))
                         })
                     });
                     for q in 0..len {
-                        let mut count = 0;
+                        let mut count = T::default();
                         for kernel_row in &taps {
                             for &(words, wv) in kernel_row {
-                                count += u64::from((words[q] ^ wv).count_ones());
+                                count = count + (words[q] ^ wv).popcount();
                             }
                         }
-                        // In range: see `Geometry::new`.
-                        differ[q] += count as u32;
+                        differ[q] += count.widen();
                     }
                 } else {
                     for ky in 0..k {
                         for kx in 0..k {
-                            let wv = weights[(ky * k + kx) * wpp + j];
+                            let wv = T::from_u64(weights[(ky * k + kx) * wpp + j]);
                             let at = q0 + ky * row + kx;
-                            for (d, a) in differ.iter_mut().zip(&plane[at..at + len]) {
-                                *d += (a ^ wv).count_ones();
+                            for (d, &a) in differ.iter_mut().zip(&plane[at..at + len]) {
+                                *d += (a ^ wv).popcount().widen();
                             }
                         }
                     }
@@ -618,8 +715,39 @@ fn store_chunk(
     }
 }
 
+/// Pack one image into `scratch` ([`Geometry::bitmap_words`] words) in
+/// the call's lane, then convolve it into `planes`, both at `level`.
+pub(crate) fn run(
+    level: SimdLevel,
+    job: &Job<'_>,
+    image: &[f32],
+    shift: (&[f32], f32),
+    scratch: &mut [u64],
+    rows: &mut [i32],
+    planes: &mut [f32],
+) {
+    fn at_lane<T: Lane>(
+        level: SimdLevel,
+        job: &Job<'_>,
+        image: &[f32],
+        shift: (&[f32], f32),
+        scratch: &mut [u64],
+        rows: &mut [i32],
+        planes: &mut [f32],
+    ) {
+        let bitmap = lanes::<T>(job.g, scratch);
+        pack(level, job.g, image, shift, bitmap);
+        conv(level, job, bitmap, rows, planes);
+    }
+    match job.g.lane {
+        16 => at_lane::<u16>(level, job, image, shift, scratch, rows, planes),
+        32 => at_lane::<u32>(level, job, image, shift, scratch, rows, planes),
+        _ => at_lane::<u64>(level, job, image, shift, scratch, rows, planes),
+    }
+}
+
 /// [`pack_image`] at `level`, clamped to what the CPU offers.
-pub(crate) fn pack(level: SimdLevel, g: &Geometry, image: &[f32], shift: (&[f32], f32), bitmap: &mut [u64]) {
+fn pack<T: Lane>(level: SimdLevel, g: &Geometry, image: &[f32], shift: (&[f32], f32), bitmap: &mut [T]) {
     #[cfg(target_arch = "x86_64")]
     {
         // SAFETY (all arms): the clamp against runtime detection
@@ -633,30 +761,30 @@ pub(crate) fn pack(level: SimdLevel, g: &Geometry, image: &[f32], shift: (&[f32]
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = level;
-    pack_image::<false>(g, image, shift, bitmap);
+    pack_image::<T, false>(g, image, shift, bitmap);
 }
 
 /// [`conv_image`] at `level`, clamped to what the CPU offers.
-pub(crate) fn conv(level: SimdLevel, job: &Job<'_>, rows: &mut [i32], planes: &mut [f32]) {
+fn conv<T: Lane>(level: SimdLevel, job: &Job<'_>, bitmap: &[T], rows: &mut [i32], planes: &mut [f32]) {
     #[cfg(target_arch = "x86_64")]
     {
         // SAFETY (all arms): as in `pack`.
         match level.min(scales_tensor::simd::detected()) {
-            SimdLevel::Avx512 => return unsafe { x86::conv_avx512(job, rows, planes) },
-            SimdLevel::Avx2 => return unsafe { x86::conv_avx2(job, rows, planes) },
-            SimdLevel::Sse42 => return unsafe { x86::conv_popcnt(job, rows, planes) },
+            SimdLevel::Avx512 => return unsafe { x86::conv_avx512(job, bitmap, rows, planes) },
+            SimdLevel::Avx2 => return unsafe { x86::conv_avx2(job, bitmap, rows, planes) },
+            SimdLevel::Sse42 => return unsafe { x86::conv_popcnt(job, bitmap, rows, planes) },
             SimdLevel::None => {}
         }
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = level;
-    conv_image(job, rows, planes);
+    conv_image(job, bitmap, rows, planes);
 }
 
 /// The two generic bodies recompiled per x86-64 feature level.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{conv_image, pack_image, Geometry, Job};
+    use super::{conv_image, pack_image, Geometry, Job, Lane};
 
     macro_rules! at_level {
         ($pack:ident, $conv:ident, $wide:literal, $($feature:literal),+) => {
@@ -665,8 +793,8 @@ mod x86 {
             /// The CPU must support the enabled features (runtime-checked
             /// by [`super::pack`]).
             #[target_feature($(enable = $feature),+)]
-            pub(super) unsafe fn $pack(g: &Geometry, image: &[f32], shift: (&[f32], f32), bitmap: &mut [u64]) {
-                pack_image::<$wide>(g, image, shift, bitmap);
+            pub(super) unsafe fn $pack<T: Lane>(g: &Geometry, image: &[f32], shift: (&[f32], f32), bitmap: &mut [T]) {
+                pack_image::<T, $wide>(g, image, shift, bitmap);
             }
 
             /// # Safety
@@ -674,8 +802,8 @@ mod x86 {
             /// The CPU must support the enabled features (runtime-checked
             /// by [`super::conv`]).
             #[target_feature($(enable = $feature),+)]
-            pub(super) unsafe fn $conv(job: &Job<'_>, rows: &mut [i32], planes: &mut [f32]) {
-                conv_image(job, rows, planes);
+            pub(super) unsafe fn $conv<T: Lane>(job: &Job<'_>, bitmap: &[T], rows: &mut [i32], planes: &mut [f32]) {
+                conv_image(job, bitmap, rows, planes);
             }
         };
     }
@@ -692,10 +820,10 @@ mod x86 {
         "avx512bw",
         "avx512dq",
         "avx512vl",
-        "avx512vpopcntdq"
+        "avx512vpopcntdq",
+        "avx512bitalg"
     );
 }
-
 
 #[cfg(test)]
 mod tests {
@@ -726,22 +854,62 @@ mod tests {
             .collect()
     }
 
-    /// The packed bitmap against a reference written per (channel, pixel):
-    /// every word zero but bit `c % 64` of word `(c / 64, pad + y, pad + x)`
-    /// set where `sign_bit(x − shift) = 1`. Channel counts around one and
-    /// two words, paddings 0–2, widths 1–40 (every pack chunk width and the
-    /// overlapping last chunk), every [`SignShift`], hostile inputs and
+    /// Whether lane `T` holds `ic` channels: `u64` holds any count in
+    /// several planes, a narrower lane one plane's worth.
+    fn admits<T: Lane>(ic: usize) -> bool {
+        T::BITS == 64 || ic <= T::BITS
+    }
+
+    /// [`Geometry::bitmap_words`] for lane `T`, whichever lane the call
+    /// picked: `u64` words of scratch enough to view as the bitmap in `T`.
+    fn words_for<T: Lane>(g: &Geometry) -> usize {
+        (g.bitmap_len() * T::BITS).div_ceil(64)
+    }
+
+    /// The packed bitmap against a reference written per (channel, pixel),
+    /// in every lane that holds the channels: every word zero but bit
+    /// `c % BITS` of word `(c / BITS, pad + y, pad + x)` set where
+    /// `sign_bit(x − shift) = 1`. Channel counts around one and two words
+    /// of each lane, paddings 0–2, widths 1–40 (every pack chunk width and
+    /// the overlapping last chunk), every [`SignShift`], hostile inputs and
     /// shifts, the bitmap full of ones beforehand — at every level.
     ///
     /// Hand mutants this test kills: the row's overlapping last chunk
     /// dropped; the left pad word left as it was; the first
     /// channel lane ORed onto the stale word instead of starting from zero;
-    /// the per-channel shifts one channel late.
+    /// the per-channel shifts one channel late; `pack_words` without its
+    /// `& bit`; a `u16::from_u64` that keeps the high half.
     #[test]
     fn pack_matches_a_per_channel_sign_reference() {
+        fn check<T: Lane + TryFrom<u64>>(g: &Geometry, image: &[f32], shift: (&[f32], f32), label: &str) {
+            if !admits::<T>(g.ic) {
+                return;
+            }
+            let (h, w, pad) = (g.y.extent, g.x.extent, g.spec.padding);
+            let row = w + 2 * pad;
+            let mut want = vec![0u64; g.bitmap_len()];
+            for c in 0..g.ic {
+                let s = shift.0.get(c).copied().unwrap_or(shift.1);
+                for y in 0..h {
+                    for x in 0..w {
+                        let word = (c / T::BITS) * g.plane() + (pad + y) * row + pad + x;
+                        want[word] |= sign_bit(image[(c * h + y) * w + x] - s) << (c % T::BITS);
+                    }
+                }
+            }
+            let want: Vec<T> = want.into_iter().map(|word| T::try_from(word).ok().expect("a word of T")).collect();
+            let words = words_for::<T>(g);
+            for level in simd::available() {
+                let mut scratch = vec![u64::MAX; words + 3];
+                let bitmap = lanes::<T>(g, &mut scratch);
+                pack(level, g, image, shift, bitmap);
+                assert_eq!(*bitmap, want, "{label} u{} at {level}", T::BITS);
+                assert_eq!(scratch[words..], [u64::MAX; 3], "{label} u{} at {level}", T::BITS);
+            }
+        }
         let mut next = stream(29);
         let mut cases = 0;
-        for ic in [1usize, 15, 16, 17, 63, 64, 65, 130] {
+        for ic in [1usize, 15, 16, 17, 31, 32, 33, 63, 64, 65, 130] {
             for pad in 0..3 {
                 for w in 1..=40 {
                     let h = 2;
@@ -751,28 +919,109 @@ mod tests {
                     let (beta, means) = (hostile(&mut next, ic), hostile(&mut next, 1));
                     let shifts = [SignShift::None, SignShift::PerChannel(&beta), SignShift::PerImage(&means)];
                     let shift = shifts[cases % 3].of_image(0);
-                    let row = w + 2 * pad;
-                    let mut want = vec![0u64; g.bitmap_words()];
-                    for c in 0..ic {
-                        let s = shift.0.get(c).copied().unwrap_or(shift.1);
-                        for y in 0..h {
-                            for x in 0..w {
-                                let word = (c / 64) * g.plane() + (pad + y) * row + pad + x;
-                                want[word] |= sign_bit(image[(c * h + y) * w + x] - s) << (c % 64);
-                            }
-                        }
-                    }
-                    for level in simd::available() {
-                        let mut bitmap = vec![u64::MAX; g.bitmap_words() + 3];
-                        pack(level, &g, &image, shift, &mut bitmap[..g.bitmap_words()]);
-                        assert_eq!(bitmap[..g.bitmap_words()], want, "ic={ic} pad={pad} w={w} at {level}");
-                        assert_eq!(bitmap[g.bitmap_words()..], [u64::MAX; 3], "ic={ic} pad={pad} w={w} at {level}");
-                    }
+                    let label = format!("ic={ic} pad={pad} w={w}");
+                    check::<u16>(&g, &image, shift, &label);
+                    check::<u32>(&g, &image, shift, &label);
+                    check::<u64>(&g, &image, shift, &label);
                     cases += 1;
                 }
             }
         }
-        assert_eq!(cases, 8 * 3 * 40);
+        assert_eq!(cases, 11 * 3 * 40);
+    }
+
+    /// The lane is invisible: `pack` + `conv` in every lane that holds the
+    /// channels gives the `u64` lane's output bit for bit. IC 1–33 and
+    /// 63–65; k 1, 3, 5; strides 1–3; paddings 0..=k; widths 1, 15–17 and
+    /// 40, and a 300-pixel row (wider than a segment); every level; hostile
+    /// inputs, shifts, bias and gates, every [`Fused`] operand present or
+    /// absent in turn, and the skip wherever the call keeps the shape;
+    /// NaN-filled output and stale scratch.
+    ///
+    /// Hand mutants this test kills: a `u16::from_u64` that keeps the high
+    /// half; a `u32::popcount` that counts only the low half; `pack_words`
+    /// without its `& bit`. A mutant every lane shares is the same on both
+    /// sides here; the oracles in `tests/kernels.rs` catch those. So is a
+    /// selector that puts IC 17 on `u16`, since this test picks each lane
+    /// itself: `direct_kernel_counts_every_channel_at_the_lane_edges`
+    /// runs the channel counts at every lane's edge through `forward_at`.
+    #[test]
+    fn every_lane_matches_the_u64_lane() {
+        fn run<T: Lane>(level: SimdLevel, job: &Job<'_>, image: &[f32], shift: (&[f32], f32), out: &mut [f32]) {
+            let mut scratch = vec![u64::MAX; words_for::<T>(job.g)];
+            let bitmap = lanes::<T>(job.g, &mut scratch);
+            let mut rows = vec![i32::MIN; job.g.rows_len()];
+            out.fill(f32::NAN);
+            pack(level, job.g, image, shift, bitmap);
+            conv(level, job, bitmap, &mut rows, out);
+        }
+        let mut next = stream(37);
+        let mut cases = 0;
+        let ics = (1..=33).chain(63..=65);
+        let shapes = [(2usize, 1usize), (2, 15), (3, 16), (2, 17), (2, 40), (1, 300)];
+        for ic in ics {
+            for k in [1usize, 3, 5] {
+                for stride in 1..=3 {
+                    for pad in 0..=k {
+                        let (h, w) = shapes[cases % shapes.len()];
+                        cases += 1;
+                        let spec = Conv2dSpec { stride, padding: pad };
+                        let Ok(g) = Geometry::new(ic, k, spec, h, w) else { continue };
+                        let (oh, ow) = g.out();
+                        // The skip needs the shape kept: then as many
+                        // output channels as input ones.
+                        let keeps = (oh, ow) == (h, w);
+                        let oc = if keeps { ic } else { 3 };
+                        let valid = if ic % 64 == 0 { u64::MAX } else { (1 << (ic % 64)) - 1 };
+                        let wpp = g.wpp;
+                        let weights: Vec<u64> = (0..oc * k * k * wpp)
+                            .map(|i| if i % wpp == wpp - 1 { next() & valid } else { next() })
+                            .collect();
+                        let mut base = vec![0; oc * g.base_len()];
+                        base_table(&g, &pad_fix(&weights, k * k, wpp, ic), &mut base);
+                        let image = hostile(&mut next, ic * h * w);
+                        let (beta, means) = (hostile(&mut next, ic), hostile(&mut next, 1));
+                        let scales: Vec<f32> = (0..oc).map(|_| (next() % 1000) as f32 / 400.0 + 0.25).collect();
+                        let (bias, channel) = (hostile(&mut next, oc), hostile(&mut next, oc));
+                        let spatial = hostile(&mut next, oh * ow);
+                        // Operands present or absent by the case's bits.
+                        let on = |bit: usize| cases >> bit & 1 == 1;
+                        let shifts = [SignShift::None, SignShift::PerChannel(&beta), SignShift::PerImage(&means)];
+                        let shift = shifts[cases % 3].of_image(0);
+                        let job = Job {
+                            g: &g,
+                            weights: &weights,
+                            base: &base,
+                            scales: &scales,
+                            bias: on(1).then_some(&bias[..]),
+                            spatial: on(2).then_some(&spatial[..]),
+                            channel: on(3).then_some(&channel[..]),
+                            skip: keeps.then_some(&image[..]),
+                        };
+                        let label = format!("ic={ic} k={k} stride={stride} pad={pad} {h}x{w}");
+                        let mut want = vec![0.0; oc * oh * ow];
+                        run::<u64>(SimdLevel::None, &job, &image, shift, &mut want);
+                        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                        let mut got = vec![0.0; oc * oh * ow];
+                        for level in simd::available() {
+                            for (bits, admitted) in [(16, admits::<u16>(ic)), (32, admits::<u32>(ic)), (64, true)] {
+                                if !admitted {
+                                    continue;
+                                }
+                                match bits {
+                                    16 => run::<u16>(level, &job, &image, shift, &mut got),
+                                    32 => run::<u32>(level, &job, &image, shift, &mut got),
+                                    _ => run::<u64>(level, &job, &image, shift, &mut got),
+                                }
+                                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                                assert_eq!(got, want, "{label} u{bits} at {level}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 36 * (2 + 4 + 6) * 3);
     }
 
     /// Every base-table entry against its definition, pixel by pixel: `k²·IC`

@@ -9,11 +9,12 @@
 //!   is its `k = 1` case), bit-exact against the float reference on `±1`
 //!   inputs.
 //! * [`direct`] — the one convolution kernel behind `BinaryConv2d`: a
-//!   direct, fused XNOR-popcount loop compiled once per
-//!   [`scales_tensor::SimdLevel`] (portable, `popcnt`, AVX2, AVX-512
-//!   `VPOPCNTDQ`) and run at the level the active backend reports — the
-//!   best one detected by default, the portable loop under
-//!   `SCALES_BACKEND=scalar`.
+//!   direct, fused XNOR-popcount loop over a bitmap of `u16`, `u32` or
+//!   `u64` words (the narrowest that holds the input channels), compiled
+//!   once per [`scales_tensor::SimdLevel`] (portable, `popcnt`, AVX2,
+//!   AVX-512 `VPOPCNTDQ` + `BITALG`) and run at the level the active
+//!   backend reports — the best one detected by default, the portable loop
+//!   under `SCALES_BACKEND=scalar`.
 //! * [`count`] — the paper's cost model (`OPs = OPs_f + OPs_b/64`,
 //!   `Params = Params_f + Params_b/32`).
 //!

@@ -1,10 +1,12 @@
 //! Bit-packed XNOR-popcount inference layers.
 //!
 //! These implement the deployment path the paper benchmarks with Larq on a
-//! Snapdragon 870 (Table VI): weights are packed once at construction,
-//! activations are sign-packed per call, and the convolution inner product
-//! runs entirely on `u64` XOR + popcount, recovering the float result
-//! exactly for `±1` inputs (zero-padded taps contribute exactly 0).
+//! Snapdragon 870 (Table VI): weights are packed once at construction
+//! into `u64` words, activations are sign-packed per call into the
+//! narrowest word that holds the input channels (`u16`, `u32` or `u64`),
+//! and the convolution inner product runs entirely on integer XOR +
+//! popcount in that word, recovering the float result exactly for `±1`
+//! inputs (zero-padded taps contribute exactly 0).
 //!
 //! The convolution is the direct kernel of [`crate::direct`]: no im2col,
 //! lanes are output pixels, and the caller's epilogue (bias, gates,
@@ -24,10 +26,12 @@ use scales_tensor::{Result, SimdLevel, Tensor, TensorError};
 /// float scales (`ŵ = s_c · sign(w)`).
 ///
 /// Packing is **channel-major**: each spatial position's input-channel
-/// vector is packed into `ceil(IC/64)` words once per image, so the hot
-/// loop works on whole words rather than individual bits. Weights are
-/// packed in the matching `(ky, kx, channel-word)` order at construction,
-/// with no bits set above `IC`.
+/// vector is packed once per image into one `u16` (IC ≤ 16) or `u32`
+/// (IC ≤ 32) word, or `ceil(IC/64)` `u64` words, so the hot loop works on
+/// whole words rather than individual bits. Weights are packed in the
+/// matching `(ky, kx, channel-word)` order at construction, in `u64` words
+/// with no bits set above `IC`, and narrowed to the activations' word per
+/// tap.
 pub struct BinaryConv2d {
     /// Per output channel: `k·k·wpp` words in (ky, kx, channel-word) order.
     packed_weights: Vec<u64>,
@@ -352,10 +356,8 @@ impl BinaryConv2d {
         direct::base_table(&g, &self.pad_fix, base);
         for b in 0..n {
             let image = &input[b * ic * h * w..(b + 1) * ic * h * w];
-            direct::pack(level, &g, image, fused.shift.of_image(b), bitmap);
             let job = Job {
                 g: &g,
-                bitmap,
                 weights: &self.packed_weights,
                 base: &*base,
                 scales: &self.scales,
@@ -364,7 +366,8 @@ impl BinaryConv2d {
                 channel: fused.channel.map(|gate| &gate[b * oc..(b + 1) * oc]),
                 skip: fused.skip.then_some(image),
             };
-            direct::conv(level, &job, rows, &mut out[b * oc * oh * ow..(b + 1) * oc * oh * ow]);
+            let planes = &mut out[b * oc * oh * ow..(b + 1) * oc * oh * ow];
+            direct::run(level, &job, image, fused.shift.of_image(b), bitmap, rows, planes);
         }
         Ok(())
     }

@@ -888,9 +888,12 @@ mod tests {
         // The tail conv's padded input planes and the body conv's sign
         // bitmap at 40×40 are in the total, as is the heap behind the
         // ×2 bicubic taps (80 outputs per axis, at least 4 taps each).
+        // 16 channels pack into `u16` words: 2 bytes per padded position,
+        // held in `u64` scratch words.
+        let bitmap_bytes = 42 * 42 * 2;
         assert!(ws.scratch().padded.capacity() >= channels * 42 * 42);
-        assert!(ws.scratch().bits.act.capacity() >= 42 * 42);
-        assert!(scratch >= (channels * 42 * 42) * 4 + (42 * 42) * 8, "scratch {scratch}");
+        assert!(ws.scratch().bits.act.capacity() >= bitmap_bytes / 8);
+        assert!(scratch >= (channels * 42 * 42) * 4 + bitmap_bytes, "scratch {scratch}");
         assert!(plans >= 2 * 80 * 4 * std::mem::size_of::<(usize, f32)>(), "plans {plans}");
     }
 

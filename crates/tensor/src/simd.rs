@@ -5,8 +5,11 @@
 //! is summarized as a [`SimdLevel`] capability ladder. Each rung keeps
 //! everything the rungs below it offer (capability checks are `>=`):
 //!
-//! * [`SimdLevel::Avx512`] — AVX-512 F/BW/DQ/VL + `VPOPCNTDQ`: the direct
-//!   binary convolution counts eight pixels per `vpopcntq` and the direct
+//! * [`SimdLevel::Avx512`] — AVX-512 F/BW/DQ/VL + `VPOPCNTDQ` + `BITALG`:
+//!   the direct binary convolution counts eight pixels per `vpopcntq` over
+//!   `u64` bitmap words, 16 per `vpopcntd` over `u32` and 32 per
+//!   `vpopcntw` over `u16` (BITALG; without it a 16-bit popcount is
+//!   emulated, so a CPU that lacks it runs the AVX2 rung), and the direct
 //!   float convolution ([`crate::ops::direct`]) runs 4 × 48-position tiles
 //!   on 512-bit lanes; the float GEMM stays on the AVX2 microkernel;
 //! * [`SimdLevel::Avx2`] — AVX2 + POPCNT: the 8-lane float GEMM microkernel
@@ -74,9 +77,9 @@ pub enum SimdLevel {
     /// AVX2 + POPCNT: vectorized float GEMM, 256-bit float and binary
     /// convolutions.
     Avx2,
-    /// AVX-512 (F, BW, DQ, VL) + `VPOPCNTDQ`: vector-popcount binary
-    /// convolution and 512-bit float convolution on top of everything
-    /// [`SimdLevel::Avx2`] offers.
+    /// AVX-512 (F, BW, DQ, VL) + `VPOPCNTDQ` + `BITALG`: vector-popcount
+    /// binary convolution on 64-, 32- and 16-bit words and 512-bit float
+    /// convolution on top of everything [`SimdLevel::Avx2`] offers.
     Avx512,
 }
 
@@ -124,13 +127,15 @@ pub fn detected() -> SimdLevel {
             // has it: the binary kernels rely on it at every level.
             let avx2 = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt");
             // The AVX-512 rung names every subset its kernel is compiled
-            // with, not just VPOPCNTDQ.
+            // with, not just VPOPCNTDQ: BITALG is the 16-bit popcount the
+            // binary kernel's `u16` lane counts with.
             let avx512 = avx2
                 && is_x86_feature_detected!("avx512f")
                 && is_x86_feature_detected!("avx512bw")
                 && is_x86_feature_detected!("avx512dq")
                 && is_x86_feature_detected!("avx512vl")
-                && is_x86_feature_detected!("avx512vpopcntdq");
+                && is_x86_feature_detected!("avx512vpopcntdq")
+                && is_x86_feature_detected!("avx512bitalg");
             if avx512 {
                 SimdLevel::Avx512
             } else if avx2 {

@@ -30,8 +30,10 @@ pub fn sized<T: Copy + Default>(buf: &mut Vec<T>, len: usize) -> &mut [T] {
 /// its padding taps count.
 #[derive(Default)]
 pub struct BitScratch {
-    /// Zero-padded sign bitmap of one image, word-plane-major:
-    /// `ceil(IC/64)` planes of `(h + 2·pad)` rows, one word per pixel.
+    /// Zero-padded sign bitmap of one image, word-plane-major: one word
+    /// per padded pixel in the narrowest lane that holds the channels
+    /// (`u16` up to 16, `u32` up to 32, else `ceil(IC/64)` planes of `u64`
+    /// words), the `u64`s here viewed as that lane.
     pub act: Vec<u64>,
     /// Per output channel and row class (each border row, then all
     /// interior rows), the dot product an output pixel starts from once

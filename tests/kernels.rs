@@ -824,6 +824,26 @@ fn direct_kernel_handles_rows_as_wide_as_a_segment_and_wider() {
     assert_eq!(cases, 108);
 }
 
+/// Every channel count at and around the edge of each bitmap lane (`u16`
+/// up to 16 channels, `u32` up to 32, then `u64` words) through
+/// [`check_fused_call_against_sign_conv`], for the unrolled 3×3 and 1×1
+/// loops and the any-size one. The generated oracle above samples its
+/// channel counts; this pins the edges. Kills, tried by hand: a lane
+/// selector that puts 17 channels on `u16` (`..=17`), or 33 on `u32`.
+#[test]
+fn direct_kernel_counts_every_channel_at_the_lane_edges() {
+    let mut data = Stream(19);
+    let mut cases = 0;
+    for c in [1usize, 2, 15, 16, 17, 31, 32, 33, 63, 64, 65] {
+        for (k, pad) in [(1usize, 0usize), (3, 1), (5, 2)] {
+            let spec = Conv2dSpec { stride: 1, padding: pad };
+            check_fused_call_against_sign_conv(&mut data, c, k, spec, 3, 17, cases % 2 == 0, cases % 3 == 0);
+            cases += 1;
+        }
+    }
+    assert_eq!(cases, 33);
+}
+
 /// `values` with every seventh element replaced, in turn, by NaN, ±∞,
 /// `−0.0` or a subnormal of either sign: what the fused store's operands
 /// must carry through unchanged.
