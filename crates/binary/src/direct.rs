@@ -109,14 +109,7 @@ const CHUNK: usize = 16;
 /// channels are counted. Only the three unsigned integers implement it, so
 /// a `u64` scratch can be viewed as any of them ([`lanes`]).
 pub(crate) trait Lane:
-    Copy
-    + Default
-    + Eq
-    + std::fmt::Debug
-    + BitAnd<Output = Self>
-    + BitOr<Output = Self>
-    + BitXor<Output = Self>
-    + Add<Output = Self>
+    Copy + Default + BitAnd<Output = Self> + BitOr<Output = Self> + BitXor<Output = Self> + Add<Output = Self>
 {
     /// Channels one word holds.
     const BITS: usize;
@@ -881,7 +874,12 @@ mod tests {
     /// `& bit`; a `u16::from_u64` that keeps the high half.
     #[test]
     fn pack_matches_a_per_channel_sign_reference() {
-        fn check<T: Lane + TryFrom<u64>>(g: &Geometry, image: &[f32], shift: (&[f32], f32), label: &str) {
+        fn check<T: Lane + TryFrom<u64> + Eq + std::fmt::Debug>(
+            g: &Geometry,
+            image: &[f32],
+            shift: (&[f32], f32),
+            label: &str,
+        ) {
             if !admits::<T>(g.ic) {
                 return;
             }
@@ -936,7 +934,13 @@ mod tests {
     /// 40, and a 300-pixel row (wider than a segment); every level; hostile
     /// inputs, shifts, bias and gates, every [`Fused`] operand present or
     /// absent in turn, and the skip wherever the call keeps the shape;
-    /// NaN-filled output and stale scratch.
+    /// NaN-filled output and stale scratch. Outputs compare by `to_bits`
+    /// with every NaN mapped to one pattern: where two NaNs meet in the
+    /// epilogue (a NaN operand and the `0 · ∞` of another), x86 keeps the
+    /// first operand's sign and payload, and which operand of a commutative
+    /// `+` or `·` comes first is the compiler's choice per level — Rust
+    /// leaves NaN payloads unspecified. Which elements are NaN, and every
+    /// other element's bits, are compared exactly.
     ///
     /// Hand mutants this test kills: a `u16::from_u64` that keeps the high
     /// half; a `u32::popcount` that counts only the low half; `pack_words`
@@ -954,6 +958,9 @@ mod tests {
             out.fill(f32::NAN);
             pack(level, job.g, image, shift, bitmap);
             conv(level, job, bitmap, &mut rows, out);
+        }
+        fn bits(values: &[f32]) -> Vec<u32> {
+            values.iter().map(|v| if v.is_nan() { f32::NAN.to_bits() } else { v.to_bits() }).collect()
         }
         let mut next = stream(37);
         let mut cases = 0;
@@ -1001,20 +1008,19 @@ mod tests {
                         let label = format!("ic={ic} k={k} stride={stride} pad={pad} {h}x{w}");
                         let mut want = vec![0.0; oc * oh * ow];
                         run::<u64>(SimdLevel::None, &job, &image, shift, &mut want);
-                        let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                        let want = bits(&want);
                         let mut got = vec![0.0; oc * oh * ow];
                         for level in simd::available() {
-                            for (bits, admitted) in [(16, admits::<u16>(ic)), (32, admits::<u32>(ic)), (64, true)] {
+                            for (lane, admitted) in [(16, admits::<u16>(ic)), (32, admits::<u32>(ic)), (64, true)] {
                                 if !admitted {
                                     continue;
                                 }
-                                match bits {
+                                match lane {
                                     16 => run::<u16>(level, &job, &image, shift, &mut got),
                                     32 => run::<u32>(level, &job, &image, shift, &mut got),
                                     _ => run::<u64>(level, &job, &image, shift, &mut got),
                                 }
-                                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                                assert_eq!(got, want, "{label} u{bits} at {level}");
+                                assert_eq!(bits(&got), want, "{label} u{lane} at {level}");
                             }
                         }
                     }

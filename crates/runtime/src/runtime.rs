@@ -853,9 +853,9 @@ mod tests {
         // request but cannot wait for it: typed timeout, and the request
         // is still served (discarded) rather than leaked. The worker is
         // busy first, so the request cannot be served before its caller
-        // looks at the ticket: ~3 ms of work optimised, long enough to
+        // looks at the ticket: a few ms of work optimised, long enough to
         // outlast the caller being descheduled on a loaded box.
-        let heavy: Vec<Image> = (0..8).map(|i| probe(48, 48, 50 + i)).collect();
+        let heavy: Vec<Image> = (0..16).map(|i| probe(48, 48, 50 + i)).collect();
         let busy = runtime.submit(SrRequest::batch(heavy)).unwrap();
         while runtime.stats().queue_depth > 0 {
             std::thread::yield_now();
